@@ -8,32 +8,4 @@ cpmaps -> relations -> graphs -> scc, with classical oracles, a JSON bundle
 format and a CLI on top.
 """
 
-from . import (  # noqa: F401
-    bundle,
-    classical,
-    cli,
-    cpmaps,
-    errors,
-    graphs,
-    groups,
-    linalg,
-    relations,
-    scc,
-    systems,
-)
-
-__all__ = [
-    "bundle",
-    "classical",
-    "cli",
-    "cpmaps",
-    "errors",
-    "graphs",
-    "groups",
-    "linalg",
-    "relations",
-    "scc",
-    "systems",
-]
-
 __version__ = "0.1.0"

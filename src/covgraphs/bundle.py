@@ -124,21 +124,6 @@ def _parse_pair(key: str):
         raise BundleError(f"factor-pair key {key!r} must look like 'i,j'") from exc
 
 
-def channel_to_json(f: CpMorphism, name_of: dict) -> dict:
-    from .cpmaps import to_kraus
-
-    kraus = to_kraus(f)
-    return {
-        "from": name_of[id(f.source)],
-        "to": name_of[id(f.target)],
-        "kraus": {
-            _pair_key(i, j): [matrix_to_json(m) for m in ops]
-            for (i, j), ops in kraus.items()
-            if ops
-        },
-    }
-
-
 def channel_from_json(data, systems: dict) -> CpMorphism:
     try:
         src = systems[data["from"]]
@@ -161,12 +146,9 @@ def channel_from_json(data, systems: dict) -> CpMorphism:
     raise BundleError("channel needs one of 'kraus', 'choi' or 'stochastic'")
 
 
-def relation_from_json(data, systems: dict) -> QuantumRelation:
-    try:
-        src = systems[data["source"]]
-        tgt = systems[data["target"]]
-    except KeyError as exc:
-        raise BundleError(f"relation references unknown system {exc}") from exc
+def _blocks_from_json(data, src: System, tgt: System, kind: str) -> dict:
+    """Projection blocks given either as a "projection" matrix or as a
+    "basis" of operators K_j -> H_i whose span is taken."""
     blocks = {}
     for key, spec in data.get("blocks", {}).items():
         pair = _parse_pair(key)
@@ -177,24 +159,17 @@ def relation_from_json(data, systems: dict) -> QuantumRelation:
             vecs = [linalg.vec(matrix_from_json(m)) for m in spec["basis"]]
             blocks[pair] = linalg.orthonormal_span(vecs, dim=src.dims[i] * tgt.dims[j])
         else:
-            raise BundleError(f"relation block {key} needs 'projection' or 'basis'")
-    return QuantumRelation(src, tgt, blocks)
+            raise BundleError(f"{kind} block {key} needs 'projection' or 'basis'")
+    return blocks
 
 
-def graph_to_json(g: QuantumGraph, name_of: dict) -> dict:
-    flags = classify(g)
-    kind = "confusability" if flags["is_confusability"] else (
-        "simple" if flags["is_simple"] else "general"
-    )
-    return {
-        "system": name_of[id(g.system)],
-        "kind": kind,
-        "blocks": {
-            _pair_key(i, j): {"projection": matrix_to_json(blk)}
-            for (i, j), blk in g.relation.blocks.items()
-            if linalg.frob(blk) > 0
-        },
-    }
+def relation_from_json(data, systems: dict) -> QuantumRelation:
+    try:
+        src = systems[data["source"]]
+        tgt = systems[data["target"]]
+    except KeyError as exc:
+        raise BundleError(f"relation references unknown system {exc}") from exc
+    return QuantumRelation(src, tgt, _blocks_from_json(data, src, tgt, "relation"))
 
 
 def graph_from_json(data, systems: dict) -> QuantumGraph:
@@ -202,18 +177,7 @@ def graph_from_json(data, systems: dict) -> QuantumGraph:
         sys = systems[data["system"]]
     except KeyError as exc:
         raise BundleError(f"graph references unknown system {exc}") from exc
-    blocks = {}
-    for key, spec in data.get("blocks", {}).items():
-        pair = _parse_pair(key)
-        if "projection" in spec:
-            blocks[pair] = matrix_from_json(spec["projection"])
-        elif "basis" in spec:
-            i, j = pair
-            vecs = [linalg.vec(matrix_from_json(m)) for m in spec["basis"]]
-            blocks[pair] = linalg.orthonormal_span(vecs, dim=sys.dims[i] * sys.dims[j])
-        else:
-            raise BundleError(f"graph block {key} needs 'projection' or 'basis'")
-    rel = QuantumRelation(sys, sys, blocks)
+    rel = QuantumRelation(sys, sys, _blocks_from_json(data, sys, sys, "graph"))
     g = QuantumGraph(sys, rel)
     kind = data.get("kind")
     if kind is not None:

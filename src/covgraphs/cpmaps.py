@@ -25,12 +25,7 @@ from .errors import (
     SystemMismatch,
 )
 from .linalg import TOL_PROJ, TOL_SPEC
-from .systems import System, functional, inner, multiply, phi_basis
-
-
-def _block_shape(src: System, tgt: System, i: int, j: int):
-    n = src.dims[i] * tgt.dims[j]
-    return (n, n)
+from .systems import System, _diff, block_family, functional, inner, multiply, phi_basis
 
 
 class CpMorphism:
@@ -39,28 +34,10 @@ class CpMorphism:
     def __init__(self, source: System, target: System, blocks: dict, validate: bool = True):
         self.source = source
         self.target = target
-        full = {}
-        for i in range(source.nfactors):
-            for j in range(target.nfactors):
-                blk = blocks.get((i, j))
-                if blk is None:
-                    blk = np.zeros(_block_shape(source, target, i, j), dtype=complex)
-                else:
-                    blk = linalg.as_complex(blk).copy()
-                    if blk.shape != _block_shape(source, target, i, j):
-                        raise ShapeMismatch(
-                            f"Choi block ({i},{j}) has shape {blk.shape}, "
-                            f"expected {_block_shape(source, target, i, j)}"
-                        )
-                blk.setflags(write=False)
-                full[(i, j)] = blk
-        for key in blocks:
-            if key not in full:
-                raise ShapeMismatch(f"block index {key} out of range")
-        self.blocks = full
+        self.blocks = block_family(source, target, blocks, "Choi")
         if validate:
             scale = max(1.0, self.norm())
-            for key, blk in full.items():
+            for key, blk in self.blocks.items():
                 if linalg.frob(blk - blk.conj().T) > 100 * TOL_PROJ * scale:
                     raise ShapeMismatch(f"Choi block {key} is not Hermitian")
                 wmin = float(np.min(np.linalg.eigvalsh(linalg.hermitize(blk))))
@@ -74,11 +51,9 @@ class CpMorphism:
         return self.blocks[(i, j)]
 
 
-class KrausFamily(dict):
-    """Maps factor pairs (i, j) to lists of e_j x d_i matrices H_i -> K_j."""
-
-
-def from_kraus(kraus: KrausFamily | dict, src: System, tgt: System) -> CpMorphism:
+def from_kraus(kraus: dict, src: System, tgt: System) -> CpMorphism:
+    """CP morphism of a Kraus family: factor pairs (i, j) mapped to lists of
+    e_j x d_i matrices H_i -> K_j."""
     blocks = {}
     for (i, j), ops in kraus.items():
         if not (0 <= i < src.nfactors and 0 <= j < tgt.nfactors):
@@ -98,9 +73,9 @@ def from_kraus(kraus: KrausFamily | dict, src: System, tgt: System) -> CpMorphis
     return CpMorphism(src, tgt, blocks, validate=False)
 
 
-def to_kraus(f: CpMorphism, tol: float = TOL_SPEC) -> KrausFamily:
+def to_kraus(f: CpMorphism, tol: float = TOL_SPEC) -> dict:
     """Minimal Kraus family: one map per retained eigenpair of each block."""
-    out = KrausFamily()
+    out = {}
     for (i, j), blk in f.blocks.items():
         d, e = f.source.dims[i], f.target.dims[j]
         scale = linalg.frob(blk)
@@ -239,18 +214,14 @@ def _hom_defects(f: CpMorphism):
         fa = images[ka]
         star = max(
             star,
-            _elt_diff([m.conj().T for m in fa], apply(f, [m.conj().T for m in ua])),
+            _diff([m.conj().T for m in fa], apply(f, [m.conj().T for m in ua])),
         )
         for (kb, (_, _, _, ub)) in enumerate(basis):
             lhs = apply(f, multiply(f.source, ua, ub))
             rhs = multiply(f.target, fa, images[kb])
-            mult = max(mult, _elt_diff(lhs, rhs))
-    unit = _elt_diff(apply(f, f.source.identity()), f.target.identity())
+            mult = max(mult, _diff(lhs, rhs))
+    unit = _diff(apply(f, f.source.identity()), f.target.identity())
     return max(mult, unit, star), (mult, unit, star)
-
-
-def _elt_diff(x, y) -> float:
-    return max(linalg.frob(a - b) for a, b in zip(x, y))
 
 
 def cp_norm_diff(f: CpMorphism, g: CpMorphism) -> float:

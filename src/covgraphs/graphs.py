@@ -28,6 +28,7 @@ from .groups import AlgebraAction
 from .linalg import TOL_PROJ, TOL_SPEC
 from .relations import (
     QuantumRelation,
+    containment_failures,
     converse,
     compose as rel_compose,
     discrete,
@@ -189,32 +190,50 @@ def realize_channel(g: QuantumGraph, tau: float | None = None, tol: float = TOL_
     return f, env
 
 
-def _conjugation_action(a_sys: System) -> AlgebraAction:
-    """Action of the group on the algebra-as-Hilbert-space by conjugation."""
-    from .groups import act
+def _conjugation_action(a_sys: System, extra: int = 0) -> AlgebraAction:
+    """Action of the group on the algebra-as-Hilbert-space by conjugation.
 
-    n = total_matrix_dim(a_sys)
+    Coordinates are the matrix units E_pq of each factor in phi_basis order
+    (weights are constant on orbits, so the φ-normalization drops out), padded
+    by ``extra`` invariant directions.
+    """
+    dim = total_matrix_dim(a_sys)
+    n = dim + extra
     group = a_sys.group
     perms = tuple((0,) for _ in range(group.order))
     units = []
-    basis = phi_basis(a_sys)
     for gel in group.elements:
         u = np.zeros((n, n), dtype=complex)
-        for k, (_, _, _, el) in enumerate(basis):
-            u[:, k] = coords(a_sys, act(a_sys.action, gel, el))
+        for a, da in enumerate(a_sys.dims):
+            ua = a_sys.action.unitaries[gel][a]
+            src = basis_offset(a_sys, a)
+            tgt = basis_offset(a_sys, a_sys.action.perms[gel][a])
+            # E_pq -> ua E_pq ua† placed at the image factor.
+            for p in range(da):
+                for q in range(da):
+                    img = np.outer(ua[:, p], ua[:, q].conj())
+                    u[tgt:tgt + da * da, src + p * da + q] = img.reshape(-1)
+        u[dim:, dim:] = np.eye(extra)
         units.append((u,))
     return AlgebraAction(group, (n,), perms, tuple(units))
+
+
+def homomorphism_failures(f: CpMorphism, g_a: QuantumGraph, g_b: QuantumGraph,
+                          tol: float = TOL_PROJ):
+    """Blocks (key, defect) where the pullback ℜ(f)† ∘ Γ_B ∘ ℜ(f) fails to lie
+    in Γ_A, yielded lazily by the containment test of leq."""
+    if f.source != g_a.system or f.target != g_b.system:
+        raise SystemMismatch("homomorphism check: systems do not match")
+    rf = support_of(f)
+    pullback = rel_compose(converse(rf), rel_compose(g_b.relation, rf))
+    return containment_failures(pullback, g_a.relation, tol)
 
 
 def is_homomorphism(f: CpMorphism, g_a: QuantumGraph, g_b: QuantumGraph,
                     tol: float = TOL_PROJ) -> bool:
     """Channel f is a homomorphism of confusability graphs iff
     ℜ(f)† ∘ Γ_B ∘ ℜ(f) ≤ Γ_A."""
-    if f.source != g_a.system or f.target != g_b.system:
-        raise SystemMismatch("homomorphism check: systems do not match")
-    rf = support_of(f)
-    pullback = rel_compose(converse(rf), rel_compose(g_b.relation, rf))
-    return leq(pullback, g_a.relation, tol)
+    return next(homomorphism_failures(f, g_a, g_b, tol), None) is None
 
 
 def is_simple_homomorphism(f: CpMorphism, g_a: QuantumGraph, g_b: QuantumGraph,
@@ -245,10 +264,9 @@ def reverse_channel(f: CpMorphism, tol: float = TOL_PROJ) -> CpMorphism:
         g̃_(j,i) = w_j q̃_(j,i)  +  (w_j / dim(A)) I_{H_i*} ⊗ (I - α_j),
 
     the first term decoding the reachable part, the second routing the
-    unreachable part uniformly; g is a channel and g ∘ f = id.
+    unreachable part uniformly; g is a channel and g ∘ f = id.  A map that is
+    not a channel raises NotAChannel through is_reversible.
     """
-    if not is_channel(f, tol):
-        raise NotAChannel("reverse_channel needs a channel")
     if not is_reversible(f, tol):
         raise NotReversible("confusability graph is not discrete")
     q = converse(support_of(f))

@@ -10,7 +10,7 @@ induced algebra automorphisms, which compose exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -112,7 +112,6 @@ class AlgebraAction:
     dims: tuple
     perms: tuple          # perms[g][i] = image slot of factor i
     unitaries: tuple      # unitaries[g][i] : d_i x d_i unitary
-    _checked: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
@@ -144,7 +143,6 @@ class AlgebraAction:
         if self.perms[e] != tuple(range(len(dims))):
             raise ActionShapeMismatch("identity element must fix the factor slots")
         _check_homomorphism(self)
-        object.__setattr__(self, "_checked", True)
 
     @property
     def nfactors(self) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .cpmaps import CpMorphism, dagger as cp_dagger, is_channel
+from .cpmaps import CpMorphism, channelize, choi_marginal, dagger as cp_dagger, is_channel
 from .errors import (
     CharacterizationMismatch,
     NoChannel,
@@ -21,7 +21,7 @@ from .errors import (
     SystemMismatch,
 )
 from .linalg import TOL_PROJ, TOL_SPEC
-from .systems import System
+from .systems import System, block_family
 
 
 class QuantumRelation:
@@ -31,26 +31,10 @@ class QuantumRelation:
                  tol: float = TOL_PROJ, validate: bool = True):
         self.source = source
         self.target = target
-        full = {}
-        for i in range(source.nfactors):
-            for j in range(target.nfactors):
-                n = source.dims[i] * target.dims[j]
-                blk = blocks.get((i, j))
-                if blk is None:
-                    blk = np.zeros((n, n), dtype=complex)
-                else:
-                    blk = linalg.as_complex(blk).copy()
-                    if blk.shape != (n, n):
-                        raise ShapeMismatch(f"relation block ({i},{j}) has wrong shape")
-                blk.setflags(write=False)
-                full[(i, j)] = blk
-        for key in blocks:
-            if key not in full:
-                raise ShapeMismatch(f"relation block index {key} out of range")
-        self.blocks = full
+        self.blocks = block_family(source, target, blocks, "relation")
         self._ops_cache = {}
         if validate:
-            for key, blk in full.items():
+            for key, blk in self.blocks.items():
                 defect = linalg.check_projection(blk)
                 if defect > tol * 100:
                     raise ShapeMismatch(
@@ -141,15 +125,20 @@ def converse(p: QuantumRelation) -> QuantumRelation:
     return QuantumRelation(p.target, p.source, blocks, validate=False)
 
 
-def leq(p: QuantumRelation, q: QuantumRelation, tol: float = TOL_PROJ) -> bool:
-    """p ≤ q iff q̃ p̃ = p̃ blockwise."""
+def containment_failures(p: QuantumRelation, q: QuantumRelation, tol: float = TOL_PROJ):
+    """Blocks where p ≤ q fails, lazily: (key, ‖q̃ p̃ − p̃‖) for every block whose
+    defect exceeds tol·max(1, ‖p̃‖)."""
     if p.source != q.source or p.target != q.target:
         raise SystemMismatch("leq: relations must share source and target")
     for key, pb in p.blocks.items():
-        qb = q.blocks[key]
-        if linalg.frob(qb @ pb - pb) > tol * max(1.0, linalg.frob(pb)):
-            return False
-    return True
+        defect = linalg.frob(q.blocks[key] @ pb - pb)
+        if defect > tol * max(1.0, linalg.frob(pb)):
+            yield key, defect
+
+
+def leq(p: QuantumRelation, q: QuantumRelation, tol: float = TOL_PROJ) -> bool:
+    """p ≤ q iff q̃ p̃ = p̃ blockwise; stops at the first failing block."""
+    return next(containment_failures(p, q, tol), None) is None
 
 
 def relations_equal(p: QuantumRelation, q: QuantumRelation, tol: float = TOL_PROJ) -> bool:
@@ -169,13 +158,8 @@ def marginal(p: QuantumRelation) -> list:
     the positive element whose invertibility characterizes relations of
     channels, and whose value is a projection for partial functions.
     """
-    out = []
-    for s, d in enumerate(p.source.dims):
-        acc = np.zeros((d, d), dtype=complex)
-        for t, e in enumerate(p.target.dims):
-            acc += p.target.weights[t] * linalg.trace_outer(p.blocks[(s, t)], e, d)
-        out.append(linalg.hermitize(acc))
-    return out
+    # choi_marginal reads only source, target and blocks, which p shares.
+    return [linalg.hermitize(m) for m in choi_marginal(p)]
 
 
 def relation_as_cp(p: QuantumRelation) -> CpMorphism:
@@ -217,18 +201,9 @@ def channel_from_relation(p: QuantumRelation, tol: float = TOL_SPEC) -> CpMorphi
     support is verified and a failure raises, since a silent support change
     would return a channel for a different relation.
     """
-    marg = marginal(p)
-    blocks = {}
-    for i, d in enumerate(p.source.dims):
-        w = np.linalg.eigvalsh(marg[i])
-        if float(w[0]) <= tol * max(1.0, float(w[-1])):
-            raise NoChannel(f"marginal on source factor {i} is singular")
-        s = linalg.inv_sqrt_psd(marg[i], tol)
-        wi = p.source.weights[i]
-        for j, e in enumerate(p.target.dims):
-            conj = linalg.kron(np.eye(e), s)
-            blocks[(i, j)] = wi * (conj @ p.blocks[(i, j)] @ conj.conj().T)
-    f = CpMorphism(p.source, p.target, blocks, validate=False)
+    if not channel_exists(p, tol):
+        raise NoChannel("the weighted source marginal is singular")
+    f = channelize(relation_as_cp(p), tol)
     defect = relation_defect(support_of(f), p)
     if defect > 1e-7:
         raise NoChannel(

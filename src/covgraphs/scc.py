@@ -41,7 +41,9 @@ from .errors import (
 )
 from .graphs import (
     QuantumGraph,
+    _conjugation_action,
     classify,
+    complement,
     confusability_of,
     discrete_graph,
     graphs_equal,
@@ -52,7 +54,7 @@ from .graphs import (
 from .groups import AlgebraAction
 from .linalg import TOL_PROJ, TOL_SPEC
 from .relations import QuantumRelation, relation_defect
-from .systems import QuantumSet, System, system, total_matrix_dim
+from .systems import QuantumSet, System, basis_offset, system, total_matrix_dim
 
 
 class TensorSystem:
@@ -128,16 +130,6 @@ class Source:
         self.channel = channel
 
 
-def _simple_complete_ops(sys: System, u: int, up: int, tol: float = TOL_PROJ):
-    """Operator basis of the (u, u') block of the complete simple graph 1 - Δ̃."""
-    d, e = sys.dims[u], sys.dims[up]
-    blk = np.eye(d * e, dtype=complex)
-    if u == up:
-        v = linalg.vec(np.eye(d, dtype=complex)) / np.sqrt(d)
-        blk = blk - np.outer(v, v.conj())
-    return [linalg.unvec(v, d, e) for v in linalg.projection_basis(blk, tol)]
-
-
 def _source_span_vectors(src: Source, tol: float = TOL_SPEC):
     """Vectors spanning the partial-traced doubled-dilation element per O_A pair.
 
@@ -150,6 +142,7 @@ def _source_span_vectors(src: Source, tol: float = TOL_SPEC):
     oa, ob = src.oa_system, src.ob_system
     ts = src.tensor
     kraus = to_kraus(src.channel, tol)
+    simple_complete = complement(discrete_graph(s_sys)).relation
     vecs = {
         (a, ap): []
         for a in range(oa.nfactors)
@@ -157,7 +150,7 @@ def _source_span_vectors(src: Source, tol: float = TOL_SPEC):
     }
     for u in range(s_sys.nfactors):
         for up in range(s_sys.nfactors):
-            c_ops = _simple_complete_ops(s_sys, u, up)
+            c_ops = simple_complete.block_ops(u, up)
             if not c_ops:
                 continue
             for b in range(ob.nfactors):
@@ -291,7 +284,7 @@ def source_from_graph(g: QuantumGraph, tol: float = TOL_PROJ) -> Source:
 
     s_sys = system((1, 1), trivial_action(group, (1, 1)))
     nz = total_matrix_dim(oa) + 1
-    ob = system((nz,), _hs_conjugation_action(oa, extra=1))
+    ob = system((nz,), _conjugation_action(oa, extra=1))
     ts = tensor_system(oa, ob)
 
     # Complement projection blocks, rebuilt rank-exactly from eigenvectors so
@@ -305,24 +298,23 @@ def source_from_graph(g: QuantumGraph, tol: float = TOL_PROJ) -> Source:
         else:
             pperp[key] = np.zeros_like(blk)
 
-    def zoff(af: int) -> int:
-        return int(sum(d * d for d in oa.dims[:af]))
-
     kraus = {(u, ts.pair_index(a, 0)): [] for u in range(2) for a in range(oa.nfactors)}
     raw = {0: [], 1: []}
     for a, da in enumerate(oa.dims):
         t0 = np.zeros((da, nz, da), dtype=complex)
+        off = basis_offset(oa, a)
         for p in range(da):
             for q in range(da):
-                t0[p, zoff(a) + p * da + q, q] = 1.0
+                t0[p, off + p * da + q, q] = 1.0
         t1 = np.zeros((da, nz, da), dtype=complex)
         for av, dav in enumerate(oa.dims):
             blk = pperp[(a, av)].reshape(dav, da, dav, da)
+            off = basis_offset(oa, av)
             for n in range(da):
                 for m in range(da):
                     for p in range(dav):
                         for q in range(dav):
-                            t1[n, zoff(av) + p * dav + q, m] = blk[p, n, q, m]
+                            t1[n, off + p * dav + q, m] = blk[p, n, q, m]
         for n in range(da):
             t1[n, nz - 1, n] = 1.0
         raw[0].append((a, t0))
@@ -350,38 +342,6 @@ def source_from_graph(g: QuantumGraph, tol: float = TOL_PROJ) -> Source:
     if defect > 1e-7:
         raise RoundTripFailure(f"source graph round trip defect {defect:.2e}")
     return src
-
-
-def _hs_conjugation_action(oa: System, extra: int = 0) -> AlgebraAction:
-    """Conjugation action on the O_A algebra as a Hilbert space, in the plain
-    Hilbert-Schmidt basis of matrix units (one block per factor), optionally
-    padded by invariant directions."""
-    nz = total_matrix_dim(oa) + extra
-    group = oa.group
-    perms = tuple((0,) for _ in range(group.order))
-    units = []
-
-    def zoff(af: int) -> int:
-        return int(sum(d * d for d in oa.dims[:af]))
-
-    for gel in group.elements:
-        u = np.zeros((nz, nz), dtype=complex)
-        for a, da in enumerate(oa.dims):
-            ua = oa.action.unitaries[gel][a]
-            tgt = oa.action.perms[gel][a]
-            # E_pq -> ua E_pq ua† placed at factor tgt.
-            for p in range(da):
-                for q in range(da):
-                    img = np.outer(ua[:, p], ua[:, q].conj())
-                    u[zoff(tgt):zoff(tgt) + da * da, zoff(a) + p * da + q] = img.reshape(-1)
-        for k in range(total_matrix_dim(oa), nz):
-            u[k, k] = 1.0
-        units.append((u,))
-    return AlgebraAction(group, (nz,), perms, tuple(units))
-
-
-def kron_flat(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return linalg.kron(x, y)
 
 
 def tensor_element(ts: TensorSystem, x, y) -> list:

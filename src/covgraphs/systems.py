@@ -21,7 +21,6 @@ import numpy as np
 from . import linalg
 from .errors import ActionShapeMismatch, ShapeMismatch
 from .groups import AlgebraAction, FiniteGroup, trivial_action, trivial_group
-from .linalg import TOL_PROJ
 
 
 @dataclass(frozen=True)
@@ -163,6 +162,33 @@ def total_matrix_dim(sys: System) -> int:
     return int(sum(d * d for d in sys.dims))
 
 
+def block_family(source: System, target: System, blocks: dict, kind: str) -> dict:
+    """Read-only (d_i e_j) x (d_i e_j) block for every factor pair (i, j).
+
+    Pairs missing from ``blocks`` get zero blocks; shapes and keys of the given
+    blocks are checked.  ``kind`` names the blocks in error messages.
+    """
+    full = {}
+    for i, d in enumerate(source.dims):
+        for j, e in enumerate(target.dims):
+            n = d * e
+            blk = blocks.get((i, j))
+            if blk is None:
+                blk = np.zeros((n, n), dtype=complex)
+            else:
+                blk = linalg.as_complex(blk).copy()
+                if blk.shape != (n, n):
+                    raise ShapeMismatch(
+                        f"{kind} block ({i},{j}) has shape {blk.shape}, expected ({n},{n})"
+                    )
+            blk.setflags(write=False)
+            full[(i, j)] = blk
+    for key in blocks:
+        if key not in full:
+            raise ShapeMismatch(f"{kind} block index {key} out of range")
+    return full
+
+
 def coords(sys: System, x) -> np.ndarray:
     """Coordinates of an algebra element in the φ-orthonormal basis."""
     x = sys.check_element(x)
@@ -287,18 +313,6 @@ def ssfa_defects(sys: System, rng=None, n_probes: int = 6) -> dict:
         "standardness": std,
         "invariance": invdef,
     }
-
-
-def check_ssfa(sys: System, tol: float = TOL_PROJ):
-    defects = ssfa_defects(sys)
-    bad = {k: v for k, v in defects.items() if v > tol * 10}
-    if bad:
-        raise ShapeMismatch(f"SSFA checks failed: {bad}")
-    return defects
-
-
-def _adj(x):
-    return [b.conj().T for b in x]
 
 
 def _diff(x, y) -> float:

@@ -153,7 +153,7 @@ def test_criterion_03_relation_to_channel():
                 checked += 1
                 true_count += verdict
     rng = np.random.default_rng(33)
-    q_checked = q_true = 0
+    q_count = q_true = 0
     for k in range(100):
         src = rand_system(rng, 2, 3)
         tgt = rand_system(rng, 2, 3)
@@ -168,8 +168,8 @@ def test_criterion_03_relation_to_channel():
         else:
             rel = rand_balanced_relation(rng, src, tgt)
         q_true += _check_relation_channel(rel)
-        q_checked += 1
-    assert q_checked == 100 and 0 < q_true < 100
+        q_count += 1
+    assert q_count == 100 and 0 < q_true < 100
     print(
         f"ACCEPTANCE 3: PASS - relation->channel on {checked} classical orbit reps "
         f"({true_count} constructive) and 100 quantum relations ({q_true} constructive)"

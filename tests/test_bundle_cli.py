@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -228,6 +229,18 @@ class TestCli:
         r = run_cli(["check-hom", demo_bundle, "merge", "dA", "kB"])
         assert r.returncode == 1
         assert "witness" in r.stdout
+        b = bundle.load_bundle_file(demo_bundle)
+        failing = sorted(graphs.homomorphism_failures(
+            b.channels["merge"], b.graphs["dA"], b.graphs["kB"]))
+        printed = re.findall(r"witness block \((\d+),(\d+)\)", r.stdout)
+        assert failing
+        assert [(int(i), int(j)) for i, j in printed] == [key for key, _ in failing]
+
+    def test_module_entry_point(self):
+        r = subprocess.run([sys.executable, "-m", "covgraphs.cli", "--help"],
+                           capture_output=True, text=True)
+        assert r.returncode == 0
+        assert "RuntimeWarning" not in r.stderr
 
     def test_scc_verify_valid(self, demo_bundle, tmp_path):
         out = tmp_path / "dec.json"

@@ -226,6 +226,8 @@ class TestReversibility:
         f = cpmaps.from_kraus({(0, 0): [np.eye(2), np.eye(2)]}, sys, sys)
         with pytest.raises(NotAChannel):
             graphs.is_reversible(f)
+        with pytest.raises(NotAChannel):
+            graphs.reverse_channel(f)
 
     def test_classical_oracle_agreement(self):
         for _ in range(40):

@@ -16,6 +16,7 @@ from . import cpmaps, graphs, groups, relations, scc
 from .errors import (
     CovGraphsError,
     NotConfusability,
+    NotValid,
     TheoremViolation,
 )
 
@@ -126,23 +127,27 @@ def cmd_scc_verify(args) -> int:
     n_chan = _get(b.channels, args.channel, "channel")
     e_chan = _get(b.channels, args.encoder, "encoder channel")
     try:
-        valid = scc.encoding_is_valid(e_chan, src, n_chan, args.tol)
+        if args.decoder is None:
+            d_chan = scc.decoder_for(e_chan, src, n_chan, args.tol)
+        elif scc.encoding_is_valid(e_chan, src, n_chan, args.tol):
+            d_chan = _get(b.channels, args.decoder, "decoder channel")
+        else:
+            raise NotValid("encoder is not a homomorphism")
+    except NotValid:
+        print("scheme: invalid (encoder is not a homomorphism)")
+        return EXIT_FALSE
     except TheoremViolation as exc:
         return _fail(str(exc), EXIT_INTERNAL)
     except CovGraphsError as exc:
         return _fail(str(exc), EXIT_INPUT)
-    if not valid:
-        print("scheme: invalid (encoder is not a homomorphism)")
-        return EXIT_FALSE
-    if args.decoder is not None:
-        d_chan = _get(b.channels, args.decoder, "decoder channel")
-    else:
-        d_chan = scc.decoder_for(e_chan, src, n_chan, args.tol)
+    if args.decoder is None:
         print("decoder synthesized")
     ok = scc.verify_scheme(src, n_chan, e_chan, d_chan, args.tol)
     print(f"scheme: {'valid' if ok else 'invalid (decoder fails)'}")
     if ok and args.output and args.decoder is None:
-        doc = bundle_mod.dump_channel(d_chan, "B averaged with O_B", "S")
+        doc = bundle_mod.dump_channel(
+            d_chan, _system_name(b, d_chan.source), _system_name(b, d_chan.target)
+        )
         bundle_mod.dump_json(doc, args.output)
         print(f"decoder written to {args.output}")
     return EXIT_OK if ok else EXIT_FALSE

@@ -10,11 +10,28 @@ pinned so that
   * a classical column-stochastic matrix p embeds with 1x1 blocks exactly
     p_ji.
 
+The blocks are eager and are the one representation that apply, support,
+channel tests, norms and equality read.  Next to them a morphism holds a
+read-only Kraus family (CpMorphism.kraus), which compose and tensor products
+multiply and Kronecker instead of diagonalizing Choi blocks:
+
+  * from_kraus keeps read-only copies of the maps it was given;
+  * a morphism born as Choi blocks (bundle "choi" input, dagger, channelize,
+    add, twirls, reverse channels) gets the minimal to_kraus family of its
+    blocks on first use;
+  * a factor pair given more Kraus maps than its block dimension d_i e_j
+    keeps the minimal to_kraus family of its own block instead, so families
+    do not grow along chains of compositions.
+
+The held family need not be minimal or canonical; to_kraus always is.
+
 Channels preserve the separable standard functional: for every source factor
 i, Σ_{j,k} w_j M_ijk† M_ijk = w_i I.
 """
 
 from __future__ import annotations
+
+from types import MappingProxyType
 
 import numpy as np
 
@@ -35,6 +52,7 @@ class CpMorphism:
         self.source = source
         self.target = target
         self.blocks = block_family(source, target, blocks, "Choi")
+        self._kraus = None
         if validate:
             scale = max(1.0, self.norm())
             for key, blk in self.blocks.items():
@@ -50,48 +68,87 @@ class CpMorphism:
     def block(self, i: int, j: int) -> np.ndarray:
         return self.blocks[(i, j)]
 
+    def kraus(self):
+        """Held Kraus family: factor pair (i, j) -> tuple of read-only e_j x d_i
+        maps, at most d_i e_j of them; filled from to_kraus on first use when
+        the morphism was born as Choi blocks."""
+        if self._kraus is None:
+            self._kraus = _held(to_kraus(self))
+        return self._kraus
+
+
+def _held(kraus: dict):
+    """Read-only view of a Kraus family whose maps are owned by the caller."""
+    for ops in kraus.values():
+        for m in ops:
+            m.setflags(write=False)
+    return MappingProxyType({key: tuple(ops) for key, ops in kraus.items()})
+
+
+def _block_kraus(blk: np.ndarray, key, d: int, e: int, tol: float = TOL_SPEC) -> list:
+    """Minimal Kraus maps of the Choi block of factor pair ``key``: one per
+    retained eigenpair."""
+    scale = linalg.frob(blk)
+    if scale == 0.0:
+        return []
+    w, v = linalg.canonical_eigh(blk)
+    top = float(w[0])
+    if w.size and float(w[-1]) < -tol * max(top, scale):
+        raise NegativeSpectrum(f"block {key} has eigenvalue {w[-1]:.3e}")
+    return [
+        linalg.unvec(np.sqrt(w[k]) * v[:, k], d, e).conj().T
+        for k in range(w.size)
+        if w[k] > tol * top
+    ]
+
 
 def from_kraus(kraus: dict, src: System, tgt: System) -> CpMorphism:
     """CP morphism of a Kraus family: factor pairs (i, j) mapped to lists of
-    e_j x d_i matrices H_i -> K_j."""
-    blocks = {}
+    e_j x d_i matrices H_i -> K_j.  The morphism keeps copies of the maps."""
+    checked = {}
     for (i, j), ops in kraus.items():
         if not (0 <= i < src.nfactors and 0 <= j < tgt.nfactors):
             raise ShapeMismatch(f"Kraus index {(i, j)} out of range")
         d, e = src.dims[i], tgt.dims[j]
-        n = d * e
-        acc = np.zeros((n, n), dtype=complex)
+        maps = []
         for m in ops:
-            m = linalg.as_complex(m)
+            m = np.array(linalg.as_complex(m))
             if m.shape != (e, d):
                 raise ShapeMismatch(
                     f"Kraus map for pair {(i, j)} has shape {m.shape}, expected ({e},{d})"
                 )
-            v = linalg.vec(m.conj().T)
-            acc += np.outer(v, v.conj())
-        blocks[(i, j)] = acc
-    return CpMorphism(src, tgt, blocks, validate=False)
+            maps.append(m)
+        checked[(i, j)] = maps
+    return _from_maps(checked, src, tgt)
+
+
+def _from_maps(kraus: dict, src: System, tgt: System) -> CpMorphism:
+    """from_kraus for checked maps that nothing else holds.
+
+    Block (i, j) is V V† with V the stacked vec(M†); a pair with more maps
+    than d_i e_j holds the minimal family of that block instead.
+    """
+    blocks = {}
+    held = {}
+    for (i, j), ops in kraus.items():
+        if not ops:
+            continue
+        d, e = src.dims[i], tgt.dims[j]
+        vs = np.stack([linalg.vec(m.conj().T) for m in ops], axis=1)
+        blk = vs @ vs.conj().T
+        blocks[(i, j)] = blk
+        held[(i, j)] = _block_kraus(blk, (i, j), d, e) if len(ops) > d * e else ops
+    f = CpMorphism(src, tgt, blocks, validate=False)
+    f._kraus = _held({key: held.get(key, []) for key in f.blocks})
+    return f
 
 
 def to_kraus(f: CpMorphism, tol: float = TOL_SPEC) -> dict:
     """Minimal Kraus family: one map per retained eigenpair of each block."""
-    out = {}
-    for (i, j), blk in f.blocks.items():
-        d, e = f.source.dims[i], f.target.dims[j]
-        scale = linalg.frob(blk)
-        if scale == 0.0:
-            out[(i, j)] = []
-            continue
-        w, v = linalg.canonical_eigh(blk)
-        top = float(w[0])
-        if w.size and float(w[-1]) < -tol * max(top, scale):
-            raise NegativeSpectrum(f"block {(i, j)} has eigenvalue {w[-1]:.3e}")
-        ops = []
-        for k in range(w.size):
-            if w[k] > tol * top:
-                ops.append(linalg.unvec(np.sqrt(w[k]) * v[:, k], d, e).conj().T)
-        out[(i, j)] = ops
-    return out
+    return {
+        (i, j): _block_kraus(blk, (i, j), f.source.dims[i], f.target.dims[j], tol)
+        for (i, j), blk in f.blocks.items()
+    }
 
 
 def apply(f: CpMorphism, x) -> list:
@@ -128,22 +185,22 @@ def add(f: CpMorphism, g: CpMorphism, cf: float = 1.0, cg: float = 1.0) -> CpMor
     return CpMorphism(f.source, f.target, blocks, validate=False)
 
 
-def compose(g: CpMorphism, f: CpMorphism, tol: float = TOL_SPEC) -> CpMorphism:
-    """Composite g ∘ f (f first)."""
+def compose(g: CpMorphism, f: CpMorphism) -> CpMorphism:
+    """Composite g ∘ f (f first): products of the held Kraus maps."""
     if f.target != g.source:
         raise SystemMismatch("compose: target of f must equal source of g")
-    kf = to_kraus(f, tol)
-    kg = to_kraus(g, tol)
+    kf = f.kraus()
+    kg = g.kraus()
     kraus = {}
     for i in range(f.source.nfactors):
         for k in range(g.target.nfactors):
-            ops = []
-            for j in range(f.target.nfactors):
-                for m in kf[(i, j)]:
-                    for n in kg[(j, k)]:
-                        ops.append(n @ m)
-            kraus[(i, k)] = ops
-    return from_kraus(kraus, f.source, g.target)
+            kraus[(i, k)] = [
+                n @ m
+                for j in range(f.target.nfactors)
+                for m in kf[(i, j)]
+                for n in kg[(j, k)]
+            ]
+    return _from_maps(kraus, f.source, g.target)
 
 
 def dagger(f: CpMorphism) -> CpMorphism:

@@ -64,17 +64,21 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 def canonical_eigh(m: np.ndarray):
     """eigh with deterministic output: eigenvalues descending, each
-    eigenvector's first significantly-nonzero component made real positive."""
+    eigenvector's first component above 1e-12 in modulus made real positive
+    (a column with no such component is left as it is)."""
     w, v = np.linalg.eigh(hermitize(m))
     order = np.argsort(-w, kind="stable")
     w = w[order]
     v = v[:, order]
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size:
-            phase = col[nz[0]] / abs(col[nz[0]])
-            v[:, k] = col / phase
+    if v.size == 0:
+        return w, v
+    big = np.abs(v) > 1e-12
+    first = np.argmax(big, axis=0)
+    cols = np.flatnonzero(big[first, np.arange(v.shape[1])])
+    lead = v[first[cols], cols]
+    # hypot, not np.abs: it rounds like the scalar abs of one entry, so the
+    # phases are bit-identical to fixing one column at a time.
+    v[:, cols] /= lead / np.hypot(lead.real, lead.imag)
     return w, v
 
 

@@ -29,7 +29,6 @@ from .cpmaps import (
     from_kraus,
     identity_channel,
     is_channel,
-    to_kraus,
 )
 from .errors import (
     GroupMismatch,
@@ -99,15 +98,17 @@ def tensor_system(a: System, b: System) -> TensorSystem:
 def tensor_cp(f: CpMorphism, g: CpMorphism,
               source_ts: TensorSystem | None = None,
               target_ts: TensorSystem | None = None) -> CpMorphism:
-    """Tensor product of CP morphisms: Kronecker products of Kraus maps."""
+    """Tensor product of CP morphisms: Kronecker products of the held Kraus
+    maps of f and g.  Each factor holds at most d e maps per pair, so the
+    product never exceeds its own block dimension and is not compressed."""
     src = source_ts if source_ts is not None else tensor_system(f.source, g.source)
     tgt = target_ts if target_ts is not None else tensor_system(f.target, g.target)
-    kf = to_kraus(f)
-    kg = to_kraus(g)
+    kf = f.kraus()
+    kg = g.kraus()
     kraus = {}
-    for (ia, ja) in kf:
-        for (ib, jb) in kg:
-            ops = [linalg.kron(m, n) for m in kf[(ia, ja)] for n in kg[(ib, jb)]]
+    for (ia, ja), fops in kf.items():
+        for (ib, jb), gops in kg.items():
+            ops = [linalg.kron(m, n) for m in fops for n in gops]
             kraus[(src.pair_index(ia, ib), tgt.pair_index(ja, jb))] = ops
     return from_kraus(kraus, src.product, tgt.product)
 
@@ -130,7 +131,7 @@ class Source:
         self.channel = channel
 
 
-def _source_span_vectors(src: Source, tol: float = TOL_SPEC):
+def _source_span_vectors(src: Source):
     """Vectors spanning the partial-traced doubled-dilation element per O_A pair.
 
     For every O_B factor b, source pair (u, u'), Kraus pair (k, k') and basis
@@ -141,7 +142,7 @@ def _source_span_vectors(src: Source, tol: float = TOL_SPEC):
     s_sys = src.s_system
     oa, ob = src.oa_system, src.ob_system
     ts = src.tensor
-    kraus = to_kraus(src.channel, tol)
+    kraus = src.channel.kraus()
     simple_complete = complement(discrete_graph(s_sys)).relation
     vecs = {
         (a, ap): []
@@ -212,9 +213,9 @@ def _composite(src: Source, n_chan: CpMorphism, e_chan: CpMorphism) -> CpMorphis
     return compose(lifted, src.channel)
 
 
-def encoding_is_valid(e_chan: CpMorphism, src: Source, n_chan: CpMorphism,
-                      tol: float = TOL_PROJ) -> bool:
-    """Both sides of the coding theorem, asserted to agree.
+def _checked_composite(e_chan: CpMorphism, src: Source, n_chan: CpMorphism,
+                       tol: float = TOL_PROJ):
+    """(verdict, composite): both sides of the coding theorem, asserted to agree.
 
     (a) e_chan is a graph homomorphism from the source graph to the
         confusability graph of n_chan;
@@ -226,20 +227,30 @@ def encoding_is_valid(e_chan: CpMorphism, src: Source, n_chan: CpMorphism,
         raise SystemMismatch("encoder must feed the communication channel")
     hom = is_homomorphism(e_chan, source_confusability_graph(src, tol),
                           confusability_of(n_chan), tol)
-    rev = is_reversible(_composite(src, n_chan, e_chan), tol)
+    comp = _composite(src, n_chan, e_chan)
+    rev = is_reversible(comp, tol)
     if hom != rev:
         raise TheoremViolation(
             f"homomorphism test ({hom}) and composite reversibility ({rev}) disagree"
         )
-    return hom
+    return hom, comp
+
+
+def encoding_is_valid(e_chan: CpMorphism, src: Source, n_chan: CpMorphism,
+                      tol: float = TOL_PROJ) -> bool:
+    """Both sides of the coding theorem, asserted to agree (see
+    _checked_composite); raises TheoremViolation if they do not."""
+    return _checked_composite(e_chan, src, n_chan, tol)[0]
 
 
 def decoder_for(e_chan: CpMorphism, src: Source, n_chan: CpMorphism,
                 tol: float = TOL_PROJ) -> CpMorphism:
-    """Decoding channel D: B ⊗ O_B -> S completing a valid encoding."""
-    if not encoding_is_valid(e_chan, src, n_chan, tol):
+    """Decoding channel D: B ⊗ O_B -> S completing a valid encoding; raises
+    NotValid when the encoding is not valid."""
+    valid, comp = _checked_composite(e_chan, src, n_chan, tol)
+    if not valid:
         raise NotValid("encoding is not valid for this source and channel")
-    return reverse_channel(_composite(src, n_chan, e_chan), tol)
+    return reverse_channel(comp, tol)
 
 
 def verify_scheme(src: Source, n_chan: CpMorphism, e_chan: CpMorphism,

@@ -25,6 +25,19 @@ def rand_cp(rng, src, tgt, kraus_per_pair=2):
     return cpmaps.from_kraus(kraus, src, tgt)
 
 
+def choi_born(f):
+    """The same morphism rebuilt from its Choi blocks alone, so that compose
+    and tensor products go through to_kraus (the eigh path)."""
+    return cpmaps.CpMorphism(f.source, f.target, f.blocks, validate=False)
+
+
+def assert_blocks_close(got, ref, rel=1e-12):
+    scale = max(1.0, ref.norm())
+    assert got.blocks.keys() == ref.blocks.keys()
+    for key, blk in ref.blocks.items():
+        assert np.linalg.norm(got.blocks[key] - blk) <= rel * scale, key
+
+
 def rand_channel(rng, src, tgt, kraus_per_pair=None):
     # Enough Kraus maps per pair that every source-factor marginal has full
     # rank (needed for the normalization into a channel).

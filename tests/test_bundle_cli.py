@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from covgraphs import bundle, cpmaps, graphs, groups, systems
+from covgraphs import bundle, cli, cpmaps, graphs, groups, scc, systems
 from covgraphs.bundle import BundleError
 
 rng = np.random.default_rng(909)
@@ -257,6 +257,41 @@ class TestCli:
     def test_scc_verify_invalid(self, demo_bundle):
         r = run_cli(["scc-verify", demo_bundle, "csrc", "merge", "enc"])
         assert r.returncode == 1
+
+    def test_scc_verify_computes_once(self, demo_bundle, monkeypatch, capsys):
+        calls = {"source_confusability_graph": 0, "_composite": 0}
+
+        def counted(name):
+            fn = getattr(scc, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(scc, name, counted(name))
+        for argv, code in ((["csrc", "inj", "enc"], 0), (["csrc", "inj", "enc", "dec"], 0),
+                           (["csrc", "merge", "enc"], 1)):
+            for name in calls:
+                calls[name] = 0
+            assert cli.main(["scc-verify", demo_bundle] + argv) == code
+            assert calls["source_confusability_graph"] == 1, argv
+            assert calls["_composite"] <= 2, argv
+        assert "scheme: invalid (encoder is not a homomorphism)" in capsys.readouterr().out
+
+    def test_scc_verify_decoder_reloads_into_bundle(self, demo_bundle, tmp_path):
+        out = tmp_path / "dec.json"
+        r = run_cli(["scc-verify", demo_bundle, "csrc", "inj", "enc", "-o", str(out)])
+        assert r.returncode == 0
+        doc = json.loads(out.read_text())
+        assert doc["from"] == "BOB"
+        with open(demo_bundle) as fh:
+            data = json.load(fh)
+        data["channels"]["_dec"] = doc
+        b = bundle.load_bundle(data)
+        assert scc.verify_scheme(b.sources["csrc"], b.channels["inj"], b.channels["enc"],
+                                 b.channels["_dec"]) is True
 
     def test_analyze_unitary_rank_one(self, demo_bundle):
         r = run_cli(["analyze-channel", demo_bundle, "hadamard"])

@@ -5,7 +5,15 @@ from covgraphs import cpmaps, linalg, systems
 from covgraphs.classical import embed_channel
 from covgraphs.errors import ShapeMismatch, SystemMismatch
 
-from genutil import rand_channel, rand_complex, rand_cp, rand_system, rand_unitary
+from genutil import (
+    assert_blocks_close,
+    choi_born,
+    rand_channel,
+    rand_complex,
+    rand_cp,
+    rand_system,
+    rand_unitary,
+)
 
 rng = np.random.default_rng(404)
 
@@ -184,6 +192,52 @@ class TestCompose:
         g = rand_cp(rng, systems.system((2,)), systems.system((2,)))
         with pytest.raises(SystemMismatch):
             cpmaps.compose(g, f)
+
+
+class TestHeldKraus:
+    def test_compose_matches_choi_path(self):
+        for _ in range(12):
+            a, b, c = (rand_system(rng, 3, 3) for _ in range(3))
+            f = rand_cp(rng, a, b, int(rng.integers(1, 4)))
+            g = rand_cp(rng, b, c, int(rng.integers(1, 4)))
+            assert_blocks_close(cpmaps.compose(g, f),
+                                cpmaps.compose(choi_born(g), choi_born(f)))
+            # a Choi-born factor fills its family from to_kraus
+            assert_blocks_close(cpmaps.compose(choi_born(g), f),
+                                cpmaps.compose(choi_born(g), choi_born(f)))
+
+    def test_family_bounded_by_block_dimension(self):
+        src, tgt = systems.system((1, 2)), systems.system((2,))
+        f = rand_cp(rng, src, tgt, kraus_per_pair=5)
+        for (i, j), ops in f.kraus().items():
+            assert len(ops) <= src.dims[i] * tgt.dims[j]
+        # the held family still reproduces the blocks built from all five maps
+        assert_blocks_close(cpmaps.from_kraus(dict(f.kraus()), src, tgt), f)
+        h = f
+        for _ in range(4):
+            h = cpmaps.compose(cpmaps.compose(f, cpmaps.dagger(f)), h)
+            for (i, j), ops in h.kraus().items():
+                assert len(ops) <= src.dims[i] * tgt.dims[j]
+
+    def test_input_arrays_are_copied(self):
+        sys = systems.system((2, 1))
+        ops = {(i, j): [rand_complex(rng, e, d) for _ in range(2)]
+               for i, d in enumerate(sys.dims) for j, e in enumerate(sys.dims)}
+        f = cpmaps.from_kraus(ops, sys, sys)
+        x = systems.random_element(sys, rng)
+        applied = cpmaps.apply(f, x)
+        composed = cpmaps.compose(f, f)
+        for maps in ops.values():
+            for m in maps:
+                m[...] = 7.0
+        assert all(np.array_equal(a, b) for a, b in zip(cpmaps.apply(f, x), applied))
+        again = cpmaps.compose(f, f)
+        assert all(np.array_equal(again.blocks[k], composed.blocks[k]) for k in f.blocks)
+        held = f.kraus()[(0, 0)][0]
+        with pytest.raises(ValueError):
+            held[0, 0] = 1.0
+        with pytest.raises(TypeError):
+            f.kraus()[(0, 0)] = ()
 
 
 class TestDagger:

@@ -166,3 +166,55 @@ def test_adjoint_image_involutive():
         expected = np.outer(linalg.vec(a.conj().T), linalg.vec(a.conj().T).conj())
         assert np.allclose(q, expected)
         assert np.allclose(linalg.adjoint_image(q, e, d), p)
+
+
+def _reference_canonical_eigh(m):
+    """The per-column phase loop that canonical_eigh replaced, kept as an oracle."""
+    w, v = np.linalg.eigh(linalg.hermitize(m))
+    order = np.argsort(-w, kind="stable")
+    w = w[order]
+    v = v[:, order]
+    for k in range(v.shape[1]):
+        col = v[:, k]
+        nz = np.flatnonzero(np.abs(col) > 1e-12)
+        if nz.size:
+            phase = col[nz[0]] / abs(col[nz[0]])
+            v[:, k] = col / phase
+    return w, v
+
+
+class TestCanonicalEigh:
+    def assert_bitwise(self, m):
+        w, v = linalg.canonical_eigh(m)
+        w_ref, v_ref = _reference_canonical_eigh(m)
+        assert np.array_equal(w, w_ref)
+        assert v.tobytes() == v_ref.tobytes()
+
+    def test_random(self):
+        for n in (1, 2, 5, 17, 40):
+            a = rand_c(n, n)
+            self.assert_bitwise(a @ a.conj().T)
+            self.assert_bitwise(a + a.conj().T)
+
+    def test_degenerate(self):
+        self.assert_bitwise(np.zeros((0, 0)))
+        for n in (3, 8, 30):
+            a = rand_c(n, 2)
+            self.assert_bitwise(a @ a.conj().T)
+            self.assert_bitwise(np.eye(n))
+            self.assert_bitwise(np.zeros((n, n)))
+            # real eigenvectors with leading zeros
+            self.assert_bitwise(np.diag(np.arange(n, dtype=float)[::-1]))
+
+    def test_zero_and_tiny_columns(self, monkeypatch):
+        # Columns with no entry above 1e-12 keep phase 1; the first entry
+        # above it sets the phase even when smaller ones come before it.
+        n = 6
+        v = rand_c(n, n)
+        v[:, 1] = 0.0
+        v[:, 3] = 1e-13 * rand_c(n, 1)[:, 0]
+        v[:2, 4] = 1e-14
+        v[0, 5] = -0.0 - 0.0j
+        w = np.arange(n, dtype=float)
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: (w.copy(), v.copy()))
+        self.assert_bitwise(np.zeros((n, n)))

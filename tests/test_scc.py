@@ -6,10 +6,13 @@ from covgraphs.classical import embed_channel, extract_graph, oracle_source_grap
 from covgraphs.errors import GroupMismatch, NotValid, SourceInvalid
 
 from genutil import (
+    assert_blocks_close,
+    choi_born,
     classical_source,
     quantum_source,
     rand_channel,
     rand_conf_graph,
+    rand_cp,
     rand_stochastic,
     rand_system,
     rand_unitary,
@@ -64,6 +67,45 @@ class TestTensor:
             lhs = systems.trace_end(ts.product, scc.tensor_element(ts, x, y))
             rhs = systems.trace_end(a, x) * systems.trace_end(b, y)
             assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
+
+
+class TestKrausPath:
+    def test_tensor_matches_choi_path(self):
+        for _ in range(8):
+            a, b, c, d = (rand_system(rng, 2, 3) for _ in range(4))
+            f = rand_cp(rng, a, c, int(rng.integers(1, 3)))
+            g = rand_cp(rng, b, d, int(rng.integers(1, 3)))
+            assert_blocks_close(scc.tensor_cp(f, g),
+                                scc.tensor_cp(choi_born(f), choi_born(g)))
+
+    def test_composite_matches_choi_path(self):
+        oa = systems.system((2,))
+        src = scc.source_from_graph(rand_conf_graph(rng, oa))
+        n_chan = rand_channel(rng, oa, oa)
+        e_chan = cpmaps.identity_channel(oa)
+        ne = cpmaps.compose(choi_born(n_chan), choi_born(e_chan))
+        lifted = scc.tensor_cp(choi_born(ne), choi_born(cpmaps.identity_channel(src.ob_system)),
+                               source_ts=src.tensor,
+                               target_ts=scc.tensor_system(oa, src.ob_system))
+        ref = cpmaps.compose(choi_born(lifted), choi_born(src.channel))
+        assert_blocks_close(scc._composite(src, n_chan, e_chan), ref)
+
+    def test_composite_eigh_stays_small(self, monkeypatch):
+        oa = systems.system((3,))
+        src = scc.source_from_graph(rand_conf_graph(rng, oa))
+        ident = cpmaps.identity_channel(oa)
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        scc._composite(src, ident, cpmaps.identity_channel(oa))
+        noisy = cpmaps.channelize(rand_cp(rng, oa, oa, 3))
+        scc._composite(src, noisy, ident)
+        assert max(sizes, default=0) <= 30
 
 
 class TestSourceGraph:

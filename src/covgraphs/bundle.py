@@ -62,10 +62,6 @@ def matrix_from_json(data) -> np.ndarray:
         raise BundleError(f"malformed matrix: {exc}") from exc
 
 
-def group_to_json(g: FiniteGroup) -> dict:
-    return {"order": g.order, "mult_table": [list(r) for r in g.table], "identity": g.identity}
-
-
 def group_from_json(data) -> FiniteGroup:
     return FiniteGroup(int(data["order"]),
                        tuple(tuple(int(x) for x in row) for row in data["mult_table"]),
@@ -204,7 +200,7 @@ class SpecBundle:
         self.relations = relations if relations is not None else {}
 
 
-def load_bundle(data, tol: float = 1e-8) -> SpecBundle:
+def load_bundle(data, tol: float = linalg.TOL_PROJ) -> SpecBundle:
     if isinstance(data, str):
         data = json.loads(data)
     group = group_from_json(data["group"]) if "group" in data else trivial_group()
@@ -260,7 +256,7 @@ def load_bundle(data, tol: float = 1e-8) -> SpecBundle:
     return SpecBundle(group, systems, channels, graphs, sources, relations)
 
 
-def load_bundle_file(path: str, tol: float = 1e-8) -> SpecBundle:
+def load_bundle_file(path: str, tol: float = linalg.TOL_PROJ) -> SpecBundle:
     with open(path) as fh:
         return load_bundle(json.load(fh), tol=tol)
 

@@ -16,6 +16,7 @@ import numpy as np
 from .cpmaps import CpMorphism, apply, from_kraus
 from .errors import ShapeMismatch
 from .graphs import QuantumGraph, graph_from_blocks
+from .linalg import TOL_ROUNDOFF
 from .relations import QuantumRelation
 from .systems import System, classical_system
 
@@ -24,10 +25,10 @@ def check_stochastic(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim != 2:
         raise ShapeMismatch("stochastic matrix must be 2-dimensional")
-    if np.any(p < -1e-12):
+    if np.any(p < -TOL_ROUNDOFF):
         raise ShapeMismatch("stochastic matrix must be nonnegative")
     colsums = p.sum(axis=0)
-    if np.any(np.abs(colsums - 1.0) > 1e-12):
+    if np.any(np.abs(colsums - 1.0) > TOL_ROUNDOFF):
         raise ShapeMismatch("columns must sum to one")
     return p
 
@@ -120,10 +121,6 @@ def oracle_compose(r, s) -> np.ndarray:
     if r.shape[1] != s.shape[0]:
         raise ShapeMismatch("relation shapes do not compose")
     return (r.astype(int) @ s.astype(int)) > 0
-
-
-def oracle_converse(r) -> np.ndarray:
-    return np.asarray(r, dtype=bool).T
 
 
 def oracle_stochastic_hom(p, adj_a, adj_b) -> bool:

@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from . import bundle as bundle_mod
-from . import cpmaps, graphs, groups, relations, scc
+from . import cpmaps, graphs, groups, linalg, relations, scc
 from .errors import (
     CovGraphsError,
     NotConfusability,
@@ -100,7 +100,7 @@ def cmd_graph_to_channel(args) -> int:
         }
         bundle_mod.dump_json(doc, args.output)
         print(f"written to {args.output}")
-    if defect > 1e-7:
+    if defect > linalg.TOL_ROUNDTRIP:
         print("round trip FAILED tolerance")
         return EXIT_FALSE
     return EXIT_OK
@@ -177,9 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("bundle", help="JSON bundle path")
-        p.add_argument("--tol", type=float, default=1e-8,
-                       help="numerical tolerance (default 1e-8 projections, "
-                            "1e-9 spectral cutoffs internally)")
+        p.add_argument("--tol", type=float, default=linalg.TOL_PROJ,
+                       help="projection tolerance (default 1e-8) of containment (leq), "
+                            "the channel, covariance, reversibility and decoder tests and "
+                            "the source-graph span cut; spectral cuts stay at TOL_SPEC (1e-9)")
         p.add_argument("-o", "--output", default=None, help="write JSON output here")
 
     p = sub.add_parser("analyze-channel", help="relation ranks, confusability, reversibility")

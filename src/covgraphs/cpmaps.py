@@ -41,7 +41,7 @@ from .errors import (
     ShapeMismatch,
     SystemMismatch,
 )
-from .linalg import TOL_PROJ, TOL_SPEC
+from .linalg import FUNCTIONAL_SLACK, TOL_PROJ, TOL_SPEC, VALIDATE_SLACK
 from .systems import System, _diff, block_family, functional, inner, multiply, phi_basis
 
 
@@ -51,15 +51,15 @@ class CpMorphism:
     def __init__(self, source: System, target: System, blocks: dict, validate: bool = True):
         self.source = source
         self.target = target
-        self.blocks = block_family(source, target, blocks, "Choi")
+        self.blocks = block_family(source, target, blocks, "Choi", validate)
         self._kraus = None
         if validate:
             scale = max(1.0, self.norm())
             for key, blk in self.blocks.items():
-                if linalg.frob(blk - blk.conj().T) > 100 * TOL_PROJ * scale:
+                if linalg.frob(blk - blk.conj().T) > VALIDATE_SLACK * TOL_PROJ * scale:
                     raise ShapeMismatch(f"Choi block {key} is not Hermitian")
                 wmin = float(np.min(np.linalg.eigvalsh(linalg.hermitize(blk))))
-                if wmin < -100 * TOL_SPEC * scale:
+                if wmin < -VALIDATE_SLACK * TOL_SPEC * scale:
                     raise NegativeSpectrum(f"Choi block {key}: eigenvalue {wmin:.3e}")
 
     def norm(self) -> float:
@@ -85,7 +85,7 @@ def _held(kraus: dict):
     return MappingProxyType({key: tuple(ops) for key, ops in kraus.items()})
 
 
-def _block_kraus(blk: np.ndarray, key, d: int, e: int, tol: float = TOL_SPEC) -> list:
+def _block_kraus(blk: np.ndarray, key, d: int, e: int) -> list:
     """Minimal Kraus maps of the Choi block of factor pair ``key``: one per
     retained eigenpair."""
     scale = linalg.frob(blk)
@@ -93,12 +93,12 @@ def _block_kraus(blk: np.ndarray, key, d: int, e: int, tol: float = TOL_SPEC) ->
         return []
     w, v = linalg.canonical_eigh(blk)
     top = float(w[0])
-    if w.size and float(w[-1]) < -tol * max(top, scale):
+    if w.size and float(w[-1]) < -TOL_SPEC * max(top, scale):
         raise NegativeSpectrum(f"block {key} has eigenvalue {w[-1]:.3e}")
     return [
         linalg.unvec(np.sqrt(w[k]) * v[:, k], d, e).conj().T
         for k in range(w.size)
-        if w[k] > tol * top
+        if w[k] > TOL_SPEC * top
     ]
 
 
@@ -143,10 +143,10 @@ def _from_maps(kraus: dict, src: System, tgt: System) -> CpMorphism:
     return f
 
 
-def to_kraus(f: CpMorphism, tol: float = TOL_SPEC) -> dict:
+def to_kraus(f: CpMorphism) -> dict:
     """Minimal Kraus family: one map per retained eigenpair of each block."""
     return {
-        (i, j): _block_kraus(blk, (i, j), f.source.dims[i], f.target.dims[j], tol)
+        (i, j): _block_kraus(blk, (i, j), f.source.dims[i], f.target.dims[j])
         for (i, j), blk in f.blocks.items()
     }
 
@@ -172,10 +172,6 @@ def apply(f: CpMorphism, x) -> list:
 def identity_channel(sys: System) -> CpMorphism:
     kraus = {(i, i): [np.eye(d, dtype=complex)] for i, d in enumerate(sys.dims)}
     return from_kraus(kraus, sys, sys)
-
-
-def zero_cp(src: System, tgt: System) -> CpMorphism:
-    return CpMorphism(src, tgt, {}, validate=False)
 
 
 def add(f: CpMorphism, g: CpMorphism, cf: float = 1.0, cg: float = 1.0) -> CpMorphism:
@@ -246,20 +242,20 @@ def is_channel(f: CpMorphism, tol: float = TOL_PROJ) -> bool:
     for (_, _, _, u) in phi_basis(f.source):
         lhs = functional(f.target, apply(f, u))
         rhs = functional(f.source, u)
-        if abs(lhs - rhs) >= tol * scale * 10:
+        if abs(lhs - rhs) >= tol * scale * FUNCTIONAL_SLACK:
             return False
     return True
 
 
-def is_star_homomorphism(f: CpMorphism, tol: float = TOL_PROJ) -> bool:
+def is_star_homomorphism(f: CpMorphism) -> bool:
     """Multiplicative, unital and star-preserving on a spanning set."""
-    return _hom_defects(f)[0] < tol
+    return _hom_defects(f)[0] < TOL_PROJ
 
 
-def is_star_cohomomorphism(f: CpMorphism, tol: float = TOL_PROJ) -> bool:
+def is_star_cohomomorphism(f: CpMorphism) -> bool:
     """Comultiplicative, counital and star-preserving; equivalently the dagger
     is a star-homomorphism.  Implies is_channel."""
-    return _hom_defects(dagger(f))[0] < tol
+    return _hom_defects(dagger(f))[0] < TOL_PROJ
 
 
 def _hom_defects(f: CpMorphism):
@@ -287,27 +283,27 @@ def cp_norm_diff(f: CpMorphism, g: CpMorphism) -> float:
     return max(linalg.frob(f.blocks[k] - g.blocks[k]) for k in f.blocks)
 
 
-def channelize(f: CpMorphism, tol: float = TOL_SPEC) -> CpMorphism:
+def channelize(f: CpMorphism) -> CpMorphism:
     """Rescale a CP morphism into a channel by conjugating each source factor
     with the inverse square root of its Choi marginal (must be invertible)."""
     marg = choi_marginal(f)
     blocks = {}
     for i, d in enumerate(f.source.dims):
         m = marg[i] / f.source.weights[i]
-        s = linalg.inv_sqrt_psd(linalg.hermitize(m), tol)
+        s = linalg.inv_sqrt_psd(linalg.hermitize(m))
         for j, e in enumerate(f.target.dims):
             conj = linalg.kron(np.eye(e), s)
             blocks[(i, j)] = conj @ f.blocks[(i, j)] @ conj.conj().T
     return CpMorphism(f.source, f.target, blocks, validate=False)
 
 
-def adjointness_defect(f: CpMorphism, rng, n_probes: int = 8) -> float:
+def adjointness_defect(f: CpMorphism, rng) -> float:
     """Gate for the dagger formula: <y, f(x)>_B = <f†(y), x>_A on random pairs."""
     from .systems import random_element
 
     fd = dagger(f)
     worst = 0.0
-    for _ in range(n_probes):
+    for _ in range(8):
         x = random_element(f.source, rng)
         y = random_element(f.target, rng)
         lhs = inner(f.target, y, apply(f, x))

@@ -25,7 +25,7 @@ from .errors import (
     SystemMismatch,
 )
 from .groups import AlgebraAction
-from .linalg import TOL_PROJ, TOL_SPEC
+from .linalg import BLEND_FLOOR, TOL_PROJ, VALIDATE_SLACK
 from .relations import (
     QuantumRelation,
     containment_failures,
@@ -50,7 +50,7 @@ class QuantumGraph:
             raise SystemMismatch("graph relation must live on the given system")
         if validate:
             defect = relation_defect(relation, converse(relation))
-            if defect > tol * 100:
+            if defect > VALIDATE_SLACK * tol:
                 raise ShapeMismatch(f"graph relation is not symmetric (defect {defect:.2e})")
         self.system = sys
         self.relation = relation
@@ -59,8 +59,8 @@ class QuantumGraph:
         return self.relation.blocks[(i, j)]
 
 
-def graph_from_blocks(sys: System, blocks: dict, tol: float = TOL_PROJ) -> QuantumGraph:
-    return QuantumGraph(sys, QuantumRelation(sys, sys, blocks, tol=tol), tol=tol)
+def graph_from_blocks(sys: System, blocks: dict) -> QuantumGraph:
+    return QuantumGraph(sys, QuantumRelation(sys, sys, blocks))
 
 
 def discrete_graph(sys: System) -> QuantumGraph:
@@ -95,16 +95,16 @@ def graphs_equal(a: QuantumGraph, b: QuantumGraph, tol: float = TOL_PROJ) -> boo
     return relations_equal(a.relation, b.relation, tol)
 
 
-def confusability_of(f: CpMorphism, tol: float = TOL_SPEC) -> QuantumGraph:
+def confusability_of(f: CpMorphism) -> QuantumGraph:
     """Underlying relation of f† ∘ f, computed as ℜ(f)† ∘ ℜ(f)."""
-    rf = support_of(f, tol)
-    rel = rel_compose(converse(rf), rf, tol)
+    rf = support_of(f)
+    rel = rel_compose(converse(rf), rf)
     # Symmetrize against numerical drift; the result is symmetric by theorem.
     blocks = {}
     for (i, j), blk in rel.blocks.items():
         d, e = f.source.dims[i], f.source.dims[j]
         other = linalg.adjoint_image(rel.blocks[(j, i)], e, d)
-        blocks[(i, j)] = linalg.support_projection(linalg.hermitize((blk + other) / 2), tol)
+        blocks[(i, j)] = linalg.support_projection(linalg.hermitize((blk + other) / 2))
     return QuantumGraph(f.source, QuantumRelation(f.source, f.source, blocks, validate=False),
                         validate=False)
 
@@ -157,7 +157,7 @@ def realize_channel(g: QuantumGraph, tau: float | None = None, tol: float = TOL_
         tau = 0.5
         for _ in range(40):
             fmat = linalg.hermitize(blend_matrix(tau))
-            if float(np.linalg.eigvalsh(fmat)[0]) > 1e-3:
+            if float(np.linalg.eigvalsh(fmat)[0]) > BLEND_FLOOR:
                 break
             tau /= 2
         else:
@@ -169,7 +169,7 @@ def realize_channel(g: QuantumGraph, tau: float | None = None, tol: float = TOL_
         if float(np.linalg.eigvalsh(fmat)[0]) <= 0.0:
             raise PsdViolation(f"blend parameter {tau} is infeasible")
 
-    fhalf = linalg.psd_sqrt(fmat, tol=TOL_SPEC)
+    fhalf = linalg.psd_sqrt(fmat)
 
     # Environment: the source algebra as a Hilbert space, one matrix factor.
     env_action = _conjugation_action(a_sys)
@@ -236,14 +236,13 @@ def is_homomorphism(f: CpMorphism, g_a: QuantumGraph, g_b: QuantumGraph,
     return next(homomorphism_failures(f, g_a, g_b, tol), None) is None
 
 
-def is_simple_homomorphism(f: CpMorphism, g_a: QuantumGraph, g_b: QuantumGraph,
-                           tol: float = TOL_PROJ) -> bool:
+def is_simple_homomorphism(f: CpMorphism, g_a: QuantumGraph, g_b: QuantumGraph) -> bool:
     """Simple-graph homomorphism: ℜ(f) ∘ Γ_A ∘ ℜ(f)† ≤ Γ_B."""
     if f.source != g_a.system or f.target != g_b.system:
         raise SystemMismatch("homomorphism check: systems do not match")
     rf = support_of(f)
     push = rel_compose(rf, rel_compose(g_a.relation, converse(rf)))
-    return leq(push, g_b.relation, tol)
+    return leq(push, g_b.relation)
 
 
 def is_reversible(f: CpMorphism, tol: float = TOL_PROJ) -> bool:
@@ -269,13 +268,18 @@ def reverse_channel(f: CpMorphism, tol: float = TOL_PROJ) -> CpMorphism:
     """
     if not is_reversible(f, tol):
         raise NotReversible("confusability graph is not discrete")
+    return _reverse(f)
+
+
+def _reverse(f: CpMorphism) -> CpMorphism:
+    """reverse_channel for a channel f already found reversible."""
     q = converse(support_of(f))
     alphas = marginal(q)
     d_a = sum(w * d for w, d in zip(f.source.weights, f.source.dims))
     blocks = {}
     for j, e in enumerate(f.target.dims):
         alpha = alphas[j]
-        if linalg.check_projection(alpha) > 1e-6:
+        if linalg.check_projection(alpha) > VALIDATE_SLACK * TOL_PROJ:
             raise NotReversible("marginal of the converse relation is not a projection")
         w_j = f.target.weights[j]
         for i, d in enumerate(f.source.dims):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ActionShapeMismatch, GroupMismatch, ShapeMismatch
-from .linalg import TOL_PROJ
+from .linalg import TOL_PROJ, TOL_ROUNDOFF
 
 
 @dataclass(frozen=True)
@@ -154,13 +154,13 @@ class AlgebraAction:
         if self.group != other.group or self.dims != other.dims or self.perms != other.perms:
             return False
         return all(
-            np.allclose(self.unitaries[g][i], other.unitaries[g][i], atol=1e-12)
+            np.allclose(self.unitaries[g][i], other.unitaries[g][i], atol=TOL_ROUNDOFF)
             for g in self.group.elements
             for i in range(self.nfactors)
         )
 
 
-def _check_homomorphism(action: AlgebraAction, tol: float = TOL_PROJ):
+def _check_homomorphism(action: AlgebraAction):
     """α_g ∘ α_h must equal α_{gh} as algebra automorphisms (phases drop out).
 
     Checked on the matrix-unit spanning set of each factor; exhaustive over
@@ -184,7 +184,7 @@ def _check_homomorphism(action: AlgebraAction, tol: float = TOL_PROJ):
             phase_defect = linalg.frob(x - (np.trace(x) / d) * np.eye(d)) + abs(
                 abs(np.trace(x)) / d - 1.0
             )
-            if phase_defect > tol * max(1.0, d):
+            if phase_defect > TOL_PROJ * max(1.0, d):
                 raise ActionShapeMismatch(
                     f"action is not a homomorphism up to phase at ({g},{h}), factor {i}"
                 )
@@ -275,7 +275,7 @@ def is_covariant_cp(f, tol: float = TOL_PROJ) -> bool:
     return defect < tol * max(1.0, f.norm())
 
 
-def is_covariant_relation(p, tol: float = TOL_PROJ) -> bool:
+def is_covariant_relation(p) -> bool:
     """Projector-family invariance under the induced conjugation action."""
     a_act = p.source.action
     b_act = p.target.action
@@ -286,6 +286,6 @@ def is_covariant_relation(p, tol: float = TOL_PROJ) -> bool:
             w = induced_block_unitary(a_act, b_act, g, i, j)
             moved = w @ blk @ w.conj().T
             target = p.blocks[(a_act.perms[g][i], b_act.perms[g][j])]
-            if linalg.frob(moved - target) > tol * max(1.0, linalg.frob(target)):
+            if linalg.frob(moved - target) > TOL_PROJ * max(1.0, linalg.frob(target)):
                 return False
     return True

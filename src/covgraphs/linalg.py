@@ -11,6 +11,9 @@ convention:
 so the slow (outer) index of vec(Hom(K, H)) is the K-side index and the fast
 (inner) index is the H-side index.  All other modules go through vec/unvec and
 the helpers below instead of reshaping by hand.
+
+Every threshold of the library is one of the constants below.  A ``tol``
+argument (default TOL_PROJ) exists only where the CLI --tol sets it.
 """
 
 from __future__ import annotations
@@ -24,9 +27,15 @@ from .errors import (
     NotHermitian,
 )
 
-# Default tolerances: relative spectral cutoff and projection defect.
-TOL_SPEC = 1e-9
-TOL_PROJ = 1e-8
+TOL_SPEC = 1e-9  # relative spectral cut: eigen/singular values <= TOL_SPEC * top are 0
+TOL_PROJ = 1e-8  # projection tolerance: containment, channel, covariance, reversibility
+TOL_ROUNDOFF = 1e-12  # absolute round-off: phases, stochastic sums, orbit weights, action equality
+TOL_ROUNDTRIP = 10 * TOL_PROJ  # gate on the relation defect of a round trip (1e-7)
+VALIDATE_SLACK = 100  # validators and reverse_channel's marginal test accept slack * tol
+FUNCTIONAL_SLACK = 10  # slack of is_channel's functional test over its marginal test
+BLEND_FLOOR = 1e-3  # least blend eigenvalue realize_channel accepts while halving tau
+SPAN_RATIO = 1e-2  # source-graph span cut relative to the projection tolerance
+TINY_UNIT = 1e-300  # lower bound of the magnitude unit of the source-graph span floor
 
 
 def as_complex(m) -> np.ndarray:
@@ -41,9 +50,9 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def is_hermitian(m: np.ndarray, tol: float = TOL_PROJ) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     scale = max(1.0, float(np.linalg.norm(m)))
-    return float(np.linalg.norm(m - m.conj().T)) <= tol * scale
+    return float(np.linalg.norm(m - m.conj().T)) <= TOL_SPEC * scale
 
 
 def frob(m: np.ndarray) -> float:
@@ -64,7 +73,7 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 def canonical_eigh(m: np.ndarray):
     """eigh with deterministic output: eigenvalues descending, each
-    eigenvector's first component above 1e-12 in modulus made real positive
+    eigenvector's first component above TOL_ROUNDOFF in modulus made real positive
     (a column with no such component is left as it is)."""
     w, v = np.linalg.eigh(hermitize(m))
     order = np.argsort(-w, kind="stable")
@@ -72,7 +81,7 @@ def canonical_eigh(m: np.ndarray):
     v = v[:, order]
     if v.size == 0:
         return w, v
-    big = np.abs(v) > 1e-12
+    big = np.abs(v) > TOL_ROUNDOFF
     first = np.argmax(big, axis=0)
     cols = np.flatnonzero(big[first, np.arange(v.shape[1])])
     lead = v[first[cols], cols]
@@ -82,27 +91,27 @@ def canonical_eigh(m: np.ndarray):
     return w, v
 
 
-def support_projection(m: np.ndarray, tol: float = TOL_SPEC) -> np.ndarray:
+def support_projection(m: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto the span of eigenvectors of a Hermitian PSD
-    matrix with eigenvalue above tol * (max eigenvalue)."""
+    matrix with eigenvalue above TOL_SPEC * (max eigenvalue)."""
     m = as_complex(m)
     scale = frob(m)
     if scale == 0.0:
         return np.zeros_like(m)
-    if not is_hermitian(m, tol=max(tol, 1e-12)):
+    if not is_hermitian(m):
         raise NotHermitian(f"support_projection: defect {frob(m - m.conj().T):.3e}")
     if m.shape == (1, 1):
         val = m[0, 0].real
-        if val < -tol * scale:
+        if val < -TOL_SPEC * scale:
             raise NegativeSpectrum(f"support_projection: eigenvalue {val:.3e}")
-        return np.array([[1.0 + 0j]]) if val > tol * scale else np.zeros((1, 1), dtype=complex)
+        return np.array([[1.0 + 0j]]) if val > TOL_SPEC * scale else np.zeros((1, 1), complex)
     w, v = canonical_eigh(m)
     top = float(w[0])
-    if float(w[-1]) < -tol * max(top, scale):
+    if float(w[-1]) < -TOL_SPEC * max(top, scale):
         raise NegativeSpectrum(f"support_projection: min eigenvalue {w[-1]:.3e}")
     if top <= 0.0:
         return np.zeros_like(m)
-    keep = w > tol * top
+    keep = w > TOL_SPEC * top
     vk = v[:, keep]
     return vk @ vk.conj().T
 
@@ -140,7 +149,7 @@ def orthonormal_span(vectors, dim: int | None = None, tol: float = TOL_SPEC,
     return uk @ uk.conj().T
 
 
-def projection_basis(p: np.ndarray, tol: float = TOL_PROJ):
+def projection_basis(p: np.ndarray):
     """Orthonormal basis (columns) of the range of a projection matrix."""
     if p.shape == (1, 1):
         return [np.ones(1, dtype=complex)] if p[0, 0].real > 0.5 else []
@@ -148,7 +157,7 @@ def projection_basis(p: np.ndarray, tol: float = TOL_PROJ):
     return [v[:, k] for k in range(v.shape[1]) if w[k] > 0.5]
 
 
-def check_projection(p: np.ndarray, tol: float = TOL_PROJ) -> float:
+def check_projection(p: np.ndarray) -> float:
     """Frobenius defect of p from being an orthogonal projection."""
     p = as_complex(p)
     return max(frob(p - p.conj().T), frob(p @ p - p))
@@ -190,38 +199,38 @@ def partial_trace(m: np.ndarray, dims, keep, weights=None) -> np.ndarray:
     return scale * t.reshape(kept, kept)
 
 
-def psd_factor(m: np.ndarray, tol: float = TOL_SPEC) -> np.ndarray:
+def psd_factor(m: np.ndarray) -> np.ndarray:
     """Factor a Hermitian PSD matrix as r† r = m with row count = rank."""
     m = as_complex(m)
-    if not is_hermitian(m, tol=max(tol, 1e-12)):
+    if not is_hermitian(m):
         raise NotHermitian("psd_factor: input is not Hermitian")
     w, v = canonical_eigh(m)
     scale = max(frob(m), 1.0)
-    if w.size and float(w[-1]) < -tol * scale:
+    if w.size and float(w[-1]) < -TOL_SPEC * scale:
         raise NegativeSpectrum(f"psd_factor: min eigenvalue {w[-1]:.3e}")
     top = float(w[0]) if w.size else 0.0
     if top <= 0.0:
         return np.zeros((0, m.shape[0]), dtype=complex)
-    keep = w > tol * top
+    keep = w > TOL_SPEC * top
     return (np.sqrt(w[keep])[:, None] * v[:, keep].conj().T)
 
 
-def psd_sqrt(m: np.ndarray, tol: float = TOL_SPEC) -> np.ndarray:
+def psd_sqrt(m: np.ndarray) -> np.ndarray:
     """Hermitian PSD square root via eigendecomposition (negatives clipped)."""
     m = as_complex(m)
     w, v = canonical_eigh(m)
     scale = max(frob(m), 1.0)
-    if w.size and float(w[-1]) < -tol * scale:
+    if w.size and float(w[-1]) < -TOL_SPEC * scale:
         raise NegativeSpectrum(f"psd_sqrt: min eigenvalue {w[-1]:.3e}")
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def inv_sqrt_psd(m: np.ndarray, tol: float = TOL_SPEC) -> np.ndarray:
+def inv_sqrt_psd(m: np.ndarray) -> np.ndarray:
     """Inverse square root of a positive-definite Hermitian matrix."""
     m = as_complex(m)
     w, v = canonical_eigh(m)
-    if w.size == 0 or float(w[-1]) <= tol * max(float(w[0]), 1.0):
+    if w.size == 0 or float(w[-1]) <= TOL_SPEC * max(float(w[0]), 1.0):
         raise NegativeSpectrum("inv_sqrt_psd: matrix is singular at this tolerance")
     return (v * (1.0 / np.sqrt(w))) @ v.conj().T
 

@@ -4,8 +4,7 @@ A relation A -> B stores one orthogonal projection per factor pair (i, j),
 acting on vec(Hom(K_j, H_i)): the subspace spans the adjoints of the Kraus
 maps of any CP representative.  Composition is computed by basis products and
 span closure, matching the defining span formula directly rather than by
-iterated supports.  A helper exposes the "physical" subspaces in Hom(H_i, K_j)
-by adjointing.
+iterated supports.
 """
 
 from __future__ import annotations
@@ -20,23 +19,22 @@ from .errors import (
     ShapeMismatch,
     SystemMismatch,
 )
-from .linalg import TOL_PROJ, TOL_SPEC
+from .linalg import TOL_PROJ, TOL_ROUNDTRIP, TOL_SPEC, VALIDATE_SLACK
 from .systems import System, block_family
 
 
 class QuantumRelation:
     """Immutable family of projections on the vectorized operator spaces."""
 
-    def __init__(self, source: System, target: System, blocks: dict,
-                 tol: float = TOL_PROJ, validate: bool = True):
+    def __init__(self, source: System, target: System, blocks: dict, validate: bool = True):
         self.source = source
         self.target = target
-        self.blocks = block_family(source, target, blocks, "relation")
+        self.blocks = block_family(source, target, blocks, "relation", validate)
         self._ops_cache = {}
         if validate:
             for key, blk in self.blocks.items():
                 defect = linalg.check_projection(blk)
-                if defect > tol * 100:
+                if defect > VALIDATE_SLACK * TOL_PROJ:
                     raise ShapeMismatch(
                         f"relation block {key} is not a projection (defect {defect:.2e})"
                     )
@@ -44,30 +42,26 @@ class QuantumRelation:
     def block(self, i: int, j: int) -> np.ndarray:
         return self.blocks[(i, j)]
 
-    def block_ops(self, i: int, j: int, tol: float = TOL_PROJ):
+    def block_ops(self, i: int, j: int):
         """Orthonormal operator basis of block (i, j), as maps K_j -> H_i."""
-        cached = self._ops_cache.get((i, j, tol))
+        cached = self._ops_cache.get((i, j))
         if cached is None:
             d, e = self.source.dims[i], self.target.dims[j]
             cached = [
                 linalg.unvec(v, d, e)
-                for v in linalg.projection_basis(self.blocks[(i, j)], tol)
+                for v in linalg.projection_basis(self.blocks[(i, j)])
             ]
-            self._ops_cache[(i, j, tol)] = cached
+            self._ops_cache[(i, j)] = cached
         return cached
-
-    def physical_ops(self, i: int, j: int, tol: float = TOL_PROJ):
-        """The subspace L_ij in Hom(H_i, K_j): adjoints of the stored basis."""
-        return [a.conj().T for a in self.block_ops(i, j, tol)]
 
     def rank(self, i: int, j: int) -> int:
         return int(round(float(np.trace(self.blocks[(i, j)]).real)))
 
 
-def support_of(f: CpMorphism, tol: float = TOL_SPEC) -> QuantumRelation:
+def support_of(f: CpMorphism) -> QuantumRelation:
     """Underlying relation: blockwise support projection of the Choi blocks."""
     blocks = {
-        key: linalg.support_projection(linalg.hermitize(blk), tol)
+        key: linalg.support_projection(linalg.hermitize(blk))
         for key, blk in f.blocks.items()
     }
     return QuantumRelation(f.source, f.target, blocks, validate=False)
@@ -96,7 +90,7 @@ def zero_relation(src: System, tgt: System | None = None) -> QuantumRelation:
     return QuantumRelation(src, tgt if tgt is not None else src, {}, validate=False)
 
 
-def compose(q: QuantumRelation, p: QuantumRelation, tol: float = TOL_SPEC) -> QuantumRelation:
+def compose(q: QuantumRelation, p: QuantumRelation) -> QuantumRelation:
     """Composite q ∘ p (p first): spans of operator products over the middle."""
     if p.target != q.source:
         raise SystemMismatch("compose: target of p must equal source of q")
@@ -112,7 +106,7 @@ def compose(q: QuantumRelation, p: QuantumRelation, tol: float = TOL_SPEC) -> Qu
                         vecs.append(linalg.vec(a @ b))
             # Factors are Hilbert-Schmidt-normalized, so genuine products sit
             # well above roundoff; the absolute floor keeps exact zeros zero.
-            blocks[(i, k)] = linalg.orthonormal_span(vecs, dim=d * ek, tol=tol, floor=tol)
+            blocks[(i, k)] = linalg.orthonormal_span(vecs, dim=d * ek, floor=TOL_SPEC)
     return QuantumRelation(p.source, q.target, blocks, validate=False)
 
 
@@ -175,7 +169,7 @@ def relation_as_cp(p: QuantumRelation) -> CpMorphism:
     return CpMorphism(p.source, p.target, blocks, validate=False)
 
 
-def channel_exists(p: QuantumRelation, tol: float = TOL_SPEC) -> bool:
+def channel_exists(p: QuantumRelation) -> bool:
     """Invertibility of the weighted source marginal on every factor.
 
     This is the partial-trace criterion for a relation to underlie a channel.
@@ -185,12 +179,12 @@ def channel_exists(p: QuantumRelation, tol: float = TOL_SPEC) -> bool:
     """
     for m in marginal(p):
         w = np.linalg.eigvalsh(m)
-        if float(w[0]) <= tol * max(1.0, float(w[-1])):
+        if float(w[0]) <= TOL_SPEC * max(1.0, float(w[-1])):
             return False
     return True
 
 
-def channel_from_relation(p: QuantumRelation, tol: float = TOL_SPEC) -> CpMorphism:
+def channel_from_relation(p: QuantumRelation) -> CpMorphism:
     """Constructive inverse: a channel whose underlying relation is p.
 
     Conjugates each block by the inverse square root of the marginal t (the
@@ -201,11 +195,11 @@ def channel_from_relation(p: QuantumRelation, tol: float = TOL_SPEC) -> CpMorphi
     support is verified and a failure raises, since a silent support change
     would return a channel for a different relation.
     """
-    if not channel_exists(p, tol):
+    if not channel_exists(p):
         raise NoChannel("the weighted source marginal is singular")
-    f = channelize(relation_as_cp(p), tol)
+    f = channelize(relation_as_cp(p))
     defect = relation_defect(support_of(f), p)
-    if defect > 1e-7:
+    if defect > TOL_ROUNDTRIP:
         raise NoChannel(
             f"marginal is invertible but no exactly-supported channel was found "
             f"(support defect {defect:.2e})"
@@ -213,7 +207,7 @@ def channel_from_relation(p: QuantumRelation, tol: float = TOL_SPEC) -> CpMorphi
     return f
 
 
-def partial_function_flags(p: QuantumRelation, tol: float = TOL_PROJ):
+def partial_function_flags(p: QuantumRelation):
     """Decide partial-function-ness and function-ness three ways each.
 
     Partial function (coinjectivity p∘p† ≤ Δ) is checked against the isometry
@@ -229,7 +223,7 @@ def partial_function_flags(p: QuantumRelation, tol: float = TOL_PROJ):
     witnesses = {}
 
     # (1) coinjectivity via relation composition.
-    pf1 = leq(compose(p, converse(p)), discrete(p.target), tol)
+    pf1 = leq(compose(p, converse(p)), discrete(p.target))
 
     # (2) isometry condition on the splitting: for each source factor i the
     # row-stacked map Φ_i = [sqrt(e_j) a_ijr]_{(j,r)} must satisfy Φ†Φ = I,
@@ -250,13 +244,13 @@ def partial_function_flags(p: QuantumRelation, tol: float = TOL_PROJ):
                 if j == jp and r == s:
                     g = g - np.eye(p.target.dims[j]) / p.target.dims[j]
                 iso_defect = max(iso_defect, linalg.frob(g))
-    pf2 = iso_defect < tol
+    pf2 = iso_defect < TOL_PROJ
     witnesses["partial_isometry_defect"] = iso_defect
 
     # (3) non-counital cohomomorphism equations for the canonical CP morphism.
     fcp = relation_as_cp(p)
     _, (mult, _, star) = _hom_defects(cp_dagger(fcp))
-    pf3 = max(mult, star) < tol
+    pf3 = max(mult, star) < TOL_PROJ
     witnesses["cohom_defects"] = (mult, star)
 
     if not (pf1 == pf2 == pf3):
@@ -267,13 +261,13 @@ def partial_function_flags(p: QuantumRelation, tol: float = TOL_PROJ):
         return False, False, witnesses
 
     # Function characterizations (meaningful given partial-function-ness).
-    fn1 = leq(discrete(p.source), compose(converse(p), p), tol)
+    fn1 = leq(discrete(p.source), compose(converse(p), p))
     marg_defect = max(
         linalg.frob(m - np.eye(p.source.dims[i])) for i, m in enumerate(marginal(p))
     )
-    fn2 = marg_defect < tol
+    fn2 = marg_defect < TOL_PROJ
     witnesses["function_marginal_defect"] = marg_defect
-    fn3 = is_channel(fcp, tol)
+    fn3 = is_channel(fcp)
     if not (fn1 == fn2 == fn3):
         raise CharacterizationMismatch(
             f"function characterizations disagree: {(fn1, fn2, fn3)}, {witnesses}"

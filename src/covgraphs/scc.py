@@ -41,6 +41,7 @@ from .errors import (
 from .graphs import (
     QuantumGraph,
     _conjugation_action,
+    _reverse,
     classify,
     complement,
     confusability_of,
@@ -48,10 +49,9 @@ from .graphs import (
     graphs_equal,
     is_homomorphism,
     is_reversible,
-    reverse_channel,
 )
 from .groups import AlgebraAction
-from .linalg import TOL_PROJ, TOL_SPEC
+from .linalg import SPAN_RATIO, TINY_UNIT, TOL_PROJ, TOL_ROUNDTRIP, TOL_SPEC
 from .relations import QuantumRelation, relation_defect
 from .systems import QuantumSet, System, basis_offset, system, total_matrix_dim
 
@@ -189,8 +189,8 @@ def source_confusability_graph(src: Source, tol: float = TOL_PROJ) -> QuantumGra
     unit = max(
         float(np.trace(blk).real) for blk in src.channel.blocks.values()
     )
-    span_tol = max(tol * 1e-2, TOL_SPEC)
-    floor = span_tol * max(unit, 1e-300)
+    span_tol = max(tol * SPAN_RATIO, TOL_SPEC)
+    floor = span_tol * max(unit, TINY_UNIT)
     blocks = {}
     for (a, ap), vs in vecs.items():
         n = oa.dims[a] * oa.dims[ap]
@@ -250,7 +250,7 @@ def decoder_for(e_chan: CpMorphism, src: Source, n_chan: CpMorphism,
     valid, comp = _checked_composite(e_chan, src, n_chan, tol)
     if not valid:
         raise NotValid("encoding is not valid for this source and channel")
-    return reverse_channel(comp, tol)
+    return _reverse(comp)
 
 
 def verify_scheme(src: Source, n_chan: CpMorphism, e_chan: CpMorphism,
@@ -264,7 +264,7 @@ def verify_scheme(src: Source, n_chan: CpMorphism, e_chan: CpMorphism,
     return cp_norm_diff(pipeline, ident) <= tol * max(1.0, ident.norm())
 
 
-def source_from_graph(g: QuantumGraph, tol: float = TOL_PROJ) -> Source:
+def source_from_graph(g: QuantumGraph) -> Source:
     """A source whose confusability graph is g.
 
     S is two classical points; O_B is the full matrix algebra on the
@@ -286,8 +286,7 @@ def source_from_graph(g: QuantumGraph, tol: float = TOL_PROJ) -> Source:
     contraction of the cross terms reproduces exactly the operators of P,
     which is the round-trip gate.
     """
-    flags = classify(g, tol)
-    if not flags["is_confusability"]:
+    if not classify(g)["is_confusability"]:
         raise SourceInvalid("source_from_graph needs a confusability graph")
     oa = g.system
     group = oa.group
@@ -347,10 +346,10 @@ def source_from_graph(g: QuantumGraph, tol: float = TOL_PROJ) -> Source:
             kraus[(u, ts.pair_index(a, 0))] = ops
 
     chan = from_kraus(kraus, s_sys, ts.product)
-    src = Source(s_sys, oa, ob, chan, tol=tol)
-    got = source_confusability_graph(src, tol)
+    src = Source(s_sys, oa, ob, chan)
+    got = source_confusability_graph(src)
     defect = relation_defect(got.relation, g.relation)
-    if defect > 1e-7:
+    if defect > TOL_ROUNDTRIP:
         raise RoundTripFailure(f"source graph round trip defect {defect:.2e}")
     return src
 

@@ -259,10 +259,10 @@ class TestCli:
         assert r.returncode == 1
 
     def test_scc_verify_computes_once(self, demo_bundle, monkeypatch, capsys):
-        calls = {"source_confusability_graph": 0, "_composite": 0}
+        calls = {"source_confusability_graph": 0, "_composite": 0, "is_reversible": 0}
 
-        def counted(name):
-            fn = getattr(scc, name)
+        def counted(module, name):
+            fn = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
@@ -270,7 +270,9 @@ class TestCli:
             return wrapper
 
         for name in calls:
-            monkeypatch.setattr(scc, name, counted(name))
+            monkeypatch.setattr(scc, name, counted(scc, name))
+        # reverse_channel reaches is_reversible through the graphs module
+        monkeypatch.setattr(graphs, "is_reversible", counted(graphs, "is_reversible"))
         for argv, code in ((["csrc", "inj", "enc"], 0), (["csrc", "inj", "enc", "dec"], 0),
                            (["csrc", "merge", "enc"], 1)):
             for name in calls:
@@ -278,6 +280,7 @@ class TestCli:
             assert cli.main(["scc-verify", demo_bundle] + argv) == code
             assert calls["source_confusability_graph"] == 1, argv
             assert calls["_composite"] <= 2, argv
+            assert calls["is_reversible"] <= 1, argv
         assert "scheme: invalid (encoder is not a homomorphism)" in capsys.readouterr().out
 
     def test_scc_verify_decoder_reloads_into_bundle(self, demo_bundle, tmp_path):

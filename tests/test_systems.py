@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from covgraphs import groups, systems
+from covgraphs import cpmaps, groups, relations, systems
 from covgraphs.errors import ActionShapeMismatch, ShapeMismatch
 
 from genutil import rand_channel
@@ -170,3 +170,21 @@ def test_twirl_preserves_channel_property_cross_check():
     for _ in range(5):
         f = rand_channel(rng, sys, sys)
         assert cpmaps.is_channel(g.twirl_cp(f))
+
+
+class TestBlockFamily:
+    def test_unvalidated_blocks_are_frozen_in_place(self):
+        sys = systems.system((2,))
+        for make in (cpmaps.CpMorphism, relations.QuantumRelation):
+            a = np.eye(4, dtype=complex)
+            assert make(sys, sys, {(0, 0): a}, validate=False).blocks[(0, 0)] is a
+            assert not a.flags.writeable
+
+    def test_validated_blocks_are_copied(self):
+        sys = systems.system((2,))
+        for make in (cpmaps.CpMorphism, relations.QuantumRelation):
+            a = np.eye(4, dtype=complex)
+            blk = make(sys, sys, {(0, 0): a}).blocks[(0, 0)]
+            assert blk is not a and not blk.flags.writeable
+            a[0, 0] = 5.0
+            assert blk[0, 0] == 1.0

@@ -1,0 +1,53 @@
+"""The tolerance policy: every threshold is named once, in linalg's constant
+block, and every ``tol`` argument defaults to one of those names."""
+
+import ast
+import pathlib
+
+import covgraphs
+
+SRC = pathlib.Path(covgraphs.__file__).parent
+
+
+def _modules():
+    for path in sorted(SRC.glob("*.py")):
+        yield path.name, ast.parse(path.read_text())
+
+
+def _constant_block(tree):
+    """Module-level assignments to upper-case names."""
+    return [
+        node for node in tree.body
+        if isinstance(node, ast.Assign)
+        and all(isinstance(t, ast.Name) and t.id.isupper() for t in node.targets)
+    ]
+
+
+def test_threshold_literals_only_in_linalg_constants():
+    stray = []
+    for name, tree in _modules():
+        named = set()
+        if name == "linalg.py":
+            named = {id(n) for block in _constant_block(tree) for n in ast.walk(block)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, float)
+                    and 0 < abs(node.value) <= 1e-2 and id(node) not in named):
+                stray.append(f"{name}:{node.lineno} {node.value!r}")
+    assert not stray
+
+
+def test_tol_defaults_are_named():
+    literal = []
+    for name, tree in _modules():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = fn.args
+            pos = args.posonlyargs + args.args
+            pairs = list(zip(pos[len(pos) - len(args.defaults):], args.defaults))
+            pairs += zip(args.kwonlyargs, args.kw_defaults)
+            for arg, default in pairs:
+                if arg.arg == "tol" and default is not None and any(
+                        isinstance(n, ast.Constant) for n in ast.walk(default)):
+                    literal.append(f"{name}:{fn.lineno} {getattr(fn, 'name', 'lambda')}")
+    assert not literal

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .cpmaps import CpMorphism, apply, from_kraus, is_channel
+from .cpmaps import CpMorphism, basis_images, from_kraus, is_channel
 from .errors import (
     NotAChannel,
     NotConfusability,
@@ -38,7 +38,7 @@ from .relations import (
     relations_equal,
     support_of,
 )
-from .systems import System, basis_offset, coords, phi_basis, system, total_matrix_dim
+from .systems import System, basis_offset, system, total_matrix_dim
 
 
 class QuantumGraph:
@@ -122,13 +122,12 @@ def _graph_as_cp(g: QuantumGraph, tau: float) -> CpMorphism:
 
 
 def _superop_matrix(f: CpMorphism) -> np.ndarray:
-    """Matrix of the map x -> f(x) in the φ-orthonormal basis of the source."""
-    basis = phi_basis(f.source)
-    n = total_matrix_dim(f.source)
-    out = np.zeros((n, n), dtype=complex)
-    for k, (_, _, _, u) in enumerate(basis):
-        out[:, k] = coords(f.target, apply(f, u))
-    return out
+    """Matrix of the map x -> f(x) between φ-coordinates, shaped (N_B, N_A):
+    column k is coords(f(u_k)) for the k-th φ-basis element u_k of the source."""
+    return np.concatenate([
+        np.sqrt(w) * imgs.reshape(len(imgs), -1).T
+        for w, imgs in zip(f.target.weights, basis_images(f))
+    ])
 
 
 def realize_channel(g: QuantumGraph, tau: float | None = None, tol: float = TOL_PROJ):
@@ -178,14 +177,9 @@ def realize_channel(g: QuantumGraph, tau: float | None = None, tol: float = TOL_
 
     kraus = {}
     for i, d in enumerate(a_sys.dims):
-        ops = []
         off = basis_offset(a_sys, i)
-        for a in range(d):
-            m = np.zeros((n, d), dtype=complex)
-            for xi in range(d):
-                m[:, xi] = fhalf[:, off + xi * d + a]
-            ops.append(m / np.sqrt(w_env))
-        kraus[(i, 0)] = ops
+        # Column x of map a is column E_xa of f̂^{1/2}.
+        kraus[(i, 0)] = [fhalf[:, off + a:off + d * d:d] / np.sqrt(w_env) for a in range(d)]
     f = from_kraus(kraus, a_sys, env)
     return f, env
 

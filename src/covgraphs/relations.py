@@ -94,15 +94,15 @@ def compose(q: QuantumRelation, p: QuantumRelation) -> QuantumRelation:
     """Composite q ∘ p (p first): spans of operator products over the middle."""
     if p.target != q.source:
         raise SystemMismatch("compose: target of p must equal source of q")
+    p_ops = {key: p.block_ops(*key) for key in p.blocks}
+    q_ops = {key: q.block_ops(*key) for key in q.blocks}
     blocks = {}
     for i, d in enumerate(p.source.dims):
         for k, ek in enumerate(q.target.dims):
             vecs = []
             for j in range(p.target.nfactors):
-                a_ops = p.block_ops(i, j)
-                b_ops = q.block_ops(j, k)
-                for a in a_ops:
-                    for b in b_ops:
+                for a in p_ops[(i, j)]:
+                    for b in q_ops[(j, k)]:
                         vecs.append(linalg.vec(a @ b))
             # Factors are Hilbert-Schmidt-normalized, so genuine products sit
             # well above roundoff; the absolute floor keeps exact zeros zero.

@@ -275,3 +275,87 @@ def quantum_source(rng, ds, da, db):
     v = rand_isometry(rng, da * db, ds)
     chan = cpmaps.from_kraus({(0, 0): [w_ratio * v]}, s_sys, ts.product)
     return scc.Source(s_sys, oa, ob, chan)
+
+
+# -- probe references for the closed-form self-checks --------------------
+# The library reads these defects off Choi blocks and one product table; the
+# loops below push φ-basis elements through apply, multiply and inner one at
+# a time, as the defining equations are written.
+
+def probe_superop_matrix(f):
+    """Column k is coords(f(u_k)) for the k-th φ-basis element of the source."""
+    basis = systems.phi_basis(f.source)
+    out = np.zeros((systems.total_matrix_dim(f.target), len(basis)), dtype=complex)
+    for k, (_, _, _, u) in enumerate(basis):
+        out[:, k] = systems.coords(f.target, cpmaps.apply(f, u))
+    return out
+
+
+def probe_hom_defects(f):
+    """(max, (multiplicativity, unit, star)) of cpmaps._hom_defects, by
+    N² apply calls."""
+    basis = systems.phi_basis(f.source)
+    images = [cpmaps.apply(f, u) for (_, _, _, u) in basis]
+    mult = star = 0.0
+    for (ka, (_, _, _, ua)) in enumerate(basis):
+        fa = images[ka]
+        star = max(
+            star,
+            systems._diff([m.conj().T for m in fa],
+                          cpmaps.apply(f, [m.conj().T for m in ua])),
+        )
+        for (kb, (_, _, _, ub)) in enumerate(basis):
+            lhs = cpmaps.apply(f, systems.multiply(f.source, ua, ub))
+            rhs = systems.multiply(f.target, fa, images[kb])
+            mult = max(mult, systems._diff(lhs, rhs))
+    unit = systems._diff(cpmaps.apply(f, f.source.identity()), f.target.identity())
+    return max(mult, unit, star), (mult, unit, star)
+
+
+def probe_ssfa_defects(sys, rng):
+    """Separability, Frobenius and standardness defects of systems.ssfa_defects
+    by basis loops; ``rng`` in the state ssfa_defects is given, so the same
+    index quadruples are drawn."""
+    inner, multiply = systems.inner, systems.multiply
+    basis = systems.phi_basis(sys)
+    for _ in range(18):  # the associativity and unitality probes
+        systems.random_element(sys, rng)
+
+    sep = 0.0
+    for (_, _, _, u) in basis:
+        acc = sys.zero()
+        for (_, _, _, a) in basis:
+            for (_, _, _, b) in basis:
+                c = inner(sys, multiply(sys, a, b), u)
+                if c != 0:
+                    ab = multiply(sys, a, b)
+                    acc = [t + c * s for t, s in zip(acc, ab)]
+        sep = max(sep, systems._diff(acc, u))
+
+    frobdef = 0.0
+    nb = len(basis)
+    for _ in range(24):
+        a, b, c, d = (int(rng.integers(0, nb)) for _ in range(4))
+        ua, ub, uc, ud = (basis[k][3] for k in (a, b, c, d))
+        mid = inner(sys, multiply(sys, ua, ub), multiply(sys, uc, ud))
+        left = sum(
+            inner(sys, multiply(sys, ua, ul[3]), uc)
+            * inner(sys, ub, multiply(sys, ul[3], ud))
+            for ul in basis
+        )
+        right = sum(
+            inner(sys, ua, multiply(sys, uc, uk[3]))
+            * inner(sys, multiply(sys, uk[3], ub), ud)
+            for uk in basis
+        )
+        frobdef = max(frobdef, abs(mid - left), abs(mid - right))
+
+    cmat = np.array(
+        [
+            [complex(systems.functional(sys, multiply(sys, uk[3], ul[3]))).conjugate()
+             for ul in basis]
+            for uk in basis
+        ]
+    )
+    std = linalg.frob((cmat @ cmat.conj().T).T - cmat.conj().T @ cmat)
+    return {"separability": sep, "frobenius": frobdef, "standardness": std}

@@ -1,0 +1,128 @@
+"""The self-checks read Choi blocks and one product table in closed form; they
+must agree with the φ-basis probe loops of genutil, which push basis elements
+through apply, multiply and inner one at a time."""
+
+import ast
+import pathlib
+
+import numpy as np
+import pytest
+
+import covgraphs
+from covgraphs import cpmaps, graphs, groups, linalg, systems
+from covgraphs.classical import embed_channel
+
+from genutil import (
+    probe_hom_defects,
+    probe_ssfa_defects,
+    probe_superop_matrix,
+    rand_channel,
+    rand_conf_graph,
+    rand_cp,
+    rand_stochastic,
+    rand_unitary,
+)
+
+rng = np.random.default_rng(606)
+
+
+def _weighted(dims, weights):
+    action = groups.trivial_action(groups.trivial_group(), dims)
+    return systems.System(systems.QuantumSet(dims), action, weights)
+
+
+def _unitary_map(sys):
+    kraus = {(i, i): [rand_unitary(rng, d)] for i, d in enumerate(sys.dims)}
+    return cpmaps.from_kraus(kraus, sys, sys)
+
+
+def _hom_cases():
+    cases = []
+    for dims in [(2,), (6,), (1, 2, 3)]:
+        sys = systems.system(dims)
+        cases += [
+            (f"kraus{dims}", rand_cp(rng, sys, sys)),
+            (f"channelize{dims}", rand_channel(rng, sys, sys)),
+            (f"unitary{dims}", _unitary_map(sys)),
+        ]
+    cases.append(("kraus(2,1)->(3,)", rand_cp(rng, systems.system((2, 1)), systems.system((3,)))))
+    cases.append(("classical8", embed_channel(rand_stochastic(rng, 8, 8))))
+    cases += [(f"dagger-{name}", cpmaps.dagger(f)) for name, f in cases]
+    return [pytest.param(name, f, id=name) for name, f in cases]
+
+
+def _close(got, ref):
+    return abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("name,f", _hom_cases())
+def test_hom_defects_match_probe(name, f):
+    top, parts = cpmaps._hom_defects(f)
+    ref_top, ref_parts = probe_hom_defects(f)
+    assert all(type(v) is float for v in (top,) + parts)
+    assert _close(top, ref_top), (top, ref_top)
+    for got, ref in zip(parts, ref_parts):
+        assert _close(got, ref), (parts, ref_parts)
+    if name.startswith(("unitary", "dagger-unitary")):
+        assert top < 1e-12
+
+
+@pytest.mark.parametrize("dims,weights", [
+    ((1,), (1.0,)),
+    ((2,), (2.0,)),
+    ((2, 1), (2.0, 1.0)),
+    ((1, 2, 3), (1.0, 2.0, 3.0)),
+    ((2,), (1.0,)),
+    ((2, 3), (0.5, 7.0)),
+], ids=str)
+def test_ssfa_defects_match_probe(dims, weights):
+    sys = _weighted(dims, weights)
+    got = systems.ssfa_defects(sys, rng=np.random.default_rng(11))
+    ref = probe_ssfa_defects(sys, np.random.default_rng(11))
+    assert all(type(v) is float for v in got.values())
+    for key, val in ref.items():
+        assert _close(got[key], val), (key, got[key], val)
+
+
+def test_superop_matrix_source_differs_from_target():
+    src, tgt = systems.system((2, 1)), systems.system((3,))
+    f = rand_cp(rng, src, tgt)
+    mat = graphs._superop_matrix(f)
+    assert mat.shape == (9, 5)
+    assert np.array_equal(mat, probe_superop_matrix(f))
+    x = systems.random_element(src, rng)
+    fx = systems.coords(tgt, cpmaps.apply(f, x))
+    assert np.linalg.norm(mat @ systems.coords(src, x) - fx) <= 1e-12 * np.linalg.norm(fx)
+
+
+def test_blend_matrices_equal_probe():
+    for dims in [(2,), (1, 2), (3, 1)]:
+        g = rand_conf_graph(rng, systems.system(dims))
+        for tau in (1.0, 0.5, 0.125):
+            f = graphs._graph_as_cp(g, tau)
+            assert np.array_equal(graphs._superop_matrix(f), probe_superop_matrix(f))
+
+
+@pytest.mark.parametrize("delta,verdict", [(0.0, True), (5e-9, False)])
+def test_is_channel_functional_test_on_tiny_weight(delta, verdict):
+    # On a factor of weight 1e-4 a marginal defect δ moves the functional by
+    # δ / √w = 100 δ: only the functional test sees δ = 5e-9.
+    src = _weighted((1,), (1e-4,))
+    f = cpmaps.from_kraus({(0, 0): [[[np.sqrt(1e-4 + delta)]]]}, src, systems.classical_system(1))
+    assert linalg.frob(cpmaps.choi_marginal(f)[0] - 1e-4) < linalg.TOL_PROJ
+    assert cpmaps.is_channel(f) is verdict
+
+
+def test_only_systems_probes_the_phi_basis():
+    src = pathlib.Path(covgraphs.__file__).parent
+    callers = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "systems.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+                if name == "phi_basis":
+                    callers.append(f"{path.name}:{node.lineno}")
+    assert not callers

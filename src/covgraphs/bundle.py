@@ -152,7 +152,7 @@ def _blocks_from_json(data, src: System, tgt: System, kind: str) -> dict:
             blocks[pair] = matrix_from_json(spec["projection"])
         elif "basis" in spec:
             i, j = pair
-            vecs = [linalg.vec(matrix_from_json(m)) for m in spec["basis"]]
+            vecs = [linalg.vec(linalg.as_complex(matrix_from_json(m))) for m in spec["basis"]]
             blocks[pair] = linalg.orthonormal_span(vecs, dim=src.dims[i] * tgt.dims[j])
         else:
             raise BundleError(f"{kind} block {key} needs 'projection' or 'basis'")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cpmaps import CpMorphism, apply, from_kraus
-from .errors import ShapeMismatch
+from .errors import DimensionMismatch, ShapeMismatch
 from .graphs import QuantumGraph, graph_from_blocks
 from .linalg import TOL_ROUNDOFF
 from .relations import QuantumRelation
@@ -25,6 +25,8 @@ def check_stochastic(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim != 2:
         raise ShapeMismatch("stochastic matrix must be 2-dimensional")
+    if not np.isfinite(p).all():
+        raise DimensionMismatch("matrix entries must be finite")
     if np.any(p < -TOL_ROUNDOFF):
         raise ShapeMismatch("stochastic matrix must be nonnegative")
     colsums = p.sum(axis=0)

@@ -66,7 +66,7 @@ class CpMorphism:
                     raise NegativeSpectrum(f"Choi block {key}: eigenvalue {wmin:.3e}")
 
     def norm(self) -> float:
-        return max((linalg.frob(b) for b in self.blocks.values()), default=0.0)
+        return float(linalg.frobs(self.blocks.values()).max(initial=0.0))
 
     def block(self, i: int, j: int) -> np.ndarray:
         return self.blocks[(i, j)]
@@ -297,7 +297,7 @@ def _hom_defects(f: CpMorphism):
 def cp_norm_diff(f: CpMorphism, g: CpMorphism) -> float:
     if f.source != g.source or f.target != g.target:
         raise SystemMismatch("cannot compare CP morphisms of different types")
-    return max(linalg.frob(f.blocks[k] - g.blocks[k]) for k in f.blocks)
+    return float(linalg.frobs([f.blocks[k] - g.blocks[k] for k in f.blocks]).max())
 
 
 def channelize(f: CpMorphism) -> CpMorphism:

@@ -77,9 +77,9 @@ def classify(g: QuantumGraph, tol: float = TOL_PROJ) -> dict:
     """Confusability iff Δ ≤ Γ; simple iff Δ̃ Γ̃ = 0 blockwise."""
     delta = discrete(g.system)
     is_conf = leq(delta, g.relation, tol)
-    simple_defect = max(
-        linalg.frob(delta.blocks[key] @ g.relation.blocks[key]) for key in delta.blocks
-    )
+    simple_defect = float(linalg.frobs(
+        [delta.blocks[key] @ g.relation.blocks[key] for key in delta.blocks]
+    ).max())
     return {"is_confusability": is_conf, "is_simple": simple_defect < tol}
 
 
@@ -269,12 +269,12 @@ def _reverse(f: CpMorphism) -> CpMorphism:
     """reverse_channel for a channel f already found reversible."""
     q = converse(support_of(f))
     alphas = marginal(q)
+    if np.any(linalg.projection_defects(alphas) > VALIDATE_SLACK * TOL_PROJ):
+        raise NotReversible("marginal of the converse relation is not a projection")
     d_a = sum(w * d for w, d in zip(f.source.weights, f.source.dims))
     blocks = {}
     for j, e in enumerate(f.target.dims):
         alpha = alphas[j]
-        if linalg.check_projection(alpha) > VALIDATE_SLACK * TOL_PROJ:
-            raise NotReversible("marginal of the converse relation is not a projection")
         w_j = f.target.weights[j]
         for i, d in enumerate(f.source.dims):
             blocks[(j, i)] = w_j * q.blocks[(j, i)] + (w_j / d_a) * linalg.kron(

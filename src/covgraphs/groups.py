@@ -6,10 +6,25 @@ one unitary per factor: element ``g`` sends the block ``x_i`` to
 ``U[g][i] x_i U[g][i]†`` placed at slot ``perms[g][i]``.  The per-element data
 need only be a homomorphism up to phase; every check below goes through the
 induced algebra automorphisms, which compose exactly.
+
+Transport is stacked.  The blocks of a CP morphism or relation are grouped by
+the dimensions (d_i, e_j) of their factor pair (block_classes), and α_g moves
+a whole class with one batched product W B W† (transport); act_on_cp,
+twirl_cp and is_covariant_relation go through it.  An action holds its
+unitaries as read-only stacks, one per factor dimension, which the
+construction checks (unitarity, homomorphism) also read in batches.
+
+Two actions are equal when they share group table, dims and perms (the key)
+and their unitaries agree within TOL_ROUNDOFF.  Identical objects, different
+keys and equal digests of the unitaries' bytes decide equality at once; only
+equal keys with different bytes compare the unitaries.  The hash covers the
+key alone, never the digest, because equality tolerates round-off; so actions
+and the systems that carry them can key dicts.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from itertools import product
 
@@ -104,9 +119,13 @@ def symmetric_group_perms(n: int):
     return [tuple(p) for p in permutations(range(n))]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlgebraAction:
-    """Action of a finite group on the factors of a quantum set."""
+    """Action of a finite group on the factors of a quantum set.
+
+    The unitaries are held as read-only copies: one (|G|, k, d, d) stack per
+    factor dimension d, of which unitaries[g][i] is a view.
+    """
 
     group: FiniteGroup
     dims: tuple
@@ -120,7 +139,7 @@ class AlgebraAction:
         if len(self.perms) != n or len(self.unitaries) != n:
             raise ActionShapeMismatch("need one permutation and unitary family per element")
         perms = []
-        units = []
+        given = []
         for g in range(n):
             p = tuple(int(x) for x in self.perms[g])
             if sorted(p) != list(range(len(dims))):
@@ -132,38 +151,80 @@ class AlgebraAction:
                 u = linalg.as_complex(self.unitaries[g][i])
                 if u.shape != (d, d):
                     raise ActionShapeMismatch(f"unitaries[{g}][{i}] has wrong shape")
-                if linalg.frob(u @ u.conj().T - np.eye(d)) > TOL_PROJ * max(1.0, d):
-                    raise ActionShapeMismatch(f"unitaries[{g}][{i}] is not unitary")
                 us.append(u)
             perms.append(p)
-            units.append(tuple(us))
+            given.append(us)
+        # classes[d] = (factors of dimension d, their unitaries stacked over g);
+        # slot[i] is the position of factor i within its class.
+        factors = {}
+        for i, d in enumerate(dims):
+            factors.setdefault(d, []).append(i)
+        slot = np.zeros(len(dims), dtype=int)
+        classes = {}
+        for d, idx in factors.items():
+            slot[idx] = np.arange(len(idx))
+            stack = np.array([[given[g][i] for i in idx] for g in range(n)], dtype=complex)
+            flat = stack.reshape(-1, d, d)
+            bad = linalg.frobs(flat @ flat.conj().swapaxes(1, 2) - np.eye(d)) > TOL_PROJ * max(1.0, d)
+            if bad.any():
+                g, s = divmod(int(np.argmax(bad)), len(idx))
+                raise ActionShapeMismatch(f"unitaries[{g}][{idx[s]}] is not unitary")
+            stack.setflags(write=False)
+            classes[d] = (np.array(idx), stack)
         object.__setattr__(self, "perms", tuple(perms))
-        object.__setattr__(self, "unitaries", tuple(units))
+        object.__setattr__(self, "unitaries", tuple(
+            tuple(classes[d][1][g, slot[i]] for i, d in enumerate(dims)) for g in range(n)
+        ))
+        object.__setattr__(self, "_classes", classes)
+        object.__setattr__(self, "_slot", slot)
         e = self.group.identity
         if self.perms[e] != tuple(range(len(dims))):
             raise ActionShapeMismatch("identity element must fix the factor slots")
         _check_homomorphism(self)
+        # Identity: equal keys are necessary for equality, and equal bytes of
+        # the unitaries sufficient; only the hash of the key is kept, because
+        # equality tolerates TOL_ROUNDOFF in the unitaries.
+        key = (n, self.group.table, e, dims, self.perms)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "_digest", hashlib.blake2b(
+            b"".join(stack.tobytes() for _, stack in classes.values())
+        ).digest())
 
     @property
     def nfactors(self) -> int:
         return len(self.dims)
 
+    def unitary_stack(self, g: int, factors) -> np.ndarray:
+        """(k, d, d) stack of unitaries[g][i] for the given factors, which
+        share one dimension d."""
+        _, stack = self._classes[self.dims[factors[0]]]
+        return stack[g, self._slot[list(factors)]]
+
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, AlgebraAction):
             return NotImplemented
-        if self.group != other.group or self.dims != other.dims or self.perms != other.perms:
+        if self._key != other._key:
             return False
+        if self._digest == other._digest:
+            return True
         return all(
             np.allclose(self.unitaries[g][i], other.unitaries[g][i], atol=TOL_ROUNDOFF)
             for g in self.group.elements
             for i in range(self.nfactors)
         )
 
+    def __hash__(self):
+        return self._hash
+
 
 def _check_homomorphism(action: AlgebraAction):
     """α_g ∘ α_h must equal α_{gh} as algebra automorphisms (phases drop out).
 
-    Checked on the matrix-unit spanning set of each factor; exhaustive over
+    On each factor i, U_g[π_h(i)] U_h[i] must be U_gh[i] times a phase: one
+    batched product per factor dimension and element pair; exhaustive over
     element pairs for |G| <= 24, sampled above.
     """
     g_order = action.group.order
@@ -172,21 +233,24 @@ def _check_homomorphism(action: AlgebraAction):
     else:
         rng = np.random.default_rng(1)
         pairs = [tuple(rng.integers(0, g_order, 2)) for _ in range(800)]
+    perms = np.array(action.perms)
     for g, h in pairs:
         gh = action.group.mul(g, h)
-        for i, d in enumerate(action.dims):
-            lhs_u = action.unitaries[g][action.perms[h][i]] @ action.unitaries[h][i]
-            rhs_u = action.unitaries[gh][i]
-            if action.perms[g][action.perms[h][i]] != action.perms[gh][i]:
-                raise ActionShapeMismatch(f"perms are not a homomorphism at ({g},{h})")
-            # Compare Ad(lhs_u) with Ad(rhs_u): equal iff lhs_u† rhs_u is a phase.
-            x = lhs_u.conj().T @ rhs_u
-            phase_defect = linalg.frob(x - (np.trace(x) / d) * np.eye(d)) + abs(
-                abs(np.trace(x)) / d - 1.0
+        if not np.array_equal(perms[g][perms[h]], perms[gh]):
+            raise ActionShapeMismatch(f"perms are not a homomorphism at ({g},{h})")
+        for d, (idx, stack) in action._classes.items():
+            lhs = stack[g, action._slot[perms[h][idx]]] @ stack[h]
+            # Ad(lhs) = Ad(U_gh) iff lhs† U_gh is a phase.
+            x = lhs.conj().swapaxes(1, 2) @ stack[gh]
+            tr = np.trace(x, axis1=1, axis2=2)
+            phase_defect = linalg.frobs(x - (tr / d)[:, None, None] * np.eye(d)) + np.abs(
+                np.abs(tr) / d - 1.0
             )
-            if phase_defect > TOL_PROJ * max(1.0, d):
+            bad = phase_defect > TOL_PROJ * max(1.0, d)
+            if bad.any():
                 raise ActionShapeMismatch(
-                    f"action is not a homomorphism up to phase at ({g},{h}), factor {i}"
+                    f"action is not a homomorphism up to phase at ({g},{h}), "
+                    f"factor {idx[np.argmax(bad)]}"
                 )
 
 
@@ -207,8 +271,7 @@ def permutation_action(group: FiniteGroup, dims, perms) -> AlgebraAction:
 def inner_action(group: FiniteGroup, dim: int, unitaries) -> AlgebraAction:
     """Single-factor action by conjugation with the given projective unitaries."""
     perms = tuple((0,) for _ in range(group.order))
-    units = tuple((linalg.as_complex(u),) for u in unitaries)
-    return AlgebraAction(group, (dim,), perms, units)
+    return AlgebraAction(group, (dim,), perms, tuple((u,) for u in unitaries))
 
 
 def act(action: AlgebraAction, g: int, x) -> list:
@@ -225,28 +288,46 @@ def act(action: AlgebraAction, g: int, x) -> list:
     return out
 
 
-def induced_block_unitary(action_src: AlgebraAction, action_tgt: AlgebraAction,
-                          g: int, i: int, j: int) -> np.ndarray:
-    """Unitary induced on vec(Hom(K_j, H_i)) by α_g on source and target.
+def block_classes(blocks: dict, source, target) -> list:
+    """A block family on the factor pairs of source x target, grouped by
+    (d_i, e_j): a list of (keys, (k, d e, d e) stack) in first-key order."""
+    classes = {}
+    for i, j in blocks:
+        classes.setdefault((source.dims[i], target.dims[j]), []).append((i, j))
+    return [(keys, np.stack([blocks[key] for key in keys])) for keys in classes.values()]
 
-    The stored subspace for the factor pair (i, j) lies in Hom(K_j, H_i); the
-    action sends an operator a to U_src[g][i] a U_tgt[g][j]†, i.e. the vec-space
-    unitary kron(conj(U_tgt), U_src), and relocates the block to
-    (perms_src[g][i], perms_tgt[g][j]).
+
+def transport(action_src: AlgebraAction, action_tgt: AlgebraAction, g: int,
+              keys: list, stack: np.ndarray) -> np.ndarray:
+    """α_g on one (d_i, e_j) class of blocks on vec(Hom(K_j, H_i)), given as
+    keys and a stack in key order; returns the moved family in the same order.
+
+    The action sends an operator a to U_src[g][i] a U_tgt[g][j]†, i.e. the
+    vec-space unitary W = kron(conj(U_tgt[g][j]), U_src[g][i]), and moves the
+    block (i, j) to W B W† at (perms_src[g][i], perms_tgt[g][j]), a key of the
+    same class.  One batched product moves the class.  W is formed by the
+    broadcast product np.kron itself computes, so every moved block is
+    bitwise the one a per-block kron loop gives.
     """
-    return linalg.kron(action_tgt.unitaries[g][j].conj(), action_src.unitaries[g][i])
+    us = action_src.unitary_stack(g, [i for i, _ in keys])
+    ut = action_tgt.unitary_stack(g, [j for _, j in keys]).conj()
+    k, e, d = len(keys), ut.shape[1], us.shape[1]
+    w = (ut[:, :, None, :, None] * us[:, None, :, None, :]).reshape(k, e * d, e * d)
+    slot = {key: s for s, key in enumerate(keys)}
+    moved = np.empty_like(stack)
+    moved[[slot[(action_src.perms[g][i], action_tgt.perms[g][j])] for i, j in keys]] = (
+        w @ stack @ w.conj().swapaxes(1, 2)
+    )
+    return moved
 
 
 def act_on_cp(f, g: int):
     """Transport a CP morphism along group element g: α_{B,g} ∘ f ∘ α_{A,g}⁻¹."""
     from .cpmaps import CpMorphism
 
-    a_act = f.source.action
-    b_act = f.target.action
     blocks = {}
-    for (i, j), blk in f.blocks.items():
-        w = induced_block_unitary(a_act, b_act, g, i, j)
-        blocks[(a_act.perms[g][i], b_act.perms[g][j])] = w @ blk @ w.conj().T
+    for keys, stack in block_classes(f.blocks, f.source, f.target):
+        blocks.update(zip(keys, transport(f.source.action, f.target.action, g, keys, stack)))
     return CpMorphism(f.source, f.target, blocks, validate=False)
 
 
@@ -257,22 +338,20 @@ def twirl_cp(f):
     if f.source.action.group != f.target.action.group:
         raise GroupMismatch("source and target actions must share one group")
     group = f.source.action.group
-    acc = {key: np.zeros_like(blk) for key, blk in f.blocks.items()}
-    for g in group.elements:
-        moved = act_on_cp(f, g)
-        for key, blk in moved.blocks.items():
-            acc[key] = acc[key] + blk
-    n = group.order
-    return CpMorphism(f.source, f.target, {k: v / n for k, v in acc.items()}, validate=False)
+    blocks = {}
+    for keys, stack in block_classes(f.blocks, f.source, f.target):
+        acc = np.zeros_like(stack)
+        for g in group.elements:
+            acc += transport(f.source.action, f.target.action, g, keys, stack)
+        blocks.update(zip(keys, acc / group.order))
+    return CpMorphism(f.source, f.target, blocks, validate=False)
 
 
 def is_covariant_cp(f, tol: float = TOL_PROJ) -> bool:
     """True iff the twirl leaves f unchanged in blockwise Frobenius norm."""
-    t = twirl_cp(f)
-    defect = max(
-        linalg.frob(t.blocks[key] - f.blocks[key]) for key in f.blocks
-    )
-    return defect < tol * max(1.0, f.norm())
+    from .cpmaps import cp_norm_diff
+
+    return cp_norm_diff(twirl_cp(f), f) < tol * max(1.0, f.norm())
 
 
 def is_covariant_relation(p) -> bool:
@@ -281,11 +360,9 @@ def is_covariant_relation(p) -> bool:
     b_act = p.target.action
     if a_act.group != b_act.group:
         raise GroupMismatch("source and target actions must share one group")
-    for g in a_act.group.elements:
-        for (i, j), blk in p.blocks.items():
-            w = induced_block_unitary(a_act, b_act, g, i, j)
-            moved = w @ blk @ w.conj().T
-            target = p.blocks[(a_act.perms[g][i], b_act.perms[g][j])]
-            if linalg.frob(moved - target) > TOL_PROJ * max(1.0, linalg.frob(target)):
+    for keys, stack in block_classes(p.blocks, p.source, p.target):
+        bound = TOL_PROJ * np.maximum(1.0, linalg.frobs(stack))
+        for g in a_act.group.elements:
+            if np.any(linalg.frobs(transport(a_act, b_act, g, keys, stack) - stack) > bound):
                 return False
     return True

@@ -59,6 +59,24 @@ def frob(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
+def frobs(mats) -> np.ndarray:
+    """Frobenius norms of a sequence of matrices, or of a (k, m, n) stack, in
+    input order: one stacked reduction per shape, bitwise equal to frob of each
+    (per matrix, the same BLAS dot products of the real and imaginary parts)."""
+    if isinstance(mats, np.ndarray):
+        v = mats.reshape(len(mats), 1, -1)
+        re, im = v.real, v.imag
+        return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).reshape(-1))
+    mats = list(mats)
+    out = np.empty(len(mats))
+    by_shape = {}
+    for k, m in enumerate(mats):
+        by_shape.setdefault(m.shape, []).append(k)
+    for idx in by_shape.values():
+        out[idx] = frobs(np.stack([mats[k] for k in idx]))
+    return out
+
+
 def vec(m: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization."""
     return np.asarray(m, dtype=complex).reshape(-1, order="F")
@@ -157,10 +175,11 @@ def projection_basis(p: np.ndarray):
     return [v[:, k] for k in range(v.shape[1]) if w[k] > 0.5]
 
 
-def check_projection(p: np.ndarray) -> float:
-    """Frobenius defect of p from being an orthogonal projection."""
-    p = as_complex(p)
-    return max(frob(p - p.conj().T), frob(p @ p - p))
+def projection_defects(mats) -> np.ndarray:
+    """Frobenius defect of each matrix from being an orthogonal projection,
+    max(‖p − p†‖, ‖p p − p‖), in input order."""
+    mats = list(mats)
+    return np.maximum(frobs([p - p.conj().T for p in mats]), frobs([p @ p - p for p in mats]))
 
 
 def partial_trace(m: np.ndarray, dims, keep, weights=None) -> np.ndarray:

@@ -32,8 +32,8 @@ class QuantumRelation:
         self.blocks = block_family(source, target, blocks, "relation", validate)
         self._ops_cache = {}
         if validate:
-            for key, blk in self.blocks.items():
-                defect = linalg.check_projection(blk)
+            defects = linalg.projection_defects(self.blocks.values())
+            for key, defect in zip(self.blocks, defects):
                 if defect > VALIDATE_SLACK * TOL_PROJ:
                     raise ShapeMismatch(
                         f"relation block {key} is not a projection (defect {defect:.2e})"
@@ -124,9 +124,11 @@ def containment_failures(p: QuantumRelation, q: QuantumRelation, tol: float = TO
     defect exceeds tol·max(1, ‖p̃‖)."""
     if p.source != q.source or p.target != q.target:
         raise SystemMismatch("leq: relations must share source and target")
-    for key, pb in p.blocks.items():
-        defect = linalg.frob(q.blocks[key] @ pb - pb)
-        if defect > tol * max(1.0, linalg.frob(pb)):
+    keys = list(p.blocks)
+    defects = linalg.frobs([q.blocks[key] @ p.blocks[key] - p.blocks[key] for key in keys])
+    scales = linalg.frobs(p.blocks.values())
+    for key, defect, scale in zip(keys, defects.tolist(), scales.tolist()):
+        if defect > tol * max(1.0, scale):
             yield key, defect
 
 
@@ -142,7 +144,7 @@ def relations_equal(p: QuantumRelation, q: QuantumRelation, tol: float = TOL_PRO
 
 
 def relation_defect(p: QuantumRelation, q: QuantumRelation) -> float:
-    return max(linalg.frob(p.blocks[k] - q.blocks[k]) for k in p.blocks)
+    return float(linalg.frobs([p.blocks[k] - q.blocks[k] for k in p.blocks]).max())
 
 
 def marginal(p: QuantumRelation) -> list:

@@ -83,12 +83,17 @@ class System:
         return out
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, System)
             and self.dims == other.dims
             and self.weights == other.weights
             and self.action == other.action
         )
+
+    def __hash__(self):
+        return hash((self.dims, self.weights, self.action))
 
 
 def separable_standard(qset: QuantumSet, action: AlgebraAction | None = None) -> System:
@@ -162,7 +167,8 @@ def block_family(source: System, target: System, blocks: dict, kind: str, valida
 
     Pairs missing from ``blocks`` get zero blocks; shapes and keys of the given
     blocks are checked.  ``kind`` names the blocks in error messages.  Blocks to
-    validate are copied; library-built ones (validate=False) are frozen in place.
+    validate are scanned for non-finite entries and copied; library-built ones
+    (validate=False) are only made complex, and frozen in place.
     """
     full = {}
     for i, d in enumerate(source.dims):
@@ -172,8 +178,7 @@ def block_family(source: System, target: System, blocks: dict, kind: str, valida
             if blk is None:
                 blk = np.zeros((n, n), dtype=complex)
             else:
-                blk = linalg.as_complex(blk)
-                blk = blk.copy() if validate else blk
+                blk = linalg.as_complex(blk).copy() if validate else np.asarray(blk, dtype=complex)
                 if blk.shape != (n, n):
                     raise ShapeMismatch(
                         f"{kind} block ({i},{j}) has shape {blk.shape}, expected ({n},{n})"
@@ -246,7 +251,7 @@ def ssfa_defects(sys: System, rng=None) -> dict:
         unital = max(unital, _diff(multiply(sys, one, x), x), _diff(multiply(sys, x, one), x))
 
     nb = len(basis)
-    t = np.array([[coords(sys, multiply(sys, a[3], b[3])) for b in basis] for a in basis])
+    t = _product_table(sys)
     # m†(x) = Σ_kl <u_k u_l, x> u_k ⊗ u_l, so row k of flat† flat is
     # coords(m(m†(u_k))): separability (m ∘ m† = id) is flat† flat = I.
     flat = t.reshape(nb * nb, nb)
@@ -278,6 +283,20 @@ def ssfa_defects(sys: System, rng=None) -> dict:
     )
     return {"associativity": assoc, "unitality": unital, "separability": sep,
             "frobenius": frobdef, "standardness": std, "invariance": invdef}
+
+
+def _product_table(sys: System) -> np.ndarray:
+    """t[k, l] = coords(u_k u_l) over the φ-basis u, from one batched product
+    of the basis blocks per factor.  Each entry of a product has at most one
+    nonzero term, so the table is bitwise the one multiply and coords give."""
+    nb = total_matrix_dim(sys)
+    t = np.zeros((nb, nb, nb), dtype=complex)
+    for i, (d, w) in enumerate(zip(sys.dims, sys.weights)):
+        units = np.eye(d * d, dtype=complex).reshape(d * d, d, d) * (1.0 / np.sqrt(w))
+        prods = (units[:, None] @ units[None, :]).reshape(d * d, d * d, d * d)
+        k = slice(basis_offset(sys, i), basis_offset(sys, i) + d * d)
+        t[k, k, k] = np.sqrt(w) * prods
+    return t
 
 
 def _diff(x, y) -> float:

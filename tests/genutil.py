@@ -359,3 +359,48 @@ def probe_ssfa_defects(sys, rng):
     )
     std = linalg.frob((cmat @ cmat.conj().T).T - cmat.conj().T @ cmat)
     return {"separability": sep, "frobenius": frobdef, "standardness": std}
+
+
+def probe_product_table(sys):
+    """t[k, l] = coords(u_k u_l) over the φ-basis, by N² multiply and coords
+    calls: the reference for systems._product_table."""
+    basis = systems.phi_basis(sys)
+    return np.array([
+        [systems.coords(sys, systems.multiply(sys, a, b)) for (_, _, _, b) in basis]
+        for (_, _, _, a) in basis
+    ])
+
+
+# -- per-block references for the stacked group transport -----------------
+# groups transports whole (d_i, e_j) classes of blocks with one batched
+# product; these loops form kron(conj(U_tgt[g][j]), U_src[g][i]) for one
+# block at a time, as the induced action is written.
+
+def kron_moved_blocks(src_act, tgt_act, g, blocks):
+    """α_g on a block family: block (i, j) -> W B W† at the image pair."""
+    moved = {}
+    for (i, j), blk in blocks.items():
+        w = np.kron(tgt_act.unitaries[g][j].conj(), src_act.unitaries[g][i])
+        moved[(src_act.perms[g][i], tgt_act.perms[g][j])] = w @ blk @ w.conj().T
+    return moved
+
+
+def kron_twirl_blocks(f):
+    """Group average of f's blocks over the per-block transports."""
+    group = f.source.action.group
+    acc = {key: np.zeros_like(blk) for key, blk in f.blocks.items()}
+    for g in group.elements:
+        for key, blk in kron_moved_blocks(f.source.action, f.target.action, g, f.blocks).items():
+            acc[key] = acc[key] + blk
+    return {key: v / group.order for key, v in acc.items()}
+
+
+def kron_is_covariant_relation(p):
+    """Block-by-block invariance of a relation under every group element."""
+    for g in p.source.action.group.elements:
+        moved = kron_moved_blocks(p.source.action, p.target.action, g, p.blocks)
+        for key, blk in moved.items():
+            target = p.blocks[key]
+            if np.linalg.norm(blk - target) > linalg.TOL_PROJ * max(1.0, np.linalg.norm(target)):
+                return False
+    return True

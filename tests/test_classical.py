@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from covgraphs import classical, cpmaps, graphs
-from covgraphs.errors import ShapeMismatch
+from covgraphs.errors import DimensionMismatch, ShapeMismatch
 
 rng = np.random.default_rng(808)
 
@@ -56,6 +56,16 @@ class TestEmbeddings:
     def test_bad_stochastic_rejected(self):
         with pytest.raises(ShapeMismatch):
             classical.check_stochastic(np.array([[0.5, 0.2], [0.6, 0.8]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_stochastic_rejected(self, bad):
+        # A NaN column sum passes every comparison, and embed_channel would
+        # drop the NaN entry: the channel would load and fail is_channel.
+        p = np.array([[1.0, bad], [0.0, 1.0]])
+        with pytest.raises(DimensionMismatch):
+            classical.check_stochastic(p)
+        with pytest.raises(DimensionMismatch):
+            classical.embed_channel(p)
 
 
 class TestOracles:

@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
 
-from covgraphs import cpmaps, groups, relations, systems
+from covgraphs import cpmaps, groups, linalg, relations, systems
 from covgraphs.classical import embed_channel
 from covgraphs.errors import ActionShapeMismatch, GroupMismatch
 
-from genutil import rand_channel, rand_system
+from genutil import (
+    kron_is_covariant_relation,
+    kron_moved_blocks,
+    kron_twirl_blocks,
+    rand_channel,
+    rand_cp,
+    rand_stochastic,
+    rand_system,
+    rand_unitary,
+)
 
 rng = np.random.default_rng(202)
 
@@ -178,3 +187,119 @@ class TestCovariantChecks:
         f = rand_channel(rng, src, tgt)
         assert groups.is_covariant_cp(f)
         assert groups.is_covariant_relation(relations.support_of(f))
+
+
+def _z2_sign_system(dims, signs):
+    """Z2 acting on each factor by conjugation with a diagonal sign unitary."""
+    z2 = groups.cyclic_group(2)
+    units = (
+        tuple(np.eye(d, dtype=complex) for d in dims),
+        tuple(np.diag(s).astype(complex) for s in signs),
+    )
+    action = groups.AlgebraAction(z2, dims, (tuple(range(len(dims))),) * 2, units)
+    return systems.system(dims, action)
+
+
+def _transport_cases():
+    """(1,2,3) with a Z2 sign action; S3 permuting three 2-dim factors; and a
+    map (1,2) -> (2,1), whose (1,2) and (2,1) pairs both have 2x2 blocks."""
+    m123 = _z2_sign_system((1, 2, 3), ([-1.0], [1.0, -1.0], [1.0, -1.0, 1.0]))
+    s3 = groups.symmetric_group(3)
+    perm222 = systems.system(
+        (2, 2, 2), groups.permutation_action(s3, (2, 2, 2), groups.symmetric_group_perms(3))
+    )
+    src12 = _z2_sign_system((1, 2), ([1.0], [1.0, -1.0]))
+    tgt21 = _z2_sign_system((2, 1), ([-1.0, 1.0], [-1.0]))
+    return {"m123": (m123, m123), "perm222": (perm222, perm222), "12to21": (src12, tgt21)}
+
+
+TRANSPORT_CASES = _transport_cases()
+
+
+def _assert_family_close(got: dict, ref: dict):
+    scale = max(1.0, max(np.linalg.norm(b) for b in ref.values()))
+    assert got.keys() == ref.keys()
+    for key, blk in ref.items():
+        assert np.linalg.norm(got[key] - blk) <= 1e-12 * scale, key
+
+
+class TestStackedTransport:
+    """The class-stacked transport against the per-block kron loops of genutil."""
+
+    @pytest.mark.parametrize("src,tgt", TRANSPORT_CASES.values(), ids=TRANSPORT_CASES.keys())
+    def test_act_twirl_and_relation_match_kron_loop(self, src, tgt):
+        f = rand_cp(rng, src, tgt)
+        for g in src.group.elements:
+            _assert_family_close(
+                dict(groups.act_on_cp(f, g).blocks),
+                kron_moved_blocks(src.action, tgt.action, g, f.blocks),
+            )
+        t = groups.twirl_cp(f)
+        _assert_family_close(dict(t.blocks), kron_twirl_blocks(f))
+        for p in (relations.support_of(f), relations.support_of(t)):
+            assert groups.is_covariant_relation(p) == kron_is_covariant_relation(p)
+        assert groups.is_covariant_relation(relations.support_of(t))
+        assert groups.is_covariant_cp(t) and not groups.is_covariant_cp(f)
+
+    def test_twirl_builds_no_kron(self, monkeypatch):
+        n = 16
+        z2 = groups.cyclic_group(2)
+        swap = groups.permutation_action(z2, (1,) * n, [range(n), [i ^ 1 for i in range(n)]])
+        sys = systems.classical_system(n, swap)
+        f = embed_channel(rand_stochastic(rng, n, n), sys, sys)
+        calls = []
+        kron = linalg.kron
+
+        def counting_kron(a, b):
+            calls.append((a.shape, b.shape))
+            return kron(a, b)
+
+        monkeypatch.setattr(linalg, "kron", counting_kron)
+        t = groups.twirl_cp(f)
+        assert groups.is_covariant_cp(t)
+        assert not calls
+
+
+def _reflection(v):
+    v = v / np.linalg.norm(v)
+    return np.eye(len(v)) - 2 * np.outer(v, v.conj())
+
+
+class TestActionIdentity:
+    def test_caller_arrays_are_copied_read_only(self):
+        z2 = groups.cyclic_group(2)
+        z = np.diag([1.0, -1.0]).astype(complex)
+        act = groups.inner_action(z2, 2, [np.eye(2), z])
+        z[1, 1] = 5.0
+        held = act.unitaries[1][0]
+        assert np.array_equal(held, np.diag([1.0, -1.0]))
+        assert not held.flags.writeable
+        with pytest.raises(ValueError):
+            held[1, 1] = 5.0
+
+    def test_systems_are_hashable_dict_keys(self):
+        a, b = systems.system((2, 1)), systems.system((2, 1))
+        assert a is not b and a == b and hash(a) == hash(b)
+        names = {a: "A", systems.system((1, 2)): "C"}
+        assert names[b] == "A"
+        assert systems.classical_system(2) not in names
+
+    def test_roundoff_close_actions_are_equal_and_hash_equal(self):
+        z2 = groups.cyclic_group(2)
+        u = _reflection(rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        close = u + 1e-13 * rand_unitary(rng, 3)
+        a = groups.inner_action(z2, 3, [np.eye(3), u])
+        b = groups.inner_action(z2, 3, [np.eye(3), close])
+        assert a._digest != b._digest
+        assert a == b and hash(a) == hash(b)
+        assert systems.system((3,), a) == systems.system((3,), b)
+        far = groups.inner_action(z2, 3, [np.eye(3), _reflection(np.ones(3, dtype=complex))])
+        assert a != far
+
+    def test_key_decides_inequality(self):
+        s2 = groups.symmetric_group(2)
+        swap = groups.permutation_action(s2, (1, 1), groups.symmetric_group_perms(2))
+        fixed = groups.trivial_action(s2, (1, 1))
+        assert swap != fixed and swap == groups.permutation_action(
+            s2, (1, 1), groups.symmetric_group_perms(2)
+        )

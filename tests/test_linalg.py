@@ -218,3 +218,21 @@ class TestCanonicalEigh:
         w = np.arange(n, dtype=float)
         monkeypatch.setattr(np.linalg, "eigh", lambda m: (w.copy(), v.copy()))
         self.assert_bitwise(np.zeros((n, n)))
+
+
+class TestFrobs:
+    def test_equal_to_frob_per_block_in_input_order(self):
+        shapes = [(1, 1), (2, 2), (4, 4), (1, 1), (2, 2), (2, 3), (6, 6), (4, 4)]
+        mats = [rand_c(*shape) for shape in shapes] + [rng.standard_normal((3, 3))]
+        got = linalg.frobs(mats)
+        assert np.array_equal(got, [linalg.frob(m) for m in mats])
+        stack = np.stack([rand_c(3, 3) for _ in range(5)])
+        assert np.array_equal(linalg.frobs(stack), [linalg.frob(m) for m in stack])
+        assert linalg.frobs([]).shape == (0,)
+
+    def test_projection_defects(self):
+        p = linalg.orthonormal_span([rand_c(4, 1) for _ in range(2)])
+        bad = p + 1e-3 * rand_c(4, 4)
+        got = linalg.projection_defects([p, bad])
+        assert got[0] < 1e-12
+        assert got[1] == max(linalg.frob(bad - bad.conj().T), linalg.frob(bad @ bad - bad))

@@ -14,6 +14,7 @@ from covgraphs.classical import embed_channel
 
 from genutil import (
     probe_hom_defects,
+    probe_product_table,
     probe_ssfa_defects,
     probe_superop_matrix,
     rand_channel,
@@ -82,6 +83,17 @@ def test_ssfa_defects_match_probe(dims, weights):
     assert all(type(v) is float for v in got.values())
     for key, val in ref.items():
         assert _close(got[key], val), (key, got[key], val)
+
+
+@pytest.mark.parametrize("dims,weights", [
+    ((2,), (2.0,)),
+    ((1, 2, 3), (1.0, 2.0, 3.0)),
+    ((2, 3), (0.5, 7.0)),
+    ((6,), (6.0,)),
+], ids=str)
+def test_product_table_bitwise_equal_probe(dims, weights):
+    sys = _weighted(dims, weights)
+    assert systems._product_table(sys).tobytes() == probe_product_table(sys).tobytes()
 
 
 def test_superop_matrix_source_differs_from_target():

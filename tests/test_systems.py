@@ -180,6 +180,12 @@ class TestBlockFamily:
             assert make(sys, sys, {(0, 0): a}, validate=False).blocks[(0, 0)] is a
             assert not a.flags.writeable
 
+    def test_unvalidated_blocks_are_made_complex(self):
+        sys = systems.system((2,))
+        for make in (cpmaps.CpMorphism, relations.QuantumRelation):
+            blk = make(sys, sys, {(0, 0): np.eye(4)}, validate=False).blocks[(0, 0)]
+            assert blk.dtype == complex and np.array_equal(blk, np.eye(4))
+
     def test_validated_blocks_are_copied(self):
         sys = systems.system((2,))
         for make in (cpmaps.CpMorphism, relations.QuantumRelation):

@@ -41,10 +41,11 @@ def embed_channel(p, src: System | None = None, tgt: System | None = None) -> Cp
     n, m = p.shape
     src = src if src is not None else classical_system(m)
     tgt = tgt if tgt is not None else classical_system(n)
-    kraus = {}
-    for i in range(m):
-        for j in range(n):
-            kraus[(i, j)] = [np.array([[np.sqrt(p[j, i])]])] if p[j, i] > 0 else []
+    ins, outs = np.nonzero(p.T > 0)
+    kraus = {
+        (i, j): [np.array([[root]])]
+        for i, j, root in zip(ins.tolist(), outs.tolist(), np.sqrt(p[outs, ins]))
+    }
     return from_kraus(kraus, src, tgt)
 
 
@@ -76,8 +77,8 @@ def embed_relation(rel, src: System | None = None, tgt: System | None = None) ->
 def extract_relation(p: QuantumRelation) -> np.ndarray:
     m, n = p.source.nfactors, p.target.nfactors
     rel = np.zeros((m, n), dtype=bool)
-    for (i, j), blk in p.blocks.items():
-        rel[i, j] = blk[0, 0].real > 0.5
+    for klass, stack in p.blocks.classes():
+        rel[klass.rows, klass.cols] = stack[:, 0, 0].real > 0.5
     return rel
 
 

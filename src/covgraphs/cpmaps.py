@@ -11,7 +11,10 @@ pinned so that
     p_ji.
 
 The blocks are eager and are the one representation that apply, support,
-channel tests, norms and equality read.  Next to them a morphism holds a
+channel tests, norms and equality read.  They live in a systems.BlockStore:
+one stack per (d_i, e_j) class of factor pairs, which dagger, the marginal,
+add, channelize and the norms read with one batched kernel per class, behind
+a read-only (i, j) -> block mapping.  Next to them a morphism holds a
 read-only Kraus family (CpMorphism.kraus), which compose and tensor products
 multiply and Kronecker instead of diagonalizing Choi blocks:
 
@@ -45,7 +48,7 @@ from .errors import (
     SystemMismatch,
 )
 from .linalg import FUNCTIONAL_SLACK, TOL_PROJ, TOL_SPEC, VALIDATE_SLACK
-from .systems import System, _diff, basis_offset, block_family, inner
+from .systems import BlockStore, System, _diff, basis_offset, block_store, inner
 
 
 class CpMorphism:
@@ -54,7 +57,7 @@ class CpMorphism:
     def __init__(self, source: System, target: System, blocks: dict, validate: bool = True):
         self.source = source
         self.target = target
-        self.blocks = block_family(source, target, blocks, "Choi", validate)
+        self.blocks = block_store(source, target, blocks, "Choi", validate)
         self._kraus = None
         if validate:
             scale = max(1.0, self.norm())
@@ -66,7 +69,7 @@ class CpMorphism:
                     raise NegativeSpectrum(f"Choi block {key}: eigenvalue {wmin:.3e}")
 
     def norm(self) -> float:
-        return float(linalg.frobs(self.blocks.values()).max(initial=0.0))
+        return max(float(linalg.frobs(stack).max()) for _, stack in self.blocks.classes())
 
     def block(self, i: int, j: int) -> np.ndarray:
         return self.blocks[(i, j)]
@@ -76,43 +79,54 @@ class CpMorphism:
         maps, at most d_i e_j of them; filled from to_kraus on first use when
         the morphism was born as Choi blocks."""
         if self._kraus is None:
-            self._kraus = _held(to_kraus(self))
+            self._kraus = _held(to_kraus(self), self.blocks)
         return self._kraus
 
 
-def _held(kraus: dict):
-    """Read-only view of a Kraus family whose maps are owned by the caller."""
-    for ops in kraus.values():
+def _held(kraus: dict, keys):
+    """Read-only view over all keys of a Kraus family whose maps are owned by
+    the caller; keys missing from it hold no maps."""
+    full = dict.fromkeys(keys, ())
+    for key, ops in kraus.items():
         for m in ops:
             m.setflags(write=False)
-    return MappingProxyType({key: tuple(ops) for key, ops in kraus.items()})
+        full[key] = tuple(ops)
+    return MappingProxyType(full)
 
 
-def _block_kraus(blk: np.ndarray, key, d: int, e: int) -> list:
-    """Minimal Kraus maps of the Choi block of factor pair ``key``: one per
-    retained eigenpair."""
-    scale = linalg.frob(blk)
-    if scale == 0.0:
-        return []
-    w, v = linalg.canonical_eigh(blk)
-    top = float(w[0])
-    if w.size and float(w[-1]) < -TOL_SPEC * max(top, scale):
-        raise NegativeSpectrum(f"block {key} has eigenvalue {w[-1]:.3e}")
-    return [
-        linalg.unvec(np.sqrt(w[k]) * v[:, k], d, e).conj().T
-        for k in range(w.size)
-        if w[k] > TOL_SPEC * top
-    ]
+def _block_kraus(keys, stack: np.ndarray, d: int, e: int) -> dict:
+    """Minimal Kraus maps of a stack of Choi blocks of the factor pairs
+    ``keys``, all d e x d e: one map per retained eigenpair, from one batched
+    eigh over the nonzero blocks."""
+    out = {key: [] for key in keys}
+    scale = linalg.frobs(stack)
+    live = np.flatnonzero(scale != 0.0)
+    if not live.size:
+        return out
+    w, v = linalg.canonical_eigh(stack[live])
+    top = w[:, 0]
+    neg = np.flatnonzero(w[:, -1] < -TOL_SPEC * np.maximum(top, scale[live]))
+    if neg.size:
+        s = neg[0]
+        raise NegativeSpectrum(f"block {keys[live[s]]} has eigenvalue {w[s, -1]:.3e}")
+    keep = w > TOL_SPEC * top[:, None]
+    for s, member in enumerate(live):
+        out[keys[member]] = [
+            linalg.unvec(np.sqrt(w[s, k]) * v[s, :, k], d, e).conj().T
+            for k in np.flatnonzero(keep[s])
+        ]
+    return out
 
 
 def from_kraus(kraus: dict, src: System, tgt: System) -> CpMorphism:
     """CP morphism of a Kraus family: factor pairs (i, j) mapped to lists of
     e_j x d_i matrices H_i -> K_j.  The morphism keeps copies of the maps."""
     checked = {}
+    src_dims, tgt_dims = src.dims, tgt.dims
     for (i, j), ops in kraus.items():
-        if not (0 <= i < src.nfactors and 0 <= j < tgt.nfactors):
+        if not (0 <= i < len(src_dims) and 0 <= j < len(tgt_dims)):
             raise ShapeMismatch(f"Kraus index {(i, j)} out of range")
-        d, e = src.dims[i], tgt.dims[j]
+        d, e = src_dims[i], tgt_dims[j]
         maps = []
         for m in ops:
             m = np.array(linalg.as_complex(m))
@@ -129,29 +143,39 @@ def _from_maps(kraus: dict, src: System, tgt: System) -> CpMorphism:
     """from_kraus for checked maps that nothing else holds.
 
     Block (i, j) is V V† with V the stacked vec(M†); a pair with more maps
-    than d_i e_j holds the minimal family of that block instead.
+    than d_i e_j holds the minimal family of that block instead, found by
+    one batched _block_kraus per class.
     """
     blocks = {}
     held = {}
+    over = {}
     for (i, j), ops in kraus.items():
         if not ops:
             continue
         d, e = src.dims[i], tgt.dims[j]
         vs = np.stack([linalg.vec(m.conj().T) for m in ops], axis=1)
-        blk = vs @ vs.conj().T
-        blocks[(i, j)] = blk
-        held[(i, j)] = _block_kraus(blk, (i, j), d, e) if len(ops) > d * e else ops
+        blocks[(i, j)] = vs @ vs.conj().T
+        if len(ops) > d * e:
+            over.setdefault((d, e), []).append((i, j))
+        else:
+            held[(i, j)] = ops
     f = CpMorphism(src, tgt, blocks, validate=False)
-    f._kraus = _held({key: held.get(key, []) for key in f.blocks})
+    if over:
+        where = f.blocks.layout.where
+        for klass, stack in f.blocks.classes():
+            keys = over.get(klass.dims)
+            if keys:
+                held.update(_block_kraus(keys, stack[[where[key][1] for key in keys]], *klass.dims))
+    f._kraus = _held(held, f.blocks)
     return f
 
 
 def to_kraus(f: CpMorphism) -> dict:
     """Minimal Kraus family: one map per retained eigenpair of each block."""
-    return {
-        (i, j): _block_kraus(blk, (i, j), f.source.dims[i], f.target.dims[j])
-        for (i, j), blk in f.blocks.items()
-    }
+    kraus = dict.fromkeys(f.blocks)
+    for klass, stack in f.blocks.classes():
+        kraus.update(_block_kraus(klass.keys, stack, *klass.dims))
+    return kraus
 
 
 def apply(f: CpMorphism, x) -> list:
@@ -180,25 +204,30 @@ def identity_channel(sys: System) -> CpMorphism:
 def add(f: CpMorphism, g: CpMorphism, cf: float = 1.0, cg: float = 1.0) -> CpMorphism:
     if f.source != g.source or f.target != g.target:
         raise SystemMismatch("can only add CP morphisms with equal types")
-    blocks = {k: cf * f.blocks[k] + cg * g.blocks[k] for k in f.blocks}
-    return CpMorphism(f.source, f.target, blocks, validate=False)
+    parts = [
+        (klass, cf * a + cg * b) for (klass, a), (_, b) in zip(f.blocks.classes(), g.blocks.classes())
+    ]
+    return CpMorphism(f.source, f.target, BlockStore.stacked(f.source, f.target, parts),
+                      validate=False)
 
 
 def compose(g: CpMorphism, f: CpMorphism) -> CpMorphism:
-    """Composite g ∘ f (f first): products of the held Kraus maps."""
+    """Composite g ∘ f (f first): products of the held Kraus maps.
+
+    Only nonempty pairs (i, j) of f and (j, k) of g are visited; each
+    pair (i, k) collects its products n @ m with j ascending, then m, then n.
+    """
     if f.target != g.source:
         raise SystemMismatch("compose: target of f must equal source of g")
-    kf = f.kraus()
-    kg = g.kraus()
+    g_rows = {}
+    for (j, k), ns in g.kraus().items():
+        if ns:
+            g_rows.setdefault(j, []).append((k, ns))
     kraus = {}
-    for i in range(f.source.nfactors):
-        for k in range(g.target.nfactors):
-            kraus[(i, k)] = [
-                n @ m
-                for j in range(f.target.nfactors)
-                for m in kf[(i, j)]
-                for n in kg[(j, k)]
-            ]
+    for (i, j), ms in f.kraus().items():
+        if ms:
+            for k, ns in g_rows.get(j, ()):
+                kraus.setdefault((i, k), []).extend(n @ m for m in ms for n in ns)
     return _from_maps(kraus, f.source, g.target)
 
 
@@ -209,23 +238,46 @@ def dagger(f: CpMorphism) -> CpMorphism:
     (w_j / w_i) times the vec-space image under a -> a†, so that
     functional adjointness <y, f(x)>_B = <f†(y), x>_A holds.
     """
-    blocks = {}
-    for (i, j), blk in f.blocks.items():
-        d, e = f.source.dims[i], f.target.dims[j]
-        w = f.target.weights[j] / f.source.weights[i]
-        blocks[(j, i)] = w * linalg.adjoint_image(blk, d, e)
-    return CpMorphism(f.target, f.source, blocks, validate=False)
+    sw, tw = np.array(f.source.weights), np.array(f.target.weights)
+    parts = []
+    for klass, stack in f.blocks.transposed():
+        e, d = klass.dims
+        w = tw[klass.rows] / sw[klass.cols]
+        parts.append((klass, w[:, None, None] * linalg.adjoint_image(stack, d, e)))
+    return CpMorphism(f.target, f.source, BlockStore.stacked(f.target, f.source, parts),
+                      validate=False)
 
 
 def choi_marginal(f: CpMorphism) -> list:
     """Per source factor i: Σ_j w_j Tr_outer(block_ij) = Σ_{j,k} w_j M† M."""
-    out = []
-    for i, d in enumerate(f.source.dims):
-        acc = np.zeros((d, d), dtype=complex)
-        for j, e in enumerate(f.target.dims):
-            acc += f.target.weights[j] * linalg.trace_outer(f.blocks[(i, j)], e, d)
-        out.append(acc)
+    out = [None] * f.source.nfactors
+    for rows, marg in _marginal_groups(f):
+        for i, m in zip(rows, marg):
+            out[i] = m
     return out
+
+
+def _marginal_groups(f: CpMorphism) -> list:
+    """choi_marginal per source dimension: (factors, stack of their marginals).
+
+    One batched trace per class; the sum runs over j ascending for all
+    source factors of one dimension at once, as the per-factor sum would.
+    """
+    lay = f.blocks.layout
+    tw = np.array(f.target.weights)
+    terms = {}
+    for klass, stack in f.blocks.classes():
+        d, e = klass.dims
+        t = tw[klass.cols][:, None, None] * linalg.trace_outer(stack, e, d)
+        terms[klass.dims] = t.reshape(klass.shape + (d, d))
+    col_pos = lay.col_pos.tolist()
+    groups = []
+    for d, rows in lay.row_groups.items():
+        acc = np.zeros((len(rows), d, d), dtype=complex)
+        for j, e in enumerate(f.target.dims):
+            acc += terms[(d, e)][:, col_pos[j]]
+        groups.append((rows, acc))
+    return groups
 
 
 def is_channel(f: CpMorphism, tol: float = TOL_PROJ) -> bool:
@@ -237,11 +289,14 @@ def is_channel(f: CpMorphism, tol: float = TOL_PROJ) -> bool:
     weights below 1 the functional test is the stricter one.
     """
     scale = max(1.0, f.norm())
-    src = f.source
-    defects = [m - w * np.eye(d) for m, w, d in zip(choi_marginal(f), src.weights, src.dims)]
-    if max(linalg.frob(m) for m in defects) >= tol * scale:
+    sw = np.array(f.source.weights)
+    defects = [
+        (marg - sw[rows][:, None, None] * np.eye(marg.shape[1]), sw[rows])
+        for rows, marg in _marginal_groups(f)
+    ]
+    if max(linalg.frobs(m).max() for m, _ in defects) >= tol * scale:
         return False
-    worst = max(float(np.max(np.abs(m))) / np.sqrt(w) for m, w in zip(defects, src.weights))
+    worst = max((np.abs(m).max(axis=(1, 2)) / np.sqrt(w)).max() for m, w in defects)
     return bool(worst < tol * scale * FUNCTIONAL_SLACK)
 
 
@@ -297,21 +352,27 @@ def _hom_defects(f: CpMorphism):
 def cp_norm_diff(f: CpMorphism, g: CpMorphism) -> float:
     if f.source != g.source or f.target != g.target:
         raise SystemMismatch("cannot compare CP morphisms of different types")
-    return float(linalg.frobs([f.blocks[k] - g.blocks[k] for k in f.blocks]).max())
+    return max(
+        float(linalg.frobs(a - b).max()) for (_, a), (_, b) in zip(f.blocks.classes(), g.blocks.classes())
+    )
 
 
 def channelize(f: CpMorphism) -> CpMorphism:
     """Rescale a CP morphism into a channel by conjugating each source factor
     with the inverse square root of its Choi marginal (must be invertible)."""
-    marg = choi_marginal(f)
-    blocks = {}
-    for i, d in enumerate(f.source.dims):
-        m = marg[i] / f.source.weights[i]
-        s = linalg.inv_sqrt_psd(linalg.hermitize(m))
-        for j, e in enumerate(f.target.dims):
-            conj = linalg.kron(np.eye(e), s)
-            blocks[(i, j)] = conj @ f.blocks[(i, j)] @ conj.conj().T
-    return CpMorphism(f.source, f.target, blocks, validate=False)
+    roots = [
+        linalg.inv_sqrt_psd(linalg.hermitize(m / w))
+        for m, w in zip(choi_marginal(f), f.source.weights)
+    ]
+    parts = []
+    for klass, stack in f.blocks.classes():
+        d, e = klass.dims
+        b = klass.shape[1]
+        s = np.repeat(np.stack([roots[i] for i in klass.rows[::b]]), b, axis=0)
+        conj = linalg.kron_stack(np.eye(e, dtype=complex), s)  # kron(I_e, s) per member
+        parts.append((klass, conj @ stack @ conj.conj().swapaxes(1, 2)))
+    return CpMorphism(f.source, f.target, BlockStore.stacked(f.source, f.target, parts),
+                      validate=False)
 
 
 def adjointness_defect(f: CpMorphism, rng) -> float:

@@ -38,7 +38,7 @@ from .relations import (
     relations_equal,
     support_of,
 )
-from .systems import System, basis_offset, system, total_matrix_dim
+from .systems import BlockStore, System, basis_offset, system, total_matrix_dim
 
 
 class QuantumGraph:
@@ -77,16 +77,16 @@ def classify(g: QuantumGraph, tol: float = TOL_PROJ) -> dict:
     """Confusability iff Δ ≤ Γ; simple iff Δ̃ Γ̃ = 0 blockwise."""
     delta = discrete(g.system)
     is_conf = leq(delta, g.relation, tol)
-    simple_defect = float(linalg.frobs(
-        [delta.blocks[key] @ g.relation.blocks[key] for key in delta.blocks]
-    ).max())
+    simple_defect = max(
+        float(linalg.frobs(a @ b).max())
+        for (_, a), (_, b) in zip(delta.blocks.classes(), g.relation.blocks.classes())
+    )
     return {"is_confusability": is_conf, "is_simple": simple_defect < tol}
 
 
 def complement(g: QuantumGraph) -> QuantumGraph:
-    blocks = {
-        key: np.eye(blk.shape[0]) - blk for key, blk in g.relation.blocks.items()
-    }
+    parts = [(klass, np.eye(klass.n) - stack) for klass, stack in g.relation.blocks.classes()]
+    blocks = BlockStore.stacked(g.system, g.system, parts)
     return QuantumGraph(g.system, QuantumRelation(g.system, g.system, blocks, validate=False),
                         validate=False)
 
@@ -100,11 +100,12 @@ def confusability_of(f: CpMorphism) -> QuantumGraph:
     rf = support_of(f)
     rel = rel_compose(converse(rf), rf)
     # Symmetrize against numerical drift; the result is symmetric by theorem.
-    blocks = {}
-    for (i, j), blk in rel.blocks.items():
-        d, e = f.source.dims[i], f.source.dims[j]
-        other = linalg.adjoint_image(rel.blocks[(j, i)], e, d)
-        blocks[(i, j)] = linalg.support_projection(linalg.hermitize((blk + other) / 2))
+    # Block (i, j) of the converse is the adjoint image of block (j, i).
+    parts = [
+        (klass, linalg.support_projection(linalg.hermitize((a + b) / 2)))
+        for (klass, a), (_, b) in zip(rel.blocks.classes(), converse(rel).blocks.classes())
+    ]
+    blocks = BlockStore.stacked(f.source, f.source, parts)
     return QuantumGraph(f.source, QuantumRelation(f.source, f.source, blocks, validate=False),
                         validate=False)
 
@@ -113,12 +114,14 @@ def _graph_as_cp(g: QuantumGraph, tau: float) -> CpMorphism:
     """CP morphism with Choi blocks w_i (Δ̃ + τ(Γ̃ − Δ̃)); self-adjoint for the
     functional inner product, with the discrete part equal to the identity
     channel's Choi."""
-    delta = discrete(g.system)
-    blocks = {}
-    for (i, j), blk in g.relation.blocks.items():
-        d = delta.blocks[(i, j)]
-        blocks[(i, j)] = g.system.weights[i] * (d + tau * (blk - d))
-    return CpMorphism(g.system, g.system, blocks, validate=False)
+    sw = np.array(g.system.weights)
+    parts = [
+        (klass, sw[klass.rows][:, None, None] * (d + tau * (blk - d)))
+        for (klass, d), (_, blk) in zip(discrete(g.system).blocks.classes(),
+                                        g.relation.blocks.classes())
+    ]
+    return CpMorphism(g.system, g.system, BlockStore.stacked(g.system, g.system, parts),
+                      validate=False)
 
 
 def _superop_matrix(f: CpMorphism) -> np.ndarray:
@@ -202,11 +205,9 @@ def _conjugation_action(a_sys: System, extra: int = 0) -> AlgebraAction:
             ua = a_sys.action.unitaries[gel][a]
             src = basis_offset(a_sys, a)
             tgt = basis_offset(a_sys, a_sys.action.perms[gel][a])
-            # E_pq -> ua E_pq ua† placed at the image factor.
-            for p in range(da):
-                for q in range(da):
-                    img = np.outer(ua[:, p], ua[:, q].conj())
-                    u[tgt:tgt + da * da, src + p * da + q] = img.reshape(-1)
+            # E_pq -> ua E_pq ua† placed at the image factor: column (p, q)
+            # is the row-major ua[:, p] ua[:, q]†, i.e. kron(ua, conj(ua)).
+            u[tgt:tgt + da * da, src:src + da * da] = np.kron(ua, ua.conj())
         u[dim:, dim:] = np.eye(extra)
         units.append((u,))
     return AlgebraAction(group, (n,), perms, tuple(units))
@@ -272,12 +273,15 @@ def _reverse(f: CpMorphism) -> CpMorphism:
     if np.any(linalg.projection_defects(alphas) > VALIDATE_SLACK * TOL_PROJ):
         raise NotReversible("marginal of the converse relation is not a projection")
     d_a = sum(w * d for w, d in zip(f.source.weights, f.source.dims))
-    blocks = {}
-    for j, e in enumerate(f.target.dims):
-        alpha = alphas[j]
-        w_j = f.target.weights[j]
-        for i, d in enumerate(f.source.dims):
-            blocks[(j, i)] = w_j * q.blocks[(j, i)] + (w_j / d_a) * linalg.kron(
-                np.eye(d), np.eye(e) - alpha
-            )
-    return CpMorphism(f.target, f.source, blocks, validate=False)
+    tw = np.array(f.target.weights)
+    parts = []
+    for klass, stack in q.blocks.classes():
+        e, d = klass.dims
+        b = klass.shape[1]
+        # Member (j, i) routes I_{H_i*} ⊗ (I - α_j): kron(I_d, I_e - α_j).
+        rest = np.repeat(np.stack([np.eye(e) - alphas[j] for j in klass.rows[::b]]), b, axis=0)
+        spread = linalg.kron_stack(np.eye(d, dtype=complex), rest)
+        w = tw[klass.rows][:, None, None]
+        parts.append((klass, w * stack + (w / d_a) * spread))
+    return CpMorphism(f.target, f.source, BlockStore.stacked(f.target, f.source, parts),
+                      validate=False)

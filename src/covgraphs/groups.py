@@ -7,10 +7,10 @@ one unitary per factor: element ``g`` sends the block ``x_i`` to
 need only be a homomorphism up to phase; every check below goes through the
 induced algebra automorphisms, which compose exactly.
 
-Transport is stacked.  The blocks of a CP morphism or relation are grouped by
-the dimensions (d_i, e_j) of their factor pair (block_classes), and α_g moves
-a whole class with one batched product W B W† (transport); act_on_cp,
-twirl_cp and is_covariant_relation go through it.  An action holds its
+Transport is stacked.  The block store of a CP morphism or relation holds one
+stack per dimension class (d_i, e_j) of factor pairs, and α_g moves a whole
+class with one batched product W B W† (transport); act_on_cp, twirl_cp and
+is_covariant_relation go through it.  An action holds its
 unitaries as read-only stacks, one per factor dimension, which the
 construction checks (unitarity, homomorphism) also read in batches.
 
@@ -119,6 +119,18 @@ def symmetric_group_perms(n: int):
     return [tuple(p) for p in permutations(range(n))]
 
 
+def dim_classes(dims):
+    """Factors grouped by dimension, d -> [factors of dimension d] in
+    first-factor order, and each factor's position within its group."""
+    groups = {}
+    for i, d in enumerate(dims):
+        groups.setdefault(d, []).append(i)
+    pos = np.zeros(len(dims), dtype=int)
+    for idx in groups.values():
+        pos[idx] = np.arange(len(idx))
+    return groups, pos
+
+
 @dataclass(frozen=True, eq=False)
 class AlgebraAction:
     """Action of a finite group on the factors of a quantum set.
@@ -156,13 +168,9 @@ class AlgebraAction:
             given.append(us)
         # classes[d] = (factors of dimension d, their unitaries stacked over g);
         # slot[i] is the position of factor i within its class.
-        factors = {}
-        for i, d in enumerate(dims):
-            factors.setdefault(d, []).append(i)
-        slot = np.zeros(len(dims), dtype=int)
+        factors, slot = dim_classes(dims)
         classes = {}
         for d, idx in factors.items():
-            slot[idx] = np.arange(len(idx))
             stack = np.array([[given[g][i] for i in idx] for g in range(n)], dtype=complex)
             flat = stack.reshape(-1, d, d)
             bad = linalg.frobs(flat @ flat.conj().swapaxes(1, 2) - np.eye(d)) > TOL_PROJ * max(1.0, d)
@@ -195,11 +203,16 @@ class AlgebraAction:
     def nfactors(self) -> int:
         return len(self.dims)
 
+    def factor_classes(self) -> dict:
+        """Factor dimension d -> (factors of dimension d, read-only (|G|, k, d, d)
+        stack of their unitaries), in first-factor order."""
+        return self._classes
+
     def unitary_stack(self, g: int, factors) -> np.ndarray:
         """(k, d, d) stack of unitaries[g][i] for the given factors, which
         share one dimension d."""
         _, stack = self._classes[self.dims[factors[0]]]
-        return stack[g, self._slot[list(factors)]]
+        return stack[g, self._slot[np.asarray(factors)]]
 
     def __eq__(self, other):
         if self is other:
@@ -288,63 +301,57 @@ def act(action: AlgebraAction, g: int, x) -> list:
     return out
 
 
-def block_classes(blocks: dict, source, target) -> list:
-    """A block family on the factor pairs of source x target, grouped by
-    (d_i, e_j): a list of (keys, (k, d e, d e) stack) in first-key order."""
-    classes = {}
-    for i, j in blocks:
-        classes.setdefault((source.dims[i], target.dims[j]), []).append((i, j))
-    return [(keys, np.stack([blocks[key] for key in keys])) for keys in classes.values()]
-
-
 def transport(action_src: AlgebraAction, action_tgt: AlgebraAction, g: int,
-              keys: list, stack: np.ndarray) -> np.ndarray:
+              klass, stack: np.ndarray) -> np.ndarray:
     """α_g on one (d_i, e_j) class of blocks on vec(Hom(K_j, H_i)), given as
-    keys and a stack in key order; returns the moved family in the same order.
+    a block-store class and its stack; returns the moved stack in the same
+    key order.
 
     The action sends an operator a to U_src[g][i] a U_tgt[g][j]†, i.e. the
     vec-space unitary W = kron(conj(U_tgt[g][j]), U_src[g][i]), and moves the
     block (i, j) to W B W† at (perms_src[g][i], perms_tgt[g][j]), a key of the
-    same class.  One batched product moves the class.  W is formed by the
-    broadcast product np.kron itself computes, so every moved block is
-    bitwise the one a per-block kron loop gives.
+    same class.  One batched product moves the class; W comes from
+    linalg.kron_stack, so every moved block is bitwise the one a per-block
+    kron loop gives.
     """
-    us = action_src.unitary_stack(g, [i for i, _ in keys])
-    ut = action_tgt.unitary_stack(g, [j for _, j in keys]).conj()
-    k, e, d = len(keys), ut.shape[1], us.shape[1]
-    w = (ut[:, :, None, :, None] * us[:, None, :, None, :]).reshape(k, e * d, e * d)
-    slot = {key: s for s, key in enumerate(keys)}
-    moved = np.empty_like(stack)
-    moved[[slot[(action_src.perms[g][i], action_tgt.perms[g][j])] for i, j in keys]] = (
-        w @ stack @ w.conj().swapaxes(1, 2)
-    )
+    w = linalg.kron_stack(action_tgt.unitary_stack(g, klass.cols).conj(),
+                          action_src.unitary_stack(g, klass.rows))
+    image = klass.slots(np.asarray(action_src.perms[g])[klass.rows],
+                        np.asarray(action_tgt.perms[g])[klass.cols])
+    moved = np.empty(stack.shape, dtype=complex)
+    moved[image] = w @ stack @ w.conj().swapaxes(1, 2)
     return moved
 
 
 def act_on_cp(f, g: int):
     """Transport a CP morphism along group element g: α_{B,g} ∘ f ∘ α_{A,g}⁻¹."""
     from .cpmaps import CpMorphism
+    from .systems import BlockStore
 
-    blocks = {}
-    for keys, stack in block_classes(f.blocks, f.source, f.target):
-        blocks.update(zip(keys, transport(f.source.action, f.target.action, g, keys, stack)))
-    return CpMorphism(f.source, f.target, blocks, validate=False)
+    parts = [
+        (klass, transport(f.source.action, f.target.action, g, klass, stack))
+        for klass, stack in f.blocks.classes()
+    ]
+    return CpMorphism(f.source, f.target, BlockStore.stacked(f.source, f.target, parts),
+                      validate=False)
 
 
 def twirl_cp(f):
     """Group-average a CP morphism: the projector onto covariant maps."""
     from .cpmaps import CpMorphism
+    from .systems import BlockStore
 
     if f.source.action.group != f.target.action.group:
         raise GroupMismatch("source and target actions must share one group")
     group = f.source.action.group
-    blocks = {}
-    for keys, stack in block_classes(f.blocks, f.source, f.target):
-        acc = np.zeros_like(stack)
+    parts = []
+    for klass, stack in f.blocks.classes():
+        acc = np.zeros(stack.shape, dtype=complex)
         for g in group.elements:
-            acc += transport(f.source.action, f.target.action, g, keys, stack)
-        blocks.update(zip(keys, acc / group.order))
-    return CpMorphism(f.source, f.target, blocks, validate=False)
+            acc += transport(f.source.action, f.target.action, g, klass, stack)
+        parts.append((klass, acc / group.order))
+    return CpMorphism(f.source, f.target, BlockStore.stacked(f.source, f.target, parts),
+                      validate=False)
 
 
 def is_covariant_cp(f, tol: float = TOL_PROJ) -> bool:
@@ -360,9 +367,9 @@ def is_covariant_relation(p) -> bool:
     b_act = p.target.action
     if a_act.group != b_act.group:
         raise GroupMismatch("source and target actions must share one group")
-    for keys, stack in block_classes(p.blocks, p.source, p.target):
+    for klass, stack in p.blocks.classes():
         bound = TOL_PROJ * np.maximum(1.0, linalg.frobs(stack))
         for g in a_act.group.elements:
-            if np.any(linalg.frobs(transport(a_act, b_act, g, keys, stack) - stack) > bound):
+            if np.any(linalg.frobs(transport(a_act, b_act, g, klass, stack) - stack) > bound):
                 return False
     return True

@@ -46,8 +46,9 @@ def as_complex(m) -> np.ndarray:
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """Hermitian part (m + m†)/2; numerical hygiene before eigh."""
-    return (m + m.conj().T) / 2
+    """Hermitian part (m + m†)/2 of a matrix or of each member of a stack;
+    numerical hygiene before eigh."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
 def is_hermitian(m: np.ndarray) -> bool:
@@ -92,7 +93,19 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
 def canonical_eigh(m: np.ndarray):
     """eigh with deterministic output: eigenvalues descending, each
     eigenvector's first component above TOL_ROUNDOFF in modulus made real positive
-    (a column with no such component is left as it is)."""
+    (a column with no such component is left as it is).
+
+    Takes a matrix or a (k, n, n) stack.  A stack of several members goes
+    through one batched eigh, which runs LAPACK once per member, and batched
+    index arithmetic; each member's output is bitwise the one of its own call.
+    """
+    if m.ndim == 3 and len(m) > 1:
+        return _canonical_eigh_stack(m)
+    w, v = _canonical_eigh_one(m.reshape(m.shape[-2:]))
+    return (w, v) if m.ndim == 2 else (w[None], v[None])
+
+
+def _canonical_eigh_one(m: np.ndarray):
     w, v = np.linalg.eigh(hermitize(m))
     order = np.argsort(-w, kind="stable")
     w = w[order]
@@ -109,29 +122,114 @@ def canonical_eigh(m: np.ndarray):
     return w, v
 
 
+def _canonical_eigh_stack(m: np.ndarray):
+    w, v = np.linalg.eigh(hermitize(m))
+    k, n = w.shape
+    at = np.arange(k)[:, None]
+    cols = np.arange(n)
+    order = np.argsort(-w, axis=1, kind="stable")
+    w = w[at, order]
+    v = v[at[:, :, None], cols[:, None], order[:, None, :]]
+    big = np.abs(v) > TOL_ROUNDOFF
+    first = np.argmax(big, axis=1)
+    kk, cc = np.nonzero(big[at, first, cols])
+    lead = v[kk, first[kk, cc], cc]
+    v[kk, :, cc] /= (lead / np.hypot(lead.real, lead.imag))[:, None]
+    return w, v
+
+
+def _member_error(kind, msg: str, member):
+    """Error of a kernel on a stack member (None for a single matrix): it
+    names the member and carries its position, which callers that hold the
+    stack's keys turn into the block's key."""
+    if member is None:
+        return kind(msg)
+    exc = kind(f"member {member}: {msg}")
+    exc.member = member
+    return exc
+
+
 def support_projection(m: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto the span of eigenvectors of a Hermitian PSD
-    matrix with eigenvalue above TOL_SPEC * (max eigenvalue)."""
-    m = as_complex(m)
+    matrix with eigenvalue above TOL_SPEC * (max eigenvalue).
+
+    Takes one matrix, validated by as_complex, or a (k, n, n) stack as the
+    block store holds it (complex and finite, not scanned again), and returns
+    the projections in the same form, each bitwise the one of its own call.
+    A stack of several members goes through one batched eigh and one product
+    V V† per retained rank; 1x1 members use the closed form.  A member that
+    is not Hermitian or has a negative eigenvalue raises; on a stack, the
+    first such member in stack order.
+    """
+    if np.ndim(m) == 2:
+        return _support_one(as_complex(m), None)
+    if len(m) == 1:
+        return _support_one(m[0], 0)[None]
+    return _support_stack(m)
+
+
+def _support_one(m: np.ndarray, member) -> np.ndarray:
     scale = frob(m)
     if scale == 0.0:
         return np.zeros_like(m)
     if not is_hermitian(m):
-        raise NotHermitian(f"support_projection: defect {frob(m - m.conj().T):.3e}")
+        raise _member_error(NotHermitian, f"support_projection: defect "
+                            f"{frob(m - m.conj().T):.3e}", member)
     if m.shape == (1, 1):
         val = m[0, 0].real
         if val < -TOL_SPEC * scale:
-            raise NegativeSpectrum(f"support_projection: eigenvalue {val:.3e}")
+            raise _member_error(NegativeSpectrum, f"support_projection: eigenvalue {val:.3e}",
+                                member)
         return np.array([[1.0 + 0j]]) if val > TOL_SPEC * scale else np.zeros((1, 1), complex)
-    w, v = canonical_eigh(m)
+    w, v = _canonical_eigh_one(m)
     top = float(w[0])
     if float(w[-1]) < -TOL_SPEC * max(top, scale):
-        raise NegativeSpectrum(f"support_projection: min eigenvalue {w[-1]:.3e}")
+        raise _member_error(NegativeSpectrum, f"support_projection: min eigenvalue "
+                            f"{w[-1]:.3e}", member)
     if top <= 0.0:
         return np.zeros_like(m)
     keep = w > TOL_SPEC * top
     vk = v[:, keep]
     return vk @ vk.conj().T
+
+
+def _support_stack(s: np.ndarray) -> np.ndarray:
+    k, n = s.shape[0], s.shape[-1]
+    out = np.zeros((k, n, n), dtype=complex)
+    scale = frobs(s)
+    live = np.flatnonzero(scale)
+    if not live.size:
+        return out
+    if live.size < k:
+        s, scale = s[live], scale[live]
+    defect = frobs(s - s.conj().swapaxes(1, 2))
+    skew = ~(defect <= TOL_SPEC * np.maximum(1.0, scale))
+    if n == 1:
+        low = val = s[:, 0, 0].real
+        neg = val < -TOL_SPEC * scale
+        rank = (val > TOL_SPEC * scale).astype(int)
+    else:
+        w, v = _canonical_eigh_stack(s)
+        top, low = w[:, 0], w[:, -1]
+        neg = low < -TOL_SPEC * np.maximum(top, scale)
+        # Eigenvalues descend, so the kept ones are a prefix; none is kept
+        # when top <= 0.
+        rank = np.sum(w > TOL_SPEC * top[:, None], axis=1)
+    if (skew | neg).any():
+        b = int(np.flatnonzero(skew | neg)[0])
+        if skew[b]:
+            raise _member_error(NotHermitian, f"support_projection: defect {defect[b]:.3e}",
+                                int(live[b]))
+        raise _member_error(NegativeSpectrum, f"support_projection: min eigenvalue "
+                            f"{low[b]:.3e}", int(live[b]))
+    if n == 1:
+        out[live[rank == 1]] = 1.0
+    else:
+        for r in set(rank.tolist()) - {0}:
+            sel = np.flatnonzero(rank == r)
+            vk = np.ascontiguousarray(v[sel, :, :r])
+            out[live[sel]] = vk @ vk.conj().swapaxes(1, 2)
+    return out
 
 
 def orthonormal_span(vectors, dim: int | None = None, tol: float = TOL_SPEC,
@@ -177,7 +275,10 @@ def projection_basis(p: np.ndarray):
 
 def projection_defects(mats) -> np.ndarray:
     """Frobenius defect of each matrix from being an orthogonal projection,
-    max(‖p − p†‖, ‖p p − p‖), in input order."""
+    max(‖p − p†‖, ‖p p − p‖), in input order; mats is a sequence of
+    matrices or a (k, n, n) stack."""
+    if isinstance(mats, np.ndarray):
+        return np.maximum(frobs(mats - mats.conj().swapaxes(1, 2)), frobs(mats @ mats - mats))
     mats = list(mats)
     return np.maximum(frobs([p - p.conj().T for p in mats]), frobs([p @ p - p for p in mats]))
 
@@ -259,29 +360,43 @@ def adjoint_image(block: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
     `block` acts on vec of rows x cols matrices; the result acts on vec of
     cols x rows matrices.  For a projection onto span{vec(a_r)} this returns
-    the projection onto span{vec(a_r†)}.
+    the projection onto span{vec(a_r†)}.  Takes a matrix, validated by
+    as_complex, or a (k, n, n) stack of blocks as the store holds them.
     """
-    block = as_complex(block)
+    block = as_complex(block) if np.ndim(block) == 2 else block
     d, e = rows, cols
-    if block.shape != (d * e, d * e):
+    if block.shape[-2:] != (d * e, d * e):
         raise DimensionMismatch("adjoint_image: block shape mismatch")
     # vec index of a d x e matrix is (col b, row a) -> b*d + a; the adjoint's
     # vec index is (a, b) -> a*e + b.  Entrywise: out[(a,b),(a',b')] =
     # conj(block[(b,a),(b',a')]).
-    b4 = block.reshape(e, d, e, d)
-    out = b4.transpose(1, 0, 3, 2).conj()
-    return out.reshape(d * e, d * e)
+    lead = block.ndim - 2
+    b4 = block.reshape(block.shape[:-2] + (e, d, e, d))
+    out = b4.transpose(*range(lead), lead + 1, lead, lead + 3, lead + 2).conj()
+    return out.reshape(block.shape)
 
 
 def trace_outer(block: np.ndarray, outer: int, inner: int) -> np.ndarray:
     """Trace an operator on vec(Hom(K, H)) over the outer (K-side) leg.
 
     For a block on vec of inner x outer matrices (dim outer*inner), returns an
-    inner x inner matrix.  Tr_outer(|vec a><vec b|) = a @ b†.
+    inner x inner matrix.  Tr_outer(|vec a><vec b|) = a @ b†.  Takes a
+    matrix, validated by as_complex, or a (k, n, n) stack of blocks as the
+    store holds them, traced member by member.
     """
-    b4 = as_complex(block).reshape(outer, inner, outer, inner)
-    return np.einsum("iaib->ab", b4)
+    block = as_complex(block) if np.ndim(block) == 2 else block
+    b4 = block.reshape(block.shape[:-2] + (outer, inner, outer, inner))
+    return np.einsum("...iaib->...ab", b4)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    return kron_stack(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+
+
+def kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product over the last two axes, broadcast over the leading
+    (stack) axes: member s is kron(a[s], b[s]).  It is the broadcast product
+    np.kron itself forms, so every member is bitwise np.kron of its pair."""
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    m, p, n, q = prod.shape[-4:]
+    return prod.reshape(prod.shape[:-4] + (m * p, n * q))

@@ -4,7 +4,9 @@ A relation A -> B stores one orthogonal projection per factor pair (i, j),
 acting on vec(Hom(K_j, H_i)): the subspace spans the adjoints of the Kraus
 maps of any CP representative.  Composition is computed by basis products and
 span closure, matching the defining span formula directly rather than by
-iterated supports.
+iterated supports; between 1x1 blocks through 1-dim middle factors it is the
+boolean product of the support patterns.  Supports, converses, containment
+and defects run one batched kernel per (d_i, e_j) class of the block store.
 """
 
 from __future__ import annotations
@@ -15,12 +17,14 @@ from . import linalg
 from .cpmaps import CpMorphism, channelize, choi_marginal, dagger as cp_dagger, is_channel
 from .errors import (
     CharacterizationMismatch,
+    NegativeSpectrum,
     NoChannel,
+    NotHermitian,
     ShapeMismatch,
     SystemMismatch,
 )
 from .linalg import TOL_PROJ, TOL_ROUNDTRIP, TOL_SPEC, VALIDATE_SLACK
-from .systems import System, block_family
+from .systems import BlockStore, System, block_store, layout
 
 
 class QuantumRelation:
@@ -29,15 +33,18 @@ class QuantumRelation:
     def __init__(self, source: System, target: System, blocks: dict, validate: bool = True):
         self.source = source
         self.target = target
-        self.blocks = block_family(source, target, blocks, "relation", validate)
+        self.blocks = block_store(source, target, blocks, "relation", validate)
         self._ops_cache = {}
         if validate:
-            defects = linalg.projection_defects(self.blocks.values())
-            for key, defect in zip(self.blocks, defects):
-                if defect > VALIDATE_SLACK * TOL_PROJ:
-                    raise ShapeMismatch(
-                        f"relation block {key} is not a projection (defect {defect:.2e})"
-                    )
+            defects = self.blocks.keyed(
+                linalg.projection_defects(stack) for _, stack in self.blocks.classes()
+            )
+            bad = np.flatnonzero(defects > VALIDATE_SLACK * TOL_PROJ)
+            if bad.size:
+                raise ShapeMismatch(
+                    f"relation block {self.blocks.layout.keys[bad[0]]} is not a projection "
+                    f"(defect {defects[bad[0]]:.2e})"
+                )
 
     def block(self, i: int, j: int) -> np.ndarray:
         return self.blocks[(i, j)]
@@ -59,12 +66,17 @@ class QuantumRelation:
 
 
 def support_of(f: CpMorphism) -> QuantumRelation:
-    """Underlying relation: blockwise support projection of the Choi blocks."""
-    blocks = {
-        key: linalg.support_projection(linalg.hermitize(blk))
-        for key, blk in f.blocks.items()
-    }
-    return QuantumRelation(f.source, f.target, blocks, validate=False)
+    """Underlying relation: blockwise support projection of the Choi blocks,
+    one batched kernel per class.  A block that is not Hermitian PSD raises,
+    naming its factor pair."""
+    parts = []
+    for klass, stack in f.blocks.classes():
+        try:
+            parts.append((klass, linalg.support_projection(linalg.hermitize(stack))))
+        except (NotHermitian, NegativeSpectrum) as exc:
+            raise type(exc)(f"Choi block {klass.keys[exc.member]}: {exc}") from None
+    return QuantumRelation(f.source, f.target, BlockStore.stacked(f.source, f.target, parts),
+                           validate=False)
 
 
 def discrete(sys: System) -> QuantumRelation:
@@ -78,12 +90,11 @@ def discrete(sys: System) -> QuantumRelation:
 
 def complete(src: System, tgt: System | None = None) -> QuantumRelation:
     tgt = src if tgt is None else tgt
-    blocks = {
-        (i, j): np.eye(src.dims[i] * tgt.dims[j], dtype=complex)
-        for i in range(src.nfactors)
-        for j in range(tgt.nfactors)
-    }
-    return QuantumRelation(src, tgt, blocks, validate=False)
+    parts = [
+        (klass, np.broadcast_to(np.eye(klass.n, dtype=complex), (len(klass.keys), klass.n, klass.n)))
+        for klass in layout(src.dims, tgt.dims).classes
+    ]
+    return QuantumRelation(src, tgt, BlockStore.stacked(src, tgt, parts), validate=False)
 
 
 def zero_relation(src: System, tgt: System | None = None) -> QuantumRelation:
@@ -91,32 +102,70 @@ def zero_relation(src: System, tgt: System | None = None) -> QuantumRelation:
 
 
 def compose(q: QuantumRelation, p: QuantumRelation) -> QuantumRelation:
-    """Composite q ∘ p (p first): spans of operator products over the middle."""
+    """Composite q ∘ p (p first): spans of operator products over the middle.
+
+    A 1x1 block (i, k) with a product through a 1-dim middle factor is [[1]]
+    without forming it: every 1x1 basis operator is [[1]], so such a product
+    is [[1]] and the 1-dim span of any family containing it is [[1]].  These
+    blocks are the boolean product of the two 1x1 support patterns.  Every
+    other block is the span of its products, one block at a time.
+    """
     if p.target != q.source:
         raise SystemMismatch("compose: target of p must equal source of q")
-    p_ops = {key: p.block_ops(*key) for key in p.blocks}
-    q_ops = {key: q.block_ops(*key) for key in q.blocks}
-    blocks = {}
-    for i, d in enumerate(p.source.dims):
-        for k, ek in enumerate(q.target.dims):
-            vecs = []
-            for j in range(p.target.nfactors):
-                for a in p_ops[(i, j)]:
-                    for b in q_ops[(j, k)]:
-                        vecs.append(linalg.vec(a @ b))
-            # Factors are Hilbert-Schmidt-normalized, so genuine products sit
-            # well above roundoff; the absolute floor keeps exact zeros zero.
-            blocks[(i, k)] = linalg.orthonormal_span(vecs, dim=d * ek, floor=TOL_SPEC)
-    return QuantumRelation(p.source, q.target, blocks, validate=False)
+    mids = p.target.dims
+    big_mids = [j for j, e in enumerate(mids) if e > 1]
+
+    def span(i, k, middles):
+        d, ek = p.source.dims[i], q.target.dims[k]
+        vecs = []
+        for j in middles:
+            q_ops = q.block_ops(j, k)
+            for a in p.block_ops(i, j):
+                for b in q_ops:
+                    vecs.append(linalg.vec(a @ b))
+        # Factors are Hilbert-Schmidt-normalized, so genuine products sit
+        # well above roundoff; the absolute floor keeps exact zeros zero.
+        return linalg.orthonormal_span(vecs, dim=d * ek, floor=TOL_SPEC)
+
+    parts = []
+    for klass in layout(p.source.dims, q.target.dims).classes:
+        if klass.dims == (1, 1):
+            hit = _one_dim_hits(p, q)[klass.rows, klass.cols]
+            stack = hit.astype(complex)[:, None, None]
+            if big_mids:
+                for s in np.flatnonzero(~hit):
+                    stack[s] = span(*klass.keys[s], big_mids)
+        else:
+            stack = np.array([span(i, k, range(len(mids))) for i, k in klass.keys])
+        parts.append((klass, stack))
+    return QuantumRelation(p.source, q.target, BlockStore.stacked(p.source, q.target, parts),
+                           validate=False)
+
+
+def _one_dim_hits(p: QuantumRelation, q: QuantumRelation) -> np.ndarray:
+    """hits[i, k]: some 1-dim middle factor j has nonzero 1x1 blocks (i, j)
+    of p and (j, k) of q.  Counts of 0/1 products are exact in floats."""
+    return (_pattern(p) @ _pattern(q)) > 0
+
+
+def _pattern(r: QuantumRelation) -> np.ndarray:
+    """1.0 where the 1x1 block (i, j) of r is nonzero (its operator basis is
+    [[1]]), 0.0 elsewhere and on every larger block."""
+    pat = np.zeros((r.source.nfactors, r.target.nfactors))
+    for klass, stack in r.blocks.classes():
+        if klass.dims == (1, 1):
+            pat[klass.rows, klass.cols] = stack[:, 0, 0].real > 0.5
+    return pat
 
 
 def converse(p: QuantumRelation) -> QuantumRelation:
     """Block (j, i) is the image of block (i, j) under a -> a†."""
-    blocks = {}
-    for (i, j), blk in p.blocks.items():
-        d, e = p.source.dims[i], p.target.dims[j]
-        blocks[(j, i)] = linalg.adjoint_image(blk, d, e)
-    return QuantumRelation(p.target, p.source, blocks, validate=False)
+    parts = [
+        (klass, linalg.adjoint_image(stack, klass.dims[1], klass.dims[0]))
+        for klass, stack in p.blocks.transposed()
+    ]
+    return QuantumRelation(p.target, p.source, BlockStore.stacked(p.target, p.source, parts),
+                           validate=False)
 
 
 def containment_failures(p: QuantumRelation, q: QuantumRelation, tol: float = TOL_PROJ):
@@ -124,12 +173,14 @@ def containment_failures(p: QuantumRelation, q: QuantumRelation, tol: float = TO
     defect exceeds tol·max(1, ‖p̃‖)."""
     if p.source != q.source or p.target != q.target:
         raise SystemMismatch("leq: relations must share source and target")
-    keys = list(p.blocks)
-    defects = linalg.frobs([q.blocks[key] @ p.blocks[key] - p.blocks[key] for key in keys])
-    scales = linalg.frobs(p.blocks.values())
-    for key, defect, scale in zip(keys, defects.tolist(), scales.tolist()):
-        if defect > tol * max(1.0, scale):
-            yield key, defect
+    per_class = [
+        (linalg.frobs(b @ a - a), tol * np.maximum(1.0, linalg.frobs(a)))
+        for (_, a), (_, b) in zip(p.blocks.classes(), q.blocks.classes())
+    ]
+    defects = p.blocks.keyed(defect for defect, _ in per_class)
+    bounds = p.blocks.keyed(bound for _, bound in per_class)
+    for pos in np.flatnonzero(defects > bounds).tolist():
+        yield p.blocks.layout.keys[pos], float(defects[pos])
 
 
 def leq(p: QuantumRelation, q: QuantumRelation, tol: float = TOL_PROJ) -> bool:
@@ -144,7 +195,9 @@ def relations_equal(p: QuantumRelation, q: QuantumRelation, tol: float = TOL_PRO
 
 
 def relation_defect(p: QuantumRelation, q: QuantumRelation) -> float:
-    return float(linalg.frobs([p.blocks[k] - q.blocks[k] for k in p.blocks]).max())
+    return max(
+        float(linalg.frobs(a - b).max()) for (_, a), (_, b) in zip(p.blocks.classes(), q.blocks.classes())
+    )
 
 
 def marginal(p: QuantumRelation) -> list:
@@ -165,10 +218,10 @@ def relation_as_cp(p: QuantumRelation) -> CpMorphism:
     identity channel, partial functions become non-counital
     star-cohomomorphisms and functions become channels.
     """
-    blocks = {
-        (i, j): p.source.weights[i] * blk for (i, j), blk in p.blocks.items()
-    }
-    return CpMorphism(p.source, p.target, blocks, validate=False)
+    sw = np.array(p.source.weights)
+    parts = [(klass, sw[klass.rows][:, None, None] * stack) for klass, stack in p.blocks.classes()]
+    return CpMorphism(p.source, p.target, BlockStore.stacked(p.source, p.target, parts),
+                      validate=False)
 
 
 def channel_exists(p: QuantumRelation) -> bool:

@@ -72,19 +72,22 @@ class TensorSystem:
         weights = tuple(
             left.weights[a] * right.weights[b] for a in range(na) for b in range(nb)
         )
-        perms = []
-        units = []
-        for g in group.elements:
-            p = []
-            us = []
-            for a in range(na):
-                for b in range(nb):
-                    p.append(left.action.perms[g][a] * nb + right.action.perms[g][b])
-                    us.append(linalg.kron(left.action.unitaries[g][a],
-                                          right.action.unitaries[g][b]))
-            perms.append(tuple(p))
-            units.append(tuple(us))
-        action = AlgebraAction(group, dims, tuple(perms), tuple(units))
+        perms = tuple(
+            tuple(pa * nb + pb for pa in left.action.perms[g] for pb in right.action.perms[g])
+            for g in group.elements
+        )
+        # Factor (a, b) carries kron(U_a, U_b): one stacked product per pair
+        # of factor dimensions (d_a, d_b).
+        units = [[None] * (na * nb) for _ in group.elements]
+        for da, (ia, ul) in left.action.factor_classes().items():
+            for db, (ib, ur) in right.action.factor_classes().items():
+                prod = linalg.kron_stack(ul[:, :, None], ur[:, None])
+                prod = prod.reshape(group.order, len(ia) * len(ib), da * db, da * db)
+                pairs = (ia[:, None] * nb + ib[None, :]).ravel().tolist()
+                for row, us in zip(units, prod):
+                    for pair, u in zip(pairs, us):
+                        row[pair] = u
+        action = AlgebraAction(group, dims, perms, tuple(map(tuple, units)))
         self.product = System(QuantumSet(dims), action, weights)
 
     def pair_index(self, a: int, b: int) -> int:
@@ -309,26 +312,7 @@ def source_from_graph(g: QuantumGraph) -> Source:
             pperp[key] = np.zeros_like(blk)
 
     kraus = {(u, ts.pair_index(a, 0)): [] for u in range(2) for a in range(oa.nfactors)}
-    raw = {0: [], 1: []}
-    for a, da in enumerate(oa.dims):
-        t0 = np.zeros((da, nz, da), dtype=complex)
-        off = basis_offset(oa, a)
-        for p in range(da):
-            for q in range(da):
-                t0[p, off + p * da + q, q] = 1.0
-        t1 = np.zeros((da, nz, da), dtype=complex)
-        for av, dav in enumerate(oa.dims):
-            blk = pperp[(a, av)].reshape(dav, da, dav, da)
-            off = basis_offset(oa, av)
-            for n in range(da):
-                for m in range(da):
-                    for p in range(dav):
-                        for q in range(dav):
-                            t1[n, off + p * dav + q, m] = blk[p, n, q, m]
-        for n in range(da):
-            t1[n, nz - 1, n] = 1.0
-        raw[0].append((a, t0))
-        raw[1].append((a, t1))
+    raw = _dilation_components(oa, pperp, nz)
 
     # Normalize each component into an isometry-normalized dilation so that
     # the two-point source map is a channel: Σ_a w_(a,0) Σ_m ||M||² = 1.
@@ -352,6 +336,29 @@ def source_from_graph(g: QuantumGraph) -> Source:
     if defect > TOL_ROUNDTRIP:
         raise RoundTripFailure(f"source graph round trip defect {defect:.2e}")
     return src
+
+
+def _dilation_components(oa: System, pperp: dict, nz: int) -> dict:
+    """Unnormalized dilation tensors t[n, ζ, m] of source_from_graph: per
+    component u and O_A factor a, the pairs (a, t) with M_u[a, m] = c t[:, :, m]."""
+    raw = {0: [], 1: []}
+    for a, da in enumerate(oa.dims):
+        t0 = np.zeros((da, nz, da), dtype=complex)
+        off = basis_offset(oa, a)
+        for p in range(da):
+            for q in range(da):
+                t0[p, off + p * da + q, q] = 1.0
+        t1 = np.zeros((da, nz, da), dtype=complex)
+        for av, dav in enumerate(oa.dims):
+            blk = pperp[(a, av)].reshape(dav, da, dav, da)
+            off = basis_offset(oa, av)
+            # t1[n, off + p dav + q, m] = blk[p, n, q, m]
+            t1[:, off:off + dav * dav, :] = blk.transpose(1, 0, 2, 3).reshape(da, dav * dav, da)
+        for n in range(da):
+            t1[n, nz - 1, n] = 1.0
+        raw[0].append((a, t0))
+        raw[1].append((a, t1))
+    return raw
 
 
 def tensor_element(ts: TensorSystem, x, y) -> list:

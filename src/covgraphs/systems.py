@@ -10,17 +10,24 @@ which is the unique choice making the induced Frobenius structure separable
 (m ∘ m† = id) and standard; with it the commutative reduction turns channels
 into exactly column-stochastic matrices and the identity map into a channel.
 Algebra elements are plain lists of per-factor complex matrices.
+
+Block families of maps between systems (Choi blocks, relation projections)
+live in a BlockStore, the one owner of their representation: one (k, n, n)
+stack per class (d_i, e_j) of factor pairs, behind a read-only mapping from
+(i, j) to the block.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import linalg
 from .errors import ActionShapeMismatch, ShapeMismatch
-from .groups import AlgebraAction, FiniteGroup, act, trivial_action, trivial_group
+from .groups import AlgebraAction, FiniteGroup, act, dim_classes, trivial_action, trivial_group
 
 
 @dataclass(frozen=True)
@@ -162,33 +169,205 @@ def total_matrix_dim(sys: System) -> int:
     return int(sum(d * d for d in sys.dims))
 
 
-def block_family(source: System, target: System, blocks: dict, kind: str, validate: bool) -> dict:
-    """Read-only (d_i e_j) x (d_i e_j) block for every factor pair (i, j).
+class BlockClass:
+    """One dimension class (d, e) of a block layout: every factor pair (i, j)
+    with d_i = d and e_j = e, a full grid of the rows (source factors of
+    dimension d) by the cols (target factors of dimension e), in key order.
+    Its blocks are n x n with n = d e."""
 
-    Pairs missing from ``blocks`` get zero blocks; shapes and keys of the given
-    blocks are checked.  ``kind`` names the blocks in error messages.  Blocks to
-    validate are scanned for non-finite entries and copied; library-built ones
-    (validate=False) are only made complex, and frozen in place.
+    __slots__ = ("dims", "n", "keys", "rows", "cols", "shape", "_row_pos", "_col_pos")
+
+    def __init__(self, dims, rows, cols, row_pos, col_pos):
+        self.dims = dims
+        self.n = dims[0] * dims[1]
+        self.shape = (len(rows), len(cols))
+        self.keys = tuple((i, j) for i in rows for j in cols)
+        self.rows = np.repeat(np.array(rows, dtype=int), len(cols))
+        self.cols = np.tile(np.array(cols, dtype=int), len(rows))
+        self._row_pos = row_pos
+        self._col_pos = col_pos
+
+    def slots(self, rows, cols) -> np.ndarray:
+        """Member positions of the pairs (rows[s], cols[s]) of this class."""
+        return self._row_pos[rows] * self.shape[1] + self._col_pos[cols]
+
+
+class Layout:
+    """Factor pairs of source x target: keys in key order (i major), their
+    dimension classes in first-key order, and where[key] = (class, slot).
+    row_groups maps each source dimension to its factors; col_pos[j] is the
+    position of target factor j among the target factors of its dimension."""
+
+    __slots__ = ("src_dims", "tgt_dims", "keys", "classes", "where", "index",
+                 "row_groups", "col_pos")
+
+    def __init__(self, src_dims: tuple, tgt_dims: tuple):
+        self.src_dims = src_dims
+        self.tgt_dims = tgt_dims
+        self.keys = tuple((i, j) for i in range(len(src_dims)) for j in range(len(tgt_dims)))
+        self.row_groups, row_pos = dim_classes(src_dims)
+        col_groups, self.col_pos = dim_classes(tgt_dims)
+        # Groups are in first-factor order, so this is first-key order.
+        self.classes = tuple(
+            BlockClass((d, e), rows, cols, row_pos, self.col_pos)
+            for d, rows in self.row_groups.items()
+            for e, cols in col_groups.items()
+        )
+        self.index = {cls.dims: c for c, cls in enumerate(self.classes)}
+        self.where = {
+            key: (c, s) for c, cls in enumerate(self.classes) for s, key in enumerate(cls.keys)
+        }
+
+
+@lru_cache(maxsize=128)
+def layout(src_dims: tuple, tgt_dims: tuple) -> Layout:
+    return Layout(src_dims, tgt_dims)
+
+
+@lru_cache(maxsize=128)
+def _zero(n: int) -> np.ndarray:
+    z = np.zeros((n, n), dtype=complex)
+    z.setflags(write=False)
+    return z
+
+
+@lru_cache(maxsize=128)
+def _zero_stack(k: int, n: int) -> np.ndarray:
+    """Read-only (k, n, n) zero stack; a broadcast view, so it allocates nothing."""
+    return np.broadcast_to(_zero(n), (k, n, n))
+
+
+class BlockStore(Mapping):
+    """Read-only block family on the factor pairs of a layout.
+
+    The blocks live in one (k, n, n) stack per dimension class; classes()
+    yields (class, stack) pairs, which the batched kernels read.  As a
+    mapping, store[(i, j)] is the block of pair (i, j), iterated in key order.
+
+    A stack-born store (stacked) serves rows of its kernel-made stacks.  A
+    dict-born store (block_store) holds the arrays it was given and builds
+    its stacks on the first batched read: a one-member class is the view
+    blk[None], a class without given blocks a broadcast zero.  Absent pairs
+    are zero and never allocated one by one.
     """
-    full = {}
-    for i, d in enumerate(source.dims):
-        for j, e in enumerate(target.dims):
-            n = d * e
-            blk = blocks.get((i, j))
-            if blk is None:
-                blk = np.zeros((n, n), dtype=complex)
+
+    __slots__ = ("layout", "_pairs", "_given")
+
+    def __init__(self, lay: Layout, pairs, given: dict):
+        self.layout = lay
+        self._pairs = pairs  # ((class, stack), ...) in class order, or None until read
+        self._given = given  # dict-born: key -> held array
+
+    @classmethod
+    def stacked(cls, source: System, target: System, parts) -> "BlockStore":
+        """Stack-born store from (class, stack) pairs of the source x target
+        layout, each stack in its class's key order; classes not given are zero."""
+        lay = layout(source.dims, target.dims)
+        stacks = {klass.dims: stack for klass, stack in parts}
+        pairs = []
+        for klass in lay.classes:
+            stack = stacks.get(klass.dims)
+            if stack is None:
+                stack = _zero_stack(len(klass.keys), klass.n)
             else:
-                blk = linalg.as_complex(blk).copy() if validate else np.asarray(blk, dtype=complex)
-                if blk.shape != (n, n):
-                    raise ShapeMismatch(
-                        f"{kind} block ({i},{j}) has shape {blk.shape}, expected ({n},{n})"
-                    )
-            blk.setflags(write=False)
-            full[(i, j)] = blk
-    for key in blocks:
-        if key not in full:
+                stack.setflags(write=False)
+            pairs.append((klass, stack))
+        return cls(lay, tuple(pairs), {})
+
+    def __getitem__(self, key):
+        blk = self._given.get(key)
+        if blk is not None:
+            return blk
+        c, s = self.layout.where[key]
+        if self._pairs is None:
+            return _zero(self.layout.classes[c].n)
+        return self._pairs[c][1][s]
+
+    def __iter__(self):
+        return iter(self.layout.keys)
+
+    def __len__(self):
+        return len(self.layout.keys)
+
+    def classes(self) -> tuple:
+        """(class, read-only (k, n, n) stack) for every dimension class, in
+        first-key order."""
+        if self._pairs is None:
+            held = {}
+            for key, blk in self._given.items():
+                c, s = self.layout.where[key]
+                held.setdefault(c, []).append((s, blk))
+            pairs = []
+            for c, klass in enumerate(self.layout.classes):
+                members = held.get(c)
+                k, n = len(klass.keys), klass.n
+                if not members:
+                    stack = _zero_stack(k, n)
+                elif k == 1:
+                    stack = members[0][1][None]
+                else:
+                    stack = np.zeros((k, n, n), dtype=complex)
+                    stack[[s for s, _ in members]] = np.stack([blk for _, blk in members])
+                    stack.setflags(write=False)
+                pairs.append((klass, stack))
+            self._pairs = tuple(pairs)
+        return self._pairs
+
+    def transposed(self) -> list:
+        """(class, stack) over the target x source layout: class (e, d) holds
+        block (i, j) of this store at the slot of (j, i)."""
+        tl = layout(self.layout.tgt_dims, self.layout.src_dims)
+        out = []
+        for klass, stack in self.classes():
+            a, b = klass.shape
+            if a > 1 and b > 1:
+                n = klass.n
+                stack = stack.reshape(a, b, n, n).swapaxes(0, 1).reshape(a * b, n, n)
+            out.append((tl.classes[tl.index[klass.dims[::-1]]], stack))
+        return out
+
+    def keyed(self, per_class) -> np.ndarray:
+        """Per-class arrays of one value per member, gathered into key order."""
+        lay = self.layout
+        out = np.empty(len(lay.keys), dtype=float)
+        nt = len(lay.tgt_dims)
+        for klass, vals in zip(lay.classes, per_class):
+            out[klass.rows * nt + klass.cols] = vals
+        return out
+
+
+def block_store(source: System, target: System, blocks, kind: str, validate: bool) -> BlockStore:
+    """Block family of a CP morphism or relation on source x target.
+
+    ``blocks`` is a BlockStore of the same layout, kept as it is, or a dict
+    (i, j) -> (d_i e_j) x (d_i e_j) block; pairs missing from it are zero,
+    and its shapes and keys are checked.  ``kind`` names the blocks in error
+    messages.  Blocks to validate are scanned for non-finite entries (dict
+    blocks are also copied); library-built ones (validate=False) are only
+    made complex, and frozen in place.
+    """
+    lay = layout(source.dims, target.dims)
+    if isinstance(blocks, BlockStore):
+        if (blocks.layout.src_dims, blocks.layout.tgt_dims) != (lay.src_dims, lay.tgt_dims):
+            raise ShapeMismatch(f"{kind} blocks are laid out for other systems")
+        if validate:
+            for _, stack in blocks.classes():
+                linalg.as_complex(stack)
+        return blocks
+    given = {}
+    for key, blk in blocks.items():
+        if blk is None:
+            continue
+        loc = lay.where.get(key)
+        if loc is None:
             raise ShapeMismatch(f"{kind} block index {key} out of range")
-    return full
+        n = lay.classes[loc[0]].n
+        blk = linalg.as_complex(blk).copy() if validate else np.asarray(blk, dtype=complex)
+        if blk.shape != (n, n):
+            raise ShapeMismatch(f"{kind} block {key} has shape {blk.shape}, expected ({n},{n})")
+        blk.setflags(write=False)
+        given[key] = blk
+    return BlockStore(lay, None, given)
 
 
 def coords(sys: System, x) -> np.ndarray:

@@ -404,3 +404,146 @@ def kron_is_covariant_relation(p):
             if np.linalg.norm(blk - target) > linalg.TOL_PROJ * max(1.0, np.linalg.norm(target)):
                 return False
     return True
+
+
+# -- per-block references for the block store --------------------------------
+# The library runs these constructions as one batched kernel per (d_i, e_j)
+# class of factor pairs; these loops build one block at a time through the
+# single-matrix kernels, as the constructions are written.
+
+def loop_support_of(f):
+    """Block (i, j) -> support projection of the hermitized Choi block."""
+    return {key: linalg.support_projection(linalg.hermitize(blk)) for key, blk in f.blocks.items()}
+
+
+def loop_converse(p):
+    """Block (j, i) -> adjoint image of block (i, j)."""
+    return {
+        (j, i): linalg.adjoint_image(blk, p.source.dims[i], p.target.dims[j])
+        for (i, j), blk in p.blocks.items()
+    }
+
+
+def loop_rel_compose(q, p):
+    """q ∘ p as a span of operator products for every block (i, k)."""
+    p_ops = {key: p.block_ops(*key) for key in p.blocks}
+    q_ops = {key: q.block_ops(*key) for key in q.blocks}
+    blocks = {}
+    for i, d in enumerate(p.source.dims):
+        for k, ek in enumerate(q.target.dims):
+            vecs = []
+            for j in range(p.target.nfactors):
+                for a in p_ops[(i, j)]:
+                    for b in q_ops[(j, k)]:
+                        vecs.append(linalg.vec(a @ b))
+            blocks[(i, k)] = linalg.orthonormal_span(vecs, dim=d * ek, floor=linalg.TOL_SPEC)
+    return blocks
+
+
+def loop_confusability(f):
+    """ℜ(f)† ∘ ℜ(f) symmetrized and supported block by block."""
+    rf = relations.QuantumRelation(f.source, f.target, loop_support_of(f), validate=False)
+    cv = relations.QuantumRelation(f.target, f.source, loop_converse(rf), validate=False)
+    rel = loop_rel_compose(cv, rf)
+    blocks = {}
+    for (i, j), blk in rel.items():
+        d, e = f.source.dims[i], f.source.dims[j]
+        other = linalg.adjoint_image(rel[(j, i)], e, d)
+        blocks[(i, j)] = linalg.support_projection(linalg.hermitize((blk + other) / 2))
+    return blocks
+
+
+def loop_choi_marginal(f):
+    """Per source factor i: Σ_j w_j Tr_outer(block_ij), j ascending."""
+    out = []
+    for i, d in enumerate(f.source.dims):
+        acc = np.zeros((d, d), dtype=complex)
+        for j, e in enumerate(f.target.dims):
+            acc += f.target.weights[j] * linalg.trace_outer(f.blocks[(i, j)], e, d)
+        out.append(acc)
+    return out
+
+
+def loop_reverse(f):
+    """Reverse Choi blocks of a reversible channel, one kron per block."""
+    rf = relations.QuantumRelation(f.source, f.target, loop_support_of(f), validate=False)
+    q = relations.QuantumRelation(f.target, f.source, loop_converse(rf), validate=False)
+    alphas = [linalg.hermitize(m) for m in loop_choi_marginal(q)]
+    d_a = sum(w * d for w, d in zip(f.source.weights, f.source.dims))
+    blocks = {}
+    for j, e in enumerate(f.target.dims):
+        w_j = f.target.weights[j]
+        for i, d in enumerate(f.source.dims):
+            blocks[(j, i)] = w_j * q.blocks[(j, i)] + (w_j / d_a) * linalg.kron(
+                np.eye(d), np.eye(e) - alphas[j]
+            )
+    return blocks
+
+
+def loop_cp_compose_kraus(g, f):
+    """Kraus maps of g ∘ f over every (i, j, k): products n @ m, j ascending."""
+    kf, kg = f.kraus(), g.kraus()
+    kraus = {}
+    for i in range(f.source.nfactors):
+        for k in range(g.target.nfactors):
+            kraus[(i, k)] = [
+                n @ m
+                for j in range(f.target.nfactors)
+                for m in kf[(i, j)]
+                for n in kg[(j, k)]
+            ]
+    return kraus
+
+
+def kron_tensor_unitaries(left, right):
+    """Unitaries of the product action: kron(U_a, U_b) per element and pair."""
+    return [
+        [np.kron(left.action.unitaries[g][a], right.action.unitaries[g][b])
+         for a in range(left.nfactors) for b in range(right.nfactors)]
+        for g in left.group.elements
+    ]
+
+
+def loop_conjugation_unitaries(a_sys, extra=0):
+    """The conjugation action's unitaries, one matrix unit E_pq at a time."""
+    dim = systems.total_matrix_dim(a_sys)
+    n = dim + extra
+    units = []
+    for gel in a_sys.group.elements:
+        u = np.zeros((n, n), dtype=complex)
+        for a, da in enumerate(a_sys.dims):
+            ua = a_sys.action.unitaries[gel][a]
+            src = systems.basis_offset(a_sys, a)
+            tgt = systems.basis_offset(a_sys, a_sys.action.perms[gel][a])
+            for p in range(da):
+                for q in range(da):
+                    img = np.outer(ua[:, p], ua[:, q].conj())
+                    u[tgt:tgt + da * da, src + p * da + q] = img.reshape(-1)
+        u[dim:, dim:] = np.eye(extra)
+        units.append(u)
+    return units
+
+
+def loop_dilation_components(oa, pperp, nz):
+    """source_from_graph's dilation tensors, one entry of t1 at a time."""
+    raw = {0: [], 1: []}
+    for a, da in enumerate(oa.dims):
+        t0 = np.zeros((da, nz, da), dtype=complex)
+        off = systems.basis_offset(oa, a)
+        for p in range(da):
+            for q in range(da):
+                t0[p, off + p * da + q, q] = 1.0
+        t1 = np.zeros((da, nz, da), dtype=complex)
+        for av, dav in enumerate(oa.dims):
+            blk = pperp[(a, av)].reshape(dav, da, dav, da)
+            off = systems.basis_offset(oa, av)
+            for n in range(da):
+                for m in range(da):
+                    for p in range(dav):
+                        for q in range(dav):
+                            t1[n, off + p * dav + q, m] = blk[p, n, q, m]
+        for n in range(da):
+            t1[n, nz - 1, n] = 1.0
+        raw[0].append((a, t0))
+        raw[1].append((a, t1))
+    return raw

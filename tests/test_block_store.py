@@ -1,0 +1,350 @@
+"""The block store and the batched kernels that read it.
+
+The blocks of CP morphisms and relations live in one (k, n, n) stack per
+(d_i, e_j) class of factor pairs.  Every stacked kernel must give each member
+bitwise the value of its own per-matrix call, and every construction built on
+the stacks bitwise the blocks of the per-block loops in genutil.
+"""
+
+import ast
+import pathlib
+
+import numpy as np
+import pytest
+
+import covgraphs
+from covgraphs import cpmaps, graphs, groups, linalg, relations, scc, systems
+from covgraphs.classical import embed_channel
+from covgraphs.errors import NegativeSpectrum, NotHermitian, ShapeMismatch
+
+from genutil import (
+    choi_born,
+    kron_tensor_unitaries,
+    loop_choi_marginal,
+    loop_confusability,
+    loop_conjugation_unitaries,
+    loop_converse,
+    loop_cp_compose_kraus,
+    loop_dilation_components,
+    loop_rel_compose,
+    loop_reverse,
+    loop_support_of,
+    rand_channel,
+    rand_complex,
+    rand_cp,
+    rand_relation,
+    rand_stochastic,
+    rand_unitary,
+)
+
+rng = np.random.default_rng(707)
+
+
+def _psd_stack(k, n):
+    """Hermitian PSD members of mixed rank: random ranks 0..n, exact zeros,
+    and projections (repeated eigenvalues, so ties in the eigen order)."""
+    mats = []
+    for s in range(k):
+        if s % 6 == 0:
+            mats.append(np.zeros((n, n), dtype=complex))
+        elif s % 6 == 1:
+            u = rand_unitary(rng, n)[:, :int(rng.integers(1, n + 1))]
+            mats.append(u @ u.conj().T)
+        else:
+            a = rand_complex(rng, n, int(rng.integers(0, n + 1)))
+            mats.append(a @ a.conj().T)
+    return np.array(mats)
+
+
+def _assert_family_equal(got, ref: dict):
+    assert list(got) == sorted(ref)
+    for key, blk in ref.items():
+        assert np.array_equal(got[key], blk), key
+
+
+def _z2_sign_system(dims, signs):
+    z2 = groups.cyclic_group(2)
+    units = (
+        tuple(np.eye(d, dtype=complex) for d in dims),
+        tuple(np.diag(s).astype(complex) for s in signs),
+    )
+    return systems.system(dims, groups.AlgebraAction(z2, dims, (tuple(range(len(dims))),) * 2, units))
+
+
+def _s3_system():
+    s3 = groups.symmetric_group(3)
+    return systems.system(
+        (2, 2, 2), groups.permutation_action(s3, (2, 2, 2), groups.symmetric_group_perms(3))
+    )
+
+
+def _unitary_channel(src, tgt, pairs):
+    """Reversible channel sending source factor i to target factor pairs[i]
+    by a random unitary."""
+    kraus = {(i, j): [rand_unitary(rng, src.dims[i])] for i, j in enumerate(pairs)}
+    return cpmaps.from_kraus(kraus, src, tgt)
+
+
+def _injective_stochastic(n, n_out):
+    """n inputs with disjoint output supports of one or two outputs each."""
+    outs = rng.permutation(n_out)
+    p = np.zeros((n_out, n))
+    for i in range(n):
+        p[outs[i], i] = 1.0
+    for o in outs[n:]:
+        p[o, int(rng.integers(0, n))] = rng.random() + 0.2
+    return p / p.sum(axis=0, keepdims=True)
+
+
+def _channels():
+    """Classical n = 16, mixed (1,2,3), and a (1,2) -> (2,1) map, whose (1,2)
+    and (2,1) pairs are two classes of 2x2 blocks."""
+    m123 = systems.system((1, 2, 3))
+    src12, tgt21 = systems.system((1, 2)), systems.system((2, 1))
+    return {
+        "classical16": embed_channel(rand_stochastic(rng, 16, 16)),
+        "m123": rand_channel(rng, m123, m123),
+        "12to21": rand_channel(rng, src12, tgt21),
+    }
+
+
+def _reversible_channels():
+    m123 = systems.system((1, 2, 3))
+    src12, tgt21 = systems.system((1, 2)), systems.system((2, 1))
+    return {
+        "classical16": embed_channel(_injective_stochastic(16, 24)),
+        "m123": _unitary_channel(m123, m123, (0, 1, 2)),
+        "12to21": _unitary_channel(src12, tgt21, (1, 0)),
+    }
+
+
+CHANNELS = _channels()
+REVERSIBLE = _reversible_channels()
+
+
+class TestStackedKernels:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+    def test_support_projection_and_eigh_match_per_matrix(self, n):
+        st = _psd_stack(30, n)
+        proj = linalg.support_projection(st)
+        w, v = linalg.canonical_eigh(st)
+        for s, m in enumerate(st):
+            assert np.array_equal(proj[s], linalg.support_projection(m)), s
+            ws, vs = linalg.canonical_eigh(m)
+            assert np.array_equal(w[s], ws) and np.array_equal(v[s], vs), s
+
+    @pytest.mark.parametrize("d,e", [(1, 1), (1, 3), (2, 3), (3, 2), (2, 2)])
+    def test_adjoint_image_and_trace_outer_match_per_matrix(self, d, e):
+        st = np.array([rand_complex(rng, d * e, d * e) for _ in range(12)])
+        adj = linalg.adjoint_image(st, d, e)
+        tr = linalg.trace_outer(st, e, d)
+        for s, m in enumerate(st):
+            assert np.array_equal(adj[s], linalg.adjoint_image(m, d, e)), s
+            assert np.array_equal(tr[s], linalg.trace_outer(m, e, d)), s
+
+    @pytest.mark.parametrize("m,p", [(1, 1), (1, 3), (2, 3), (3, 2), (4, 4)])
+    def test_kron_stack_matches_np_kron(self, m, p):
+        a = np.array([rand_complex(rng, m, m) for _ in range(5)])
+        b = np.array([rand_complex(rng, p, p) for _ in range(5)])
+        real = rng.standard_normal((p, p))
+        both = linalg.kron_stack(a, b)
+        left = linalg.kron_stack(a, real)
+        for s in range(5):
+            assert np.array_equal(both[s], np.kron(a[s], b[s])), s
+            assert np.array_equal(left[s], np.kron(a[s], real)), s
+            assert np.array_equal(linalg.kron(a[s], b[s]), np.kron(a[s], b[s])), s
+        grid = linalg.kron_stack(a[:, None], b[None, :3])
+        assert grid.shape == (5, 3, m * p, m * p)
+        assert np.array_equal(grid[4, 2], np.kron(a[4], b[2]))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_first_failing_member_raises_its_error(self, n):
+        st = _psd_stack(8, n)
+        skew = st.copy()
+        skew[5, 0, n - 1] += 1j
+        with pytest.raises(NotHermitian) as info:
+            linalg.support_projection(skew)
+        assert info.value.member == 5
+        both = skew.copy()
+        both[3] = -np.eye(n)
+        with pytest.raises(NegativeSpectrum) as info:
+            linalg.support_projection(both)
+        assert info.value.member == 3
+        with pytest.raises(NegativeSpectrum):
+            linalg.support_projection(-np.eye(n))
+
+    def test_store_names_the_failing_block(self):
+        sys = systems.classical_system(4)
+        f = cpmaps.CpMorphism(sys, sys, {(0, 0): [[1.0]], (2, 1): [[-1.0]]}, validate=False)
+        with pytest.raises(NegativeSpectrum, match=r"\(2, 1\)"):
+            relations.support_of(f)
+
+
+class TestBlockStore:
+    def test_mapping_order_and_row_views(self):
+        f = CHANNELS["m123"]
+        rel = relations.support_of(f)
+        assert list(rel.blocks) == [(i, j) for i in range(3) for j in range(3)]
+        stacks = {klass.dims: stack for klass, stack in rel.blocks.classes()}
+        assert [klass.dims for klass, _ in rel.blocks.classes()] == [
+            (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)
+        ]
+        for (i, j), blk in rel.blocks.items():
+            assert not blk.flags.writeable
+            assert np.shares_memory(blk, stacks[(f.source.dims[i], f.target.dims[j])])
+
+    def test_one_member_class_is_a_view_of_the_held_block(self):
+        sys = systems.system((30,))
+        a = np.eye(900, dtype=complex)
+        f = cpmaps.CpMorphism(sys, sys, {(0, 0): a}, validate=False)
+        ((_, stack),) = f.blocks.classes()
+        assert stack.shape == (1, 900, 900) and stack.base is a
+        assert f.blocks.classes() is f.blocks.classes()
+
+    def test_absent_pairs_are_never_allocated(self):
+        rel = relations.zero_relation(systems.classical_system(64))
+        assert rel.blocks[(3, 5)] is rel.blocks[(5, 7)]
+        assert not rel.blocks[(3, 5)].flags.writeable and not rel.blocks[(3, 5)].any()
+        ((_, stack),) = rel.blocks.classes()
+        assert stack.shape == (4096, 1, 1) and stack.strides[0] == 0
+        sys = systems.classical_system(8)
+        f = cpmaps.CpMorphism(sys, sys, {(1, 2): [[0.5]]}, validate=False)
+        ((_, stack),) = f.blocks.classes()
+        assert stack[1 * 8 + 2, 0, 0] == 0.5 and np.count_nonzero(stack) == 1
+
+    def test_other_layout_is_refused(self):
+        a, b = systems.system((1, 2)), systems.system((2, 1))
+        store = relations.complete(a).blocks
+        with pytest.raises(ShapeMismatch, match="laid out"):
+            relations.QuantumRelation(b, b, store, validate=False)
+
+
+class TestBatchedConstructions:
+    @pytest.mark.parametrize("name", CHANNELS)
+    def test_support_converse_and_compose_match_loops(self, name):
+        f = CHANNELS[name]
+        rf = relations.support_of(f)
+        _assert_family_equal(rf.blocks, loop_support_of(f))
+        cv = relations.converse(rf)
+        _assert_family_equal(cv.blocks, loop_converse(rf))
+        _assert_family_equal(relations.compose(cv, rf).blocks, loop_rel_compose(cv, rf))
+        _assert_family_equal(relations.compose(rf, cv).blocks, loop_rel_compose(rf, cv))
+
+    @pytest.mark.parametrize("name", CHANNELS)
+    def test_confusability_and_marginal_match_loops(self, name):
+        f = CHANNELS[name]
+        _assert_family_equal(graphs.confusability_of(f).relation.blocks, loop_confusability(f))
+        for got, ref in zip(cpmaps.choi_marginal(f), loop_choi_marginal(f), strict=True):
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("name", REVERSIBLE)
+    def test_reverse_matches_loop(self, name):
+        f = REVERSIBLE[name]
+        assert graphs.is_reversible(f)
+        _assert_family_equal(graphs._reverse(f).blocks, loop_reverse(f))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_compose_through_one_and_many_dim_middles(self, seed):
+        # 1x1 output blocks reached through a 1-dim middle, through the 2-dim
+        # middle only, or not at all.
+        r = np.random.default_rng(seed)
+        a, mid, b = systems.system((1, 1, 2)), systems.system((1, 2, 1)), systems.system((1, 2, 1))
+        p = rand_relation(r, a, mid, density=0.6)
+        q = rand_relation(r, mid, b, density=0.6)
+        _assert_family_equal(relations.compose(q, p).blocks, loop_rel_compose(q, p))
+
+
+def test_is_reversible_support_projections_do_not_grow_with_n(monkeypatch):
+    calls = []
+    kernel = linalg.support_projection
+
+    def counting(m):
+        calls.append(np.shape(m))
+        return kernel(m)
+
+    monkeypatch.setattr(linalg, "support_projection", counting)
+    counts = []
+    for n in (16, 64):
+        calls.clear()
+        assert graphs.is_reversible(embed_channel(_injective_stochastic(n, n)))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 4
+
+
+class TestSatelliteLoops:
+    """Index loops replaced by batched products, against the loops they replace."""
+
+    @pytest.mark.parametrize("kind", ["classical64", "m123", "m123-choi"])
+    def test_cp_compose_matches_full_index_loop(self, kind):
+        if kind == "classical64":
+            sys = systems.classical_system(64)
+            f = embed_channel(rand_stochastic(rng, 64, 64))
+            g = embed_channel(rand_stochastic(rng, 64, 64))
+        else:
+            sys = systems.system((1, 2, 3))
+            f, g = rand_cp(rng, sys, sys), rand_cp(rng, sys, sys, kraus_per_pair=1)
+            if kind == "m123-choi":
+                f, g = choi_born(f), choi_born(g)
+        got = cpmaps.compose(g, f)
+        ref = cpmaps._from_maps(loop_cp_compose_kraus(g, f), sys, sys)
+        _assert_family_equal(got.blocks, dict(ref.blocks))
+        for key, ops in ref.kraus().items():
+            assert len(got.kraus()[key]) == len(ops), key
+            assert all(np.array_equal(a, b) for a, b in zip(got.kraus()[key], ops)), key
+
+    @pytest.mark.parametrize("kind", ["c2-classical", "m123-z2"])
+    def test_tensor_system_unitaries_match_kron(self, kind):
+        if kind == "c2-classical":
+            n = 8
+            swap = groups.permutation_action(
+                groups.cyclic_group(2), (1,) * n, [range(n), [i ^ 1 for i in range(n)]]
+            )
+            left = right = systems.classical_system(n, swap)
+        else:
+            left = _z2_sign_system((1, 2, 3), ([-1.0], [1.0, -1.0], [1.0, -1.0, 1.0]))
+            right = _z2_sign_system((2, 1), ([-1.0, 1.0], [-1.0]))
+        ts = scc.TensorSystem(left, right)
+        for g, units in enumerate(kron_tensor_unitaries(left, right)):
+            for pair, u in enumerate(units):
+                assert np.array_equal(ts.product.action.unitaries[g][pair], u), (g, pair)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_conjugation_action_matches_loop(self, extra):
+        for sys in (_z2_sign_system((1, 2, 3), ([-1.0], [1.0, -1.0], [1.0, -1.0, 1.0])),
+                    _s3_system()):
+            action = graphs._conjugation_action(sys, extra)
+            for g, u in enumerate(loop_conjugation_unitaries(sys, extra)):
+                assert np.array_equal(action.unitaries[g][0], u), g
+
+    def test_dilation_components_match_loop(self):
+        for oa in (_z2_sign_system((1, 2, 3), ([-1.0], [1.0, -1.0], [1.0, -1.0, 1.0])),
+                   _s3_system()):
+            nz = systems.total_matrix_dim(oa) + 1
+            pperp = {
+                (a, b): rand_complex(rng, da * db, da * db)
+                for a, da in enumerate(oa.dims) for b, db in enumerate(oa.dims)
+            }
+            got = scc._dilation_components(oa, pperp, nz)
+            ref = loop_dilation_components(oa, pperp, nz)
+            for u in (0, 1):
+                for (a, t), (b, r) in zip(got[u], ref[u], strict=True):
+                    assert a == b and np.array_equal(t, r)
+
+
+def test_only_systems_stacks_block_families():
+    src = pathlib.Path(covgraphs.__file__).parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "systems.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            fn = node.func
+            name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+            if name != "stack":
+                continue
+            for arg in ast.walk(ast.Module(body=[ast.Expr(a) for a in node.args], type_ignores=[])):
+                if isinstance(arg, ast.Attribute) and arg.attr == "blocks":
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders

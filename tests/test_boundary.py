@@ -1,6 +1,6 @@
 """Input from outside the library is scanned for non-finite entries at the
 boundary: every public entry point below raises DimensionMismatch on NaN and
-on ±inf.  Blocks the library builds itself (block_family with validate=False)
+on ±inf.  Blocks the library builds itself (block_store with validate=False)
 are not scanned; this table is what keeps the scan on user input."""
 
 import numpy as np

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cpmaps import CpMorphism, apply, from_kraus
+from .cpmaps import CpMorphism, from_kraus
 from .errors import DimensionMismatch, ShapeMismatch
 from .graphs import QuantumGraph, graph_from_blocks
 from .linalg import TOL_ROUNDOFF
@@ -50,16 +50,14 @@ def embed_channel(p, src: System | None = None, tgt: System | None = None) -> Cp
 
 
 def extract_channel(f: CpMorphism) -> np.ndarray:
-    """Stochastic matrix of a channel between commutative systems."""
+    """Stochastic matrix of a channel between commutative systems, read off
+    the 1x1 Choi blocks: f(e_i) has entry conj(block(i, j)[0, 0]) at output
+    j, so p[j, i] is the real part of block(i, j)[0, 0]."""
     if any(d != 1 for d in f.source.dims) or any(d != 1 for d in f.target.dims):
         raise ShapeMismatch("extract_channel needs commutative systems")
-    m, n = f.source.nfactors, f.target.nfactors
-    p = np.zeros((n, m))
-    for i in range(m):
-        basis = [np.zeros((1, 1), dtype=complex) for _ in range(m)]
-        basis[i][0, 0] = 1.0
-        out = apply(f, basis)
-        p[:, i] = [blk[0, 0].real for blk in out]
+    p = np.zeros((f.target.nfactors, f.source.nfactors))
+    for klass, stack in f.blocks.classes():
+        p[klass.cols, klass.rows] = stack[:, 0, 0].real
     return p
 
 

@@ -9,6 +9,7 @@ reference errors, 3 internal theorem violation (never expected).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import bundle as bundle_mod
@@ -188,20 +189,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("channel")
     p.add_argument("--emit-reverse", action="store_true",
                    help="compute (and with -o write) the reverse channel when reversible")
-    p.set_defaults(func=cmd_analyze_channel)
 
     p = sub.add_parser("graph-to-channel", help="realize a confusability graph by a channel")
     common(p)
     p.add_argument("graph")
     p.add_argument("--tau", type=float, default=None, help="blend parameter in (0,1]")
-    p.set_defaults(func=cmd_graph_to_channel)
 
     p = sub.add_parser("check-hom", help="graph homomorphism test for a channel")
     common(p)
     p.add_argument("channel")
     p.add_argument("source_graph")
     p.add_argument("target_graph")
-    p.set_defaults(func=cmd_check_hom)
 
     p = sub.add_parser("scc-verify", help="verify a zero-error source-channel coding scheme")
     common(p)
@@ -209,20 +207,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("channel")
     p.add_argument("encoder")
     p.add_argument("decoder", nargs="?", default=None)
-    p.set_defaults(func=cmd_scc_verify)
 
     p = sub.add_parser("twirl", help="group-average a channel")
     common(p)
     p.add_argument("channel")
-    p.set_defaults(func=cmd_twirl)
 
     return ap
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Looked up at call time, so a replaced cmd_* attribute is the one run.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_INPUT
     except TheoremViolation as exc:

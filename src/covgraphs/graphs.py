@@ -102,11 +102,10 @@ def confusability_of(f: CpMorphism) -> QuantumGraph:
     # Symmetrize against numerical drift; the result is symmetric by theorem.
     # Block (i, j) of the converse is the adjoint image of block (j, i).
     parts = [
-        (klass, linalg.support_projection(linalg.hermitize((a + b) / 2)))
+        (klass,) + linalg.support_projection(linalg.hermitize((a + b) / 2), frames=True)
         for (klass, a), (_, b) in zip(rel.blocks.classes(), converse(rel).blocks.classes())
     ]
-    blocks = BlockStore.stacked(f.source, f.source, parts)
-    return QuantumGraph(f.source, QuantumRelation(f.source, f.source, blocks, validate=False),
+    return QuantumGraph(f.source, QuantumRelation.stacked(f.source, f.source, parts),
                         validate=False)
 
 

@@ -18,6 +18,8 @@ argument (default TOL_PROJ) exists only where the CLI --tol sets it.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import (
@@ -149,7 +151,62 @@ def _member_error(kind, msg: str, member):
     return exc
 
 
-def support_projection(m: np.ndarray) -> np.ndarray:
+class Frames(NamedTuple):
+    """Orthonormal frames of a (k, n, n) stack of projections: member s
+    projects onto the span of the columns vecs[s, :, :ranks[s]].  vecs is
+    (k, n, r) with r the largest rank; columns past a member's rank are zero.
+    """
+
+    ranks: np.ndarray
+    vecs: np.ndarray
+
+    def member(self, s: int) -> np.ndarray:
+        return self.vecs[s, :, :self.ranks[s]]
+
+    @classmethod
+    def prefix(cls, k: int, n: int, pos: np.ndarray, rank: np.ndarray,
+               v: np.ndarray) -> "Frames":
+        """Frames of k members where member pos[s] spans the first rank[s]
+        columns of v[s] and the others span nothing (for n = 1, where a
+        frame is [[1]], v is not read)."""
+        ranks = np.zeros(k, dtype=int)
+        ranks[pos] = rank
+        width = int(ranks.max(initial=0))
+        if n == 1:
+            return cls(ranks, ranks[:, None, None][:, :, :width].astype(complex))
+        vecs = np.zeros((k, n, width), dtype=complex)
+        if width:
+            vecs[pos] = np.where(np.arange(width) < rank[:, None, None], v[:, :, :width], 0)
+        return cls(ranks, vecs)
+
+    @classmethod
+    def merged(cls, k: int, n: int, parts) -> "Frames":
+        """Frames of k members from (positions, Frames) parts: the members at
+        positions take the part's frames in order; the others span nothing."""
+        parts = list(parts)
+        width = max((fr.vecs.shape[-1] for _, fr in parts), default=0)
+        ranks = np.zeros(k, dtype=int)
+        vecs = np.zeros((k, n, width), dtype=complex)
+        for pos, fr in parts:
+            ranks[pos] = fr.ranks
+            vecs[pos, :, :fr.vecs.shape[-1]] = fr.vecs
+        return cls(ranks, vecs)
+
+    def projections(self) -> np.ndarray:
+        """The projections V V†, one batched product per rank (1x1 members
+        in closed form)."""
+        k, n = self.vecs.shape[:2]
+        if n == 1:
+            return self.ranks[:, None, None].astype(complex)
+        out = np.zeros((k, n, n), dtype=complex)
+        for r in set(self.ranks.tolist()) - {0}:
+            sel = np.flatnonzero(self.ranks == r)
+            vk = np.ascontiguousarray(self.vecs[sel, :, :r])
+            out[sel] = vk @ vk.conj().swapaxes(1, 2)
+        return out
+
+
+def support_projection(m: np.ndarray, frames: bool = False):
     """Orthogonal projection onto the span of eigenvectors of a Hermitian PSD
     matrix with eigenvalue above TOL_SPEC * (max eigenvalue).
 
@@ -160,18 +217,26 @@ def support_projection(m: np.ndarray) -> np.ndarray:
     V V† per retained rank; 1x1 members use the closed form.  A member that
     is not Hermitian or has a negative eigenvalue raises; on a stack, the
     first such member in stack order.
+
+    With frames=True it also returns the kept eigenvectors V: the (n, r)
+    columns of a matrix, or the Frames of a stack.
     """
     if np.ndim(m) == 2:
-        return _support_one(as_complex(m), None)
+        proj, vk = _support_one(as_complex(m), None)
+        return (proj, vk) if frames else proj
     if len(m) == 1:
-        return _support_one(m[0], 0)[None]
-    return _support_stack(m)
+        proj, vk = _support_one(m[0], 0)
+        proj, fr = proj[None], Frames(np.array([vk.shape[1]]), vk[None])
+    else:
+        proj, fr = _support_stack(m)
+    return (proj, fr) if frames else proj
 
 
-def _support_one(m: np.ndarray, member) -> np.ndarray:
+def _support_one(m: np.ndarray, member):
+    none = m[:, :0]
     scale = frob(m)
     if scale == 0.0:
-        return np.zeros_like(m)
+        return np.zeros_like(m), none
     if not is_hermitian(m):
         raise _member_error(NotHermitian, f"support_projection: defect "
                             f"{frob(m - m.conj().T):.3e}", member)
@@ -180,26 +245,26 @@ def _support_one(m: np.ndarray, member) -> np.ndarray:
         if val < -TOL_SPEC * scale:
             raise _member_error(NegativeSpectrum, f"support_projection: eigenvalue {val:.3e}",
                                 member)
-        return np.array([[1.0 + 0j]]) if val > TOL_SPEC * scale else np.zeros((1, 1), complex)
+        if val > TOL_SPEC * scale:
+            return np.ones((1, 1), dtype=complex), np.ones((1, 1), dtype=complex)
+        return np.zeros((1, 1), dtype=complex), none
     w, v = _canonical_eigh_one(m)
     top = float(w[0])
     if float(w[-1]) < -TOL_SPEC * max(top, scale):
         raise _member_error(NegativeSpectrum, f"support_projection: min eigenvalue "
                             f"{w[-1]:.3e}", member)
     if top <= 0.0:
-        return np.zeros_like(m)
-    keep = w > TOL_SPEC * top
-    vk = v[:, keep]
-    return vk @ vk.conj().T
+        return np.zeros_like(m), none
+    vk = v[:, w > TOL_SPEC * top]
+    return vk @ vk.conj().T, vk
 
 
-def _support_stack(s: np.ndarray) -> np.ndarray:
+def _support_stack(s: np.ndarray):
     k, n = s.shape[0], s.shape[-1]
-    out = np.zeros((k, n, n), dtype=complex)
     scale = frobs(s)
     live = np.flatnonzero(scale)
     if not live.size:
-        return out
+        return np.zeros((k, n, n), dtype=complex), Frames.merged(k, n, [])
     if live.size < k:
         s, scale = s[live], scale[live]
     defect = frobs(s - s.conj().swapaxes(1, 2))
@@ -208,6 +273,7 @@ def _support_stack(s: np.ndarray) -> np.ndarray:
         low = val = s[:, 0, 0].real
         neg = val < -TOL_SPEC * scale
         rank = (val > TOL_SPEC * scale).astype(int)
+        v = None
     else:
         w, v = _canonical_eigh_stack(s)
         top, low = w[:, 0], w[:, -1]
@@ -222,55 +288,73 @@ def _support_stack(s: np.ndarray) -> np.ndarray:
                                 int(live[b]))
         raise _member_error(NegativeSpectrum, f"support_projection: min eigenvalue "
                             f"{low[b]:.3e}", int(live[b]))
-    if n == 1:
-        out[live[rank == 1]] = 1.0
-    else:
-        for r in set(rank.tolist()) - {0}:
-            sel = np.flatnonzero(rank == r)
-            vk = np.ascontiguousarray(v[sel, :, :r])
-            out[live[sel]] = vk @ vk.conj().swapaxes(1, 2)
-    return out
+    fr = Frames.prefix(k, n, live, rank, v)
+    return fr.projections(), fr
 
 
 def orthonormal_span(vectors, dim: int | None = None, tol: float = TOL_SPEC,
-                     floor: float = 0.0) -> np.ndarray:
+                     floor: float = 0.0, frames: bool = False):
     """Projection onto the linear span of the given vectors.
 
     Rank is the numerical rank at threshold tol relative to the largest
     singular value; `floor` additionally discards singular values below an
     absolute scale (so that a family of pure-roundoff vectors spans nothing).
     An empty list yields the zero projection (dim required).
+
+    `vectors` is a sequence of vectors or a (k, n, c) stack of k families of
+    c columns each (c >= 1), spanned member by member through one batched
+    SVD, each member bitwise its own call.  With frames=True it also returns
+    the kept left singular vectors: the (n, r) columns of a family, or the
+    Frames of a stack.
     """
+    if isinstance(vectors, np.ndarray) and vectors.ndim == 3:
+        proj, fr = _span_stack(vectors, tol, floor)
+        return (proj, fr) if frames else proj
     vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
     if not vecs:
         if dim is None:
             raise DimensionMismatch("empty span needs an explicit ambient dimension")
-        return np.zeros((dim, dim), dtype=complex)
+        zero = np.zeros((dim, dim), dtype=complex)
+        return (zero, np.zeros((dim, 0), dtype=complex)) if frames else zero
     n = vecs[0].size
     for v in vecs:
         if v.size != n:
             raise DimensionMismatch("span vectors must share one ambient dimension")
     if dim is not None and dim != n:
         raise DimensionMismatch(f"span vectors have dim {n}, expected {dim}")
+    proj, fr = _span_stack(np.column_stack(vecs)[None], tol, floor)
+    return (proj[0], fr.member(0)) if frames else proj[0]
+
+
+def _span_stack(a: np.ndarray, tol: float, floor: float):
+    k, n = a.shape[0], a.shape[1]
     if n == 1:
-        top = max(abs(v[0]) for v in vecs)
-        hit = top > max(floor, 0.0) and top > 0.0
-        return np.array([[1.0 + 0j]]) if hit else np.zeros((1, 1), dtype=complex)
-    a = np.column_stack(vecs)
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] <= floor:
-        return np.zeros((n, n), dtype=complex)
-    rank = int(np.sum(s > max(tol * s[0], floor)))
-    uk = u[:, :rank]
-    return uk @ uk.conj().T
+        top = np.abs(a[:, 0, :]).max(axis=1)
+        rank = ((top > max(floor, 0.0)) & (top > 0.0)).astype(int)
+        u = None
+    else:
+        u, s, _ = np.linalg.svd(a, full_matrices=False)
+        cut = np.maximum(tol * s[:, 0], floor)
+        rank = np.sum(s > cut[:, None], axis=1)
+        rank[s[:, 0] <= floor] = 0
+    fr = Frames.prefix(k, n, np.arange(k), rank, u)
+    return fr.projections(), fr
 
 
-def projection_basis(p: np.ndarray):
-    """Orthonormal basis (columns) of the range of a projection matrix."""
-    if p.shape == (1, 1):
-        return [np.ones(1, dtype=complex)] if p[0, 0].real > 0.5 else []
-    w, v = canonical_eigh(p)
-    return [v[:, k] for k in range(v.shape[1]) if w[k] > 0.5]
+def projection_frames(p: np.ndarray) -> Frames:
+    """Frames of a (k, n, n) stack of orthogonal projections: per member the
+    eigenvectors of eigenvalue above 1/2, in canonical_eigh's order and
+    phases, from one batched eigh of the nonzero members (1x1 members in
+    closed form)."""
+    k, n = p.shape[0], p.shape[-1]
+    if n == 1:
+        return Frames.prefix(k, n, np.arange(k), (p[:, 0, 0].real > 0.5).astype(int), None)
+    live = np.flatnonzero(frobs(p))
+    if not live.size:
+        return Frames.merged(k, n, [])
+    w, v = canonical_eigh(p[live])
+    # Eigenvalues descend, so the kept ones are a prefix.
+    return Frames.prefix(k, n, live, np.sum(w > 0.5, axis=1), v)
 
 
 def projection_defects(mats) -> np.ndarray:
@@ -374,6 +458,15 @@ def adjoint_image(block: np.ndarray, rows: int, cols: int) -> np.ndarray:
     b4 = block.reshape(block.shape[:-2] + (e, d, e, d))
     out = b4.transpose(*range(lead), lead + 1, lead, lead + 3, lead + 2).conj()
     return out.reshape(block.shape)
+
+
+def adjoint_vecs(vecs: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """vec(a) -> vec(a†) on the columns of a (..., rows*cols, r) array of
+    vectorized rows x cols matrices: the frame of the adjoint image of the
+    projection onto their span.  a -> a† is conjugate-linear and preserves
+    the Hilbert-Schmidt norm, so orthonormal columns stay orthonormal."""
+    v5 = vecs.reshape(vecs.shape[:-2] + (cols, rows, vecs.shape[-1]))
+    return v5.swapaxes(-3, -2).conj().reshape(vecs.shape)
 
 
 def trace_outer(block: np.ndarray, outer: int, inner: int) -> np.ndarray:

@@ -2,11 +2,23 @@
 
 A relation A -> B stores one orthogonal projection per factor pair (i, j),
 acting on vec(Hom(K_j, H_i)): the subspace spans the adjoints of the Kraus
-maps of any CP representative.  Composition is computed by basis products and
-span closure, matching the defining span formula directly rather than by
-iterated supports; between 1x1 blocks through 1-dim middle factors it is the
+maps of any CP representative.  The projections live in the block store, one
+(k, n, n) stack per (d_i, e_j) class, and beside them the relation carries
+an orthonormal frame of every block: per class, linalg.Frames with the
+vectorized operators a_r whose span the block projects onto.
+
+Frames come from the kernel that made the block.  support_of and
+confusability keep the eigenvectors of their support cut, compose keeps the
+left singular vectors of its span, converse maps each frame by a -> a†,
+and discrete and complete have closed forms.  A relation given as plain
+projections takes its frames on first read, by one batched eigh per class.
+
+Composition is the span of the operator products over the middle factors.
+Per output class and middle class, every product a @ b of frame operators
+comes from one batched matmul; the members with equal product counts then
+share one batched SVD.  Between 1x1 blocks through 1-dim middles it is the
 boolean product of the support patterns.  Supports, converses, containment
-and defects run one batched kernel per (d_i, e_j) class of the block store.
+and defects run one batched kernel per class.
 """
 
 from __future__ import annotations
@@ -23,18 +35,21 @@ from .errors import (
     ShapeMismatch,
     SystemMismatch,
 )
-from .linalg import TOL_PROJ, TOL_ROUNDTRIP, TOL_SPEC, VALIDATE_SLACK
+from .linalg import TOL_PROJ, TOL_ROUNDTRIP, TOL_SPEC, VALIDATE_SLACK, Frames
 from .systems import BlockStore, System, block_store, layout
 
 
 class QuantumRelation:
-    """Immutable family of projections on the vectorized operator spaces."""
+    """Immutable family of projections on the vectorized operator spaces,
+    with an orthonormal frame of each (see frames)."""
 
-    def __init__(self, source: System, target: System, blocks: dict, validate: bool = True):
+    def __init__(self, source: System, target: System, blocks: dict, validate: bool = True,
+                 frames=None):
         self.source = source
         self.target = target
         self.blocks = block_store(source, target, blocks, "relation", validate)
-        self._ops_cache = {}
+        # A tuple of Frames in class order, or a function that makes it.
+        self._frames = self._projection_frames if frames is None else frames
         if validate:
             defects = self.blocks.keyed(
                 linalg.projection_defects(stack) for _, stack in self.blocks.classes()
@@ -46,20 +61,33 @@ class QuantumRelation:
                     f"(defect {defects[bad[0]]:.2e})"
                 )
 
+    @classmethod
+    def stacked(cls, source: System, target: System, parts) -> "QuantumRelation":
+        """Kernel-born relation from (class, projections, Frames) triples, one
+        for every class of the source x target layout, in class order."""
+        parts = list(parts)
+        store = BlockStore.stacked(source, target, [(klass, proj) for klass, proj, _ in parts])
+        return cls(source, target, store, validate=False,
+                   frames=tuple(fr for _, _, fr in parts))
+
+    def _projection_frames(self) -> tuple:
+        return tuple(linalg.projection_frames(stack) for _, stack in self.blocks.classes())
+
+    def frames(self) -> tuple:
+        """linalg.Frames per class of the block store, in classes() order:
+        member s of a class projects onto the span of its frame columns
+        vec(a_r), a_r : K_j -> H_i, which are orthonormal."""
+        if callable(self._frames):
+            self._frames = self._frames()
+        return self._frames
+
+    def frame(self, i: int, j: int) -> np.ndarray:
+        """Orthonormal frame of block (i, j): its (d_i e_j, rank) columns."""
+        c, s = self.blocks.layout.where[(i, j)]
+        return self.frames()[c].member(s)
+
     def block(self, i: int, j: int) -> np.ndarray:
         return self.blocks[(i, j)]
-
-    def block_ops(self, i: int, j: int):
-        """Orthonormal operator basis of block (i, j), as maps K_j -> H_i."""
-        cached = self._ops_cache.get((i, j))
-        if cached is None:
-            d, e = self.source.dims[i], self.target.dims[j]
-            cached = [
-                linalg.unvec(v, d, e)
-                for v in linalg.projection_basis(self.blocks[(i, j)])
-            ]
-            self._ops_cache[(i, j)] = cached
-        return cached
 
     def rank(self, i: int, j: int) -> int:
         return int(round(float(np.trace(self.blocks[(i, j)]).real)))
@@ -67,34 +95,40 @@ class QuantumRelation:
 
 def support_of(f: CpMorphism) -> QuantumRelation:
     """Underlying relation: blockwise support projection of the Choi blocks,
-    one batched kernel per class.  A block that is not Hermitian PSD raises,
-    naming its factor pair."""
+    one batched kernel per class, whose kept eigenvectors are the frames.  A
+    block that is not Hermitian PSD raises, naming its factor pair."""
     parts = []
     for klass, stack in f.blocks.classes():
         try:
-            parts.append((klass, linalg.support_projection(linalg.hermitize(stack))))
+            parts.append((klass,) + linalg.support_projection(linalg.hermitize(stack),
+                                                              frames=True))
         except (NotHermitian, NegativeSpectrum) as exc:
             raise type(exc)(f"Choi block {klass.keys[exc.member]}: {exc}") from None
-    return QuantumRelation(f.source, f.target, BlockStore.stacked(f.source, f.target, parts),
-                           validate=False)
+    return QuantumRelation.stacked(f.source, f.target, parts)
 
 
 def discrete(sys: System) -> QuantumRelation:
     """Identity relation: diagonal blocks project onto span{vec(I_d)}."""
-    blocks = {}
-    for i, d in enumerate(sys.dims):
-        v = linalg.vec(np.eye(d, dtype=complex)) / np.sqrt(d)
-        blocks[(i, i)] = np.outer(v, v.conj())
-    return QuantumRelation(sys, sys, blocks, validate=False)
+    parts = []
+    for klass in layout(sys.dims, sys.dims).classes:
+        d, e = klass.dims
+        diag = klass.rows == klass.cols
+        vecs = np.zeros((len(klass.keys), klass.n, 1), dtype=complex)
+        if d == e:
+            vecs[diag, :, 0] = linalg.vec(np.eye(d)) / np.sqrt(d)
+        # Rank at most one: the projection is the outer product of the frame.
+        parts.append((klass, vecs * vecs.conj().swapaxes(1, 2), Frames(diag.astype(int), vecs)))
+    return QuantumRelation.stacked(sys, sys, parts)
 
 
 def complete(src: System, tgt: System | None = None) -> QuantumRelation:
     tgt = src if tgt is None else tgt
-    parts = [
-        (klass, np.broadcast_to(np.eye(klass.n, dtype=complex), (len(klass.keys), klass.n, klass.n)))
-        for klass in layout(src.dims, tgt.dims).classes
-    ]
-    return QuantumRelation(src, tgt, BlockStore.stacked(src, tgt, parts), validate=False)
+    parts = []
+    for klass in layout(src.dims, tgt.dims).classes:
+        k, n = len(klass.keys), klass.n
+        eye = np.broadcast_to(np.eye(n, dtype=complex), (k, n, n))
+        parts.append((klass, eye, Frames(np.full(k, n), eye)))
+    return QuantumRelation.stacked(src, tgt, parts)
 
 
 def zero_relation(src: System, tgt: System | None = None) -> QuantumRelation:
@@ -108,38 +142,84 @@ def compose(q: QuantumRelation, p: QuantumRelation) -> QuantumRelation:
     without forming it: every 1x1 basis operator is [[1]], so such a product
     is [[1]] and the 1-dim span of any family containing it is [[1]].  These
     blocks are the boolean product of the two 1x1 support patterns.  Every
-    other block is the span of its products, one block at a time.
+    other block is the span of the products of the frame operators, formed
+    per class by _products and spanned by one batched SVD per product count.
     """
     if p.target != q.source:
         raise SystemMismatch("compose: target of p must equal source of q")
-    mids = p.target.dims
-    big_mids = [j for j, e in enumerate(mids) if e > 1]
-
-    def span(i, k, middles):
-        d, ek = p.source.dims[i], q.target.dims[k]
-        vecs = []
-        for j in middles:
-            q_ops = q.block_ops(j, k)
-            for a in p.block_ops(i, j):
-                for b in q_ops:
-                    vecs.append(linalg.vec(a @ b))
-        # Factors are Hilbert-Schmidt-normalized, so genuine products sit
-        # well above roundoff; the absolute floor keeps exact zeros zero.
-        return linalg.orthonormal_span(vecs, dim=d * ek, floor=TOL_SPEC)
-
+    mids = q.blocks.layout.row_groups
+    big_mids = {e: js for e, js in mids.items() if e > 1}
     parts = []
     for klass in layout(p.source.dims, q.target.dims).classes:
         if klass.dims == (1, 1):
             hit = _one_dim_hits(p, q)[klass.rows, klass.cols]
             stack = hit.astype(complex)[:, None, None]
-            if big_mids:
-                for s in np.flatnonzero(~hit):
-                    stack[s] = span(*klass.keys[s], big_mids)
+            if big_mids and not hit.all():
+                miss = np.flatnonzero(~hit)
+                stack[miss] = _spans(p, q, klass, miss, big_mids)[0]
+            # Every block is [[0]] or [[1]], and is its own frame.
+            parts.append((klass, stack, Frames(stack[:, 0, 0].real.astype(int), stack)))
         else:
-            stack = np.array([span(i, k, range(len(mids))) for i, k in klass.keys])
-        parts.append((klass, stack))
-    return QuantumRelation(p.source, q.target, BlockStore.stacked(p.source, q.target, parts),
-                           validate=False)
+            parts.append((klass,) + _spans(p, q, klass, np.arange(len(klass.keys)), mids))
+    return QuantumRelation.stacked(p.source, q.target, parts)
+
+
+def _spans(p: QuantumRelation, q: QuantumRelation, klass, members, mids):
+    """(projections, Frames) of the members of an output class: the span of
+    each member's products, one batched SVD per group of members with equal
+    product counts."""
+    n = klass.n
+    vecs, live = _products(p, q, klass, members, mids)
+    counts = live.sum(axis=1)
+    stack = np.zeros((len(members), n, n), dtype=complex)
+    groups = []
+    for c in sorted(set(counts.tolist()) - {0}):
+        sel = np.flatnonzero(counts == c)
+        family = vecs[sel][live[sel]].reshape(sel.size, c, n).swapaxes(1, 2)
+        # Factors are Hilbert-Schmidt-normalized, so genuine products sit
+        # well above roundoff; the absolute floor keeps exact zeros zero.
+        stack[sel], fr = linalg.orthonormal_span(family, floor=TOL_SPEC, frames=True)
+        groups.append((sel, fr))
+    return stack, Frames.merged(len(members), n, groups)
+
+
+def _products(p: QuantumRelation, q: QuantumRelation, klass, members, mids):
+    """vec(a @ b) for the frame operators a of block (i, j) of p and b of
+    block (j, k) of q, for each member (i, k) of the output class and each
+    middle factor j in mids (dimension -> factors): one batched matmul per
+    middle class.  Returns the vectors (m, S, n) and which of them are
+    products of frame columns (m, S), both in (j, a, b) order."""
+    d, f = klass.dims
+    rows, cols = klass.rows[members, None], klass.cols[members, None]
+    vecs, live, order = [], [], []
+    for e, js in mids.items():
+        pk = p.blocks.layout.index[(d, e)]
+        qk = q.blocks.layout.index[(e, f)]
+        fp, fq = p.frames()[pk], q.frames()[qk]
+        if not (fp.vecs.shape[-1] and fq.vecs.shape[-1]):
+            continue  # one of the two classes is zero: no products
+        js = np.array(js)
+        ps = p.blocks.layout.classes[pk].slots(rows, js[None, :])
+        qs = q.blocks.layout.classes[qk].slots(js[None, :], cols)
+        a = _operators(fp.vecs, d, e)[ps]
+        b = _operators(fq.vecs, e, f)[qs]
+        prod = a[:, :, :, None] @ b[:, :, None]
+        ra, rb = a.shape[2], b.shape[2]
+        on = ((np.arange(ra) < fp.ranks[ps][..., None])[..., None]
+              & (np.arange(rb) < fq.ranks[qs][..., None])[..., None, :])
+        vecs.append(prod.swapaxes(-1, -2).reshape(len(members), -1, d * f))
+        live.append(on.reshape(len(members), -1))
+        order.append(np.repeat(js, ra * rb))
+    if not vecs:
+        return np.zeros((len(members), 0, d * f), dtype=complex), np.zeros((len(members), 0), bool)
+    at = np.argsort(np.concatenate(order), kind="stable")
+    return np.concatenate(vecs, axis=1)[:, at], np.concatenate(live, axis=1)[:, at]
+
+
+def _operators(vecs: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Frame columns (k, rows*cols, r) as C-ordered operators (k, r, rows, cols)."""
+    ops = vecs.reshape(len(vecs), cols, rows, vecs.shape[-1]).transpose(0, 3, 2, 1)
+    return np.ascontiguousarray(ops)
 
 
 def _one_dim_hits(p: QuantumRelation, q: QuantumRelation) -> np.ndarray:
@@ -159,13 +239,23 @@ def _pattern(r: QuantumRelation) -> np.ndarray:
 
 
 def converse(p: QuantumRelation) -> QuantumRelation:
-    """Block (j, i) is the image of block (i, j) under a -> a†."""
+    """Block (j, i) is the image of block (i, j) under a -> a†, and so is its
+    frame, made when first read."""
     parts = [
         (klass, linalg.adjoint_image(stack, klass.dims[1], klass.dims[0]))
         for klass, stack in p.blocks.transposed()
     ]
+
+    def frames():
+        by_dims = {
+            klass.dims[::-1]: Frames(klass.transposed(fr.ranks),
+                                     linalg.adjoint_vecs(klass.transposed(fr.vecs), *klass.dims))
+            for (klass, _), fr in zip(p.blocks.classes(), p.frames())
+        }
+        return tuple(by_dims[klass.dims] for klass in layout(p.target.dims, p.source.dims).classes)
+
     return QuantumRelation(p.target, p.source, BlockStore.stacked(p.target, p.source, parts),
-                           validate=False)
+                           validate=False, frames=frames)
 
 
 def containment_failures(p: QuantumRelation, q: QuantumRelation, tol: float = TOL_PROJ):
@@ -281,24 +371,27 @@ def partial_function_flags(p: QuantumRelation):
     pf1 = leq(compose(p, converse(p)), discrete(p.target))
 
     # (2) isometry condition on the splitting: for each source factor i the
-    # row-stacked map Φ_i = [sqrt(e_j) a_ijr]_{(j,r)} must satisfy Φ†Φ = I,
-    # i.e. a_ijr† a_ij's = δ_jj' δ_rs I / e_j.
+    # map Φ_i = [sqrt(e_j) a_ijr]_{(j,r)}, the frame operators side by side,
+    # must satisfy Φ_i†Φ_i = I, i.e. a_ijr† a_ij's = δ_jj' δ_rs I / e_j.  The
+    # defect is the largest Frobenius norm of an e_j x e_j' block of
+    # [a_ijr† a_ij's] − ⊕ I / e_j, one Gram product per source factor.
     iso_defect = 0.0
-    ops = {
-        (i, j): p.block_ops(i, j)
-        for i in range(p.source.nfactors)
-        for j in range(p.target.nfactors)
-    }
-    for i in range(p.source.nfactors):
-        cols = [
-            (j, a) for j in range(p.target.nfactors) for a in ops[(i, j)]
-        ]
-        for r, (j, a) in enumerate(cols):
-            for s, (jp, b) in enumerate(cols):
-                g = a.conj().T @ b
-                if j == jp and r == s:
-                    g = g - np.eye(p.target.dims[j]) / p.target.dims[j]
-                iso_defect = max(iso_defect, linalg.frob(g))
+    for i, d in enumerate(p.source.dims):
+        ops, unit, sizes = [], [], []
+        for j, e in enumerate(p.target.dims):
+            fr = p.frame(i, j)
+            r = fr.shape[1]
+            # Column (r, y) of the row is column y of the operator a_ijr.
+            ops.append(fr.reshape(e, d, r).transpose(1, 2, 0).reshape(d, r * e))
+            unit.append(np.full(r * e, 1.0 / e))
+            sizes += [e] * r
+        if not sizes:
+            continue
+        phi = np.concatenate(ops, axis=1)
+        g = np.abs(phi.conj().T @ phi - np.diag(np.concatenate(unit))) ** 2
+        edges = np.cumsum([0] + sizes[:-1])
+        blocks = np.add.reduceat(np.add.reduceat(g, edges, axis=0), edges, axis=1)
+        iso_defect = max(iso_defect, float(np.sqrt(blocks.max())))
     pf2 = iso_defect < TOL_PROJ
     witnesses["partial_isometry_defect"] = iso_defect
 

@@ -53,7 +53,7 @@ from .graphs import (
 from .groups import AlgebraAction
 from .linalg import SPAN_RATIO, TINY_UNIT, TOL_PROJ, TOL_ROUNDTRIP, TOL_SPEC
 from .relations import QuantumRelation, relation_defect
-from .systems import QuantumSet, System, basis_offset, system, total_matrix_dim
+from .systems import BlockStore, QuantumSet, System, basis_offset, system, total_matrix_dim
 
 
 class TensorSystem:
@@ -154,7 +154,8 @@ def _source_span_vectors(src: Source):
     }
     for u in range(s_sys.nfactors):
         for up in range(s_sys.nfactors):
-            c_ops = simple_complete.block_ops(u, up)
+            c_ops = [linalg.unvec(v, s_sys.dims[u], s_sys.dims[up])
+                     for v in simple_complete.frame(u, up).T]
             if not c_ops:
                 continue
             for b in range(ob.nfactors):
@@ -301,15 +302,17 @@ def source_from_graph(g: QuantumGraph) -> Source:
     ts = tensor_system(oa, ob)
 
     # Complement projection blocks, rebuilt rank-exactly from eigenvectors so
-    # that a numerically-full graph block yields an exactly-zero complement.
-    pperp = {}
-    for key, blk in g.relation.blocks.items():
-        comp_basis = linalg.projection_basis(np.eye(blk.shape[0], dtype=complex) - blk)
-        if comp_basis:
-            w = np.column_stack(comp_basis)
-            pperp[key] = w @ w.conj().T
-        else:
-            pperp[key] = np.zeros_like(blk)
+    # that a numerically-full graph block yields an exactly-zero complement:
+    # one batched eigh of the graph blocks per class, whose eigenvectors of
+    # eigenvalue below 1/2 (a suffix, as eigenvalues descend) span I − P.
+    parts = []
+    for klass, stack in g.relation.blocks.classes():
+        w, v = linalg.canonical_eigh(stack)
+        k = len(klass.keys)
+        comp = linalg.Frames.prefix(k, klass.n, np.arange(k), np.sum(w < 0.5, axis=1),
+                                    v[:, :, ::-1])
+        parts.append((klass, comp.projections()))
+    pperp = BlockStore.stacked(oa, oa, parts)
 
     kraus = {(u, ts.pair_index(a, 0)): [] for u in range(2) for a in range(oa.nfactors)}
     raw = _dilation_components(oa, pperp, nz)

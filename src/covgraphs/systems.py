@@ -191,6 +191,14 @@ class BlockClass:
         """Member positions of the pairs (rows[s], cols[s]) of this class."""
         return self._row_pos[rows] * self.shape[1] + self._col_pos[cols]
 
+    def transposed(self, members: np.ndarray) -> np.ndarray:
+        """Per-member values in key order, reordered to the key order of the
+        transposed class: the value of pair (i, j) moves to the slot of (j, i)."""
+        a, b = self.shape
+        if a == 1 or b == 1:
+            return members
+        return members.reshape((a, b) + members.shape[1:]).swapaxes(0, 1).reshape(members.shape)
+
 
 class Layout:
     """Factor pairs of source x target: keys in key order (i major), their
@@ -317,14 +325,10 @@ class BlockStore(Mapping):
         """(class, stack) over the target x source layout: class (e, d) holds
         block (i, j) of this store at the slot of (j, i)."""
         tl = layout(self.layout.tgt_dims, self.layout.src_dims)
-        out = []
-        for klass, stack in self.classes():
-            a, b = klass.shape
-            if a > 1 and b > 1:
-                n = klass.n
-                stack = stack.reshape(a, b, n, n).swapaxes(0, 1).reshape(a * b, n, n)
-            out.append((tl.classes[tl.index[klass.dims[::-1]]], stack))
-        return out
+        return [
+            (tl.classes[tl.index[klass.dims[::-1]]], klass.transposed(stack))
+            for klass, stack in self.classes()
+        ]
 
     def keyed(self, per_class) -> np.ndarray:
         """Per-class arrays of one value per member, gathered into key order."""

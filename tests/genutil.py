@@ -409,7 +409,11 @@ def kron_is_covariant_relation(p):
 # -- per-block references for the block store --------------------------------
 # The library runs these constructions as one batched kernel per (d_i, e_j)
 # class of factor pairs; these loops build one block at a time through the
-# single-matrix kernels, as the constructions are written.
+# single-matrix kernels, as the constructions are written.  Relation
+# compositions take their operator bases from frames, as the library does:
+# the support kernel's kept eigenvectors (loop_support_frames), their
+# adjoints (loop_converse_frames), or the eigenvectors of a given projection
+# (loop_projection_frames).
 
 def loop_support_of(f):
     """Block (i, j) -> support projection of the hermitized Choi block."""
@@ -424,33 +428,86 @@ def loop_converse(p):
     }
 
 
-def loop_rel_compose(q, p):
-    """q ∘ p as a span of operator products for every block (i, k)."""
-    p_ops = {key: p.block_ops(*key) for key in p.blocks}
-    q_ops = {key: q.block_ops(*key) for key in q.blocks}
-    blocks = {}
-    for i, d in enumerate(p.source.dims):
-        for k, ek in enumerate(q.target.dims):
+def loop_support_frames(f):
+    """Block (i, j) -> the kept eigenvectors of its support cut, (n, r)
+    columns from the single-matrix kernel."""
+    return {
+        key: linalg.support_projection(linalg.hermitize(blk), frames=True)[1]
+        for key, blk in f.blocks.items()
+    }
+
+
+def loop_projection_frames(p):
+    """Block (i, j) -> eigenvectors of eigenvalue above 1/2 of the projection,
+    one canonical_eigh per block (a 1x1 block in closed form)."""
+    out = {}
+    for key, blk in p.blocks.items():
+        if blk.shape == (1, 1):
+            out[key] = np.ones((1, int(blk[0, 0].real > 0.5)), dtype=complex)
+        else:
+            w, v = linalg.canonical_eigh(blk)
+            out[key] = v[:, w > 0.5]
+    return out
+
+
+def _columns(vecs, n):
+    return np.array(vecs, dtype=complex).reshape(-1, n).T
+
+
+def loop_converse_frames(frames, src_dims, tgt_dims):
+    """Block (j, i) -> vec(a†) for every frame column vec(a) of block (i, j)."""
+    return {
+        (j, i): _columns([linalg.vec(linalg.unvec(v, src_dims[i], tgt_dims[j]).conj().T)
+                          for v in fr.T], src_dims[i] * tgt_dims[j])
+        for (i, j), fr in frames.items()
+    }
+
+
+def _operator(v, rows, cols):
+    # C-ordered, the layout in which the library's batched matmul takes the
+    # frame operators, so that both call BLAS alike.
+    return np.ascontiguousarray(linalg.unvec(v, rows, cols))
+
+
+def loop_rel_compose(q_frames, p_frames, src_dims, mid_dims, tgt_dims):
+    """q ∘ p from the frames of p (src -> mid) and q (mid -> tgt): per block
+    (i, k) the span of the products a @ b of frame operators, j ascending.
+    Returns (blocks, frames)."""
+    blocks, frames = {}, {}
+    for i, d in enumerate(src_dims):
+        for k, ek in enumerate(tgt_dims):
             vecs = []
-            for j in range(p.target.nfactors):
-                for a in p_ops[(i, j)]:
-                    for b in q_ops[(j, k)]:
-                        vecs.append(linalg.vec(a @ b))
-            blocks[(i, k)] = linalg.orthonormal_span(vecs, dim=d * ek, floor=linalg.TOL_SPEC)
-    return blocks
+            for j, e in enumerate(mid_dims):
+                for a in p_frames[(i, j)].T:
+                    for b in q_frames[(j, k)].T:
+                        vecs.append(linalg.vec(_operator(a, d, e) @ _operator(b, e, ek)))
+            blocks[(i, k)], frames[(i, k)] = linalg.orthonormal_span(
+                vecs, dim=d * ek, floor=linalg.TOL_SPEC, frames=True)
+    return blocks, frames
 
 
 def loop_confusability(f):
     """ℜ(f)† ∘ ℜ(f) symmetrized and supported block by block."""
-    rf = relations.QuantumRelation(f.source, f.target, loop_support_of(f), validate=False)
-    cv = relations.QuantumRelation(f.target, f.source, loop_converse(rf), validate=False)
-    rel = loop_rel_compose(cv, rf)
+    rf_frames = loop_support_frames(f)
+    cv_frames = loop_converse_frames(rf_frames, f.source.dims, f.target.dims)
+    rel, _ = loop_rel_compose(cv_frames, rf_frames, f.source.dims, f.target.dims, f.source.dims)
     blocks = {}
     for (i, j), blk in rel.items():
         d, e = f.source.dims[i], f.source.dims[j]
         other = linalg.adjoint_image(rel[(j, i)], e, d)
         blocks[(i, j)] = linalg.support_projection(linalg.hermitize((blk + other) / 2))
     return blocks
+
+
+def loop_extract_channel(f):
+    """Stochastic matrix of a classical channel, column i = f(e_i) by apply."""
+    m, n = f.source.nfactors, f.target.nfactors
+    p = np.zeros((n, m))
+    for i in range(m):
+        basis = [np.zeros((1, 1), dtype=complex) for _ in range(m)]
+        basis[i][0, 0] = 1.0
+        p[:, i] = [blk[0, 0].real for blk in cpmaps.apply(f, basis)]
+    return p
 
 
 def loop_choi_marginal(f):

@@ -24,10 +24,13 @@ from genutil import (
     loop_confusability,
     loop_conjugation_unitaries,
     loop_converse,
+    loop_converse_frames,
     loop_cp_compose_kraus,
     loop_dilation_components,
+    loop_projection_frames,
     loop_rel_compose,
     loop_reverse,
+    loop_support_frames,
     loop_support_of,
     rand_channel,
     rand_complex,
@@ -60,6 +63,17 @@ def _assert_family_equal(got, ref: dict):
     assert list(got) == sorted(ref)
     for key, blk in ref.items():
         assert np.array_equal(got[key], blk), key
+
+
+def _assert_frames_equal(rel, ref: dict):
+    """The relation's frames are the reference columns, block by block, and
+    each is an orthonormal basis of the range of its block."""
+    assert sorted(ref) == list(rel.blocks)
+    for key, cols in ref.items():
+        fr = rel.frame(*key)
+        assert np.array_equal(fr, cols), key
+        assert np.allclose(fr.conj().T @ fr, np.eye(fr.shape[1]), atol=1e-12), key
+        assert np.allclose(fr @ fr.conj().T, rel.blocks[key], atol=1e-12), key
 
 
 def _z2_sign_system(dims, signs):
@@ -132,6 +146,48 @@ class TestStackedKernels:
             assert np.array_equal(proj[s], linalg.support_projection(m)), s
             ws, vs = linalg.canonical_eigh(m)
             assert np.array_equal(w[s], ws) and np.array_equal(v[s], vs), s
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+    def test_support_frames_match_per_matrix(self, n):
+        st = _psd_stack(30, n)
+        proj, fr = linalg.support_projection(st, frames=True)
+        assert np.array_equal(proj, linalg.support_projection(st))
+        assert fr.vecs.shape == (30, n, fr.ranks.max())
+        for s, m in enumerate(st):
+            ps, cols = linalg.support_projection(m, frames=True)
+            assert np.array_equal(fr.member(s), cols), s
+            assert not fr.vecs[s, :, fr.ranks[s]:].any(), s
+            assert np.allclose(cols @ cols.conj().T, ps, atol=1e-12), s
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+    def test_orthonormal_span_stack_matches_per_family(self, n):
+        # Families of c vectors of mixed rank, some exactly zero and some
+        # below the absolute floor.
+        for c in (1, 2, 5):
+            fams = []
+            for s in range(12):
+                r = min(int(rng.integers(0, c + 1)), n)
+                fam = rand_complex(rng, n, r) @ rand_complex(rng, r, c)
+                fams.append(fam * (1e-12 if s % 5 == 4 else 1.0))
+            st = np.array(fams)
+            proj, fr = linalg.orthonormal_span(st, floor=linalg.TOL_SPEC, frames=True)
+            for s, fam in enumerate(st):
+                ps, cols = linalg.orthonormal_span(list(fam.T), floor=linalg.TOL_SPEC,
+                                                   frames=True)
+                assert np.array_equal(proj[s], ps), (c, s)
+                assert np.array_equal(fr.member(s), cols), (c, s)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_projection_frames_match_per_matrix(self, n):
+        st = linalg.support_projection(_psd_stack(24, n))
+        fr = linalg.projection_frames(st)
+        for s, p in enumerate(st):
+            if n == 1:
+                ref = np.ones((1, int(p[0, 0].real > 0.5)))
+            else:
+                w, v = linalg.canonical_eigh(p)
+                ref = v[:, w > 0.5]
+            assert np.array_equal(fr.member(s), ref), s
 
     @pytest.mark.parametrize("d,e", [(1, 1), (1, 3), (2, 3), (3, 2), (2, 2)])
     def test_adjoint_image_and_trace_outer_match_per_matrix(self, d, e):
@@ -223,12 +279,21 @@ class TestBatchedConstructions:
     @pytest.mark.parametrize("name", CHANNELS)
     def test_support_converse_and_compose_match_loops(self, name):
         f = CHANNELS[name]
+        src, tgt = f.source.dims, f.target.dims
         rf = relations.support_of(f)
         _assert_family_equal(rf.blocks, loop_support_of(f))
+        rf_frames = loop_support_frames(f)
+        _assert_frames_equal(rf, rf_frames)
         cv = relations.converse(rf)
         _assert_family_equal(cv.blocks, loop_converse(rf))
-        _assert_family_equal(relations.compose(cv, rf).blocks, loop_rel_compose(cv, rf))
-        _assert_family_equal(relations.compose(rf, cv).blocks, loop_rel_compose(rf, cv))
+        cv_frames = loop_converse_frames(rf_frames, src, tgt)
+        _assert_frames_equal(cv, cv_frames)
+        for got, (blocks, frames) in (
+            (relations.compose(cv, rf), loop_rel_compose(cv_frames, rf_frames, src, tgt, src)),
+            (relations.compose(rf, cv), loop_rel_compose(rf_frames, cv_frames, tgt, src, tgt)),
+        ):
+            _assert_family_equal(got.blocks, blocks)
+            _assert_frames_equal(got, frames)
 
     @pytest.mark.parametrize("name", CHANNELS)
     def test_confusability_and_marginal_match_loops(self, name):
@@ -245,22 +310,36 @@ class TestBatchedConstructions:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_compose_through_one_and_many_dim_middles(self, seed):
-        # 1x1 output blocks reached through a 1-dim middle, through the 2-dim
-        # middle only, or not at all.
         r = np.random.default_rng(seed)
-        a, mid, b = systems.system((1, 1, 2)), systems.system((1, 2, 1)), systems.system((1, 2, 1))
-        p = rand_relation(r, a, mid, density=0.6)
-        q = rand_relation(r, mid, b, density=0.6)
-        _assert_family_equal(relations.compose(q, p).blocks, loop_rel_compose(q, p))
+        for dims in (
+            # 1x1 output blocks reached through a 1-dim middle, through the
+            # 2-dim middle only, or not at all.
+            ((1, 1, 2), (1, 2, 1), (1, 2, 1)),
+            # Classes of several 2x2 and 2x3 output blocks whose members have
+            # unequal product counts, through 1-, 2- and 3-dim middles.
+            ((2, 1, 2, 2), (2, 3, 1, 2, 3), (2, 3, 2, 1)),
+        ):
+            a, mid, b = (systems.system(d) for d in dims)
+            p = rand_relation(r, a, mid, density=0.6)
+            q = rand_relation(r, mid, b, density=0.6)
+            got = relations.compose(q, p)
+            p_frames, q_frames = loop_projection_frames(p), loop_projection_frames(q)
+            _assert_frames_equal(p, p_frames)
+            _assert_frames_equal(q, q_frames)
+            blocks, frames = loop_rel_compose(q_frames, p_frames, *dims)
+            _assert_family_equal(got.blocks, blocks)
+            _assert_frames_equal(got, frames)
+            _assert_frames_equal(relations.converse(p),
+                                 loop_converse_frames(p_frames, dims[0], dims[1]))
 
 
 def test_is_reversible_support_projections_do_not_grow_with_n(monkeypatch):
     calls = []
     kernel = linalg.support_projection
 
-    def counting(m):
+    def counting(m, **kw):
         calls.append(np.shape(m))
-        return kernel(m)
+        return kernel(m, **kw)
 
     monkeypatch.setattr(linalg, "support_projection", counting)
     counts = []
@@ -269,6 +348,52 @@ def test_is_reversible_support_projections_do_not_grow_with_n(monkeypatch):
         assert graphs.is_reversible(embed_channel(_injective_stochastic(n, n)))
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 4
+
+
+@pytest.mark.parametrize("name", CHANNELS)
+def test_confusability_eighs_are_the_two_support_cuts(name, monkeypatch):
+    # One eigh per class of f's Choi blocks and one per class of the
+    # symmetrized graph (none for 1x1 classes), and none to recover a basis
+    # of a projection the supports already held.
+    f = choi_born(CHANNELS[name])
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kw):
+        calls.append(a.shape)
+        return eigh(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    graphs.confusability_of(f)
+
+    def big(src, tgt):
+        return sum(klass.n > 1 for klass in systems.layout(src.dims, tgt.dims).classes)
+
+    assert len(calls) == big(f.source, f.target) + big(f.source, f.source)
+
+
+def test_frames_are_orthonormal_and_span_their_blocks():
+    f = CHANNELS["m123"]
+    sys = f.source
+    gamma = graphs.confusability_of(f)
+    rels = {
+        "discrete": relations.discrete(sys),
+        "complete": relations.complete(sys, systems.system((2, 1))),
+        "zero": relations.zero_relation(sys),
+        "confusability": gamma.relation,
+        "complement": graphs.complement(gamma).relation,
+        "converse-of-lazy": relations.converse(graphs.complement(gamma).relation),
+        "compose": relations.compose(gamma.relation, relations.support_of(f)),
+    }
+    for name, rel in rels.items():
+        for (klass, stack), fr in zip(rel.blocks.classes(), rel.frames(), strict=True):
+            assert fr.vecs.shape[:2] == (len(klass.keys), klass.n), name
+            for s, key in enumerate(klass.keys):
+                cols = fr.member(s)
+                assert not fr.vecs[s, :, fr.ranks[s]:].any(), (name, key)
+                assert np.allclose(cols.conj().T @ cols, np.eye(cols.shape[1]),
+                                   atol=1e-12), (name, key)
+                assert np.allclose(cols @ cols.conj().T, stack[s], atol=1e-12), (name, key)
 
 
 class TestSatelliteLoops:

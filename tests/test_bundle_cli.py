@@ -283,6 +283,25 @@ class TestCli:
             assert calls["is_reversible"] <= 1, argv
         assert "scheme: invalid (encoder is not a homomorphism)" in capsys.readouterr().out
 
+    def test_parser_built_once_and_commands_looked_up_per_call(self, demo_bundle, monkeypatch):
+        built = []
+        build = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return build()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counting)
+        seen = []
+        monkeypatch.setattr(cli, "cmd_twirl", lambda args: seen.append(args.channel) or 7)
+        try:
+            assert cli.main(["twirl", demo_bundle, "inj"]) == 7
+            assert cli.main(["twirl", demo_bundle, "merge"]) == 7
+        finally:
+            cli._parser.cache_clear()
+        assert seen == ["inj", "merge"] and len(built) == 1
+
     def test_scc_verify_decoder_reloads_into_bundle(self, demo_bundle, tmp_path):
         out = tmp_path / "dec.json"
         r = run_cli(["scc-verify", demo_bundle, "csrc", "inj", "enc", "-o", str(out)])

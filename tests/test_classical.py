@@ -3,8 +3,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from covgraphs import classical, cpmaps, graphs
+from covgraphs import classical, cpmaps, graphs, systems
 from covgraphs.errors import DimensionMismatch, ShapeMismatch
+
+from genutil import choi_born, loop_extract_channel, rand_stochastic
 
 rng = np.random.default_rng(808)
 
@@ -30,6 +32,17 @@ class TestEmbeddings:
             p = rng.random((n, m))
             p = p / p.sum(axis=0, keepdims=True)
             assert np.allclose(classical.extract_channel(classical.embed_channel(p)), p)
+
+    @pytest.mark.parametrize("n_out,n_in", [(1, 1), (3, 5), (16, 16), (40, 24), (64, 64)])
+    def test_extract_channel_matches_apply_loop(self, n_out, n_in):
+        f = classical.embed_channel(rand_stochastic(rng, n_out, n_in))
+        for g in (f, choi_born(f)):
+            assert np.array_equal(classical.extract_channel(g), loop_extract_channel(g))
+
+    def test_extract_channel_needs_commutative_systems(self):
+        f = cpmaps.identity_channel(systems.system((1, 2)))
+        with pytest.raises(ShapeMismatch, match="commutative"):
+            classical.extract_channel(f)
 
     def test_relation_roundtrip_exhaustive(self):
         for bits in product([0, 1], repeat=6):

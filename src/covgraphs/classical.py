@@ -18,7 +18,7 @@ from .errors import DimensionMismatch, ShapeMismatch
 from .graphs import QuantumGraph, graph_from_blocks
 from .linalg import TOL_ROUNDOFF
 from .relations import QuantumRelation
-from .systems import System, classical_system
+from .systems import System, classical_system, layout
 
 
 def check_stochastic(p) -> np.ndarray:
@@ -36,17 +36,27 @@ def check_stochastic(p) -> np.ndarray:
 
 
 def embed_channel(p, src: System | None = None, tgt: System | None = None) -> CpMorphism:
-    """Column-stochastic matrix as a channel between commutative systems."""
+    """Column-stochastic matrix as a channel between commutative systems.
+
+    Pair (i, j) holds the one Kraus map [[sqrt(p_ji)]] when p_ji > 0, so its
+    1x1 Choi block is sqrt(p_ji)².  Between classical systems of the matrix's
+    sizes the one (1, 1) class and the held maps are built as stacks; other
+    systems go through from_kraus, which checks the map shapes."""
     p = check_stochastic(p)
     n, m = p.shape
     src = src if src is not None else classical_system(m)
     tgt = tgt if tgt is not None else classical_system(n)
     ins, outs = np.nonzero(p.T > 0)
-    kraus = {
-        (i, j): [np.array([[root]])]
-        for i, j, root in zip(ins.tolist(), outs.tolist(), np.sqrt(p[outs, ins]))
-    }
-    return from_kraus(kraus, src, tgt)
+    roots = np.sqrt(p[outs, ins])
+    keys = list(zip(ins.tolist(), outs.tolist()))
+    if src.dims != (1,) * m or tgt.dims != (1,) * n:
+        return from_kraus({key: [np.array([[r]])] for key, r in zip(keys, roots)}, src, tgt)
+    (klass,) = layout(src.dims, tgt.dims).classes
+    stack = np.zeros((m * n, 1, 1), dtype=complex)
+    stack[ins * n + outs, 0, 0] = roots * roots
+    maps = roots.astype(complex).reshape(-1, 1, 1)
+    maps.setflags(write=False)
+    return CpMorphism.stacked(src, tgt, [(klass, stack)], dict(zip(keys, zip(list(maps)))))
 
 
 def extract_channel(f: CpMorphism) -> np.ndarray:

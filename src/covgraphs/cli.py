@@ -60,12 +60,12 @@ def cmd_analyze_channel(args) -> int:
     print(f"channel: {args.channel}")
     print(f"is channel: {'yes' if is_chan else 'no'}")
     print("relation block ranks:")
-    for (i, j), _ in sorted(rel.blocks.items()):
-        print(f"  ({i},{j}): {rel.rank(i, j)}")
+    for (i, j), rank in zip(rel.blocks, rel.ranks()):
+        print(f"  ({i},{j}): {rank}")
     gamma = graphs.confusability_of(f)
     print("confusability block ranks:")
-    for (i, j), _ in sorted(gamma.relation.blocks.items()):
-        print(f"  ({i},{j}): {gamma.relation.rank(i, j)}")
+    for (i, j), rank in zip(gamma.relation.blocks, gamma.relation.ranks()):
+        print(f"  ({i},{j}): {rank}")
     if not is_chan:
         print("reversible: n/a (not a channel)")
         return EXIT_OK

@@ -18,7 +18,10 @@ a read-only (i, j) -> block mapping.  Next to them a morphism holds a
 read-only Kraus family (CpMorphism.kraus), which compose and tensor products
 multiply and Kronecker instead of diagonalizing Choi blocks:
 
-  * from_kraus keeps read-only copies of the maps it was given;
+  * from_kraus copies the maps it was given into one stack per class and
+    map count, scanned and shape-checked once, and keeps read-only views
+    of it; maps the library built itself (compose, tensor products,
+    identity channels) are kept as they are, without a scan;
   * a morphism born as Choi blocks (bundle "choi" input, dagger, channelize,
     add, twirls, reverse channels) gets the minimal to_kraus family of its
     blocks on first use;
@@ -43,12 +46,21 @@ import numpy as np
 
 from . import linalg
 from .errors import (
+    DimensionMismatch,
     NegativeSpectrum,
     ShapeMismatch,
     SystemMismatch,
 )
 from .linalg import FUNCTIONAL_SLACK, TOL_PROJ, TOL_SPEC, VALIDATE_SLACK
-from .systems import BlockStore, System, _diff, basis_offset, block_store, inner
+from .systems import BlockStore, System, _diff, basis_offset, block_store, inner, layout
+
+# Choi blocks of dimension n >= ALONE_N are formed from their Kraus maps pair
+# by pair, each in an allocation of its own, as a per-block loop forms them.
+# A stack of such blocks is one large allocation, and freeing it raises
+# glibc's dynamic mmap threshold, after which freed mid-size arrays stay
+# resident (coding-pipeline peak RSS 52 -> 58 MB).  At this size the call
+# overhead of one matmul per pair is negligible next to its work.
+ALONE_N = 64
 
 
 class CpMorphism:
@@ -60,13 +72,37 @@ class CpMorphism:
         self.blocks = block_store(source, target, blocks, "Choi", validate)
         self._kraus = None
         if validate:
-            scale = max(1.0, self.norm())
-            for key, blk in self.blocks.items():
-                if linalg.frob(blk - blk.conj().T) > VALIDATE_SLACK * TOL_PROJ * scale:
-                    raise ShapeMismatch(f"Choi block {key} is not Hermitian")
-                wmin = float(np.min(np.linalg.eigvalsh(linalg.hermitize(blk))))
-                if wmin < -VALIDATE_SLACK * TOL_SPEC * scale:
-                    raise NegativeSpectrum(f"Choi block {key}: eigenvalue {wmin:.3e}")
+            self._check_psd()
+
+    @classmethod
+    def stacked(cls, source: System, target: System, parts, kraus=None) -> "CpMorphism":
+        """Kernel-born morphism from (class, stack) pairs of the source x target
+        layout (classes not given are zero) and, if given, its held Kraus
+        family: factor pair -> tuple of read-only maps, other pairs holding
+        none."""
+        f = cls(source, target, BlockStore.stacked(source, target, parts), validate=False)
+        if kraus is not None:
+            f._kraus = _held(kraus, f.blocks)
+        return f
+
+    def _check_psd(self):
+        """Every block Hermitian and PSD within the validator slack: one
+        Frobenius defect and one batched eigvalsh per class; the first failing
+        block in key order raises."""
+        scale = max(1.0, self.norm())
+        skew, low = [], []
+        for _, stack in self.blocks.classes():
+            skew.append(linalg.frobs(stack - stack.conj().swapaxes(1, 2)))
+            low.append(np.linalg.eigvalsh(linalg.hermitize(stack))[:, 0])
+        skew, low = self.blocks.keyed(skew), self.blocks.keyed(low)
+        not_herm = skew > VALIDATE_SLACK * TOL_PROJ * scale
+        bad = np.flatnonzero(not_herm | (low < -VALIDATE_SLACK * TOL_SPEC * scale))
+        if bad.size:
+            b = bad[0]
+            key = self.blocks.layout.keys[b]
+            if not_herm[b]:
+                raise ShapeMismatch(f"Choi block {key} is not Hermitian")
+            raise NegativeSpectrum(f"Choi block {key}: eigenvalue {low[b]:.3e}")
 
     def norm(self) -> float:
         return max(float(linalg.frobs(stack).max()) for _, stack in self.blocks.classes())
@@ -79,19 +115,27 @@ class CpMorphism:
         maps, at most d_i e_j of them; filled from to_kraus on first use when
         the morphism was born as Choi blocks."""
         if self._kraus is None:
-            self._kraus = _held(to_kraus(self), self.blocks)
+            self._kraus = _held(_frozen(to_kraus(self)), self.blocks)
         return self._kraus
 
 
 def _held(kraus: dict, keys):
-    """Read-only view over all keys of a Kraus family whose maps are owned by
-    the caller; keys missing from it hold no maps."""
+    """Read-only view over all keys of a Kraus family of read-only maps;
+    keys missing from it hold no maps."""
     full = dict.fromkeys(keys, ())
-    for key, ops in kraus.items():
-        for m in ops:
-            m.setflags(write=False)
-        full[key] = tuple(ops)
+    full.update(kraus)
     return MappingProxyType(full)
+
+
+def _frozen(kraus: dict) -> dict:
+    """Kraus family of maps nothing else holds, made read-only in place."""
+    out = {}
+    for key, ops in kraus.items():
+        if ops:
+            for m in ops:
+                m.setflags(write=False)
+            out[key] = tuple(ops)
+    return out
 
 
 def _block_kraus(keys, stack: np.ndarray, d: int, e: int) -> dict:
@@ -120,52 +164,113 @@ def _block_kraus(keys, stack: np.ndarray, d: int, e: int) -> dict:
 
 def from_kraus(kraus: dict, src: System, tgt: System) -> CpMorphism:
     """CP morphism of a Kraus family: factor pairs (i, j) mapped to lists of
-    e_j x d_i matrices H_i -> K_j.  The morphism keeps copies of the maps."""
-    checked = {}
-    src_dims, tgt_dims = src.dims, tgt.dims
-    for (i, j), ops in kraus.items():
-        if not (0 <= i < len(src_dims) and 0 <= j < len(tgt_dims)):
-            raise ShapeMismatch(f"Kraus index {(i, j)} out of range")
-        d, e = src_dims[i], tgt_dims[j]
-        maps = []
-        for m in ops:
-            m = np.array(linalg.as_complex(m))
-            if m.shape != (e, d):
-                raise ShapeMismatch(
-                    f"Kraus map for pair {(i, j)} has shape {m.shape}, expected ({e},{d})"
-                )
-            maps.append(m)
-        checked[(i, j)] = maps
-    return _from_maps(checked, src, tgt)
+    e_j x d_i matrices H_i -> K_j.
+
+    The maps of the pairs of one class with one map count are copied into
+    one stack, scanned for non-finite entries and shape-checked once; the
+    first failing map (dict order, then list order) raises.  The morphism
+    holds read-only views of these copies.
+    """
+    lay = layout(src.dims, tgt.dims)
+    groups = {}  # (class index, map count) -> (keys, dict positions, maps)
+    fails = []  # ((dict position, map index), error)
+    for pos, (key, ops) in enumerate(kraus.items()):
+        loc = lay.where.get(key)
+        if loc is None:
+            fails.append(((pos, -1), ShapeMismatch(f"Kraus index {key} out of range")))
+            break
+        if len(ops):
+            keys, positions, maps = groups.setdefault((loc[0], len(ops)), ([], [], []))
+            keys.append(key)
+            positions.append(pos)
+            maps.extend(ops)
+    stacks = []
+    for (c, count), (keys, positions, maps) in groups.items():
+        d, e = lay.classes[c].dims
+        try:
+            stack = linalg.as_complex(maps, (e, d))
+        except (DimensionMismatch, ShapeMismatch) as exc:
+            p, t = divmod(exc.member, count)
+            if isinstance(exc, ShapeMismatch):
+                exc = ShapeMismatch(f"Kraus map for pair {keys[p]} has shape {exc.shape}, "
+                                    f"expected ({e},{d})")
+            fails.append(((positions[p], t), exc))
+            continue
+        stacks.append((c, keys, stack.reshape(len(keys), count, e, d)))
+    if fails:
+        raise min(fails, key=lambda f: f[0])[1]
+    return _from_stacks(src, tgt, lay, stacks)
 
 
 def _from_maps(kraus: dict, src: System, tgt: System) -> CpMorphism:
-    """from_kraus for checked maps that nothing else holds.
+    """from_kraus for checked maps that nothing else holds: they are stacked
+    without a scan, and the morphism holds them as given, made read-only."""
+    lay = layout(src.dims, tgt.dims)
+    groups = {}  # (class index, map count) -> (keys, maps)
+    for key, ops in kraus.items():
+        if ops:
+            keys, maps = groups.setdefault((lay.where[key][0], len(ops)), ([], []))
+            keys.append(key)
+            maps.extend(ops)
+    stacks = [
+        (c, keys, np.array(maps, dtype=complex).reshape(
+            (len(keys), count) + lay.classes[c].dims[::-1]))
+        for (c, count), (keys, maps) in groups.items()
+    ]
+    return _from_stacks(src, tgt, lay, stacks, kraus)
 
-    Block (i, j) is V V† with V the stacked vec(M†); a pair with more maps
-    than d_i e_j holds the minimal family of that block instead, found by
-    one batched _block_kraus per class.
+
+def _from_stacks(src: System, tgt: System, lay, stacks, given=None) -> CpMorphism:
+    """Morphism of Kraus maps stacked per class and map count: ``stacks`` holds
+    (class index, keys, (p, count, e, d) maps) triples.
+
+    Block (i, j) is V V† with V the stacked vec(M†), one batched product per
+    stack.  The held family is the maps of ``given`` (key -> maps) when
+    given, else read-only views of the stacks; a pair with more maps than
+    d_i e_j holds the minimal family of its block instead, found by one
+    batched _block_kraus per class.
     """
-    blocks = {}
+    placed = {}  # class index -> [(slots, blocks)]
+    over = {}  # class index -> keys with more maps than d_i e_j
     held = {}
-    over = {}
-    for (i, j), ops in kraus.items():
-        if not ops:
-            continue
-        d, e = src.dims[i], tgt.dims[j]
-        vs = np.stack([linalg.vec(m.conj().T) for m in ops], axis=1)
-        blocks[(i, j)] = vs @ vs.conj().T
-        if len(ops) > d * e:
-            over.setdefault((d, e), []).append((i, j))
+    for c, keys, maps in stacks:
+        klass = lay.classes[c]
+        p, count = maps.shape[:2]
+        # Column t of vs is vec(M_t†) = conj(M_t) read row-major.
+        vs = np.ascontiguousarray(maps.reshape(p, count, klass.n).conj().swapaxes(1, 2))
+        if klass.n < ALONE_N:
+            blocks = vs @ vs.conj().swapaxes(1, 2)
         else:
-            held[(i, j)] = ops
-    f = CpMorphism(src, tgt, blocks, validate=False)
-    if over:
-        where = f.blocks.layout.where
-        for klass, stack in f.blocks.classes():
-            keys = over.get(klass.dims)
-            if keys:
-                held.update(_block_kraus(keys, stack[[where[key][1] for key in keys]], *klass.dims))
+            blocks = [v @ v.conj().T for v in vs]
+        placed.setdefault(c, []).append(([lay.where[key][1] for key in keys], blocks))
+        if count > klass.n:
+            over.setdefault(c, []).extend(keys)
+        elif given is None:
+            maps.setflags(write=False)
+            # Consecutive runs of count views: the maps of each pair.
+            held.update(zip(keys, zip(*[iter(list(maps.reshape((-1,) + maps.shape[2:])))] * count)))
+        else:
+            held.update(_frozen({key: given[key] for key in keys}))
+    whole = {
+        c: groups[0][1] for c, groups in placed.items()
+        if len(groups) == 1 and groups[0][0] == list(range(len(lay.classes[c].keys)))
+        and isinstance(groups[0][1], np.ndarray)
+    }
+    if len(whole) == len(placed):
+        f = CpMorphism.stacked(src, tgt, [(lay.classes[c], stack) for c, stack in whole.items()])
+    else:
+        # A class with absent pairs gets its stack on first read, as in any
+        # dict-born store, so nothing is allocated for the absent pairs.
+        f = CpMorphism(src, tgt, {
+            lay.classes[c].keys[s]: blocks[t]
+            for c, groups in placed.items() for slots, blocks in groups
+            for t, s in enumerate(slots)
+        }, validate=False)
+    for klass, stack in f.blocks.classes() if over else ():
+        keys = over.get(lay.index[klass.dims])
+        if keys:
+            minimal = _block_kraus(keys, stack[[lay.where[key][1] for key in keys]], *klass.dims)
+            held.update(_frozen(minimal))
     f._kraus = _held(held, f.blocks)
     return f
 
@@ -198,7 +303,7 @@ def apply(f: CpMorphism, x) -> list:
 
 def identity_channel(sys: System) -> CpMorphism:
     kraus = {(i, i): [np.eye(d, dtype=complex)] for i, d in enumerate(sys.dims)}
-    return from_kraus(kraus, sys, sys)
+    return _from_maps(kraus, sys, sys)
 
 
 def add(f: CpMorphism, g: CpMorphism, cf: float = 1.0, cg: float = 1.0) -> CpMorphism:
@@ -207,8 +312,7 @@ def add(f: CpMorphism, g: CpMorphism, cf: float = 1.0, cg: float = 1.0) -> CpMor
     parts = [
         (klass, cf * a + cg * b) for (klass, a), (_, b) in zip(f.blocks.classes(), g.blocks.classes())
     ]
-    return CpMorphism(f.source, f.target, BlockStore.stacked(f.source, f.target, parts),
-                      validate=False)
+    return CpMorphism.stacked(f.source, f.target, parts)
 
 
 def compose(g: CpMorphism, f: CpMorphism) -> CpMorphism:
@@ -244,8 +348,7 @@ def dagger(f: CpMorphism) -> CpMorphism:
         e, d = klass.dims
         w = tw[klass.rows] / sw[klass.cols]
         parts.append((klass, w[:, None, None] * linalg.adjoint_image(stack, d, e)))
-    return CpMorphism(f.target, f.source, BlockStore.stacked(f.target, f.source, parts),
-                      validate=False)
+    return CpMorphism.stacked(f.target, f.source, parts)
 
 
 def choi_marginal(f: CpMorphism) -> list:
@@ -371,8 +474,7 @@ def channelize(f: CpMorphism) -> CpMorphism:
         s = np.repeat(np.stack([roots[i] for i in klass.rows[::b]]), b, axis=0)
         conj = linalg.kron_stack(np.eye(e, dtype=complex), s)  # kron(I_e, s) per member
         parts.append((klass, conj @ stack @ conj.conj().swapaxes(1, 2)))
-    return CpMorphism(f.source, f.target, BlockStore.stacked(f.source, f.target, parts),
-                      validate=False)
+    return CpMorphism.stacked(f.source, f.target, parts)
 
 
 def adjointness_defect(f: CpMorphism, rng) -> float:

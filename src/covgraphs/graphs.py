@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .cpmaps import CpMorphism, basis_images, from_kraus, is_channel
+from .cpmaps import CpMorphism, _from_maps, basis_images, is_channel
 from .errors import (
     NotAChannel,
     NotConfusability,
@@ -119,8 +119,7 @@ def _graph_as_cp(g: QuantumGraph, tau: float) -> CpMorphism:
         for (klass, d), (_, blk) in zip(discrete(g.system).blocks.classes(),
                                         g.relation.blocks.classes())
     ]
-    return CpMorphism(g.system, g.system, BlockStore.stacked(g.system, g.system, parts),
-                      validate=False)
+    return CpMorphism.stacked(g.system, g.system, parts)
 
 
 def _superop_matrix(f: CpMorphism) -> np.ndarray:
@@ -182,7 +181,7 @@ def realize_channel(g: QuantumGraph, tau: float | None = None, tol: float = TOL_
         off = basis_offset(a_sys, i)
         # Column x of map a is column E_xa of f̂^{1/2}.
         kraus[(i, 0)] = [fhalf[:, off + a:off + d * d:d] / np.sqrt(w_env) for a in range(d)]
-    f = from_kraus(kraus, a_sys, env)
+    f = _from_maps(kraus, a_sys, env)
     return f, env
 
 
@@ -197,9 +196,9 @@ def _conjugation_action(a_sys: System, extra: int = 0) -> AlgebraAction:
     n = dim + extra
     group = a_sys.group
     perms = tuple((0,) for _ in range(group.order))
-    units = []
+    units = np.zeros((group.order, 1, n, n), dtype=complex)
     for gel in group.elements:
-        u = np.zeros((n, n), dtype=complex)
+        u = units[gel, 0]
         for a, da in enumerate(a_sys.dims):
             ua = a_sys.action.unitaries[gel][a]
             src = basis_offset(a_sys, a)
@@ -208,8 +207,7 @@ def _conjugation_action(a_sys: System, extra: int = 0) -> AlgebraAction:
             # is the row-major ua[:, p] ua[:, q]†, i.e. kron(ua, conj(ua)).
             u[tgt:tgt + da * da, src:src + da * da] = np.kron(ua, ua.conj())
         u[dim:, dim:] = np.eye(extra)
-        units.append((u,))
-    return AlgebraAction(group, (n,), perms, tuple(units))
+    return AlgebraAction(group, (n,), perms, {n: units})
 
 
 def homomorphism_failures(f: CpMorphism, g_a: QuantumGraph, g_b: QuantumGraph,
@@ -282,5 +280,4 @@ def _reverse(f: CpMorphism) -> CpMorphism:
         spread = linalg.kron_stack(np.eye(d, dtype=complex), rest)
         w = tw[klass.rows][:, None, None]
         parts.append((klass, w * stack + (w / d_a) * spread))
-    return CpMorphism(f.target, f.source, BlockStore.stacked(f.target, f.source, parts),
-                      validate=False)
+    return CpMorphism.stacked(f.target, f.source, parts)

@@ -11,8 +11,12 @@ Transport is stacked.  The block store of a CP morphism or relation holds one
 stack per dimension class (d_i, e_j) of factor pairs, and α_g moves a whole
 class with one batched product W B W† (transport); act_on_cp, twirl_cp and
 is_covariant_relation go through it.  An action holds its
-unitaries as read-only stacks, one per factor dimension, which the
-construction checks (unitarity, homomorphism) also read in batches.
+unitaries as read-only stacks, one (|G|, k, d, d) stack per factor
+dimension; the library's own constructions (trivial and permutation
+actions, tensor products, the conjugation action) and the bundle hand
+them over as such stacks.  The construction checks run once per stack: one
+finite scan, one unitarity product, and the homomorphism test as one
+gathered product over all element pairs.
 
 Two actions are equal when they share group table, dims and perms (the key)
 and their unitaries agree within TOL_ROUNDOFF.  Identical objects, different
@@ -25,13 +29,16 @@ and the systems that carry them can key dicts.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
+from types import MappingProxyType
 
 import numpy as np
 
 from . import linalg
-from .errors import ActionShapeMismatch, GroupMismatch, ShapeMismatch
+from .errors import ActionShapeMismatch, DimensionMismatch, GroupMismatch, ShapeMismatch
 from .linalg import TOL_PROJ, TOL_ROUNDOFF
 
 
@@ -68,6 +75,20 @@ class FiniteGroup:
                 raise GroupMismatch(f"element {g} has no inverse")
         object.__setattr__(self, "table", tuple(tuple(int(x) for x in row) for row in t))
 
+    def pairs(self):
+        """(g, h, gh) index arrays of the element pairs a homomorphism check
+        visits: every pair for order <= 24, a fixed sample of 800 above;
+        made on first call."""
+        if "_pairs" not in self.__dict__:
+            n = self.order
+            if n <= 24:
+                g, h = np.divmod(np.arange(n * n), n)
+            else:
+                rng = np.random.default_rng(1)
+                g, h = np.array([rng.integers(0, n, 2) for _ in range(800)]).T
+            object.__setattr__(self, "_pairs", (g, h, np.array(self.table)[g, h]))
+        return self._pairs
+
     def mul(self, g: int, h: int) -> int:
         return self.table[g][h]
 
@@ -91,6 +112,7 @@ class FiniteGroup:
         return hash((self.order, self.identity))
 
 
+@lru_cache(maxsize=1)
 def trivial_group() -> FiniteGroup:
     return FiniteGroup(1, ((0,),), 0)
 
@@ -119,74 +141,119 @@ def symmetric_group_perms(n: int):
     return [tuple(p) for p in permutations(range(n))]
 
 
-def dim_classes(dims):
+@lru_cache(maxsize=256)
+def dim_classes(dims: tuple):
     """Factors grouped by dimension, d -> [factors of dimension d] in
-    first-factor order, and each factor's position within its group."""
+    first-factor order, and each factor's position within its group.  Calls
+    share the result, so the mapping and the array are read-only and the
+    lists are not to be modified."""
     groups = {}
     for i, d in enumerate(dims):
         groups.setdefault(d, []).append(i)
     pos = np.zeros(len(dims), dtype=int)
     for idx in groups.values():
         pos[idx] = np.arange(len(idx))
-    return groups, pos
+    pos.setflags(write=False)
+    return MappingProxyType(groups), pos
 
 
 @dataclass(frozen=True, eq=False)
 class AlgebraAction:
     """Action of a finite group on the factors of a quantum set.
 
-    The unitaries are held as read-only copies: one (|G|, k, d, d) stack per
-    factor dimension d, of which unitaries[g][i] is a view.
+    ``unitaries`` is given either per element, unitaries[g][i] the d_i x d_i
+    unitary of factor i, or as class stacks: a mapping from each factor
+    dimension d to the (|G|, k, d, d) stack of the unitaries of its k
+    factors (in factor order), which the action holds read-only, copied only
+    when it is not a contiguous complex array.  Per-element unitaries are
+    copied into such stacks, one np.asarray per dimension.  Either way each stack is scanned and checked for unitarity
+    once, and the homomorphism check is one gathered product per dimension;
+    the first failing (g, i) or (g, h) raises.  Afterwards unitaries[g][i]
+    is a view of its stack, and perm_array is perms as a read-only
+    (|G|, nfactors) array.
     """
 
     group: FiniteGroup
     dims: tuple
     perms: tuple          # perms[g][i] = image slot of factor i
-    unitaries: tuple      # unitaries[g][i] : d_i x d_i unitary
+    unitaries: tuple      # unitaries[g][i] : d_i x d_i unitary, or class stacks
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(map(int, self.dims))
         object.__setattr__(self, "dims", dims)
-        n = self.group.order
-        if len(self.perms) != n or len(self.unitaries) != n:
+        n, nf = self.group.order, len(dims)
+        stacked = isinstance(self.unitaries, Mapping)
+        if len(self.perms) != n or (not stacked and len(self.unitaries) != n):
             raise ActionShapeMismatch("need one permutation and unitary family per element")
-        perms = []
-        given = []
-        for g in range(n):
-            p = tuple(int(x) for x in self.perms[g])
-            if sorted(p) != list(range(len(dims))):
-                raise ActionShapeMismatch(f"perms[{g}] is not a permutation of the factors")
-            us = []
-            for i, d in enumerate(dims):
-                if dims[p[i]] != d:
-                    raise ActionShapeMismatch(f"perms[{g}] maps factor {i} to unequal dimension")
-                u = linalg.as_complex(self.unitaries[g][i])
-                if u.shape != (d, d):
-                    raise ActionShapeMismatch(f"unitaries[{g}][{i}] has wrong shape")
-                us.append(u)
-            perms.append(p)
-            given.append(us)
-        # classes[d] = (factors of dimension d, their unitaries stacked over g);
-        # slot[i] is the position of factor i within its class.
         factors, slot = dim_classes(dims)
+        if stacked and set(self.unitaries) != set(factors):
+            raise ActionShapeMismatch("need one unitary stack per factor dimension")
+        # Elements before the first one whose family is malformed (ng) have
+        # their unitaries checked; that family fails after them.
+        perms = []
+        family_error = None
+        for g in range(n):
+            p = tuple(map(int, self.perms[g]))
+            if sorted(p) != list(range(nf)):
+                family_error = f"perms[{g}] is not a permutation of the factors"
+            elif not stacked and len(self.unitaries[g]) != nf:
+                family_error = f"unitaries[{g}] has {len(self.unitaries[g])} entries, expected {nf}"
+            if family_error:
+                break
+            perms.append(p)
+        ng = len(perms)
+        perm_array = np.array(perms, dtype=int).reshape(ng, nf)
+        fails = []  # ((g, i, order at one (g, i)), error)
+        dim = np.array(dims, dtype=int)
+        bad = (dim[perm_array] != dim).ravel().nonzero()[0]
+        if bad.size:
+            g, i = divmod(int(bad[0]), nf)
+            fails.append(((g, i, 0), ActionShapeMismatch(
+                f"perms[{g}] maps factor {i} to unequal dimension")))
         classes = {}
         for d, idx in factors.items():
-            stack = np.array([[given[g][i] for i in idx] for g in range(n)], dtype=complex)
+            k = len(idx)
+            if stacked:
+                given = self.unitaries[d]
+                if np.shape(given) != (n, k, d, d):
+                    raise ActionShapeMismatch(
+                        f"unitary stack of dimension {d} has shape {np.shape(given)}, "
+                        f"expected {(n, k, d, d)}")
+                members = np.reshape(given[:ng], (ng * k, d, d))
+            else:
+                members = [self.unitaries[g][i] for g in range(ng) for i in idx]
+            try:
+                stack = linalg.as_complex(members, (d, d))
+            except (DimensionMismatch, ShapeMismatch) as exc:
+                g, s = divmod(exc.member, k)
+                if isinstance(exc, ShapeMismatch):
+                    exc = ActionShapeMismatch(f"unitaries[{g}][{idx[s]}] has wrong shape")
+                fails.append(((g, idx[s], 1), exc))
+                continue
+            classes[d] = (np.array(idx), stack.reshape(ng, k, d, d))
+        if fails:
+            raise min(fails, key=lambda f: f[0])[1]
+        if family_error:
+            raise ActionShapeMismatch(family_error)
+        for d, (idx, stack) in classes.items():
             flat = stack.reshape(-1, d, d)
             bad = linalg.frobs(flat @ flat.conj().swapaxes(1, 2) - np.eye(d)) > TOL_PROJ * max(1.0, d)
             if bad.any():
                 g, s = divmod(int(np.argmax(bad)), len(idx))
                 raise ActionShapeMismatch(f"unitaries[{g}][{idx[s]}] is not unitary")
             stack.setflags(write=False)
-            classes[d] = (np.array(idx), stack)
         object.__setattr__(self, "perms", tuple(perms))
+        rows = {d: list(stack.reshape(-1, d, d)) for d, (_, stack) in classes.items()}
+        at = [(rows[d], len(factors[d]), s) for d, s in zip(dims, slot.tolist())]
         object.__setattr__(self, "unitaries", tuple(
-            tuple(classes[d][1][g, slot[i]] for i, d in enumerate(dims)) for g in range(n)
+            tuple([members[g * k + s] for members, k, s in at]) for g in range(n)
         ))
         object.__setattr__(self, "_classes", classes)
         object.__setattr__(self, "_slot", slot)
+        perm_array.setflags(write=False)
+        object.__setattr__(self, "perm_array", perm_array)
         e = self.group.identity
-        if self.perms[e] != tuple(range(len(dims))):
+        if self.perms[e] != tuple(range(nf)):
             raise ActionShapeMismatch("identity element must fix the factor slots")
         _check_homomorphism(self)
         # Identity: equal keys are necessary for equality, and equal bytes of
@@ -237,48 +304,73 @@ def _check_homomorphism(action: AlgebraAction):
     """α_g ∘ α_h must equal α_{gh} as algebra automorphisms (phases drop out).
 
     On each factor i, U_g[π_h(i)] U_h[i] must be U_gh[i] times a phase: one
-    batched product per factor dimension and element pair; exhaustive over
-    element pairs for |G| <= 24, sampled above.
+    gathered product per factor dimension over all checked element pairs,
+    exhaustive for |G| <= 24, sampled above.  The first failing pair, in
+    pair order, raises: its perms, else its first failing factor in class
+    order.
     """
-    g_order = action.group.order
-    if g_order <= 24:
-        pairs = list(product(range(g_order), repeat=2))
-    else:
-        rng = np.random.default_rng(1)
-        pairs = [tuple(rng.integers(0, g_order, 2)) for _ in range(800)]
-    perms = np.array(action.perms)
-    for g, h in pairs:
-        gh = action.group.mul(g, h)
-        if not np.array_equal(perms[g][perms[h]], perms[gh]):
-            raise ActionShapeMismatch(f"perms are not a homomorphism at ({g},{h})")
-        for d, (idx, stack) in action._classes.items():
-            lhs = stack[g, action._slot[perms[h][idx]]] @ stack[h]
+    g, h, gh = action.group.pairs()
+    perms = action.perm_array
+    perm_bad = (perms[g[:, None], perms[h]] != perms[gh]).any(axis=1)
+    pair_bad = perm_bad.copy()
+    factor_bad = []
+    for d, (idx, stack) in action._classes.items():
+        lhs = stack[g[:, None], action._slot[perms[h][:, idx]]]
+        if d == 1:
+            # A 1x1 U_gh† lhs is its own trace: only its modulus can fail.
+            x = (lhs * stack[h]).conj() * stack[gh]
+            phase_defect = np.abs(np.abs(x.reshape(-1)) - 1.0)
+        else:
             # Ad(lhs) = Ad(U_gh) iff lhs† U_gh is a phase.
-            x = lhs.conj().swapaxes(1, 2) @ stack[gh]
-            tr = np.trace(x, axis1=1, axis2=2)
+            x = ((lhs @ stack[h]).conj().swapaxes(-1, -2) @ stack[gh]).reshape(-1, d, d)
+            tr = x.trace(axis1=1, axis2=2)
             phase_defect = linalg.frobs(x - (tr / d)[:, None, None] * np.eye(d)) + np.abs(
                 np.abs(tr) / d - 1.0
             )
-            bad = phase_defect > TOL_PROJ * max(1.0, d)
-            if bad.any():
-                raise ActionShapeMismatch(
-                    f"action is not a homomorphism up to phase at ({g},{h}), "
-                    f"factor {idx[np.argmax(bad)]}"
-                )
+        bad = (phase_defect > TOL_PROJ * max(1.0, d)).reshape(len(g), len(idx))
+        pair_bad |= bad.any(axis=1)
+        factor_bad.append(bad)
+    failing = pair_bad.nonzero()[0]
+    if not failing.size:
+        return
+    p = failing[0]
+    where = f"({g[p]},{h[p]})"
+    if perm_bad[p]:
+        raise ActionShapeMismatch(f"perms are not a homomorphism at {where}")
+    for (idx, _), bad in zip(action._classes.values(), factor_bad):
+        if bad[p].any():
+            raise ActionShapeMismatch(
+                f"action is not a homomorphism up to phase at {where}, "
+                f"factor {idx[np.argmax(bad[p])]}"
+            )
+
+
+def _identity_stacks(order: int, dims) -> dict:
+    """Class stacks of the identity unitaries: read-only broadcast views."""
+    factors, _ = dim_classes(dims)
+    return {
+        d: np.broadcast_to(np.eye(d, dtype=complex), (order, len(idx), d, d))
+        for d, idx in factors.items()
+    }
 
 
 def trivial_action(group: FiniteGroup, dims) -> AlgebraAction:
-    dims = tuple(int(d) for d in dims)
+    """The action fixing every factor.  Actions are immutable, so equal
+    arguments share one action, checked when first built."""
+    return _trivial_action(group, tuple(int(d) for d in dims))
+
+
+@lru_cache(maxsize=256)
+def _trivial_action(group: FiniteGroup, dims: tuple) -> AlgebraAction:
     perms = tuple(tuple(range(len(dims))) for _ in range(group.order))
-    units = tuple(tuple(np.eye(d, dtype=complex) for d in dims) for _ in range(group.order))
-    return AlgebraAction(group, dims, perms, units)
+    return AlgebraAction(group, dims, perms, _identity_stacks(group.order, dims))
 
 
 def permutation_action(group: FiniteGroup, dims, perms) -> AlgebraAction:
     """Action that only permutes factors (identity unitaries)."""
     dims = tuple(int(d) for d in dims)
-    units = tuple(tuple(np.eye(d, dtype=complex) for d in dims) for _ in range(group.order))
-    return AlgebraAction(group, dims, tuple(tuple(p) for p in perms), units)
+    return AlgebraAction(group, dims, tuple(tuple(p) for p in perms),
+                         _identity_stacks(group.order, dims))
 
 
 def inner_action(group: FiniteGroup, dim: int, unitaries) -> AlgebraAction:
@@ -316,8 +408,8 @@ def transport(action_src: AlgebraAction, action_tgt: AlgebraAction, g: int,
     """
     w = linalg.kron_stack(action_tgt.unitary_stack(g, klass.cols).conj(),
                           action_src.unitary_stack(g, klass.rows))
-    image = klass.slots(np.asarray(action_src.perms[g])[klass.rows],
-                        np.asarray(action_tgt.perms[g])[klass.cols])
+    image = klass.slots(action_src.perm_array[g][klass.rows],
+                        action_tgt.perm_array[g][klass.cols])
     moved = np.empty(stack.shape, dtype=complex)
     moved[image] = w @ stack @ w.conj().swapaxes(1, 2)
     return moved
@@ -326,20 +418,17 @@ def transport(action_src: AlgebraAction, action_tgt: AlgebraAction, g: int,
 def act_on_cp(f, g: int):
     """Transport a CP morphism along group element g: α_{B,g} ∘ f ∘ α_{A,g}⁻¹."""
     from .cpmaps import CpMorphism
-    from .systems import BlockStore
 
     parts = [
         (klass, transport(f.source.action, f.target.action, g, klass, stack))
         for klass, stack in f.blocks.classes()
     ]
-    return CpMorphism(f.source, f.target, BlockStore.stacked(f.source, f.target, parts),
-                      validate=False)
+    return CpMorphism.stacked(f.source, f.target, parts)
 
 
 def twirl_cp(f):
     """Group-average a CP morphism: the projector onto covariant maps."""
     from .cpmaps import CpMorphism
-    from .systems import BlockStore
 
     if f.source.action.group != f.target.action.group:
         raise GroupMismatch("source and target actions must share one group")
@@ -350,8 +439,7 @@ def twirl_cp(f):
         for g in group.elements:
             acc += transport(f.source.action, f.target.action, g, klass, stack)
         parts.append((klass, acc / group.order))
-    return CpMorphism(f.source, f.target, BlockStore.stacked(f.source, f.target, parts),
-                      validate=False)
+    return CpMorphism.stacked(f.source, f.target, parts)
 
 
 def is_covariant_cp(f, tol: float = TOL_PROJ) -> bool:

@@ -27,6 +27,7 @@ from .errors import (
     IndexOutOfRange,
     NegativeSpectrum,
     NotHermitian,
+    ShapeMismatch,
 )
 
 TOL_SPEC = 1e-9  # relative spectral cut: eigen/singular values <= TOL_SPEC * top are 0
@@ -40,11 +41,50 @@ SPAN_RATIO = 1e-2  # source-graph span cut relative to the projection tolerance
 TINY_UNIT = 1e-300  # lower bound of the magnitude unit of the source-graph span floor
 
 
-def as_complex(m) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
-    if not np.isfinite(a).all():
-        raise DimensionMismatch("matrix entries must be finite")
-    return a
+def as_complex(m, shape: tuple | None = None) -> np.ndarray:
+    """m as a complex array, scanned for non-finite entries (DimensionMismatch).
+
+    With ``shape``, m is a sequence of members, each meant to be a ``shape``
+    array, and the result is their (k,) + shape stack, built by one
+    np.asarray and scanned once.  The first member in order that is not
+    finite (DimensionMismatch) or has another shape (ShapeMismatch) raises;
+    the error carries its position as ``member`` and its shape as ``shape``,
+    for the caller to name it.  Members of unequal shapes have no common
+    stack; they are looked at one by one, on that failing path only.
+    """
+    if shape is None:
+        a = np.asarray(m, dtype=complex)
+        if not np.isfinite(a).all():
+            raise DimensionMismatch("matrix entries must be finite")
+        return a
+    shape = tuple(shape)
+    if len(m) == 0:
+        return np.zeros((0,) + shape, dtype=complex)
+    try:
+        a = np.asarray(m, dtype=complex)
+    except ValueError:  # members of unequal shapes
+        members = [np.asarray(x, dtype=complex) for x in m]
+    else:
+        if a.shape[1:] == shape:
+            finite = np.isfinite(a)
+            if finite.all():
+                return a
+            raise _bad_member(DimensionMismatch, "matrix entries must be finite",
+                              int(np.argmin(finite.reshape(len(a), -1).all(axis=1))), shape)
+        members = a[:1]  # all members share the wrong shape: the first fails
+    for s, x in enumerate(members):
+        if not np.isfinite(x).all():
+            raise _bad_member(DimensionMismatch, "matrix entries must be finite", s, x.shape)
+        if x.shape != shape:
+            raise _bad_member(ShapeMismatch, f"member {s} has shape {x.shape}, expected {shape}",
+                              s, x.shape)
+
+
+def _bad_member(kind, msg: str, member: int, shape: tuple):
+    exc = kind(msg)
+    exc.member = member
+    exc.shape = shape
+    return exc
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:

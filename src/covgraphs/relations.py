@@ -92,6 +92,13 @@ class QuantumRelation:
     def rank(self, i: int, j: int) -> int:
         return int(round(float(np.trace(self.blocks[(i, j)]).real)))
 
+    def ranks(self) -> list:
+        """rank of every block, in key order: one batched trace per class."""
+        traces = self.blocks.keyed(
+            np.trace(stack, axis1=1, axis2=2).real for _, stack in self.blocks.classes()
+        )
+        return [int(round(t)) for t in traces.tolist()]
+
 
 def support_of(f: CpMorphism) -> QuantumRelation:
     """Underlying relation: blockwise support projection of the Choi blocks,
@@ -310,8 +317,7 @@ def relation_as_cp(p: QuantumRelation) -> CpMorphism:
     """
     sw = np.array(p.source.weights)
     parts = [(klass, sw[klass.rows][:, None, None] * stack) for klass, stack in p.blocks.classes()]
-    return CpMorphism(p.source, p.target, BlockStore.stacked(p.source, p.target, parts),
-                      validate=False)
+    return CpMorphism.stacked(p.source, p.target, parts)
 
 
 def channel_exists(p: QuantumRelation) -> bool:

@@ -24,9 +24,9 @@ import numpy as np
 from . import linalg
 from .cpmaps import (
     CpMorphism,
+    _from_maps,
     compose,
     cp_norm_diff,
-    from_kraus,
     identity_channel,
     is_channel,
 )
@@ -50,7 +50,7 @@ from .graphs import (
     is_homomorphism,
     is_reversible,
 )
-from .groups import AlgebraAction
+from .groups import AlgebraAction, dim_classes
 from .linalg import SPAN_RATIO, TINY_UNIT, TOL_PROJ, TOL_ROUNDTRIP, TOL_SPEC
 from .relations import QuantumRelation, relation_defect
 from .systems import BlockStore, QuantumSet, System, basis_offset, system, total_matrix_dim
@@ -77,17 +77,19 @@ class TensorSystem:
             for g in group.elements
         )
         # Factor (a, b) carries kron(U_a, U_b): one stacked product per pair
-        # of factor dimensions (d_a, d_b).
-        units = [[None] * (na * nb) for _ in group.elements]
+        # of factor dimensions (d_a, d_b), placed in the class stack of
+        # d_a d_b at the positions of its factors.
+        factors, pos = dim_classes(dims)
+        stacks = {
+            d: np.empty((group.order, len(idx), d, d), dtype=complex) for d, idx in factors.items()
+        }
         for da, (ia, ul) in left.action.factor_classes().items():
             for db, (ib, ur) in right.action.factor_classes().items():
                 prod = linalg.kron_stack(ul[:, :, None], ur[:, None])
-                prod = prod.reshape(group.order, len(ia) * len(ib), da * db, da * db)
-                pairs = (ia[:, None] * nb + ib[None, :]).ravel().tolist()
-                for row, us in zip(units, prod):
-                    for pair, u in zip(pairs, us):
-                        row[pair] = u
-        action = AlgebraAction(group, dims, perms, tuple(map(tuple, units)))
+                pairs = (ia[:, None] * nb + ib[None, :]).ravel()
+                stacks[da * db][:, pos[pairs]] = prod.reshape(
+                    group.order, len(pairs), da * db, da * db)
+        action = AlgebraAction(group, dims, perms, stacks)
         self.product = System(QuantumSet(dims), action, weights)
 
     def pair_index(self, a: int, b: int) -> int:
@@ -113,7 +115,7 @@ def tensor_cp(f: CpMorphism, g: CpMorphism,
         for (ib, jb), gops in kg.items():
             ops = [linalg.kron(m, n) for m in fops for n in gops]
             kraus[(src.pair_index(ia, ib), tgt.pair_index(ja, jb))] = ops
-    return from_kraus(kraus, src.product, tgt.product)
+    return _from_maps(kraus, src.product, tgt.product)
 
 
 class Source:
@@ -332,7 +334,7 @@ def source_from_graph(g: QuantumGraph) -> Source:
             ops = [c * t[:, :, m].reshape(da * nz, 1) for m in range(da)]
             kraus[(u, ts.pair_index(a, 0))] = ops
 
-    chan = from_kraus(kraus, s_sys, ts.product)
+    chan = _from_maps(kraus, s_sys, ts.product)
     src = Source(s_sys, oa, ob, chan)
     got = source_confusability_graph(src)
     defect = relation_defect(got.relation, g.relation)

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .errors import ActionShapeMismatch, ShapeMismatch
+from .errors import ActionShapeMismatch, DimensionMismatch, ShapeMismatch
 from .groups import AlgebraAction, FiniteGroup, act, dim_classes, trivial_action, trivial_group
 
 
@@ -35,7 +35,7 @@ class QuantumSet:
     factor_dims: tuple
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.factor_dims)
+        dims = tuple(map(int, self.factor_dims))
         if not dims or any(d < 1 for d in dims):
             raise ShapeMismatch("a quantum set needs at least one factor of dim >= 1")
         object.__setattr__(self, "factor_dims", dims)
@@ -51,13 +51,12 @@ class System:
         dims = self.qset.factor_dims
         if self.action.dims != dims:
             raise ActionShapeMismatch("action factor dims do not match the quantum set")
-        w = tuple(float(x) for x in self.weights)
+        w = tuple(map(float, self.weights))
         if len(w) != len(dims) or any(x <= 0 for x in w):
             raise ShapeMismatch("need one positive weight per factor")
-        for g in self.action.group.elements:
-            for i in range(len(dims)):
-                if abs(w[self.action.perms[g][i]] - w[i]) > linalg.TOL_ROUNDOFF:
-                    raise ActionShapeMismatch("weights must be constant on action orbits")
+        wa = np.array(w)
+        if (np.abs(wa[self.action.perm_array] - wa) > linalg.TOL_ROUNDOFF).any():
+            raise ActionShapeMismatch("weights must be constant on action orbits")
         object.__setattr__(self, "weights", w)
 
     @property
@@ -252,11 +251,12 @@ class BlockStore(Mapping):
     yields (class, stack) pairs, which the batched kernels read.  As a
     mapping, store[(i, j)] is the block of pair (i, j), iterated in key order.
 
-    A stack-born store (stacked) serves rows of its kernel-made stacks.  A
-    dict-born store (block_store) holds the arrays it was given and builds
-    its stacks on the first batched read: a one-member class is the view
-    blk[None], a class without given blocks a broadcast zero.  Absent pairs
-    are zero and never allocated one by one.
+    A stack-born store (stacked) serves rows of its stacks: kernel outputs,
+    or the per-class copies block_store makes of blocks from outside.  A
+    dict-born store (block_store with validate=False) holds the arrays it
+    was given and builds its stacks on the first batched read: a one-member
+    class is the view blk[None], a class without given blocks a broadcast
+    zero.  Absent pairs are zero and never allocated one by one.
     """
 
     __slots__ = ("layout", "_pairs", "_given")
@@ -346,9 +346,10 @@ def block_store(source: System, target: System, blocks, kind: str, validate: boo
     ``blocks`` is a BlockStore of the same layout, kept as it is, or a dict
     (i, j) -> (d_i e_j) x (d_i e_j) block; pairs missing from it are zero,
     and its shapes and keys are checked.  ``kind`` names the blocks in error
-    messages.  Blocks to validate are scanned for non-finite entries (dict
-    blocks are also copied); library-built ones (validate=False) are only
-    made complex, and frozen in place.
+    messages.  Dict blocks to validate are copied into one stack per class,
+    scanned for non-finite entries and shape-checked once per class; the
+    first failing block in dict order raises.  Library-built ones
+    (validate=False) are only made complex, and frozen in place.
     """
     lay = layout(source.dims, target.dims)
     if isinstance(blocks, BlockStore):
@@ -358,6 +359,8 @@ def block_store(source: System, target: System, blocks, kind: str, validate: boo
             for _, stack in blocks.classes():
                 linalg.as_complex(stack)
         return blocks
+    if validate:
+        return _validated_store(source, target, lay, blocks, kind)
     given = {}
     for key, blk in blocks.items():
         if blk is None:
@@ -366,12 +369,54 @@ def block_store(source: System, target: System, blocks, kind: str, validate: boo
         if loc is None:
             raise ShapeMismatch(f"{kind} block index {key} out of range")
         n = lay.classes[loc[0]].n
-        blk = linalg.as_complex(blk).copy() if validate else np.asarray(blk, dtype=complex)
+        blk = np.asarray(blk, dtype=complex)
         if blk.shape != (n, n):
             raise ShapeMismatch(f"{kind} block {key} has shape {blk.shape}, expected ({n},{n})")
         blk.setflags(write=False)
         given[key] = blk
     return BlockStore(lay, None, given)
+
+
+def _validated_store(source: System, target: System, lay: Layout, blocks: dict,
+                     kind: str) -> BlockStore:
+    """Stack-born store of dict blocks from outside: per class, one as_complex
+    stack of the given blocks (a copy), placed at their slots."""
+    members = {}  # class index -> (slots, dict positions, keys, blocks)
+    fails = []  # (dict position, error)
+    for pos, (key, blk) in enumerate(blocks.items()):
+        if blk is None:
+            continue
+        loc = lay.where.get(key)
+        if loc is None:
+            fails.append((pos, ShapeMismatch(f"{kind} block index {key} out of range")))
+            break
+        slots, positions, keys, blks = members.setdefault(loc[0], ([], [], [], []))
+        slots.append(loc[1])
+        positions.append(pos)
+        keys.append(key)
+        blks.append(blk)
+    parts = []
+    for c, (slots, positions, keys, blks) in members.items():
+        klass = lay.classes[c]
+        n = klass.n
+        try:
+            given = linalg.as_complex(blks, (n, n))
+        except (DimensionMismatch, ShapeMismatch) as exc:
+            s = exc.member
+            if isinstance(exc, ShapeMismatch):
+                exc = ShapeMismatch(f"{kind} block {keys[s]} has shape {exc.shape}, "
+                                    f"expected ({n},{n})")
+            fails.append((positions[s], exc))
+            continue
+        if slots == list(range(len(klass.keys))):
+            stack = given
+        else:
+            stack = np.zeros((len(klass.keys), n, n), dtype=complex)
+            stack[slots] = given
+        parts.append((klass, stack))
+    if fails:
+        raise min(fails, key=lambda f: f[0])[1]
+    return BlockStore.stacked(source, target, parts)
 
 
 def coords(sys: System, x) -> np.ndarray:

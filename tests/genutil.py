@@ -604,3 +604,100 @@ def loop_dilation_components(oa, pperp, nz):
         raw[0].append((a, t0))
         raw[1].append((a, t1))
     return raw
+
+
+# -- per-item references for the checks at the boundary ---------------------
+
+
+def loop_block_store(source, target, blocks):
+    """Validated dict blocks one block at a time: a complex copy of each given
+    block, zeros elsewhere; key -> block over every factor pair."""
+    return {
+        (i, j): linalg.as_complex(blocks[(i, j)]).copy() if (i, j) in blocks
+        else np.zeros((d * e, d * e), dtype=complex)
+        for i, d in enumerate(source.dims) for j, e in enumerate(target.dims)
+    }
+
+
+def loop_from_kraus(kraus):
+    """(blocks, held maps) of a Kraus family one pair at a time: a complex
+    copy of each map, and block V V† with V the stacked vec(M†)."""
+    blocks, held = {}, {}
+    for key, ops in kraus.items():
+        if len(ops):
+            maps = [np.array(linalg.as_complex(m)) for m in ops]
+            vs = np.stack([linalg.vec(m.conj().T) for m in maps], axis=1)
+            blocks[key] = vs @ vs.conj().T
+            held[key] = maps
+    return blocks, held
+
+
+def loop_embed_kraus(p):
+    """Kraus family of a column-stochastic matrix: [[sqrt(p_ji)]] on every
+    pair (i, j) with p_ji > 0."""
+    return {
+        (i, j): [np.array([[np.sqrt(p[j, i])]])]
+        for i in range(p.shape[1]) for j in range(p.shape[0]) if p[j, i] > 0
+    }
+
+
+def loop_unitary_stacks(dims, unitaries):
+    """Per factor dimension d, the (|G|, k, d, d) stack of the unitaries of
+    the factors of dimension d, one matrix at a time."""
+    factors = {}
+    for i, d in enumerate(dims):
+        factors.setdefault(d, []).append(i)
+    return {
+        d: np.array([[linalg.as_complex(units[i]) for i in idx] for units in unitaries])
+        for d, idx in factors.items()
+    }
+
+
+def loop_first_nonprojection(blocks: dict, keys):
+    """The first key, in the given key order, whose block is not an
+    orthogonal projection within the validator slack."""
+    for key in keys:
+        p = np.asarray(blocks.get(key, 0.0), dtype=complex)
+        defect = max(linalg.frob(p - p.conj().T), linalg.frob(p @ p - p)) if p.ndim else 0.0
+        if defect > linalg.VALIDATE_SLACK * linalg.TOL_PROJ:
+            return key
+    return None
+
+
+def loop_first_nonunitary(dims, unitaries):
+    """(g, i) of the first non-unitary, factor dimensions in first-factor
+    order, then elements, then factors."""
+    order = list(dict.fromkeys(dims))
+    for d in order:
+        for g, units in enumerate(unitaries):
+            for i, di in enumerate(dims):
+                if di == d:
+                    u = np.asarray(units[i], dtype=complex)
+                    if linalg.frob(u @ u.conj().T - np.eye(d)) > linalg.TOL_PROJ * max(1.0, d):
+                        return g, i
+    return None
+
+
+def loop_first_hom_failure(group, dims, perms, unitaries):
+    """(g, h, factor) of the first element pair, in pair order, at which
+    U_g[π_h(i)] U_h[i] is not U_gh[i] times a phase; factor None when the
+    perms themselves fail.  Factors in first-factor order of their
+    dimension class."""
+    order = list(dict.fromkeys(dims))
+    for g in range(group.order):
+        for h in range(group.order):
+            gh = group.mul(g, h)
+            if [perms[g][perms[h][i]] for i in range(len(dims))] != list(perms[gh]):
+                return g, h, None
+            for d in order:
+                for i, di in enumerate(dims):
+                    if di != d:
+                        continue
+                    lhs = (np.asarray(unitaries[g][perms[h][i]], dtype=complex)
+                           @ np.asarray(unitaries[h][i], dtype=complex))
+                    x = lhs.conj().T @ np.asarray(unitaries[gh][i], dtype=complex)
+                    tr = np.trace(x)
+                    defect = linalg.frob(x - tr / d * np.eye(d)) + abs(abs(tr) / d - 1.0)
+                    if defect > linalg.TOL_PROJ * max(1.0, d):
+                        return g, h, i
+    return None

@@ -8,18 +8,26 @@ the stacks bitwise the blocks of the per-block loops in genutil.
 
 import ast
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
 import covgraphs
-from covgraphs import cpmaps, graphs, groups, linalg, relations, scc, systems
+from covgraphs import bundle, cpmaps, graphs, groups, linalg, relations, scc, systems
 from covgraphs.classical import embed_channel
-from covgraphs.errors import NegativeSpectrum, NotHermitian, ShapeMismatch
+from covgraphs.errors import (
+    ActionShapeMismatch,
+    DimensionMismatch,
+    NegativeSpectrum,
+    NotHermitian,
+    ShapeMismatch,
+)
 
 from genutil import (
     choi_born,
     kron_tensor_unitaries,
+    loop_block_store,
     loop_choi_marginal,
     loop_confusability,
     loop_conjugation_unitaries,
@@ -27,11 +35,17 @@ from genutil import (
     loop_converse_frames,
     loop_cp_compose_kraus,
     loop_dilation_components,
+    loop_embed_kraus,
+    loop_first_hom_failure,
+    loop_first_nonprojection,
+    loop_first_nonunitary,
+    loop_from_kraus,
     loop_projection_frames,
     loop_rel_compose,
     loop_reverse,
     loop_support_frames,
     loop_support_of,
+    loop_unitary_stacks,
     rand_channel,
     rand_complex,
     rand_cp,
@@ -248,6 +262,7 @@ class TestBlockStore:
         for (i, j), blk in rel.blocks.items():
             assert not blk.flags.writeable
             assert np.shares_memory(blk, stacks[(f.source.dims[i], f.target.dims[j])])
+        assert rel.ranks() == [rel.rank(*key) for key in rel.blocks]
 
     def test_one_member_class_is_a_view_of_the_held_block(self):
         sys = systems.system((30,))
@@ -454,6 +469,172 @@ class TestSatelliteLoops:
             for u in (0, 1):
                 for (a, t), (b, r) in zip(got[u], ref[u], strict=True):
                     assert a == b and np.array_equal(t, r)
+
+
+def _partial(blocks, keep):
+    """Copies of the blocks whose key satisfies keep, so that classes have
+    absent members."""
+    return {key: np.array(blk) for key, blk in blocks.items() if keep(key)}
+
+
+def _rand_kraus(src, tgt):
+    """Kraus maps on about two thirds of the pairs, with counts from 1 to
+    d_i e_j (at most 3), so that one class splits into groups by count."""
+    kraus = {}
+    for i, d in enumerate(src.dims):
+        for j, e in enumerate(tgt.dims):
+            if rng.random() < 0.67:
+                count = int(rng.integers(1, min(3, d * e) + 1))
+                kraus[(i, j)] = [rand_complex(rng, e, d) for _ in range(count)]
+    return kraus
+
+
+def _c2_swap_json(n):
+    return {"factors": [1] * n, "action": {"perms": {"1": [i ^ 1 for i in range(n)]},
+                                           "unitaries": {}}}
+
+
+def _z2_sign_json(dims, signs):
+    units = [bundle.matrix_to_json(np.diag(sg)) for sg in signs]
+    return {"factors": list(dims), "action": {"perms": {"1": list(range(len(dims)))},
+                                              "unitaries": {"1": units}}}
+
+
+class TestChecksAtTheBoundary:
+    """Input from outside is copied, scanned and checked once per class.  The
+    stacks must hold bitwise the values of the per-item paths in genutil, and
+    a bad input must be named as the per-item checks name it."""
+
+    @pytest.mark.parametrize("name", CHANNELS)
+    def test_validated_dict_store_matches_per_block(self, name):
+        f = CHANNELS[name]
+        src, tgt = f.source, f.target
+        choi = _partial(f.blocks, lambda key: sum(key) % 3 != 1)
+        rel = _partial(relations.support_of(f).blocks, lambda key: key[0] != 1)
+        for got, given in ((cpmaps.CpMorphism(src, tgt, choi), choi),
+                           (relations.QuantumRelation(src, tgt, rel), rel)):
+            _assert_family_equal(got.blocks, loop_block_store(src, tgt, given))
+            for key, blk in given.items():
+                assert not np.shares_memory(got.blocks[key], blk), (name, key)
+                assert not got.blocks[key].flags.writeable
+
+    @pytest.mark.parametrize("name", CHANNELS)
+    def test_from_kraus_matches_per_pair(self, name):
+        src, tgt = CHANNELS[name].source, CHANNELS[name].target
+        kraus = _rand_kraus(src, tgt)
+        got = cpmaps.from_kraus(kraus, src, tgt)
+        blocks, held = loop_from_kraus(kraus)
+        _assert_family_equal(got.blocks, loop_block_store(src, tgt, blocks))
+        for key in got.blocks:
+            maps = got.kraus()[key]
+            assert len(maps) == len(held.get(key, ())), key
+            for m, ref, given in zip(maps, held.get(key, ()), kraus.get(key, ())):
+                assert np.array_equal(m, ref) and not m.flags.writeable, key
+                assert not np.shares_memory(m, given), key
+
+    @pytest.mark.parametrize("shape", [(16, 16), (24, 16), (3, 5)])
+    def test_embed_channel_matches_from_kraus_loop(self, shape):
+        p = rand_stochastic(rng, *shape)
+        got = embed_channel(p)
+        blocks, held = loop_from_kraus(loop_embed_kraus(p))
+        _assert_family_equal(got.blocks, loop_block_store(got.source, got.target, blocks))
+        for key, maps in got.kraus().items():
+            assert len(maps) == len(held.get(key, ())), key
+            assert all(np.array_equal(m, r) for m, r in zip(maps, held.get(key, ()))), key
+
+    def test_action_stacks_match_per_unitary(self):
+        z2, s3 = groups.cyclic_group(2), groups.symmetric_group(3)
+        signs = ([-1.0], [1.0, -1.0], [1.0, -1.0, 1.0])
+        sign_units = (tuple(np.eye(len(sg)) for sg in signs), tuple(np.diag(sg) for sg in signs))
+        cases = [
+            (bundle.system_from_json(_c2_swap_json(16), z2).action,
+             [[np.eye(1)] * 16] * 2),
+            (bundle.system_from_json(_z2_sign_json((1, 2, 3), signs), z2).action, sign_units),
+            (groups.AlgebraAction(z2, (1, 2, 3), ((0, 1, 2),) * 2, sign_units), sign_units),
+            (groups.trivial_action(s3, (1, 2, 3)),
+             [[np.eye(d) for d in (1, 2, 3)]] * 6),
+            (groups.permutation_action(s3, (2, 2, 2), groups.symmetric_group_perms(3)),
+             [[np.eye(2)] * 3] * 6),
+        ]
+        for action, units in cases:
+            ref = loop_unitary_stacks(action.dims, units)
+            got = action.factor_classes()
+            assert list(got) == list(ref)
+            for d, (idx, stack) in got.items():
+                assert np.array_equal(stack, ref[d]) and not stack.flags.writeable, d
+                assert list(idx) == [i for i, di in enumerate(action.dims) if di == d]
+            for g, row in enumerate(action.unitaries):
+                for i, u in enumerate(row):
+                    assert np.array_equal(u, units[g][i]), (g, i)
+
+    @pytest.mark.parametrize("dims", [(1, 1, 1, 1), (1, 2, 2, 3)])
+    def test_first_nonprojection_is_named(self, dims):
+        sys = systems.system(dims)
+        rel = relations.complete(sys)
+        lay = rel.blocks.layout
+        blocks = {key: np.array(blk) for key, blk in rel.blocks.items()}
+        # Two bad members of one class and one of another, in reverse key order.
+        big = max(lay.classes, key=lambda klass: len(klass.keys))
+        bad = [lay.classes[-1].keys[-1], big.keys[-1], big.keys[1]]
+        for key in bad:
+            blocks[key] = 0.5 * blocks[key]
+        blocks = dict(reversed(list(blocks.items())))
+        first = loop_first_nonprojection(blocks, lay.keys)
+        assert first == min(bad)
+        with pytest.raises(ShapeMismatch, match=re.escape(f"relation block {first} ")):
+            relations.QuantumRelation(sys, sys, blocks)
+
+    def test_first_bad_block_and_map_in_dict_order(self):
+        sys = systems.system((1, 2))
+        nan = np.full((4, 4), np.nan)
+        for given, kind in (({(0, 0): [[1.0]], (1, 1): nan, (1, 0): np.eye(3)}, DimensionMismatch),
+                            ({(0, 0): [[1.0]], (1, 0): np.eye(3), (1, 1): nan}, ShapeMismatch)):
+            with pytest.raises(kind, match=r"\(1, 0\)" if kind is ShapeMismatch else "finite"):
+                cpmaps.CpMorphism(sys, sys, given)
+        row = np.ones((1, 2))  # a map H_1 -> K_0 of pair (1, 0)
+        nan_col = np.full((2, 1), np.nan)  # a non-finite map H_0 -> K_1 of pair (0, 1)
+        for given, kind in (({(1, 0): [row, row], (0, 1): [nan_col], (1, 1): [np.eye(3)]},
+                             DimensionMismatch),
+                            ({(1, 0): [row, np.eye(2)], (0, 1): [nan_col]}, ShapeMismatch)):
+            with pytest.raises(kind, match=r"pair \(1, 0\)" if kind is ShapeMismatch else "finite"):
+                cpmaps.from_kraus(given, sys, sys)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_first_nonunitary_is_named(self, stacked):
+        z2 = groups.cyclic_group(2)
+        dims = (2, 3, 2, 1)
+        units = [[np.eye(d) for d in dims], [np.eye(d) for d in dims]]
+        units[1][1] = 2 * np.eye(3)
+        units[1][2] = np.array([[1.0, 1.0], [0.0, 1.0]])
+        units[1][3] = 3 * np.eye(1)
+        g, i = loop_first_nonunitary(dims, units)
+        given = loop_unitary_stacks(dims, units) if stacked else units
+        with pytest.raises(ActionShapeMismatch, match=re.escape(f"unitaries[{g}][{i}] is not")):
+            groups.AlgebraAction(z2, dims, (tuple(range(4)),) * 2, given)
+        assert (g, i) == (1, 2)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("case", ["z2-rotation", "s3-unitary", "s3-perms"])
+    def test_first_homomorphism_failure_is_named(self, case, stacked):
+        if case == "z2-rotation":
+            group, dims = groups.cyclic_group(2), (1, 2, 2)
+            perms = [(0, 1, 2), (0, 2, 1)]
+            c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
+            units = [[np.eye(d) for d in dims],
+                     [np.eye(1), np.eye(2), np.array([[c, -s], [s, c]])]]
+        else:
+            group, dims = groups.symmetric_group(3), (2, 2, 2)
+            perms = groups.symmetric_group_perms(3)
+            units = [[np.eye(2)] * 3 for _ in range(6)]
+            if case == "s3-unitary":
+                units[4] = [np.eye(2), rand_unitary(rng, 2), np.eye(2)]
+            else:
+                perms = perms[:3] + [perms[4], perms[3]] + perms[5:]
+        g, h, i = loop_first_hom_failure(group, dims, perms, units)
+        given = loop_unitary_stacks(dims, units) if stacked else units
+        where = f"({g},{h})" + ("" if i is None else f", factor {i}")
+        with pytest.raises(ActionShapeMismatch, match=re.escape(f"at {where}")):
+            groups.AlgebraAction(group, dims, tuple(map(tuple, perms)), given)
 
 
 def test_only_systems_stacks_block_families():

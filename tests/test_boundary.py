@@ -6,7 +6,7 @@ are not scanned; this table is what keeps the scan on user input."""
 import numpy as np
 import pytest
 
-from covgraphs import bundle, cpmaps, groups, relations, systems
+from covgraphs import bundle, classical, cpmaps, groups, relations, systems
 from covgraphs.errors import DimensionMismatch
 
 
@@ -53,6 +53,14 @@ ENTRY_POINTS = {
         "system": "A", "blocks": {"0,0": {"basis": [_json(_bad_map(bad))]}}}}),
     "load_bundle relation basis": lambda bad: _load(relations={"r": {
         "source": "A", "target": "A", "blocks": {"0,0": {"basis": [_json(_bad_map(bad))]}}}}),
+    "load_bundle relation projection": lambda bad: _load(relations={"r": {
+        "source": "A", "target": "A",
+        "blocks": {"0,0": {"projection": _json(_bad_block(bad))}}}}),
+    "load_bundle action unitary": lambda bad: bundle.load_bundle({
+        "group": {"order": 2, "mult_table": [[0, 1], [1, 0]], "identity": 0},
+        "systems": {"A": {"factors": [2], "action": {
+            "perms": {"1": [0]}, "unitaries": {"1": [_json(_bad_map(bad))]}}}}}),
+    "embed_channel": lambda bad: classical.embed_channel([[1.0, bad], [0.0, 1.0]]),
     "apply": lambda bad: cpmaps.apply(cpmaps.identity_channel(QUBIT), [_bad_map(bad)]),
     "check_element": lambda bad: QUBIT.check_element([_bad_map(bad)]),
 }

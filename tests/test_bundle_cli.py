@@ -8,6 +8,7 @@ import pytest
 
 from covgraphs import bundle, cli, cpmaps, graphs, groups, scc, systems
 from covgraphs.bundle import BundleError
+from covgraphs.errors import ActionShapeMismatch
 
 rng = np.random.default_rng(909)
 
@@ -120,6 +121,59 @@ class TestBundle:
         b = bundle.load_bundle(data)
         assert b.relations["r"].rank(0, 1) == 1
         assert b.relations["r"].rank(0, 0) == 0
+
+    def test_ragged_matrix_raises_bundle_error(self):
+        with pytest.raises(BundleError):
+            bundle.matrix_from_json([[[1, 0], [0, 0]], [[0, 0]]])
+
+    @pytest.mark.parametrize("path", ["projection", "choi", "kraus", "basis", "unitaries",
+                                      "stochastic"])
+    def test_ragged_entry_raises_bundle_error_naming_it(self, path):
+        ragged = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]
+        data = {"systems": {"A": {"factors": [2]}, "C": {"factors": [1, 1]}}}
+        if path == "projection":
+            data["graphs"] = {"g": {"system": "A", "blocks": {"0,0": {"projection": ragged}}}}
+            name = "0,0"
+        elif path == "basis":
+            data["relations"] = {"r": {"source": "A", "target": "A",
+                                       "blocks": {"0,0": {"basis": [ragged]}}}}
+            name = "0,0"
+        elif path == "choi":
+            data["channels"] = {"f": {"from": "A", "to": "A", "choi": {"0,0": ragged}}}
+            name = "0,0"
+        elif path == "kraus":
+            good = bundle.matrix_to_json(np.eye(2))
+            data["channels"] = {"f": {"from": "A", "to": "A", "kraus": {"0,0": [good, ragged]}}}
+            name = "0,0"
+        elif path == "unitaries":
+            data["group"] = {"order": 2, "mult_table": [[0, 1], [1, 0]], "identity": 0}
+            data["systems"]["A"]["action"] = {"perms": {"1": [0]}, "unitaries": {"1": [ragged]}}
+            name = "unitaries[1][0]"
+        else:
+            data["channels"] = {"f": {"from": "C", "to": "C",
+                                      "stochastic": [[1.0, 0.0], [0.0]]}}
+            name = "stochastic"
+        with pytest.raises(BundleError, match=re.escape(name)):
+            bundle.load_bundle(data)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_unitary_family_of_wrong_length_rejected(self, count):
+        z = bundle.matrix_to_json(np.diag([1.0, -1.0]))
+        data = {"group": {"order": 2, "mult_table": [[0, 1], [1, 0]], "identity": 0},
+                "systems": {"A": {"factors": [2, 2],
+                                  "action": {"perms": {"1": [0, 1]},
+                                             "unitaries": {"1": [z] * count}}}}}
+        with pytest.raises(ActionShapeMismatch, match=re.escape("unitaries[1]")):
+            bundle.load_bundle(data)
+
+    def test_family_lengths_checked_by_the_action(self):
+        z2 = groups.cyclic_group(2)
+        eye = np.eye(2)
+        for perms, units in ((((0, 1), (0, 1, 2)), ((eye, eye), (eye, eye))),
+                             (((0, 1), (1, 0)), ((eye, eye), (eye,))),
+                             (((0, 1), (1, 0)), ((eye, eye), (eye, eye, eye)))):
+            with pytest.raises(ActionShapeMismatch):
+                groups.AlgebraAction(z2, (2, 2), perms, units)
 
     def test_system_json_roundtrip(self):
         s2 = groups.symmetric_group(2)
@@ -343,6 +397,20 @@ class TestCli:
         r = run_cli(["twirl", str(path), "unif"])
         assert r.returncode == 0
         assert "covariant: yes" in r.stdout
+
+    def test_short_unitary_family_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({
+            "group": {"order": 2, "mult_table": [[0, 1], [1, 0]], "identity": 0},
+            "systems": {"A": {"factors": [2, 2], "action": {
+                "perms": {"1": [1, 0]},
+                "unitaries": {"1": [bundle.matrix_to_json(np.eye(2))]}}}},
+            "channels": {"f": {"from": "A", "to": "A",
+                               "kraus": {"0,0": [bundle.matrix_to_json(np.eye(2))],
+                                         "1,1": [bundle.matrix_to_json(np.eye(2))]}}},
+        }))
+        assert cli.main(["twirl", str(path), "f"]) == 2
+        assert "unitaries[1] has 1 entries, expected 2" in capsys.readouterr().err
 
     def test_bad_bundle(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -20,50 +20,40 @@ Complex scalars serialize as two-element arrays [re, im]; matrices as nested
 row lists of those.  Channels may also be given by "choi" blocks or, for
 commutative systems, by a plain real "stochastic" matrix.
 
-Loading checks everything that enters:
-  * the JSON itself: a ragged or non-numeric matrix or a malformed key
-    raises BundleError naming the entry and the object it belongs to;
-  * entries are finite; Kraus maps and blocks have their factor pair's
-    shape and lie inside the layout;
-  * Choi blocks are Hermitian PSD, relation and graph blocks projections;
-  * each action permutes factors of equal dimension, with one family of
-    unitaries per element, and is a homomorphism up to phase; weights are
-    constant on its orbits;
-  * with a nontrivial group, every channel is covariant, and a graph
-    declared "confusability" or "simple" is one.
+This module only parses.  A ragged or non-numeric matrix or a malformed
+"i,j" key raises BundleError naming the entry, and load_bundle prefixes it
+with the object it was building.  A map keyed by "i,j" becomes a dict from
+factor pair to parsed entry, in entry order (one np.asarray for the whole
+map when its entries share one shape), and the owners check the rest:
 
-The checks run once per block-store class, not once per block.  The
-"projection", "choi" and "kraus" entries of one (d_i, e_j) class (Kraus
-maps and bases also of one count) are parsed together by one np.asarray
-into a stack; the bases of one group are spanned by one stacked
-orthonormal_span; a system's unitaries are parsed once per factor
-dimension.  The stacks are then scanned, shape-checked and validated as
-wholes, and the first failing entry in entry order is the one named.
+  * systems.block_store (through CpMorphism and QuantumRelation) and
+    cpmaps.from_kraus: finite entries, each block or map of its factor
+    pair's shape, pairs inside the layout;
+  * CpMorphism: Choi blocks Hermitian PSD; QuantumRelation: projections;
+  * AlgebraAction: each element permutes factors of equal dimension with
+    one family of finite unitaries, and the action is a homomorphism up to
+    phase; System: weights constant on its orbits;
+  * load_bundle: with a nontrivial group, every channel is covariant, and a
+    graph declared "confusability" or "simple" is one.
+
+The owners check once per block-store class and name the first failing
+block or map in dict order, and the first failing unitary by (g, i).
 """
 
 from __future__ import annotations
 
 import json
-from functools import lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
 from . import linalg
 from .cpmaps import CpMorphism, from_kraus
-from .errors import CovGraphsError, DimensionMismatch
+from .errors import CovGraphsError
 from .graphs import QuantumGraph, classify
-from .groups import (
-    AlgebraAction,
-    FiniteGroup,
-    dim_classes,
-    is_covariant_cp,
-    trivial_action,
-    trivial_group,
-)
+from .groups import AlgebraAction, FiniteGroup, is_covariant_cp, trivial_action, trivial_group
 from .relations import QuantumRelation
 from .scc import Source, tensor_system
-from .systems import BlockStore, QuantumSet, System, layout
+from .systems import QuantumSet, System
 
 
 class BundleError(CovGraphsError):
@@ -101,104 +91,36 @@ def _parse(data, name: str, ndim: int) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
 
 
-@lru_cache(maxsize=128)
-def _pair_texts(lay) -> dict:
-    """"i,j" -> ((i, j), class index, slot) for every factor pair of a layout."""
-    return MappingProxyType({f"{i},{j}": ((i, j),) + lay.where[(i, j)] for i, j in lay.keys})
+def _maps(data, name: str):
+    """A JSON list of matrices: one (count, r, c) array, or, when their
+    shapes differ, a list of matrices for the owner to name the odd one."""
+    try:
+        return _parse(data, name, 4)
+    except BundleError:
+        if not isinstance(data, list):
+            raise
+        return [_parse(m, f"{name} [{t}]", 3) for t, m in enumerate(data)]
 
 
-def _parsed_entries(entries: dict, lay, what: str, split):
-    """Parse the entries of a JSON map keyed by factor pair ("i,j") per group.
+def _pair_map(entries: dict, what: str, one, rows=None, ndim: int = 4) -> dict:
+    """A JSON map keyed by factor pair "i,j" as a dict pair -> parsed entry,
+    in entry order.
 
-    split(text, value) gives an entry's (tag, JSON data, count): count is
-    None for one matrix and the number of matrices for a list of them.  The
-    entries of one tag, pair class and count share one np.asarray; a group
-    that is not one stack (ragged, or of unequal shapes) is parsed matrix by
-    matrix.  A pair outside the layout forms a group of its own, left for
-    the block store to name.
-
-    Returns the groups as (tag, class index, count, entry positions, pairs,
-    slots, parsed): parsed is a stack whose row s belongs to pairs[s] (at
-    slots[s] of its class, None for a key not written "i,j"), or a list of
-    per-entry arrays (lists of arrays for counted entries).  The failures
-    come as (position, BundleError) for a malformed key or matrix; entries
-    after a malformed key are not read.
+    ``rows`` (the entries' matrix data, when every entry has one) share one
+    np.asarray of ``ndim`` axes when they are numbers of one shape.
+    Otherwise each entry is parsed by one(pair, name, entry) in turn, so the
+    first malformed key or entry raises BundleError naming it.
     """
-    texts = _pair_texts(lay)
-    groups = {}
-    fails = []
-    for pos, (text, value) in enumerate(entries.items()):
+    if rows is not None:
         try:
-            hit = texts.get(text)
-            if hit is None:
-                pair = _parse_pair(text)
-                c, slot = lay.where.get(pair, (pair, None))
-            else:
-                pair, c, slot = hit
-            tag, data, count = split(text, value)
-        except BundleError as exc:
-            fails.append((pos, exc))
-            break
-        positions, pairs, slots, items = groups.setdefault((tag, c, count), ([], [], [], []))
-        positions.append(pos)
-        pairs.append(pair)
-        slots.append(slot)
-        items.append(data)
-    names = list(entries)
-    out = []
-    for (tag, c, count), (positions, pairs, slots, items) in groups.items():
-        try:
-            parsed = _parse(items, what, 4 if count is None else 5)
+            return dict(zip(map(_parse_pair, entries), _parse(rows, what, ndim)))
         except BundleError:
-            parsed = []
-            for pos, item in zip(positions, items):
-                name = f"{what} {names[pos]}"
-                try:
-                    parsed.append(_parse(item, name, 3) if count is None else
-                                  [_parse(m, f"{name} [{t}]", 3) for t, m in enumerate(item)])
-                except BundleError as exc:
-                    fails.append((pos, exc))
-                    break
-        out.append((tag, c, count, positions, pairs, slots, parsed))
-    return out, fails
-
-
-def _first(fails):
-    """Raise the failure at the least position, if any."""
-    if fails:
-        raise min(fails, key=lambda f: f[0])[1]
-
-
-def _in_entry_order(groups) -> dict:
-    """pair -> parsed entry, in the entry order of the JSON map."""
-    rows = sorted((pos, pair, parsed[s]) for *_, positions, pairs, _, parsed in groups
-                  for s, (pos, pair) in enumerate(zip(positions, pairs)))
-    return {pair: value for _, pair, value in rows}
-
-
-def _blocks(groups, lay, src: System, tgt: System):
-    """The parsed blocks for a CP morphism or relation to validate: a
-    stack-born BlockStore when every group is one stack of its class's
-    block shape at "i,j" keys inside the layout, else a dict pair -> block
-    in entry order, for the block store to name the failing block."""
-    per_class = {}
-    for _, c, _, _, _, slots, parsed in groups:
-        if (not isinstance(parsed, np.ndarray) or None in slots
-                or parsed.shape[1:] != (lay.classes[c].n,) * 2):
-            return _in_entry_order(groups)
-        per_class.setdefault(c, []).append((slots, parsed))
-    parts = []
-    for c, given in per_class.items():
-        klass = lay.classes[c]
-        k, n = len(klass.keys), klass.n
-        if len(given) == 1 and given[0][0] == list(range(k)):
-            stack = given[0][1]
-        else:
-            stack = np.zeros((k, n, n), dtype=complex)
-            for slots, parsed in given:
-                stack[slots] = parsed
-        parts.append((klass, stack))
-    return BlockStore.stacked(src, tgt, parts)
+            pass
+    out = {}
+    for text, value in entries.items():
+        pair = _parse_pair(text)
+        out[pair] = one(pair, f"{what} {text}", value)
+    return out
 
 
 def group_from_json(data) -> FiniteGroup:
@@ -229,49 +151,25 @@ def system_from_json(data, group: FiniteGroup) -> System:
         action = trivial_action(group, dims)
     else:
         given_perms = action_data.get("perms", {})
+        given_units = action_data.get("unitaries", {})
         perms = tuple(
             tuple(map(int, given_perms[str(g)])) if str(g) in given_perms
             else tuple(range(len(dims)))
             for g in range(group.order)
         )
-        action = AlgebraAction(group, dims, perms,
-                               _unitaries(action_data.get("unitaries", {}), group, dims))
+        # Elements missing from the JSON act by identities; AlgebraAction
+        # stacks the families per factor dimension and checks them.
+        units = tuple(
+            tuple(matrix_from_json(u, f"unitaries[{g}][{i}]")
+                  for i, u in enumerate(given_units[str(g)]))
+            if str(g) in given_units else tuple(np.eye(d, dtype=complex) for d in dims)
+            for g in range(group.order)
+        )
+        action = AlgebraAction(group, dims, perms, units)
     weights = data.get("weights")
     if weights is None:
         weights = dims
     return System(QuantumSet(dims), action, tuple(map(float, weights)))
-
-
-def _unitaries(given: dict, group: FiniteGroup, dims: tuple):
-    """The action's unitaries: elements missing from ``given`` act by
-    identities.  Parsed as class stacks, one np.asarray per factor
-    dimension over the given elements; if a family has the wrong length or
-    a class is not one stack, per element and factor instead, for
-    AlgebraAction to name the failing one."""
-    present = [g for g in range(group.order) if str(g) in given]
-    families = [given[str(g)] for g in present]
-    factors, _ = dim_classes(dims)
-    stacks = {}
-    if all(isinstance(f, list) and len(f) == len(dims) for f in families):
-        for d, idx in factors.items():
-            stack = np.empty((group.order, len(idx), d, d), dtype=complex)
-            stack[:] = np.eye(d)
-            if present:
-                try:
-                    parsed = _parse([[f[i] for i in idx] for f in families], "unitaries", 5)
-                except BundleError:
-                    break
-                if parsed.shape[1:] != (len(idx), d, d):
-                    break
-                stack[present] = parsed
-            stacks[d] = stack
-        else:
-            return stacks
-    return tuple(
-        tuple(matrix_from_json(u, f"unitaries[{g}][{i}]") for i, u in enumerate(given[str(g)]))
-        if str(g) in given else tuple(np.eye(d, dtype=complex) for d in dims)
-        for g in range(group.order)
-    )
 
 
 def _pair_key(i: int, j: int) -> str:
@@ -300,83 +198,46 @@ def channel_from_json(data, systems: dict) -> CpMorphism:
         from .classical import embed_channel
 
         return embed_channel(p, src, tgt)
-    lay = layout(src.dims, tgt.dims)
     if "kraus" in data:
-        def split(text, ops):
-            if not isinstance(ops, list):
-                raise BundleError(f"Kraus maps {text} must be a list of matrices")
-            return "kraus", ops, len(ops)
-
-        groups, fails = _parsed_entries(data["kraus"], lay, "Kraus maps", split)
-        _first(fails)
-        return from_kraus(_in_entry_order(groups), src, tgt)
+        entries = data["kraus"]
+        return from_kraus(_pair_map(entries, "Kraus maps", _kraus_entry,
+                                    list(entries.values()), 5), src, tgt)
     if "choi" in data:
-        groups, fails = _parsed_entries(data["choi"], lay, "Choi block",
-                                        lambda text, m: ("choi", m, None))
-        _first(fails)
-        return CpMorphism(src, tgt, _blocks(groups, lay, src, tgt))
+        entries = data["choi"]
+        return CpMorphism(src, tgt, _pair_map(entries, "Choi block",
+                                              lambda pair, name, m: matrix_from_json(m, name),
+                                              list(entries.values())))
     raise BundleError("channel needs one of 'kraus', 'choi' or 'stochastic'")
+
+
+def _kraus_entry(pair, name: str, ops):
+    if not isinstance(ops, list):
+        raise BundleError(f"{name} must be a list of matrices")
+    return _maps(ops, name)
 
 
 def _blocks_from_json(data, src: System, tgt: System, kind: str) -> dict:
     """Projection blocks given either as a "projection" matrix or as a
-    "basis" of operators K_j -> H_i whose span is taken.
+    "basis" of operators K_j -> H_i whose span is taken, one
+    orthonormal_span per basis."""
 
-    Entries are parsed per class (and basis length); each group of bases
-    is scanned once and spanned by one stacked orthonormal_span.  The first
-    failing entry, in entry order, raises."""
-    lay = layout(src.dims, tgt.dims)
-
-    def split(text, spec):
+    def one(pair, name, spec):
         if "projection" in spec:
-            return "projection", spec["projection"], None
+            return matrix_from_json(spec["projection"], name)
         if "basis" in spec:
-            return "basis", spec["basis"], len(spec["basis"])
-        raise BundleError(f"{kind} block {text} needs 'projection' or 'basis'")
+            vecs = [linalg.vec(linalg.as_complex(m)) for m in _maps(spec["basis"], name)]
+            i, j = pair
+            if not (0 <= i < len(src.dims) and 0 <= j < len(tgt.dims)):
+                return np.zeros((0, 0), dtype=complex)  # for the block store to name
+            return linalg.orthonormal_span(vecs, dim=src.dims[i] * tgt.dims[j])
+        raise BundleError(f"{name} needs 'projection' or 'basis'")
 
-    groups, fails = _parsed_entries(data.get("blocks", {}), lay, f"{kind} block", split)
-    spanned = []
-    for tag, c, count, positions, pairs, slots, parsed in groups:
-        if tag == "basis" and len(parsed) == len(positions):
-            try:
-                parsed = _spans(parsed, count, pairs[0], src, tgt, None not in slots)
-            except DimensionMismatch as exc:
-                fails.append((positions[getattr(exc, "member", 0)], exc))
-                continue
-        spanned.append((tag, c, count, positions, pairs, slots, parsed))
-    _first(fails)
-    return _blocks(spanned, lay, src, tgt)
-
-
-def _spans(bases, count: int, pair, src: System, tgt: System, inside: bool):
-    """Projections onto the spans of the parsed bases of one group: a
-    (p, count, r, c) stack, scanned once and spanned by one stacked
-    orthonormal_span, or (for a group of unequal shapes) per-entry lists
-    spanned one by one.  A non-finite basis, or operators of another size
-    than the block's vectors, raise DimensionMismatch carrying the entry's
-    place in the group as ``member``."""
-    i, j = pair
-    n = src.dims[i] * tgt.dims[j] if inside else None  # outside: left to the store
-    if isinstance(bases, list):
-        out = []
-        for s, ops in enumerate(bases):
-            try:
-                vecs = [linalg.vec(linalg.as_complex(m)) for m in ops]
-                out.append(linalg.orthonormal_span(vecs, dim=n))
-            except DimensionMismatch as exc:
-                exc.member = s
-                raise
-        return out
-    p = len(bases)
-    if count == 0:
-        return np.zeros((p, n or 0, n or 0), dtype=complex)
-    bases = linalg.as_complex(bases, bases.shape[1:])
-    size = bases.shape[2] * bases.shape[3]
-    if n is not None and size != n:
-        raise DimensionMismatch(f"span vectors have dim {size}, expected {n}")
-    # vec of each operator, as the columns of its family.
-    vecs = bases.swapaxes(2, 3).reshape(p, count, size).swapaxes(1, 2)
-    return linalg.orthonormal_span(vecs)
+    entries = data.get("blocks", {})
+    specs = list(entries.values())
+    rows = None
+    if all(isinstance(spec, dict) and "projection" in spec for spec in specs):
+        rows = [spec["projection"] for spec in specs]
+    return _pair_map(entries, f"{kind} block", one, rows)
 
 
 def relation_from_json(data, systems: dict) -> QuantumRelation:

@@ -19,6 +19,8 @@ pairing.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from . import linalg
@@ -97,6 +99,13 @@ class TensorSystem:
 
 
 def tensor_system(a: System, b: System) -> TensorSystem:
+    """The product of a and b.  Systems are immutable, so equal arguments
+    share one TensorSystem, checked when first built."""
+    return _tensor_system(a, b)
+
+
+@lru_cache(maxsize=128)
+def _tensor_system(a: System, b: System) -> TensorSystem:
     return TensorSystem(a, b)
 
 
@@ -142,7 +151,8 @@ def _source_span_vectors(src: Source):
     For every O_B factor b, source pair (u, u'), Kraus pair (k, k') and basis
     operator c of the complete simple graph of S, contributes
     sqrt(w_b) vec( Tr_b( M_{u,(a,b),k} c M_{u',(a',b),k'}† ) ) to the O_A pair
-    (a, a').
+    (a, a'), in (c, k, k') order: one batched product and one einsum per
+    (u, u', b, a, a').
     """
     s_sys = src.s_system
     oa, ob = src.oa_system, src.ob_system
@@ -156,31 +166,30 @@ def _source_span_vectors(src: Source):
     }
     for u in range(s_sys.nfactors):
         for up in range(s_sys.nfactors):
-            c_ops = [linalg.unvec(v, s_sys.dims[u], s_sys.dims[up])
-                     for v in simple_complete.frame(u, up).T]
-            if not c_ops:
+            frame = simple_complete.frame(u, up)
+            if not frame.shape[1]:
                 continue
+            # The unvec of each frame column, as the stack of the operators c.
+            c_ops = np.ascontiguousarray(frame.T).reshape(
+                -1, s_sys.dims[up], s_sys.dims[u]).swapaxes(1, 2)
             for b in range(ob.nfactors):
                 wb = ob.weights[b]
+                db = ob.dims[b]
                 for a in range(oa.nfactors):
                     da = oa.dims[a]
-                    db = ob.dims[b]
                     ms = kraus[(u, ts.pair_index(a, b))]
                     if not ms:
                         continue
+                    mc = np.array(ms)[None] @ c_ops[:, None]
                     for ap in range(oa.nfactors):
                         dap = oa.dims[ap]
                         mps = kraus[(up, ts.pair_index(ap, b))]
                         if not mps:
                             continue
-                        for c in c_ops:
-                            for m in ms:
-                                mc = m @ c
-                                for mp in mps:
-                                    y = mc @ mp.conj().T
-                                    y4 = y.reshape(da, db, dap, db)
-                                    g = np.sqrt(wb) * np.einsum("abcb->ac", y4)
-                                    vecs[(a, ap)].append(linalg.vec(g))
+                        y = mc[:, :, None] @ np.array(mps).conj().swapaxes(1, 2)
+                        y = y.reshape(-1, da, db, dap, db)
+                        g = np.sqrt(wb) * np.einsum("kabcb->kac", y)
+                        vecs[(a, ap)].extend(g.swapaxes(1, 2).reshape(len(g), -1))
     return vecs
 
 

@@ -701,3 +701,29 @@ def loop_first_hom_failure(group, dims, perms, unitaries):
                     if defect > linalg.TOL_PROJ * max(1.0, d):
                         return g, h, i
     return None
+
+
+def loop_source_span_vectors(src):
+    """scc._source_span_vectors one contribution at a time: the (u, u', b, a,
+    a', c, k, k') loop, each vector sqrt(w_b) vec(Tr_b(M c M'†))."""
+    s_sys, oa, ob, ts = src.s_system, src.oa_system, src.ob_system, src.tensor
+    kraus = src.channel.kraus()
+    simple_complete = graphs.complement(graphs.discrete_graph(s_sys)).relation
+    vecs = {(a, ap): [] for a in range(oa.nfactors) for ap in range(oa.nfactors)}
+    for u in range(s_sys.nfactors):
+        for up in range(s_sys.nfactors):
+            c_ops = [linalg.unvec(v, s_sys.dims[u], s_sys.dims[up])
+                     for v in simple_complete.frame(u, up).T]
+            for b, (db, wb) in enumerate(zip(ob.dims, ob.weights)):
+                for a, da in enumerate(oa.dims):
+                    ms = kraus[(u, ts.pair_index(a, b))]
+                    for ap, dap in enumerate(oa.dims):
+                        mps = kraus[(up, ts.pair_index(ap, b))]
+                        for c in c_ops:
+                            for m in ms:
+                                mc = m @ c
+                                for mp in mps:
+                                    y4 = (mc @ mp.conj().T).reshape(da, db, dap, db)
+                                    g = np.sqrt(wb) * np.einsum("abcb->ac", y4)
+                                    vecs[(a, ap)].append(linalg.vec(g))
+    return vecs

@@ -654,3 +654,18 @@ def test_only_systems_stacks_block_families():
                 if isinstance(arg, ast.Attribute) and arg.attr == "blocks":
                     offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders
+
+
+def test_bundle_only_parses():
+    """bundle hands parsed dicts to the owners of the block store and the
+    actions: it names none of the store's class layout."""
+    tree = ast.parse((pathlib.Path(covgraphs.__file__).parent / "bundle.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert not names & {"BlockStore", "layout", "dim_classes"}

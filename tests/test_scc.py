@@ -9,6 +9,7 @@ from genutil import (
     assert_blocks_close,
     choi_born,
     classical_source,
+    loop_source_span_vectors,
     quantum_source,
     rand_channel,
     rand_conf_graph,
@@ -331,6 +332,24 @@ class TestSourceFromGraph:
             src = scc.source_from_graph(g)
             got = scc.source_confusability_graph(src)
             assert relations.relation_defect(got.relation, g.relation) < 1e-7
+
+    def test_span_vectors_match_loop(self):
+        swap = TestCovariantScc()._swap_world()[2]
+        local = np.random.default_rng(708)
+        sources = [scc.source_from_graph(g) for g in (
+            graphs.complete_graph(systems.classical_system(2)),
+            graphs.discrete_graph(systems.classical_system(2)),
+            graphs.complete_graph(swap),
+        )]
+        sources += [scc.source_from_graph(rand_conf_graph(local, systems.system(dims)))
+                    for dims in [(2,), (2, 1), (3,)]]
+        sources += [classical_source(local, 2, 2, 2)[0], quantum_source(local, 2, 2, 2)]
+        for src in sources:
+            got, ref = scc._source_span_vectors(src), loop_source_span_vectors(src)
+            assert list(got) == list(ref)
+            for key, vs in ref.items():
+                assert len(got[key]) == len(vs), key
+                assert all(np.array_equal(v, r) for v, r in zip(got[key], vs)), key
 
     def test_rejects_simple(self):
         sys = systems.system((2,))

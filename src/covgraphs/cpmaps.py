@@ -10,13 +10,17 @@ pinned so that
   * a classical column-stochastic matrix p embeds with 1x1 blocks exactly
     p_ji.
 
-The blocks are eager and are the one representation that apply, support,
-channel tests, norms and equality read.  They live in a systems.BlockStore:
-one stack per (d_i, e_j) class of factor pairs, which dagger, the marginal,
-add, channelize and the norms read with one batched kernel per class, behind
-a read-only (i, j) -> block mapping.  Next to them a morphism holds a
-read-only Kraus family (CpMorphism.kraus), which compose and tensor products
-multiply and Kronecker instead of diagonalizing Choi blocks:
+The blocks are eager and are the one representation that apply, channel
+tests, norms and equality read.  They live in a systems.BlockStore: one
+stack per (d_i, e_j) class of factor pairs, which dagger, the marginal, add,
+channelize and the norms read with one batched kernel per class, behind a
+read-only (i, j) -> block mapping.  A morphism born from Kraus maps also
+keeps their stacks V of vec(M†) (CpMorphism.kraus_vecs), whose column spans
+are the supports of its blocks V V†: relations.support_of reads a thin SVD
+of V there, and the eigenvectors of the blocks only for a morphism born as
+Choi blocks.  Next to the blocks a morphism holds a read-only Kraus family
+(CpMorphism.kraus), which compose and tensor products multiply and Kronecker
+instead of diagonalizing Choi blocks:
 
   * from_kraus copies the maps it was given into one stack per class and
     map count, scanned and shape-checked once, and keeps read-only views
@@ -64,13 +68,20 @@ ALONE_N = 64
 
 
 class CpMorphism:
-    """Immutable CP morphism given by source, target and Choi blocks."""
+    """Immutable CP morphism given by source, target and Choi blocks.
+
+    A morphism born from Kraus maps also holds kraus_vecs: per class and map
+    count, (class index, slots of its pairs in the class, read-only
+    (p, d e, count) stack V of the vec(M†) of their maps), so that block
+    (i, j) is V V†.  It is None for a morphism born as Choi blocks.
+    """
 
     def __init__(self, source: System, target: System, blocks: dict, validate: bool = True):
         self.source = source
         self.target = target
         self.blocks = block_store(source, target, blocks, "Choi", validate)
         self._kraus = None
+        self.kraus_vecs = None
         if validate:
             self._check_psd()
 
@@ -225,24 +236,29 @@ def _from_stacks(src: System, tgt: System, lay, stacks, given=None) -> CpMorphis
     (class index, keys, (p, count, e, d) maps) triples.
 
     Block (i, j) is V V† with V the stacked vec(M†), one batched product per
-    stack.  The held family is the maps of ``given`` (key -> maps) when
-    given, else read-only views of the stacks; a pair with more maps than
-    d_i e_j holds the minimal family of its block instead, found by one
-    batched _block_kraus per class.
+    stack; the morphism keeps the V stacks as kraus_vecs.  The held family
+    is the maps of ``given`` (key -> maps) when given, else read-only views
+    of the stacks; a pair with more maps than d_i e_j holds the minimal
+    family of its block instead, found by one batched _block_kraus per
+    class.
     """
     placed = {}  # class index -> [(slots, blocks)]
     over = {}  # class index -> keys with more maps than d_i e_j
     held = {}
+    vecs = []
     for c, keys, maps in stacks:
         klass = lay.classes[c]
         p, count = maps.shape[:2]
         # Column t of vs is vec(M_t†) = conj(M_t) read row-major.
         vs = np.ascontiguousarray(maps.reshape(p, count, klass.n).conj().swapaxes(1, 2))
+        vs.setflags(write=False)
         if klass.n < ALONE_N:
             blocks = vs @ vs.conj().swapaxes(1, 2)
         else:
             blocks = [v @ v.conj().T for v in vs]
-        placed.setdefault(c, []).append(([lay.where[key][1] for key in keys], blocks))
+        slots = [lay.where[key][1] for key in keys]
+        placed.setdefault(c, []).append((slots, blocks))
+        vecs.append((c, np.array(slots), vs))
         if count > klass.n:
             over.setdefault(c, []).extend(keys)
         elif given is None:
@@ -272,6 +288,7 @@ def _from_stacks(src: System, tgt: System, lay, stacks, given=None) -> CpMorphis
             minimal = _block_kraus(keys, stack[[lay.where[key][1] for key in keys]], *klass.dims)
             held.update(_frozen(minimal))
     f._kraus = _held(held, f.blocks)
+    f.kraus_vecs = tuple(vecs)
     return f
 
 

@@ -154,14 +154,17 @@ def realize_channel(g: QuantumGraph, tau: float | None = None, tol: float = TOL_
         return _superop_matrix(_graph_as_cp(g, t))
 
     if tau is None:
-        tau = 0.5
-        for _ in range(40):
-            fmat = linalg.hermitize(blend_matrix(tau))
-            if float(np.linalg.eigvalsh(fmat)[0]) > BLEND_FLOOR:
-                break
-            tau /= 2
-        else:
+        # The blend is I + τ(G − I), G the blend at τ = 1, so its least
+        # eigenvalue is 1 + τ(μ − 1) with μ the least eigenvalue of G: one
+        # eigvalsh picks the first τ of the halving sequence 0.5, 0.25, ...
+        # (40 steps) whose blend clears BLEND_FLOOR.
+        low = float(np.linalg.eigvalsh(linalg.hermitize(blend_matrix(1.0)))[0])
+        taus = 0.5 ** np.arange(1, 41)
+        ok = np.flatnonzero(1.0 + taus * (low - 1.0) > BLEND_FLOOR)
+        if not ok.size:
             raise PsdViolation("no feasible blend parameter found")
+        tau = float(taus[ok[0]])
+        fmat = linalg.hermitize(blend_matrix(tau))
     else:
         if not (0.0 < tau <= 1.0):
             raise PsdViolation("blend parameter must lie in (0, 1]")

@@ -31,6 +31,9 @@ from .errors import (
 )
 
 TOL_SPEC = 1e-9  # relative spectral cut: eigen/singular values <= TOL_SPEC * top are 0
+# TOL_SPEC as a cut on the singular values s of a factor V of a PSD block
+# V V†: an eigenvalue s² of V V† is above TOL_SPEC s₀² iff s > √TOL_SPEC s₀.
+TOL_SPEC_SV = TOL_SPEC ** 0.5
 TOL_PROJ = 1e-8  # projection tolerance: containment, channel, covariance, reversibility
 TOL_ROUNDOFF = 1e-12  # absolute round-off: phases, stochastic sums, orbit weights, action equality
 TOL_ROUNDTRIP = 10 * TOL_PROJ  # gate on the relation defect of a round trip (1e-7)

@@ -7,9 +7,11 @@ maps of any CP representative.  The projections live in the block store, one
 an orthonormal frame of every block: per class, linalg.Frames with the
 vectorized operators a_r whose span the block projects onto.
 
-Frames come from the kernel that made the block.  support_of and
-confusability keep the eigenvectors of their support cut, compose keeps the
-left singular vectors of its span, converse maps each frame by a -> a†,
+Frames come from the kernel that made the block.  support_of keeps the
+left singular vectors of the held vec(M†) stack of a morphism born from
+Kraus maps, and the eigenvectors of the support cut of one born as Choi
+blocks; confusability keeps the eigenvectors of its support cut, compose
+the left singular vectors of its span; converse maps each frame by a -> a†,
 and discrete and complete have closed forms.  A relation given as plain
 projections takes its frames on first read, by one batched eigh per class.
 
@@ -35,7 +37,7 @@ from .errors import (
     ShapeMismatch,
     SystemMismatch,
 )
-from .linalg import TOL_PROJ, TOL_ROUNDTRIP, TOL_SPEC, VALIDATE_SLACK, Frames
+from .linalg import TOL_PROJ, TOL_ROUNDTRIP, TOL_SPEC, TOL_SPEC_SV, VALIDATE_SLACK, Frames
 from .systems import BlockStore, System, block_store, layout
 
 
@@ -101,9 +103,17 @@ class QuantumRelation:
 
 
 def support_of(f: CpMorphism) -> QuantumRelation:
-    """Underlying relation: blockwise support projection of the Choi blocks,
-    one batched kernel per class, whose kept eigenvectors are the frames.  A
-    block that is not Hermitian PSD raises, naming its factor pair."""
+    """Underlying relation: blockwise support projection of the Choi blocks.
+
+    For a morphism born from Kraus maps, block (i, j) is V V† with V its
+    held stack of vec(M†) (f.kraus_vecs), whose support is the column span
+    of V: one thin SVD per class and map count, cut at TOL_SPEC_SV (the
+    eigenvalue cut TOL_SPEC on V V†), whose left singular vectors are the
+    frames.  For a morphism born as Choi blocks, one batched support kernel
+    per class, whose kept eigenvectors are the frames; a block that is not
+    Hermitian PSD raises, naming its factor pair."""
+    if f.kraus_vecs is not None:
+        return _support_of_maps(f)
     parts = []
     for klass, stack in f.blocks.classes():
         try:
@@ -111,6 +121,28 @@ def support_of(f: CpMorphism) -> QuantumRelation:
                                                               frames=True))
         except (NotHermitian, NegativeSpectrum) as exc:
             raise type(exc)(f"Choi block {klass.keys[exc.member]}: {exc}") from None
+    return QuantumRelation.stacked(f.source, f.target, parts)
+
+
+def _support_of_maps(f: CpMorphism) -> QuantumRelation:
+    """support_of from f.kraus_vecs: each member's span goes to its own slot
+    of its class, whatever order the maps came in; pairs without maps span
+    nothing."""
+    spans = {}  # class index -> [(slots, projections, Frames)]
+    for c, slots, vs in f.kraus_vecs:
+        spans.setdefault(c, []).append(
+            (slots,) + linalg.orthonormal_span(vs, tol=TOL_SPEC_SV, frames=True))
+    parts = []
+    for c, klass in enumerate(f.blocks.layout.classes):
+        k, n = len(klass.keys), klass.n
+        got = spans.get(c, [])
+        if len(got) == 1 and np.array_equal(got[0][0], np.arange(k)):
+            parts.append((klass,) + got[0][1:])
+            continue
+        stack = np.zeros((k, n, n), dtype=complex)
+        for slots, proj, _ in got:
+            stack[slots] = proj
+        parts.append((klass, stack, Frames.merged(k, n, [(slots, fr) for slots, _, fr in got])))
     return QuantumRelation.stacked(f.source, f.target, parts)
 
 

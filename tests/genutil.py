@@ -411,13 +411,13 @@ def kron_is_covariant_relation(p):
 # class of factor pairs; these loops build one block at a time through the
 # single-matrix kernels, as the constructions are written.  Relation
 # compositions take their operator bases from frames, as the library does:
-# the support kernel's kept eigenvectors (loop_support_frames), their
-# adjoints (loop_converse_frames), or the eigenvectors of a given projection
-# (loop_projection_frames).
+# the kept eigenvectors or singular vectors of the support cut
+# (loop_support_frames), their adjoints (loop_converse_frames), or the
+# eigenvectors of a given projection (loop_projection_frames).
 
 def loop_support_of(f):
-    """Block (i, j) -> support projection of the hermitized Choi block."""
-    return {key: linalg.support_projection(linalg.hermitize(blk)) for key, blk in f.blocks.items()}
+    """Block (i, j) -> its support projection (see _loop_supports)."""
+    return {key: proj for key, (proj, _) in _loop_supports(f).items()}
 
 
 def loop_converse(p):
@@ -429,12 +429,40 @@ def loop_converse(p):
 
 
 def loop_support_frames(f):
-    """Block (i, j) -> the kept eigenvectors of its support cut, (n, r)
-    columns from the single-matrix kernel."""
-    return {
-        key: linalg.support_projection(linalg.hermitize(blk), frames=True)[1]
-        for key, blk in f.blocks.items()
-    }
+    """Block (i, j) -> the (n, r) frame columns of its support cut (see
+    _loop_supports)."""
+    return {key: cols for key, (_, cols) in _loop_supports(f).items()}
+
+
+def _loop_supports(f):
+    """Block (i, j) -> (support projection, frame columns), one block at a
+    time.  A morphism born as Choi blocks: the single-matrix support kernel
+    on the hermitized block, keeping its eigenvectors.  A morphism born from
+    Kraus maps: one thin np.linalg.svd of V = [vec(M†)] over the held maps
+    of the pair, keeping the left singular vectors of singular value above
+    TOL_SPEC_SV times the largest (a 1x1 block in closed form).  The held
+    maps are the maps the morphism was born with, except on a pair given
+    more maps than d e, which holds the minimal family of the same span."""
+    if f.kraus_vecs is None:
+        return {
+            key: linalg.support_projection(linalg.hermitize(blk), frames=True)
+            for key, blk in f.blocks.items()
+        }
+    out = {}
+    for key, ops in f.kraus().items():
+        n = f.blocks[key].shape[0]
+        if not ops:
+            out[key] = (np.zeros((n, n), dtype=complex), np.zeros((n, 0), dtype=complex))
+            continue
+        v = np.column_stack([linalg.vec(m.conj().T) for m in ops])
+        if n == 1:
+            r = int(np.abs(v).max() > 0)
+            out[key] = (np.full((1, 1), r, dtype=complex), np.ones((1, r), dtype=complex))
+            continue
+        u, s, _ = np.linalg.svd(v, full_matrices=False)
+        cols = u[:, s > linalg.TOL_SPEC_SV * s[0]]
+        out[key] = (cols @ cols.conj().T, cols)
+    return out
 
 
 def loop_projection_frames(p):

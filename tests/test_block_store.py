@@ -146,8 +146,19 @@ def _reversible_channels():
     }
 
 
+def _map_born():
+    """Kraus-born (1,2,3) and (1,2) -> (2,1) morphisms, two maps per pair:
+    support_of spans their held maps.  Their own generator keeps the
+    fixtures above as they were."""
+    r = np.random.default_rng(708)
+    m123 = systems.system((1, 2, 3))
+    src12, tgt21 = systems.system((1, 2)), systems.system((2, 1))
+    return {"m123-maps": rand_cp(r, m123, m123), "12to21-maps": rand_cp(r, src12, tgt21)}
+
+
 CHANNELS = _channels()
 REVERSIBLE = _reversible_channels()
+MAP_BORN = _map_born()
 
 
 class TestStackedKernels:
@@ -291,9 +302,9 @@ class TestBlockStore:
 
 
 class TestBatchedConstructions:
-    @pytest.mark.parametrize("name", CHANNELS)
+    @pytest.mark.parametrize("name", [*CHANNELS, *MAP_BORN])
     def test_support_converse_and_compose_match_loops(self, name):
-        f = CHANNELS[name]
+        f = {**CHANNELS, **MAP_BORN}[name]
         src, tgt = f.source.dims, f.target.dims
         rf = relations.support_of(f)
         _assert_family_equal(rf.blocks, loop_support_of(f))

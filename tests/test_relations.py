@@ -6,7 +6,9 @@ from covgraphs.classical import embed_channel, embed_relation, extract_relation,
 from covgraphs.errors import NoChannel, SystemMismatch
 
 from genutil import (
+    choi_born,
     rand_balanced_relation,
+    rand_complex,
     rand_cp,
     rand_relation,
     rand_system,
@@ -41,6 +43,83 @@ class TestSupportOf:
         r = rand_relation(rng, sys, sys)
         again = relations.support_of(relations.relation_as_cp(r))
         assert relations.relations_equal(again, r)
+
+
+class TestMapBornSupport:
+    """support_of of a morphism born from Kraus maps spans the held vec(M†)
+    stacks by a thin SVD; it must equal the eigh support of the same Choi
+    blocks."""
+
+    def test_slots_follow_the_layout_not_the_kraus_dict(self):
+        # Keys in a bundle's JSON string order ("10,0" before "2,0"), map
+        # counts 0 to d e + 1 drawn per pair: absent pairs, mixed counts in
+        # one class, pairs with more maps than d e, and a 1x1 class.
+        src = systems.system((2, 1, 2, 2, 1, 2, 1, 2, 2, 1, 2, 2))
+        tgt = systems.system((2, 1))
+        r = np.random.default_rng(11)
+        lay = systems.layout(src.dims, tgt.dims)
+        kraus = {}
+        for key in sorted(lay.keys, key=lambda k: f"{k[0]},{k[1]}"):
+            d, e = src.dims[key[0]], tgt.dims[key[1]]
+            count = int(r.integers(0, d * e + 2))
+            if count:
+                kraus[key] = [rand_complex(r, e, d) for _ in range(count)]
+        kraus[(3, 0)] = [kraus[(3, 0)][0], 2j * kraus[(3, 0)][0]]  # rank below count
+        counts = {}
+        for key, ops in kraus.items():
+            counts.setdefault(lay.where[key][0], {})[key] = len(ops)
+        assert list(kraus) != sorted(kraus) and len(kraus) < len(lay.keys)
+        assert any(len(set(c.values())) > 1 for c in counts.values())
+        assert any(n > lay.classes[c].n for c, cs in counts.items() for n in cs.values())
+        assert lay.index[(1, 1)] in counts
+
+        f = cpmaps.from_kraus(kraus, src, tgt)
+        assert f.kraus_vecs is not None
+        got, ref = relations.support_of(f), relations.support_of(choi_born(f))
+        assert got.ranks() == ref.ranks()
+        assert relations.relation_defect(got, ref) <= linalg.TOL_PROJ
+        assert got.rank(3, 0) == 1
+        for key in lay.keys:
+            cols = got.frame(*key)
+            assert np.allclose(cols.conj().T @ cols, np.eye(cols.shape[1]), atol=1e-12), key
+            assert np.allclose(cols @ cols.conj().T, got.block(*key), atol=1e-12), key
+
+    @pytest.mark.parametrize("side", [1 + 1e-3, 1 - 1e-3])
+    def test_singular_value_cut_is_the_eigenvalue_cut(self, side):
+        # V = [vec(M_t†)] has singular values 1, 1/2 and side·√TOL_SPEC: the
+        # SVD of V and the eigh of V V† keep the third one on the same side.
+        assert linalg.TOL_SPEC_SV ** 2 == pytest.approx(linalg.TOL_SPEC, rel=1e-15)
+        r = np.random.default_rng(12)
+        u = np.linalg.qr(rand_complex(r, 6, 3))[0]
+        w = np.linalg.qr(rand_complex(r, 3, 3))[0]
+        v = (u * [1.0, 0.5, side * linalg.TOL_SPEC_SV]) @ w.conj().T
+        maps = [linalg.unvec(col, 2, 3).conj().T for col in v.T]
+        f = cpmaps.from_kraus({(0, 0): maps}, systems.system((2,)), systems.system((3,)))
+        rank = 3 if side > 1 else 2
+        assert relations.support_of(f).ranks() == [rank]
+        assert relations.support_of(choi_born(f)).ranks() == [rank]
+
+    def test_no_eigh_for_map_born_and_no_kraus_for_choi_born(self, monkeypatch):
+        sys = systems.system((1, 2, 3))
+        f = rand_cp(np.random.default_rng(13), sys, sys)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(a, *args, **kw):
+            calls.append(a.shape)
+            return eigh(a, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        relations.support_of(f)
+        assert calls == []
+
+        def refuse(_):
+            raise AssertionError("support_of read the Kraus family of a Choi-born morphism")
+
+        monkeypatch.setattr(cpmaps, "to_kraus", refuse)
+        g = choi_born(f)
+        relations.support_of(g)
+        assert g._kraus is None and calls
 
 
 class TestDiscrete:

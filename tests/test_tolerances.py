@@ -51,3 +51,29 @@ def test_tol_defaults_are_named():
                         isinstance(n, ast.Constant) for n in ast.walk(default)):
                     literal.append(f"{name}:{fn.lineno} {getattr(fn, 'name', 'lambda')}")
     assert not literal
+
+
+def _names_tol_spec(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "TOL_SPEC") or (
+        isinstance(node, ast.Attribute) and node.attr == "TOL_SPEC")
+
+
+def test_singular_value_cut_is_named_once():
+    """The singular-value form √TOL_SPEC of the TOL_SPEC eigenvalue cut is
+    computed once, as TOL_SPEC_SV in linalg's constant block; everything
+    else uses the name."""
+    roots = []
+    for name, tree in _modules():
+        block = {}
+        if name == "linalg.py":
+            block = {id(n): b for b in _constant_block(tree) for n in ast.walk(b)}
+        for node in ast.walk(tree):
+            pow_ = (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                    and _names_tol_spec(node.left))
+            sqrt = (isinstance(node, ast.Call) and node.args and _names_tol_spec(node.args[0])
+                    and getattr(node.func, "attr", getattr(node.func, "id", None)) == "sqrt")
+            if pow_ or sqrt:
+                owner = block.get(id(node))
+                target = owner.targets[0].id if owner is not None else None
+                roots.append(f"{name}:{node.lineno} {target}")
+    assert len(roots) == 1 and roots[0].endswith(" TOL_SPEC_SV"), roots

@@ -10,22 +10,21 @@ pinned so that
   * a classical column-stochastic matrix p embeds with 1x1 blocks exactly
     p_ji.
 
-The blocks are eager and are the one representation that apply, channel
-tests, norms and equality read.  They live in a systems.BlockStore: one
-stack per (d_i, e_j) class of factor pairs, which dagger, the marginal, add,
-channelize and the norms read with one batched kernel per class, behind a
-read-only (i, j) -> block mapping.  A morphism born from Kraus maps also
-keeps their stacks V of vec(M†) (CpMorphism.kraus_vecs), whose column spans
-are the supports of its blocks V V†: relations.support_of reads a thin SVD
-of V there, and the eigenvectors of the blocks only for a morphism born as
-Choi blocks.  Next to the blocks a morphism holds a read-only Kraus family
+The blocks are the one representation that apply, channel tests, norms and
+equality read.  They live in a systems.BlockStore: one stack per (d_i, e_j)
+class of factor pairs, which dagger, the marginal, add, channelize and the
+norms read with one batched kernel per class, behind a read-only (i, j) ->
+block mapping.  Next to the blocks a morphism holds a read-only Kraus family
 (CpMorphism.kraus), which compose and tensor products multiply and Kronecker
 instead of diagonalizing Choi blocks:
 
-  * from_kraus copies the maps it was given into one stack per class and
-    map count, scanned and shape-checked once, and keeps read-only views
-    of it; maps the library built itself (compose, tensor products,
-    identity channels) are kept as they are, without a scan;
+  * a morphism born from Kraus maps (from_kraus, which scans and
+    shape-checks them once per class and map count, or compose, tensor
+    products and identity channels) keeps read-only stacks of its maps and
+    their stacks V of vec(M†) (CpMorphism.kraus_vecs).  Its blocks V V† are
+    formed on the first read of their class, so a morphism that is only
+    composed further never forms them; relations.support_of reads a thin
+    SVD of V instead;
   * a morphism born as Choi blocks (bundle "choi" input, dagger, channelize,
     add, twirls, reverse channels) gets the minimal to_kraus family of its
     blocks on first use;
@@ -58,13 +57,9 @@ from .errors import (
 from .linalg import FUNCTIONAL_SLACK, TOL_PROJ, TOL_SPEC, VALIDATE_SLACK
 from .systems import BlockStore, System, _diff, basis_offset, block_store, inner, layout
 
-# Choi blocks of dimension n >= ALONE_N are formed from their Kraus maps pair
-# by pair, each in an allocation of its own, as a per-block loop forms them.
-# A stack of such blocks is one large allocation, and freeing it raises
-# glibc's dynamic mmap threshold, after which freed mid-size arrays stay
-# resident (coding-pipeline peak RSS 52 -> 58 MB).  At this size the call
-# overhead of one matmul per pair is negligible next to its work.
-ALONE_N = 64
+# Below this many 1x1 products, forming them one at a time costs less than
+# the fixed numpy overhead of the batched product of _compose_commutative.
+BATCHED_PRODUCTS = 32
 
 
 class CpMorphism:
@@ -126,7 +121,7 @@ class CpMorphism:
         maps, at most d_i e_j of them; filled from to_kraus on first use when
         the morphism was born as Choi blocks."""
         if self._kraus is None:
-            self._kraus = _held(_frozen(to_kraus(self)), self.blocks)
+            self._kraus = _held(to_kraus(self), self.blocks)
         return self._kraus
 
 
@@ -138,22 +133,12 @@ def _held(kraus: dict, keys):
     return MappingProxyType(full)
 
 
-def _frozen(kraus: dict) -> dict:
-    """Kraus family of maps nothing else holds, made read-only in place."""
-    out = {}
-    for key, ops in kraus.items():
-        if ops:
-            for m in ops:
-                m.setflags(write=False)
-            out[key] = tuple(ops)
-    return out
-
-
 def _block_kraus(keys, stack: np.ndarray, d: int, e: int) -> dict:
     """Minimal Kraus maps of a stack of Choi blocks of the factor pairs
     ``keys``, all d e x d e: one map per retained eigenpair, from one batched
-    eigh over the nonzero blocks."""
-    out = {key: [] for key in keys}
+    eigh over the nonzero blocks.  Each pair gets a tuple of read-only,
+    C-contiguous e x d maps, all rows of one stack."""
+    out = dict.fromkeys(keys, ())
     scale = linalg.frobs(stack)
     live = np.flatnonzero(scale != 0.0)
     if not live.size:
@@ -164,23 +149,28 @@ def _block_kraus(keys, stack: np.ndarray, d: int, e: int) -> dict:
     if neg.size:
         s = neg[0]
         raise NegativeSpectrum(f"block {keys[live[s]]} has eigenvalue {w[s, -1]:.3e}")
-    keep = w > TOL_SPEC * top[:, None]
-    for s, member in enumerate(live):
-        out[keys[member]] = [
-            linalg.unvec(np.sqrt(w[s, k]) * v[s, :, k], d, e).conj().T
-            for k in np.flatnonzero(keep[s])
-        ]
+    # Eigenvalues descend, so each block keeps a prefix of its eigenpairs.
+    ranks = np.sum(w > TOL_SPEC * top[:, None], axis=1)
+    r = int(ranks.max())
+    # Map k is unvec(√w_k v_k)† = conj(√w_k v_k) read row-major as e x d.
+    roots = np.sqrt(np.maximum(w[:, None, :r], 0.0))
+    maps = np.ascontiguousarray((roots * v[:, :, :r]).conj().swapaxes(1, 2))
+    maps.setflags(write=False)
+    flat = list(maps.reshape(-1, e, d))
+    for s, (member, rank) in enumerate(zip(live.tolist(), ranks.tolist())):
+        out[keys[member]] = tuple(flat[s * r:s * r + rank])
     return out
 
 
-def from_kraus(kraus: dict, src: System, tgt: System) -> CpMorphism:
+def from_kraus(kraus: dict, src: System, tgt: System, scan: bool = True) -> CpMorphism:
     """CP morphism of a Kraus family: factor pairs (i, j) mapped to lists of
     e_j x d_i matrices H_i -> K_j.
 
     The maps of the pairs of one class with one map count are copied into
-    one stack, scanned for non-finite entries and shape-checked once; the
-    first failing map (dict order, then list order) raises.  The morphism
-    holds read-only views of these copies.
+    one stack and shape-checked once, and scanned for non-finite entries
+    unless ``scan`` is False (maps the library built); the first failing map
+    (dict order, then list order) raises.  The morphism holds read-only
+    views of these copies.
     """
     lay = layout(src.dims, tgt.dims)
     groups = {}  # (class index, map count) -> (keys, dict positions, maps)
@@ -199,7 +189,7 @@ def from_kraus(kraus: dict, src: System, tgt: System) -> CpMorphism:
     for (c, count), (keys, positions, maps) in groups.items():
         d, e = lay.classes[c].dims
         try:
-            stack = linalg.as_complex(maps, (e, d))
+            stack = linalg.as_complex(maps, (e, d)) if scan else np.array(maps, dtype=complex)
         except (DimensionMismatch, ShapeMismatch) as exc:
             p, t = divmod(exc.member, count)
             if isinstance(exc, ShapeMismatch):
@@ -214,35 +204,20 @@ def from_kraus(kraus: dict, src: System, tgt: System) -> CpMorphism:
 
 
 def _from_maps(kraus: dict, src: System, tgt: System) -> CpMorphism:
-    """from_kraus for checked maps that nothing else holds: they are stacked
-    without a scan, and the morphism holds them as given, made read-only."""
-    lay = layout(src.dims, tgt.dims)
-    groups = {}  # (class index, map count) -> (keys, maps)
-    for key, ops in kraus.items():
-        if ops:
-            keys, maps = groups.setdefault((lay.where[key][0], len(ops)), ([], []))
-            keys.append(key)
-            maps.extend(ops)
-    stacks = [
-        (c, keys, np.array(maps, dtype=complex).reshape(
-            (len(keys), count) + lay.classes[c].dims[::-1]))
-        for (c, count), (keys, maps) in groups.items()
-    ]
-    return _from_stacks(src, tgt, lay, stacks, kraus)
+    """from_kraus of maps the library built: stacked without a scan."""
+    return from_kraus(kraus, src, tgt, scan=False)
 
 
-def _from_stacks(src: System, tgt: System, lay, stacks, given=None) -> CpMorphism:
+def _from_stacks(src: System, tgt: System, lay, stacks) -> CpMorphism:
     """Morphism of Kraus maps stacked per class and map count: ``stacks`` holds
     (class index, keys, (p, count, e, d) maps) triples.
 
-    Block (i, j) is V V† with V the stacked vec(M†), one batched product per
-    stack; the morphism keeps the V stacks as kraus_vecs.  The held family
-    is the maps of ``given`` (key -> maps) when given, else read-only views
-    of the stacks; a pair with more maps than d_i e_j holds the minimal
-    family of its block instead, found by one batched _block_kraus per
-    class.
+    The morphism keeps the stacks V of vec(M†) as kraus_vecs, and its
+    store forms block (i, j) = V V† on the first read of its class.
+    The held family is read-only views of the stacks; a pair with more maps
+    than d_i e_j holds the minimal family of its block instead, found by one
+    batched _block_kraus per class, which reads that class's blocks here.
     """
-    placed = {}  # class index -> [(slots, blocks)]
     over = {}  # class index -> keys with more maps than d_i e_j
     held = {}
     vecs = []
@@ -252,48 +227,25 @@ def _from_stacks(src: System, tgt: System, lay, stacks, given=None) -> CpMorphis
         # Column t of vs is vec(M_t†) = conj(M_t) read row-major.
         vs = np.ascontiguousarray(maps.reshape(p, count, klass.n).conj().swapaxes(1, 2))
         vs.setflags(write=False)
-        if klass.n < ALONE_N:
-            blocks = vs @ vs.conj().swapaxes(1, 2)
-        else:
-            blocks = [v @ v.conj().T for v in vs]
-        slots = [lay.where[key][1] for key in keys]
-        placed.setdefault(c, []).append((slots, blocks))
-        vecs.append((c, np.array(slots), vs))
+        vecs.append((c, np.array([lay.where[key][1] for key in keys]), vs))
         if count > klass.n:
             over.setdefault(c, []).extend(keys)
-        elif given is None:
+        else:
             maps.setflags(write=False)
             # Consecutive runs of count views: the maps of each pair.
             held.update(zip(keys, zip(*[iter(list(maps.reshape((-1,) + maps.shape[2:])))] * count)))
-        else:
-            held.update(_frozen({key: given[key] for key in keys}))
-    whole = {
-        c: groups[0][1] for c, groups in placed.items()
-        if len(groups) == 1 and groups[0][0] == list(range(len(lay.classes[c].keys)))
-        and isinstance(groups[0][1], np.ndarray)
-    }
-    if len(whole) == len(placed):
-        f = CpMorphism.stacked(src, tgt, [(lay.classes[c], stack) for c, stack in whole.items()])
-    else:
-        # A class with absent pairs gets its stack on first read, as in any
-        # dict-born store, so nothing is allocated for the absent pairs.
-        f = CpMorphism(src, tgt, {
-            lay.classes[c].keys[s]: blocks[t]
-            for c, groups in placed.items() for slots, blocks in groups
-            for t, s in enumerate(slots)
-        }, validate=False)
-    for klass, stack in f.blocks.classes() if over else ():
-        keys = over.get(lay.index[klass.dims])
-        if keys:
-            minimal = _block_kraus(keys, stack[[lay.where[key][1] for key in keys]], *klass.dims)
-            held.update(_frozen(minimal))
+    f = CpMorphism(src, tgt, BlockStore(lay, vecs, linalg.gram), validate=False)
+    for c, keys in sorted(over.items()):
+        stack = f.blocks.stack(c)[[lay.where[key][1] for key in keys]]
+        held.update(_block_kraus(keys, stack, *lay.classes[c].dims))
     f._kraus = _held(held, f.blocks)
     f.kraus_vecs = tuple(vecs)
     return f
 
 
 def to_kraus(f: CpMorphism) -> dict:
-    """Minimal Kraus family: one map per retained eigenpair of each block."""
+    """Minimal Kraus family: one read-only map per retained eigenpair of each
+    block, as a tuple per factor pair."""
     kraus = dict.fromkeys(f.blocks)
     for klass, stack in f.blocks.classes():
         kraus.update(_block_kraus(klass.keys, stack, *klass.dims))
@@ -337,6 +289,8 @@ def compose(g: CpMorphism, f: CpMorphism) -> CpMorphism:
 
     Only nonempty pairs (i, j) of f and (j, k) of g are visited; each
     pair (i, k) collects its products n @ m with j ascending, then m, then n.
+    Between commutative systems every pair holds at most one 1x1 map, and
+    from BATCHED_PRODUCTS products on they are one batched n @ m.
     """
     if f.target != g.source:
         raise SystemMismatch("compose: target of f must equal source of g")
@@ -344,12 +298,61 @@ def compose(g: CpMorphism, f: CpMorphism) -> CpMorphism:
     for (j, k), ns in g.kraus().items():
         if ns:
             g_rows.setdefault(j, []).append((k, ns))
+    if max(f.source.dims + f.target.dims + g.target.dims) == 1 and sum(
+        len(g_rows.get(j, ())) for (_, j), ms in f.kraus().items() if ms
+    ) >= BATCHED_PRODUCTS:
+        return _compose_commutative(g, f)
     kraus = {}
     for (i, j), ms in f.kraus().items():
         if ms:
             for k, ns in g_rows.get(j, ()):
                 kraus.setdefault((i, k), []).extend(n @ m for m in ms for n in ns)
     return _from_maps(kraus, f.source, g.target)
+
+
+def _compose_commutative(g: CpMorphism, f: CpMorphism) -> CpMorphism:
+    """compose of morphisms between commutative systems: the products n @ m
+    of pair (i, k) run over the j where both (i, j) and (j, k) hold a map.
+    All of them are one batched product, stacked per map count in key order
+    of (i, k)."""
+    (fi, fj), fm = _held_entries(f)
+    (gj, gk), gm = _held_entries(g)
+    rows, mid, cols = f.source.nfactors, f.target.nfactors, g.target.nfactors
+    if fm.size == rows * mid and gm.size == mid * cols:
+        prods = gm.reshape(mid, cols, 1, 1).swapaxes(0, 1)[None] @ fm.reshape(rows, 1, mid, 1, 1)
+        counts = np.full(rows * cols, mid)
+    else:
+        # Each map (i, j) of f meets the run of g's maps on row j; a stable
+        # sort by (i, k) keeps j ascending within each pair.
+        lo = np.searchsorted(gj, fj)
+        reps = np.searchsorted(gj, fj, side="right") - lo
+        fe = np.repeat(np.arange(fj.size), reps)
+        ge = np.arange(fe.size) + np.repeat(lo - (np.cumsum(reps) - reps), reps)
+        pairs = fi[fe] * cols + gk[ge]
+        order = np.argsort(pairs, kind="stable")
+        prods = gm[ge[order]] @ fm[fe[order]]
+        counts = np.bincount(pairs, minlength=rows * cols)
+    sizes = sorted(set(counts.tolist()) - {0})
+    if len(sizes) == 1:
+        groups = [(counts.nonzero()[0], prods.reshape((-1, sizes[0], 1, 1)))]
+    else:
+        starts = np.cumsum(counts) - counts
+        groups = []
+        for count in sizes:
+            sel = (counts == count).nonzero()[0]
+            groups.append((sel, prods[starts[sel, None] + np.arange(count)]))
+    lay = layout(f.source.dims, g.target.dims)
+    stacks = [(0, [lay.keys[s] for s in sel.tolist()], maps) for sel, maps in groups]
+    return _from_stacks(f.source, g.target, lay, stacks)
+
+
+def _held_entries(f: CpMorphism):
+    """((rows, cols) of the pairs holding a map, (p, 1, 1) stack of their
+    maps), in key order, of a morphism between commutative systems."""
+    held = f.kraus()
+    keys = [key for key, ops in held.items() if ops]
+    maps = np.concatenate([held[key][0] for key in keys])[:, :, None]
+    return np.array(keys).T, maps
 
 
 def dagger(f: CpMorphism) -> CpMorphism:
@@ -454,7 +457,7 @@ def _hom_defects(f: CpMorphism):
     mult = star = 0.0
     for imgs in basis_images(f):
         e = imgs.shape[1]
-        prod = np.einsum("axy,byz->abxz", imgs, imgs)
+        prod = imgs[:, None] @ imgs[None, :]
         adj = imgs.conj().transpose(0, 2, 1)
         for i, d in enumerate(src.dims):
             k = slice(basis_offset(src, i), basis_offset(src, i) + d * d)

@@ -101,6 +101,11 @@ def is_hermitian(m: np.ndarray) -> bool:
     return float(np.linalg.norm(m - m.conj().T)) <= TOL_SPEC * scale
 
 
+def gram(vs: np.ndarray) -> np.ndarray:
+    """V V† of each member of a (k, n, r) stack V."""
+    return vs @ vs.conj().swapaxes(1, 2)
+
+
 def frob(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
@@ -237,15 +242,18 @@ class Frames(NamedTuple):
 
     def projections(self) -> np.ndarray:
         """The projections V V†, one batched product per rank (1x1 members
-        in closed form)."""
+        in closed form); when every member has one nonzero rank, that
+        product is the stack."""
         k, n = self.vecs.shape[:2]
         if n == 1:
             return self.ranks[:, None, None].astype(complex)
+        ranks = set(self.ranks.tolist())
+        if len(ranks) == 1 and 0 not in ranks:
+            return gram(np.ascontiguousarray(self.vecs[:, :, :ranks.pop()]))
         out = np.zeros((k, n, n), dtype=complex)
-        for r in set(self.ranks.tolist()) - {0}:
+        for r in ranks - {0}:
             sel = np.flatnonzero(self.ranks == r)
-            vk = np.ascontiguousarray(self.vecs[sel, :, :r])
-            out[sel] = vk @ vk.conj().swapaxes(1, 2)
+            out[sel] = gram(np.ascontiguousarray(self.vecs[sel, :, :r]))
         return out
 
 

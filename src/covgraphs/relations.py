@@ -128,22 +128,17 @@ def _support_of_maps(f: CpMorphism) -> QuantumRelation:
     """support_of from f.kraus_vecs: each member's span goes to its own slot
     of its class, whatever order the maps came in; pairs without maps span
     nothing."""
-    spans = {}  # class index -> [(slots, projections, Frames)]
-    for c, slots, vs in f.kraus_vecs:
-        spans.setdefault(c, []).append(
-            (slots,) + linalg.orthonormal_span(vs, tol=TOL_SPEC_SV, frames=True))
-    parts = []
-    for c, klass in enumerate(f.blocks.layout.classes):
-        k, n = len(klass.keys), klass.n
-        got = spans.get(c, [])
-        if len(got) == 1 and np.array_equal(got[0][0], np.arange(k)):
-            parts.append((klass,) + got[0][1:])
-            continue
-        stack = np.zeros((k, n, n), dtype=complex)
-        for slots, proj, _ in got:
-            stack[slots] = proj
-        parts.append((klass, stack, Frames.merged(k, n, [(slots, fr) for slots, _, fr in got])))
-    return QuantumRelation.stacked(f.source, f.target, parts)
+    lay = f.blocks.layout
+    spans = [(c, slots) + linalg.orthonormal_span(vs, tol=TOL_SPEC_SV, frames=True)
+             for c, slots, vs in f.kraus_vecs]
+    frames = [[] for _ in lay.classes]
+    for c, slots, _, fr in spans:
+        frames[c].append((slots, fr))
+    store = BlockStore(lay, [(c, slots, proj) for c, slots, proj, _ in spans], np.asarray)
+    return QuantumRelation(f.source, f.target, store, validate=False, frames=tuple(
+        got[0][1] if len(got) == 1 and np.array_equal(got[0][0], np.arange(len(klass.keys)))
+        else Frames.merged(len(klass.keys), klass.n, got)
+        for klass, got in zip(lay.classes, frames)))
 
 
 def discrete(sys: System) -> QuantumRelation:

@@ -244,52 +244,61 @@ def _zero_stack(k: int, n: int) -> np.ndarray:
     return np.broadcast_to(_zero(n), (k, n, n))
 
 
+def _stack_of(blocks: tuple) -> np.ndarray:
+    """Stack of held blocks; one block's stack is a view of it."""
+    return blocks[0][None] if len(blocks) == 1 else np.stack(blocks)
+
+
 class BlockStore(Mapping):
     """Read-only block family on the factor pairs of a layout.
 
     The blocks live in one (k, n, n) stack per dimension class; classes()
-    yields (class, stack) pairs, which the batched kernels read.  As a
-    mapping, store[(i, j)] is the block of pair (i, j), iterated in key order.
+    yields (class, stack) pairs, which the batched kernels read, and
+    stack(c) the stack of class c alone.  As a mapping, store[(i, j)] is the
+    block of pair (i, j), iterated in key order.
 
-    A stack-born store (stacked) serves rows of its stacks: kernel outputs,
-    or the per-class copies block_store makes of blocks from outside.  A
-    dict-born store (block_store with validate=False) holds the arrays it
-    was given and builds its stacks on the first batched read: a one-member
-    class is the view blk[None], a class without given blocks a broadcast
-    zero.  Absent pairs are zero and never allocated one by one.
+    A stack-born store (stacked) serves rows of kernel outputs.  Any other
+    store holds ``parts``, (class index, slots, payload) triples, with
+    form(payload) the stack of the blocks at those slots of the class.  It
+    forms the stack of a class on the first read of that class and keeps it
+    read-only in place of the class's parts: a morphism born from Kraus maps
+    holds its stacks V of vec(M†), whose blocks are V V† (linalg.gram); a
+    dict-born store (block_store) holds the given blocks, and store[key]
+    returns the one given as it is.  Absent pairs are zero and never
+    allocated one by one.
     """
 
-    __slots__ = ("layout", "_pairs", "_given")
+    __slots__ = ("layout", "_parts", "_form", "_given", "_stacks", "_pairs")
 
-    def __init__(self, lay: Layout, pairs, given: dict):
+    def __init__(self, lay: Layout, parts, form, given=None):
         self.layout = lay
-        self._pairs = pairs  # ((class, stack), ...) in class order, or None until read
-        self._given = given  # dict-born: key -> held array
+        self._parts = {}  # class index -> [(slots, payload), ...]
+        for c, slots, payload in parts:
+            self._parts.setdefault(c, []).append((slots, payload))
+        self._form = form
+        self._given = given or {}  # dict-born: key -> held array
+        self._stacks = [None] * len(lay.classes)  # per class, once formed
+        self._pairs = None  # ((class, stack), ...) in class order, once read
 
     @classmethod
     def stacked(cls, source: System, target: System, parts) -> "BlockStore":
-        """Stack-born store from (class, stack) pairs of the source x target
-        layout, each stack in its class's key order; classes not given are zero."""
+        """Store of (class, stack) pairs of the source x target layout, each
+        stack in its class's key order; classes not given are zero."""
         lay = layout(source.dims, target.dims)
-        stacks = {klass.dims: stack for klass, stack in parts}
-        pairs = []
-        for klass in lay.classes:
-            stack = stacks.get(klass.dims)
-            if stack is None:
-                stack = _zero_stack(len(klass.keys), klass.n)
-            else:
-                stack.setflags(write=False)
-            pairs.append((klass, stack))
-        return cls(lay, tuple(pairs), {})
+        store = cls(lay, (), None)
+        for klass, stack in parts:
+            stack.setflags(write=False)
+            store._stacks[lay.index[klass.dims]] = stack
+        return store
 
     def __getitem__(self, key):
         blk = self._given.get(key)
         if blk is not None:
             return blk
         c, s = self.layout.where[key]
-        if self._pairs is None:
+        if self._stacks[c] is None and c not in self._parts:
             return _zero(self.layout.classes[c].n)
-        return self._pairs[c][1][s]
+        return self.stack(c)[s]
 
     def __iter__(self):
         return iter(self.layout.keys)
@@ -297,28 +306,29 @@ class BlockStore(Mapping):
     def __len__(self):
         return len(self.layout.keys)
 
+    def stack(self, c: int) -> np.ndarray:
+        """Read-only (k, n, n) stack of class index c: one form per part, the
+        stack itself when one part covers the class in slot order."""
+        if self._stacks[c] is None:
+            klass, parts = self.layout.classes[c], self._parts.pop(c, None)
+            k, n = len(klass.keys), klass.n
+            if not parts:
+                stack = _zero_stack(k, n)
+            elif len(parts) == 1 and np.array_equal(parts[0][0], np.arange(k)):
+                stack = self._form(parts[0][1])
+            else:
+                stack = np.zeros((k, n, n), dtype=complex)
+                for slots, payload in parts:
+                    stack[slots] = self._form(payload)
+            stack.setflags(write=False)
+            self._stacks[c] = stack
+        return self._stacks[c]
+
     def classes(self) -> tuple:
         """(class, read-only (k, n, n) stack) for every dimension class, in
         first-key order."""
         if self._pairs is None:
-            held = {}
-            for key, blk in self._given.items():
-                c, s = self.layout.where[key]
-                held.setdefault(c, []).append((s, blk))
-            pairs = []
-            for c, klass in enumerate(self.layout.classes):
-                members = held.get(c)
-                k, n = len(klass.keys), klass.n
-                if not members:
-                    stack = _zero_stack(k, n)
-                elif k == 1:
-                    stack = members[0][1][None]
-                else:
-                    stack = np.zeros((k, n, n), dtype=complex)
-                    stack[[s for s, _ in members]] = np.stack([blk for _, blk in members])
-                    stack.setflags(write=False)
-                pairs.append((klass, stack))
-            self._pairs = tuple(pairs)
+            self._pairs = tuple(zip(self.layout.classes, map(self.stack, range(len(self._stacks)))))
         return self._pairs
 
     def transposed(self) -> list:
@@ -347,9 +357,10 @@ def block_store(source: System, target: System, blocks, kind: str, validate: boo
     (i, j) -> (d_i e_j) x (d_i e_j) block; pairs missing from it are zero,
     and its shapes and keys are checked.  ``kind`` names the blocks in error
     messages.  Dict blocks to validate are copied into one stack per class,
-    scanned for non-finite entries and shape-checked once per class; the
-    first failing block in dict order raises.  Library-built ones
-    (validate=False) are only made complex, and frozen in place.
+    scanned for non-finite entries and shape-checked once per class.
+    Library-built ones (validate=False) are only made complex, frozen in
+    place and held as they are.  The first failing block in dict order
+    raises; the class stacks are formed on first read.
     """
     lay = layout(source.dims, target.dims)
     if isinstance(blocks, BlockStore):
@@ -359,28 +370,6 @@ def block_store(source: System, target: System, blocks, kind: str, validate: boo
             for _, stack in blocks.classes():
                 linalg.as_complex(stack)
         return blocks
-    if validate:
-        return _validated_store(source, target, lay, blocks, kind)
-    given = {}
-    for key, blk in blocks.items():
-        if blk is None:
-            continue
-        loc = lay.where.get(key)
-        if loc is None:
-            raise ShapeMismatch(f"{kind} block index {key} out of range")
-        n = lay.classes[loc[0]].n
-        blk = np.asarray(blk, dtype=complex)
-        if blk.shape != (n, n):
-            raise ShapeMismatch(f"{kind} block {key} has shape {blk.shape}, expected ({n},{n})")
-        blk.setflags(write=False)
-        given[key] = blk
-    return BlockStore(lay, None, given)
-
-
-def _validated_store(source: System, target: System, lay: Layout, blocks: dict,
-                     kind: str) -> BlockStore:
-    """Stack-born store of dict blocks from outside: per class, one as_complex
-    stack of the given blocks (a copy), placed at their slots."""
     members = {}  # class index -> (slots, dict positions, keys, blocks)
     fails = []  # (dict position, error)
     for pos, (key, blk) in enumerate(blocks.items()):
@@ -395,12 +384,17 @@ def _validated_store(source: System, target: System, lay: Layout, blocks: dict,
         positions.append(pos)
         keys.append(key)
         blks.append(blk)
-    parts = []
+    given, parts = {}, []
     for c, (slots, positions, keys, blks) in members.items():
-        klass = lay.classes[c]
-        n = klass.n
+        n = lay.classes[c].n
         try:
-            given = linalg.as_complex(blks, (n, n))
+            if validate:
+                held = linalg.as_complex(blks, (n, n))
+            else:
+                held = tuple(np.asarray(blk, dtype=complex) for blk in blks)
+                bad = [s for s, blk in enumerate(held) if blk.shape != (n, n)]
+                if bad:
+                    raise linalg._bad_member(ShapeMismatch, "", bad[0], held[bad[0]].shape)
         except (DimensionMismatch, ShapeMismatch) as exc:
             s = exc.member
             if isinstance(exc, ShapeMismatch):
@@ -408,15 +402,14 @@ def _validated_store(source: System, target: System, lay: Layout, blocks: dict,
                                     f"expected ({n},{n})")
             fails.append((positions[s], exc))
             continue
-        if slots == list(range(len(klass.keys))):
-            stack = given
-        else:
-            stack = np.zeros((len(klass.keys), n, n), dtype=complex)
-            stack[slots] = given
-        parts.append((klass, stack))
+        if not validate:
+            for blk in held:
+                blk.setflags(write=False)
+            given.update(zip(keys, held))
+        parts.append((c, slots, held))
     if fails:
         raise min(fails, key=lambda f: f[0])[1]
-    return BlockStore.stacked(source, target, parts)
+    return BlockStore(lay, parts, np.asarray if validate else _stack_of, given)
 
 
 def coords(sys: System, x) -> np.ndarray:

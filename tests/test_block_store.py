@@ -680,3 +680,132 @@ def test_bundle_only_parses():
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     assert not names & {"BlockStore", "layout", "dim_classes"}
+
+
+def test_kraus_blocks_are_formed_only_by_the_store():
+    """cpmaps defines no ALONE_N and _from_stacks forms no product: the blocks
+    V V† of a Kraus-born morphism are formed by its block store, on first read."""
+    tree = ast.parse((pathlib.Path(covgraphs.__file__).parent / "cpmaps.py").read_text())
+    assert "ALONE_N" not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    (fn,) = [node for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name == "_from_stacks"]
+    products = [
+        node.lineno for node in ast.walk(fn)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+        or isinstance(node, ast.Attribute) and node.attr == "matmul"
+        or isinstance(node, ast.Name) and node.id == "matmul"
+    ]
+    assert not products
+
+
+def _spy_gram(monkeypatch) -> list:
+    """Record the block dimension n of every stack of V V† formed from here on."""
+    formed, real = [], linalg.gram
+
+    def spy(vs):
+        formed.append(vs.shape[1])
+        return real(vs)
+
+    monkeypatch.setattr(linalg, "gram", spy)
+    return formed
+
+
+def _lazy_families():
+    """Kraus families by how their pairs fill the classes of the layout:
+    (source, target, pair -> maps)."""
+    r = np.random.default_rng(1212)
+
+    def maps(d, e, count):
+        return [rand_complex(r, e, d) for _ in range(count)]
+
+    a, b = systems.system((1, 2)), systems.system((2, 1))
+    big = systems.system((8, 8, 1))
+    return {
+        # Two maps on every pair: one group covers each class in slot order.
+        "whole": (a, b, {(i, j): maps(d, e, 2)
+                         for i, d in enumerate(a.dims) for j, e in enumerate(b.dims)}),
+        # Absent pairs, and two map counts in one class, out of slot order.
+        "partial": (systems.system((1, 2, 2)), systems.system((2, 2)), {
+            (2, 1): maps(2, 2, 2), (1, 0): maps(2, 2, 1), (2, 0): maps(2, 2, 2),
+            (0, 0): maps(1, 2, 1)}),
+        # Multi-member classes of 64 x 64 blocks, whole and partly filled.
+        "n64-whole": (systems.system((8, 8)), systems.system((8,)), {
+            (0, 0): maps(8, 8, 2), (1, 0): maps(8, 8, 2)}),
+        "n64-partial": (big, systems.system((8, 8)), {
+            (1, 0): maps(8, 8, 2), (0, 0): maps(8, 8, 2), (0, 1): maps(8, 8, 1),
+            (2, 1): maps(1, 8, 3)}),
+        # Pairs with more maps than d e next to pairs with fewer.
+        "over": (a, systems.system((2, 2)), {
+            (0, 0): maps(1, 2, 3), (0, 1): maps(1, 2, 1), (1, 0): maps(2, 2, 5),
+            (1, 1): maps(2, 2, 2)}),
+    }
+
+
+LAZY = _lazy_families()
+
+
+class TestLazyKrausBlocks:
+    @pytest.mark.parametrize("name", list(LAZY))
+    def test_blocks_match_per_pair_loop(self, name):
+        src, tgt, kraus = LAZY[name]
+        ref = loop_block_store(src, tgt, loop_from_kraus(kraus)[0])
+        for f in (cpmaps.from_kraus(kraus, src, tgt), cpmaps._from_maps(kraus, src, tgt)):
+            _assert_family_equal(f.blocks, ref)
+
+    def test_blocks_are_formed_on_first_read_of_their_class(self, monkeypatch):
+        formed = _spy_gram(monkeypatch)
+        src, tgt, kraus = LAZY["partial"]
+        f = cpmaps.from_kraus(kraus, src, tgt)
+        assert formed == []
+        f.blocks[(2, 1)]
+        assert formed == [4, 4]  # class (2, 2): one product per map count
+        f.blocks[(1, 1)]
+        f.blocks.classes()
+        assert formed == [4, 4, 2]
+        src, tgt, kraus = LAZY["over"]
+        formed.clear()
+        cpmaps.from_kraus(kraus, src, tgt)
+        assert formed == [2, 2, 4, 4]  # both classes hold a pair given too many maps
+
+    @pytest.mark.parametrize("name", ["partial", "n64-partial"])
+    def test_second_read_returns_the_same_read_only_arrays(self, name):
+        src, tgt, kraus = LAZY[name]
+        f = cpmaps.from_kraus(kraus, src, tgt)
+        first = {key: f.blocks[key] for key in f.blocks}
+        pairs = f.blocks.classes()
+        assert f.blocks.classes() is pairs
+        for c, (klass, stack) in enumerate(pairs):
+            assert f.blocks.stack(c) is stack and not stack.flags.writeable
+            for key in klass.keys:
+                assert np.array_equal(f.blocks[key], first[key]), key
+                assert np.shares_memory(f.blocks[key], stack), key
+                assert not f.blocks[key].flags.writeable, key
+
+    def test_composite_forms_no_lifted_block(self, monkeypatch):
+        oa = systems.system((3,))
+        src = scc.source_from_graph(graphs.discrete_graph(oa))
+        ident = cpmaps.identity_channel(oa)
+        formed = _spy_gram(monkeypatch)
+        scc._composite(src, ident, ident)
+        assert max(formed, default=0) < 64
+        # The lifted (N∘E) ⊗ id_{O_B} has 900 x 900 blocks, formed when read.
+        lifted = scc.tensor_cp(cpmaps.compose(ident, ident), cpmaps.identity_channel(src.ob_system))
+        lifted.blocks.classes()
+        assert max(formed) == 900
+
+    @pytest.mark.parametrize("kind", ["dense16", "permutation16", "dense3"])
+    def test_commutative_compose_matches_index_loop(self, kind):
+        n = 3 if kind == "dense3" else 16
+        sys = systems.classical_system(n)
+        if kind == "permutation16":
+            f = embed_channel(np.eye(n)[rng.permutation(n)])
+            g = embed_channel(np.eye(n)[rng.permutation(n)])
+        else:
+            f = embed_channel(rng.dirichlet(np.ones(n), size=n).T)
+            g = embed_channel(rng.dirichlet(np.ones(n), size=n).T)
+        got = cpmaps.compose(g, f)
+        ref = cpmaps._from_maps(loop_cp_compose_kraus(g, f), sys, sys)
+        _assert_family_equal(got.blocks, dict(ref.blocks))
+        for key, ops in ref.kraus().items():
+            assert len(got.kraus()[key]) == len(ops), key
+            assert all(np.array_equal(a, b) for a, b in zip(got.kraus()[key], ops)), key

@@ -57,8 +57,8 @@ from .errors import (
 from .linalg import FUNCTIONAL_SLACK, TOL_PROJ, TOL_SPEC, VALIDATE_SLACK
 from .systems import BlockStore, System, _diff, basis_offset, block_store, inner, layout
 
-# Below this many 1x1 products, forming them one at a time costs less than
-# the fixed numpy overhead of the batched product of _compose_commutative.
+# Fewest 1x1 products that compose forms with one batched product; below
+# about 24 the fixed numpy cost of _compose_commutative exceeds the loop's.
 BATCHED_PRODUCTS = 32
 
 
@@ -162,16 +162,21 @@ def _block_kraus(keys, stack: np.ndarray, d: int, e: int) -> dict:
     return out
 
 
-def from_kraus(kraus: dict, src: System, tgt: System, scan: bool = True) -> CpMorphism:
+def from_kraus(kraus: dict, src: System, tgt: System) -> CpMorphism:
     """CP morphism of a Kraus family: factor pairs (i, j) mapped to lists of
     e_j x d_i matrices H_i -> K_j.
 
     The maps of the pairs of one class with one map count are copied into
-    one stack and shape-checked once, and scanned for non-finite entries
-    unless ``scan`` is False (maps the library built); the first failing map
-    (dict order, then list order) raises.  The morphism holds read-only
-    views of these copies.
+    one stack, scanned for non-finite entries and shape-checked once; the
+    first failing map (dict order, then list order) raises.  The morphism
+    holds read-only views of these copies.
     """
+    return _from_maps(kraus, src, tgt, scan=True)
+
+
+def _from_maps(kraus: dict, src: System, tgt: System, scan: bool = False) -> CpMorphism:
+    """from_kraus; maps the library built (scan False) are shape-checked but
+    not scanned for non-finite entries."""
     lay = layout(src.dims, tgt.dims)
     groups = {}  # (class index, map count) -> (keys, dict positions, maps)
     fails = []  # ((dict position, map index), error)
@@ -189,7 +194,7 @@ def from_kraus(kraus: dict, src: System, tgt: System, scan: bool = True) -> CpMo
     for (c, count), (keys, positions, maps) in groups.items():
         d, e = lay.classes[c].dims
         try:
-            stack = linalg.as_complex(maps, (e, d)) if scan else np.array(maps, dtype=complex)
+            stack = linalg.as_complex(maps, (e, d), scan)
         except (DimensionMismatch, ShapeMismatch) as exc:
             p, t = divmod(exc.member, count)
             if isinstance(exc, ShapeMismatch):
@@ -201,11 +206,6 @@ def from_kraus(kraus: dict, src: System, tgt: System, scan: bool = True) -> CpMo
     if fails:
         raise min(fails, key=lambda f: f[0])[1]
     return _from_stacks(src, tgt, lay, stacks)
-
-
-def _from_maps(kraus: dict, src: System, tgt: System) -> CpMorphism:
-    """from_kraus of maps the library built: stacked without a scan."""
-    return from_kraus(kraus, src, tgt, scan=False)
 
 
 def _from_stacks(src: System, tgt: System, lay, stacks) -> CpMorphism:
@@ -313,8 +313,8 @@ def compose(g: CpMorphism, f: CpMorphism) -> CpMorphism:
 def _compose_commutative(g: CpMorphism, f: CpMorphism) -> CpMorphism:
     """compose of morphisms between commutative systems: the products n @ m
     of pair (i, k) run over the j where both (i, j) and (j, k) hold a map.
-    All of them are one batched product, stacked per map count in key order
-    of (i, k)."""
+    All of them are one batched product, a broadcast with no sort when every
+    pair holds a map, stacked per map count in key order of (i, k)."""
     (fi, fj), fm = _held_entries(f)
     (gj, gk), gm = _held_entries(g)
     rows, mid, cols = f.source.nfactors, f.target.nfactors, g.target.nfactors

@@ -44,16 +44,16 @@ SPAN_RATIO = 1e-2  # source-graph span cut relative to the projection tolerance
 TINY_UNIT = 1e-300  # lower bound of the magnitude unit of the source-graph span floor
 
 
-def as_complex(m, shape: tuple | None = None) -> np.ndarray:
+def as_complex(m, shape: tuple | None = None, scan: bool = True) -> np.ndarray:
     """m as a complex array, scanned for non-finite entries (DimensionMismatch).
 
     With ``shape``, m is a sequence of members, each meant to be a ``shape``
     array, and the result is their (k,) + shape stack, built by one
-    np.asarray and scanned once.  The first member in order that is not
-    finite (DimensionMismatch) or has another shape (ShapeMismatch) raises;
-    the error carries its position as ``member`` and its shape as ``shape``,
-    for the caller to name it.  Members of unequal shapes have no common
-    stack; they are looked at one by one, on that failing path only.
+    np.asarray and scanned once (only shape-checked if not ``scan``).  The
+    first member in order that is not finite (DimensionMismatch) or has
+    another shape (ShapeMismatch) raises; the error carries its position as
+    ``member`` and its shape as ``shape``, for the caller to name it.
+    Members of unequal shapes are looked at one by one, on that path only.
     """
     if shape is None:
         a = np.asarray(m, dtype=complex)
@@ -69,14 +69,14 @@ def as_complex(m, shape: tuple | None = None) -> np.ndarray:
         members = [np.asarray(x, dtype=complex) for x in m]
     else:
         if a.shape[1:] == shape:
-            finite = np.isfinite(a)
+            finite = np.isfinite(a) if scan else np.True_
             if finite.all():
                 return a
             raise _bad_member(DimensionMismatch, "matrix entries must be finite",
                               int(np.argmin(finite.reshape(len(a), -1).all(axis=1))), shape)
         members = a[:1]  # all members share the wrong shape: the first fails
     for s, x in enumerate(members):
-        if not np.isfinite(x).all():
+        if scan and not np.isfinite(x).all():
             raise _bad_member(DimensionMismatch, "matrix entries must be finite", s, x.shape)
         if x.shape != shape:
             raise _bad_member(ShapeMismatch, f"member {s} has shape {x.shape}, expected {shape}",

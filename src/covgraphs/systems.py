@@ -310,7 +310,7 @@ class BlockStore(Mapping):
         """Read-only (k, n, n) stack of class index c: one form per part, the
         stack itself when one part covers the class in slot order."""
         if self._stacks[c] is None:
-            klass, parts = self.layout.classes[c], self._parts.pop(c, None)
+            klass, parts = self.layout.classes[c], self._parts.get(c)
             k, n = len(klass.keys), klass.n
             if not parts:
                 stack = _zero_stack(k, n)
@@ -322,6 +322,7 @@ class BlockStore(Mapping):
                     stack[slots] = self._form(payload)
             stack.setflags(write=False)
             self._stacks[c] = stack
+            self._parts.pop(c, None)
         return self._stacks[c]
 
     def classes(self) -> tuple:

@@ -7,6 +7,7 @@ the stacks bitwise the blocks of the per-block loops in genutil.
 """
 
 import ast
+import inspect
 import pathlib
 import re
 
@@ -610,6 +611,18 @@ class TestChecksAtTheBoundary:
             with pytest.raises(kind, match=r"pair \(1, 0\)" if kind is ShapeMismatch else "finite"):
                 cpmaps.from_kraus(given, sys, sys)
 
+    def test_library_maps_are_shape_checked(self):
+        """_from_maps skips only the non-finite scan: a transposed or ragged
+        map is named as by from_kraus, which has no switch for the scan."""
+        sys = systems.system((1, 2))
+        row = np.ones((1, 2))  # a map H_1 -> K_0 of pair (1, 0)
+        for given in ({(0, 0): [[[1.0]]], (1, 0): [row.T]}, {(1, 0): [row, np.eye(2)]}):
+            for build in (cpmaps.from_kraus, cpmaps._from_maps):
+                with pytest.raises(ShapeMismatch, match=r"pair \(1, 0\) has shape \(2, 1\)|"
+                                                        r"pair \(1, 0\) has shape \(2, 2\)"):
+                    build(given, sys, sys)
+        assert list(inspect.signature(cpmaps.from_kraus).parameters) == ["kraus", "src", "tgt"]
+
     @pytest.mark.parametrize("stacked", [False, True])
     def test_first_nonunitary_is_named(self, stacked):
         z2 = groups.cyclic_group(2)
@@ -793,17 +806,47 @@ class TestLazyKrausBlocks:
         lifted.blocks.classes()
         assert max(formed) == 900
 
-    @pytest.mark.parametrize("kind", ["dense16", "permutation16", "dense3"])
-    def test_commutative_compose_matches_index_loop(self, kind):
-        n = 3 if kind == "dense3" else 16
+    def test_failed_form_leaves_the_class_to_form_again(self, monkeypatch):
+        src, tgt, kraus = LAZY["n64-partial"]
+        real, calls = linalg.gram, []
+
+        def failing(vs):
+            calls.append(vs.shape[1])
+            if len(calls) <= 2:
+                raise MemoryError("no room for the stack")
+            return real(vs)
+
+        monkeypatch.setattr(linalg, "gram", failing)
+        f = cpmaps.from_kraus(kraus, src, tgt)
+        for read in (lambda: f.blocks[(1, 0)], lambda: f.blocks.classes()):
+            with pytest.raises(MemoryError):
+                read()
+        ref = loop_block_store(src, tgt, loop_from_kraus(kraus)[0])
+        _assert_family_equal(f.blocks, ref)
+
+    @pytest.mark.parametrize("kind", ["dense16", "permutation32", "two-per-column16", "dense3"])
+    def test_commutative_compose_matches_index_loop(self, kind, monkeypatch):
+        """dense16 takes the broadcast, permutation32 (one map per pair) and
+        two-per-column16 (one or two) the run expansion; dense3 has fewer
+        than BATCHED_PRODUCTS products and forms them one at a time."""
+        n = int(kind[-2:]) if kind != "dense3" else 3
         sys = systems.classical_system(n)
-        if kind == "permutation16":
+        if kind == "permutation32":
             f = embed_channel(np.eye(n)[rng.permutation(n)])
             g = embed_channel(np.eye(n)[rng.permutation(n)])
+        elif kind == "two-per-column16":
+            f, g = (embed_channel((np.eye(n)[rng.permutation(n)] + np.eye(n)[rng.permutation(n)]) / 2)
+                    for _ in range(2))
         else:
             f = embed_channel(rng.dirichlet(np.ones(n), size=n).T)
             g = embed_channel(rng.dirichlet(np.ones(n), size=n).T)
+        batched, real = [], cpmaps._compose_commutative
+        monkeypatch.setattr(cpmaps, "_compose_commutative",
+                            lambda g, f: batched.append(1) or real(g, f))
         got = cpmaps.compose(g, f)
+        assert batched == ([] if kind == "dense3" else [1])
+        if kind == "two-per-column16":
+            assert {vs.shape[2] for _, _, vs in got.kraus_vecs} == {1, 2}  # maps per pair
         ref = cpmaps._from_maps(loop_cp_compose_kraus(g, f), sys, sys)
         _assert_family_equal(got.blocks, dict(ref.blocks))
         for key, ops in ref.kraus().items():

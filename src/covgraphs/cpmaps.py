@@ -69,6 +69,11 @@ class CpMorphism:
     count, (class index, slots of its pairs in the class, read-only
     (p, d e, count) stack V of the vec(M†) of their maps), so that block
     (i, j) is V V†.  It is None for a morphism born as Choi blocks.
+
+    What a morphism derives without a tolerance is computed once and kept
+    on it: relations.support_of and graphs.confusability_of store their
+    result here on the first call that succeeds and return that same object
+    on every later call.  A memo lives and dies with its morphism.
     """
 
     def __init__(self, source: System, target: System, blocks: dict, validate: bool = True):
@@ -77,6 +82,8 @@ class CpMorphism:
         self.blocks = block_store(source, target, blocks, "Choi", validate)
         self._kraus = None
         self.kraus_vecs = None
+        self._support = None  # relations.support_of
+        self._confusability = None  # graphs.confusability_of
         if validate:
             self._check_psd()
 
@@ -290,18 +297,22 @@ def compose(g: CpMorphism, f: CpMorphism) -> CpMorphism:
     Only nonempty pairs (i, j) of f and (j, k) of g are visited; each
     pair (i, k) collects its products n @ m with j ascending, then m, then n.
     Between commutative systems every pair holds at most one 1x1 map, and
-    from BATCHED_PRODUCTS products on they are one batched n @ m.
+    from BATCHED_PRODUCTS products on they are one batched n @ m; the count
+    is read off the arrays of held entries that the batched product uses.
     """
     if f.target != g.source:
         raise SystemMismatch("compose: target of f must equal source of g")
+    mid = f.target.nfactors
+    if (max(f.source.dims + f.target.dims + g.target.dims) == 1
+            and f.source.nfactors * mid * g.target.nfactors >= BATCHED_PRODUCTS):
+        fe, ge = _held_entries(f), _held_entries(g)
+        # Map (i, j) of f meets every map of g on row j.
+        if np.bincount(ge[0], minlength=mid)[fe[1]].sum() >= BATCHED_PRODUCTS:
+            return _compose_commutative(g, f, fe, ge)
     g_rows = {}
     for (j, k), ns in g.kraus().items():
         if ns:
             g_rows.setdefault(j, []).append((k, ns))
-    if max(f.source.dims + f.target.dims + g.target.dims) == 1 and sum(
-        len(g_rows.get(j, ())) for (_, j), ms in f.kraus().items() if ms
-    ) >= BATCHED_PRODUCTS:
-        return _compose_commutative(g, f)
     kraus = {}
     for (i, j), ms in f.kraus().items():
         if ms:
@@ -310,13 +321,14 @@ def compose(g: CpMorphism, f: CpMorphism) -> CpMorphism:
     return _from_maps(kraus, f.source, g.target)
 
 
-def _compose_commutative(g: CpMorphism, f: CpMorphism) -> CpMorphism:
-    """compose of morphisms between commutative systems: the products n @ m
-    of pair (i, k) run over the j where both (i, j) and (j, k) hold a map.
-    All of them are one batched product, a broadcast with no sort when every
-    pair holds a map, stacked per map count in key order of (i, k)."""
-    (fi, fj), fm = _held_entries(f)
-    (gj, gk), gm = _held_entries(g)
+def _compose_commutative(g: CpMorphism, f: CpMorphism, f_entries, g_entries) -> CpMorphism:
+    """compose of morphisms between commutative systems, given their
+    _held_entries: the products n @ m of pair (i, k) run over the j where
+    both (i, j) and (j, k) hold a map.  All of them are one batched product,
+    a broadcast with no sort when every pair holds a map, stacked per map
+    count in key order of (i, k)."""
+    fi, fj, fm = f_entries
+    gj, gk, gm = g_entries
     rows, mid, cols = f.source.nfactors, f.target.nfactors, g.target.nfactors
     if fm.size == rows * mid and gm.size == mid * cols:
         prods = gm.reshape(mid, cols, 1, 1).swapaxes(0, 1)[None] @ fm.reshape(rows, 1, mid, 1, 1)
@@ -347,12 +359,14 @@ def _compose_commutative(g: CpMorphism, f: CpMorphism) -> CpMorphism:
 
 
 def _held_entries(f: CpMorphism):
-    """((rows, cols) of the pairs holding a map, (p, 1, 1) stack of their
-    maps), in key order, of a morphism between commutative systems."""
-    held = f.kraus()
-    keys = [key for key, ops in held.items() if ops]
-    maps = np.concatenate([held[key][0] for key in keys])[:, :, None]
-    return np.array(keys).T, maps
+    """(rows, cols, maps) of the pairs holding a map, in key order, of a
+    morphism between commutative systems: two int arrays and the (p, 1, 1)
+    stack of the maps.  The one class of the layout lists every pair."""
+    held = f.kraus().values()
+    live = np.flatnonzero(np.fromiter(map(len, held), int, len(held)))
+    maps = np.fromiter((ops[0][0, 0] for ops in held if ops), complex, len(live))
+    (klass,) = f.blocks.layout.classes
+    return klass.rows[live], klass.cols[live], maps.reshape(-1, 1, 1)
 
 
 def dagger(f: CpMorphism) -> CpMorphism:

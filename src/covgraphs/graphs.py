@@ -96,7 +96,15 @@ def graphs_equal(a: QuantumGraph, b: QuantumGraph, tol: float = TOL_PROJ) -> boo
 
 
 def confusability_of(f: CpMorphism) -> QuantumGraph:
-    """Underlying relation of f† ∘ f, computed as ℜ(f)† ∘ ℜ(f)."""
+    """Underlying relation of f† ∘ f, computed as ℜ(f)† ∘ ℜ(f).  Computed
+    once per morphism: the graph is kept on f and every later call returns
+    that same object."""
+    if f._confusability is None:
+        f._confusability = _confusability(f)
+    return f._confusability
+
+
+def _confusability(f: CpMorphism) -> QuantumGraph:
     rf = support_of(f)
     rel = rel_compose(converse(rf), rf)
     # Symmetrize against numerical drift; the result is symmetric by theorem.

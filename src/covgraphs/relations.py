@@ -25,6 +25,8 @@ and defects run one batched kernel per class.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from . import linalg
@@ -43,15 +45,17 @@ from .systems import BlockStore, System, block_store, layout
 
 class QuantumRelation:
     """Immutable family of projections on the vectorized operator spaces,
-    with an orthonormal frame of each (see frames)."""
+    with an orthonormal frame of each (see frames); blocks and frames are
+    read-only, so a relation can be shared."""
 
     def __init__(self, source: System, target: System, blocks: dict, validate: bool = True,
                  frames=None):
         self.source = source
         self.target = target
         self.blocks = block_store(source, target, blocks, "relation", validate)
-        # A tuple of Frames in class order, or a function that makes it.
-        self._frames = self._projection_frames if frames is None else frames
+        # A tuple of read-only Frames in class order, or a function that makes it.
+        frames = self._projection_frames if frames is None else frames
+        self._frames = frames if callable(frames) else _read_only(frames)
         if validate:
             defects = self.blocks.keyed(
                 linalg.projection_defects(stack) for _, stack in self.blocks.classes()
@@ -80,7 +84,7 @@ class QuantumRelation:
         member s of a class projects onto the span of its frame columns
         vec(a_r), a_r : K_j -> H_i, which are orthonormal."""
         if callable(self._frames):
-            self._frames = self._frames()
+            self._frames = _read_only(self._frames())
         return self._frames
 
     def frame(self, i: int, j: int) -> np.ndarray:
@@ -102,6 +106,15 @@ class QuantumRelation:
         return [int(round(t)) for t in traces.tolist()]
 
 
+def _read_only(frames: tuple) -> tuple:
+    """frames with their arrays made read-only, as the blocks are, so that a
+    relation can be shared."""
+    for fr in frames:
+        fr.ranks.setflags(write=False)
+        fr.vecs.setflags(write=False)
+    return frames
+
+
 def support_of(f: CpMorphism) -> QuantumRelation:
     """Underlying relation: blockwise support projection of the Choi blocks.
 
@@ -111,9 +124,18 @@ def support_of(f: CpMorphism) -> QuantumRelation:
     eigenvalue cut TOL_SPEC on V V†), whose left singular vectors are the
     frames.  For a morphism born as Choi blocks, one batched support kernel
     per class, whose kept eigenvectors are the frames; a block that is not
-    Hermitian PSD raises, naming its factor pair."""
-    if f.kraus_vecs is not None:
-        return _support_of_maps(f)
+    Hermitian PSD raises, naming its factor pair, and raises again on every
+    later call.
+
+    Computed once per morphism: the relation is kept on f and every later
+    call returns that same object."""
+    if f._support is None:
+        f._support = _support_of_maps(f) if f.kraus_vecs is not None else _support_of_blocks(f)
+    return f._support
+
+
+def _support_of_blocks(f: CpMorphism) -> QuantumRelation:
+    """support_of from the Choi blocks of f."""
     parts = []
     for klass, stack in f.blocks.classes():
         try:
@@ -141,8 +163,11 @@ def _support_of_maps(f: CpMorphism) -> QuantumRelation:
         for klass, got in zip(lay.classes, frames)))
 
 
+@lru_cache(maxsize=128)
 def discrete(sys: System) -> QuantumRelation:
-    """Identity relation: diagonal blocks project onto span{vec(I_d)}."""
+    """Identity relation: diagonal blocks project onto span{vec(I_d)}.  It
+    depends only on the dims, and systems are immutable, so equal systems
+    share one relation, whose blocks and frames are read-only."""
     parts = []
     for klass in layout(sys.dims, sys.dims).classes:
         d, e = klass.dims

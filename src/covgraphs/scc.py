@@ -8,7 +8,15 @@ partial-tracing the O_B and environment legs.  An encoding E: O_A -> A is
 valid for a communication channel N: A -> B precisely when it is a graph
 homomorphism from the source graph to the confusability graph of N; the
 equivalent operational test is reversibility of ((N∘E) ⊗ id_{O_B}) ∘ C, and
-both are computed on every call.
+both are computed and asserted to agree.
+
+Each piece is computed once per owner and kept on it, so the pipeline
+encoding_is_valid -> decoder_for -> verify_scheme builds it once: a source
+keeps its confusability graph per tol and the last scheme checked on it
+(verdict and composite, for the same encoder and channel objects); a
+morphism keeps its support and confusability graph (see CpMorphism).  A
+memo lives and dies with its owner: no module-level store is keyed by a
+morphism or a source.
 
 Leg-ordering convention: product systems order factor pairs (a, b) with the
 left factor major, and product legs as left ⊗ right; all doubled-dilation
@@ -128,7 +136,16 @@ def tensor_cp(f: CpMorphism, g: CpMorphism,
 
 
 class Source:
-    """Covariant source: a reversible channel S -> O_A ⊗ O_B."""
+    """Covariant source: a reversible channel S -> O_A ⊗ O_B.
+
+    A source computes once what its checks derive from it and keeps it:
+    its confusability graph per tol (source_confusability_graph, filled by
+    source_from_graph's round-trip gate), and one slot holding the last
+    scheme checked on it, (encoder, channel, tol) -> (verdict, composite),
+    with the two channels matched by identity.  decoder_for reads the
+    verdict and composite from that slot, and verify_scheme the composite,
+    which does not depend on tol.  The memos live and die with the source.
+    """
 
     def __init__(self, s_system: System, oa_system: System, ob_system: System,
                  channel: CpMorphism, tol: float = TOL_PROJ):
@@ -143,6 +160,15 @@ class Source:
         if not graphs_equal(confusability_of(channel), discrete_graph(s_system), tol):
             raise SourceInvalid("source channel is not reversible")
         self.channel = channel
+        self._graphs = {}  # tol -> source confusability graph
+        self._checked = None  # (e_chan, n_chan, tol, verdict, composite)
+
+    def _last_checked(self, e_chan: CpMorphism, n_chan: CpMorphism):
+        """The checked-scheme slot if it holds these very channels, else None."""
+        slot = self._checked
+        if slot is not None and slot[0] is e_chan and slot[1] is n_chan:
+            return slot
+        return None
 
 
 def _source_span_vectors(src: Source):
@@ -195,7 +221,15 @@ def _source_span_vectors(src: Source):
 
 def source_confusability_graph(src: Source, tol: float = TOL_PROJ) -> QuantumGraph:
     """Confusability graph of the source on O_A: the complement of the support
-    of the partial-traced doubled-dilation element."""
+    of the partial-traced doubled-dilation element.  Computed once per source
+    and tol: the graph is kept on src and every later call returns it."""
+    graph = src._graphs.get(tol)
+    if graph is None:
+        graph = src._graphs[tol] = _source_graph(src, tol)
+    return graph
+
+
+def _source_graph(src: Source, tol: float) -> QuantumGraph:
     oa = src.oa_system
     vecs = _source_span_vectors(src)
     # The natural magnitude unit of the traced doubled element is the squared
@@ -235,19 +269,27 @@ def _checked_composite(e_chan: CpMorphism, src: Source, n_chan: CpMorphism,
     (a) e_chan is a graph homomorphism from the source graph to the
         confusability graph of n_chan;
     (b) the composite ((N∘E) ⊗ id) ∘ C is reversible.
+
+    The result is kept in the checked-scheme slot of src, so that asking
+    again with the same encoder, channel and tol reads it; with another tol
+    only the composite, which does not depend on tol, is read.
     """
+    slot = src._last_checked(e_chan, n_chan)
+    if slot is not None and slot[2] == tol:
+        return slot[3], slot[4]
     if e_chan.source != src.oa_system:
         raise SystemMismatch("encoder must start on O_A")
     if e_chan.target != n_chan.source:
         raise SystemMismatch("encoder must feed the communication channel")
     hom = is_homomorphism(e_chan, source_confusability_graph(src, tol),
                           confusability_of(n_chan), tol)
-    comp = _composite(src, n_chan, e_chan)
+    comp = slot[4] if slot is not None else _composite(src, n_chan, e_chan)
     rev = is_reversible(comp, tol)
     if hom != rev:
         raise TheoremViolation(
             f"homomorphism test ({hom}) and composite reversibility ({rev}) disagree"
         )
+    src._checked = (e_chan, n_chan, tol, hom, comp)
     return hom, comp
 
 
@@ -270,8 +312,11 @@ def decoder_for(e_chan: CpMorphism, src: Source, n_chan: CpMorphism,
 
 def verify_scheme(src: Source, n_chan: CpMorphism, e_chan: CpMorphism,
                   d_chan: CpMorphism, tol: float = TOL_PROJ) -> bool:
-    """Full pipeline D ∘ ((N∘E) ⊗ id) ∘ C must be the identity channel on S."""
-    comp = _composite(src, n_chan, e_chan)
+    """Full pipeline D ∘ ((N∘E) ⊗ id) ∘ C must be the identity channel on S.
+    The composite is read from the checked-scheme slot of src when it holds
+    e_chan and n_chan (from encoding_is_valid or decoder_for)."""
+    slot = src._last_checked(e_chan, n_chan)
+    comp = slot[4] if slot is not None else _composite(src, n_chan, e_chan)
     if d_chan.source != comp.target or d_chan.target != src.s_system:
         raise SystemMismatch("decoder must map B ⊗ O_B to S")
     pipeline = compose(d_chan, comp)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from covgraphs import cpmaps, linalg, relations, systems
+from covgraphs import cpmaps, graphs, linalg, relations, systems
 from covgraphs.classical import embed_channel, embed_relation, extract_relation, oracle_compose
-from covgraphs.errors import NoChannel, SystemMismatch
+from covgraphs.errors import NegativeSpectrum, NoChannel, SystemMismatch
 
 from genutil import (
     choi_born,
@@ -122,7 +122,63 @@ class TestMapBornSupport:
         assert g._kraus is None and calls
 
 
+def _assert_read_only(rel):
+    for key in rel.blocks:
+        assert not rel.blocks[key].flags.writeable, key
+        with pytest.raises(ValueError):
+            rel.blocks[key][0, 0] = 0.0
+    for fr in rel.frames():
+        assert not fr.vecs.flags.writeable and not fr.ranks.flags.writeable
+    for key in rel.blocks:
+        assert not rel.frame(*key).flags.writeable, key
+
+
+class TestMorphismMemos:
+    """support_of and confusability_of are computed once per morphism and
+    kept on it; what they return is shared, so it is read-only."""
+
+    @pytest.mark.parametrize("born", ["kraus", "choi"])
+    def test_repeated_calls_return_the_same_read_only_object(self, born, monkeypatch):
+        sys = systems.system((1, 2))
+        f = rand_cp(np.random.default_rng(21), sys, sys)
+        if born == "choi":
+            f = choi_born(f)
+        assert (f.kraus_vecs is None) == (born == "choi")
+        spans = []
+        for name in ("orthonormal_span", "support_projection"):
+            real = getattr(linalg, name)
+            monkeypatch.setattr(linalg, name,
+                                lambda *a, real=real, **k: spans.append(1) or real(*a, **k))
+        rel = relations.support_of(f)
+        made = len(spans)
+        assert made and relations.support_of(f) is rel
+        assert len(spans) == made
+        _assert_read_only(rel)
+        gamma = graphs.confusability_of(f)
+        made = len(spans)
+        assert graphs.confusability_of(f) is gamma and len(spans) == made
+        assert relations.support_of(f) is rel
+        _assert_read_only(gamma.relation)
+
+    def test_a_morphism_that_is_not_psd_raises_on_every_call(self):
+        sys = systems.system((2,))
+        f = cpmaps.CpMorphism(sys, sys, {(0, 0): -np.eye(4)}, validate=False)
+        for call in (relations.support_of, relations.support_of,
+                     graphs.confusability_of, graphs.confusability_of):
+            with pytest.raises(NegativeSpectrum):
+                call(f)
+
+
 class TestDiscrete:
+    def test_shared_per_system_and_read_only(self):
+        a, b = systems.system((1, 2, 2)), systems.system((1, 2, 2))
+        assert a is not b and a == b
+        d = relations.discrete(a)
+        assert relations.discrete(b) is d
+        assert relations.discrete(systems.system((2, 2))) is not d
+        _assert_read_only(d)
+        assert graphs.discrete_graph(a).relation is d
+
     def test_classical(self):
         sys = systems.classical_system(3)
         d = relations.discrete(sys)

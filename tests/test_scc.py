@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from covgraphs import cpmaps, graphs, groups, relations, scc, systems
+from covgraphs import cpmaps, graphs, groups, linalg, relations, scc, systems
 from covgraphs.classical import embed_channel, extract_graph, oracle_source_graph
 from covgraphs.errors import GroupMismatch, NotValid, SourceInvalid
 
@@ -391,3 +391,55 @@ class TestTheorem:
             scc.encoding_is_valid(e_chan, src, n_chan)  # assertion inside
             count += 1
         assert count == 10
+
+
+class TestSourceMemos:
+    """A source keeps its graph per tol and its last checked scheme, so the
+    pipeline encoding_is_valid -> decoder_for -> verify_scheme computes each
+    piece once."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = {"_source_graph": 0, "is_reversible": 0, "_composite": 0}
+        for name in calls:
+            real = getattr(scc, name)
+
+            def counting(*args, name=name, real=real, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(scc, name, counting)
+        return calls
+
+    def test_pipeline_computes_each_piece_once(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        oa = systems.system((2,))
+        src = scc.source_from_graph(rand_conf_graph(np.random.default_rng(709), oa))
+        assert calls["_source_graph"] == 1  # the round-trip gate
+        ident = cpmaps.identity_channel(oa)
+        assert scc.encoding_is_valid(ident, src, ident)
+        d_chan = scc.decoder_for(ident, src, ident)
+        assert scc.verify_scheme(src, ident, ident, d_chan)
+        assert calls == {"_source_graph": 1, "is_reversible": 1, "_composite": 1}
+        assert scc.source_confusability_graph(src) is scc.source_confusability_graph(src)
+
+    def test_other_encoder_or_tol_computes_again(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        oa = systems.system((2,))
+        src = scc.source_from_graph(rand_conf_graph(np.random.default_rng(710), oa))
+        ident = cpmaps.identity_channel(oa)
+        valid, comp = scc._checked_composite(ident, src, ident)
+        other = cpmaps.identity_channel(oa)
+        assert other is not ident
+        assert scc._checked_composite(other, src, ident)[1] is not comp
+        assert calls == {"_source_graph": 1, "is_reversible": 2, "_composite": 2}
+        loose = 10 * linalg.TOL_PROJ
+        assert scc.encoding_is_valid(other, src, ident, loose) == valid
+        assert calls == {"_source_graph": 2, "is_reversible": 3, "_composite": 2}
+        assert scc.source_confusability_graph(src, loose) is not scc.source_confusability_graph(src)
+        # The composite does not depend on tol: the new tol read it, and so
+        # does verify_scheme.
+        d_chan = scc.decoder_for(other, src, ident, loose)
+        assert scc.verify_scheme(src, ident, other, d_chan)
+        assert calls["_composite"] == 2
+        assert scc.verify_scheme(src, ident, ident, d_chan)
+        assert calls["_composite"] == 3

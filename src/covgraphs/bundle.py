@@ -22,27 +22,45 @@ commutative systems, by a plain real "stochastic" matrix.
 
 This module only parses.  A ragged or non-numeric matrix or a malformed
 "i,j" key raises BundleError naming the entry, and load_bundle prefixes it
-with the object it was building.  A map keyed by "i,j" becomes a dict from
-factor pair to parsed entry, in entry order (one np.asarray for the whole
-map when its entries share one shape), and the owners check the rest:
+with the object it was building.  A map keyed by "i,j" whose keys are all
+two decimal numbers and whose entries share one shape becomes a keyed stack
+(systems.KeyedStack): its pairs as one (k, 2) int array, parsed in one pass
+over the key text, and its entries as one array from one np.asarray, in
+entry order.  Any other map becomes a dict from factor pair to parsed
+entry, one entry at a time, in entry order.  The owners check the rest:
 
   * systems.block_store (through CpMorphism and QuantumRelation) and
     cpmaps.from_kraus: finite entries, each block or map of its factor
-    pair's shape, pairs inside the layout;
+    pair's shape, pairs inside the layout and, in a keyed stack, distinct.
+    They group a keyed stack by class and check it once per class; on any
+    doubt they check its dict instead, so errors read the same either way;
   * CpMorphism: Choi blocks Hermitian PSD; QuantumRelation: projections;
   * AlgebraAction: each element permutes factors of equal dimension with
     one family of finite unitaries, and the action is a homomorphism up to
-    phase; System: weights constant on its orbits;
+    phase; System: weights constant on its orbits.  A system that gives no
+    unitaries acts by permutations alone (groups.permutation_action);
   * load_bundle: with a nontrivial group, every channel is covariant, and a
     graph declared "confusability" or "simple" is one.
 
 The owners check once per block-store class and name the first failing
 block or map in dict order, and the first failing unitary by (g, i).
+
+dump_json writes exactly the bytes of json.dump(obj, fh, indent=1,
+sort_keys=True) and a newline, without json's pure-Python encoder: each
+matrix of [re, im] float pairs is formatted in one pass, from its rows'
+cached template, and a document holding anything but dicts with str keys, lists,
+str, int, float, bool and None goes to json.dump.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import re
+from functools import lru_cache
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
@@ -50,23 +68,26 @@ from . import linalg
 from .cpmaps import CpMorphism, from_kraus
 from .errors import CovGraphsError
 from .graphs import QuantumGraph, classify
-from .groups import AlgebraAction, FiniteGroup, is_covariant_cp, trivial_action, trivial_group
+from .groups import (
+    AlgebraAction,
+    FiniteGroup,
+    is_covariant_cp,
+    permutation_action,
+    trivial_action,
+    trivial_group,
+)
 from .relations import QuantumRelation
 from .scc import Source, tensor_system
-from .systems import QuantumSet, System
+from .systems import KeyedStack, QuantumSet, System
 
 
 class BundleError(CovGraphsError):
     pass
 
 
-def complex_to_json(z: complex):
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def matrix_to_json(m) -> list:
     m = np.asarray(m, dtype=complex)
-    return [[complex_to_json(z) for z in row] for row in m]
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def matrix_from_json(data, name: str = "matrix") -> np.ndarray:
@@ -102,18 +123,20 @@ def _maps(data, name: str):
         return [_parse(m, f"{name} [{t}]", 3) for t, m in enumerate(data)]
 
 
-def _pair_map(entries: dict, what: str, one, rows=None, ndim: int = 4) -> dict:
-    """A JSON map keyed by factor pair "i,j" as a dict pair -> parsed entry,
-    in entry order.
+def _pair_map(entries: dict, what: str, one, rows=None, ndim: int = 4):
+    """A JSON map keyed by factor pair "i,j": a KeyedStack, or a dict pair ->
+    parsed entry, in entry order.
 
-    ``rows`` (the entries' matrix data, when every entry has one) share one
-    np.asarray of ``ndim`` axes when they are numbers of one shape.
+    ``rows`` (the entries' matrix data, when every entry has one) become the
+    stack of a KeyedStack, with one np.asarray of ``ndim`` axes, when they
+    are numbers of one shape and every key is two decimal numbers.
     Otherwise each entry is parsed by one(pair, name, entry) in turn, so the
     first malformed key or entry raises BundleError naming it.
     """
-    if rows is not None:
+    pairs = _parse_pairs(entries) if rows else None
+    if pairs is not None:
         try:
-            return dict(zip(map(_parse_pair, entries), _parse(rows, what, ndim)))
+            return KeyedStack(pairs, _parse(rows, what, ndim))
         except BundleError:
             pass
     out = {}
@@ -121,6 +144,25 @@ def _pair_map(entries: dict, what: str, one, rows=None, ndim: int = 4) -> dict:
         pair = _parse_pair(text)
         out[pair] = one(pair, f"{what} {text}", value)
     return out
+
+
+# Keys "i,j" of decimal digits, each key on a line of its own.
+_PAIR_LINES = re.compile(r"(?:[0-9]{1,9},[0-9]{1,9}\n)*")
+
+
+def _parse_pairs(keys):
+    """Keys "i,j" as one (k, 2) int array, parsed in one pass over their
+    text; None unless every key is two decimal numbers (up to nine digits)."""
+    try:
+        text = "\n".join(keys) + "\n"
+    except TypeError:  # a key that is no str
+        return None
+    if not _PAIR_LINES.fullmatch(text):
+        return None
+    nums = text.replace("\n", ",").split(",")[:-1]
+    if len(nums) != 2 * len(keys):  # a key held a newline
+        return None
+    return np.array(nums, dtype=int).reshape(-1, 2)
 
 
 def group_from_json(data) -> FiniteGroup:
@@ -157,15 +199,18 @@ def system_from_json(data, group: FiniteGroup) -> System:
             else tuple(range(len(dims)))
             for g in range(group.order)
         )
-        # Elements missing from the JSON act by identities; AlgebraAction
-        # stacks the families per factor dimension and checks them.
-        units = tuple(
-            tuple(matrix_from_json(u, f"unitaries[{g}][{i}]")
-                  for i, u in enumerate(given_units[str(g)]))
-            if str(g) in given_units else tuple(np.eye(d, dtype=complex) for d in dims)
-            for g in range(group.order)
-        )
-        action = AlgebraAction(group, dims, perms, units)
+        if not any(str(g) in given_units for g in range(group.order)):
+            action = permutation_action(group, dims, perms)
+        else:
+            # Elements missing from the JSON act by identities; AlgebraAction
+            # stacks the families per factor dimension and checks them.
+            units = tuple(
+                tuple(matrix_from_json(u, f"unitaries[{g}][{i}]")
+                      for i, u in enumerate(given_units[str(g)]))
+                if str(g) in given_units else tuple(np.eye(d, dtype=complex) for d in dims)
+                for g in range(group.order)
+            )
+            action = AlgebraAction(group, dims, perms, units)
     weights = data.get("weights")
     if weights is None:
         weights = dims
@@ -233,10 +278,10 @@ def _blocks_from_json(data, src: System, tgt: System, kind: str) -> dict:
         raise BundleError(f"{name} needs 'projection' or 'basis'")
 
     entries = data.get("blocks", {})
-    specs = list(entries.values())
-    rows = None
-    if all(isinstance(spec, dict) and "projection" in spec for spec in specs):
-        rows = [spec["projection"] for spec in specs]
+    try:
+        rows = list(map(itemgetter("projection"), entries.values()))
+    except (KeyError, TypeError):  # an entry without a projection
+        rows = None
     return _pair_map(entries, f"{kind} block", one, rows)
 
 
@@ -366,6 +411,98 @@ def dump_channel(f: CpMorphism, src_name: str, tgt_name: str) -> dict:
 
 
 def dump_json(obj, path: str):
+    """Write obj as json.dump(obj, fh, indent=1, sort_keys=True) followed by
+    a newline would, byte for byte."""
+    out = []
+    try:
+        _write(obj, 0, out)
+    except _Unknown:
+        with open(path, "w") as fh:
+            json.dump(obj, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        return
+    out.append("\n")
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write("".join(out))
+
+
+class _Unknown(Exception):
+    """A value dump_json leaves to json.dump."""
+
+
+def _write(obj, level: int, out: list):
+    """Append the indent=1, sort_keys=True JSON text of obj at nesting level
+    ``level`` to out; _Unknown for anything but dicts with str keys, lists,
+    str, int, float, bool and None."""
+    kind = type(obj)
+    if kind is str:
+        out.append(encode_basestring_ascii(obj))
+    elif kind is float:
+        out.append(_float_text(obj))
+    elif obj is None or kind is bool:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif kind is list:
+        if not obj:
+            out.append("[]")
+        elif not _write_matrix(obj, level, out):
+            inner = "\n" + " " * (level + 1)
+            for k, item in enumerate(obj):
+                out.append(("[" if k == 0 else ",") + inner)
+                _write(item, level + 1, out)
+            out.append("\n" + " " * level + "]")
+    elif kind is dict:
+        if not obj:
+            out.append("{}")
+            return
+        if set(map(type, obj)) != {str}:
+            raise _Unknown
+        inner = "\n" + " " * (level + 1)
+        for k, (key, value) in enumerate(sorted(obj.items())):
+            out.append(("{" if k == 0 else ",") + inner + encode_basestring_ascii(key) + ": ")
+            _write(value, level + 1, out)
+        out.append("\n" + " " * level + "}")
+    else:
+        raise _Unknown
+
+
+def _float_text(x: float) -> str:
+    """json's spelling of a float: its repr, or NaN, Infinity, -Infinity."""
+    if x != x:
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _write_matrix(rows: list, level: int, out: list) -> bool:
+    """Append rows, if it is a matrix of [re, im] float pairs (equal-length
+    nonempty rows), in one pass; False, with nothing appended, otherwise."""
+    if set(map(type, rows)) != {list}:
+        return False
+    widths = set(map(len, rows))
+    if len(widths) != 1 or 0 in widths:
+        return False
+    pairs = list(chain.from_iterable(rows))
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        return False
+    flat = list(chain.from_iterable(pairs))
+    if set(map(type, flat)) != {float}:
+        return False
+    if all(map(math.isfinite, flat)):
+        texts = tuple(map(float.__repr__, flat))
+    else:
+        texts = tuple(map(_float_text, flat))
+    outer, inner = "\n" + " " * level, "\n" + " " * (level + 1)
+    rows = ("," + inner).join([_row_template(widths.pop(), level)] * len(rows))
+    out.append(f"[{inner}{rows}{outer}]" % texts)
+    return True
+
+
+@lru_cache(maxsize=64)
+def _row_template(cols: int, level: int) -> str:
+    """The JSON text of a row of ``cols`` [re, im] pairs in a matrix at
+    nesting level ``level``, with %s for each number."""
+    row, pair, num = ("\n" + " " * (level + k) for k in (1, 2, 3))
+    return f"[{pair}" + f",{pair}".join([f"[{num}%s,{num}%s{pair}]"] * cols) + f"{row}]"

@@ -55,7 +55,17 @@ from .errors import (
     SystemMismatch,
 )
 from .linalg import FUNCTIONAL_SLACK, TOL_PROJ, TOL_SPEC, VALIDATE_SLACK
-from .systems import BlockStore, System, _diff, basis_offset, block_store, inner, layout
+from .systems import (
+    BlockStore,
+    KeyedStack,
+    System,
+    _diff,
+    basis_offset,
+    block_store,
+    inner,
+    keyed_parts,
+    layout,
+)
 
 # Fewest 1x1 products that compose forms with one batched product; below
 # about 24 the fixed numpy cost of _compose_commutative exceeds the loop's.
@@ -169,23 +179,32 @@ def _block_kraus(keys, stack: np.ndarray, d: int, e: int) -> dict:
     return out
 
 
-def from_kraus(kraus: dict, src: System, tgt: System) -> CpMorphism:
+def from_kraus(kraus, src: System, tgt: System) -> CpMorphism:
     """CP morphism of a Kraus family: factor pairs (i, j) mapped to lists of
-    e_j x d_i matrices H_i -> K_j.
+    e_j x d_i matrices H_i -> K_j, as a dict or as a systems.KeyedStack of
+    (k, count, e, d) maps.
 
     The maps of the pairs of one class with one map count are copied into
     one stack, scanned for non-finite entries and shape-checked once; the
     first failing map (dict order, then list order) raises.  The morphism
-    holds read-only views of these copies.
+    holds read-only views of these copies.  A KeyedStack is grouped by
+    class (systems.keyed_parts) and its maps held as they are; on any doubt
+    it goes the dict way.
     """
     return _from_maps(kraus, src, tgt, scan=True)
 
 
-def _from_maps(kraus: dict, src: System, tgt: System, scan: bool = False) -> CpMorphism:
+def _from_maps(kraus, src: System, tgt: System, scan: bool = False) -> CpMorphism:
     """from_kraus; maps the library built (scan False) are shape-checked but
     not scanned for non-finite entries."""
     lay = layout(src.dims, tgt.dims)
-    groups = {}  # (class index, map count) -> (keys, dict positions, maps)
+    if isinstance(kraus, KeyedStack):
+        count = kraus.stack.shape[1] if kraus.stack.ndim == 4 else 0
+        parts = count and keyed_parts(lay, kraus, lambda klass: (count,) + klass.dims[::-1], scan)
+        if parts:
+            return _from_stacks(src, tgt, lay, parts)
+        kraus = kraus.as_dict()
+    groups = {}  # (class index, map count) -> (slots, dict positions, maps)
     fails = []  # ((dict position, map index), error)
     for pos, (key, ops) in enumerate(kraus.items()):
         loc = lay.where.get(key)
@@ -193,23 +212,24 @@ def _from_maps(kraus: dict, src: System, tgt: System, scan: bool = False) -> CpM
             fails.append(((pos, -1), ShapeMismatch(f"Kraus index {key} out of range")))
             break
         if len(ops):
-            keys, positions, maps = groups.setdefault((loc[0], len(ops)), ([], [], []))
-            keys.append(key)
+            slots, positions, maps = groups.setdefault((loc[0], len(ops)), ([], [], []))
+            slots.append(loc[1])
             positions.append(pos)
             maps.extend(ops)
     stacks = []
-    for (c, count), (keys, positions, maps) in groups.items():
-        d, e = lay.classes[c].dims
+    for (c, count), (slots, positions, maps) in groups.items():
+        klass = lay.classes[c]
+        d, e = klass.dims
         try:
             stack = linalg.as_complex(maps, (e, d), scan)
         except (DimensionMismatch, ShapeMismatch) as exc:
             p, t = divmod(exc.member, count)
             if isinstance(exc, ShapeMismatch):
-                exc = ShapeMismatch(f"Kraus map for pair {keys[p]} has shape {exc.shape}, "
-                                    f"expected ({e},{d})")
+                exc = ShapeMismatch(f"Kraus map for pair {klass.keys[slots[p]]} has shape "
+                                    f"{exc.shape}, expected ({e},{d})")
             fails.append(((positions[p], t), exc))
             continue
-        stacks.append((c, keys, stack.reshape(len(keys), count, e, d)))
+        stacks.append((c, np.array(slots), stack.reshape(len(slots), count, e, d)))
     if fails:
         raise min(fails, key=lambda f: f[0])[1]
     return _from_stacks(src, tgt, lay, stacks)
@@ -217,37 +237,62 @@ def _from_maps(kraus: dict, src: System, tgt: System, scan: bool = False) -> CpM
 
 def _from_stacks(src: System, tgt: System, lay, stacks) -> CpMorphism:
     """Morphism of Kraus maps stacked per class and map count: ``stacks`` holds
-    (class index, keys, (p, count, e, d) maps) triples.
+    (class index, slots of the pairs in the class, (p, count, e, d) maps)
+    triples.
 
     The morphism keeps the stacks V of vec(M†) as kraus_vecs, and its
     store forms block (i, j) = V V† on the first read of its class.
     The held family is read-only views of the stacks; a pair with more maps
-    than d_i e_j holds the minimal family of its block instead, found by one
-    batched _block_kraus per class, which reads that class's blocks here.
+    than d_i e_j holds the minimal family of its block instead, which reads
+    that class's blocks here: the one map √c of a nonzero 1x1 block c
+    (_root_kraus), else one batched _block_kraus per class.
     """
-    over = {}  # class index -> keys with more maps than d_i e_j
+    over = {}  # class index -> slots with more maps than d_i e_j
     held = {}
     vecs = []
-    for c, keys, maps in stacks:
+    for c, slots, maps in stacks:
         klass = lay.classes[c]
         p, count = maps.shape[:2]
         # Column t of vs is vec(M_t†) = conj(M_t) read row-major.
         vs = np.ascontiguousarray(maps.reshape(p, count, klass.n).conj().swapaxes(1, 2))
         vs.setflags(write=False)
-        vecs.append((c, np.array([lay.where[key][1] for key in keys]), vs))
+        vecs.append((c, slots, vs))
         if count > klass.n:
-            over.setdefault(c, []).extend(keys)
+            over.setdefault(c, []).append(slots)
         else:
             maps.setflags(write=False)
             # Consecutive runs of count views: the maps of each pair.
+            keys = [klass.keys[s] for s in slots.tolist()]
             held.update(zip(keys, zip(*[iter(list(maps.reshape((-1,) + maps.shape[2:])))] * count)))
     f = CpMorphism(src, tgt, BlockStore(lay, vecs, linalg.gram), validate=False)
-    for c, keys in sorted(over.items()):
-        stack = f.blocks.stack(c)[[lay.where[key][1] for key in keys]]
-        held.update(_block_kraus(keys, stack, *lay.classes[c].dims))
+    for c, runs in sorted(over.items()):
+        klass = lay.classes[c]
+        slots = runs[0] if len(runs) == 1 else np.concatenate(runs)
+        stack = f.blocks.stack(c)[slots]
+        keys = [klass.keys[s] for s in slots.tolist()]
+        if klass.n == 1:
+            held.update(_root_kraus(keys, stack))
+        else:
+            held.update(_block_kraus(keys, stack, *klass.dims))
     f._kraus = _held(held, f.blocks)
     f.kraus_vecs = tuple(vecs)
     return f
+
+
+def _root_kraus(keys, stack: np.ndarray) -> dict:
+    """_block_kraus of 1x1 blocks: the one map √c of each block c with
+    nonzero norm and real part, bitwise what the 1x1 eigh gives (eigenvalue
+    Re c, eigenvector 1); the other pairs hold none."""
+    out = dict.fromkeys(keys, ())
+    w = linalg.hermitize(stack).real.reshape(-1)
+    if (w < 0).any():
+        return _block_kraus(keys, stack, 1, 1)  # names the negative block
+    live = np.flatnonzero((linalg.frobs(stack) != 0.0) & (w > 0.0))
+    # (√w · 1)† as _block_kraus forms it: imaginary part -0.
+    maps = np.sqrt(w[live]).astype(complex).conj().reshape(-1, 1, 1)
+    maps.setflags(write=False)
+    out.update(zip([keys[s] for s in live.tolist()], zip(maps)))
+    return out
 
 
 def to_kraus(f: CpMorphism) -> dict:
@@ -346,16 +391,15 @@ def _compose_commutative(g: CpMorphism, f: CpMorphism, f_entries, g_entries) -> 
         counts = np.bincount(pairs, minlength=rows * cols)
     sizes = sorted(set(counts.tolist()) - {0})
     if len(sizes) == 1:
-        groups = [(counts.nonzero()[0], prods.reshape((-1, sizes[0], 1, 1)))]
+        groups = [(0, counts.nonzero()[0], prods.reshape((-1, sizes[0], 1, 1)))]
     else:
         starts = np.cumsum(counts) - counts
         groups = []
         for count in sizes:
             sel = (counts == count).nonzero()[0]
-            groups.append((sel, prods[starts[sel, None] + np.arange(count)]))
-    lay = layout(f.source.dims, g.target.dims)
-    stacks = [(0, [lay.keys[s] for s in sel.tolist()], maps) for sel, maps in groups]
-    return _from_stacks(f.source, g.target, lay, stacks)
+            groups.append((0, sel, prods[starts[sel, None] + np.arange(count)]))
+    # The one class lists every pair in key order: its slots are the key indices.
+    return _from_stacks(f.source, g.target, layout(f.source.dims, g.target.dims), groups)
 
 
 def _held_entries(f: CpMorphism):
@@ -452,14 +496,35 @@ def basis_images(f: CpMorphism) -> list:
     """Per target factor j, the images f(u)_j of the φ-basis u = E_pq / √w_i
     of the source as an (N_A, e_j, e_j) stack in phi_basis order: f(E_pq)_j is
     the conjugate of block (i, j) read as (e, d, e, d) at [:, p, :, q]."""
-    return [
-        np.concatenate([
-            (f.blocks[(i, j)].reshape(e, d, e, d).conj() * (1.0 / np.sqrt(w)))
-            .transpose(1, 3, 0, 2).reshape(d * d, e, e)
-            for i, (d, w) in enumerate(zip(f.source.dims, f.source.weights))
-        ])
-        for j, e in enumerate(f.target.dims)
-    ]
+    images = basis_image_matrix(f)
+    out, pos = [], 0
+    for e in f.target.dims:
+        rows = images[pos:pos + e * e]
+        out.append(np.ascontiguousarray(rows.T).reshape(len(rows.T), e, e))
+        pos += e * e
+    return out
+
+
+def basis_image_matrix(f: CpMorphism) -> np.ndarray:
+    """The basis images as one (N_B, N_A) matrix: column k holds f(u_k) with
+    its target factors in order, each e_j x e_j image read row-major.  One
+    reshape, scale and transpose per class, placed by one gather of its
+    rows (target factors) and columns (source factors)."""
+    src, tgt = f.source, f.target
+    src_off = np.cumsum((0,) + tuple(d * d for d in src.dims))
+    tgt_off = np.cumsum((0,) + tuple(e * e for e in tgt.dims))
+    inv = 1.0 / np.sqrt(np.array(src.weights))
+    out = np.empty((tgt_off[-1], src_off[-1]), dtype=complex)
+    for klass, stack in f.blocks.classes():
+        d, e = klass.dims
+        a, b = klass.shape
+        rows, cols = klass.rows[::b], klass.cols[:b]
+        imgs = stack.reshape(a, b, e, d, e, d).conj() * inv[rows].reshape(a, 1, 1, 1, 1, 1)
+        # (i, j, r, p, s, q) -> (j, r, s, i, p, q): f(E_pq)_j[r, s] of source factor i.
+        out[np.ix_((tgt_off[cols, None] + np.arange(e * e)).ravel(),
+                   (src_off[rows, None] + np.arange(d * d)).ravel())] = \
+            imgs.transpose(1, 2, 4, 0, 3, 5).reshape(b * e * e, a * d * d)
+    return out
 
 
 def _hom_defects(f: CpMorphism):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .cpmaps import CpMorphism, _from_maps, basis_images, is_channel
+from .cpmaps import CpMorphism, _from_maps, basis_image_matrix, is_channel
 from .errors import (
     NotAChannel,
     NotConfusability,
@@ -133,10 +133,9 @@ def _graph_as_cp(g: QuantumGraph, tau: float) -> CpMorphism:
 def _superop_matrix(f: CpMorphism) -> np.ndarray:
     """Matrix of the map x -> f(x) between φ-coordinates, shaped (N_B, N_A):
     column k is coords(f(u_k)) for the k-th φ-basis element u_k of the source."""
-    return np.concatenate([
-        np.sqrt(w) * imgs.reshape(len(imgs), -1).T
-        for w, imgs in zip(f.target.weights, basis_images(f))
-    ])
+    tgt = f.target
+    scale = np.repeat(np.sqrt(np.array(tgt.weights)), [e * e for e in tgt.dims])
+    return scale[:, None] * basis_image_matrix(f)
 
 
 def realize_channel(g: QuantumGraph, tau: float | None = None, tol: float = TOL_PROJ):

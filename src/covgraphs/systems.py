@@ -14,7 +14,9 @@ Algebra elements are plain lists of per-factor complex matrices.
 Block families of maps between systems (Choi blocks, relation projections)
 live in a BlockStore, the one owner of their representation: one (k, n, n)
 stack per class (d_i, e_j) of factor pairs, behind a read-only mapping from
-(i, j) to the block.
+(i, j) to the block.  A family given from outside comes as a dict from
+factor pair to entry or as a KeyedStack, its pairs and entries as two
+arrays; keyed_parts groups a KeyedStack by class.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -206,7 +209,7 @@ class Layout:
     position of target factor j among the target factors of its dimension."""
 
     __slots__ = ("src_dims", "tgt_dims", "keys", "classes", "where", "index",
-                 "row_groups", "col_pos")
+                 "row_groups", "col_pos", "key_class")
 
     def __init__(self, src_dims: tuple, tgt_dims: tuple):
         self.src_dims = src_dims
@@ -224,6 +227,11 @@ class Layout:
         self.where = {
             key: (c, s) for c, cls in enumerate(self.classes) for s, key in enumerate(cls.keys)
         }
+        # key_class[i * len(tgt_dims) + j]: the class index of pair (i, j).
+        self.key_class = np.empty(len(self.keys), dtype=int)
+        for c, cls in enumerate(self.classes):
+            self.key_class[cls.rows * len(tgt_dims) + cls.cols] = c
+        self.key_class.setflags(write=False)
 
 
 @lru_cache(maxsize=128)
@@ -263,9 +271,10 @@ class BlockStore(Mapping):
     forms the stack of a class on the first read of that class and keeps it
     read-only in place of the class's parts: a morphism born from Kraus maps
     holds its stacks V of vec(M†), whose blocks are V V† (linalg.gram); a
-    dict-born store (block_store) holds the given blocks, and store[key]
-    returns the one given as it is.  Absent pairs are zero and never
-    allocated one by one.
+    store given from outside (block_store) holds the given blocks, per class
+    the class's members of a KeyedStack or the blocks of a dict, and for
+    unvalidated dict blocks store[key] returns the one given as it is.
+    Absent pairs are zero and never allocated one by one.
     """
 
     __slots__ = ("layout", "_parts", "_form", "_given", "_stacks", "_pairs")
@@ -351,13 +360,68 @@ class BlockStore(Mapping):
         return out
 
 
+class KeyedStack(NamedTuple):
+    """A family keyed by factor pair, as two arrays: member s is the entry
+    stack[s] of pair (pairs[s, 0], pairs[s, 1]), in entry order.  Its pairs
+    may repeat or fall outside a layout; keyed_parts checks them."""
+
+    pairs: np.ndarray  # (k, 2) int
+    stack: np.ndarray  # (k,) + entry shape
+
+    def as_dict(self) -> dict:
+        """The family as a dict pair -> entry, in entry order; of a repeated
+        pair the last entry, at the place of the first."""
+        return dict(zip(map(tuple, self.pairs.tolist()), self.stack))
+
+
+def keyed_parts(lay: Layout, keyed: KeyedStack, entry_shape, scan: bool = True):
+    """The members of ``keyed`` grouped by class of ``lay``: (class index,
+    slots, stack of the class's members) per class, in first-member order,
+    every member an entry_shape(class) array, scanned once for non-finite
+    entries when ``scan``.  None when a pair falls outside the layout or
+    repeats, or a member has another shape or is not finite: the owner then
+    takes its dict path (keyed.as_dict()), which names the first failing
+    entry."""
+    pairs, stack = np.asarray(keyed.pairs), np.asarray(keyed.stack, dtype=complex)
+    rows, cols = pairs[:, 0], pairs[:, 1]
+    nt = len(lay.tgt_dims)
+    if not (((rows >= 0) & (rows < len(lay.src_dims)) & (cols >= 0) & (cols < nt)).all()
+            and len(stack) == len(pairs)):
+        return None
+    flat = rows * nt + cols
+    if np.bincount(flat).max(initial=0) > 1:
+        return None
+    if len(lay.classes) == 1:
+        of, order = None, [0]
+    else:
+        of = lay.key_class[flat]
+        classes, first = np.unique(of, return_index=True)
+        order = classes[np.argsort(first)].tolist()
+    parts = []
+    for c in order:
+        klass = lay.classes[c]
+        if stack.shape[1:] != entry_shape(klass):
+            return None
+        if of is None or (of == c).all():
+            members, at = stack, slice(None)
+        else:
+            at = np.flatnonzero(of == c)
+            members = stack[at]
+        if scan and not np.isfinite(members).all():
+            return None
+        parts.append((c, klass.slots(rows[at], cols[at]), members))
+    return parts
+
+
 def block_store(source: System, target: System, blocks, kind: str, validate: bool) -> BlockStore:
     """Block family of a CP morphism or relation on source x target.
 
-    ``blocks`` is a BlockStore of the same layout, kept as it is, or a dict
-    (i, j) -> (d_i e_j) x (d_i e_j) block; pairs missing from it are zero,
-    and its shapes and keys are checked.  ``kind`` names the blocks in error
-    messages.  Dict blocks to validate are copied into one stack per class,
+    ``blocks`` is a BlockStore of the same layout, kept as it is, a
+    KeyedStack, or a dict (i, j) -> (d_i e_j) x (d_i e_j) block; pairs
+    missing from it are zero, and its shapes and keys are checked.  ``kind``
+    names the blocks in error messages.  A KeyedStack is grouped by class
+    (keyed_parts), its members held as they are; on any doubt it goes the
+    dict way.  Dict blocks to validate are copied into one stack per class,
     scanned for non-finite entries and shape-checked once per class.
     Library-built ones (validate=False) are only made complex, frozen in
     place and held as they are.  The first failing block in dict order
@@ -371,6 +435,11 @@ def block_store(source: System, target: System, blocks, kind: str, validate: boo
             for _, stack in blocks.classes():
                 linalg.as_complex(stack)
         return blocks
+    if isinstance(blocks, KeyedStack):
+        parts = keyed_parts(lay, blocks, lambda klass: (klass.n, klass.n), validate)
+        if parts is not None:
+            return BlockStore(lay, parts, np.asarray)
+        blocks = blocks.as_dict()
     members = {}  # class index -> (slots, dict positions, keys, blocks)
     fails = []  # (dict position, error)
     for pos, (key, blk) in enumerate(blocks.items()):

@@ -291,6 +291,28 @@ def probe_superop_matrix(f):
     return out
 
 
+def loop_basis_images(f):
+    """cpmaps.basis_images as one reshape per factor pair (i, j): per target
+    factor j, the images of the source φ-basis as an (N_A, e_j, e_j) stack."""
+    return [
+        np.concatenate([
+            (f.blocks[(i, j)].reshape(e, d, e, d).conj() * (1.0 / np.sqrt(w)))
+            .transpose(1, 3, 0, 2).reshape(d * d, e, e)
+            for i, (d, w) in enumerate(zip(f.source.dims, f.source.weights))
+        ])
+        for j, e in enumerate(f.target.dims)
+    ]
+
+
+def loop_superop_matrix(f):
+    """graphs._superop_matrix from loop_basis_images, one target factor at a
+    time."""
+    return np.concatenate([
+        np.sqrt(w) * imgs.reshape(len(imgs), -1).T
+        for w, imgs in zip(f.target.weights, loop_basis_images(f))
+    ])
+
+
 def probe_hom_defects(f):
     """(max, (multiplicativity, unit, star)) of cpmaps._hom_defects, by
     N² apply calls."""

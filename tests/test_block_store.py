@@ -681,8 +681,9 @@ def test_only_systems_stacks_block_families():
 
 
 def test_bundle_only_parses():
-    """bundle hands parsed dicts to the owners of the block store and the
-    actions: it names none of the store's class layout."""
+    """bundle hands parsed keyed stacks and dicts to the owners of the block
+    store and the actions, which group them by class: it names none of the
+    store's class layout."""
     tree = ast.parse((pathlib.Path(covgraphs.__file__).parent / "bundle.py").read_text())
     names = set()
     for node in ast.walk(tree):
@@ -852,3 +853,33 @@ class TestLazyKrausBlocks:
         for key, ops in ref.kraus().items():
             assert len(got.kraus()[key]) == len(ops), key
             assert all(np.array_equal(a, b) for a, b in zip(got.kraus()[key], ops)), key
+
+    def test_one_by_one_minimal_maps_bitwise_equal_eigh(self):
+        """A 1x1 block c with more maps than its dimension holds √c, bitwise
+        the map _block_kraus reads off the 1x1 eigh, down to the sign of the
+        zero imaginary part; blocks of zero norm or real part hold none."""
+        vals = np.concatenate([
+            rng.random(40) * 10.0 ** rng.integers(-12, 3, 40),
+            [0.0, 1e-170, 5e-324, 1e-300, 2.0, 1.0],
+        ])
+        stack = (vals + 1j * np.where(np.arange(vals.size) % 3 == 0, 1e-20, 0.0)).reshape(-1, 1, 1)
+        stack[-1, 0, 0] = 1e-30j  # zero real part, nonzero norm
+        keys = [(s, 0) for s in range(len(stack))]
+        got = cpmaps._root_kraus(keys, stack)
+        ref = cpmaps._block_kraus(keys, stack, 1, 1)
+        assert list(got) == keys
+        for key in keys:
+            assert len(got[key]) == len(ref[key]), key
+            for m, r in zip(got[key], ref[key]):
+                assert m.shape == (1, 1) and not m.flags.writeable
+                assert m.tobytes() == r.tobytes(), key
+        assert got[(len(stack) - 1, 0)] == () and got[(len(stack) - 5, 0)] == ()
+
+    def test_dense_commutative_compose_reads_no_eigh(self, monkeypatch):
+        """Dense commutative compose gives every pair more maps than its 1x1
+        block dimension: their minimal maps come without _block_kraus."""
+        n = 16
+        f, g = (embed_channel(rng.dirichlet(np.ones(n), size=n).T) for _ in range(2))
+        monkeypatch.setattr(cpmaps, "_block_kraus", None)
+        got = cpmaps.compose(g, f)
+        assert all(len(ops) == 1 for ops in got.kraus().values())

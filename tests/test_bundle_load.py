@@ -1,17 +1,21 @@
 """Bundle loading: what the parser hands the owners, and which failure is
-named when a bundle holds several."""
+named when a bundle holds several; bundle writing: the bytes of json.dump."""
 
+import contextlib
+import io
+import json
+import math
 import pathlib
 import re
 
 import numpy as np
 import pytest
 
-from covgraphs import bundle, cpmaps, systems
+from covgraphs import bundle, cli, cpmaps, graphs, systems
 from covgraphs.bundle import BundleError
 from covgraphs.errors import ShapeMismatch
 
-from genutil import rand_complex
+from genutil import rand_complex, rand_conf_graph, rand_cp, rand_relation
 
 rng = np.random.default_rng(1010)
 
@@ -90,3 +94,268 @@ def test_kraus_entries_load_as_from_kraus(dims, counts):
         maps, ref_maps = got.kraus()[key], ref.kraus()[key]
         assert len(maps) == len(ref_maps), key
         assert all(np.array_equal(m, r) for m, r in zip(maps, ref_maps)), key
+
+
+# -- keyed stacks --------------------------------------------------------
+# A map keyed by "i,j" whose entries share one shape loads as a keyed stack
+# (its pairs and entries as two arrays) that the owner groups by class.  It
+# must give bitwise the store of the per-entry path (the dict), and on any
+# malformed input the same error.
+
+DIMS = {"classical16": (1,) * 16, "q2": (2,), "m123": (1, 2, 3)}
+# The pairs given, in this order: every pair, or on (1, 2, 3) two pairs of
+# one block shape in two classes, (1, 2) and (2, 1), out of key order, and
+# one pair for the Kraus maps, whose shape names the class.
+SUBSET = {"m123": [(1, 0), (0, 1)]}
+KRAUS_SUBSET = {"m123": [(1, 1)]}
+KINDS = ["graph", "relation", "choi", "kraus"]
+
+
+def _keyed_entries(kind, name):
+    """(key text, JSON entry) items of one map of the given kind on DIMS[name]."""
+    sys = systems.system(DIMS[name])
+    if kind == "graph":
+        blocks = rand_conf_graph(rng, sys).relation.blocks
+    elif kind == "relation":
+        blocks = rand_relation(rng, sys, sys, density=1.0).blocks
+    else:
+        blocks = rand_cp(rng, sys, sys).blocks
+    if kind == "kraus":
+        pairs = KRAUS_SUBSET.get(name, list(blocks))
+        return [(f"{i},{j}", [bundle.matrix_to_json(rand_complex(rng, sys.dims[j], sys.dims[i]))
+                              for _ in range(2)]) for i, j in pairs]
+    pairs = SUBSET.get(name, list(blocks))
+    wrap = (lambda m: {"projection": m}) if kind in ("graph", "relation") else (lambda m: m)
+    return [(f"{i},{j}", wrap(bundle.matrix_to_json(blocks[(i, j)]))) for i, j in pairs]
+
+
+def _keyed_bundle(kind, name, items):
+    data = {"systems": {"A": {"factors": list(DIMS[name])}}}
+    entries = dict(items)
+    if kind == "graph":
+        data["graphs"] = {"x": {"system": "A", "blocks": entries}}
+    elif kind == "relation":
+        data["relations"] = {"x": {"source": "A", "target": "A", "blocks": entries}}
+    else:
+        data["channels"] = {"x": {"from": "A", "to": "A", kind: entries}}
+    return data
+
+
+def _matrix(entry):
+    return entry["projection"] if isinstance(entry, dict) else entry
+
+
+def _with_matrix(entry, m):
+    return {"projection": m} if isinstance(entry, dict) else m
+
+
+def _zeros(x):
+    """JSON data of the same structure with every number 0.0."""
+    if isinstance(x, dict):
+        return {k: _zeros(v) for k, v in x.items()}
+    return [_zeros(v) for v in x] if isinstance(x, list) else 0.0
+
+
+def _malformed(case, kind, name, items):
+    """items with one defect: the JSON map of the case."""
+    items = list(items)
+    mid = len(items) // 2
+    key, entry = items[0]
+    if case == "bad key":
+        items[mid] = ("0;1", items[mid][1])
+    elif case == "duplicate":
+        # Names pair `key` again; the later entry holds zeros.
+        items.append(("0" + key, _zeros(entry)))
+    elif case == "out of range":
+        items.append(("50,0" if name == "classical16" else "5,0", entry))
+    elif case == "wrong shape":
+        def grown(m):
+            rows, cols = len(m) + 1, len(m[0]) + (kind != "kraus")
+            return [[[0.0, 0.0]] * cols for _ in range(rows)]
+        items = [(k, [grown(m) for m in e] if kind == "kraus" else _with_matrix(e, grown(_matrix(e))))
+                 for k, e in items]
+    elif case == "nan":
+        k, e = items[mid]
+        e = json.loads(json.dumps(e))
+        (e[0] if kind == "kraus" else _matrix(e))[0][0][0] = math.nan
+        items[mid] = (k, e)
+    elif case == "ragged":
+        k, e = items[mid]
+        items[mid] = (k, [e[0], RAGGED] if kind == "kraus" else _with_matrix(e, RAGGED))
+    return items
+
+
+def _loaded(kind, data):
+    """The loaded object's block store and held Kraus maps, or the error
+    raised: (type name, message)."""
+    try:
+        b = bundle.load_bundle(data)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc).__name__, str(exc)
+    if kind == "graph":
+        return b.graphs["x"].relation.blocks, None
+    if kind == "relation":
+        return b.relations["x"].blocks, None
+    return b.channels["x"].blocks, b.channels["x"].kraus()
+
+
+def _per_entry(monkeypatch, kind, data):
+    """_loaded with every "i,j" map parsed one entry at a time into a dict."""
+    with monkeypatch.context() as m:
+        m.setattr(bundle, "_parse_pairs", lambda keys: None)
+        return _loaded(kind, data)
+
+
+def _spy_keyed(monkeypatch) -> list:
+    """Records, per keyed_parts call, whether it grouped the stack."""
+    seen, real = [], systems.keyed_parts
+
+    def spy(*args, **kw):
+        parts = real(*args, **kw)
+        seen.append(parts is not None)
+        return parts
+
+    monkeypatch.setattr(systems, "keyed_parts", spy)
+    monkeypatch.setattr(cpmaps, "keyed_parts", spy)
+    return seen
+
+
+def _assert_same_load(got, ref):
+    if isinstance(ref[0], str):
+        assert got == ref
+        return
+    (store, kraus), (ref_store, ref_kraus) = got, ref
+    assert list(store) == list(ref_store)
+    for key in ref_store:
+        assert store[key].tobytes() == ref_store[key].tobytes(), key
+    for (_, stack), (_, ref_stack) in zip(store.classes(), ref_store.classes(), strict=True):
+        assert stack.tobytes() == ref_stack.tobytes()
+    if ref_kraus is not None:
+        for key, ops in ref_kraus.items():
+            assert [m.tobytes() for m in kraus[key]] == [m.tobytes() for m in ops], key
+
+
+@pytest.mark.parametrize("name", DIMS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_keyed_stack_loads_bitwise_as_per_entry(kind, name, monkeypatch):
+    data = _keyed_bundle(kind, name, _keyed_entries(kind, name))
+    ref = _per_entry(monkeypatch, kind, data)
+    seen = _spy_keyed(monkeypatch)
+    got = _loaded(kind, data)
+    assert seen == [True]
+    assert not isinstance(ref[0], str) and got[0].layout is ref[0].layout
+    _assert_same_load(got, ref)
+
+
+MALFORMED = ["bad key", "duplicate", "out of range", "wrong shape", "nan", "ragged"]
+# The error of each malformed case on the (2,) system: the same with and
+# without keyed stacks, and as before them.
+Q2_ERRORS = {
+    ("graph", "bad key"): ("BundleError", "graph 'x': factor-pair key '0;1' must look like 'i,j'"),
+    ("graph", "out of range"): ("ShapeMismatch", "relation block index (5, 0) out of range"),
+    ("relation", "wrong shape"): ("ShapeMismatch",
+                                  "relation block (0, 0) has shape (5, 5), expected (4,4)"),
+    ("choi", "nan"): ("DimensionMismatch", "matrix entries must be finite"),
+    ("kraus", "wrong shape"): ("ShapeMismatch",
+                               "Kraus map for pair (0, 0) has shape (3, 2), expected (2,2)"),
+    ("kraus", "out of range"): ("ShapeMismatch", "Kraus index (5, 0) out of range"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+@pytest.mark.parametrize("name", DIMS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_malformed_keyed_map_fails_as_per_entry(kind, name, case, monkeypatch):
+    data = _keyed_bundle(kind, name, _malformed(case, kind, name, _keyed_entries(kind, name)))
+    ref = _per_entry(monkeypatch, kind, data)
+    got = _loaded(kind, data)
+    _assert_same_load(got, ref)
+    if name == "q2" and (kind, case) in Q2_ERRORS:
+        assert got == Q2_ERRORS[(kind, case)]
+    if case == "duplicate":
+        assert not isinstance(got[0], str) or "symmetric" in got[1]
+    else:
+        assert isinstance(got[0], str), case
+
+
+def test_keyed_stack_as_dict_keeps_the_last_of_a_repeated_pair():
+    keyed = systems.KeyedStack(np.array([[0, 1], [1, 1], [0, 1]]), np.arange(3.0))
+    assert keyed.as_dict() == {(0, 1): 2.0, (1, 1): 1.0}
+    lay = systems.layout((1, 1), (1, 1))
+    assert systems.keyed_parts(lay, keyed, lambda klass: ()) is None
+
+
+# -- the writer ----------------------------------------------------------
+
+def _json_bytes(obj) -> bytes:
+    return (json.dumps(obj, indent=1, sort_keys=True) + "\n").encode()
+
+
+def _written(obj, tmp_path) -> bytes:
+    path = tmp_path / "out.json"
+    bundle.dump_json(obj, str(path))
+    return path.read_bytes()
+
+
+def _demo_documents(tmp_path, monkeypatch) -> list:
+    """The documents the seven demo/bundle.json commands write with -o."""
+    docs, real = [], bundle.dump_json
+    monkeypatch.setattr(bundle, "dump_json", lambda obj, path: docs.append(obj) or real(obj, path))
+    o = str(tmp_path / "o.json")
+    demo = str(DEMO)
+    for argv in (["analyze-channel", demo, "spread", "--emit-reverse", "-o", o],
+                 ["analyze-channel", demo, "mix"],
+                 ["scc-verify", demo, "copy", "spread", "encode", "-o", o],
+                 ["twirl", demo, "mix", "-o", o],
+                 ["check-hom", demo, "encode", "discrete_A", "discrete_A"],
+                 ["check-hom", demo, "mix", "discrete_A", "discrete_A"],
+                 ["graph-to-channel", demo, "complete_A", "-o", o]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(argv)
+    return docs
+
+
+def test_writer_bytes_equal_json_dump_on_demo_outputs(tmp_path, monkeypatch):
+    docs = _demo_documents(tmp_path, monkeypatch)
+    assert len(docs) == 4
+    monkeypatch.undo()
+    for doc in docs:
+        assert _written(doc, tmp_path) == _json_bytes(doc)
+
+
+def test_writer_bytes_equal_json_dump_on_graph_to_channel_n16(tmp_path):
+    sys = systems.classical_system(16)
+    g = rand_conf_graph(rng, sys)
+    f, env = graphs.realize_channel(g)
+    doc = {"environment": bundle.system_to_json(env),
+           "channel": bundle.dump_channel(f, "A", "environment")}
+    assert _written(doc, tmp_path) == _json_bytes(doc)
+
+
+EDGE_DOCUMENTS = {
+    "empty": {"a": {}, "b": [], "c": [[]], "d": [{}], "e": ""},
+    "floats": {"x": [-0.0, 0.0, 5e-324, 1e16, 1e-7, 123456789.125, math.pi, 1e300]},
+    "non-finite": {"m": [[[math.nan, math.inf]], [[-math.inf, 1.0]]]},
+    "scalars in lists": {"l": [1, True, False, None, 2.5, "s", [1, [2.0, 3]]]},
+    "unsorted keys": {"b": 1, "a": {"z": 0, "y": [1.0]}, "A": 2, "_": 3, "é": 4},
+    "strings": {"k\u00e9y": "\u2603 snow", "ctl": "tab\tnew\nline\x00\x1f\"q\" \\",
+                "astral": "\U0001f600"},
+    "ragged matrix": {"m": [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0]]]},
+    "pair holding an int": {"m": [[[1, 0.0], [0.5, 0.5]]]},
+    "long pair": {"m": [[[1.0, 0.0, 2.0]]]},
+    "matrices": {"k": [[[[0.1, -0.2], [3e-10, 4.0]]], [[[1.0, 2.0]], [[3.0, math.nan]]]]},
+    "top-level list": [[[0.5, -0.5]], [[1.5, 2.5]]],
+    "top-level scalar": 1.0,
+}
+
+
+@pytest.mark.parametrize("name", EDGE_DOCUMENTS)
+def test_writer_bytes_equal_json_dump_on_edge_cases(name, tmp_path):
+    doc = EDGE_DOCUMENTS[name]
+    assert _written(doc, tmp_path) == _json_bytes(doc)
+
+
+@pytest.mark.parametrize("doc", [{1: "int key"}, {"t": (1.0, 2.0)}, {"f": np.float64(0.5)}],
+                         ids=["int key", "tuple", "numpy float"])
+def test_writer_leaves_other_documents_to_json(doc, tmp_path):
+    assert _written(doc, tmp_path) == _json_bytes(doc)

@@ -13,6 +13,8 @@ from covgraphs import cpmaps, graphs, groups, linalg, systems
 from covgraphs.classical import embed_channel
 
 from genutil import (
+    loop_basis_images,
+    loop_superop_matrix,
     probe_hom_defects,
     probe_product_table,
     probe_ssfa_defects,
@@ -113,6 +115,35 @@ def test_blend_matrices_equal_probe():
         for tau in (1.0, 0.5, 0.125):
             f = graphs._graph_as_cp(g, tau)
             assert np.array_equal(graphs._superop_matrix(f), probe_superop_matrix(f))
+
+
+@pytest.mark.parametrize("dims", [(1,) * 16, (1, 2, 3), (6,)], ids=["classical16", "m123", "d6"])
+def test_basis_images_and_blends_bitwise_equal_pair_loop(dims):
+    """One gather per class gives bitwise the basis images and blend matrices
+    of the per-pair loop, at τ = 1 and at the τ realize_channel picks, so τ
+    and the emitted Kraus maps stay as they were."""
+    sys = systems.system(dims)
+    g = rand_conf_graph(rng, sys)
+    f, _ = graphs.realize_channel(g)
+    cases = [graphs._graph_as_cp(g, 1.0), rand_cp(rng, sys, systems.system((2, 1))), f]
+    for cp in cases:
+        for got, ref in zip(cpmaps.basis_images(cp), loop_basis_images(cp), strict=True):
+            assert got.flags.c_contiguous
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    low = np.linalg.eigvalsh(linalg.hermitize(loop_superop_matrix(cases[0])))[0]
+    taus = 0.5 ** np.arange(1, 41)
+    tau = float(taus[np.flatnonzero(1.0 + taus * (low - 1.0) > linalg.BLEND_FLOOR)[0]])
+    for t in (1.0, tau):
+        blend = graphs._graph_as_cp(g, t)
+        assert graphs._superop_matrix(blend).tobytes() == loop_superop_matrix(blend).tobytes()
+    # The emitted maps: columns of the square root of the blend at tau.
+    fhalf = linalg.psd_sqrt(linalg.hermitize(loop_superop_matrix(graphs._graph_as_cp(g, tau))))
+    n = systems.total_matrix_dim(sys)
+    for i, d in enumerate(dims):
+        off = systems.basis_offset(sys, i)
+        ref = [fhalf[:, off + a:off + d * d:d] / np.sqrt(float(n)) for a in range(d)]
+        got = f.kraus()[(i, 0)]
+        assert len(got) == d and all(np.array_equal(m, r) for m, r in zip(got, ref)), i
 
 
 @pytest.mark.parametrize("delta,verdict", [(0.0, True), (5e-9, False)])

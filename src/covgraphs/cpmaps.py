@@ -188,8 +188,8 @@ def from_kraus(kraus, src: System, tgt: System) -> CpMorphism:
     one stack, scanned for non-finite entries and shape-checked once; the
     first failing map (dict order, then list order) raises.  The morphism
     holds read-only views of these copies.  A KeyedStack is grouped by
-    class (systems.keyed_parts) and its maps held as they are; on any doubt
-    it goes the dict way.
+    class and scanned (systems.keyed_parts), and its maps held as they are;
+    on any doubt it goes the dict way.
     """
     return _from_maps(kraus, src, tgt, scan=True)
 
@@ -200,7 +200,7 @@ def _from_maps(kraus, src: System, tgt: System, scan: bool = False) -> CpMorphis
     lay = layout(src.dims, tgt.dims)
     if isinstance(kraus, KeyedStack):
         count = kraus.stack.shape[1] if kraus.stack.ndim == 4 else 0
-        parts = count and keyed_parts(lay, kraus, lambda klass: (count,) + klass.dims[::-1], scan)
+        parts = count and keyed_parts(lay, kraus, lambda klass: (count,) + klass.dims[::-1])
         if parts:
             return _from_stacks(src, tgt, lay, parts)
         kraus = kraus.as_dict()
@@ -280,13 +280,12 @@ def _from_stacks(src: System, tgt: System, lay, stacks) -> CpMorphism:
 
 
 def _root_kraus(keys, stack: np.ndarray) -> dict:
-    """_block_kraus of 1x1 blocks: the one map √c of each block c with
-    nonzero norm and real part, bitwise what the 1x1 eigh gives (eigenvalue
-    Re c, eigenvector 1); the other pairs hold none."""
+    """_block_kraus of 1x1 blocks c = V V†, whose real part is a sum of
+    squares: the one map √c of each block with nonzero norm and real part,
+    bitwise what the 1x1 eigh gives (eigenvalue Re c, eigenvector 1); the
+    other pairs hold none."""
     out = dict.fromkeys(keys, ())
     w = linalg.hermitize(stack).real.reshape(-1)
-    if (w < 0).any():
-        return _block_kraus(keys, stack, 1, 1)  # names the negative block
     live = np.flatnonzero((linalg.frobs(stack) != 0.0) & (w > 0.0))
     # (√w · 1)† as _block_kraus forms it: imaginary part -0.
     maps = np.sqrt(w[live]).astype(complex).conj().reshape(-1, 1, 1)

@@ -374,11 +374,11 @@ class KeyedStack(NamedTuple):
         return dict(zip(map(tuple, self.pairs.tolist()), self.stack))
 
 
-def keyed_parts(lay: Layout, keyed: KeyedStack, entry_shape, scan: bool = True):
+def keyed_parts(lay: Layout, keyed: KeyedStack, entry_shape):
     """The members of ``keyed`` grouped by class of ``lay``: (class index,
     slots, stack of the class's members) per class, in first-member order,
-    every member an entry_shape(class) array, scanned once for non-finite
-    entries when ``scan``.  None when a pair falls outside the layout or
+    every member an entry_shape(class) array, all scanned once for
+    non-finite entries.  None when a pair falls outside the layout or
     repeats, or a member has another shape or is not finite: the owner then
     takes its dict path (keyed.as_dict()), which names the first failing
     entry."""
@@ -386,7 +386,7 @@ def keyed_parts(lay: Layout, keyed: KeyedStack, entry_shape, scan: bool = True):
     rows, cols = pairs[:, 0], pairs[:, 1]
     nt = len(lay.tgt_dims)
     if not (((rows >= 0) & (rows < len(lay.src_dims)) & (cols >= 0) & (cols < nt)).all()
-            and len(stack) == len(pairs)):
+            and len(stack) == len(pairs) and np.isfinite(stack).all()):
         return None
     flat = rows * nt + cols
     if np.bincount(flat).max(initial=0) > 1:
@@ -407,8 +407,6 @@ def keyed_parts(lay: Layout, keyed: KeyedStack, entry_shape, scan: bool = True):
         else:
             at = np.flatnonzero(of == c)
             members = stack[at]
-        if scan and not np.isfinite(members).all():
-            return None
         parts.append((c, klass.slots(rows[at], cols[at]), members))
     return parts
 
@@ -420,8 +418,8 @@ def block_store(source: System, target: System, blocks, kind: str, validate: boo
     KeyedStack, or a dict (i, j) -> (d_i e_j) x (d_i e_j) block; pairs
     missing from it are zero, and its shapes and keys are checked.  ``kind``
     names the blocks in error messages.  A KeyedStack is grouped by class
-    (keyed_parts), its members held as they are; on any doubt it goes the
-    dict way.  Dict blocks to validate are copied into one stack per class,
+    and scanned (keyed_parts), its members held as they are; on any doubt
+    it goes the dict way.  Dict blocks to validate are copied into one stack per class,
     scanned for non-finite entries and shape-checked once per class.
     Library-built ones (validate=False) are only made complex, frozen in
     place and held as they are.  The first failing block in dict order
@@ -436,7 +434,7 @@ def block_store(source: System, target: System, blocks, kind: str, validate: boo
                 linalg.as_complex(stack)
         return blocks
     if isinstance(blocks, KeyedStack):
-        parts = keyed_parts(lay, blocks, lambda klass: (klass.n, klass.n), validate)
+        parts = keyed_parts(lay, blocks, lambda klass: (klass.n, klass.n))
         if parts is not None:
             return BlockStore(lay, parts, np.asarray)
         blocks = blocks.as_dict()

@@ -43,6 +43,7 @@ i, Σ_{j,k} w_j M_ijk† M_ijk = w_i I.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -509,21 +510,38 @@ def basis_image_matrix(f: CpMorphism) -> np.ndarray:
     its target factors in order, each e_j x e_j image read row-major.  One
     reshape, scale and transpose per class, placed by one gather of its
     rows (target factors) and columns (source factors)."""
-    src, tgt = f.source, f.target
-    src_off = np.cumsum((0,) + tuple(d * d for d in src.dims))
-    tgt_off = np.cumsum((0,) + tuple(e * e for e in tgt.dims))
-    inv = 1.0 / np.sqrt(np.array(src.weights))
+    src_off, tgt_off = _offsets(f.source.dims), _offsets(f.target.dims)
+    inv = 1.0 / np.sqrt(np.array(f.source.weights))
     out = np.empty((tgt_off[-1], src_off[-1]), dtype=complex)
     for klass, stack in f.blocks.classes():
         d, e = klass.dims
         a, b = klass.shape
         rows, cols = klass.rows[::b], klass.cols[:b]
         imgs = stack.reshape(a, b, e, d, e, d).conj() * inv[rows].reshape(a, 1, 1, 1, 1, 1)
+        at = _coords(tgt_off, cols, e * e), _coords(src_off, rows, d * d)
+        if not isinstance(at[0], slice) and not isinstance(at[1], slice):
+            at = np.ix_(*at)
         # (i, j, r, p, s, q) -> (j, r, s, i, p, q): f(E_pq)_j[r, s] of source factor i.
-        out[np.ix_((tgt_off[cols, None] + np.arange(e * e)).ravel(),
-                   (src_off[rows, None] + np.arange(d * d)).ravel())] = \
-            imgs.transpose(1, 2, 4, 0, 3, 5).reshape(b * e * e, a * d * d)
+        out[at] = imgs.transpose(1, 2, 4, 0, 3, 5).reshape(b * e * e, a * d * d)
     return out
+
+
+@lru_cache(maxsize=128)
+def _offsets(dims: tuple) -> np.ndarray:
+    """Offset of each factor's d x d coordinates in phi_basis order, and the
+    total after the last."""
+    off = np.cumsum((0,) + tuple(d * d for d in dims))
+    off.setflags(write=False)
+    return off
+
+
+def _coords(off: np.ndarray, factors: np.ndarray, size: int):
+    """The coordinates of the given factors, ascending and each of ``size``
+    coordinates: a slice when the factors are consecutive."""
+    first, last = int(factors[0]), int(factors[-1])
+    if last - first == len(factors) - 1:
+        return slice(int(off[first]), int(off[last]) + size)
+    return (off[factors, None] + np.arange(size)).ravel()
 
 
 def _hom_defects(f: CpMorphism):

@@ -159,10 +159,10 @@ def _parse_pairs(keys):
         return None
     if not _PAIR_LINES.fullmatch(text):
         return None
-    nums = text.replace("\n", ",").split(",")[:-1]
+    nums = np.fromstring(text.replace("\n", ","), dtype=int, sep=",")
     if len(nums) != 2 * len(keys):  # a key held a newline
         return None
-    return np.array(nums, dtype=int).reshape(-1, 2)
+    return nums.reshape(-1, 2)
 
 
 def group_from_json(data) -> FiniteGroup:

@@ -209,7 +209,7 @@ class Layout:
     position of target factor j among the target factors of its dimension."""
 
     __slots__ = ("src_dims", "tgt_dims", "keys", "classes", "where", "index",
-                 "row_groups", "col_pos", "key_class")
+                 "row_groups", "col_pos")
 
     def __init__(self, src_dims: tuple, tgt_dims: tuple):
         self.src_dims = src_dims
@@ -227,11 +227,6 @@ class Layout:
         self.where = {
             key: (c, s) for c, cls in enumerate(self.classes) for s, key in enumerate(cls.keys)
         }
-        # key_class[i * len(tgt_dims) + j]: the class index of pair (i, j).
-        self.key_class = np.empty(len(self.keys), dtype=int)
-        for c, cls in enumerate(self.classes):
-            self.key_class[cls.rows * len(tgt_dims) + cls.cols] = c
-        self.key_class.setflags(write=False)
 
 
 @lru_cache(maxsize=128)
@@ -385,16 +380,21 @@ def keyed_parts(lay: Layout, keyed: KeyedStack, entry_shape):
     pairs, stack = np.asarray(keyed.pairs), np.asarray(keyed.stack, dtype=complex)
     rows, cols = pairs[:, 0], pairs[:, 1]
     nt = len(lay.tgt_dims)
-    if not (((rows >= 0) & (rows < len(lay.src_dims)) & (cols >= 0) & (cols < nt)).all()
-            and len(stack) == len(pairs) and np.isfinite(stack).all()):
+    if not (len(stack) == len(pairs) > 0 and pairs.min() >= 0 and rows.max() < len(lay.src_dims)
+            and cols.max() < nt and np.isfinite(stack).all()):
         return None
-    flat = rows * nt + cols
-    if np.bincount(flat).max(initial=0) > 1:
+    if len(pairs) > 1 and np.bincount(rows * nt + cols).max() > 1:
         return None
     if len(lay.classes) == 1:
         of, order = None, [0]
     else:
-        of = lay.key_class[flat]
+        # Classes run over the row dimension classes, then the column ones.
+        col_groups, _ = dim_classes(lay.tgt_dims)
+        row_class, col_class = np.empty(len(lay.src_dims), int), np.empty(nt, int)
+        for groups, index in ((lay.row_groups, row_class), (col_groups, col_class)):
+            for k, factors in enumerate(groups.values()):
+                index[factors] = k
+        of = row_class[rows] * len(col_groups) + col_class[cols]
         classes, first = np.unique(of, return_index=True)
         order = classes[np.argsort(first)].tolist()
     parts = []
@@ -419,8 +419,9 @@ def block_store(source: System, target: System, blocks, kind: str, validate: boo
     missing from it are zero, and its shapes and keys are checked.  ``kind``
     names the blocks in error messages.  A KeyedStack is grouped by class
     and scanned (keyed_parts), its members held as they are; on any doubt
-    it goes the dict way.  Dict blocks to validate are copied into one stack per class,
-    scanned for non-finite entries and shape-checked once per class.
+    it goes the dict way.  Dict blocks to validate are copied into one
+    stack per class, scanned for non-finite entries and shape-checked once
+    per class.
     Library-built ones (validate=False) are only made complex, frozen in
     place and held as they are.  The first failing block in dict order
     raises; the class stacks are formed on first read.

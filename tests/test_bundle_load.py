@@ -172,8 +172,8 @@ def _malformed(case, kind, name, items):
         def grown(m):
             rows, cols = len(m) + 1, len(m[0]) + (kind != "kraus")
             return [[[0.0, 0.0]] * cols for _ in range(rows)]
-        items = [(k, [grown(m) for m in e] if kind == "kraus" else _with_matrix(e, grown(_matrix(e))))
-                 for k, e in items]
+        items = [(k, [grown(m) for m in e] if kind == "kraus"
+                  else _with_matrix(e, grown(_matrix(e)))) for k, e in items]
     elif case == "nan":
         k, e = items[mid]
         e = json.loads(json.dumps(e))

@@ -157,12 +157,10 @@ def _parse_pairs(keys):
         text = "\n".join(keys) + "\n"
     except TypeError:  # a key that is no str
         return None
-    if not _PAIR_LINES.fullmatch(text):
-        return None
-    nums = np.fromstring(text.replace("\n", ","), dtype=int, sep=",")
-    if len(nums) != 2 * len(keys):  # a key held a newline
-        return None
-    return nums.reshape(-1, 2)
+    if text.count("\n") != len(keys) or not _PAIR_LINES.fullmatch(text):
+        return None  # a key held a newline, or is not two numbers
+    return np.fromstring(text.replace("\n", ","), dtype=int, sep=",",
+                         count=2 * len(keys)).reshape(-1, 2)
 
 
 def group_from_json(data) -> FiniteGroup:
@@ -413,56 +411,53 @@ def dump_channel(f: CpMorphism, src_name: str, tgt_name: str) -> dict:
 def dump_json(obj, path: str):
     """Write obj as json.dump(obj, fh, indent=1, sort_keys=True) followed by
     a newline would, byte for byte."""
-    out = []
-    try:
-        _write(obj, 0, out)
-    except _Unknown:
-        with open(path, "w") as fh:
-            json.dump(obj, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        return
-    out.append("\n")
     with open(path, "w") as fh:
-        fh.write("".join(out))
+        try:
+            _write(obj, 0, fh.write)
+        except _Unknown:
+            fh.seek(0)
+            fh.truncate()
+            json.dump(obj, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 class _Unknown(Exception):
     """A value dump_json leaves to json.dump."""
 
 
-def _write(obj, level: int, out: list):
-    """Append the indent=1, sort_keys=True JSON text of obj at nesting level
-    ``level`` to out; _Unknown for anything but dicts with str keys, lists,
-    str, int, float, bool and None."""
+def _write(obj, level: int, write):
+    """write() the indent=1, sort_keys=True JSON text of obj at nesting level
+    ``level``; _Unknown for anything but dicts with str keys, lists, str,
+    int, float, bool and None."""
     kind = type(obj)
     if kind is str:
-        out.append(encode_basestring_ascii(obj))
+        write(encode_basestring_ascii(obj))
     elif kind is float:
-        out.append(_float_text(obj))
+        write(_float_text(obj))
     elif obj is None or kind is bool:
-        out.append("null" if obj is None else "true" if obj else "false")
+        write("null" if obj is None else "true" if obj else "false")
     elif kind is int:
-        out.append(int.__repr__(obj))
+        write(int.__repr__(obj))
     elif kind is list:
         if not obj:
-            out.append("[]")
-        elif not _write_matrix(obj, level, out):
+            write("[]")
+        elif not _write_matrix(obj, level, write):
             inner = "\n" + " " * (level + 1)
             for k, item in enumerate(obj):
-                out.append(("[" if k == 0 else ",") + inner)
-                _write(item, level + 1, out)
-            out.append("\n" + " " * level + "]")
+                write(("[" if k == 0 else ",") + inner)
+                _write(item, level + 1, write)
+            write("\n" + " " * level + "]")
     elif kind is dict:
         if not obj:
-            out.append("{}")
+            write("{}")
             return
         if set(map(type, obj)) != {str}:
             raise _Unknown
         inner = "\n" + " " * (level + 1)
         for k, (key, value) in enumerate(sorted(obj.items())):
-            out.append(("{" if k == 0 else ",") + inner + encode_basestring_ascii(key) + ": ")
-            _write(value, level + 1, out)
-        out.append("\n" + " " * level + "}")
+            write(("{" if k == 0 else ",") + inner + encode_basestring_ascii(key) + ": ")
+            _write(value, level + 1, write)
+        write("\n" + " " * level + "}")
     else:
         raise _Unknown
 
@@ -476,9 +471,9 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
-def _write_matrix(rows: list, level: int, out: list) -> bool:
-    """Append rows, if it is a matrix of [re, im] float pairs (equal-length
-    nonempty rows), in one pass; False, with nothing appended, otherwise."""
+def _write_matrix(rows: list, level: int, write) -> bool:
+    """write() rows, if it is a matrix of [re, im] float pairs (equal-length
+    nonempty rows), in one pass; False, with nothing written, otherwise."""
     if set(map(type, rows)) != {list}:
         return False
     widths = set(map(len, rows))
@@ -496,7 +491,7 @@ def _write_matrix(rows: list, level: int, out: list) -> bool:
         texts = tuple(map(_float_text, flat))
     outer, inner = "\n" + " " * level, "\n" + " " * (level + 1)
     rows = ("," + inner).join([_row_template(widths.pop(), level)] * len(rows))
-    out.append(f"[{inner}{rows}{outer}]" % texts)
+    write(f"[{inner}{rows}{outer}]" % texts)
     return True
 
 

@@ -153,29 +153,27 @@ def _held(kraus: dict, keys):
 
 def _block_kraus(keys, stack: np.ndarray, d: int, e: int) -> dict:
     """Minimal Kraus maps of a stack of Choi blocks of the factor pairs
-    ``keys``, all d e x d e: one map per retained eigenpair, from one batched
-    eigh over the nonzero blocks.  Each pair gets a tuple of read-only,
-    C-contiguous e x d maps, all rows of one stack."""
+    ``keys``, all d e x d e: one map per eigenpair that linalg.spectral_cut,
+    the cut of support_projection, keeps.  A block whose cut is negative
+    raises NegativeSpectrum; 1x1 blocks get _root_kraus's maps.  Each pair
+    gets a tuple of read-only, C-contiguous e x d maps, all rows of one
+    stack."""
+    cut = linalg.spectral_cut(stack)
+    if cut.neg.any():
+        s = int(np.argmax(cut.neg))
+        raise NegativeSpectrum(f"block {keys[cut.live[s]]} has eigenvalue {cut.w[s, -1]:.3e}")
+    if d * e == 1:
+        return _root_kraus(keys, stack)
     out = dict.fromkeys(keys, ())
-    scale = linalg.frobs(stack)
-    live = np.flatnonzero(scale != 0.0)
-    if not live.size:
+    if not cut.live.size:
         return out
-    w, v = linalg.canonical_eigh(stack[live])
-    top = w[:, 0]
-    neg = np.flatnonzero(w[:, -1] < -TOL_SPEC * np.maximum(top, scale[live]))
-    if neg.size:
-        s = neg[0]
-        raise NegativeSpectrum(f"block {keys[live[s]]} has eigenvalue {w[s, -1]:.3e}")
-    # Eigenvalues descend, so each block keeps a prefix of its eigenpairs.
-    ranks = np.sum(w > TOL_SPEC * top[:, None], axis=1)
-    r = int(ranks.max())
+    r = int(cut.rank.max())
     # Map k is unvec(√w_k v_k)† = conj(√w_k v_k) read row-major as e x d.
-    roots = np.sqrt(np.maximum(w[:, None, :r], 0.0))
-    maps = np.ascontiguousarray((roots * v[:, :, :r]).conj().swapaxes(1, 2))
+    roots = np.sqrt(np.maximum(cut.w[:, None, :r], 0.0))
+    maps = np.ascontiguousarray((roots * cut.v[:, :, :r]).conj().swapaxes(1, 2))
     maps.setflags(write=False)
     flat = list(maps.reshape(-1, e, d))
-    for s, (member, rank) in enumerate(zip(live.tolist(), ranks.tolist())):
+    for s, (member, rank) in enumerate(zip(cut.live.tolist(), cut.rank.tolist())):
         out[keys[member]] = tuple(flat[s * r:s * r + rank])
     return out
 
@@ -245,8 +243,7 @@ def _from_stacks(src: System, tgt: System, lay, stacks) -> CpMorphism:
     store forms block (i, j) = V V† on the first read of its class.
     The held family is read-only views of the stacks; a pair with more maps
     than d_i e_j holds the minimal family of its block instead, which reads
-    that class's blocks here: the one map √c of a nonzero 1x1 block c
-    (_root_kraus), else one batched _block_kraus per class.
+    that class's blocks here: one _block_kraus per class.
     """
     over = {}  # class index -> slots with more maps than d_i e_j
     held = {}
@@ -269,26 +266,22 @@ def _from_stacks(src: System, tgt: System, lay, stacks) -> CpMorphism:
     for c, runs in sorted(over.items()):
         klass = lay.classes[c]
         slots = runs[0] if len(runs) == 1 else np.concatenate(runs)
-        stack = f.blocks.stack(c)[slots]
         keys = [klass.keys[s] for s in slots.tolist()]
-        if klass.n == 1:
-            held.update(_root_kraus(keys, stack))
-        else:
-            held.update(_block_kraus(keys, stack, *klass.dims))
+        held.update(_block_kraus(keys, f.blocks.stack(c)[slots], *klass.dims))
     f._kraus = _held(held, f.blocks)
     f.kraus_vecs = tuple(vecs)
     return f
 
 
 def _root_kraus(keys, stack: np.ndarray) -> dict:
-    """_block_kraus of 1x1 blocks c = V V†, whose real part is a sum of
-    squares: the one map √c of each block with nonzero norm and real part,
-    bitwise what the 1x1 eigh gives (eigenvalue Re c, eigenvector 1); the
-    other pairs hold none."""
+    """Minimal Kraus maps of 1x1 blocks c that are not negative: the one
+    map √c of each block with nonzero norm and positive real part, bitwise
+    what the 1x1 eigh gives (eigenvalue Re c, eigenvector 1); the other
+    pairs hold none."""
     out = dict.fromkeys(keys, ())
     w = linalg.hermitize(stack).real.reshape(-1)
     live = np.flatnonzero((linalg.frobs(stack) != 0.0) & (w > 0.0))
-    # (√w · 1)† as _block_kraus forms it: imaginary part -0.
+    # (√w · 1)† as the eigh maps are formed: imaginary part -0.
     maps = np.sqrt(w[live]).astype(complex).conj().reshape(-1, 1, 1)
     maps.setflags(write=False)
     out.update(zip([keys[s] for s in live.tolist()], zip(maps)))

@@ -16,7 +16,10 @@ dimension; the library's own constructions (trivial and permutation
 actions, tensor products, the conjugation action) and the bundle hand
 them over as such stacks.  The construction checks run once per stack: one
 finite scan, one unitarity product, and the homomorphism test as one
-gathered product over all element pairs.
+gathered product over all element pairs.  Actions are immutable, so calls
+of permutation_action (trivial_action is the one with identity perms) with
+equal group, dims and perms share one action, checked when first built,
+as tensor_system shares products.
 
 Two actions are equal when they share group table, dims and perms (the key)
 and their unitaries agree within TOL_ROUNDOFF.  Identical objects, different
@@ -291,9 +294,8 @@ class AlgebraAction:
         if self._digest == other._digest:
             return True
         return all(
-            np.allclose(self.unitaries[g][i], other.unitaries[g][i], atol=TOL_ROUNDOFF)
-            for g in self.group.elements
-            for i in range(self.nfactors)
+            np.allclose(stack, other._classes[d][1], atol=TOL_ROUNDOFF)
+            for d, (_, stack) in self._classes.items()
         )
 
     def __hash__(self):
@@ -316,17 +318,12 @@ def _check_homomorphism(action: AlgebraAction):
     factor_bad = []
     for d, (idx, stack) in action._classes.items():
         lhs = stack[g[:, None], action._slot[perms[h][:, idx]]]
-        if d == 1:
-            # A 1x1 U_gh† lhs is its own trace: only its modulus can fail.
-            x = (lhs * stack[h]).conj() * stack[gh]
-            phase_defect = np.abs(np.abs(x.reshape(-1)) - 1.0)
-        else:
-            # Ad(lhs) = Ad(U_gh) iff lhs† U_gh is a phase.
-            x = ((lhs @ stack[h]).conj().swapaxes(-1, -2) @ stack[gh]).reshape(-1, d, d)
-            tr = x.trace(axis1=1, axis2=2)
-            phase_defect = linalg.frobs(x - (tr / d)[:, None, None] * np.eye(d)) + np.abs(
-                np.abs(tr) / d - 1.0
-            )
+        # Ad(lhs) = Ad(U_gh) iff lhs† U_gh is a phase.
+        x = ((lhs @ stack[h]).conj().swapaxes(-1, -2) @ stack[gh]).reshape(-1, d, d)
+        tr = x.trace(axis1=1, axis2=2)
+        phase_defect = linalg.frobs(x - (tr / d)[:, None, None] * np.eye(d)) + np.abs(
+            np.abs(tr) / d - 1.0
+        )
         bad = (phase_defect > TOL_PROJ * max(1.0, d)).reshape(len(g), len(idx))
         pair_bad |= bad.any(axis=1)
         factor_bad.append(bad)
@@ -345,32 +342,28 @@ def _check_homomorphism(action: AlgebraAction):
             )
 
 
-def _identity_stacks(order: int, dims) -> dict:
-    """Class stacks of the identity unitaries: read-only broadcast views."""
-    factors, _ = dim_classes(dims)
-    return {
-        d: np.broadcast_to(np.eye(d, dtype=complex), (order, len(idx), d, d))
-        for d, idx in factors.items()
-    }
-
-
 def trivial_action(group: FiniteGroup, dims) -> AlgebraAction:
-    """The action fixing every factor.  Actions are immutable, so equal
-    arguments share one action, checked when first built."""
-    return _trivial_action(group, tuple(int(d) for d in dims))
-
-
-@lru_cache(maxsize=256)
-def _trivial_action(group: FiniteGroup, dims: tuple) -> AlgebraAction:
-    perms = tuple(tuple(range(len(dims))) for _ in range(group.order))
-    return AlgebraAction(group, dims, perms, _identity_stacks(group.order, dims))
+    """The action fixing every factor: permutation_action with identity perms."""
+    dims = tuple(map(int, dims))
+    return _permutation_action(group, dims, (tuple(range(len(dims))),) * group.order)
 
 
 def permutation_action(group: FiniteGroup, dims, perms) -> AlgebraAction:
-    """Action that only permutes factors (identity unitaries)."""
-    dims = tuple(int(d) for d in dims)
-    return AlgebraAction(group, dims, tuple(tuple(p) for p in perms),
-                         _identity_stacks(group.order, dims))
+    """Action that only permutes factors (identity unitaries).  Actions are
+    immutable, so equal arguments share one action, checked when first
+    built; a call that raises shares nothing."""
+    return _permutation_action(group, tuple(map(int, dims)),
+                               tuple(tuple(map(int, p)) for p in perms))
+
+
+@lru_cache(maxsize=256)
+def _permutation_action(group: FiniteGroup, dims: tuple, perms: tuple) -> AlgebraAction:
+    # Identity unitaries as read-only broadcast views, one per class.
+    factors, _ = dim_classes(dims)
+    return AlgebraAction(group, dims, perms, {
+        d: np.broadcast_to(np.eye(d, dtype=complex), (group.order, len(idx), d, d))
+        for d, idx in factors.items()
+    })
 
 
 def inner_action(group: FiniteGroup, dim: int, unitaries) -> AlgebraAction:

@@ -145,35 +145,17 @@ def canonical_eigh(m: np.ndarray):
     eigenvector's first component above TOL_ROUNDOFF in modulus made real positive
     (a column with no such component is left as it is).
 
-    Takes a matrix or a (k, n, n) stack.  A stack of several members goes
-    through one batched eigh, which runs LAPACK once per member, and batched
-    index arithmetic; each member's output is bitwise the one of its own call.
+    Takes a matrix or a (k, n, n) stack, n >= 0.  A stack goes through one
+    batched eigh, which runs LAPACK once per member, and batched index
+    arithmetic; a matrix runs as a one-member stack, so each member's output
+    is bitwise the one of its own call.
     """
-    if m.ndim == 3 and len(m) > 1:
-        return _canonical_eigh_stack(m)
-    w, v = _canonical_eigh_one(m.reshape(m.shape[-2:]))
-    return (w, v) if m.ndim == 2 else (w[None], v[None])
-
-
-def _canonical_eigh_one(m: np.ndarray):
+    if m.ndim == 2:
+        w, v = canonical_eigh(m[None])
+        return w[0], v[0]
     w, v = np.linalg.eigh(hermitize(m))
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = v[:, order]
-    if v.size == 0:
+    if not v.size:
         return w, v
-    big = np.abs(v) > TOL_ROUNDOFF
-    first = np.argmax(big, axis=0)
-    cols = np.flatnonzero(big[first, np.arange(v.shape[1])])
-    lead = v[first[cols], cols]
-    # hypot, not np.abs: it rounds like the scalar abs of one entry, so the
-    # phases are bit-identical to fixing one column at a time.
-    v[:, cols] /= lead / np.hypot(lead.real, lead.imag)
-    return w, v
-
-
-def _canonical_eigh_stack(m: np.ndarray):
-    w, v = np.linalg.eigh(hermitize(m))
     k, n = w.shape
     at = np.arange(k)[:, None]
     cols = np.arange(n)
@@ -184,6 +166,8 @@ def _canonical_eigh_stack(m: np.ndarray):
     first = np.argmax(big, axis=1)
     kk, cc = np.nonzero(big[at, first, cols])
     lead = v[kk, first[kk, cc], cc]
+    # hypot, not np.abs: it rounds like the scalar abs of one entry, so the
+    # phases are bit-identical to fixing one column at a time.
     v[kk, :, cc] /= (lead / np.hypot(lead.real, lead.imag))[:, None]
     return w, v
 
@@ -264,10 +248,15 @@ def support_projection(m: np.ndarray, frames: bool = False):
     Takes one matrix, validated by as_complex, or a (k, n, n) stack as the
     block store holds it (complex and finite, not scanned again), and returns
     the projections in the same form, each bitwise the one of its own call.
-    A stack of several members goes through one batched eigh and one product
-    V V† per retained rank; 1x1 members use the closed form.  A member that
-    is not Hermitian or has a negative eigenvalue raises; on a stack, the
-    first such member in stack order.
+    A stack of several members is cut by spectral_cut and projected with
+    one product V V† per retained rank; 1x1 members use the closed form.  A
+    member that is not Hermitian or has a negative eigenvalue raises; on a
+    stack, the first such member in stack order.
+
+    A matrix or a one-member stack takes _support_one, which reads its
+    eigenpairs from canonical_eigh too but skips the stacked cut's
+    bookkeeping, tens of µs per call: every class of a system whose factor
+    dimensions differ, such as (1, 2, 3), has one member.
 
     With frames=True it also returns the kept eigenvectors V: the (n, r)
     columns of a matrix, or the Frames of a stack.
@@ -299,7 +288,7 @@ def _support_one(m: np.ndarray, member):
         if val > TOL_SPEC * scale:
             return np.ones((1, 1), dtype=complex), np.ones((1, 1), dtype=complex)
         return np.zeros((1, 1), dtype=complex), none
-    w, v = _canonical_eigh_one(m)
+    w, v = canonical_eigh(m)
     top = float(w[0])
     if float(w[-1]) < -TOL_SPEC * max(top, scale):
         raise _member_error(NegativeSpectrum, f"support_projection: min eigenvalue "
@@ -310,36 +299,52 @@ def _support_one(m: np.ndarray, member):
     return vk @ vk.conj().T, vk
 
 
-def _support_stack(s: np.ndarray):
-    k, n = s.shape[0], s.shape[-1]
+class Cut(NamedTuple):
+    """The TOL_SPEC cut of a (k, n, n) stack of Hermitian PSD blocks, read on
+    its nonzero members: their positions (live), Frobenius norms (scale) and
+    canonical_eigh eigenpairs (w, v), how many eigenpairs each keeps (rank: a
+    prefix, those above TOL_SPEC times the top eigenvalue) and whether its
+    least eigenvalue is below -TOL_SPEC times its top or norm (neg).  A 1x1
+    member is cut in closed form: w is its real part, kept when above
+    TOL_SPEC times its norm, and v is None, as when no member is nonzero."""
+
+    live: np.ndarray
+    scale: np.ndarray
+    w: np.ndarray
+    v: np.ndarray | None
+    rank: np.ndarray
+    neg: np.ndarray
+
+
+def spectral_cut(s: np.ndarray) -> Cut:
+    """The Cut of a (k, n, n) stack, as the block store holds it."""
     scale = frobs(s)
     live = np.flatnonzero(scale)
-    if not live.size:
-        return np.zeros((k, n, n), dtype=complex), Frames.merged(k, n, [])
-    if live.size < k:
+    if live.size < len(s):
         s, scale = s[live], scale[live]
-    defect = frobs(s - s.conj().swapaxes(1, 2))
-    skew = ~(defect <= TOL_SPEC * np.maximum(1.0, scale))
-    if n == 1:
-        low = val = s[:, 0, 0].real
-        neg = val < -TOL_SPEC * scale
-        rank = (val > TOL_SPEC * scale).astype(int)
-        v = None
+    if s.shape[-1] == 1 or not live.size:
+        w, v = s[:, :, 0].real, None
+        rank = (w[:, 0] > TOL_SPEC * scale).astype(int)
     else:
-        w, v = _canonical_eigh_stack(s)
-        top, low = w[:, 0], w[:, -1]
-        neg = low < -TOL_SPEC * np.maximum(top, scale)
-        # Eigenvalues descend, so the kept ones are a prefix; none is kept
-        # when top <= 0.
-        rank = np.sum(w > TOL_SPEC * top[:, None], axis=1)
-    if (skew | neg).any():
-        b = int(np.flatnonzero(skew | neg)[0])
+        w, v = canonical_eigh(s)
+        rank = np.sum(w > TOL_SPEC * w[:, :1], axis=1)
+    neg = w[:, -1] < -TOL_SPEC * np.maximum(w[:, 0], scale)
+    return Cut(live, scale, w, v, rank, neg)
+
+
+def _support_stack(s: np.ndarray):
+    cut = spectral_cut(s)
+    defect = frobs(s - s.conj().swapaxes(1, 2))[cut.live]
+    skew = ~(defect <= TOL_SPEC * np.maximum(1.0, cut.scale))
+    bad = np.flatnonzero(skew | cut.neg)
+    if bad.size:
+        b = int(bad[0])
         if skew[b]:
             raise _member_error(NotHermitian, f"support_projection: defect {defect[b]:.3e}",
-                                int(live[b]))
+                                int(cut.live[b]))
         raise _member_error(NegativeSpectrum, f"support_projection: min eigenvalue "
-                            f"{low[b]:.3e}", int(live[b]))
-    fr = Frames.prefix(k, n, live, rank, v)
+                            f"{cut.w[b, -1]:.3e}", int(cut.live[b]))
+    fr = Frames.prefix(len(s), s.shape[-1], cut.live, cut.rank, cut.v)
     return fr.projections(), fr
 
 

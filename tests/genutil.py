@@ -487,6 +487,37 @@ def _loop_supports(f):
     return out
 
 
+def reference_canonical_eigh(m):
+    """canonical_eigh of one matrix by a per-column phase loop, kept as an
+    oracle for the stacked kernel."""
+    w, v = np.linalg.eigh(linalg.hermitize(m))
+    order = np.argsort(-w, kind="stable")
+    w = w[order]
+    v = v[:, order]
+    for k in range(v.shape[1]):
+        col = v[:, k]
+        nz = np.flatnonzero(np.abs(col) > 1e-12)
+        if nz.size:
+            phase = col[nz[0]] / abs(col[nz[0]])
+            v[:, k] = col / phase
+    return w, v
+
+
+def loop_block_kraus(keys, stack, d, e):
+    """Pair -> minimal Kraus maps of its d e x d e Choi block, one
+    reference_canonical_eigh per nonzero block: conj(√w v) read row-major as
+    e x d for each eigenpair above TOL_SPEC times the top eigenvalue."""
+    out = {}
+    for key, blk in zip(keys, stack):
+        if linalg.frob(blk) == 0.0:
+            out[key] = ()
+            continue
+        w, v = reference_canonical_eigh(blk)
+        kept = np.flatnonzero(w > linalg.TOL_SPEC * w[0])
+        out[key] = tuple((np.sqrt(max(w[k], 0.0)) * v[:, k]).conj().reshape(e, d) for k in kept)
+    return out
+
+
 def loop_projection_frames(p):
     """Block (i, j) -> eigenvectors of eigenvalue above 1/2 of the projection,
     one canonical_eigh per block (a 1x1 block in closed form)."""

@@ -28,6 +28,7 @@ from covgraphs.errors import (
 from genutil import (
     choi_born,
     kron_tensor_unitaries,
+    loop_block_kraus,
     loop_block_store,
     loop_choi_marginal,
     loop_confusability,
@@ -53,6 +54,7 @@ from genutil import (
     rand_relation,
     rand_stochastic,
     rand_unitary,
+    reference_canonical_eigh,
 )
 
 rng = np.random.default_rng(707)
@@ -170,7 +172,7 @@ class TestStackedKernels:
         w, v = linalg.canonical_eigh(st)
         for s, m in enumerate(st):
             assert np.array_equal(proj[s], linalg.support_projection(m)), s
-            ws, vs = linalg.canonical_eigh(m)
+            ws, vs = reference_canonical_eigh(m)
             assert np.array_equal(w[s], ws) and np.array_equal(v[s], vs), s
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
@@ -712,6 +714,32 @@ def test_kraus_blocks_are_formed_only_by_the_store():
     assert not products
 
 
+def _called_names(path: pathlib.Path) -> list:
+    """(name, line) of every call in a source file, by the called function's
+    own name: f(...) and x.f(...) both give f."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            fn = node.func
+            name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+            out.append((name, f"{path.name}:{node.lineno}"))
+    return out
+
+
+def test_one_eigh_call_site():
+    """np.linalg.eigh runs at one site: canonical_eigh's stacked kernel."""
+    src = pathlib.Path(covgraphs.__file__).parent
+    sites = [at for path in sorted(src.glob("*.py"))
+             for name, at in _called_names(path) if name == "eigh"]
+    assert len(sites) == 1 and sites[0].startswith("linalg.py:"), sites
+
+
+def test_cpmaps_calls_no_eigh():
+    """cpmaps reads its eigenpairs from linalg.spectral_cut."""
+    path = pathlib.Path(covgraphs.__file__).parent / "cpmaps.py"
+    assert not [at for name, at in _called_names(path) if name in ("eigh", "canonical_eigh")]
+
+
 def _spy_gram(monkeypatch) -> list:
     """Record the block dimension n of every stack of V V† formed from here on."""
     formed, real = [], linalg.gram
@@ -856,8 +884,8 @@ class TestLazyKrausBlocks:
 
     def test_one_by_one_minimal_maps_bitwise_equal_eigh(self):
         """A 1x1 block c with more maps than its dimension holds √c, bitwise
-        the map _block_kraus reads off the 1x1 eigh, down to the sign of the
-        zero imaginary part; blocks of zero norm or real part hold none."""
+        the map read off the 1x1 eigh, down to the sign of the zero
+        imaginary part; blocks of zero norm or real part hold none."""
         vals = np.concatenate([
             rng.random(40) * 10.0 ** rng.integers(-12, 3, 40),
             [0.0, 1e-170, 5e-324, 1e-300, 2.0, 1.0],
@@ -866,7 +894,7 @@ class TestLazyKrausBlocks:
         stack[-1, 0, 0] = 1e-30j  # zero real part, nonzero norm
         keys = [(s, 0) for s in range(len(stack))]
         got = cpmaps._root_kraus(keys, stack)
-        ref = cpmaps._block_kraus(keys, stack, 1, 1)
+        ref = loop_block_kraus(keys, stack, 1, 1)
         assert list(got) == keys
         for key in keys:
             assert len(got[key]) == len(ref[key]), key
@@ -877,9 +905,12 @@ class TestLazyKrausBlocks:
 
     def test_dense_commutative_compose_reads_no_eigh(self, monkeypatch):
         """Dense commutative compose gives every pair more maps than its 1x1
-        block dimension: their minimal maps come without _block_kraus."""
+        block dimension: their minimal maps come without an eigh."""
         n = 16
         f, g = (embed_channel(rng.dirichlet(np.ones(n), size=n).T) for _ in range(2))
-        monkeypatch.setattr(cpmaps, "_block_kraus", None)
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: calls.append(a.shape)
+                            or eigh(a, *args, **kw))
         got = cpmaps.compose(g, f)
+        assert calls == []
         assert all(len(ops) == 1 for ops in got.kraus().values())

@@ -33,6 +33,13 @@ def test_source_shares_the_bundles_tensor_system():
     assert bundle.load_bundle_file(str(DEMO)).systems["AOB"] is b.systems["AOB"]
 
 
+def test_loads_share_permutation_actions():
+    """demo's C2 swap systems give no unitaries: equal ones share one action,
+    within a load and across loads."""
+    a, b = (bundle.load_bundle_file(str(DEMO)) for _ in range(2))
+    assert b.systems["A"].action is a.systems["A"].action is a.systems["S"].action
+
+
 # Graph blocks of a system with factors (2, 1), in entry order; two entries
 # are malformed, and the earlier one must be named.
 MIXED = {

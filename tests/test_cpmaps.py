@@ -1,13 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
 from covgraphs import cpmaps, linalg, systems
 from covgraphs.classical import embed_channel
-from covgraphs.errors import ShapeMismatch, SystemMismatch
+from covgraphs.errors import NegativeSpectrum, ShapeMismatch, SystemMismatch
 
 from genutil import (
     assert_blocks_close,
     choi_born,
+    loop_block_kraus,
     rand_channel,
     rand_complex,
     rand_cp,
@@ -74,6 +77,40 @@ class TestToKraus:
             ya = cpmaps.apply(f, x)
             yb = cpmaps.apply(g, x)
             assert max(np.linalg.norm(a - b) for a, b in zip(ya, yb)) < 1e-9
+
+
+    @pytest.mark.parametrize("tgt_dims,neg", [
+        ((1, 1), [[-1.0]]),
+        ((1, 1), [[-1e-18]]),
+        ((2,), [[1.0, 0.0], [0.0, -1.0]]),
+    ])
+    def test_negative_block_is_named(self, tgt_dims, neg):
+        """A Choi-born morphism built without validation, whose block (1, 0)
+        is negative among positive ones of its class: to_kraus names the
+        block and its least eigenvalue."""
+        src, tgt = systems.system((1, 1)), systems.system(tgt_dims)
+        blocks = dict(rand_cp(rng, src, tgt).blocks)
+        blocks[(1, 0)] = np.array(neg, dtype=complex)
+        f = cpmaps.CpMorphism(src, tgt, blocks, validate=False)
+        low = np.linalg.eigvalsh(blocks[(1, 0)])[0]
+        with pytest.raises(NegativeSpectrum,
+                           match=re.escape(f"block (1, 0) has eigenvalue {low:.3e}")):
+            cpmaps.to_kraus(f)
+
+    @pytest.mark.parametrize("d,e", [(1, 1), (1, 2), (2, 2), (2, 3)])
+    def test_minimal_maps_bitwise_equal_per_block_eigh(self, d, e):
+        """The maps of one stacked cut are bitwise those of one eigh per
+        block, over zero, rank-deficient and full blocks."""
+        n = d * e
+        factors = [rand_complex(rng, n, r) for r in (0, 1, n, 2, 0, n)]
+        stack = np.array([a @ a.conj().T for a in factors])
+        keys = [(s, 0) for s in range(len(stack))]
+        got = cpmaps._block_kraus(keys, stack, d, e)
+        ref = loop_block_kraus(keys, stack, d, e)
+        assert list(got) == keys
+        for key in keys:
+            assert len(got[key]) == len(ref[key]), key
+            assert all(m.tobytes() == r.tobytes() for m, r in zip(got[key], ref[key])), key
 
 
 class TestApply:

@@ -73,6 +73,21 @@ class TestActions:
         y = groups.act(act, 1, x)
         assert np.allclose(y[0], u @ x[0] @ u.conj().T)
 
+    def test_permutation_actions_are_shared(self):
+        s2 = groups.symmetric_group(2)
+        perms = groups.symmetric_group_perms(2)
+        act = groups.permutation_action(s2, (1, 1), perms)
+        assert groups.permutation_action(groups.symmetric_group(2), [1, 1],
+                                         [list(p) for p in perms]) is act
+        assert groups.trivial_action(s2, (2, 1)) is groups.permutation_action(
+            s2, (2, 1), [(0, 1), (0, 1)])
+
+    def test_malformed_perms_raise_on_every_call(self):
+        s2 = groups.symmetric_group(2)
+        for _ in range(2):
+            with pytest.raises(ActionShapeMismatch):
+                groups.permutation_action(s2, (1, 1), [(0, 1), (0, 0)])
+
     def test_dim_mismatch_rejected(self):
         s2 = groups.symmetric_group(2)
         with pytest.raises(ActionShapeMismatch):
@@ -295,6 +310,21 @@ class TestActionIdentity:
         assert systems.system((3,), a) == systems.system((3,), b)
         far = groups.inner_action(z2, 3, [np.eye(3), _reflection(np.ones(3, dtype=complex))])
         assert a != far
+
+    def test_two_classes_compared_by_stack(self):
+        """Equal keys, different digests: the second class decides."""
+        z2 = groups.cyclic_group(2)
+        sign = np.diag([1.0, -1.0]).astype(complex)
+        first = [np.eye(1), np.eye(1)]
+
+        def action(u):
+            return groups.AlgebraAction(z2, (1, 2), ((0, 1),) * 2,
+                                        tuple(zip(first, [np.eye(2), u])))
+
+        a = action(sign)
+        close, far = action(sign * np.exp(1e-14j)), action(sign * np.exp(1e-3j))
+        assert a._digest != close._digest and a._digest != far._digest
+        assert a == close and a != far
 
     def test_key_decides_inequality(self):
         s2 = groups.symmetric_group(2)

@@ -301,14 +301,16 @@ def _support_one(m: np.ndarray, member):
 
 class Cut(NamedTuple):
     """The TOL_SPEC cut of a (k, n, n) stack of Hermitian PSD blocks, read on
-    its nonzero members: their positions (live), Frobenius norms (scale) and
-    canonical_eigh eigenpairs (w, v), how many eigenpairs each keeps (rank: a
-    prefix, those above TOL_SPEC times the top eigenvalue) and whether its
-    least eigenvalue is below -TOL_SPEC times its top or norm (neg).  A 1x1
-    member is cut in closed form: w is its real part, kept when above
-    TOL_SPEC times its norm, and v is None, as when no member is nonzero."""
+    its nonzero members: their positions (live), the members (blocks), their
+    Frobenius norms (scale) and canonical_eigh eigenpairs (w, v), how many
+    eigenpairs each keeps (rank: a prefix, those above TOL_SPEC times the top
+    eigenvalue) and whether its least eigenvalue is below -TOL_SPEC times its
+    top or norm (neg).  A 1x1 member is cut in closed form: w is its real
+    part, kept when above TOL_SPEC times its norm, and v is None, as when no
+    member is nonzero."""
 
     live: np.ndarray
+    blocks: np.ndarray
     scale: np.ndarray
     w: np.ndarray
     v: np.ndarray | None
@@ -329,12 +331,12 @@ def spectral_cut(s: np.ndarray) -> Cut:
         w, v = canonical_eigh(s)
         rank = np.sum(w > TOL_SPEC * w[:, :1], axis=1)
     neg = w[:, -1] < -TOL_SPEC * np.maximum(w[:, 0], scale)
-    return Cut(live, scale, w, v, rank, neg)
+    return Cut(live, s, scale, w, v, rank, neg)
 
 
 def _support_stack(s: np.ndarray):
     cut = spectral_cut(s)
-    defect = frobs(s - s.conj().swapaxes(1, 2))[cut.live]
+    defect = frobs(cut.blocks - cut.blocks.conj().swapaxes(1, 2))
     skew = ~(defect <= TOL_SPEC * np.maximum(1.0, cut.scale))
     bad = np.flatnonzero(skew | cut.neg)
     if bad.size:

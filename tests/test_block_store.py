@@ -715,8 +715,8 @@ def test_kraus_blocks_are_formed_only_by_the_store():
 
 
 def _called_names(path: pathlib.Path) -> list:
-    """(name, line) of every call in a source file, by the called function's
-    own name: f(...) and x.f(...) both give f."""
+    """(name, "file:line") of every call in a source file, by the called
+    function's own name: f(...) and x.f(...) both give f."""
     out = []
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Call):

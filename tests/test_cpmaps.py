@@ -78,7 +78,6 @@ class TestToKraus:
             yb = cpmaps.apply(g, x)
             assert max(np.linalg.norm(a - b) for a, b in zip(ya, yb)) < 1e-9
 
-
     @pytest.mark.parametrize("tgt_dims,neg", [
         ((1, 1), [[-1.0]]),
         ((1, 1), [[-1e-18]]),

@@ -161,7 +161,9 @@ def canonical_eigh(m: np.ndarray):
     cols = np.arange(n)
     order = np.argsort(-w, axis=1, kind="stable")
     w = w[at, order]
-    v = v[at[:, :, None], cols[:, None], order[:, None, :]]
+    # v[at, :, order] holds column order[s, j] of member s as its row j; one
+    # two-index gather and a transpose back beat a three-index gather.
+    v = np.ascontiguousarray(v[at, :, order].swapaxes(1, 2))
     big = np.abs(v) > TOL_ROUNDOFF
     first = np.argmax(big, axis=1)
     kk, cc = np.nonzero(big[at, first, cols])

@@ -166,11 +166,11 @@ def canonical_eigh(m: np.ndarray):
     v = np.ascontiguousarray(v[at, :, order].swapaxes(1, 2))
     big = np.abs(v) > TOL_ROUNDOFF
     first = np.argmax(big, axis=1)
-    kk, cc = np.nonzero(big[at, first, cols])
-    lead = v[kk, first[kk, cc], cc]
+    lead, has = v[at, first, cols], big[at, first, cols]
     # hypot, not np.abs: it rounds like the scalar abs of one entry, so the
     # phases are bit-identical to fixing one column at a time.
-    v[kk, :, cc] /= (lead / np.hypot(lead.real, lead.imag))[:, None]
+    phase = np.divide(lead, np.hypot(lead.real, lead.imag), out=np.ones_like(lead), where=has)
+    np.divide(v, phase[:, None, :], out=v, where=has[:, None, :])
     return w, v
 
 

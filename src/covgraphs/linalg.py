@@ -161,8 +161,8 @@ def canonical_eigh(m: np.ndarray):
     cols = np.arange(n)
     order = np.argsort(-w, axis=1, kind="stable")
     w = w[at, order]
-    # v[at, :, order] holds column order[s, j] of member s as its row j; one
-    # two-index gather and a transpose back beat a three-index gather.
+    # v[at, :, order] holds column order[s, j] of member s as its row j: a
+    # two-index gather and a copy back, cheaper than a three-index gather.
     v = np.ascontiguousarray(v[at, :, order].swapaxes(1, 2))
     big = np.abs(v) > TOL_ROUNDOFF
     first = np.argmax(big, axis=1)

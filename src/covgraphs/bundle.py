@@ -70,9 +70,11 @@ from .errors import CovGraphsError
 from .graphs import QuantumGraph, classify
 from .groups import (
     AlgebraAction,
+    ExactKey,
     FiniteGroup,
     is_covariant_cp,
     permutation_action,
+    shared_group,
     trivial_action,
     trivial_group,
 )
@@ -164,9 +166,16 @@ def _parse_pairs(keys):
 
 
 def group_from_json(data) -> FiniteGroup:
-    return FiniteGroup(int(data["order"]),
-                       tuple(tuple(int(x) for x in row) for row in data["mult_table"]),
-                       int(data.get("identity", 0)))
+    """The bundle's group; order, identity and table entries must be
+    integers.  Equal groups share one FiniteGroup (groups.shared_group)."""
+    order, table, identity = data["order"], data["mult_table"], data.get("identity", 0)
+    if not (isinstance(table, list) and all(isinstance(row, list) for row in table)):
+        raise BundleError("group mult_table must be a list of rows")
+    for x in chain((order, identity), *table):
+        if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
+            raise BundleError(f"group entry {x!r} is not an integer")
+    return shared_group(int(order), tuple(tuple(map(int, row)) for row in table),
+                        int(identity))
 
 
 def system_to_json(sys: System) -> dict:
@@ -208,11 +217,20 @@ def system_from_json(data, group: FiniteGroup) -> System:
                 if str(g) in given_units else tuple(np.eye(d, dtype=complex) for d in dims)
                 for g in range(group.order)
             )
-            action = AlgebraAction(group, dims, perms, units)
+            exact = tuple(tuple((u.shape, u.tobytes()) for u in fam) for fam in units)
+            action = _unitary_action(group, dims, perms, ExactKey(exact, units))
     weights = data.get("weights")
     if weights is None:
         weights = dims
     return System(QuantumSet(dims), action, tuple(map(float, weights)))
+
+
+@lru_cache(maxsize=256)
+def _unitary_action(group: FiniteGroup, dims: tuple, perms: tuple,
+                    units: ExactKey) -> AlgebraAction:
+    """AlgebraAction(group, dims, perms, units.value), shared per group, dims,
+    perms and the shape and bytes of every parsed unitary (units.key)."""
+    return AlgebraAction(group, dims, perms, units.value)
 
 
 def _pair_key(i: int, j: int) -> str:

@@ -33,6 +33,9 @@ instead of diagonalizing Choi blocks:
     do not grow along chains of compositions.
 
 The held family need not be minimal or canonical; to_kraus always is.
+Morphisms are immutable, so identity_channel shares one channel per exact
+system (System.exact_key, never the tolerant ==), and every caller reads
+its held maps and the memos kept on it.
 
 The self-checks read the blocks, not the φ-basis pushed through apply: the
 Choi marginal (is_channel) or its reshape into basis images (basis_images).
@@ -55,6 +58,7 @@ from .errors import (
     ShapeMismatch,
     SystemMismatch,
 )
+from .groups import ExactKey
 from .linalg import FUNCTIONAL_SLACK, TOL_PROJ, TOL_SPEC, VALIDATE_SLACK
 from .systems import (
     BlockStore,
@@ -316,6 +320,15 @@ def apply(f: CpMorphism, x) -> list:
 
 
 def identity_channel(sys: System) -> CpMorphism:
+    """The identity channel of sys, one map I per factor.  Morphisms are
+    immutable, so systems with equal exact_key share one channel, with its
+    held maps and its support and confusability memos."""
+    return _identity_channel(ExactKey(sys.exact_key, sys))
+
+
+@lru_cache(maxsize=128)
+def _identity_channel(key: ExactKey) -> CpMorphism:
+    sys = key.value
     kraus = {(i, i): [np.eye(d, dtype=complex)] for i, d in enumerate(sys.dims)}
     return _from_maps(kraus, sys, sys)
 

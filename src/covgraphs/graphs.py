@@ -12,6 +12,8 @@ swap the two classes.  The two workhorse theorems realized here are:
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from . import linalg
@@ -24,7 +26,7 @@ from .errors import (
     ShapeMismatch,
     SystemMismatch,
 )
-from .groups import AlgebraAction
+from .groups import AlgebraAction, ExactKey
 from .linalg import BLEND_FLOOR, TOL_PROJ, VALIDATE_SLACK
 from .relations import (
     QuantumRelation,
@@ -200,8 +202,16 @@ def _conjugation_action(a_sys: System, extra: int = 0) -> AlgebraAction:
 
     Coordinates are the matrix units E_pq of each factor in phi_basis order
     (weights are constant on orbits, so the φ-normalization drops out), padded
-    by ``extra`` invariant directions.
+    by ``extra`` invariant directions.  It depends on the action of a_sys
+    alone, so systems whose actions are bitwise equal (equal exact_key) share
+    one action per ``extra``, checked when first built.
     """
+    return _conjugation_of(ExactKey(a_sys.action.exact_key, a_sys), extra)
+
+
+@lru_cache(maxsize=128)
+def _conjugation_of(key: ExactKey, extra: int) -> AlgebraAction:
+    a_sys = key.value
     dim = total_matrix_dim(a_sys)
     n = dim + extra
     group = a_sys.group

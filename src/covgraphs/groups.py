@@ -55,13 +55,19 @@ class FiniteGroup:
 
     def __post_init__(self):
         n = self.order
-        t = np.asarray(self.table, dtype=int)
-        if t.shape != (n, n):
+        try:
+            square = len(self.table) == n and all(len(row) == n for row in self.table)
+        except TypeError:  # a row that is no sequence
+            square = False
+        t = np.asarray(self.table, dtype=int) if square else None
+        if t is None or t.shape != (n, n):
             raise GroupMismatch("multiplication table must be order x order")
         for row in range(n):
             if sorted(t[row]) != list(range(n)) or sorted(t[:, row]) != list(range(n)):
                 raise GroupMismatch("multiplication table is not a Latin square")
         e = self.identity
+        if not 0 <= e < n:
+            raise GroupMismatch(f"identity {e} is not an element of a group of order {n}")
         if not (np.all(t[e] == np.arange(n)) and np.all(t[:, e] == np.arange(n))):
             raise GroupMismatch("identity row/column must be trivial")
         # Associativity: exhaustive for small orders, sampled above 24.
@@ -115,14 +121,21 @@ class FiniteGroup:
         return hash((self.order, self.identity))
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=256)
+def shared_group(order: int, table: tuple, identity: int) -> FiniteGroup:
+    """FiniteGroup(order, table, identity), given as ints and a tuple of int
+    tuples.  Groups are immutable, so equal arguments share one group,
+    checked when first built; a call that raises shares nothing."""
+    return FiniteGroup(order, table, identity)
+
+
 def trivial_group() -> FiniteGroup:
-    return FiniteGroup(1, ((0,),), 0)
+    return shared_group(1, ((0,),), 0)
 
 
 def cyclic_group(n: int) -> FiniteGroup:
     table = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
-    return FiniteGroup(n, table, 0)
+    return shared_group(n, table, 0)
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -135,7 +148,7 @@ def symmetric_group(n: int) -> FiniteGroup:
     table = tuple(
         tuple(index[tuple(p[q[x]] for x in range(n))] for q in perms) for p in perms
     )
-    return FiniteGroup(len(perms), table, index[tuple(range(n))])
+    return shared_group(len(perms), table, index[tuple(range(n))])
 
 
 def symmetric_group_perms(n: int):
@@ -284,6 +297,12 @@ class AlgebraAction:
         _, stack = self._classes[self.dims[factors[0]]]
         return stack[g, self._slot[np.asarray(factors)]]
 
+    @property
+    def exact_key(self) -> tuple:
+        """The key and the digest of the unitaries' bytes: equal exactly when
+        the actions are bitwise equal, unlike ==, which tolerates round-off."""
+        return self._key, self._digest
+
     def __eq__(self, other):
         if self is other:
             return True
@@ -300,6 +319,24 @@ class AlgebraAction:
 
     def __hash__(self):
         return self._hash
+
+
+class ExactKey:
+    """A value that hashes and compares by an exact key alone (ints, tuples,
+    bytes, digests), so that an lru_cache over it shares one result per key
+    while the function it caches reads the value."""
+
+    __slots__ = ("key", "value")
+
+    def __init__(self, key, value):
+        self.key = key
+        self.value = value
+
+    def __eq__(self, other):
+        return isinstance(other, ExactKey) and self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
 
 
 def _check_homomorphism(action: AlgebraAction):

@@ -91,6 +91,12 @@ class System:
             out.append(b)
         return out
 
+    @property
+    def exact_key(self) -> tuple:
+        """Dims, weights and the action's exact key: equal exactly when the
+        systems are bitwise equal, unlike ==, which tolerates round-off."""
+        return self.dims, self.weights, self.action.exact_key
+
     def __eq__(self, other):
         if self is other:
             return True

@@ -428,7 +428,7 @@ class TestSourceMemos:
         src = scc.source_from_graph(rand_conf_graph(np.random.default_rng(710), oa))
         ident = cpmaps.identity_channel(oa)
         valid, comp = scc._checked_composite(ident, src, ident)
-        other = cpmaps.identity_channel(oa)
+        other = cpmaps.from_kraus({(0, 0): [np.eye(2)]}, oa, oa)
         assert other is not ident
         assert scc._checked_composite(other, src, ident)[1] is not comp
         assert calls == {"_source_graph": 1, "is_reversible": 2, "_composite": 2}

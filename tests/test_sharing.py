@@ -1,0 +1,179 @@
+"""Immutable objects built once per exact key: groups, bundle actions, the
+conjugation action and identity channels.  Keys are exact (ints, tuples,
+bytes, digests), so objects that are only equal within round-off are each
+built from their own bytes, and a build that raises is not kept."""
+
+import contextlib
+import io
+import json
+
+import numpy as np
+import pytest
+
+from covgraphs import bundle, cli, cpmaps, graphs, groups, relations, systems
+from covgraphs.bundle import BundleError
+from covgraphs.errors import ActionShapeMismatch, GroupMismatch
+
+C2 = {"order": 2, "mult_table": [[0, 1], [1, 0]], "identity": 0}
+
+
+def _reflection(theta: float) -> np.ndarray:
+    return np.array([[np.cos(theta), np.sin(theta)],
+                     [np.sin(theta), -np.cos(theta)]], dtype=complex)
+
+
+def _z2_system(u: np.ndarray):
+    """Qubit on which the nontrivial element of Z2 acts by conjugation with u."""
+    z2 = groups.cyclic_group(2)
+    return systems.system((2,), groups.inner_action(z2, 2, [np.eye(2), u]))
+
+
+def _conjugation_bundle(u: np.ndarray, extra: dict | None = None) -> dict:
+    eye = bundle.matrix_to_json(np.eye(2))
+    return {
+        "group": C2,
+        "systems": {"A": {"factors": [2],
+                          "action": {"perms": {"1": [0]},
+                                     "unitaries": {"1": [bundle.matrix_to_json(u)]}}}},
+        "channels": {"id": {"from": "A", "to": "A", "kraus": {"0,0": [eye]}}},
+        **(extra or {}),
+    }
+
+
+def _stack(action):
+    (_, stack), = action.factor_classes().values()
+    return stack
+
+
+class TestGroups:
+    def test_cyclic_and_symmetric_groups_are_shared(self):
+        assert groups.cyclic_group(3) is groups.cyclic_group(3)
+        assert groups.symmetric_group(3) is groups.symmetric_group(3)
+        assert groups.cyclic_group(2) is not groups.cyclic_group(3)
+
+    def test_equal_tables_share_one_group_across_constructors(self):
+        c3 = groups.cyclic_group(3)
+        table = [list(row) for row in c3.table]
+        got = bundle.group_from_json({"order": 3, "mult_table": table, "identity": 0})
+        assert got is c3
+        assert bundle.group_from_json({"order": 1, "mult_table": [[0]]}) is groups.trivial_group()
+
+    @pytest.mark.parametrize("table, identity, message", [
+        (((0, 1), (1, 0)), 5, "identity 5"),
+        (((0, 1), (1, 0)), -1, "identity -1"),
+        (((0, 1), (1,)), 0, "order x order"),
+        (((0, 1),), 0, "order x order"),
+        ((0, 1), 0, "order x order"),
+    ])
+    def test_malformed_group_raises_on_every_call(self, table, identity, message):
+        for _ in range(2):
+            with pytest.raises(GroupMismatch, match=message):
+                groups.FiniteGroup(2, table, identity)
+            with pytest.raises(GroupMismatch, match=message):
+                groups.shared_group(2, table, identity)
+
+
+class TestBundleSharing:
+    def test_loads_share_the_group_and_the_unitary_action(self):
+        z = np.diag([1.0, -1.0])
+        a, b = (bundle.load_bundle(_conjugation_bundle(z)) for _ in range(2))
+        assert a.group is b.group is groups.cyclic_group(2)
+        assert a.systems["A"] is not b.systems["A"]
+        assert a.systems["A"].action is b.systems["A"].action
+        assert np.array_equal(a.systems["A"].action.unitaries[1][0], z)
+
+    def test_unitaries_equal_within_roundoff_get_their_own_action(self):
+        u, close = _reflection(0.3), _reflection(0.3 + 1e-15)
+        assert not np.array_equal(u, close)
+        a = bundle.load_bundle(_conjugation_bundle(u)).systems["A"]
+        b = bundle.load_bundle(_conjugation_bundle(close)).systems["A"]
+        assert a == b and a.action is not b.action
+        assert np.array_equal(a.action.unitaries[1][0], u)
+        assert np.array_equal(b.action.unitaries[1][0], close)
+
+    def test_non_unitary_action_raises_on_every_load(self):
+        data = _conjugation_bundle(np.diag([1.0, 2.0]))
+        for _ in range(2):
+            with pytest.raises(ActionShapeMismatch, match="not unitary"):
+                bundle.load_bundle(data)
+
+
+# Malformed groups of a bundle: (group, error, text the error names).
+MALFORMED_GROUPS = {
+    "identity out of range": ({"order": 2, "mult_table": [[0, 1], [1, 0]], "identity": 5},
+                              GroupMismatch, "identity 5 is not an element"),
+    "ragged table": ({"order": 2, "mult_table": [[0, 1], [1]], "identity": 0},
+                     GroupMismatch, "order x order"),
+    "float entry": ({"order": 2, "mult_table": [[0, 1], [1.5, 0]], "identity": 0},
+                    BundleError, "1.5 is not an integer"),
+    "bool entry": ({"order": 2, "mult_table": [[0, True], [1, 0]], "identity": 0},
+                   BundleError, "True is not an integer"),
+    "row not a list": ({"order": 2, "mult_table": [[0, 1], 1], "identity": 0},
+                       BundleError, "list of rows"),
+}
+
+
+class TestMalformedGroups:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_GROUPS))
+    def test_load_bundle_raises_on_every_load(self, case):
+        group, error, text = MALFORMED_GROUPS[case]
+        data = _conjugation_bundle(np.diag([1.0, -1.0]), {"group": group})
+        for _ in range(2):
+            with pytest.raises(error, match=text):
+                bundle.load_bundle(data)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_GROUPS))
+    def test_cli_exits_2_on_every_run(self, case, tmp_path):
+        group, _, text = MALFORMED_GROUPS[case]
+        path = tmp_path / "bad_group.json"
+        path.write_text(json.dumps(_conjugation_bundle(np.diag([1.0, -1.0]), {"group": group})))
+        for _ in range(2):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["analyze-channel", str(path), "id"]) == 2
+            assert "cannot load bundle" in err.getvalue() and text in err.getvalue()
+
+
+class TestConjugationAction:
+    def test_exactly_equal_systems_share_one_action_per_extra(self):
+        z = np.diag([1.0, -1.0])
+        a, b = _z2_system(z), _z2_system(z)
+        assert a is not b and a.action is not b.action
+        shared = graphs._conjugation_action(a)
+        assert graphs._conjugation_action(b) is shared
+        padded = graphs._conjugation_action(b, extra=1)
+        assert padded is not shared and padded.dims == (5,)
+        assert graphs._conjugation_action(a, 1) is padded
+
+    def test_roundoff_close_systems_get_actions_from_their_own_bytes(self):
+        a, b = _z2_system(_reflection(0.3)), _z2_system(_reflection(0.3 + 1e-15))
+        assert a == b
+        ca, cb = graphs._conjugation_action(a), graphs._conjugation_action(b)
+        assert ca is not cb
+        assert not np.array_equal(_stack(ca), _stack(cb))
+        for sys, got in ((a, ca), (b, cb)):
+            fresh = graphs._conjugation_of.__wrapped__(groups.ExactKey(None, sys), 0)
+            assert np.array_equal(_stack(got), _stack(fresh))
+
+
+class TestIdentityChannel:
+    def test_equal_systems_share_one_identity_channel(self):
+        ident = cpmaps.identity_channel(systems.system((2,)))
+        assert cpmaps.identity_channel(systems.system((2,))) is ident
+        assert cpmaps.identity_channel(systems.system((2, 1))) is not ident
+
+    def test_memos_serve_every_caller(self):
+        sys = systems.system((1, 2))
+        first = cpmaps.identity_channel(sys)
+        rel = relations.support_of(first)
+        gamma = graphs.confusability_of(first)
+        again = cpmaps.identity_channel(systems.system((1, 2)))
+        assert relations.support_of(again) is rel and graphs.confusability_of(again) is gamma
+
+    def test_roundoff_close_systems_get_their_own_channel(self):
+        a, b = _z2_system(_reflection(0.3)), _z2_system(_reflection(0.3 + 1e-15))
+        assert a == b
+        ia, ib = cpmaps.identity_channel(a), cpmaps.identity_channel(b)
+        assert ia is not ib
+        assert ia.source.exact_key == a.exact_key and ib.source.exact_key == b.exact_key
+        assert ib.source.action.exact_key != ia.source.action.exact_key

@@ -35,10 +35,15 @@ entry, one entry at a time, in entry order.  The owners check the rest:
     They group a keyed stack by class and check it once per class; on any
     doubt they check its dict instead, so errors read the same either way;
   * CpMorphism: Choi blocks Hermitian PSD; QuantumRelation: projections;
+  * FiniteGroup: a table of order x order, a Latin square, associative,
+    with its identity inside the group; group_from_json itself requires
+    integers.  Equal groups share one FiniteGroup (groups.shared_group);
   * AlgebraAction: each element permutes factors of equal dimension with
     one family of finite unitaries, and the action is a homomorphism up to
     phase; System: weights constant on its orbits.  A system that gives no
-    unitaries acts by permutations alone (groups.permutation_action);
+    unitaries acts by permutations alone (groups.permutation_action); one
+    that gives unitaries shares one action per group, dims, perms and the
+    shape and bytes of every parsed unitary, across loads;
   * load_bundle: with a nontrivial group, every channel is covariant, and a
     graph declared "confusability" or "simple" is one.
 

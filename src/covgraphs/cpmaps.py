@@ -33,9 +33,6 @@ instead of diagonalizing Choi blocks:
     do not grow along chains of compositions.
 
 The held family need not be minimal or canonical; to_kraus always is.
-Morphisms are immutable, so identity_channel shares one channel per exact
-system (System.exact_key, never the tolerant ==), and every caller reads
-its held maps and the memos kept on it.
 
 The self-checks read the blocks, not the φ-basis pushed through apply: the
 Choi marginal (is_channel) or its reshape into basis images (basis_images).

@@ -1,6 +1,11 @@
 """Finite groups, algebra actions, twirling and covariance checks.
 
-A group is a plain multiplication table.  An action on a multi-factor algebra
+A group is a plain multiplication table, checked when built: order x order,
+a Latin square, an identity inside the group, associative.  Groups are
+immutable, so cyclic_group, symmetric_group, trivial_group and the bundle's
+groups share one FiniteGroup per (order, table, identity) (shared_group).
+
+An action on a multi-factor algebra
 ``⊕_i B(H_i)`` assigns to each group element a permutation of the factors and
 one unitary per factor: element ``g`` sends the block ``x_i`` to
 ``U[g][i] x_i U[g][i]†`` placed at slot ``perms[g][i]``.  The per-element data
@@ -27,6 +32,12 @@ keys and equal digests of the unitaries' bytes decide equality at once; only
 equal keys with different bytes compare the unitaries.  The hash covers the
 key alone, never the digest, because equality tolerates round-off; so actions
 and the systems that carry them can key dicts.
+
+The conjugation action (graphs), bundle actions given with unitaries and
+identity channels (cpmaps) are shared per exact_key, the key and the
+digest (System.exact_key adds dims and weights), through ExactKey, never
+per that equality, so a shared object is bitwise the one its caller would
+have built.
 """
 
 from __future__ import annotations

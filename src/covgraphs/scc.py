@@ -16,7 +16,10 @@ keeps its confusability graph per tol and the last scheme checked on it
 (verdict and composite, for the same encoder and channel objects); a
 morphism keeps its support and confusability graph (see CpMorphism).  A
 memo lives and dies with its owner: no module-level store is keyed by a
-morphism or a source.
+morphism or a source.  Identity channels are shared per system
+(cpmaps.identity_channel, keyed by System.exact_key), so the id_{O_B} of
+_composite and the identity on S of verify_scheme are built once and keep
+their memos across schemes and sources.
 
 Leg-ordering convention: product systems order factor pairs (a, b) with the
 left factor major, and product legs as left ⊗ right; all doubled-dilation

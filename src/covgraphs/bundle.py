@@ -176,11 +176,19 @@ def group_from_json(data) -> FiniteGroup:
     order, table, identity = data["order"], data["mult_table"], data.get("identity", 0)
     if not (isinstance(table, list) and all(isinstance(row, list) for row in table)):
         raise BundleError("group mult_table must be a list of rows")
-    for x in chain((order, identity), *table):
-        if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
-            raise BundleError(f"group entry {x!r} is not an integer")
+    _integers(chain((order, identity), *table), "group")
     return shared_group(int(order), tuple(tuple(map(int, row)) for row in table),
                         int(identity))
+
+
+def _integers(entries, what: str) -> tuple:
+    """The entries as ints; an entry that is not an integer (a bool is
+    not) raises BundleError naming it."""
+    entries = tuple(entries)
+    for x in entries:
+        if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
+            raise BundleError(f"{what} entry {x!r} is not an integer")
+    return tuple(map(int, entries))
 
 
 def system_to_json(sys: System) -> dict:
@@ -199,7 +207,7 @@ def system_to_json(sys: System) -> dict:
 
 
 def system_from_json(data, group: FiniteGroup) -> System:
-    dims = tuple(map(int, data["factors"]))
+    dims = _integers(data["factors"], "factors")
     action_data = data.get("action")
     if action_data is None:
         action = trivial_action(group, dims)
@@ -207,7 +215,7 @@ def system_from_json(data, group: FiniteGroup) -> System:
         given_perms = action_data.get("perms", {})
         given_units = action_data.get("unitaries", {})
         perms = tuple(
-            tuple(map(int, given_perms[str(g)])) if str(g) in given_perms
+            _integers(given_perms[str(g)], "perms") if str(g) in given_perms
             else tuple(range(len(dims)))
             for g in range(group.order)
         )

@@ -551,21 +551,29 @@ def _hom_defects(f: CpMorphism):
     """(max over all three equations, (multiplicativity, unit, star)): the
     largest Frobenius norm, over φ-basis pairs and target factors, of
     f(u_a u_b) − f(u_a) f(u_b) and f(u_a)† − f(u_a†), read off the basis images
-    by u_a u_b = δ_ii' δ_qr E_ps / w_i for u_a = E_pq / √w_i, u_b = E_rs / √w_i'."""
+    by u_a u_b = δ_ii' δ_qr E_ps / w_i for u_a = E_pq / √w_i, u_b = E_rs / √w_i'.
+
+    Per target factor of dimension e, all N_A² products f(u_a) f(u_b) come
+    from one (N_A e x e) @ (e x N_A e) product, entry (a, r, b, t) holding
+    (f(u_a) f(u_b))[r, t]; the own-factor terms f(u_ps) / √w_i are
+    subtracted in place, per source factor i and q, from the d x d grid of
+    pairs (a, b) = ((p, q), (q, s))."""
     src = f.source
+    roots = np.sqrt(np.array(src.weights))
     mult = star = 0.0
     for imgs in basis_images(f):
-        e = imgs.shape[1]
-        prod = imgs[:, None] @ imgs[None, :]
+        n, e = imgs.shape[:2]
+        rows, cols = imgs.reshape(n * e, e), imgs.transpose(1, 0, 2).reshape(e, n * e)
+        prod = (rows @ cols).reshape(n, e, n, e)
         adj = imgs.conj().transpose(0, 2, 1)
         for i, d in enumerate(src.dims):
-            k = slice(basis_offset(src, i), basis_offset(src, i) + d * d)
-            own = imgs[k].reshape(d, d, e, e)
-            pairs = prod[k, k].reshape(d, d, d, d, e, e)
+            off = basis_offset(src, i)
+            own = imgs[off:off + d * d].reshape(d, d, e, e)
+            scaled = own.transpose(0, 2, 1, 3) / roots[i]  # (p, r, s, t)
             for q in range(d):
-                pairs[:, q, q, :] -= own / np.sqrt(src.weights[i])
-            adj[k] -= own.transpose(1, 0, 2, 3).reshape(d * d, e, e)
-        mult = max(mult, float(np.max(np.linalg.norm(prod.reshape(-1, e * e), axis=1))))
+                prod[off + q:off + d * d:d, :, off + q * d:off + q * d + d] -= scaled
+            adj[off:off + d * d] -= own.transpose(1, 0, 2, 3).reshape(d * d, e, e)
+        mult = max(mult, float(np.linalg.norm(prod, axis=(1, 3)).max()))
         star = max(star, float(np.max(np.linalg.norm(adj.reshape(-1, e * e), axis=1))))
     unit = _diff(apply(f, src.identity()), f.target.identity())
     return max(mult, unit, star), (mult, unit, star)

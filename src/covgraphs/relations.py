@@ -16,16 +16,25 @@ and discrete and complete have closed forms.  A relation given as plain
 projections takes its frames on first read, by one batched eigh per class.
 
 Composition is the span of the operator products over the middle factors.
-Per output class and middle class, every product a @ b of frame operators
-comes from one batched matmul; the members with equal product counts then
-share one batched SVD.  Between 1x1 blocks through 1-dim middles it is the
-boolean product of the support patterns.  Supports, converses, containment
-and defects run one batched kernel per class.
+A relation lays out the frame operators of each class once, when a compose
+first reads them (operators), and the index arrays of compose are built
+once per triple of dims (_plan).  Per output class and middle class, every
+product a @ b of frame operators comes from one batched matmul; the members
+with equal product counts then share one batched SVD, and a class of one
+member, or whose products are all of frame columns, spans its families with
+no grouping.  Between 1x1 blocks through 1-dim middles it is the boolean
+product of the support patterns.  Supports, converses, containment and
+defects run one batched kernel per class.
+
+A relation whose frames are held keeps its converse, so the ℜ(f)† of the
+confusability graph, the homomorphism pullback and the reverse channel is
+made once per support relation; the converse makes its frames from p's
+frames, not from p, so the two make no reference cycle.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -39,6 +48,7 @@ from .errors import (
     ShapeMismatch,
     SystemMismatch,
 )
+from .groups import ExactKey
 from .linalg import TOL_PROJ, TOL_ROUNDTRIP, TOL_SPEC, TOL_SPEC_SV, VALIDATE_SLACK, Frames
 from .systems import BlockStore, System, block_store, layout
 
@@ -53,9 +63,11 @@ class QuantumRelation:
         self.source = source
         self.target = target
         self.blocks = block_store(source, target, blocks, "relation", validate)
-        # A tuple of read-only Frames in class order, or a function that makes it.
-        frames = self._projection_frames if frames is None else frames
-        self._frames = frames if callable(frames) else _read_only(frames)
+        # A tuple of read-only Frames in class order, a function that makes
+        # it, or None: frames of the projections, made on first read.
+        self._frames = frames if frames is None or callable(frames) else _read_only(frames)
+        self._operators = [None] * len(self.blocks.layout.classes)
+        self._converse = None
         if validate:
             defects = self.blocks.keyed(
                 linalg.projection_defects(stack) for _, stack in self.blocks.classes()
@@ -76,16 +88,34 @@ class QuantumRelation:
         return cls(source, target, store, validate=False,
                    frames=tuple(fr for _, _, fr in parts))
 
-    def _projection_frames(self) -> tuple:
-        return tuple(linalg.projection_frames(stack) for _, stack in self.blocks.classes())
-
     def frames(self) -> tuple:
         """linalg.Frames per class of the block store, in classes() order:
         member s of a class projects onto the span of its frame columns
         vec(a_r), a_r : K_j -> H_i, which are orthonormal."""
-        if callable(self._frames):
+        if self._frames is None:
+            self._frames = _read_only(tuple(
+                linalg.projection_frames(stack) for _, stack in self.blocks.classes()))
+        elif callable(self._frames):
             self._frames = _read_only(self._frames())
         return self._frames
+
+    def operators(self, c: int) -> tuple:
+        """The frame operators of class c as compose multiplies them, laid
+        out once per relation: the frame columns as read-only C-ordered
+        (k, r, rows, cols) operators, and the read-only (k, r) mask of the
+        columns within each member's rank, None when every member has rank r."""
+        if self._operators[c] is None:
+            fr = self.frames()[c]
+            d, e = self.blocks.layout.classes[c].dims
+            k, _, r = fr.vecs.shape
+            ops = np.ascontiguousarray(fr.vecs.reshape(k, e, d, r).transpose(0, 3, 2, 1))
+            ops.setflags(write=False)
+            live = None
+            if (fr.ranks != r).any():
+                live = np.arange(r) < fr.ranks[:, None]
+                live.setflags(write=False)
+            self._operators[c] = ops, live
+        return self._operators[c]
 
     def frame(self, i: int, j: int) -> np.ndarray:
         """Orthonormal frame of block (i, j): its (d_i e_j, rank) columns."""
@@ -163,11 +193,16 @@ def _support_of_maps(f: CpMorphism) -> QuantumRelation:
         for klass, got in zip(lay.classes, frames)))
 
 
-@lru_cache(maxsize=128)
 def discrete(sys: System) -> QuantumRelation:
-    """Identity relation: diagonal blocks project onto span{vec(I_d)}.  It
-    depends only on the dims, and systems are immutable, so equal systems
-    share one relation, whose blocks and frames are read-only."""
+    """Identity relation: diagonal blocks project onto span{vec(I_d)}.
+    Systems are immutable, so systems with equal exact_key share one
+    relation, whose blocks and frames are read-only."""
+    return _discrete(ExactKey(sys.exact_key, sys))
+
+
+@lru_cache(maxsize=128)
+def _discrete(key: ExactKey) -> QuantumRelation:
+    sys = key.value
     parts = []
     for klass in layout(sys.dims, sys.dims).classes:
         d, e = klass.dims
@@ -206,31 +241,65 @@ def compose(q: QuantumRelation, p: QuantumRelation) -> QuantumRelation:
     """
     if p.target != q.source:
         raise SystemMismatch("compose: target of p must equal source of q")
-    mids = q.blocks.layout.row_groups
-    big_mids = {e: js for e, js in mids.items() if e > 1}
     parts = []
-    for klass in layout(p.source.dims, q.target.dims).classes:
+    for klass, plan in zip(layout(p.source.dims, q.target.dims).classes,
+                           _plan(p.source.dims, p.target.dims, q.target.dims)):
         if klass.dims == (1, 1):
             hit = _one_dim_hits(p, q)[klass.rows, klass.cols]
             stack = hit.astype(complex)[:, None, None]
-            if big_mids and not hit.all():
+            if plan[0] and not hit.all():  # some middle factor is not 1-dim
                 miss = np.flatnonzero(~hit)
-                stack[miss] = _spans(p, q, klass, miss, big_mids)[0]
+                stack[miss] = _spans(p, q, klass, plan, miss)[0]
             # Every block is [[0]] or [[1]], and is its own frame.
             parts.append((klass, stack, Frames(stack[:, 0, 0].real.astype(int), stack)))
         else:
-            parts.append((klass,) + _spans(p, q, klass, np.arange(len(klass.keys)), mids))
+            parts.append((klass,) + _spans(p, q, klass, plan))
     return QuantumRelation.stacked(p.source, q.target, parts)
 
 
-def _spans(p: QuantumRelation, q: QuantumRelation, klass, members, mids):
-    """(projections, Frames) of the members of an output class: the span of
-    each member's products, one batched SVD per group of members with equal
-    product counts."""
+@lru_cache(maxsize=128)
+def _plan(src_dims: tuple, mid_dims: tuple, tgt_dims: tuple) -> tuple:
+    """The index arrays of compose over src -> mid -> tgt, built once per
+    triple of dims.  Per output class (in class order), the pair (steps,
+    ascending): a step (pk, qk, ps, qs, js) per middle class, with the
+    classes pk of p and qk of q it reads, the slots ps of blocks (i, j)
+    and qs of blocks (j, k) (member x middle factor), and the middle
+    factors js; ascending tells whether the middle factors, step after
+    step, run in factor order.  A 1x1 output class takes only the middle
+    classes of dimension above 1 (see compose)."""
+    pl, ql = layout(src_dims, mid_dims), layout(mid_dims, tgt_dims)
+    out = []
+    for klass in layout(src_dims, tgt_dims).classes:
+        d, f = klass.dims
+        steps, order = [], []
+        for e, js in ql.row_groups.items():
+            if klass.dims == (1, 1) and e == 1:
+                continue
+            js = np.array(js)
+            pk, qk = pl.index[(d, e)], ql.index[(e, f)]
+            ps = pl.classes[pk].slots(klass.rows[:, None], js[None, :])
+            qs = ql.classes[qk].slots(js[None, :], klass.cols[:, None])
+            steps.append((pk, qk, ps, qs, js))
+            order += js.tolist()
+        out.append((tuple(steps), order == sorted(order)))
+    return tuple(out)
+
+
+def _spans(p: QuantumRelation, q: QuantumRelation, klass, plan, members=None):
+    """(projections, Frames) of the members of an output class (all, or the
+    given positions): the span of each member's products, one batched SVD
+    per group of members with equal product counts.  When every product is
+    of frame columns, or the class has one member, each member spans its
+    one family, with no grouping."""
     n = klass.n
-    vecs, live = _products(p, q, klass, members, mids)
+    vecs, live = _products(p, q, klass, plan, members)
+    if live is None or len(vecs) == 1:
+        family = vecs.swapaxes(1, 2) if live is None else vecs[0][live[0]].T[None]
+        if not family.shape[-1]:
+            return np.zeros((len(vecs), n, n), dtype=complex), Frames.merged(len(vecs), n, [])
+        return linalg.orthonormal_span(family, floor=TOL_SPEC, frames=True)
     counts = live.sum(axis=1)
-    stack = np.zeros((len(members), n, n), dtype=complex)
+    stack = np.zeros((len(vecs), n, n), dtype=complex)
     groups = []
     for c in sorted(set(counts.tolist()) - {0}):
         sel = np.flatnonzero(counts == c)
@@ -239,46 +308,53 @@ def _spans(p: QuantumRelation, q: QuantumRelation, klass, members, mids):
         # well above roundoff; the absolute floor keeps exact zeros zero.
         stack[sel], fr = linalg.orthonormal_span(family, floor=TOL_SPEC, frames=True)
         groups.append((sel, fr))
-    return stack, Frames.merged(len(members), n, groups)
+    return stack, Frames.merged(len(vecs), n, groups)
 
 
-def _products(p: QuantumRelation, q: QuantumRelation, klass, members, mids):
+def _products(p: QuantumRelation, q: QuantumRelation, klass, plan, members):
     """vec(a @ b) for the frame operators a of block (i, j) of p and b of
     block (j, k) of q, for each member (i, k) of the output class and each
-    middle factor j in mids (dimension -> factors): one batched matmul per
-    middle class.  Returns the vectors (m, S, n) and which of them are
-    products of frame columns (m, S), both in (j, a, b) order."""
-    d, f = klass.dims
-    rows, cols = klass.rows[members, None], klass.cols[members, None]
+    middle factor j of the plan's steps: one batched matmul per middle
+    class.  Returns the vectors (m, S, n) and which of them are products
+    of frame columns (m, S), None when all are; both in (j, a, b) order,
+    as the steps give them when their middle factors ascend, else
+    reordered."""
+    steps, ascending = plan
+    n, m = klass.n, len(klass.keys) if members is None else len(members)
     vecs, live, order = [], [], []
-    for e, js in mids.items():
-        pk = p.blocks.layout.index[(d, e)]
-        qk = q.blocks.layout.index[(e, f)]
-        fp, fq = p.frames()[pk], q.frames()[qk]
-        if not (fp.vecs.shape[-1] and fq.vecs.shape[-1]):
+    for pk, qk, ps, qs, js in steps:
+        (ap, mp), (bq, mq) = p.operators(pk), q.operators(qk)
+        ra, rb = ap.shape[1], bq.shape[1]
+        if not (ra and rb):
             continue  # one of the two classes is zero: no products
-        js = np.array(js)
-        ps = p.blocks.layout.classes[pk].slots(rows, js[None, :])
-        qs = q.blocks.layout.classes[qk].slots(js[None, :], cols)
-        a = _operators(fp.vecs, d, e)[ps]
-        b = _operators(fq.vecs, e, f)[qs]
-        prod = a[:, :, :, None] @ b[:, :, None]
-        ra, rb = a.shape[2], b.shape[2]
-        on = ((np.arange(ra) < fp.ranks[ps][..., None])[..., None]
-              & (np.arange(rb) < fq.ranks[qs][..., None])[..., None, :])
-        vecs.append(prod.swapaxes(-1, -2).reshape(len(members), -1, d * f))
-        live.append(on.reshape(len(members), -1))
-        order.append(np.repeat(js, ra * rb))
+        if members is not None:
+            ps, qs = ps[members], qs[members]
+        prod = ap[ps][:, :, :, None] @ bq[qs][:, :, None]
+        vecs.append(prod.swapaxes(-1, -2).reshape(m, -1, n))
+        live.append(None if mp is None and mq is None else
+                    (_mask_at(mp, ps, ra)[..., :, None]
+                     & _mask_at(mq, qs, rb)[..., None, :]).reshape(m, -1))
+        if not ascending:
+            order.append(np.repeat(js, ra * rb))
     if not vecs:
-        return np.zeros((len(members), 0, d * f), dtype=complex), np.zeros((len(members), 0), bool)
+        return np.zeros((m, 0, n), dtype=complex), None
+    if all(on is None for on in live):
+        live = None
+    else:
+        live = np.concatenate([np.ones(v.shape[:2], bool) if on is None else on
+                               for v, on in zip(vecs, live)], axis=1)
+    if len(vecs) == 1:
+        return vecs[0], live  # the factors of one middle class ascend
+    vecs = np.concatenate(vecs, axis=1)
+    if ascending:
+        return vecs, live
     at = np.argsort(np.concatenate(order), kind="stable")
-    return np.concatenate(vecs, axis=1)[:, at], np.concatenate(live, axis=1)[:, at]
+    return vecs[:, at], None if live is None else live[:, at]
 
 
-def _operators(vecs: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Frame columns (k, rows*cols, r) as C-ordered operators (k, r, rows, cols)."""
-    ops = vecs.reshape(len(vecs), cols, rows, vecs.shape[-1]).transpose(0, 3, 2, 1)
-    return np.ascontiguousarray(ops)
+def _mask_at(mask, slots: np.ndarray, r: int) -> np.ndarray:
+    """Rows of a (k, r) column mask (None: all True) at the given slots."""
+    return np.ones(slots.shape + (r,), bool) if mask is None else mask[slots]
 
 
 def _one_dim_hits(p: QuantumRelation, q: QuantumRelation) -> np.ndarray:
@@ -299,22 +375,36 @@ def _pattern(r: QuantumRelation) -> np.ndarray:
 
 def converse(p: QuantumRelation) -> QuantumRelation:
     """Block (j, i) is the image of block (i, j) under a -> a†, and so is its
-    frame, made when first read."""
+    frame, made when first read.  A relation whose frames are held keeps
+    its converse, and every later call returns that same object; the
+    converse's frame function reads p's frames, never p, so that keeping it
+    makes no reference cycle.  A relation given as plain projections whose
+    frames are not yet made gets a new converse on each call."""
+    if p._converse is not None:
+        return p._converse
     parts = [
         (klass, linalg.adjoint_image(stack, klass.dims[1], klass.dims[0]))
         for klass, stack in p.blocks.transposed()
     ]
+    lay, held = p.blocks.layout, isinstance(p._frames, tuple)
+    frames = partial(_converse_frames, lay, p._frames) if held else (
+        lambda: _converse_frames(lay, p.frames()))
+    c = QuantumRelation(p.target, p.source, BlockStore.stacked(p.target, p.source, parts),
+                        validate=False, frames=frames)
+    if held:
+        p._converse = c
+    return c
 
-    def frames():
-        by_dims = {
-            klass.dims[::-1]: Frames(klass.transposed(fr.ranks),
-                                     linalg.adjoint_vecs(klass.transposed(fr.vecs), *klass.dims))
-            for (klass, _), fr in zip(p.blocks.classes(), p.frames())
-        }
-        return tuple(by_dims[klass.dims] for klass in layout(p.target.dims, p.source.dims).classes)
 
-    return QuantumRelation(p.target, p.source, BlockStore.stacked(p.target, p.source, parts),
-                           validate=False, frames=frames)
+def _converse_frames(lay, frames: tuple) -> tuple:
+    """Frames of the converse of a relation laid out as lay with the given
+    frames: each frame column vec(a) becomes vec(a†), at the transposed slot."""
+    by_dims = {
+        klass.dims[::-1]: Frames(klass.transposed(fr.ranks),
+                                 linalg.adjoint_vecs(klass.transposed(fr.vecs), *klass.dims))
+        for klass, fr in zip(lay.classes, frames)
+    }
+    return tuple(by_dims[klass.dims] for klass in layout(lay.tgt_dims, lay.src_dims).classes)
 
 
 def containment_failures(p: QuantumRelation, q: QuantumRelation, tol: float = TOL_PROJ):

@@ -63,7 +63,7 @@ from .graphs import (
     is_homomorphism,
     is_reversible,
 )
-from .groups import AlgebraAction, dim_classes
+from .groups import AlgebraAction, ExactKey, dim_classes
 from .linalg import SPAN_RATIO, TINY_UNIT, TOL_PROJ, TOL_ROUNDTRIP, TOL_SPEC
 from .relations import QuantumRelation, relation_defect
 from .systems import BlockStore, QuantumSet, System, basis_offset, system, total_matrix_dim
@@ -110,14 +110,14 @@ class TensorSystem:
 
 
 def tensor_system(a: System, b: System) -> TensorSystem:
-    """The product of a and b.  Systems are immutable, so equal arguments
-    share one TensorSystem, checked when first built."""
-    return _tensor_system(a, b)
+    """The product of a and b.  Systems are immutable, so arguments with
+    equal exact_key share one TensorSystem, checked when first built."""
+    return _tensor_system(ExactKey((a.exact_key, b.exact_key), (a, b)))
 
 
 @lru_cache(maxsize=128)
-def _tensor_system(a: System, b: System) -> TensorSystem:
-    return TensorSystem(a, b)
+def _tensor_system(key: ExactKey) -> TensorSystem:
+    return TensorSystem(*key.value)
 
 
 def tensor_cp(f: CpMorphism, g: CpMorphism,

@@ -361,6 +361,34 @@ class TestBatchedConstructions:
             _assert_frames_equal(relations.converse(p),
                                  loop_converse_frames(p_frames, dims[0], dims[1]))
 
+    @pytest.mark.parametrize("dims, reordered", [
+        # Middle classes 1, 2, 3 run in factor order: no reorder.
+        (((2, 1, 2), (1, 2, 2, 3), (3, 2, 2)), False),
+        # Middle class 1 holds factors 0 and 2, class 2 factor 1: reordered.
+        (((2, 1), (1, 2, 1), (1, 2)), True),
+    ], ids=["ascending", "reordered"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_compose_in_and_out_of_factor_order(self, dims, reordered, seed, monkeypatch):
+        """compose gathers the products into (j, a, b) order only when the
+        middle classes do not already run in factor order; either way the
+        result is bitwise the per-block loop's."""
+        r = np.random.default_rng(seed)
+        a, mid, b = (systems.system(d) for d in dims)
+        p = rand_relation(r, a, mid, density=1.0)
+        q = rand_relation(r, mid, b, density=1.0)
+        p_frames, q_frames = loop_projection_frames(p), loop_projection_frames(q)
+        _assert_frames_equal(p, p_frames)
+        _assert_frames_equal(q, q_frames)
+        sorts = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: sorts.append(1) or argsort(*a, **k))
+        got = relations.compose(q, p)
+        monkeypatch.undo()
+        assert bool(sorts) == reordered
+        blocks, frames = loop_rel_compose(q_frames, p_frames, *dims)
+        _assert_family_equal(got.blocks, blocks)
+        _assert_frames_equal(got, frames)
+
 
 def test_is_reversible_support_projections_do_not_grow_with_n(monkeypatch):
     calls = []

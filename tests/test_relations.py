@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,10 @@ from covgraphs.errors import NegativeSpectrum, NoChannel, SystemMismatch
 
 from genutil import (
     choi_born,
+    loop_converse_frames,
+    loop_projection_frames,
     rand_balanced_relation,
+    rand_channel,
     rand_complex,
     rand_cp,
     rand_relation,
@@ -285,6 +291,58 @@ class TestConverse:
         lhs = relations.support_of(cpmaps.dagger(f))
         rhs = relations.converse(relations.support_of(f))
         assert relations.relation_defect(lhs, rhs) < 1e-7
+
+    def test_kept_for_a_relation_with_held_frames(self):
+        sys = systems.system((1, 2, 3))
+        rf = relations.support_of(rand_cp(np.random.default_rng(31), sys, sys))
+        c = relations.converse(rf)
+        assert relations.converse(rf) is c
+        # The converse's own frames are made on first read; from then on its
+        # converse is kept too.
+        assert relations.converse(c) is not relations.converse(c)
+        ref = loop_converse_frames(
+            {key: rf.frame(*key) for key in rf.blocks}, sys.dims, sys.dims)
+        for key, cols in ref.items():
+            assert np.array_equal(c.frame(*key), cols), key
+        assert relations.converse(c) is relations.converse(c)
+
+    def test_plain_projections_get_a_new_converse_with_their_frames(self):
+        src, tgt = systems.system((2, 1, 2)), systems.system((1, 3))
+        p = rand_relation(np.random.default_rng(32), src, tgt)
+        first, again = relations.converse(p), relations.converse(p)
+        assert first is not again
+        ref = loop_converse_frames(loop_projection_frames(p), src.dims, tgt.dims)
+        for c in (first, again):
+            for key, cols in ref.items():
+                assert np.array_equal(c.frame(*key), cols), key
+            assert relations.relations_equal(relations.converse(c), p)
+
+
+@pytest.mark.parametrize("born", ["kernel", "projections"])
+def test_relations_and_their_converses_make_no_reference_cycles(born):
+    """Relations, their kept converses and the memos of a morphism are freed
+    by reference counting alone: with the cyclic collector off, nothing is
+    left once the last reference goes."""
+    gc.disable()
+    try:
+        sys = systems.system((1, 2))
+        f = rand_channel(np.random.default_rng(33), sys, sys)
+        rel = relations.support_of(f)
+        if born == "projections":
+            rel = relations.QuantumRelation(sys, sys, dict(rel.blocks.items()))
+        gamma = graphs.confusability_of(f)
+        assert graphs.is_homomorphism(f, gamma, graphs.discrete_graph(sys))
+        conv = relations.converse(rel)
+        comp = relations.compose(conv, rel)
+        # A kept converse whose frames are never read, and a relation given
+        # as projections whose frames are never read.
+        relations.converse(comp)
+        unread = relations.QuantumRelation(sys, sys, dict(gamma.relation.blocks.items()))
+        refs = [weakref.ref(x) for x in (rel, conv, comp, gamma.relation, unread)]
+        del f, rel, gamma, conv, comp, unread
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
 
 
 class TestLeq:

@@ -34,8 +34,8 @@ def _weighted(dims, weights):
     return systems.System(systems.QuantumSet(dims), action, weights)
 
 
-def _unitary_map(sys):
-    kraus = {(i, i): [rand_unitary(rng, d)] for i, d in enumerate(sys.dims)}
+def _unitary_map(sys, r=rng):
+    kraus = {(i, i): [rand_unitary(r, d)] for i, d in enumerate(sys.dims)}
     return cpmaps.from_kraus(kraus, sys, sys)
 
 
@@ -50,6 +50,15 @@ def _hom_cases():
         ]
     cases.append(("kraus(2,1)->(3,)", rand_cp(rng, systems.system((2, 1)), systems.system((3,)))))
     cases.append(("classical8", embed_channel(rand_stochastic(rng, 8, 8))))
+    # Drawn from their own generator, so that the cases above are unchanged.
+    own = np.random.default_rng(616)
+    for name, sys in [("(4,)", systems.system((4,))),
+                      ("weighted(2,3)", _weighted((2, 3), (0.5, 7.0)))]:
+        cases += [
+            (f"kraus{name}", rand_cp(own, sys, sys)),
+            (f"channelize{name}", rand_channel(own, sys, sys)),
+            (f"unitary{name}", _unitary_map(sys, own)),
+        ]
     cases += [(f"dagger-{name}", cpmaps.dagger(f)) for name, f in cases]
     return [pytest.param(name, f, id=name) for name, f in cases]
 

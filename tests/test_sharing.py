@@ -1,7 +1,8 @@
 """Immutable objects built once per exact key: groups, bundle actions, the
-conjugation action and identity channels.  Keys are exact (ints, tuples,
-bytes, digests), so objects that are only equal within round-off are each
-built from their own bytes, and a build that raises is not kept."""
+conjugation action, identity channels, tensor products and discrete
+relations.  Keys are exact (ints, tuples, bytes, digests), so objects that
+are only equal within round-off are each built from their own bytes, and a
+build that raises is not kept."""
 
 import contextlib
 import io
@@ -10,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from covgraphs import bundle, cli, cpmaps, graphs, groups, relations, systems
+from covgraphs import bundle, cli, cpmaps, graphs, groups, relations, scc, systems
 from covgraphs.bundle import BundleError
 from covgraphs.errors import ActionShapeMismatch, GroupMismatch
 
@@ -177,3 +178,69 @@ class TestIdentityChannel:
         assert ia is not ib
         assert ia.source.exact_key == a.exact_key and ib.source.exact_key == b.exact_key
         assert ib.source.action.exact_key != ia.source.action.exact_key
+
+
+class TestTensorSystemAndDiscrete:
+    def test_exactly_equal_systems_share_the_product_and_the_discrete_relation(self):
+        z = np.diag([1.0, -1.0])
+        a, b = _z2_system(z), _z2_system(z)
+        assert a is not b and a.exact_key == b.exact_key
+        assert scc.tensor_system(b, b) is scc.tensor_system(a, a)
+        assert relations.discrete(b) is relations.discrete(a)
+
+    def test_roundoff_close_systems_get_their_own_product(self):
+        a, b = _z2_system(_reflection(0.3)), _z2_system(_reflection(0.3 + 1e-15))
+        assert a == b
+        ta, tb = scc.tensor_system(a, a), scc.tensor_system(b, b)
+        assert tb is not ta
+        for sys, ts in ((a, ta), (b, tb)):
+            assert ts.left is sys and ts.right is sys
+            for g in sys.group.elements:
+                (u,) = sys.action.unitaries[g]
+                (got,) = ts.product.action.unitaries[g]
+                assert np.array_equal(got, np.kron(u, u)), g
+
+    def test_roundoff_close_systems_get_their_own_discrete_relation(self):
+        a, b = _z2_system(_reflection(0.3)), _z2_system(_reflection(0.3 + 1e-15))
+        assert a == b
+        assert relations.discrete(a).source is a and relations.discrete(a).target is a
+        assert relations.discrete(b).source is b and relations.discrete(b).target is b
+
+
+# Systems whose "factors" or "perms" hold an entry that is not an integer:
+# (systems entry, text the error names).
+MALFORMED_SYSTEMS = {
+    "float factor": ({"factors": [2.7]}, "factors entry 2.7 is not an integer"),
+    "bool factor": ({"factors": [True]}, "factors entry True is not an integer"),
+    "float perm": ({"factors": [1, 1], "action": {"perms": {"1": [1.9, 0.2]}}},
+                   "perms entry 1.9 is not an integer"),
+    "bool perm": ({"factors": [1, 1], "action": {"perms": {"1": [True, 0]}}},
+                  "perms entry True is not an integer"),
+}
+
+
+def _malformed_system_bundle(case: str) -> dict:
+    spec, _ = MALFORMED_SYSTEMS[case]
+    one = bundle.matrix_to_json(np.eye(1))
+    return {"group": C2, "systems": {"A": spec},
+            "channels": {"id": {"from": "A", "to": "A", "kraus": {"0,0": [one]}}}}
+
+
+class TestMalformedSystems:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SYSTEMS))
+    def test_load_bundle_raises_on_every_load(self, case):
+        _, text = MALFORMED_SYSTEMS[case]
+        for _ in range(2):
+            with pytest.raises(BundleError, match=f"system 'A': {text}"):
+                bundle.load_bundle(_malformed_system_bundle(case))
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SYSTEMS))
+    def test_cli_exits_2_on_every_run(self, case, tmp_path):
+        _, text = MALFORMED_SYSTEMS[case]
+        path = tmp_path / "bad_system.json"
+        path.write_text(json.dumps(_malformed_system_bundle(case)))
+        for _ in range(2):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["analyze-channel", str(path), "id"]) == 2
+            assert "cannot load bundle" in err.getvalue() and text in err.getvalue()

@@ -28,8 +28,9 @@ defects run one batched kernel per class.
 
 A relation whose frames are held keeps its converse, so the ℜ(f)† of the
 confusability graph, the homomorphism pullback and the reverse channel is
-made once per support relation; the converse makes its frames from p's
-frames, not from p, so the two make no reference cycle.
+made once per support relation.  The converse forms its blocks and frames
+on first read, from p's, not from p, so the two make no reference cycle,
+and a compose, which reads only frames, forms no adjoint block.
 """
 
 from __future__ import annotations
@@ -375,25 +376,30 @@ def _pattern(r: QuantumRelation) -> np.ndarray:
 
 def converse(p: QuantumRelation) -> QuantumRelation:
     """Block (j, i) is the image of block (i, j) under a -> a†, and so is its
-    frame, made when first read.  A relation whose frames are held keeps
+    frame, each made when first read (compose reads only the frames).  A relation whose frames are held keeps
     its converse, and every later call returns that same object; the
     converse's frame function reads p's frames, never p, so that keeping it
     makes no reference cycle.  A relation given as plain projections whose
     frames are not yet made gets a new converse on each call."""
     if p._converse is not None:
         return p._converse
-    parts = [
-        (klass, linalg.adjoint_image(stack, klass.dims[1], klass.dims[0]))
-        for klass, stack in p.blocks.transposed()
-    ]
     lay, held = p.blocks.layout, isinstance(p._frames, tuple)
+    tl = layout(lay.tgt_dims, lay.src_dims)
+    store = BlockStore(tl, [(tl.index[klass.dims[::-1]], np.arange(len(klass.keys)), (klass, stack))
+                            for klass, stack in p.blocks.classes()], _adjoint_class)
     frames = partial(_converse_frames, lay, p._frames) if held else (
         lambda: _converse_frames(lay, p.frames()))
-    c = QuantumRelation(p.target, p.source, BlockStore.stacked(p.target, p.source, parts),
-                        validate=False, frames=frames)
+    c = QuantumRelation(p.target, p.source, store, validate=False, frames=frames)
     if held:
         p._converse = c
     return c
+
+
+def _adjoint_class(payload) -> np.ndarray:
+    """The converse's stack of the transpose of a class of p, from the
+    (class, stack) of p: each block's adjoint image, at the transposed slot."""
+    klass, stack = payload
+    return linalg.adjoint_image(klass.transposed(stack), *klass.dims)
 
 
 def _converse_frames(lay, frames: tuple) -> tuple:

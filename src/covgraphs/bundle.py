@@ -185,6 +185,8 @@ def _integers(entries, what: str) -> tuple:
     """The entries as ints; an entry that is not an integer (a bool is
     not) raises BundleError naming it."""
     entries = tuple(entries)
+    if set(map(type, entries)) <= {int}:  # as JSON gives them
+        return entries
     for x in entries:
         if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
             raise BundleError(f"{what} entry {x!r} is not an integer")

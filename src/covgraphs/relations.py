@@ -67,7 +67,7 @@ class QuantumRelation:
         # A tuple of read-only Frames in class order, a function that makes
         # it, or None: frames of the projections, made on first read.
         self._frames = frames if frames is None or callable(frames) else _read_only(frames)
-        self._operators = [None] * len(self.blocks.layout.classes)
+        self._operators = None  # per class, (operators, mask) once laid out
         self._converse = None
         if validate:
             defects = self.blocks.keyed(
@@ -105,6 +105,8 @@ class QuantumRelation:
         out once per relation: the frame columns as read-only C-ordered
         (k, r, rows, cols) operators, and the read-only (k, r) mask of the
         columns within each member's rank, None when every member has rank r."""
+        if self._operators is None:
+            self._operators = [None] * len(self.blocks.layout.classes)
         if self._operators[c] is None:
             fr = self.frames()[c]
             d, e = self.blocks.layout.classes[c].dims
@@ -385,7 +387,7 @@ def converse(p: QuantumRelation) -> QuantumRelation:
         return p._converse
     lay, held = p.blocks.layout, isinstance(p._frames, tuple)
     tl = layout(lay.tgt_dims, lay.src_dims)
-    store = BlockStore(tl, [(tl.index[klass.dims[::-1]], np.arange(len(klass.keys)), (klass, stack))
+    store = BlockStore(tl, [(tl.index[klass.dims[::-1]], None, (klass, stack))
                             for klass, stack in p.blocks.classes()], _adjoint_class)
     frames = partial(_converse_frames, lay, p._frames) if held else (
         lambda: _converse_frames(lay, p.frames()))

@@ -268,7 +268,8 @@ class BlockStore(Mapping):
 
     A stack-born store (stacked) serves rows of kernel outputs.  Any other
     store holds ``parts``, (class index, slots, payload) triples, with
-    form(payload) the stack of the blocks at those slots of the class.  It
+    form(payload) the stack of the blocks at those slots of the class
+    (slots None: every slot, in slot order).  It
     forms the stack of a class on the first read of that class and keeps it
     read-only in place of the class's parts: a morphism born from Kraus maps
     holds its stacks V of vec(M†), whose blocks are V V† (linalg.gram); a
@@ -324,7 +325,8 @@ class BlockStore(Mapping):
             k, n = len(klass.keys), klass.n
             if not parts:
                 stack = _zero_stack(k, n)
-            elif len(parts) == 1 and np.array_equal(parts[0][0], np.arange(k)):
+            elif len(parts) == 1 and (parts[0][0] is None
+                                      or np.array_equal(parts[0][0], np.arange(k))):
                 stack = self._form(parts[0][1])
             else:
                 stack = np.zeros((k, n, n), dtype=complex)

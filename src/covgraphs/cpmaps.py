@@ -573,7 +573,9 @@ def _hom_defects(f: CpMorphism):
             for q in range(d):
                 prod[off + q:off + d * d:d, :, off + q * d:off + q * d + d] -= scaled
             adj[off:off + d * d] -= own.transpose(1, 0, 2, 3).reshape(d * d, e, e)
-        mult = max(mult, float(np.linalg.norm(prod, axis=(1, 3)).max()))
+        # Σ_rt |z|² per pair (a, b), read as floats: each z is (re, im).
+        sq = prod.view(float).reshape(n, e, n, 2 * e)
+        mult = max(mult, float(np.sqrt(np.einsum("arbt,arbt->ab", sq, sq).max())))
         star = max(star, float(np.max(np.linalg.norm(adj.reshape(-1, e * e), axis=1))))
     unit = _diff(apply(f, src.identity()), f.target.identity())
     return max(mult, unit, star), (mult, unit, star)

@@ -50,7 +50,8 @@ def _hom_cases():
         ]
     cases.append(("kraus(2,1)->(3,)", rand_cp(rng, systems.system((2, 1)), systems.system((3,)))))
     cases.append(("classical8", embed_channel(rand_stochastic(rng, 8, 8))))
-    # Drawn from their own generator, so that the cases above are unchanged.
+    # Drawn from their own generator, so that the module's generator reaches
+    # the later tests in the state it did before these cases.
     own = np.random.default_rng(616)
     for name, sys in [("(4,)", systems.system((4,))),
                       ("weighted(2,3)", _weighted((2, 3), (0.5, 7.0)))]:

@@ -176,17 +176,14 @@ def group_from_json(data) -> FiniteGroup:
     order, table, identity = data["order"], data["mult_table"], data.get("identity", 0)
     if not (isinstance(table, list) and all(isinstance(row, list) for row in table)):
         raise BundleError("group mult_table must be a list of rows")
-    _integers(chain((order, identity), *table), "group")
-    return shared_group(int(order), tuple(tuple(map(int, row)) for row in table),
-                        int(identity))
+    order, identity = _integers((order, identity), "group")
+    return shared_group(order, tuple(_integers(row, "group") for row in table), identity)
 
 
 def _integers(entries, what: str) -> tuple:
     """The entries as ints; an entry that is not an integer (a bool is
     not) raises BundleError naming it."""
     entries = tuple(entries)
-    if set(map(type, entries)) <= {int}:  # as JSON gives them
-        return entries
     for x in entries:
         if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
             raise BundleError(f"{what} entry {x!r} is not an integer")

@@ -21,10 +21,10 @@ first reads them (operators), and the index arrays of compose are built
 once per triple of dims (_plan).  Per output class and middle class, every
 product a @ b of frame operators comes from one batched matmul; the members
 with equal product counts then share one batched SVD, and a class of one
-member, or whose products are all of frame columns, spans its families with
-no grouping.  Between 1x1 blocks through 1-dim middles it is the boolean
-product of the support patterns.  Supports, converses, containment and
-defects run one batched kernel per class.
+member spans its family with no grouping.  Between 1x1 blocks through
+1-dim middles it is the boolean product of the support patterns.
+Supports, converses, containment and defects run one batched kernel per
+class.
 
 A relation whose frames are held keeps its converse, so the ℜ(f)† of the
 confusability graph, the homomorphism pullback and the reverse channel is
@@ -104,7 +104,7 @@ class QuantumRelation:
         """The frame operators of class c as compose multiplies them, laid
         out once per relation: the frame columns as read-only C-ordered
         (k, r, rows, cols) operators, and the read-only (k, r) mask of the
-        columns within each member's rank, None when every member has rank r."""
+        columns within each member's rank."""
         if self._operators is None:
             self._operators = [None] * len(self.blocks.layout.classes)
         if self._operators[c] is None:
@@ -113,10 +113,8 @@ class QuantumRelation:
             k, _, r = fr.vecs.shape
             ops = np.ascontiguousarray(fr.vecs.reshape(k, e, d, r).transpose(0, 3, 2, 1))
             ops.setflags(write=False)
-            live = None
-            if (fr.ranks != r).any():
-                live = np.arange(r) < fr.ranks[:, None]
-                live.setflags(write=False)
+            live = np.arange(r) < fr.ranks[:, None]
+            live.setflags(write=False)
             self._operators[c] = ops, live
         return self._operators[c]
 
@@ -291,15 +289,14 @@ def _plan(src_dims: tuple, mid_dims: tuple, tgt_dims: tuple) -> tuple:
 def _spans(p: QuantumRelation, q: QuantumRelation, klass, plan, members=None):
     """(projections, Frames) of the members of an output class (all, or the
     given positions): the span of each member's products, one batched SVD
-    per group of members with equal product counts.  When every product is
-    of frame columns, or the class has one member, each member spans its
-    one family, with no grouping."""
+    per group of members with equal product counts.  A class of one member
+    spans its one family, with no grouping."""
     n = klass.n
     vecs, live = _products(p, q, klass, plan, members)
-    if live is None or len(vecs) == 1:
-        family = vecs.swapaxes(1, 2) if live is None else vecs[0][live[0]].T[None]
+    if len(vecs) == 1:
+        family = vecs[0][live[0]].T[None]
         if not family.shape[-1]:
-            return np.zeros((len(vecs), n, n), dtype=complex), Frames.merged(len(vecs), n, [])
+            return np.zeros((1, n, n), dtype=complex), Frames.merged(1, n, [])
         return linalg.orthonormal_span(family, floor=TOL_SPEC, frames=True)
     counts = live.sum(axis=1)
     stack = np.zeros((len(vecs), n, n), dtype=complex)
@@ -319,9 +316,8 @@ def _products(p: QuantumRelation, q: QuantumRelation, klass, plan, members):
     block (j, k) of q, for each member (i, k) of the output class and each
     middle factor j of the plan's steps: one batched matmul per middle
     class.  Returns the vectors (m, S, n) and which of them are products
-    of frame columns (m, S), None when all are; both in (j, a, b) order,
-    as the steps give them when their middle factors ascend, else
-    reordered."""
+    of frame columns (m, S), both in (j, a, b) order, as the steps give
+    them when their middle factors ascend, else reordered."""
     steps, ascending = plan
     n, m = klass.n, len(klass.keys) if members is None else len(members)
     vecs, live, order = [], [], []
@@ -334,30 +330,16 @@ def _products(p: QuantumRelation, q: QuantumRelation, klass, plan, members):
             ps, qs = ps[members], qs[members]
         prod = ap[ps][:, :, :, None] @ bq[qs][:, :, None]
         vecs.append(prod.swapaxes(-1, -2).reshape(m, -1, n))
-        live.append(None if mp is None and mq is None else
-                    (_mask_at(mp, ps, ra)[..., :, None]
-                     & _mask_at(mq, qs, rb)[..., None, :]).reshape(m, -1))
+        live.append((mp[ps][..., :, None] & mq[qs][..., None, :]).reshape(m, -1))
         if not ascending:
             order.append(np.repeat(js, ra * rb))
     if not vecs:
-        return np.zeros((m, 0, n), dtype=complex), None
-    if all(on is None for on in live):
-        live = None
-    else:
-        live = np.concatenate([np.ones(v.shape[:2], bool) if on is None else on
-                               for v, on in zip(vecs, live)], axis=1)
-    if len(vecs) == 1:
-        return vecs[0], live  # the factors of one middle class ascend
-    vecs = np.concatenate(vecs, axis=1)
+        return np.zeros((m, 0, n), dtype=complex), np.zeros((m, 0), bool)
+    vecs, live = np.concatenate(vecs, axis=1), np.concatenate(live, axis=1)
     if ascending:
         return vecs, live
     at = np.argsort(np.concatenate(order), kind="stable")
-    return vecs[:, at], None if live is None else live[:, at]
-
-
-def _mask_at(mask, slots: np.ndarray, r: int) -> np.ndarray:
-    """Rows of a (k, r) column mask (None: all True) at the given slots."""
-    return np.ones(slots.shape + (r,), bool) if mask is None else mask[slots]
+    return vecs[:, at], live[:, at]
 
 
 def _one_dim_hits(p: QuantumRelation, q: QuantumRelation) -> np.ndarray:
@@ -378,11 +360,12 @@ def _pattern(r: QuantumRelation) -> np.ndarray:
 
 def converse(p: QuantumRelation) -> QuantumRelation:
     """Block (j, i) is the image of block (i, j) under a -> a†, and so is its
-    frame, each made when first read (compose reads only the frames).  A relation whose frames are held keeps
-    its converse, and every later call returns that same object; the
-    converse's frame function reads p's frames, never p, so that keeping it
-    makes no reference cycle.  A relation given as plain projections whose
-    frames are not yet made gets a new converse on each call."""
+    frame, each made when first read (compose reads only the frames).  A
+    relation whose frames are held keeps its converse, and every later call
+    returns that same object; the converse's frame function reads p's
+    frames, never p, so that keeping it makes no reference cycle.  A
+    relation given as plain projections whose frames are not yet made gets
+    a new converse on each call."""
     if p._converse is not None:
         return p._converse
     lay, held = p.blocks.layout, isinstance(p._frames, tuple)

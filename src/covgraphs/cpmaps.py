@@ -85,7 +85,12 @@ class CpMorphism:
     What a morphism derives without a tolerance is computed once and kept
     on it: relations.support_of and graphs.confusability_of store their
     result here on the first call that succeeds and return that same object
-    on every later call.  A memo lives and dies with its morphism.
+    on every later call.  The same holds for four numbers that the checks
+    compare with their own tol: the norm (so max(1, norm), the scale of
+    every check), the largest Frobenius and functional defects of the Choi
+    marginal (is_channel) and the discreteness defect of the confusability
+    graph (graphs.is_reversible).  A memo lives and dies with its morphism;
+    a call that raises keeps nothing.
     """
 
     def __init__(self, source: System, target: System, blocks: dict, validate: bool = True):
@@ -96,6 +101,9 @@ class CpMorphism:
         self.kraus_vecs = None
         self._support = None  # relations.support_of
         self._confusability = None  # graphs.confusability_of
+        self._norm = None  # norm
+        self._marginal_defects = None  # is_channel: (Frobenius, functional)
+        self._discreteness = None  # graphs.is_reversible
         if validate:
             self._check_psd()
 
@@ -130,7 +138,10 @@ class CpMorphism:
             raise NegativeSpectrum(f"Choi block {key}: eigenvalue {low[b]:.3e}")
 
     def norm(self) -> float:
-        return max(float(linalg.frobs(stack).max()) for _, stack in self.blocks.classes())
+        """Largest Frobenius norm of a Choi block; kept on the morphism."""
+        if self._norm is None:
+            self._norm = max(float(linalg.frobs(stack).max()) for _, stack in self.blocks.classes())
+        return self._norm
 
     def block(self, i: int, j: int) -> np.ndarray:
         return self.blocks[(i, j)]
@@ -471,17 +482,32 @@ def is_channel(f: CpMorphism, tol: float = TOL_PROJ) -> bool:
     preservation on the φ-basis, both read off the marginal: on u = E_pq / √w_i,
     φ_B(f(u)) − φ_A(u) is entry (q, p) of (marg_i − w_i I) / √w_i, so on
     weights below 1 the functional test is the stricter one.
+
+    Neither defect depends on tol: the largest Frobenius defect and the
+    largest functional defect are computed from one marginal on the first
+    call and kept on f, and every call compares them with its own tol,
+    Frobenius first.
     """
     scale = max(1.0, f.norm())
+    if f._marginal_defects is None:
+        f._marginal_defects = _marginal_defects(f)
+    frob, worst = f._marginal_defects
+    if frob >= tol * scale:
+        return False
+    return bool(worst < tol * scale * FUNCTIONAL_SLACK)
+
+
+def _marginal_defects(f: CpMorphism) -> tuple:
+    """(largest Frobenius norm, largest entry over √w_i) of marg_i − w_i I
+    over the source factors i."""
     sw = np.array(f.source.weights)
     defects = [
         (marg - sw[rows][:, None, None] * np.eye(marg.shape[1]), sw[rows])
         for rows, marg in _marginal_groups(f)
     ]
-    if max(linalg.frobs(m).max() for m, _ in defects) >= tol * scale:
-        return False
+    frob = max(linalg.frobs(m).max() for m, _ in defects)
     worst = max((np.abs(m).max(axis=(1, 2)) / np.sqrt(w)).max() for m, w in defects)
-    return bool(worst < tol * scale * FUNCTIONAL_SLACK)
+    return float(frob), float(worst)
 
 
 def is_star_homomorphism(f: CpMorphism) -> bool:

@@ -258,11 +258,15 @@ def is_simple_homomorphism(f: CpMorphism, g_a: QuantumGraph, g_b: QuantumGraph) 
 
 
 def is_reversible(f: CpMorphism, tol: float = TOL_PROJ) -> bool:
-    """A channel is reversible iff its confusability graph is discrete."""
+    """A channel is reversible iff its confusability graph is discrete.
+
+    The discreteness defect does not depend on tol: it is computed on the
+    first call that gets past the channel check and kept on f."""
     if not is_channel(f, tol):
         raise NotAChannel("reversibility is defined for channels")
-    gamma = confusability_of(f)
-    return relation_defect(gamma.relation, discrete(f.source)) <= tol
+    if f._discreteness is None:
+        f._discreteness = relation_defect(confusability_of(f).relation, discrete(f.source))
+    return f._discreteness <= tol
 
 
 def reverse_channel(f: CpMorphism, tol: float = TOL_PROJ) -> CpMorphism:

@@ -113,8 +113,14 @@ def frob(m: np.ndarray) -> float:
 def frobs(mats) -> np.ndarray:
     """Frobenius norms of a sequence of matrices, or of a (k, m, n) stack, in
     input order: one stacked reduction per shape, bitwise equal to frob of each
-    (per matrix, the same BLAS dot products of the real and imaginary parts)."""
+    (per matrix, the same BLAS dot products of the real and imaginary parts;
+    on 1x1 members a length-1 dot product is one rounded product, so those
+    are taken elementwise)."""
     if isinstance(mats, np.ndarray):
+        if mats.shape[1:] == (1, 1):
+            v = mats.reshape(-1)
+            re, im = v.real, v.imag
+            return np.sqrt(re * re + im * im)
         v = mats.reshape(len(mats), 1, -1)
         re, im = v.real, v.imag
         return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).reshape(-1))

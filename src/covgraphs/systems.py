@@ -44,6 +44,23 @@ class QuantumSet:
         object.__setattr__(self, "factor_dims", dims)
 
 
+class KeptHash(tuple):
+    """A tuple whose hash is computed once: System.exact_key, built with
+    the system and looked up in caches many times."""
+
+    def __new__(cls, items):
+        self = super().__new__(cls, items)
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # str and bytes hashes differ between processes: rehash on unpickling.
+        return KeptHash, (tuple(self),)
+
+
 @dataclass(frozen=True)
 class System:
     qset: QuantumSet
@@ -61,6 +78,7 @@ class System:
         if (np.abs(wa[self.action.perm_array] - wa) > linalg.TOL_ROUNDOFF).any():
             raise ActionShapeMismatch("weights must be constant on action orbits")
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_exact_key", KeptHash((dims, w, self.action.exact_key)))
 
     @property
     def dims(self) -> tuple:
@@ -94,8 +112,9 @@ class System:
     @property
     def exact_key(self) -> tuple:
         """Dims, weights and the action's exact key: equal exactly when the
-        systems are bitwise equal, unlike ==, which tolerates round-off."""
-        return self.dims, self.weights, self.action.exact_key
+        systems are bitwise equal, unlike ==, which tolerates round-off.
+        Built and hashed once, with the system."""
+        return self._exact_key
 
     def __eq__(self, other):
         if self is other:

@@ -220,6 +220,23 @@ class TestFrobs:
         assert np.array_equal(linalg.frobs(stack), [linalg.frob(m) for m in stack])
         assert linalg.frobs([]).shape == (0,)
 
+    @pytest.mark.parametrize("entries", [
+        [0.0, -0.0, 0j, complex(0.0, -0.0)],
+        [-1.5, complex(-2.0, 3.0), complex(0.5, -0.25), -1e-3j],
+        [5e-324, -5e-324, complex(1e-310, -2e-310), complex(-3e-308, 1e-320), 1e-160],
+        [1e200, -1e200, complex(1e200, 1e200), complex(0.0, -1e200), 1e154, 1.8e308],
+    ])
+    def test_one_by_one_stacks_equal_frob_per_member(self, entries):
+        """(k, 1, 1) stacks are taken elementwise: zeros, negative and
+        subnormal parts and squares that overflow to inf, complex and real."""
+        cplx = np.array(entries, dtype=complex).reshape(-1, 1, 1)
+        with np.errstate(over="ignore"):
+            for stack in (cplx, cplx.real.copy()):
+                got = linalg.frobs(stack)
+                assert np.array_equal(got, [linalg.frob(m) for m in stack])
+                assert np.array_equal(got, linalg.frobs(list(stack)))
+            assert np.isinf(linalg.frobs(cplx)).any() == (np.abs(cplx).max() >= 1e200)
+
     def test_projection_defects(self):
         p = linalg.orthonormal_span([rand_c(4, 1) for _ in range(2)])
         bad = p + 1e-3 * rand_c(4, 4)

@@ -6,7 +6,7 @@ import pytest
 
 from covgraphs import cpmaps, graphs, linalg, relations, systems
 from covgraphs.classical import embed_channel, embed_relation, extract_relation, oracle_compose
-from covgraphs.errors import NegativeSpectrum, NoChannel, SystemMismatch
+from covgraphs.errors import NegativeSpectrum, NoChannel, NotAChannel, SystemMismatch
 
 from genutil import (
     choi_born,
@@ -173,6 +173,92 @@ class TestMorphismMemos:
                      graphs.confusability_of, graphs.confusability_of):
             with pytest.raises(NegativeSpectrum):
                 call(f)
+
+
+def _kept_check_builders(born):
+    """Builders of fresh morphisms from fixed Kraus maps on (1, 2) -> (1, 2):
+    a reversible and a non-reversible channel, both scaled by 1 + 1e-10 so
+    that is_channel flips between tol 1e-12 and TOL_PROJ, and a map that is
+    no channel at any tol below 1."""
+    sys = systems.system((1, 2))
+    u = rand_unitary(np.random.default_rng(31), 2)
+    maps = {
+        "reversible": {(0, 0): [np.eye(1)], (1, 1): [u]},
+        "non-reversible": cpmaps.to_kraus(rand_channel(np.random.default_rng(32), sys, sys)),
+        "not-a-channel": {(0, 0): [np.eye(1)], (1, 1): [u, u]},
+    }
+    grow = np.sqrt(1 + 1e-10)
+
+    def build(kraus):
+        f = cpmaps.from_kraus({k: [grow * m for m in ms] for k, ms in kraus.items()}, sys, sys)
+        return f if born == "kraus" else choi_born(f)
+
+    return {name: (lambda kraus=kraus: build(kraus)) for name, kraus in maps.items()}
+
+
+def _verdict(check, f, tol):
+    try:
+        return check(f, tol)
+    except NotAChannel:
+        return NotAChannel
+
+
+class TestKeptChecks:
+    """is_channel, is_reversible and norm read numbers kept on the morphism
+    (its norm, marginal defects and discreteness defect), compared with each
+    call's own tol: one marginal per morphism, and every verdict the one a
+    fresh morphism gives."""
+
+    TOLS = (1e-12, 1e-8, 1e-3, 1e3)
+
+    @pytest.mark.parametrize("born", ["kraus", "choi"])
+    def test_one_marginal_per_morphism_through_the_reversal(self, born, monkeypatch):
+        f = _kept_check_builders(born)["reversible"]()
+        assert (f.kraus_vecs is None) == (born == "choi")
+        seen = []
+        real = cpmaps._marginal_groups
+        monkeypatch.setattr(cpmaps, "_marginal_groups", lambda g: seen.append(g) or real(g))
+        frob_calls = []
+        real_frobs = linalg.frobs
+        monkeypatch.setattr(linalg, "frobs", lambda m: frob_calls.append(1) or real_frobs(m))
+        assert cpmaps.is_channel(f) and graphs.is_reversible(f)
+        graphs.reverse_channel(f)
+        assert cpmaps.is_channel(f) and graphs.is_reversible(f, 1e-3)
+        assert sum(x is f for x in seen) == 1
+        made = len(frob_calls)
+        assert f.norm() == f.norm() and len(frob_calls) == made
+
+    @pytest.mark.parametrize("born", ["kraus", "choi"])
+    @pytest.mark.parametrize("name", ["reversible", "non-reversible", "not-a-channel"])
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_verdicts_at_every_tol_equal_a_fresh_morphism(self, born, name, order):
+        build = _kept_check_builders(born)[name]
+        f = build()
+        for tol in self.TOLS[::order]:
+            for check in (graphs.is_reversible, cpmaps.is_channel):
+                assert _verdict(check, f, tol) == _verdict(check, build(), tol), (check, tol)
+
+    @pytest.mark.parametrize("born", ["kraus", "choi"])
+    def test_each_verdict_flips_within_the_tols(self, born):
+        builders = _kept_check_builders(born)
+        chan = [cpmaps.is_channel(builders["reversible"](), tol) for tol in self.TOLS]
+        assert chan == [False, True, True, True]
+        rev = [_verdict(graphs.is_reversible, builders["non-reversible"](), tol)
+               for tol in self.TOLS]
+        assert rev == [NotAChannel, False, False, True]
+        assert [_verdict(graphs.is_reversible, builders["reversible"](), tol)
+                for tol in self.TOLS] == [NotAChannel, True, True, True]
+
+    @pytest.mark.parametrize("born", ["kraus", "choi"])
+    def test_a_map_that_is_no_channel_raises_on_every_call(self, born):
+        f = _kept_check_builders(born)["not-a-channel"]()
+        for tol in (1e-8, 1e-8, 1e-3, 1e-8):
+            assert not cpmaps.is_channel(f, tol)
+            with pytest.raises(NotAChannel):
+                graphs.is_reversible(f, tol)
+            with pytest.raises(NotAChannel):
+                graphs.reverse_channel(f, tol)
+        assert f._discreteness is None
 
 
 class TestDiscrete:

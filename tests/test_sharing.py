@@ -7,6 +7,7 @@ build that raises is not kept."""
 import contextlib
 import io
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -187,6 +188,15 @@ class TestTensorSystemAndDiscrete:
         assert a is not b and a.exact_key == b.exact_key
         assert scc.tensor_system(b, b) is scc.tensor_system(a, a)
         assert relations.discrete(b) is relations.discrete(a)
+
+    def test_exact_key_is_built_and_hashed_once(self):
+        a, b = _z2_system(np.diag([1.0, -1.0])), systems.classical_system(64)
+        for sys in (a, b):
+            key = sys.exact_key
+            assert sys.exact_key is key and key == (sys.dims, sys.weights, sys.action.exact_key)
+            assert hash(key) == hash(tuple(key))
+            again = pickle.loads(pickle.dumps(key))
+            assert again == key and hash(again) == hash(key)
 
     def test_roundoff_close_systems_get_their_own_product(self):
         a, b = _z2_system(_reflection(0.3)), _z2_system(_reflection(0.3 + 1e-15))

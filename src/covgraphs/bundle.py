@@ -22,33 +22,31 @@ commutative systems, by a plain real "stochastic" matrix.
 
 This module only parses.  A ragged or non-numeric matrix or a malformed
 "i,j" key raises BundleError naming the entry, and load_bundle prefixes it
-with the object it was building.  A map keyed by "i,j" whose keys are all
-two decimal numbers and whose entries share one shape becomes a keyed stack
-(systems.KeyedStack): its pairs as one (k, 2) int array, parsed in one pass
-over the key text, and its entries as one array from one np.asarray, in
-entry order.  Any other map becomes a dict from factor pair to parsed
-entry, one entry at a time, in entry order.  The owners check the rest:
+with the object it was building.  A map whose "i,j" keys are all two
+decimal numbers without leading zeros (so distinct keys are distinct pairs)
+and whose entries share one shape becomes a systems.KeyedStack: its pairs
+as one (k, 2) int array, parsed in one pass over the key text, and its
+entries as one array.  Any other map becomes a dict from factor pair to
+parsed entry, in entry order, a repeated pair keeping its last entry.  The
+owners check the rest:
 
   * systems.block_store (through CpMorphism and QuantumRelation) and
     cpmaps.from_kraus: finite entries, each block or map of its factor
-    pair's shape, pairs inside the layout and, in a keyed stack, distinct.
-    They group a keyed stack by class and check it once per class; on any
-    doubt they check its dict instead, so errors read the same either way;
+    pair's shape and pairs inside the layout, once per class for either
+    form (systems.located), naming the first failure in entry order;
   * CpMorphism: Choi blocks Hermitian PSD; QuantumRelation: projections;
   * FiniteGroup: a table of order x order, a Latin square, associative,
     with its identity inside the group; group_from_json itself requires
     integers.  Equal groups share one FiniteGroup (groups.shared_group);
   * AlgebraAction: each element permutes factors of equal dimension with
     one family of finite unitaries, and the action is a homomorphism up to
-    phase; System: weights constant on its orbits.  A system that gives no
-    unitaries acts by permutations alone (groups.permutation_action); one
-    that gives unitaries shares one action per group, dims, perms and the
-    shape and bytes of every parsed unitary, across loads;
+    phase, naming the first failing unitary by (g, i); System: weights
+    constant on its orbits.  A system that gives no unitaries acts by
+    permutations alone (groups.permutation_action); one that gives
+    unitaries shares one action per group, dims, perms and the shape and
+    bytes of every parsed unitary, across loads;
   * load_bundle: with a nontrivial group, every channel is covariant, and a
     graph declared "confusability" or "simple" is one.
-
-The owners check once per block-store class and name the first failing
-block or map in dict order, and the first failing unitary by (g, i).
 
 dump_json writes exactly the bytes of json.dump(obj, fh, indent=1,
 sort_keys=True) and a newline, without json's pure-Python encoder: each
@@ -136,9 +134,9 @@ def _pair_map(entries: dict, what: str, one, rows=None, ndim: int = 4):
 
     ``rows`` (the entries' matrix data, when every entry has one) become the
     stack of a KeyedStack, with one np.asarray of ``ndim`` axes, when they
-    are numbers of one shape and every key is two decimal numbers.
-    Otherwise each entry is parsed by one(pair, name, entry) in turn, so the
-    first malformed key or entry raises BundleError naming it.
+    are numbers of one shape and _parse_pairs reads every key.  Otherwise
+    each entry is parsed by one(pair, name, entry) in turn, so the first
+    malformed key or entry raises BundleError naming it.
     """
     pairs = _parse_pairs(entries) if rows else None
     if pairs is not None:
@@ -153,13 +151,14 @@ def _pair_map(entries: dict, what: str, one, rows=None, ndim: int = 4):
     return out
 
 
-# Keys "i,j" of decimal digits, each key on a line of its own.
-_PAIR_LINES = re.compile(r"(?:[0-9]{1,9},[0-9]{1,9}\n)*")
+# Keys "i,j" of decimal numbers without leading zeros, one key per line.
+_PAIR_LINES = re.compile(r"(?:(?:0|[1-9][0-9]{0,8}),(?:0|[1-9][0-9]{0,8})\n)*")
 
 
 def _parse_pairs(keys):
     """Keys "i,j" as one (k, 2) int array, parsed in one pass over their
-    text; None unless every key is two decimal numbers (up to nine digits)."""
+    text; None unless every key is two decimal numbers of up to nine digits
+    without leading zeros, so that the pairs of distinct keys are distinct."""
     try:
         text = "\n".join(keys) + "\n"
     except TypeError:  # a key that is no str

@@ -50,7 +50,6 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    DimensionMismatch,
     NegativeSpectrum,
     ShapeMismatch,
     SystemMismatch,
@@ -59,14 +58,13 @@ from .groups import ExactKey
 from .linalg import FUNCTIONAL_SLACK, TOL_PROJ, TOL_SPEC, VALIDATE_SLACK
 from .systems import (
     BlockStore,
-    KeyedStack,
     System,
     _diff,
     basis_offset,
     block_store,
-    inner,
-    keyed_parts,
+    failure_at,
     layout,
+    located,
 )
 
 # Fewest 1x1 products that compose forms with one batched product; below
@@ -195,12 +193,11 @@ def from_kraus(kraus, src: System, tgt: System) -> CpMorphism:
     e_j x d_i matrices H_i -> K_j, as a dict or as a systems.KeyedStack of
     (k, count, e, d) maps.
 
-    The maps of the pairs of one class with one map count are copied into
-    one stack, scanned for non-finite entries and shape-checked once; the
-    first failing map (dict order, then list order) raises.  The morphism
-    holds read-only views of these copies.  A KeyedStack is grouped by
-    class and scanned (systems.keyed_parts), and its maps held as they are;
-    on any doubt it goes the dict way.
+    Either form is grouped by class and map count (systems.located) and
+    scanned and shape-checked once per group: the first failing map in
+    input order, or pair outside the layout, raises.  The morphism holds
+    read-only views of the group stacks: copies of a dict's maps, a
+    KeyedStack's maps as they are.
     """
     return _from_maps(kraus, src, tgt, scan=True)
 
@@ -209,41 +206,12 @@ def _from_maps(kraus, src: System, tgt: System, scan: bool = False) -> CpMorphis
     """from_kraus; maps the library built (scan False) are shape-checked but
     not scanned for non-finite entries."""
     lay = layout(src.dims, tgt.dims)
-    if isinstance(kraus, KeyedStack):
-        count = kraus.stack.shape[1] if kraus.stack.ndim == 4 else 0
-        parts = count and keyed_parts(lay, kraus, lambda klass: (count,) + klass.dims[::-1])
-        if parts:
-            return _from_stacks(src, tgt, lay, parts)
-        kraus = kraus.as_dict()
-    groups = {}  # (class index, map count) -> (slots, dict positions, maps)
-    fails = []  # ((dict position, map index), error)
-    for pos, (key, ops) in enumerate(kraus.items()):
-        loc = lay.where.get(key)
-        if loc is None:
-            fails.append(((pos, -1), ShapeMismatch(f"Kraus index {key} out of range")))
-            break
-        if len(ops):
-            slots, positions, maps = groups.setdefault((loc[0], len(ops)), ([], [], []))
-            slots.append(loc[1])
-            positions.append(pos)
-            maps.extend(ops)
-    stacks = []
-    for (c, count), (slots, positions, maps) in groups.items():
-        klass = lay.classes[c]
-        d, e = klass.dims
-        try:
-            stack = linalg.as_complex(maps, (e, d), scan)
-        except (DimensionMismatch, ShapeMismatch) as exc:
-            p, t = divmod(exc.member, count)
-            if isinstance(exc, ShapeMismatch):
-                exc = ShapeMismatch(f"Kraus map for pair {klass.keys[slots[p]]} has shape "
-                                    f"{exc.shape}, expected ({e},{d})")
-            fails.append(((positions[p], t), exc))
-            continue
-        stacks.append((c, np.array(slots), stack.reshape(len(slots), count, e, d)))
-    if fails:
-        raise min(fails, key=lambda f: f[0])[1]
-    return _from_stacks(src, tgt, lay, stacks)
+    groups, fails = located(lay, kraus, "Kraus index", maps=True)
+    stacks = linalg.as_complex_groups(groups, scan, fails, failure_at, lay, "Kraus map for pair")
+    return _from_stacks(src, tgt, lay, [
+        (c, np.asarray(slots), stack.reshape((len(slots), count) + shape))
+        for (_, shape, c, count, slots, _), stack in zip(groups, stacks)
+    ])
 
 
 def _from_stacks(src: System, tgt: System, lay, stacks) -> CpMorphism:
@@ -280,7 +248,7 @@ def _from_stacks(src: System, tgt: System, lay, stacks) -> CpMorphism:
         slots = runs[0] if len(runs) == 1 else np.concatenate(runs)
         keys = [klass.keys[s] for s in slots.tolist()]
         held.update(_block_kraus(keys, f.blocks.stack(c)[slots], *klass.dims))
-    f._kraus = _held(held, f.blocks)
+    f._kraus = _held(held, lay.keys)
     f.kraus_vecs = tuple(vecs)
     return f
 
@@ -630,18 +598,3 @@ def channelize(f: CpMorphism) -> CpMorphism:
         conj = linalg.kron_stack(np.eye(e, dtype=complex), s)  # kron(I_e, s) per member
         parts.append((klass, conj @ stack @ conj.conj().swapaxes(1, 2)))
     return CpMorphism.stacked(f.source, f.target, parts)
-
-
-def adjointness_defect(f: CpMorphism, rng) -> float:
-    """Gate for the dagger formula: <y, f(x)>_B = <f†(y), x>_A on random pairs."""
-    from .systems import random_element
-
-    fd = dagger(f)
-    worst = 0.0
-    for _ in range(8):
-        x = random_element(f.source, rng)
-        y = random_element(f.target, rng)
-        lhs = inner(f.target, y, apply(f, x))
-        rhs = inner(f.source, apply(fd, y), x)
-        worst = max(worst, abs(lhs - rhs))
-    return worst

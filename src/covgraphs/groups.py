@@ -52,7 +52,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import linalg
-from .errors import ActionShapeMismatch, DimensionMismatch, GroupMismatch, ShapeMismatch
+from .errors import ActionShapeMismatch, GroupMismatch, ShapeMismatch
 from .linalg import TOL_PROJ, TOL_ROUNDOFF
 
 
@@ -193,7 +193,8 @@ class AlgebraAction:
     dimension d to the (|G|, k, d, d) stack of the unitaries of its k
     factors (in factor order), which the action holds read-only, copied only
     when it is not a contiguous complex array.  Per-element unitaries are
-    copied into such stacks, one np.asarray per dimension.  Either way each stack is scanned and checked for unitarity
+    copied into such stacks, one np.asarray per dimension.  Either way each
+    stack is scanned (linalg.as_complex_groups) and checked for unitarity
     once, and the homomorphism check is one gathered product per dimension;
     the first failing (g, i) or (g, h) raises.  Afterwards unitaries[g][i]
     is a view of its stack, and perm_array is perms as a read-only
@@ -215,29 +216,29 @@ class AlgebraAction:
         factors, slot = dim_classes(dims)
         if stacked and set(self.unitaries) != set(factors):
             raise ActionShapeMismatch("need one unitary stack per factor dimension")
-        # Elements before the first one whose family is malformed (ng) have
-        # their unitaries checked; that family fails after them.
-        perms = []
-        family_error = None
+        # Failures by (g, i, order at (g, i)): the elements before the first
+        # malformed family, at (g,), have their unitaries checked first.
+        perms, fails = [], []
         for g in range(n):
             p = tuple(map(int, self.perms[g]))
             if sorted(p) != list(range(nf)):
-                family_error = f"perms[{g}] is not a permutation of the factors"
+                malformed = f"perms[{g}] is not a permutation of the factors"
             elif not stacked and len(self.unitaries[g]) != nf:
-                family_error = f"unitaries[{g}] has {len(self.unitaries[g])} entries, expected {nf}"
-            if family_error:
-                break
-            perms.append(p)
+                malformed = f"unitaries[{g}] has {len(self.unitaries[g])} entries, expected {nf}"
+            else:
+                perms.append(p)
+                continue
+            fails.append(((g,), ActionShapeMismatch(malformed)))
+            break
         ng = len(perms)
         perm_array = np.array(perms, dtype=int).reshape(ng, nf)
-        fails = []  # ((g, i, order at one (g, i)), error)
         dim = np.array(dims, dtype=int)
         bad = (dim[perm_array] != dim).ravel().nonzero()[0]
         if bad.size:
             g, i = divmod(int(bad[0]), nf)
             fails.append(((g, i, 0), ActionShapeMismatch(
                 f"perms[{g}] maps factor {i} to unequal dimension")))
-        classes = {}
+        groups = []  # (unitaries of the factors of dimension d, (d, d), d, those factors)
         for d, idx in factors.items():
             k = len(idx)
             if stacked:
@@ -249,19 +250,18 @@ class AlgebraAction:
                 members = np.reshape(given[:ng], (ng * k, d, d))
             else:
                 members = [self.unitaries[g][i] for g in range(ng) for i in idx]
-            try:
-                stack = linalg.as_complex(members, (d, d))
-            except (DimensionMismatch, ShapeMismatch) as exc:
-                g, s = divmod(exc.member, k)
-                if isinstance(exc, ShapeMismatch):
-                    exc = ActionShapeMismatch(f"unitaries[{g}][{idx[s]}] has wrong shape")
-                fails.append(((g, idx[s], 1), exc))
-                continue
-            classes[d] = (np.array(idx), stack.reshape(ng, k, d, d))
-        if fails:
-            raise min(fails, key=lambda f: f[0])[1]
-        if family_error:
-            raise ActionShapeMismatch(family_error)
+            groups.append((members, (d, d), d, idx))
+
+        def name(group, exc):
+            g, s = divmod(exc.member, len(group[3]))
+            i = group[3][s]
+            if isinstance(exc, ShapeMismatch):
+                exc = ActionShapeMismatch(f"unitaries[{g}][{i}] has wrong shape")
+            return (g, i, 1), exc
+
+        stacks = linalg.as_complex_groups(groups, True, fails, name)
+        classes = {d: (np.array(idx), stack.reshape(ng, len(idx), d, d))
+                   for (_, _, d, idx), stack in zip(groups, stacks)}
         for d, (idx, stack) in classes.items():
             flat = stack.reshape(-1, d, d)
             bad = linalg.frobs(flat @ flat.conj().swapaxes(1, 2) - np.eye(d)) > TOL_PROJ * max(1.0, d)

@@ -50,17 +50,15 @@ def as_complex(m, shape: tuple | None = None, scan: bool = True) -> np.ndarray:
     With ``shape``, m is a sequence of members, each meant to be a ``shape``
     array, and the result is their (k,) + shape stack, built by one
     np.asarray and scanned once (only shape-checked if not ``scan``).  The
-    first member in order that is not finite (DimensionMismatch) or has
-    another shape (ShapeMismatch) raises; the error carries its position as
-    ``member`` and its shape as ``shape``, for the caller to name it.
-    Members of unequal shapes are looked at one by one, on that path only.
+    first member that is not finite (DimensionMismatch) or has another
+    shape (ShapeMismatch) raises, carrying its ``member`` position and
+    ``shape``; members of unequal shapes are looked at one by one.
     """
     if shape is None:
         a = np.asarray(m, dtype=complex)
         if not np.isfinite(a).all():
             raise DimensionMismatch("matrix entries must be finite")
         return a
-    shape = tuple(shape)
     if len(m) == 0:
         return np.zeros((0,) + shape, dtype=complex)
     try:
@@ -68,25 +66,40 @@ def as_complex(m, shape: tuple | None = None, scan: bool = True) -> np.ndarray:
     except ValueError:  # members of unequal shapes
         members = [np.asarray(x, dtype=complex) for x in m]
     else:
-        if a.shape[1:] == shape:
-            finite = np.isfinite(a) if scan else np.True_
-            if finite.all():
-                return a
-            raise _bad_member(DimensionMismatch, "matrix entries must be finite",
-                              int(np.argmin(finite.reshape(len(a), -1).all(axis=1))), shape)
-        members = a[:1]  # all members share the wrong shape: the first fails
+        if a.shape[1:] == shape and (not scan or np.isfinite(a).all()):
+            return a
+        # The first non-finite member fails, or the first if all are misshapen.
+        members = a if a.shape[1:] == shape else a[:1]
     for s, x in enumerate(members):
         if scan and not np.isfinite(x).all():
-            raise _bad_member(DimensionMismatch, "matrix entries must be finite", s, x.shape)
+            raise _member_error(DimensionMismatch, "matrix entries must be finite", s, x.shape)
         if x.shape != shape:
-            raise _bad_member(ShapeMismatch, f"member {s} has shape {x.shape}, expected {shape}",
-                              s, x.shape)
+            raise _member_error(ShapeMismatch, f"member {s} has shape {x.shape}, expected {shape}",
+                                s, x.shape)
 
 
-def _bad_member(kind, msg: str, member: int, shape: tuple):
+def as_complex_groups(groups, scan: bool, fails: list, name, *about) -> list:
+    """as_complex(group[0], group[1], scan) of each group of members given
+    from outside.  A group's error (``member``: its place in the group) goes
+    to name(*about, group, exc), which returns (input position, error) for
+    the list ``fails``; the error at the least position raises, the first
+    of a tie."""
+    stacks = []
+    for group in groups:
+        try:
+            stacks.append(as_complex(group[0], group[1], scan))
+        except (DimensionMismatch, ShapeMismatch) as exc:
+            fails.append(name(*about, group, exc))
+    if fails:
+        raise min(fails, key=lambda fail: fail[0])[1]
+    return stacks
+
+
+def _member_error(kind, msg: str, member=None, shape=None):
+    """kind(msg) on member ``member`` of a stack (None: a single matrix),
+    carrying its position and shape for callers that name it by key."""
     exc = kind(msg)
-    exc.member = member
-    exc.shape = shape
+    exc.member, exc.shape = member, shape
     return exc
 
 
@@ -178,17 +191,6 @@ def canonical_eigh(m: np.ndarray):
     phase = np.divide(lead, np.hypot(lead.real, lead.imag), out=np.ones_like(lead), where=has)
     np.divide(v, phase[:, None, :], out=v, where=has[:, None, :])
     return w, v
-
-
-def _member_error(kind, msg: str, member):
-    """Error of a kernel on a stack member (None for a single matrix): it
-    names the member and carries its position, which callers that hold the
-    stack's keys turn into the block's key."""
-    if member is None:
-        return kind(msg)
-    exc = kind(f"member {member}: {msg}")
-    exc.member = member
-    return exc
 
 
 class Frames(NamedTuple):
@@ -285,22 +287,20 @@ def _support_one(m: np.ndarray, member):
     scale = frob(m)
     if scale == 0.0:
         return np.zeros_like(m), none
+    at = "support_projection" if member is None else f"member {member}: support_projection"
     if not is_hermitian(m):
-        raise _member_error(NotHermitian, f"support_projection: defect "
-                            f"{frob(m - m.conj().T):.3e}", member)
+        raise _member_error(NotHermitian, f"{at}: defect {frob(m - m.conj().T):.3e}", member)
     if m.shape == (1, 1):
         val = m[0, 0].real
         if val < -TOL_SPEC * scale:
-            raise _member_error(NegativeSpectrum, f"support_projection: eigenvalue {val:.3e}",
-                                member)
+            raise _member_error(NegativeSpectrum, f"{at}: eigenvalue {val:.3e}", member)
         if val > TOL_SPEC * scale:
             return np.ones((1, 1), dtype=complex), np.ones((1, 1), dtype=complex)
         return np.zeros((1, 1), dtype=complex), none
     w, v = canonical_eigh(m)
     top = float(w[0])
     if float(w[-1]) < -TOL_SPEC * max(top, scale):
-        raise _member_error(NegativeSpectrum, f"support_projection: min eigenvalue "
-                            f"{w[-1]:.3e}", member)
+        raise _member_error(NegativeSpectrum, f"{at}: min eigenvalue {w[-1]:.3e}", member)
     if top <= 0.0:
         return np.zeros_like(m), none
     vk = v[:, w > TOL_SPEC * top]
@@ -349,11 +349,12 @@ def _support_stack(s: np.ndarray):
     bad = np.flatnonzero(skew | cut.neg)
     if bad.size:
         b = int(bad[0])
+        member = int(cut.live[b])
         if skew[b]:
-            raise _member_error(NotHermitian, f"support_projection: defect {defect[b]:.3e}",
-                                int(cut.live[b]))
-        raise _member_error(NegativeSpectrum, f"support_projection: min eigenvalue "
-                            f"{cut.w[b, -1]:.3e}", int(cut.live[b]))
+            raise _member_error(NotHermitian, f"member {member}: support_projection: defect "
+                                f"{defect[b]:.3e}", member)
+        raise _member_error(NegativeSpectrum, f"member {member}: support_projection: min "
+                            f"eigenvalue {cut.w[b, -1]:.3e}", member)
     fr = Frames.prefix(len(s), s.shape[-1], cut.live, cut.rank, cut.v)
     return fr.projections(), fr
 

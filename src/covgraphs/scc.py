@@ -421,14 +421,3 @@ def _dilation_components(oa: System, pperp: dict, nz: int) -> dict:
         raw[0].append((a, t0))
         raw[1].append((a, t1))
     return raw
-
-
-def tensor_element(ts: TensorSystem, x, y) -> list:
-    """Elementary tensor x ⊗ y as an element of the product system."""
-    x = ts.left.check_element(x)
-    y = ts.right.check_element(y)
-    return [
-        linalg.kron(x[a], y[b])
-        for a in range(ts.left.nfactors)
-        for b in range(ts.right.nfactors)
-    ]

@@ -14,9 +14,9 @@ Algebra elements are plain lists of per-factor complex matrices.
 Block families of maps between systems (Choi blocks, relation projections)
 live in a BlockStore, the one owner of their representation: one (k, n, n)
 stack per class (d_i, e_j) of factor pairs, behind a read-only mapping from
-(i, j) to the block.  A family given from outside comes as a dict from
-factor pair to entry or as a KeyedStack, its pairs and entries as two
-arrays; keyed_parts groups a KeyedStack by class.
+(i, j) to the block.  A family given from outside, a dict from factor
+pair to entry or a KeyedStack, is grouped by class (located) and checked
+once per class by linalg.as_complex_groups.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .errors import ActionShapeMismatch, DimensionMismatch, ShapeMismatch
+from .errors import ActionShapeMismatch, ShapeMismatch
 from .groups import AlgebraAction, FiniteGroup, act, dim_classes, trivial_action, trivial_group
 
 
@@ -156,11 +156,6 @@ def trace_end(sys: System, f) -> complex:
     return functional(sys, f)
 
 
-def system_dimension(sys: System) -> float:
-    """Quantum dimension, defined (and tested) as trace_end of the identity."""
-    return trace_end(sys, sys.identity()).real
-
-
 def inner(sys: System, x, y) -> complex:
     """φ-inner product <x, y> = φ(x† y)."""
     x = sys.check_element(x)
@@ -231,10 +226,13 @@ class Layout:
     """Factor pairs of source x target: keys in key order (i major), their
     dimension classes in first-key order, and where[key] = (class, slot).
     row_groups maps each source dimension to its factors; col_pos[j] is the
-    position of target factor j among the target factors of its dimension."""
+    position of target factor j among the target factors of its dimension.
+    codes[i, j] is class * len(keys) + slot of pair (i, j), -1 off the layout
+    (pairs past its edge are clipped to the table's last row or column);
+    entry_shapes[maps] holds each class's block or map shape."""
 
     __slots__ = ("src_dims", "tgt_dims", "keys", "classes", "where", "index",
-                 "row_groups", "col_pos")
+                 "row_groups", "col_pos", "codes", "entry_shapes")
 
     def __init__(self, src_dims: tuple, tgt_dims: tuple):
         self.src_dims = src_dims
@@ -252,6 +250,11 @@ class Layout:
         self.where = {
             key: (c, s) for c, cls in enumerate(self.classes) for s, key in enumerate(cls.keys)
         }
+        self.codes = np.full((max(len(src_dims), len(tgt_dims)) + 1,) * 2, -1)
+        for c, cls in enumerate(self.classes):
+            self.codes[cls.rows, cls.cols] = c * len(self.keys) + np.arange(len(cls.keys))
+        self.entry_shapes = (tuple((cls.n, cls.n) for cls in self.classes),
+                             tuple(cls.dims[::-1] for cls in self.classes))
 
 
 @lru_cache(maxsize=128)
@@ -288,13 +291,12 @@ class BlockStore(Mapping):
     A stack-born store (stacked) serves rows of kernel outputs.  Any other
     store holds ``parts``, (class index, slots, payload) triples, with
     form(payload) the stack of the blocks at those slots of the class
-    (slots None: every slot, in slot order).  It
-    forms the stack of a class on the first read of that class and keeps it
-    read-only in place of the class's parts: a morphism born from Kraus maps
-    holds its stacks V of vec(M†), whose blocks are V V† (linalg.gram); a
-    store given from outside (block_store) holds the given blocks, per class
-    the class's members of a KeyedStack or the blocks of a dict, and for
-    unvalidated dict blocks store[key] returns the one given as it is.
+    (slots None: every slot, in slot order).  It forms the stack of a class
+    on the first read of that class and keeps it read-only in place of the
+    class's parts: a morphism born from Kraus maps holds its stacks V of
+    vec(M†), whose blocks are V V† (linalg.gram); a store given from
+    outside (block_store) holds the checked class stacks, and for
+    unvalidated dict blocks store[key] returns the one given.
     Absent pairs are zero and never allocated one by one.
     """
 
@@ -384,58 +386,69 @@ class BlockStore(Mapping):
 
 class KeyedStack(NamedTuple):
     """A family keyed by factor pair, as two arrays: member s is the entry
-    stack[s] of pair (pairs[s, 0], pairs[s, 1]), in entry order.  Its pairs
-    may repeat or fall outside a layout; keyed_parts checks them."""
+    stack[s] of pair (pairs[s, 0], pairs[s, 1]).  Its pairs are distinct
+    and nonnegative; some may fall outside a layout."""
 
     pairs: np.ndarray  # (k, 2) int
     stack: np.ndarray  # (k,) + entry shape
 
-    def as_dict(self) -> dict:
-        """The family as a dict pair -> entry, in entry order; of a repeated
-        pair the last entry, at the place of the first."""
-        return dict(zip(map(tuple, self.pairs.tolist()), self.stack))
 
-
-def keyed_parts(lay: Layout, keyed: KeyedStack, entry_shape):
-    """The members of ``keyed`` grouped by class of ``lay``: (class index,
-    slots, stack of the class's members) per class, in first-member order,
-    every member an entry_shape(class) array, all scanned once for
-    non-finite entries.  None when a pair falls outside the layout or
-    repeats, or a member has another shape or is not finite: the owner then
-    takes its dict path (keyed.as_dict()), which names the first failing
-    entry."""
-    pairs, stack = np.asarray(keyed.pairs), np.asarray(keyed.stack, dtype=complex)
-    rows, cols = pairs[:, 0], pairs[:, 1]
-    nt = len(lay.tgt_dims)
-    if not (len(stack) == len(pairs) > 0 and pairs.min() >= 0 and rows.max() < len(lay.src_dims)
-            and cols.max() < nt and np.isfinite(stack).all()):
-        return None
-    if len(pairs) > 1 and np.bincount(rows * nt + cols).max() > 1:
-        return None
-    if len(lay.classes) == 1:
-        of, order = None, [0]
-    else:
-        # Classes run over the row dimension classes, then the column ones.
-        col_groups, _ = dim_classes(lay.tgt_dims)
-        row_class, col_class = np.empty(len(lay.src_dims), int), np.empty(nt, int)
-        for groups, index in ((lay.row_groups, row_class), (col_groups, col_class)):
-            for k, factors in enumerate(groups.values()):
-                index[factors] = k
-        of = row_class[rows] * len(col_groups) + col_class[cols]
-        classes, first = np.unique(of, return_index=True)
-        order = classes[np.argsort(first)].tolist()
-    parts = []
-    for c in order:
-        klass = lay.classes[c]
-        if stack.shape[1:] != entry_shape(klass):
-            return None
-        if of is None or (of == c).all():
-            members, at = stack, slice(None)
+def located(lay: Layout, family, what: str, maps: bool = False):
+    """A KeyedStack (one gather from lay.codes) or dict (lay.where; a None
+    block is zero) grouped by class, and with ``maps`` (entries are lists
+    of maps) by map count, for linalg.as_complex_groups: (groups, fails).
+    A group is (members, member shape, class index, count, slots,
+    positions): the count entries of each pair at the slots, in turn, and
+    the pairs' input positions; fails holds the first pair off the layout."""
+    shapes = lay.entry_shapes[maps]
+    if isinstance(family, KeyedStack):
+        pairs, stack = family.pairs, family.stack
+        codes = lay.codes[tuple(np.minimum(pairs, len(lay.codes) - 1).T)]
+        b = int(codes.argmin())
+        fails = [] if codes[b] >= 0 else [
+            ((b, -1), ShapeMismatch(f"{what} {tuple(pairs[b].tolist())} out of range"))]
+        count = stack.shape[1] if maps else 1
+        if not count:
+            return [], fails
+        if len(lay.classes) == 1:
+            runs = [(0, codes, range(len(codes)), stack)]
         else:
-            at = np.flatnonzero(of == c)
-            members = stack[at]
-        parts.append((c, klass.slots(rows[at], cols[at]), members))
-    return parts
+            of, runs = codes // len(lay.keys), []
+            for c in range(len(lay.classes)):
+                at = np.flatnonzero(of == c)
+                if at.size:
+                    runs.append((c, codes[at] - c * len(lay.keys), at,
+                                 stack if at.size == len(of) else stack[at]))
+        return [(members.reshape((-1,) + members.shape[2:]) if maps else members, shapes[c],
+                 c, count, slots, at) for c, slots, at, members in runs], fails
+    groups, fails = {}, []
+    for pos, (key, entry) in enumerate(family.items()):
+        if entry is None and not maps:
+            continue
+        loc = lay.where.get(key)
+        if loc is None:
+            fails.append(((pos, -1), ShapeMismatch(f"{what} {key} out of range")))
+            break
+        c, count = loc[0], len(entry) if maps else 1
+        if count:
+            group = groups.get((c, count)) or groups.setdefault(
+                (c, count), ([], shapes[c], c, count, [], []))
+            group[0].extend(entry if maps else (entry,))
+            group[4].append(loc[1])
+            group[5].append(pos)
+    return list(groups.values()), fails
+
+
+def failure_at(lay: Layout, what: str, group, exc):
+    """(input position, error) of the failing member of a located group:
+    member t of the group's p-th pair is at (position of the pair, t), and
+    one of another shape is named "{what} (i, j) has shape ..."."""
+    _, shape, c, count, slots, positions = group
+    p, t = divmod(exc.member, count)
+    if isinstance(exc, ShapeMismatch):
+        exc = ShapeMismatch(f"{what} {lay.classes[c].keys[slots[p]]} has shape {exc.shape}, "
+                            f"expected ({shape[0]},{shape[1]})")
+    return (positions[p], t), exc
 
 
 def block_store(source: System, target: System, blocks, kind: str, validate: bool) -> BlockStore:
@@ -443,69 +456,33 @@ def block_store(source: System, target: System, blocks, kind: str, validate: boo
 
     ``blocks`` is a BlockStore of the same layout, kept as it is, a
     KeyedStack, or a dict (i, j) -> (d_i e_j) x (d_i e_j) block; pairs
-    missing from it are zero, and its shapes and keys are checked.  ``kind``
-    names the blocks in error messages.  A KeyedStack is grouped by class
-    and scanned (keyed_parts), its members held as they are; on any doubt
-    it goes the dict way.  Dict blocks to validate are copied into one
-    stack per class, scanned for non-finite entries and shape-checked once
-    per class.
-    Library-built ones (validate=False) are only made complex, frozen in
-    place and held as they are.  The first failing block in dict order
-    raises; the class stacks are formed on first read.
+    missing from it are zero.  Either form is grouped by class (located)
+    into one linalg.as_complex per class, scanned if ``validate``: the
+    first failing block in input order, or pair outside the layout,
+    raises, named by ``kind``.  The store holds the class stacks.
+    Library-built dict blocks (validate=False) are held as given, made
+    complex and frozen in place; only a misshapen one is stacked, to name it.
     """
-    lay = layout(source.dims, target.dims)
     if isinstance(blocks, BlockStore):
-        if (blocks.layout.src_dims, blocks.layout.tgt_dims) != (lay.src_dims, lay.tgt_dims):
+        if (blocks.layout.src_dims, blocks.layout.tgt_dims) != (source.dims, target.dims):
             raise ShapeMismatch(f"{kind} blocks are laid out for other systems")
         if validate:
             for _, stack in blocks.classes():
                 linalg.as_complex(stack)
         return blocks
-    if isinstance(blocks, KeyedStack):
-        parts = keyed_parts(lay, blocks, lambda klass: (klass.n, klass.n))
-        if parts is not None:
-            return BlockStore(lay, parts, np.asarray)
-        blocks = blocks.as_dict()
-    members = {}  # class index -> (slots, dict positions, keys, blocks)
-    fails = []  # (dict position, error)
-    for pos, (key, blk) in enumerate(blocks.items()):
-        if blk is None:
-            continue
-        loc = lay.where.get(key)
-        if loc is None:
-            fails.append((pos, ShapeMismatch(f"{kind} block index {key} out of range")))
-            break
-        slots, positions, keys, blks = members.setdefault(loc[0], ([], [], [], []))
-        slots.append(loc[1])
-        positions.append(pos)
-        keys.append(key)
-        blks.append(blk)
-    given, parts = {}, []
-    for c, (slots, positions, keys, blks) in members.items():
-        n = lay.classes[c].n
-        try:
-            if validate:
-                held = linalg.as_complex(blks, (n, n))
-            else:
-                held = tuple(np.asarray(blk, dtype=complex) for blk in blks)
-                bad = [s for s, blk in enumerate(held) if blk.shape != (n, n)]
-                if bad:
-                    raise linalg._bad_member(ShapeMismatch, "", bad[0], held[bad[0]].shape)
-        except (DimensionMismatch, ShapeMismatch) as exc:
-            s = exc.member
-            if isinstance(exc, ShapeMismatch):
-                exc = ShapeMismatch(f"{kind} block {keys[s]} has shape {exc.shape}, "
-                                    f"expected ({n},{n})")
-            fails.append((positions[s], exc))
-            continue
-        if not validate:
-            for blk in held:
-                blk.setflags(write=False)
-            given.update(zip(keys, held))
-        parts.append((c, slots, held))
-    if fails:
-        raise min(fails, key=lambda f: f[0])[1]
-    return BlockStore(lay, parts, np.asarray if validate else _stack_of, given)
+    lay = layout(source.dims, target.dims)
+    groups, fails = located(lay, blocks, f"{kind} block index")
+    what = f"{kind} block"
+    if validate or isinstance(blocks, KeyedStack):
+        stacks = linalg.as_complex_groups(groups, validate, fails, failure_at, lay, what)
+        return BlockStore(lay, [(g[2], g[4], s) for g, s in zip(groups, stacks)], np.asarray)
+    groups = [(tuple(np.asarray(blk, dtype=complex) for blk in g[0]),) + g[1:] for g in groups]
+    linalg.as_complex_groups([g for g in groups if any(blk.shape != g[1] for blk in g[0])],
+                             False, fails, failure_at, lay, what)
+    given = {lay.classes[g[2]].keys[s]: blk for g in groups for s, blk in zip(g[4], g[0])}
+    for blk in given.values():
+        blk.setflags(write=False)
+    return BlockStore(lay, [(g[2], g[4], g[0]) for g in groups], _stack_of, given)
 
 
 def coords(sys: System, x) -> np.ndarray:
@@ -531,10 +508,6 @@ def multiply(sys: System, x, y) -> list:
     x = sys.check_element(x)
     y = sys.check_element(y)
     return [a @ b for a, b in zip(x, y)]
-
-
-def adjoint_element(sys: System, x) -> list:
-    return [b.conj().T for b in sys.check_element(x)]
 
 
 def random_element(sys: System, rng, hermitian: bool = False) -> list:

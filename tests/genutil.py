@@ -11,6 +11,39 @@ def rand_complex(rng, rows, cols):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
+def system_dimension(sys):
+    """Quantum dimension, defined (and tested) as trace_end of the identity."""
+    return systems.trace_end(sys, sys.identity()).real
+
+
+def adjoint_element(sys, x):
+    return [b.conj().T for b in sys.check_element(x)]
+
+
+def tensor_element(ts, x, y):
+    """Elementary tensor x ⊗ y as an element of the product system."""
+    x = ts.left.check_element(x)
+    y = ts.right.check_element(y)
+    return [
+        linalg.kron(x[a], y[b])
+        for a in range(ts.left.nfactors)
+        for b in range(ts.right.nfactors)
+    ]
+
+
+def adjointness_defect(f, rng):
+    """Gate for the dagger formula: <y, f(x)>_B = <f†(y), x>_A on random pairs."""
+    fd = cpmaps.dagger(f)
+    worst = 0.0
+    for _ in range(8):
+        x = systems.random_element(f.source, rng)
+        y = systems.random_element(f.target, rng)
+        lhs = systems.inner(f.target, y, cpmaps.apply(f, x))
+        rhs = systems.inner(f.source, cpmaps.apply(fd, y), x)
+        worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
 def rand_system(rng, max_factors=2, max_dim=3, action=None):
     nf = int(rng.integers(1, max_factors + 1))
     dims = tuple(int(rng.integers(1, max_dim + 1)) for _ in range(nf))

@@ -18,6 +18,7 @@ from covgraphs import classical, cpmaps, graphs, groups, linalg, relations, scc,
 from covgraphs.errors import NoChannel, NotReversible
 
 from genutil import (
+    adjoint_element,
     classical_source,
     quantum_source,
     rand_balanced_relation,
@@ -516,7 +517,7 @@ def test_criterion_11_trace_coherence():
 
         # positivity and faithfulness of the weighted partial trace
         psd = systems.multiply(
-            ts.product, systems.adjoint_element(ts.product, x), x
+            ts.product, adjoint_element(ts.product, x), x
         )
         total = 0.0
         for ai in range(a.nfactors):

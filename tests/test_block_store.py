@@ -710,6 +710,25 @@ def test_only_systems_stacks_block_families():
     assert not offenders
 
 
+def test_one_failure_rule():
+    """No module but linalg catches DimensionMismatch and ShapeMismatch
+    together: the owners of families given from outside (blocks, Kraus
+    maps, action unitaries) raise their first failure through
+    linalg.as_complex_groups."""
+    src = pathlib.Path(covgraphs.__file__).parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught = {getattr(n, "id", None) or getattr(n, "attr", None)
+                          for n in ast.walk(node.type)}
+                if {"DimensionMismatch", "ShapeMismatch"} <= caught:
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders
+
+
 def test_bundle_only_parses():
     """bundle hands parsed keyed stacks and dicts to the owners of the block
     store and the actions, which group them by class: it names none of the

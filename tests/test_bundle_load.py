@@ -214,16 +214,16 @@ def _per_entry(monkeypatch, kind, data):
 
 
 def _spy_keyed(monkeypatch) -> list:
-    """Records, per keyed_parts call, whether it grouped the stack."""
-    seen, real = [], systems.keyed_parts
+    """Records, per call of the owners' grouping (systems.located), whether
+    it was handed the map as one keyed stack rather than entry by entry."""
+    seen, real = [], systems.located
 
-    def spy(*args, **kw):
-        parts = real(*args, **kw)
-        seen.append(parts is not None)
-        return parts
+    def spy(lay, family, *args, **kw):
+        seen.append(isinstance(family, systems.KeyedStack))
+        return real(lay, family, *args, **kw)
 
-    monkeypatch.setattr(systems, "keyed_parts", spy)
-    monkeypatch.setattr(cpmaps, "keyed_parts", spy)
+    monkeypatch.setattr(systems, "located", spy)
+    monkeypatch.setattr(cpmaps, "located", spy)
     return seen
 
 
@@ -285,11 +285,12 @@ def test_malformed_keyed_map_fails_as_per_entry(kind, name, case, monkeypatch):
         assert isinstance(got[0], str), case
 
 
-def test_keyed_stack_as_dict_keeps_the_last_of_a_repeated_pair():
-    keyed = systems.KeyedStack(np.array([[0, 1], [1, 1], [0, 1]]), np.arange(3.0))
-    assert keyed.as_dict() == {(0, 1): 2.0, (1, 1): 1.0}
-    lay = systems.layout((1, 1), (1, 1))
-    assert systems.keyed_parts(lay, keyed, lambda klass: ()) is None
+def test_keys_with_leading_zeros_are_not_keyed():
+    """Distinct key texts of a keyed stack are distinct pairs: "01,0" names
+    the pair of "1,0", so such a map loads entry by entry, the last entry
+    of a pair winning (the "duplicate" case above)."""
+    assert bundle._parse_pairs(["1,0", "01,0"]) is None
+    assert bundle._parse_pairs(["0,0", "1,0", "10,20"]).tolist() == [[0, 0], [1, 0], [10, 20]]
 
 
 # -- the writer ----------------------------------------------------------

@@ -17,6 +17,7 @@ from genutil import (
     rand_stochastic,
     rand_system,
     rand_unitary,
+    tensor_element,
 )
 
 rng = np.random.default_rng(707)
@@ -65,7 +66,7 @@ class TestTensor:
         for _ in range(10):
             x = systems.random_element(a, rng)
             y = systems.random_element(b, rng)
-            lhs = systems.trace_end(ts.product, scc.tensor_element(ts, x, y))
+            lhs = systems.trace_end(ts.product, tensor_element(ts, x, y))
             rhs = systems.trace_end(a, x) * systems.trace_end(b, y)
             assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
 

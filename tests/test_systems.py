@@ -4,7 +4,7 @@ import pytest
 from covgraphs import cpmaps, groups, relations, systems
 from covgraphs.errors import ActionShapeMismatch, ShapeMismatch
 
-from genutil import rand_channel
+from genutil import adjoint_element, rand_channel, system_dimension
 
 rng = np.random.default_rng(303)
 
@@ -100,13 +100,13 @@ class TestTraceEnd:
 
     def test_system_dimension(self):
         sys = systems.system((2, 3, 1))
-        assert abs(systems.system_dimension(sys) - (4 + 9 + 1)) < 1e-12
+        assert abs(system_dimension(sys) - (4 + 9 + 1)) < 1e-12
 
     def test_faithful_positive(self):
         sys = systems.system((2, 1))
         for _ in range(10):
             x = systems.random_element(sys, rng)
-            psd = systems.multiply(sys, systems.adjoint_element(sys, x), x)
+            psd = systems.multiply(sys, adjoint_element(sys, x), x)
             val = systems.trace_end(sys, psd)
             assert val.real > 0 and abs(val.imag) < 1e-12
 

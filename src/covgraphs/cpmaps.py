@@ -43,7 +43,7 @@ i, Σ_{j,k} w_j M_ijk† M_ijk = w_i I.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import MappingProxyType
 
 import numpy as np
@@ -62,6 +62,7 @@ from .systems import (
     _diff,
     basis_offset,
     block_store,
+    class_stack,
     failure_at,
     layout,
     located,
@@ -242,7 +243,12 @@ def _from_stacks(src: System, tgt: System, lay, stacks) -> CpMorphism:
             # Consecutive runs of count views: the maps of each pair.
             keys = [klass.keys[s] for s in slots.tolist()]
             held.update(zip(keys, zip(*[iter(list(maps.reshape((-1,) + maps.shape[2:])))] * count)))
-    f = CpMorphism(src, tgt, BlockStore(lay, vecs, linalg.gram), validate=False)
+    parts = [[] for _ in lay.classes]
+    for c, slots, vs in vecs:
+        parts[c].append((slots, vs))
+    f = CpMorphism(src, tgt, BlockStore(lay, [
+        partial(class_stack, klass, got, linalg.gram) if got else None
+        for klass, got in zip(lay.classes, parts)]), validate=False)
     for c, runs in sorted(over.items()):
         klass = lay.classes[c]
         slots = runs[0] if len(runs) == 1 else np.concatenate(runs)

@@ -111,11 +111,11 @@ def _confusability(f: CpMorphism) -> QuantumGraph:
     rel = rel_compose(converse(rf), rf)
     # Symmetrize against numerical drift; the result is symmetric by theorem.
     # Block (i, j) of the converse is the adjoint image of block (j, i).
-    parts = [
-        (klass,) + linalg.support_projection(linalg.hermitize((a + b) / 2), frames=True)
-        for (klass, a), (_, b) in zip(rel.blocks.classes(), converse(rel).blocks.classes())
-    ]
-    return QuantumGraph(f.source, QuantumRelation.stacked(f.source, f.source, parts),
+    blocks, frames = zip(*(
+        linalg.support_projection(linalg.hermitize((a + b) / 2), frames=True)
+        for (_, a), (_, b) in zip(rel.blocks.classes(), converse(rel).blocks.classes())
+    ))
+    return QuantumGraph(f.source, QuantumRelation.stacked(f.source, f.source, frames, blocks),
                         validate=False)
 
 
@@ -295,12 +295,17 @@ def _reverse(f: CpMorphism) -> CpMorphism:
         raise NotReversible("marginal of the converse relation is not a projection")
     d_a = sum(w * d for w, d in zip(f.source.weights, f.source.dims))
     tw = np.array(f.target.weights)
+    # I - α_j is exactly zero where α_j has full rank (its trace rounds to
+    # e_j), so that no round-off term leaves a reverse block with negative
+    # eigenvalues that compose and to_kraus would refuse.
+    routes = [np.zeros((e, e), dtype=complex) if round(float(np.trace(a).real)) == e
+              else np.eye(e) - a for e, a in zip(f.target.dims, alphas)]
     parts = []
     for klass, stack in q.blocks.classes():
         e, d = klass.dims
         b = klass.shape[1]
         # Member (j, i) routes I_{H_i*} ⊗ (I - α_j): kron(I_d, I_e - α_j).
-        rest = np.repeat(np.stack([np.eye(e) - alphas[j] for j in klass.rows[::b]]), b, axis=0)
+        rest = np.repeat(np.stack([routes[j] for j in klass.rows[::b]]), b, axis=0)
         spread = linalg.kron_stack(np.eye(d, dtype=complex), rest)
         w = tw[klass.rows][:, None, None]
         parts.append((klass, w * stack + (w / d_a) * spread))

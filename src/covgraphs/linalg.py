@@ -235,12 +235,12 @@ class Frames(NamedTuple):
         return cls(ranks, vecs)
 
     def projections(self) -> np.ndarray:
-        """The projections V V†, one batched product per rank (1x1 members
-        in closed form); when every member has one nonzero rank, that
-        product is the stack."""
+        """The projections V V†, one batched product per rank; when every
+        member has one nonzero rank, that product is the stack.  A 1x1
+        frame, [[1]] or [[0]], is its own projection."""
         k, n = self.vecs.shape[:2]
         if n == 1:
-            return self.ranks[:, None, None].astype(complex)
+            return self.vecs if self.vecs.shape[-1] else np.zeros((k, 1, 1), dtype=complex)
         ranks = set(self.ranks.tolist())
         if len(ranks) == 1 and 0 not in ranks:
             return gram(np.ascontiguousarray(self.vecs[:, :, :ranks.pop()]))
@@ -269,7 +269,8 @@ def support_projection(m: np.ndarray, frames: bool = False):
     dimensions differ, such as (1, 2, 3), has one member.
 
     With frames=True it also returns the kept eigenvectors V: the (n, r)
-    columns of a matrix, or the Frames of a stack.
+    columns of a matrix, or the Frames of a stack, for a caller that keeps
+    both, as the supports of Choi blocks and confusability graphs do.
     """
     if np.ndim(m) == 2:
         proj, vk = _support_one(as_complex(m), None)
@@ -360,40 +361,36 @@ def _support_stack(s: np.ndarray):
 
 
 def orthonormal_span(vectors, dim: int | None = None, tol: float = TOL_SPEC,
-                     floor: float = 0.0, frames: bool = False):
-    """Projection onto the linear span of the given vectors.
+                     floor: float = 0.0) -> np.ndarray:
+    """Projection onto the linear span of the given sequence of vectors:
+    the projections of their span_frames.
 
     Rank is the numerical rank at threshold tol relative to the largest
     singular value; `floor` additionally discards singular values below an
     absolute scale (so that a family of pure-roundoff vectors spans nothing).
     An empty list yields the zero projection (dim required).
-
-    `vectors` is a sequence of vectors or a (k, n, c) stack of k families of
-    c columns each (c >= 1), spanned member by member through one batched
-    SVD, each member bitwise its own call.  With frames=True it also returns
-    the kept left singular vectors: the (n, r) columns of a family, or the
-    Frames of a stack.
     """
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 3:
-        proj, fr = _span_stack(vectors, tol, floor)
-        return (proj, fr) if frames else proj
     vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
     if not vecs:
         if dim is None:
             raise DimensionMismatch("empty span needs an explicit ambient dimension")
-        zero = np.zeros((dim, dim), dtype=complex)
-        return (zero, np.zeros((dim, 0), dtype=complex)) if frames else zero
+        return np.zeros((dim, dim), dtype=complex)
     n = vecs[0].size
     for v in vecs:
         if v.size != n:
             raise DimensionMismatch("span vectors must share one ambient dimension")
     if dim is not None and dim != n:
         raise DimensionMismatch(f"span vectors have dim {n}, expected {dim}")
-    proj, fr = _span_stack(np.column_stack(vecs)[None], tol, floor)
-    return (proj[0], fr.member(0)) if frames else proj[0]
+    return span_frames(np.column_stack(vecs)[None], tol, floor).projections()[0]
 
 
-def _span_stack(a: np.ndarray, tol: float, floor: float):
+def span_frames(a: np.ndarray, tol: float = TOL_SPEC, floor: float = 0.0) -> Frames:
+    """Frames of the spans of a (k, n, c) stack of k families of c columns
+    each (c >= 1), from one batched SVD, each member bitwise its own call:
+    the left singular vectors of singular value above tol times the
+    largest and above floor (a family whose largest is at most floor spans
+    nothing).  A family of 1-dim vectors spans [[1]] when its largest
+    modulus is nonzero and above floor."""
     k, n = a.shape[0], a.shape[1]
     if n == 1:
         top = np.abs(a[:, 0, :]).max(axis=1)
@@ -404,8 +401,7 @@ def _span_stack(a: np.ndarray, tol: float, floor: float):
         cut = np.maximum(tol * s[:, 0], floor)
         rank = np.sum(s > cut[:, None], axis=1)
         rank[s[:, 0] <= floor] = 0
-    fr = Frames.prefix(k, n, np.arange(k), rank, u)
-    return fr.projections(), fr
+    return Frames.prefix(k, n, np.arange(k), rank, u)
 
 
 def projection_frames(p: np.ndarray) -> Frames:

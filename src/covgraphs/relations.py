@@ -12,8 +12,11 @@ left singular vectors of the held vec(M†) stack of a morphism born from
 Kraus maps, and the eigenvectors of the support cut of one born as Choi
 blocks; confusability keeps the eigenvectors of its support cut, compose
 the left singular vectors of its span; converse maps each frame by a -> a†,
-and discrete and complete have closed forms.  A relation given as plain
-projections takes its frames on first read, by one batched eigh per class.
+and discrete and complete have closed forms.  Where the kernel holds only
+frames, the relation forms the projections of a class from them on the
+first read of that class (QuantumRelation.stacked).  A relation given as
+plain projections takes its frames on first read, by one batched eigh per
+class.
 
 Composition is the span of the operator products over the middle factors.
 A relation lays out the frame operators of each class once, when a compose
@@ -30,7 +33,7 @@ A relation whose frames are held keeps its converse, so the ℜ(f)† of the
 confusability graph, the homomorphism pullback and the reverse channel is
 made once per support relation.  The converse forms its blocks and frames
 on first read, from p's, not from p, so the two make no reference cycle,
-and a compose, which reads only frames, forms no adjoint block.
+and a compose, which reads only frames, forms no block of either.
 """
 
 from __future__ import annotations
@@ -81,13 +84,16 @@ class QuantumRelation:
                 )
 
     @classmethod
-    def stacked(cls, source: System, target: System, parts) -> "QuantumRelation":
-        """Kernel-born relation from (class, projections, Frames) triples, one
-        for every class of the source x target layout, in class order."""
-        parts = list(parts)
-        store = BlockStore.stacked(source, target, [(klass, proj) for klass, proj, _ in parts])
-        return cls(source, target, store, validate=False,
-                   frames=tuple(fr for _, _, fr in parts))
+    def stacked(cls, source: System, target: System, frames, blocks=None) -> "QuantumRelation":
+        """Kernel-born relation from its Frames, one for every class of the
+        source x target layout, in class order.  Each class forms its
+        projections from its frames on first read (none: a class that spans
+        nothing is zero), unless ``blocks`` gives the projection stacks."""
+        frames = tuple(frames)
+        if blocks is None:
+            blocks = [fr.projections if fr.vecs.shape[-1] else None for fr in frames]
+        return cls(source, target, BlockStore(layout(source.dims, target.dims), blocks),
+                   validate=False, frames=frames)
 
     def frames(self) -> tuple:
         """linalg.Frames per class of the block store, in classes() order:
@@ -170,11 +176,11 @@ def _support_of_blocks(f: CpMorphism) -> QuantumRelation:
     parts = []
     for klass, stack in f.blocks.classes():
         try:
-            parts.append((klass,) + linalg.support_projection(linalg.hermitize(stack),
-                                                              frames=True))
+            parts.append(linalg.support_projection(linalg.hermitize(stack), frames=True))
         except (NotHermitian, NegativeSpectrum) as exc:
             raise type(exc)(f"Choi block {klass.keys[exc.member]}: {exc}") from None
-    return QuantumRelation.stacked(f.source, f.target, parts)
+    blocks, frames = zip(*parts)
+    return QuantumRelation.stacked(f.source, f.target, frames, blocks)
 
 
 def _support_of_maps(f: CpMorphism) -> QuantumRelation:
@@ -182,13 +188,10 @@ def _support_of_maps(f: CpMorphism) -> QuantumRelation:
     of its class, whatever order the maps came in; pairs without maps span
     nothing."""
     lay = f.blocks.layout
-    spans = [(c, slots) + linalg.orthonormal_span(vs, tol=TOL_SPEC_SV, frames=True)
-             for c, slots, vs in f.kraus_vecs]
     frames = [[] for _ in lay.classes]
-    for c, slots, _, fr in spans:
-        frames[c].append((slots, fr))
-    store = BlockStore(lay, [(c, slots, proj) for c, slots, proj, _ in spans], np.asarray)
-    return QuantumRelation(f.source, f.target, store, validate=False, frames=tuple(
+    for c, slots, vs in f.kraus_vecs:
+        frames[c].append((slots, linalg.span_frames(vs, tol=TOL_SPEC_SV)))
+    return QuantumRelation.stacked(f.source, f.target, (
         got[0][1] if len(got) == 1 and np.array_equal(got[0][0], np.arange(len(klass.keys)))
         else Frames.merged(len(klass.keys), klass.n, got)
         for klass, got in zip(lay.classes, frames)))
@@ -204,26 +207,24 @@ def discrete(sys: System) -> QuantumRelation:
 @lru_cache(maxsize=128)
 def _discrete(key: ExactKey) -> QuantumRelation:
     sys = key.value
-    parts = []
+    frames = []
     for klass in layout(sys.dims, sys.dims).classes:
         d, e = klass.dims
         diag = klass.rows == klass.cols
-        vecs = np.zeros((len(klass.keys), klass.n, 1), dtype=complex)
+        vecs = np.zeros((len(klass.keys), klass.n, int(d == e)), dtype=complex)
         if d == e:
             vecs[diag, :, 0] = linalg.vec(np.eye(d)) / np.sqrt(d)
-        # Rank at most one: the projection is the outer product of the frame.
-        parts.append((klass, vecs * vecs.conj().swapaxes(1, 2), Frames(diag.astype(int), vecs)))
-    return QuantumRelation.stacked(sys, sys, parts)
+        frames.append(Frames(diag.astype(int), vecs))
+    return QuantumRelation.stacked(sys, sys, frames)
 
 
 def complete(src: System, tgt: System | None = None) -> QuantumRelation:
     tgt = src if tgt is None else tgt
-    parts = []
-    for klass in layout(src.dims, tgt.dims).classes:
-        k, n = len(klass.keys), klass.n
-        eye = np.broadcast_to(np.eye(n, dtype=complex), (k, n, n))
-        parts.append((klass, eye, Frames(np.full(k, n), eye)))
-    return QuantumRelation.stacked(src, tgt, parts)
+    # Each class's identity is its own frame; a broadcast view allocates nothing.
+    eyes = [np.broadcast_to(np.eye(klass.n, dtype=complex), (len(klass.keys),) + (klass.n,) * 2)
+            for klass in layout(src.dims, tgt.dims).classes]
+    return QuantumRelation.stacked(src, tgt, [Frames(np.full(len(e), e.shape[1]), e)
+                                              for e in eyes], eyes)
 
 
 def zero_relation(src: System, tgt: System | None = None) -> QuantumRelation:
@@ -242,20 +243,19 @@ def compose(q: QuantumRelation, p: QuantumRelation) -> QuantumRelation:
     """
     if p.target != q.source:
         raise SystemMismatch("compose: target of p must equal source of q")
-    parts = []
+    frames = []
     for klass, plan in zip(layout(p.source.dims, q.target.dims).classes,
                            _plan(p.source.dims, p.target.dims, q.target.dims)):
         if klass.dims == (1, 1):
-            hit = _one_dim_hits(p, q)[klass.rows, klass.cols]
-            stack = hit.astype(complex)[:, None, None]
-            if plan[0] and not hit.all():  # some middle factor is not 1-dim
-                miss = np.flatnonzero(~hit)
-                stack[miss] = _spans(p, q, klass, plan, miss)[0]
+            ranks = _one_dim_hits(p, q)[klass.rows, klass.cols].astype(int)
+            if plan[0] and not ranks.all():  # some middle factor is not 1-dim
+                miss = np.flatnonzero(ranks == 0)
+                ranks[miss] = _spans(p, q, klass, plan, miss).ranks
             # Every block is [[0]] or [[1]], and is its own frame.
-            parts.append((klass, stack, Frames(stack[:, 0, 0].real.astype(int), stack)))
+            frames.append(Frames(ranks, ranks.astype(complex)[:, None, None]))
         else:
-            parts.append((klass,) + _spans(p, q, klass, plan))
-    return QuantumRelation.stacked(p.source, q.target, parts)
+            frames.append(_spans(p, q, klass, plan))
+    return QuantumRelation.stacked(p.source, q.target, frames)
 
 
 @lru_cache(maxsize=128)
@@ -286,29 +286,27 @@ def _plan(src_dims: tuple, mid_dims: tuple, tgt_dims: tuple) -> tuple:
     return tuple(out)
 
 
-def _spans(p: QuantumRelation, q: QuantumRelation, klass, plan, members=None):
-    """(projections, Frames) of the members of an output class (all, or the
-    given positions): the span of each member's products, one batched SVD
-    per group of members with equal product counts.  A class of one member
+def _spans(p: QuantumRelation, q: QuantumRelation, klass, plan, members=None) -> Frames:
+    """Frames of the members of an output class (all, or the given
+    positions): the span of each member's products, one batched SVD per
+    group of members with equal product counts.  A class of one member
     spans its one family, with no grouping."""
     n = klass.n
     vecs, live = _products(p, q, klass, plan, members)
+    # Factors are Hilbert-Schmidt-normalized, so genuine products sit well
+    # above roundoff; the absolute floor keeps exact zeros zero.
     if len(vecs) == 1:
         family = vecs[0][live[0]].T[None]
         if not family.shape[-1]:
-            return np.zeros((1, n, n), dtype=complex), Frames.merged(1, n, [])
-        return linalg.orthonormal_span(family, floor=TOL_SPEC, frames=True)
+            return Frames.merged(1, n, [])
+        return linalg.span_frames(family, floor=TOL_SPEC)
     counts = live.sum(axis=1)
-    stack = np.zeros((len(vecs), n, n), dtype=complex)
     groups = []
     for c in sorted(set(counts.tolist()) - {0}):
         sel = np.flatnonzero(counts == c)
         family = vecs[sel][live[sel]].reshape(sel.size, c, n).swapaxes(1, 2)
-        # Factors are Hilbert-Schmidt-normalized, so genuine products sit
-        # well above roundoff; the absolute floor keeps exact zeros zero.
-        stack[sel], fr = linalg.orthonormal_span(family, floor=TOL_SPEC, frames=True)
-        groups.append((sel, fr))
-    return stack, Frames.merged(len(vecs), n, groups)
+        groups.append((sel, linalg.span_frames(family, floor=TOL_SPEC)))
+    return Frames.merged(len(vecs), n, groups)
 
 
 def _products(p: QuantumRelation, q: QuantumRelation, klass, plan, members):
@@ -349,12 +347,12 @@ def _one_dim_hits(p: QuantumRelation, q: QuantumRelation) -> np.ndarray:
 
 
 def _pattern(r: QuantumRelation) -> np.ndarray:
-    """1.0 where the 1x1 block (i, j) of r is nonzero (its operator basis is
-    [[1]]), 0.0 elsewhere and on every larger block."""
+    """1.0 where the 1x1 block (i, j) of r is nonzero (its frame is [[1]]),
+    0.0 elsewhere and on every larger block."""
     pat = np.zeros((r.source.nfactors, r.target.nfactors))
-    for klass, stack in r.blocks.classes():
+    for klass, fr in zip(r.blocks.layout.classes, r.frames()):
         if klass.dims == (1, 1):
-            pat[klass.rows, klass.cols] = stack[:, 0, 0].real > 0.5
+            pat[klass.rows, klass.cols] = fr.ranks > 0
     return pat
 
 
@@ -370,8 +368,8 @@ def converse(p: QuantumRelation) -> QuantumRelation:
         return p._converse
     lay, held = p.blocks.layout, isinstance(p._frames, tuple)
     tl = layout(lay.tgt_dims, lay.src_dims)
-    store = BlockStore(tl, [(tl.index[klass.dims[::-1]], None, (klass, stack))
-                            for klass, stack in p.blocks.classes()], _adjoint_class)
+    store = BlockStore(tl, [partial(_adjoint_class, p.blocks, lay.index[klass.dims[::-1]])
+                            for klass in tl.classes])
     frames = partial(_converse_frames, lay, p._frames) if held else (
         lambda: _converse_frames(lay, p.frames()))
     c = QuantumRelation(p.target, p.source, store, validate=False, frames=frames)
@@ -380,11 +378,11 @@ def converse(p: QuantumRelation) -> QuantumRelation:
     return c
 
 
-def _adjoint_class(payload) -> np.ndarray:
-    """The converse's stack of the transpose of a class of p, from the
-    (class, stack) of p: each block's adjoint image, at the transposed slot."""
-    klass, stack = payload
-    return linalg.adjoint_image(klass.transposed(stack), *klass.dims)
+def _adjoint_class(store, c: int) -> np.ndarray:
+    """The converse's stack of the transpose of class c of p's store: each
+    block's adjoint image, at the transposed slot."""
+    klass = store.layout.classes[c]
+    return linalg.adjoint_image(klass.transposed(store.stack(c)), *klass.dims)
 
 
 def _converse_frames(lay, frames: tuple) -> tuple:

@@ -14,9 +14,11 @@ Algebra elements are plain lists of per-factor complex matrices.
 Block families of maps between systems (Choi blocks, relation projections)
 live in a BlockStore, the one owner of their representation: one (k, n, n)
 stack per class (d_i, e_j) of factor pairs, behind a read-only mapping from
-(i, j) to the block.  A family given from outside, a dict from factor
-pair to entry or a KeyedStack, is grouped by class (located) and checked
-once per class by linalg.as_complex_groups.
+(i, j) to the block.  Each class holds a stack, None (a zero class, never
+allocated) or a function that makes the stack on its first read.  A family
+given from outside, a dict from factor pair to entry or a KeyedStack, is
+grouped by class (located), checked once per class by
+linalg.as_complex_groups and copied into the class stacks (class_stack).
 """
 
 from __future__ import annotations
@@ -156,15 +158,6 @@ def trace_end(sys: System, f) -> complex:
     return functional(sys, f)
 
 
-def inner(sys: System, x, y) -> complex:
-    """φ-inner product <x, y> = φ(x† y)."""
-    x = sys.check_element(x)
-    y = sys.check_element(y)
-    return complex(
-        sum(w * np.trace(a.conj().T @ b) for w, a, b in zip(sys.weights, x, y))
-    )
-
-
 def phi_basis(sys: System):
     """φ-orthonormal basis of the algebra: matrix units E_pq / sqrt(w_i).
 
@@ -275,11 +268,6 @@ def _zero_stack(k: int, n: int) -> np.ndarray:
     return np.broadcast_to(_zero(n), (k, n, n))
 
 
-def _stack_of(blocks: tuple) -> np.ndarray:
-    """Stack of held blocks; one block's stack is a view of it."""
-    return blocks[0][None] if len(blocks) == 1 else np.stack(blocks)
-
-
 class BlockStore(Mapping):
     """Read-only block family on the factor pairs of a layout.
 
@@ -288,28 +276,20 @@ class BlockStore(Mapping):
     stack(c) the stack of class c alone.  As a mapping, store[(i, j)] is the
     block of pair (i, j), iterated in key order.
 
-    A stack-born store (stacked) serves rows of kernel outputs.  Any other
-    store holds ``parts``, (class index, slots, payload) triples, with
-    form(payload) the stack of the blocks at those slots of the class
-    (slots None: every slot, in slot order).  It forms the stack of a class
-    on the first read of that class and keeps it read-only in place of the
-    class's parts: a morphism born from Kraus maps holds its stacks V of
-    vec(M†), whose blocks are V V† (linalg.gram); a store given from
-    outside (block_store) holds the checked class stacks, and for
-    unvalidated dict blocks store[key] returns the one given.
-    Absent pairs are zero and never allocated one by one.
+    It holds one entry per class, in class order: a stack, made read-only;
+    None, a zero class, whose rows are the one shared zero block; or a
+    function of no arguments that makes the stack on the first read of the
+    class, kept read-only, or called again on the next read if it raised.
     """
 
-    __slots__ = ("layout", "_parts", "_form", "_given", "_stacks", "_pairs")
+    __slots__ = ("layout", "_stacks", "_pairs")
 
-    def __init__(self, lay: Layout, parts, form, given=None):
+    def __init__(self, lay: Layout, stacks):
         self.layout = lay
-        self._parts = {}  # class index -> [(slots, payload), ...]
-        for c, slots, payload in parts:
-            self._parts.setdefault(c, []).append((slots, payload))
-        self._form = form
-        self._given = given or {}  # dict-born: key -> held array
-        self._stacks = [None] * len(lay.classes)  # per class, once formed
+        self._stacks = list(stacks)
+        for stack in self._stacks:
+            if stack is not None and not callable(stack):
+                stack.setflags(write=False)
         self._pairs = None  # ((class, stack), ...) in class order, once read
 
     @classmethod
@@ -317,18 +297,14 @@ class BlockStore(Mapping):
         """Store of (class, stack) pairs of the source x target layout, each
         stack in its class's key order; classes not given are zero."""
         lay = layout(source.dims, target.dims)
-        store = cls(lay, (), None)
+        stacks = [None] * len(lay.classes)
         for klass, stack in parts:
-            stack.setflags(write=False)
-            store._stacks[lay.index[klass.dims]] = stack
-        return store
+            stacks[lay.index[klass.dims]] = stack
+        return cls(lay, stacks)
 
     def __getitem__(self, key):
-        blk = self._given.get(key)
-        if blk is not None:
-            return blk
         c, s = self.layout.where[key]
-        if self._stacks[c] is None and c not in self._parts:
+        if self._stacks[c] is None:
             return _zero(self.layout.classes[c].n)
         return self.stack(c)[s]
 
@@ -339,24 +315,16 @@ class BlockStore(Mapping):
         return len(self.layout.keys)
 
     def stack(self, c: int) -> np.ndarray:
-        """Read-only (k, n, n) stack of class index c: one form per part, the
-        stack itself when one part covers the class in slot order."""
-        if self._stacks[c] is None:
-            klass, parts = self.layout.classes[c], self._parts.get(c)
-            k, n = len(klass.keys), klass.n
-            if not parts:
-                stack = _zero_stack(k, n)
-            elif len(parts) == 1 and (parts[0][0] is None
-                                      or np.array_equal(parts[0][0], np.arange(k))):
-                stack = self._form(parts[0][1])
-            else:
-                stack = np.zeros((k, n, n), dtype=complex)
-                for slots, payload in parts:
-                    stack[slots] = self._form(payload)
+        """Read-only (k, n, n) stack of class index c."""
+        stack = self._stacks[c]
+        if stack is None:
+            klass = self.layout.classes[c]
+            return _zero_stack(len(klass.keys), klass.n)
+        if callable(stack):
+            stack = stack()
             stack.setflags(write=False)
             self._stacks[c] = stack
-            self._parts.pop(c, None)
-        return self._stacks[c]
+        return stack
 
     def classes(self) -> tuple:
         """(class, read-only (k, n, n) stack) for every dimension class, in
@@ -382,6 +350,19 @@ class BlockStore(Mapping):
         for klass, vals in zip(lay.classes, per_class):
             out[klass.rows * nt + klass.cols] = vals
         return out
+
+
+def class_stack(klass: BlockClass, parts, form=np.asarray) -> np.ndarray:
+    """The (k, n, n) stack of a class from (slots, payload) parts, form(payload)
+    the blocks at those slots: the one part's if it holds every slot in slot
+    order, else zeros with each part's at its slots."""
+    k, n = len(klass.keys), klass.n
+    if len(parts) == 1 and np.array_equal(parts[0][0], np.arange(k)):
+        return form(parts[0][1])
+    stack = np.zeros((k, n, n), dtype=complex)
+    for slots, payload in parts:
+        stack[slots] = form(payload)
+    return stack
 
 
 class KeyedStack(NamedTuple):
@@ -457,11 +438,11 @@ def block_store(source: System, target: System, blocks, kind: str, validate: boo
     ``blocks`` is a BlockStore of the same layout, kept as it is, a
     KeyedStack, or a dict (i, j) -> (d_i e_j) x (d_i e_j) block; pairs
     missing from it are zero.  Either form is grouped by class (located)
-    into one linalg.as_complex per class, scanned if ``validate``: the
-    first failing block in input order, or pair outside the layout,
-    raises, named by ``kind``.  The store holds the class stacks.
-    Library-built dict blocks (validate=False) are held as given, made
-    complex and frozen in place; only a misshapen one is stacked, to name it.
+    into one linalg.as_complex per class, which scans for non-finite
+    entries only if ``validate``: the first failing block in input order,
+    or pair outside the layout, raises, named by ``kind``.  The store holds
+    the class stacks; a dict's blocks are copied into them, so the
+    caller's arrays stay as they were.
     """
     if isinstance(blocks, BlockStore):
         if (blocks.layout.src_dims, blocks.layout.tgt_dims) != (source.dims, target.dims):
@@ -472,17 +453,11 @@ def block_store(source: System, target: System, blocks, kind: str, validate: boo
         return blocks
     lay = layout(source.dims, target.dims)
     groups, fails = located(lay, blocks, f"{kind} block index")
-    what = f"{kind} block"
-    if validate or isinstance(blocks, KeyedStack):
-        stacks = linalg.as_complex_groups(groups, validate, fails, failure_at, lay, what)
-        return BlockStore(lay, [(g[2], g[4], s) for g, s in zip(groups, stacks)], np.asarray)
-    groups = [(tuple(np.asarray(blk, dtype=complex) for blk in g[0]),) + g[1:] for g in groups]
-    linalg.as_complex_groups([g for g in groups if any(blk.shape != g[1] for blk in g[0])],
-                             False, fails, failure_at, lay, what)
-    given = {lay.classes[g[2]].keys[s]: blk for g in groups for s, blk in zip(g[4], g[0])}
-    for blk in given.values():
-        blk.setflags(write=False)
-    return BlockStore(lay, [(g[2], g[4], g[0]) for g in groups], _stack_of, given)
+    stacks = linalg.as_complex_groups(groups, validate, fails, failure_at, lay, f"{kind} block")
+    entries = [None] * len(lay.classes)  # located makes one group per class
+    for (_, _, c, _, slots, _), stack in zip(groups, stacks):
+        entries[c] = class_stack(lay.classes[c], [(slots, stack)])
+    return BlockStore(lay, entries)
 
 
 def coords(sys: System, x) -> np.ndarray:

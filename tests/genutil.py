@@ -31,6 +31,15 @@ def tensor_element(ts, x, y):
     ]
 
 
+def inner(sys, x, y) -> complex:
+    """φ-inner product <x, y> = φ(x† y)."""
+    x = sys.check_element(x)
+    y = sys.check_element(y)
+    return complex(
+        sum(w * np.trace(a.conj().T @ b) for w, a, b in zip(sys.weights, x, y))
+    )
+
+
 def adjointness_defect(f, rng):
     """Gate for the dagger formula: <y, f(x)>_B = <f†(y), x>_A on random pairs."""
     fd = cpmaps.dagger(f)
@@ -38,8 +47,8 @@ def adjointness_defect(f, rng):
     for _ in range(8):
         x = systems.random_element(f.source, rng)
         y = systems.random_element(f.target, rng)
-        lhs = systems.inner(f.target, y, cpmaps.apply(f, x))
-        rhs = systems.inner(f.source, cpmaps.apply(fd, y), x)
+        lhs = inner(f.target, y, cpmaps.apply(f, x))
+        rhs = inner(f.source, cpmaps.apply(fd, y), x)
         worst = max(worst, abs(lhs - rhs))
     return worst
 
@@ -94,6 +103,13 @@ def rand_isometry(rng, rows, cols):
 
 def rand_unitary(rng, n):
     return rand_isometry(rng, n, n)
+
+
+def phase_fixed_unitary(seed, n=2):
+    """An n x n unitary from its seed: the Q of the QR of a complex Gaussian,
+    each column times the phase of its diagonal entry of R."""
+    q, upper = np.linalg.qr(rand_complex(np.random.default_rng(seed), n, n))
+    return q * (np.diag(upper) / np.abs(np.diag(upper)))
 
 
 def rand_conf_graph(rng, sys, extra=1):
@@ -371,7 +387,7 @@ def probe_ssfa_defects(sys, rng):
     """Separability, Frobenius and standardness defects of systems.ssfa_defects
     by basis loops; ``rng`` in the state ssfa_defects is given, so the same
     index quadruples are drawn."""
-    inner, multiply = systems.inner, systems.multiply
+    multiply = systems.multiply
     basis = systems.phi_basis(sys)
     for _ in range(18):  # the associativity and unitality probes
         systems.random_element(sys, rng)
@@ -595,8 +611,12 @@ def loop_rel_compose(q_frames, p_frames, src_dims, mid_dims, tgt_dims):
                 for a in p_frames[(i, j)].T:
                     for b in q_frames[(j, k)].T:
                         vecs.append(linalg.vec(_operator(a, d, e) @ _operator(b, e, ek)))
-            blocks[(i, k)], frames[(i, k)] = linalg.orthonormal_span(
-                vecs, dim=d * ek, floor=linalg.TOL_SPEC, frames=True)
+            if not vecs:
+                blocks[(i, k)] = np.zeros((d * ek, d * ek), dtype=complex)
+                frames[(i, k)] = np.zeros((d * ek, 0), dtype=complex)
+                continue
+            fr = linalg.span_frames(np.column_stack(vecs)[None], floor=linalg.TOL_SPEC)
+            blocks[(i, k)], frames[(i, k)] = fr.projections()[0], fr.member(0)
     return blocks, frames
 
 
@@ -636,7 +656,8 @@ def loop_choi_marginal(f):
 
 
 def loop_reverse(f):
-    """Reverse Choi blocks of a reversible channel, one kron per block."""
+    """Reverse Choi blocks of a reversible channel, one kron per block; the
+    routing term I - α_j is exactly zero where α_j has full rank."""
     rf = relations.QuantumRelation(f.source, f.target, loop_support_of(f), validate=False)
     q = relations.QuantumRelation(f.target, f.source, loop_converse(rf), validate=False)
     alphas = [linalg.hermitize(m) for m in loop_choi_marginal(q)]
@@ -644,10 +665,10 @@ def loop_reverse(f):
     blocks = {}
     for j, e in enumerate(f.target.dims):
         w_j = f.target.weights[j]
+        full = round(float(np.trace(alphas[j]).real)) == e
+        route = np.zeros((e, e), dtype=complex) if full else np.eye(e) - alphas[j]
         for i, d in enumerate(f.source.dims):
-            blocks[(j, i)] = w_j * q.blocks[(j, i)] + (w_j / d_a) * linalg.kron(
-                np.eye(d), np.eye(e) - alphas[j]
-            )
+            blocks[(j, i)] = w_j * q.blocks[(j, i)] + (w_j / d_a) * linalg.kron(np.eye(d), route)
     return blocks
 
 

@@ -198,10 +198,11 @@ class TestStackedKernels:
                 fam = rand_complex(rng, n, r) @ rand_complex(rng, r, c)
                 fams.append(fam * (1e-12 if s % 5 == 4 else 1.0))
             st = np.array(fams)
-            proj, fr = linalg.orthonormal_span(st, floor=linalg.TOL_SPEC, frames=True)
+            fr = linalg.span_frames(st, floor=linalg.TOL_SPEC)
+            proj = fr.projections()
             for s, fam in enumerate(st):
-                ps, cols = linalg.orthonormal_span(list(fam.T), floor=linalg.TOL_SPEC,
-                                                   frames=True)
+                ps = linalg.orthonormal_span(list(fam.T), floor=linalg.TOL_SPEC)
+                cols = linalg.span_frames(fam[None], floor=linalg.TOL_SPEC).member(0)
                 assert np.array_equal(proj[s], ps), (c, s)
                 assert np.array_equal(fr.member(s), cols), (c, s)
 
@@ -278,12 +279,14 @@ class TestBlockStore:
             assert np.shares_memory(blk, stacks[(f.source.dims[i], f.target.dims[j])])
         assert rel.ranks() == [rel.rank(*key) for key in rel.blocks]
 
-    def test_one_member_class_is_a_view_of_the_held_block(self):
+    def test_one_member_class_is_a_read_only_copy_of_the_given_block(self):
         sys = systems.system((30,))
         a = np.eye(900, dtype=complex)
         f = cpmaps.CpMorphism(sys, sys, {(0, 0): a}, validate=False)
         ((_, stack),) = f.blocks.classes()
-        assert stack.shape == (1, 900, 900) and stack.base is a
+        assert stack.shape == (1, 900, 900) and not np.shares_memory(stack, a)
+        assert not stack.flags.writeable and np.array_equal(stack[0], a)
+        assert a.flags.writeable and np.array_equal(a, np.eye(900))
         assert f.blocks.classes() is f.blocks.classes()
 
     def test_absent_pairs_are_never_allocated(self):
@@ -961,3 +964,82 @@ class TestLazyKrausBlocks:
         got = cpmaps.compose(g, f)
         assert calls == []
         assert all(len(ops) == 1 for ops in got.kraus().values())
+
+
+def _spy_projections(monkeypatch) -> list:
+    """Record every Frames whose projections are formed from here on."""
+    formed, real = [], linalg.Frames.projections
+    monkeypatch.setattr(linalg.Frames, "projections", lambda fr: formed.append(fr) or real(fr))
+    return formed
+
+
+def _born_from_frames(kind):
+    sys = systems.system((1, 2, 3))
+    f = rand_cp(np.random.default_rng(41), sys, sys)
+    if kind == "support":
+        return relations.support_of(f)  # Kraus-born f: its frames from a thin SVD
+    if kind == "compose":
+        rf = relations.support_of(f)
+        return relations.compose(relations.converse(rf), rf)
+    return relations._discrete.__wrapped__(groups.ExactKey(sys.exact_key, sys))
+
+
+class TestProjectionsMadeFromFrames:
+    """A relation born from frames (compose, support_of of a Kraus-born
+    morphism, discrete) forms the projections of a class from its frames on
+    the first read of that class, once."""
+
+    @pytest.mark.parametrize("kind", ["support", "compose", "discrete"])
+    def test_no_projection_before_the_first_read_of_a_class(self, kind, monkeypatch):
+        formed = _spy_projections(monkeypatch)
+        rel = _born_from_frames(kind)
+        frames = rel.frames()
+        assert not [fr for fr in formed if any(fr is own for own in frames)]
+        for c, fr in enumerate(frames):
+            stack = rel.blocks.stack(c)
+            assert rel.blocks.stack(c) is stack and not stack.flags.writeable, c
+            assert sum(made is fr for made in formed) <= 1, c
+            assert np.array_equal(stack, linalg.Frames.projections(fr)), c
+        for c, (klass, stack) in enumerate(rel.blocks.classes()):
+            assert stack is rel.blocks.stack(c)
+            for s, key in enumerate(klass.keys):
+                assert np.array_equal(rel.blocks[key], stack[s]) and not rel.blocks[key].flags.writeable
+
+    def test_a_projection_that_raised_is_made_again(self, monkeypatch):
+        real, failed = linalg.Frames.projections, []
+
+        def once(fr):
+            if not failed:
+                failed.append(fr)
+                raise MemoryError("no room for the stack")
+            return real(fr)
+
+        monkeypatch.setattr(linalg.Frames, "projections", once)
+        rel = _born_from_frames("support")
+        c = rel.blocks.layout.index[(2, 3)]
+        with pytest.raises(MemoryError):
+            rel.blocks[(1, 2)]
+        stack = rel.blocks.stack(c)
+        assert len(failed) == 1 and not stack.flags.writeable
+        assert np.array_equal(stack, real(rel.frames()[c]))
+        assert np.shares_memory(rel.blocks[(1, 2)], stack)
+
+    def test_an_adjoint_image_that_raised_is_made_again(self, monkeypatch):
+        rel = _born_from_frames("support")
+        conv = relations.converse(rel)
+        real, calls = linalg.adjoint_image, []
+
+        def once(*args):
+            calls.append(1)
+            if len(calls) == 1:
+                raise MemoryError("no room for the stack")
+            return real(*args)
+
+        monkeypatch.setattr(linalg, "adjoint_image", once)
+        with pytest.raises(MemoryError):
+            conv.blocks[(2, 1)]
+        blk = conv.blocks[(2, 1)]
+        assert len(calls) == 2 and not blk.flags.writeable
+        assert np.array_equal(blk, real(rel.blocks[(1, 2)], 2, 3))
+        assert conv.blocks[(2, 1)] is not blk and np.shares_memory(conv.blocks[(2, 1)], blk)
+        assert len(calls) == 2

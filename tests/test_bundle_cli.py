@@ -10,6 +10,8 @@ from covgraphs import bundle, cli, cpmaps, graphs, groups, scc, systems
 from covgraphs.bundle import BundleError
 from covgraphs.errors import ActionShapeMismatch
 
+from genutil import phase_fixed_unitary
+
 rng = np.random.default_rng(909)
 
 
@@ -257,6 +259,23 @@ class TestCli:
         assert "reversible: yes" in r.stdout
         data = json.loads(out.read_text())
         assert data["from"] == "B" and data["to"] == "A"
+
+    def test_emitted_reverse_of_a_unitary_channel_round_trips(self, tmp_path):
+        u = phase_fixed_unitary(0)
+        path, out = tmp_path / "u.json", tmp_path / "rev.json"
+        path.write_text(json.dumps({
+            "systems": {"Q": {"factors": [1, 2]}},
+            "channels": {"u": {"from": "Q", "to": "Q", "kraus": {
+                "0,0": [bundle.matrix_to_json(np.eye(1))],
+                "1,1": [bundle.matrix_to_json(u)]}}},
+        }))
+        r = run_cli(["analyze-channel", str(path), "u", "--emit-reverse", "-o", str(out)])
+        assert r.returncode == 0, r.stderr
+        data = json.loads(path.read_text())
+        data["channels"]["rev"] = json.loads(out.read_text())
+        b = bundle.load_bundle(data)
+        f, g = b.channels["u"], b.channels["rev"]
+        assert cpmaps.cp_norm_diff(cpmaps.compose(g, f), cpmaps.identity_channel(f.source)) < 1e-7
 
     def test_analyze_merging(self, demo_bundle):
         r = run_cli(["analyze-channel", demo_bundle, "merge"])

@@ -13,6 +13,7 @@ from covgraphs.classical import (
 from covgraphs.errors import NotAChannel, NotConfusability, NotReversible, PsdViolation
 
 from genutil import (
+    phase_fixed_unitary,
     rand_channel,
     rand_conf_graph,
     rand_nonreversible_channel,
@@ -289,3 +290,17 @@ class TestReverseChannel:
         assert cpmaps.cp_norm_diff(
             cpmaps.compose(g, f), cpmaps.identity_channel(src)
         ) < 1e-9
+
+
+def test_reverse_of_a_unitary_channel_composes_and_factors():
+    """The routing term I - α_j of a full-rank α_j is exactly zero, so no
+    reverse block holds round-off that compose and to_kraus read as a
+    negative eigenvalue."""
+    for seed in range(200):
+        sys = systems.system((1, 2))
+        f = cpmaps.from_kraus({(0, 0): [np.eye(1)], (1, 1): [phase_fixed_unitary(seed)]},
+                              sys, sys)
+        g = graphs.reverse_channel(f)
+        assert cpmaps.cp_norm_diff(cpmaps.compose(g, f),
+                                   cpmaps.identity_channel(f.source)) < 1e-7, seed
+        cpmaps.to_kraus(g)

@@ -151,7 +151,7 @@ class TestMorphismMemos:
             f = choi_born(f)
         assert (f.kraus_vecs is None) == (born == "choi")
         spans = []
-        for name in ("orthonormal_span", "support_projection"):
+        for name in ("span_frames", "support_projection"):
             real = getattr(linalg, name)
             monkeypatch.setattr(linalg, name,
                                 lambda *a, real=real, **k: spans.append(1) or real(*a, **k))

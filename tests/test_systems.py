@@ -4,7 +4,7 @@ import pytest
 from covgraphs import cpmaps, groups, relations, systems
 from covgraphs.errors import ActionShapeMismatch, ShapeMismatch
 
-from genutil import adjoint_element, rand_channel, system_dimension
+from genutil import adjoint_element, inner, rand_channel, system_dimension
 
 rng = np.random.default_rng(303)
 
@@ -54,7 +54,7 @@ def _mmdag_scale(d, w):
     acc = sys.zero()
     for (_, _, _, a) in basis:
         for (_, _, _, b) in basis:
-            c = systems.inner(sys, systems.multiply(sys, a, b), x)
+            c = inner(sys, systems.multiply(sys, a, b), x)
             ab = systems.multiply(sys, a, b)
             acc = [t + c * s for t, s in zip(acc, ab)]
     ratios = acc[0] / x[0]
@@ -173,12 +173,17 @@ def test_twirl_preserves_channel_property_cross_check():
 
 
 class TestBlockFamily:
-    def test_unvalidated_blocks_are_frozen_in_place(self):
+    def test_unvalidated_blocks_are_read_only_copies(self):
         sys = systems.system((2,))
         for make in (cpmaps.CpMorphism, relations.QuantumRelation):
             a = np.eye(4, dtype=complex)
-            assert make(sys, sys, {(0, 0): a}, validate=False).blocks[(0, 0)] is a
-            assert not a.flags.writeable
+            store = make(sys, sys, {(0, 0): a}, validate=False).blocks
+            blk = store[(0, 0)]
+            assert not np.shares_memory(blk, a) and not blk.flags.writeable
+            assert a.flags.writeable and np.array_equal(a, np.eye(4))
+            a[0, 0] = 5.0
+            assert blk[0, 0] == 1.0
+            assert store.classes() is store.classes()
 
     def test_unvalidated_blocks_are_made_complex(self):
         sys = systems.system((2,))

@@ -48,21 +48,15 @@ owners check the rest:
   * load_bundle: with a nontrivial group, every channel is covariant, and a
     graph declared "confusability" or "simple" is one.
 
-dump_json writes exactly the bytes of json.dump(obj, fh, indent=1,
-sort_keys=True) and a newline, without json's pure-Python encoder: each
-matrix of [re, im] float pairs is formatted in one pass, from its rows'
-cached template, and a document holding anything but dicts with str keys, lists,
-str, int, float, bool and None goes to json.dump.
+dump_json writes json.dump(obj, fh, indent=1, sort_keys=True) and a
+newline.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import re
 from functools import lru_cache
-from itertools import chain
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 import numpy as np
@@ -438,95 +432,8 @@ def dump_channel(f: CpMorphism, src_name: str, tgt_name: str) -> dict:
 
 
 def dump_json(obj, path: str):
-    """Write obj as json.dump(obj, fh, indent=1, sort_keys=True) followed by
-    a newline would, byte for byte."""
+    """Write obj as json.dump(obj, fh, indent=1, sort_keys=True) and a
+    newline."""
     with open(path, "w") as fh:
-        try:
-            _write(obj, 0, fh.write)
-        except _Unknown:
-            fh.seek(0)
-            fh.truncate()
-            json.dump(obj, fh, indent=1, sort_keys=True)
+        json.dump(obj, fh, indent=1, sort_keys=True)
         fh.write("\n")
-
-
-class _Unknown(Exception):
-    """A value dump_json leaves to json.dump."""
-
-
-def _write(obj, level: int, write):
-    """write() the indent=1, sort_keys=True JSON text of obj at nesting level
-    ``level``; _Unknown for anything but dicts with str keys, lists, str,
-    int, float, bool and None."""
-    kind = type(obj)
-    if kind is str:
-        write(encode_basestring_ascii(obj))
-    elif kind is float:
-        write(_float_text(obj))
-    elif obj is None or kind is bool:
-        write("null" if obj is None else "true" if obj else "false")
-    elif kind is int:
-        write(int.__repr__(obj))
-    elif kind is list:
-        if not obj:
-            write("[]")
-        elif not _write_matrix(obj, level, write):
-            inner = "\n" + " " * (level + 1)
-            for k, item in enumerate(obj):
-                write(("[" if k == 0 else ",") + inner)
-                _write(item, level + 1, write)
-            write("\n" + " " * level + "]")
-    elif kind is dict:
-        if not obj:
-            write("{}")
-            return
-        if set(map(type, obj)) != {str}:
-            raise _Unknown
-        inner = "\n" + " " * (level + 1)
-        for k, (key, value) in enumerate(sorted(obj.items())):
-            write(("{" if k == 0 else ",") + inner + encode_basestring_ascii(key) + ": ")
-            _write(value, level + 1, write)
-        write("\n" + " " * level + "}")
-    else:
-        raise _Unknown
-
-
-def _float_text(x: float) -> str:
-    """json's spelling of a float: its repr, or NaN, Infinity, -Infinity."""
-    if x != x:
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return float.__repr__(x)
-
-
-def _write_matrix(rows: list, level: int, write) -> bool:
-    """write() rows, if it is a matrix of [re, im] float pairs (equal-length
-    nonempty rows), in one pass; False, with nothing written, otherwise."""
-    if set(map(type, rows)) != {list}:
-        return False
-    widths = set(map(len, rows))
-    if len(widths) != 1 or 0 in widths:
-        return False
-    pairs = list(chain.from_iterable(rows))
-    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
-        return False
-    flat = list(chain.from_iterable(pairs))
-    if set(map(type, flat)) != {float}:
-        return False
-    if all(map(math.isfinite, flat)):
-        texts = tuple(map(float.__repr__, flat))
-    else:
-        texts = tuple(map(_float_text, flat))
-    outer, inner = "\n" + " " * level, "\n" + " " * (level + 1)
-    rows = ("," + inner).join([_row_template(widths.pop(), level)] * len(rows))
-    write(f"[{inner}{rows}{outer}]" % texts)
-    return True
-
-
-@lru_cache(maxsize=64)
-def _row_template(cols: int, level: int) -> str:
-    """The JSON text of a row of ``cols`` [re, im] pairs in a matrix at
-    nesting level ``level``, with %s for each number."""
-    row, pair, num = ("\n" + " " * (level + k) for k in (1, 2, 3))
-    return f"[{pair}" + f",{pair}".join([f"[{num}%s,{num}%s{pair}]"] * cols) + f"{row}]"

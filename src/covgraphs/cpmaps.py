@@ -68,11 +68,6 @@ from .systems import (
     located,
 )
 
-# Fewest 1x1 products that compose forms with one batched product; below
-# about 24 the fixed numpy cost of _compose_commutative exceeds the loop's.
-BATCHED_PRODUCTS = 32
-
-
 class CpMorphism:
     """Immutable CP morphism given by source, target and Choi blocks.
 
@@ -329,19 +324,9 @@ def compose(g: CpMorphism, f: CpMorphism) -> CpMorphism:
 
     Only nonempty pairs (i, j) of f and (j, k) of g are visited; each
     pair (i, k) collects its products n @ m with j ascending, then m, then n.
-    Between commutative systems every pair holds at most one 1x1 map, and
-    from BATCHED_PRODUCTS products on they are one batched n @ m; the count
-    is read off the arrays of held entries that the batched product uses.
     """
     if f.target != g.source:
         raise SystemMismatch("compose: target of f must equal source of g")
-    mid = f.target.nfactors
-    if (max(f.source.dims + f.target.dims + g.target.dims) == 1
-            and f.source.nfactors * mid * g.target.nfactors >= BATCHED_PRODUCTS):
-        fe, ge = _held_entries(f), _held_entries(g)
-        # Map (i, j) of f meets every map of g on row j.
-        if np.bincount(ge[0], minlength=mid)[fe[1]].sum() >= BATCHED_PRODUCTS:
-            return _compose_commutative(g, f, fe, ge)
     g_rows = {}
     for (j, k), ns in g.kraus().items():
         if ns:
@@ -352,53 +337,6 @@ def compose(g: CpMorphism, f: CpMorphism) -> CpMorphism:
             for k, ns in g_rows.get(j, ()):
                 kraus.setdefault((i, k), []).extend(n @ m for m in ms for n in ns)
     return _from_maps(kraus, f.source, g.target)
-
-
-def _compose_commutative(g: CpMorphism, f: CpMorphism, f_entries, g_entries) -> CpMorphism:
-    """compose of morphisms between commutative systems, given their
-    _held_entries: the products n @ m of pair (i, k) run over the j where
-    both (i, j) and (j, k) hold a map.  All of them are one batched product,
-    a broadcast with no sort when every pair holds a map, stacked per map
-    count in key order of (i, k)."""
-    fi, fj, fm = f_entries
-    gj, gk, gm = g_entries
-    rows, mid, cols = f.source.nfactors, f.target.nfactors, g.target.nfactors
-    if fm.size == rows * mid and gm.size == mid * cols:
-        prods = gm.reshape(mid, cols, 1, 1).swapaxes(0, 1)[None] @ fm.reshape(rows, 1, mid, 1, 1)
-        counts = np.full(rows * cols, mid)
-    else:
-        # Each map (i, j) of f meets the run of g's maps on row j; a stable
-        # sort by (i, k) keeps j ascending within each pair.
-        lo = np.searchsorted(gj, fj)
-        reps = np.searchsorted(gj, fj, side="right") - lo
-        fe = np.repeat(np.arange(fj.size), reps)
-        ge = np.arange(fe.size) + np.repeat(lo - (np.cumsum(reps) - reps), reps)
-        pairs = fi[fe] * cols + gk[ge]
-        order = np.argsort(pairs, kind="stable")
-        prods = gm[ge[order]] @ fm[fe[order]]
-        counts = np.bincount(pairs, minlength=rows * cols)
-    sizes = sorted(set(counts.tolist()) - {0})
-    if len(sizes) == 1:
-        groups = [(0, counts.nonzero()[0], prods.reshape((-1, sizes[0], 1, 1)))]
-    else:
-        starts = np.cumsum(counts) - counts
-        groups = []
-        for count in sizes:
-            sel = (counts == count).nonzero()[0]
-            groups.append((0, sel, prods[starts[sel, None] + np.arange(count)]))
-    # The one class lists every pair in key order: its slots are the key indices.
-    return _from_stacks(f.source, g.target, layout(f.source.dims, g.target.dims), groups)
-
-
-def _held_entries(f: CpMorphism):
-    """(rows, cols, maps) of the pairs holding a map, in key order, of a
-    morphism between commutative systems: two int arrays and the (p, 1, 1)
-    stack of the maps.  The one class of the layout lists every pair."""
-    held = f.kraus().values()
-    live = np.flatnonzero(np.fromiter(map(len, held), int, len(held)))
-    maps = np.fromiter((ops[0][0, 0] for ops in held if ops), complex, len(live))
-    (klass,) = f.blocks.layout.classes
-    return klass.rows[live], klass.cols[live], maps.reshape(-1, 1, 1)
 
 
 def dagger(f: CpMorphism) -> CpMorphism:

@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    IndexOutOfRange,
     NegativeSpectrum,
     NotHermitian,
     ShapeMismatch,
@@ -109,11 +108,6 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
-def is_hermitian(m: np.ndarray) -> bool:
-    scale = max(1.0, float(np.linalg.norm(m)))
-    return float(np.linalg.norm(m - m.conj().T)) <= TOL_SPEC * scale
-
-
 def gram(vs: np.ndarray) -> np.ndarray:
     """V V† of each member of a (k, n, r) stack V."""
     return vs @ vs.conj().swapaxes(1, 2)
@@ -134,7 +128,7 @@ def frobs(mats) -> np.ndarray:
             v = mats.reshape(-1)
             re, im = v.real, v.imag
             return np.sqrt(re * re + im * im)
-        v = mats.reshape(len(mats), 1, -1)
+        v = mats.reshape(len(mats), 1, mats.shape[1] * mats.shape[2])
         re, im = v.real, v.imag
         return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).reshape(-1))
     mats = list(mats)
@@ -258,54 +252,21 @@ def support_projection(m: np.ndarray, frames: bool = False):
     Takes one matrix, validated by as_complex, or a (k, n, n) stack as the
     block store holds it (complex and finite, not scanned again), and returns
     the projections in the same form, each bitwise the one of its own call.
-    A stack of several members is cut by spectral_cut and projected with
-    one product V V† per retained rank; 1x1 members use the closed form.  A
-    member that is not Hermitian or has a negative eigenvalue raises; on a
-    stack, the first such member in stack order.
-
-    A matrix or a one-member stack takes _support_one, which reads its
-    eigenpairs from canonical_eigh too but skips the stacked cut's
-    bookkeeping, tens of µs per call: every class of a system whose factor
-    dimensions differ, such as (1, 2, 3), has one member.
+    Either is cut by spectral_cut, a matrix as a one-member stack, and
+    projected with one product V V† per retained rank; 1x1 members use the
+    closed form.  A member that is not Hermitian or has a negative
+    eigenvalue raises; on a stack, the first such member in stack order,
+    and its message and ``member`` name its position.
 
     With frames=True it also returns the kept eigenvectors V: the (n, r)
     columns of a matrix, or the Frames of a stack, for a caller that keeps
     both, as the supports of Choi blocks and confusability graphs do.
     """
     if np.ndim(m) == 2:
-        proj, vk = _support_one(as_complex(m), None)
-        return (proj, vk) if frames else proj
-    if len(m) == 1:
-        proj, vk = _support_one(m[0], 0)
-        proj, fr = proj[None], Frames(np.array([vk.shape[1]]), vk[None])
-    else:
-        proj, fr = _support_stack(m)
+        proj, fr = _support_stack(as_complex(m)[None], one=True)
+        return (proj[0], fr.member(0)) if frames else proj[0]
+    proj, fr = _support_stack(m)
     return (proj, fr) if frames else proj
-
-
-def _support_one(m: np.ndarray, member):
-    none = m[:, :0]
-    scale = frob(m)
-    if scale == 0.0:
-        return np.zeros_like(m), none
-    at = "support_projection" if member is None else f"member {member}: support_projection"
-    if not is_hermitian(m):
-        raise _member_error(NotHermitian, f"{at}: defect {frob(m - m.conj().T):.3e}", member)
-    if m.shape == (1, 1):
-        val = m[0, 0].real
-        if val < -TOL_SPEC * scale:
-            raise _member_error(NegativeSpectrum, f"{at}: eigenvalue {val:.3e}", member)
-        if val > TOL_SPEC * scale:
-            return np.ones((1, 1), dtype=complex), np.ones((1, 1), dtype=complex)
-        return np.zeros((1, 1), dtype=complex), none
-    w, v = canonical_eigh(m)
-    top = float(w[0])
-    if float(w[-1]) < -TOL_SPEC * max(top, scale):
-        raise _member_error(NegativeSpectrum, f"{at}: min eigenvalue {w[-1]:.3e}", member)
-    if top <= 0.0:
-        return np.zeros_like(m), none
-    vk = v[:, w > TOL_SPEC * top]
-    return vk @ vk.conj().T, vk
 
 
 class Cut(NamedTuple):
@@ -343,19 +304,20 @@ def spectral_cut(s: np.ndarray) -> Cut:
     return Cut(live, s, scale, w, v, rank, neg)
 
 
-def _support_stack(s: np.ndarray):
+def _support_stack(s: np.ndarray, one: bool = False):
+    """support_projection of a stack: (projections, Frames).  With ``one``
+    (a matrix as a one-member stack) an error names no member."""
     cut = spectral_cut(s)
     defect = frobs(cut.blocks - cut.blocks.conj().swapaxes(1, 2))
     skew = ~(defect <= TOL_SPEC * np.maximum(1.0, cut.scale))
     bad = np.flatnonzero(skew | cut.neg)
     if bad.size:
         b = int(bad[0])
-        member = int(cut.live[b])
+        member = None if one else int(cut.live[b])
+        at = "support_projection" if one else f"member {member}: support_projection"
         if skew[b]:
-            raise _member_error(NotHermitian, f"member {member}: support_projection: defect "
-                                f"{defect[b]:.3e}", member)
-        raise _member_error(NegativeSpectrum, f"member {member}: support_projection: min "
-                            f"eigenvalue {cut.w[b, -1]:.3e}", member)
+            raise _member_error(NotHermitian, f"{at}: defect {defect[b]:.3e}", member)
+        raise _member_error(NegativeSpectrum, f"{at}: min eigenvalue {cut.w[b, -1]:.3e}", member)
     fr = Frames.prefix(len(s), s.shape[-1], cut.live, cut.rank, cut.v)
     return fr.projections(), fr
 
@@ -428,58 +390,6 @@ def projection_defects(mats) -> np.ndarray:
         return np.maximum(frobs(mats - mats.conj().swapaxes(1, 2)), frobs(mats @ mats - mats))
     mats = list(mats)
     return np.maximum(frobs([p - p.conj().T for p in mats]), frobs([p @ p - p for p in mats]))
-
-
-def partial_trace(m: np.ndarray, dims, keep, weights=None) -> np.ndarray:
-    """Partial trace over the tensor legs not in `keep`.
-
-    `dims` lists the leg dimensions (their product must equal the matrix
-    dimension); each traced leg t is scaled by weights[t] (default 1), with
-    `weights` given per traced leg in leg order.
-    """
-    m = as_complex(m)
-    dims = [int(d) for d in dims]
-    n = int(np.prod(dims))
-    if m.shape != (n, n):
-        raise DimensionMismatch(f"matrix is {m.shape}, dims give {n}")
-    keep = sorted(set(int(k) for k in keep))
-    for k in keep:
-        if k < 0 or k >= len(dims):
-            raise IndexOutOfRange(f"keep index {k} out of range")
-    traced = [t for t in range(len(dims)) if t not in keep]
-    if weights is None:
-        weights = [1.0] * len(traced)
-    weights = [float(w) for w in weights]
-    if len(weights) != len(traced):
-        raise DimensionMismatch("weights length must match traced legs")
-
-    t = m.reshape(dims + dims)
-    nlegs = len(dims)
-    # Contract traced legs one at a time, highest index first so positions of
-    # the remaining legs stay valid.
-    scale = 1.0
-    for w, leg in sorted(zip(weights, traced), key=lambda p: -p[1]):
-        t = np.trace(t, axis1=leg, axis2=leg + nlegs)
-        nlegs -= 1
-        scale *= w
-    kept = int(np.prod([dims[k] for k in keep])) if keep else 1
-    return scale * t.reshape(kept, kept)
-
-
-def psd_factor(m: np.ndarray) -> np.ndarray:
-    """Factor a Hermitian PSD matrix as r† r = m with row count = rank."""
-    m = as_complex(m)
-    if not is_hermitian(m):
-        raise NotHermitian("psd_factor: input is not Hermitian")
-    w, v = canonical_eigh(m)
-    scale = max(frob(m), 1.0)
-    if w.size and float(w[-1]) < -TOL_SPEC * scale:
-        raise NegativeSpectrum(f"psd_factor: min eigenvalue {w[-1]:.3e}")
-    top = float(w[0]) if w.size else 0.0
-    if top <= 0.0:
-        return np.zeros((0, m.shape[0]), dtype=complex)
-    keep = w > TOL_SPEC * top
-    return (np.sqrt(w[keep])[:, None] * v[:, keep].conj().T)
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:

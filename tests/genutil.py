@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from covgraphs import cpmaps, graphs, linalg, relations, scc, systems
+from covgraphs.errors import DimensionMismatch, IndexOutOfRange, NegativeSpectrum, NotHermitian
 
 
 def rand_complex(rng, rows, cols):
@@ -51,6 +52,63 @@ def adjointness_defect(f, rng):
         rhs = inner(f.source, cpmaps.apply(fd, y), x)
         worst = max(worst, abs(lhs - rhs))
     return worst
+
+
+def is_hermitian(m) -> bool:
+    scale = max(1.0, float(np.linalg.norm(m)))
+    return float(np.linalg.norm(m - m.conj().T)) <= linalg.TOL_SPEC * scale
+
+
+def partial_trace(m, dims, keep, weights=None):
+    """Partial trace over the tensor legs not in `keep`.
+
+    `dims` lists the leg dimensions (their product must equal the matrix
+    dimension); each traced leg t is scaled by weights[t] (default 1), with
+    `weights` given per traced leg in leg order.
+    """
+    m = linalg.as_complex(m)
+    dims = [int(d) for d in dims]
+    n = int(np.prod(dims))
+    if m.shape != (n, n):
+        raise DimensionMismatch(f"matrix is {m.shape}, dims give {n}")
+    keep = sorted(set(int(k) for k in keep))
+    for k in keep:
+        if k < 0 or k >= len(dims):
+            raise IndexOutOfRange(f"keep index {k} out of range")
+    traced = [t for t in range(len(dims)) if t not in keep]
+    if weights is None:
+        weights = [1.0] * len(traced)
+    weights = [float(w) for w in weights]
+    if len(weights) != len(traced):
+        raise DimensionMismatch("weights length must match traced legs")
+
+    t = m.reshape(dims + dims)
+    nlegs = len(dims)
+    # Contract traced legs one at a time, highest index first so positions of
+    # the remaining legs stay valid.
+    scale = 1.0
+    for w, leg in sorted(zip(weights, traced), key=lambda p: -p[1]):
+        t = np.trace(t, axis1=leg, axis2=leg + nlegs)
+        nlegs -= 1
+        scale *= w
+    kept = int(np.prod([dims[k] for k in keep])) if keep else 1
+    return scale * t.reshape(kept, kept)
+
+
+def psd_factor(m):
+    """Factor a Hermitian PSD matrix as r† r = m with row count = rank."""
+    m = linalg.as_complex(m)
+    if not is_hermitian(m):
+        raise NotHermitian("psd_factor: input is not Hermitian")
+    w, v = linalg.canonical_eigh(m)
+    scale = max(linalg.frob(m), 1.0)
+    if w.size and float(w[-1]) < -linalg.TOL_SPEC * scale:
+        raise NegativeSpectrum(f"psd_factor: min eigenvalue {w[-1]:.3e}")
+    top = float(w[0]) if w.size else 0.0
+    if top <= 0.0:
+        return np.zeros((0, m.shape[0]), dtype=complex)
+    keep = w > linalg.TOL_SPEC * top
+    return (np.sqrt(w[keep])[:, None] * v[:, keep].conj().T)
 
 
 def rand_system(rng, max_factors=2, max_dim=3, action=None):

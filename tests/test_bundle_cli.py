@@ -282,6 +282,20 @@ class TestCli:
         assert r.returncode == 0
         assert "reversible: no" in r.stdout
 
+    def test_analyze_all_zero_choi_class(self, tmp_path):
+        """Choi blocks of one class, all zero: every support block has rank 0."""
+        zero = bundle.matrix_to_json(np.zeros((4, 4)))
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({
+            "systems": {"A": {"factors": [2, 2]}, "B": {"factors": [2]}},
+            "channels": {"z": {"from": "A", "to": "B", "choi": {"0,0": zero, "1,0": zero}}},
+        }))
+        r = run_cli(["analyze-channel", str(path), "z"])
+        assert r.returncode == 0, r.stderr
+        ranks = re.findall(r"^  \((\d+),(\d+)\): (\d+)$", r.stdout, re.M)
+        assert len(ranks) == 2 + 4
+        assert {rank for _, _, rank in ranks} == {"0"}
+
     def test_analyze_unknown_name(self, demo_bundle):
         r = run_cli(["analyze-channel", demo_bundle, "nope"])
         assert r.returncode == 2

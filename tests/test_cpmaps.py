@@ -13,6 +13,7 @@ from genutil import (
     assert_blocks_close,
     choi_born,
     loop_block_kraus,
+    psd_factor,
     rand_channel,
     rand_complex,
     rand_cp,
@@ -162,7 +163,7 @@ class TestApply:
         kraus = {}
         for (i, j), blk in f.blocks.items():
             d, e = src.dims[i], tgt.dims[j]
-            r = linalg.psd_factor(blk)
+            r = psd_factor(blk)
             kraus[(i, j)] = [linalg.unvec(row.conj(), d, e).conj().T for row in r]
         g = cpmaps.from_kraus(kraus, src, tgt)
         assert cpmaps.cp_norm_diff(f, g) < 1e-9 * max(1.0, f.norm())

@@ -4,7 +4,7 @@ import pytest
 from covgraphs import linalg
 from covgraphs.errors import DimensionMismatch, NegativeSpectrum, NotHermitian
 
-from genutil import reference_canonical_eigh
+from genutil import partial_trace, psd_factor, reference_canonical_eigh
 
 rng = np.random.default_rng(101)
 
@@ -34,6 +34,19 @@ class TestSupportProjection:
     def test_negative_spectrum_raises(self):
         with pytest.raises(NegativeSpectrum):
             linalg.support_projection(np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize("kind, m, text", [
+        (NotHermitian, [[0.0, 1.0], [0.0, 0.0]], "support_projection: defect 1.414e+00"),
+        (NegativeSpectrum, [[1.0, 0.0], [0.0, -1.0]], "support_projection: min eigenvalue -1.000e+00"),
+        (NegativeSpectrum, [[-2.0]], "support_projection: min eigenvalue -2.000e+00"),
+    ])
+    def test_matrix_error_names_no_member(self, kind, m, text):
+        """A matrix is cut as a one-member stack, but its error reads as the
+        matrix's own: no member prefix, and member None."""
+        with pytest.raises(kind) as info:
+            linalg.support_projection(np.array(m))
+        assert str(info.value) == text
+        assert info.value.member is None
 
     def test_commutes_and_reproduces(self):
         for _ in range(20):
@@ -84,36 +97,36 @@ class TestPartialTrace:
     def test_factorized(self):
         a, b = rand_c(2, 2), rand_c(3, 3)
         m = np.kron(a, b)
-        out = linalg.partial_trace(m, [2, 3], keep=[0])
+        out = partial_trace(m, [2, 3], keep=[0])
         assert np.allclose(out, np.trace(b) * a)
 
     def test_keep_all(self):
         m = rand_c(6, 6)
-        assert np.allclose(linalg.partial_trace(m, [2, 3], keep=[0, 1]), m)
+        assert np.allclose(partial_trace(m, [2, 3], keep=[0, 1]), m)
 
     def test_maximally_entangled_marginal(self):
         omega = np.zeros(4, dtype=complex)
         omega[0] = omega[3] = 1.0
         m = np.outer(omega, omega.conj())
-        out = linalg.partial_trace(m, [2, 2], keep=[0])
+        out = partial_trace(m, [2, 2], keep=[0])
         assert np.allclose(out, np.eye(2))
 
     def test_composition(self):
         m = rand_c(12, 12)
-        once = linalg.partial_trace(m, [2, 3, 2], keep=[0, 2])
-        twice = linalg.partial_trace(once, [2, 2], keep=[1])
-        direct = linalg.partial_trace(m, [2, 3, 2], keep=[2])
+        once = partial_trace(m, [2, 3, 2], keep=[0, 2])
+        twice = partial_trace(once, [2, 2], keep=[1])
+        direct = partial_trace(m, [2, 3, 2], keep=[2])
         assert np.allclose(twice, direct)
 
     def test_full_trace_with_unit_weights(self):
         m = rand_c(6, 6)
-        out = linalg.partial_trace(m, [2, 3], keep=[])
+        out = partial_trace(m, [2, 3], keep=[])
         assert np.allclose(out[0, 0], np.trace(m))
 
     def test_weights(self):
         a, b = rand_c(2, 2), rand_c(3, 3)
         m = np.kron(a, b)
-        out = linalg.partial_trace(m, [2, 3], keep=[0], weights=[2.5])
+        out = partial_trace(m, [2, 3], keep=[0], weights=[2.5])
         assert np.allclose(out, 2.5 * np.trace(b) * a)
 
 
@@ -136,14 +149,14 @@ class TestVec:
 
 class TestPsdFactor:
     def test_diagonal(self):
-        r = linalg.psd_factor(np.diag([4.0, 0.0]))
+        r = psd_factor(np.diag([4.0, 0.0]))
         assert r.shape == (1, 2)
         assert np.allclose(r.conj().T @ r, np.diag([4.0, 0.0]))
 
     def test_projection_factor_isometric(self):
         v = np.array([1.0, 1.0]) / np.sqrt(2)
         p = np.outer(v, v)
-        r = linalg.psd_factor(p)
+        r = psd_factor(p)
         assert np.allclose(r.conj().T @ r, p)
         assert np.allclose(r @ r.conj().T, np.eye(1))
 
@@ -151,12 +164,12 @@ class TestPsdFactor:
         for _ in range(20):
             a = rand_c(4, 4)
             m = a @ a.conj().T
-            r = linalg.psd_factor(m)
+            r = psd_factor(m)
             assert np.linalg.norm(r.conj().T @ r - m) < 1e-9 * np.linalg.norm(m)
 
     def test_negative_raises(self):
         with pytest.raises(NegativeSpectrum):
-            linalg.psd_factor(np.diag([1.0, -2.0]))
+            psd_factor(np.diag([1.0, -2.0]))
 
 
 def test_adjoint_image_involutive():
@@ -219,6 +232,11 @@ class TestFrobs:
         stack = np.stack([rand_c(3, 3) for _ in range(5)])
         assert np.array_equal(linalg.frobs(stack), [linalg.frob(m) for m in stack])
         assert linalg.frobs([]).shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (0, 1, 1), (0, 3, 0)])
+    def test_empty_stack(self, shape):
+        got = linalg.frobs(np.zeros(shape, dtype=complex))
+        assert got.shape == (0,)
 
     @pytest.mark.parametrize("entries", [
         [0.0, -0.0, 0j, complex(0.0, -0.0)],

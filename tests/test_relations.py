@@ -50,6 +50,16 @@ class TestSupportOf:
         again = relations.support_of(relations.relation_as_cp(r))
         assert relations.relations_equal(again, r)
 
+    def test_all_zero_class_of_choi_born_morphism(self):
+        """A class of two n = 4 Choi blocks, both zero: the support and the
+        confusability graph are the zero relation, exactly."""
+        src, tgt = systems.system((2, 2)), systems.system((2,))
+        f = cpmaps.CpMorphism(src, tgt, {(0, 0): np.zeros((4, 4)), (1, 0): np.zeros((4, 4))})
+        rel = relations.support_of(f)
+        assert relations.relation_defect(rel, relations.zero_relation(src, tgt)) == 0.0
+        conf = graphs.confusability_of(f).relation
+        assert relations.relation_defect(conf, relations.zero_relation(src)) == 0.0
+
 
 class TestMapBornSupport:
     """support_of of a morphism born from Kraus maps spans the held vec(M†)

@@ -32,7 +32,8 @@ instead of diagonalizing Choi blocks:
     keeps the minimal to_kraus family of its own block instead, so families
     do not grow along chains of compositions.
 
-The held family need not be minimal or canonical; to_kraus always is.
+The held family need not be minimal or canonical; to_kraus always is: one
+map per eigenpair that linalg.spectral_cut keeps, at every block size.
 
 The self-checks read the blocks, not the φ-basis pushed through apply: the
 Choi marginal (is_channel) or its reshape into basis images (basis_images).
@@ -160,27 +161,27 @@ def _held(kraus: dict, keys):
 def _block_kraus(keys, stack: np.ndarray, d: int, e: int) -> dict:
     """Minimal Kraus maps of a stack of Choi blocks of the factor pairs
     ``keys``, all d e x d e: one map per eigenpair that linalg.spectral_cut,
-    the cut of support_projection, keeps.  A block whose cut is negative
-    raises NegativeSpectrum; 1x1 blocks get _root_kraus's maps.  Each pair
-    gets a tuple of read-only, C-contiguous e x d maps, all rows of one
-    stack."""
+    the cut of support_projection, keeps (a 1x1 block c: √c iff Re c > 0).
+    A block whose cut is negative raises NegativeSpectrum.  Each pair gets
+    a tuple of read-only, C-contiguous e x d maps, all rows of one stack."""
     cut = linalg.spectral_cut(stack)
     if cut.neg.any():
-        s = int(np.argmax(cut.neg))
+        s = int(cut.neg.argmax())
         raise NegativeSpectrum(f"block {keys[cut.live[s]]} has eigenvalue {cut.w[s, -1]:.3e}")
-    if d * e == 1:
-        return _root_kraus(keys, stack)
     out = dict.fromkeys(keys, ())
-    if not cut.live.size:
-        return out
-    r = int(cut.rank.max())
+    r = int(cut.rank.max(initial=0))
     # Map k is unvec(√w_k v_k)† = conj(√w_k v_k) read row-major as e x d.
     roots = np.sqrt(np.maximum(cut.w[:, None, :r], 0.0))
     maps = np.ascontiguousarray((roots * cut.v[:, :, :r]).conj().swapaxes(1, 2))
     maps.setflags(write=False)
     flat = list(maps.reshape(-1, e, d))
-    for s, (member, rank) in enumerate(zip(cut.live.tolist(), cut.rank.tolist())):
-        out[keys[member]] = tuple(flat[s * r:s * r + rank])
+    live = [keys[s] for s in cut.live.tolist()]
+    if (cut.rank == r).all():
+        # Consecutive runs of r maps: the maps of each pair.
+        out.update(zip(live, zip(*[iter(flat)] * r)))
+    else:
+        for s, (key, rank) in enumerate(zip(live, cut.rank.tolist())):
+            out[key] = tuple(flat[s * r:s * r + rank])
     return out
 
 
@@ -252,21 +253,6 @@ def _from_stacks(src: System, tgt: System, lay, stacks) -> CpMorphism:
     f._kraus = _held(held, lay.keys)
     f.kraus_vecs = tuple(vecs)
     return f
-
-
-def _root_kraus(keys, stack: np.ndarray) -> dict:
-    """Minimal Kraus maps of 1x1 blocks c that are not negative: the one
-    map √c of each block with nonzero norm and positive real part, bitwise
-    what the 1x1 eigh gives (eigenvalue Re c, eigenvector 1); the other
-    pairs hold none."""
-    out = dict.fromkeys(keys, ())
-    w = linalg.hermitize(stack).real.reshape(-1)
-    live = np.flatnonzero((linalg.frobs(stack) != 0.0) & (w > 0.0))
-    # (√w · 1)† as the eigh maps are formed: imaginary part -0.
-    maps = np.sqrt(w[live]).astype(complex).conj().reshape(-1, 1, 1)
-    maps.setflags(write=False)
-    out.update(zip([keys[s] for s in live.tolist()], zip(maps)))
-    return out
 
 
 def to_kraus(f: CpMorphism) -> dict:

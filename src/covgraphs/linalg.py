@@ -172,13 +172,13 @@ def canonical_eigh(m: np.ndarray):
     k, n = w.shape
     at = np.arange(k)[:, None]
     cols = np.arange(n)
-    order = np.argsort(-w, axis=1, kind="stable")
+    order = (-w).argsort(axis=1, kind="stable")
     w = w[at, order]
     # v[at, :, order] holds column order[s, j] of member s as its row j: a
     # two-index gather and a copy back, cheaper than a three-index gather.
     v = np.ascontiguousarray(v[at, :, order].swapaxes(1, 2))
     big = np.abs(v) > TOL_ROUNDOFF
-    first = np.argmax(big, axis=1)
+    first = big.argmax(axis=1)
     lead, has = v[at, first, cols], big[at, first, cols]
     # hypot, not np.abs: it rounds like the scalar abs of one entry, so the
     # phases are bit-identical to fixing one column at a time.
@@ -253,64 +253,20 @@ def support_projection(m: np.ndarray, frames: bool = False):
     block store holds it (complex and finite, not scanned again), and returns
     the projections in the same form, each bitwise the one of its own call.
     Either is cut by spectral_cut, a matrix as a one-member stack, and
-    projected with one product V V† per retained rank; 1x1 members use the
-    closed form.  A member that is not Hermitian or has a negative
-    eigenvalue raises; on a stack, the first such member in stack order,
-    and its message and ``member`` name its position.
+    projected by Frames.projections.  A member that is not Hermitian or has
+    a negative eigenvalue raises; on a stack, the first such member in
+    stack order, and its message and ``member`` name its position.
 
     With frames=True it also returns the kept eigenvectors V: the (n, r)
     columns of a matrix, or the Frames of a stack, for a caller that keeps
     both, as the supports of Choi blocks and confusability graphs do.
     """
-    if np.ndim(m) == 2:
-        proj, fr = _support_stack(as_complex(m)[None], one=True)
-        return (proj[0], fr.member(0)) if frames else proj[0]
-    proj, fr = _support_stack(m)
-    return (proj, fr) if frames else proj
-
-
-class Cut(NamedTuple):
-    """The TOL_SPEC cut of a (k, n, n) stack of Hermitian PSD blocks, read on
-    its nonzero members: their positions (live), the members (blocks), their
-    Frobenius norms (scale) and canonical_eigh eigenpairs (w, v), how many
-    eigenpairs each keeps (rank: a prefix, those above TOL_SPEC times the top
-    eigenvalue) and whether its least eigenvalue is below -TOL_SPEC times its
-    top or norm (neg).  A 1x1 member is cut in closed form: w is its real
-    part, kept when above TOL_SPEC times its norm, and v is None, as when no
-    member is nonzero."""
-
-    live: np.ndarray
-    blocks: np.ndarray
-    scale: np.ndarray
-    w: np.ndarray
-    v: np.ndarray | None
-    rank: np.ndarray
-    neg: np.ndarray
-
-
-def spectral_cut(s: np.ndarray) -> Cut:
-    """The Cut of a (k, n, n) stack, as the block store holds it."""
-    scale = frobs(s)
-    live = np.flatnonzero(scale)
-    if live.size < len(s):
-        s, scale = s[live], scale[live]
-    if s.shape[-1] == 1 or not live.size:
-        w, v = s[:, :, 0].real, None
-        rank = (w[:, 0] > TOL_SPEC * scale).astype(int)
-    else:
-        w, v = canonical_eigh(s)
-        rank = np.sum(w > TOL_SPEC * w[:, :1], axis=1)
-    neg = w[:, -1] < -TOL_SPEC * np.maximum(w[:, 0], scale)
-    return Cut(live, s, scale, w, v, rank, neg)
-
-
-def _support_stack(s: np.ndarray, one: bool = False):
-    """support_projection of a stack: (projections, Frames).  With ``one``
-    (a matrix as a one-member stack) an error names no member."""
+    one = np.ndim(m) == 2
+    s = as_complex(m)[None] if one else m
     cut = spectral_cut(s)
     defect = frobs(cut.blocks - cut.blocks.conj().swapaxes(1, 2))
     skew = ~(defect <= TOL_SPEC * np.maximum(1.0, cut.scale))
-    bad = np.flatnonzero(skew | cut.neg)
+    bad = (skew | cut.neg).nonzero()[0]
     if bad.size:
         b = int(bad[0])
         member = None if one else int(cut.live[b])
@@ -319,7 +275,42 @@ def _support_stack(s: np.ndarray, one: bool = False):
             raise _member_error(NotHermitian, f"{at}: defect {defect[b]:.3e}", member)
         raise _member_error(NegativeSpectrum, f"{at}: min eigenvalue {cut.w[b, -1]:.3e}", member)
     fr = Frames.prefix(len(s), s.shape[-1], cut.live, cut.rank, cut.v)
-    return fr.projections(), fr
+    proj = fr.projections()
+    if one:
+        proj, fr = proj[0], fr.member(0)
+    return (proj, fr) if frames else proj
+
+
+class Cut(NamedTuple):
+    """The TOL_SPEC cut of a (k, n, n) stack of Hermitian PSD blocks, read on
+    its nonzero members: their positions (live), the members (blocks), their
+    Frobenius norms (scale) and eigenpairs (w, v) in canonical_eigh's order
+    and phases, how many eigenpairs each keeps (rank: a prefix, those above
+    TOL_SPEC times the top eigenvalue) and whether its least eigenvalue is
+    below -TOL_SPEC times its top or norm (neg).  A 1x1 member c has the
+    eigenpair (Re c, [[1]]), so it keeps [[1]] iff Re c > 0."""
+
+    live: np.ndarray
+    blocks: np.ndarray
+    scale: np.ndarray
+    w: np.ndarray
+    v: np.ndarray
+    rank: np.ndarray
+    neg: np.ndarray
+
+
+def spectral_cut(s: np.ndarray) -> Cut:
+    """The Cut of a (k, n, n) stack, as the block store holds it: the one
+    eigen-cut of the library, one batched eigh of the nonzero members (1x1
+    members with no eigh)."""
+    scale = frobs(s)
+    live = scale.nonzero()[0]
+    if live.size < len(s):
+        s, scale = s[live], scale[live]
+    w, v = (s[:, :, 0].real, np.ones_like(s)) if s.shape[-1] == 1 else canonical_eigh(s)
+    rank = np.add.reduce(w > TOL_SPEC * w[:, :1], 1)
+    neg = w[:, -1] < -TOL_SPEC * np.maximum(w[:, 0], scale)
+    return Cut(live, s, scale, w, v, rank, neg)
 
 
 def orthonormal_span(vectors, dim: int | None = None, tol: float = TOL_SPEC,
@@ -368,18 +359,10 @@ def span_frames(a: np.ndarray, tol: float = TOL_SPEC, floor: float = 0.0) -> Fra
 
 def projection_frames(p: np.ndarray) -> Frames:
     """Frames of a (k, n, n) stack of orthogonal projections: per member the
-    eigenvectors of eigenvalue above 1/2, in canonical_eigh's order and
-    phases, from one batched eigh of the nonzero members (1x1 members in
-    closed form)."""
-    k, n = p.shape[0], p.shape[-1]
-    if n == 1:
-        return Frames.prefix(k, n, np.arange(k), (p[:, 0, 0].real > 0.5).astype(int), None)
-    live = np.flatnonzero(frobs(p))
-    if not live.size:
-        return Frames.merged(k, n, [])
-    w, v = canonical_eigh(p[live])
-    # Eigenvalues descend, so the kept ones are a prefix.
-    return Frames.prefix(k, n, live, np.sum(w > 0.5, axis=1), v)
+    eigenvectors of its spectral_cut with eigenvalue above 1/2, in
+    canonical_eigh's order and phases."""
+    cut = spectral_cut(p)
+    return Frames.prefix(len(p), p.shape[-1], cut.live, np.add.reduce(cut.w > 0.5, 1), cut.v)
 
 
 def projection_defects(mats) -> np.ndarray:

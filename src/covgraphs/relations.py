@@ -48,7 +48,6 @@ from .errors import (
     CharacterizationMismatch,
     NegativeSpectrum,
     NoChannel,
-    NotHermitian,
     ShapeMismatch,
     SystemMismatch,
 )
@@ -160,8 +159,9 @@ def support_of(f: CpMorphism) -> QuantumRelation:
     of V: one thin SVD per class and map count, cut at TOL_SPEC_SV (the
     eigenvalue cut TOL_SPEC on V V†), whose left singular vectors are the
     frames.  For a morphism born as Choi blocks, one batched support kernel
-    per class, whose kept eigenvectors are the frames; a block that is not
-    Hermitian PSD raises, naming its factor pair, and raises again on every
+    per class on the Hermitian parts of the blocks, whose kept eigenvectors
+    are the frames; a block with a negative eigenvalue raises
+    NegativeSpectrum, naming its factor pair, and raises again on every
     later call.
 
     Computed once per morphism: the relation is kept on f and every later
@@ -177,7 +177,7 @@ def _support_of_blocks(f: CpMorphism) -> QuantumRelation:
     for klass, stack in f.blocks.classes():
         try:
             parts.append(linalg.support_projection(linalg.hermitize(stack), frames=True))
-        except (NotHermitian, NegativeSpectrum) as exc:
+        except NegativeSpectrum as exc:
             raise type(exc)(f"Choi block {klass.keys[exc.member]}: {exc}") from None
     blocks, frames = zip(*parts)
     return QuantumRelation.stacked(f.source, f.target, frames, blocks)

@@ -360,18 +360,12 @@ def source_from_graph(g: QuantumGraph) -> Source:
     ob = system((nz,), _conjugation_action(oa, extra=1))
     ts = tensor_system(oa, ob)
 
-    # Complement projection blocks, rebuilt rank-exactly from eigenvectors so
-    # that a numerically-full graph block yields an exactly-zero complement:
-    # one batched eigh of the graph blocks per class, whose eigenvectors of
-    # eigenvalue below 1/2 (a suffix, as eigenvalues descend) span I − P.
-    parts = []
-    for klass, stack in g.relation.blocks.classes():
-        w, v = linalg.canonical_eigh(stack)
-        k = len(klass.keys)
-        comp = linalg.Frames.prefix(k, klass.n, np.arange(k), np.sum(w < 0.5, axis=1),
-                                    v[:, :, ::-1])
-        parts.append((klass, comp.projections()))
-    pperp = BlockStore.stacked(oa, oa, parts)
+    # Complement projection blocks, rebuilt rank-exactly from the frames of
+    # I − P, so that a numerically-full graph block yields an exactly-zero
+    # complement.
+    pperp = BlockStore.stacked(oa, oa, [
+        (klass, linalg.projection_frames(np.eye(klass.n) - stack).projections())
+        for klass, stack in g.relation.blocks.classes()])
 
     kraus = {(u, ts.pair_index(a, 0)): [] for u in range(2) for a in range(oa.nfactors)}
     raw = _dilation_components(oa, pperp, nz)

@@ -208,15 +208,19 @@ class TestStackedKernels:
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_projection_frames_match_per_matrix(self, n):
-        st = linalg.support_projection(_psd_stack(24, n))
-        fr = linalg.projection_frames(st)
-        for s, p in enumerate(st):
-            if n == 1:
-                ref = np.ones((1, int(p[0, 0].real > 0.5)))
-            else:
-                w, v = linalg.canonical_eigh(p)
-                ref = v[:, w > 0.5]
-            assert np.array_equal(fr.member(s), ref), s
+        mixed = linalg.support_projection(_psd_stack(24, n))
+        holes = mixed.copy()
+        holes[1::3] = 0.0  # all-zero members between live ones
+        for case, st in (("mixed", mixed), ("holes", holes), ("zero", np.zeros((5, n, n), complex))):
+            fr = linalg.projection_frames(st)
+            assert fr.ranks.shape == (len(st),), case
+            for s, p in enumerate(st):
+                if n == 1:
+                    ref = np.ones((1, int(p[0, 0].real > 0.5)))
+                else:
+                    w, v = linalg.canonical_eigh(p)
+                    ref = v[:, w > 0.5]
+                assert np.array_equal(fr.member(s), ref), (case, s)
 
     @pytest.mark.parametrize("d,e", [(1, 1), (1, 3), (2, 3), (3, 2), (2, 2)])
     def test_adjoint_image_and_trace_outer_match_per_matrix(self, d, e):
@@ -785,9 +789,20 @@ def test_one_eigh_call_site():
 
 
 def test_cpmaps_calls_no_eigh():
-    """cpmaps reads its eigenpairs from linalg.spectral_cut."""
-    path = pathlib.Path(covgraphs.__file__).parent / "cpmaps.py"
-    assert not [at for name, at in _called_names(path) if name in ("eigh", "canonical_eigh")]
+    """No module but linalg calls an eigh: cpmaps, relations and scc read
+    their eigenpairs from linalg.spectral_cut.  Within linalg, only
+    spectral_cut, psd_sqrt and inv_sqrt_psd call canonical_eigh, besides
+    its own stack recursion."""
+    src = pathlib.Path(covgraphs.__file__).parent
+    assert not [at for path in sorted(src.glob("*.py")) if path.name != "linalg.py"
+                for name, at in _called_names(path) if name in ("eigh", "canonical_eigh")]
+    tree = ast.parse((src / "linalg.py").read_text())
+    callers = {
+        fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn) if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "canonical_eigh"
+    }
+    assert callers == {"canonical_eigh", "spectral_cut", "psd_sqrt", "inv_sqrt_psd"}, callers
 
 
 def _spy_gram(monkeypatch) -> list:
@@ -939,7 +954,7 @@ class TestLazyKrausBlocks:
         stack = (vals + 1j * np.where(np.arange(vals.size) % 3 == 0, 1e-20, 0.0)).reshape(-1, 1, 1)
         stack[-1, 0, 0] = 1e-30j  # zero real part, nonzero norm
         keys = [(s, 0) for s in range(len(stack))]
-        got = cpmaps._root_kraus(keys, stack)
+        got = cpmaps._block_kraus(keys, stack, 1, 1)
         ref = loop_block_kraus(keys, stack, 1, 1)
         assert list(got) == keys
         for key in keys:

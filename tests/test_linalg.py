@@ -223,6 +223,28 @@ class TestCanonicalEigh:
         self.assert_bitwise(np.zeros((n, n)))
 
 
+def test_spectral_cut_one_rule_for_every_size():
+    """Every member keeps its eigenpairs above TOL_SPEC times its top
+    eigenvalue, and every live member has eigenvectors: a 1x1 member c
+    has (Re c, [[1]]), so it keeps [[1]] iff Re c > 0, whatever its
+    imaginary part."""
+    real = np.concatenate([10.0 ** -np.arange(14), [0.0, -1e-12]])
+    c = (real + 1e-2j * (np.arange(real.size) % 2)).reshape(-1, 1, 1)
+    cut = linalg.spectral_cut(np.concatenate([c, np.zeros((2, 1, 1))]))
+    assert np.array_equal(cut.live, np.flatnonzero(np.abs(c[:, 0, 0])))
+    assert all(v.tobytes() == np.ones((1, 1), complex).tobytes() for v in cut.v)
+    w = c[cut.live, 0, 0].real
+    assert np.array_equal(cut.w[:, 0], w)
+    assert np.array_equal(cut.rank, (w > linalg.TOL_SPEC * w).astype(int))
+    a = rand_c(3, 2)
+    st = np.array([a @ a.conj().T, np.diag([1.0, 1e-10, 0.0]), np.eye(3)])
+    cut = linalg.spectral_cut(st)
+    for s, m in enumerate(st):
+        w, v = linalg.canonical_eigh(m)
+        assert np.array_equal(cut.w[s], w) and np.array_equal(cut.v[s], v), s
+        assert cut.rank[s] == np.sum(w > linalg.TOL_SPEC * w[0]), s
+
+
 class TestFrobs:
     def test_equal_to_frob_per_block_in_input_order(self):
         shapes = [(1, 1), (2, 2), (4, 4), (1, 1), (2, 2), (2, 3), (6, 6), (4, 4)]

@@ -60,6 +60,19 @@ class TestSupportOf:
         conf = graphs.confusability_of(f).relation
         assert relations.relation_defect(conf, relations.zero_relation(src)) == 0.0
 
+    def test_skewed_choi_block_is_cut_by_its_hermitian_part(self):
+        """support_of cuts the Hermitian part of an unvalidated Choi block:
+        a lone 0.5j entry (skew norm 0.71) raises nothing, and the support
+        is that of the Hermitian part."""
+        sys = systems.system((2,))
+        blk = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
+        blk[0, 1] = 0.5j
+        rel = relations.support_of(cpmaps.CpMorphism(sys, sys, {(0, 0): blk}, validate=False))
+        ref = relations.support_of(cpmaps.CpMorphism(sys, sys, {(0, 0): linalg.hermitize(blk)}))
+        assert rel.rank(0, 0) == 2
+        assert np.array_equal(rel.block(0, 0), ref.block(0, 0))
+        assert np.array_equal(rel.frame(0, 0), ref.frame(0, 0))
+
 
 class TestMapBornSupport:
     """support_of of a morphism born from Kraus maps spans the held vec(M†)

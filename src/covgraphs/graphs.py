@@ -98,25 +98,13 @@ def graphs_equal(a: QuantumGraph, b: QuantumGraph, tol: float = TOL_PROJ) -> boo
 
 
 def confusability_of(f: CpMorphism) -> QuantumGraph:
-    """Underlying relation of f† ∘ f, computed as ℜ(f)† ∘ ℜ(f).  Computed
-    once per morphism: the graph is kept on f and every later call returns
-    that same object."""
+    """Underlying relation of f† ∘ f: ℜ(f)† ∘ ℜ(f) as compose spans it,
+    symmetric by construction up to round-off.  Computed once per morphism:
+    the graph is kept on f and every later call returns that same object."""
     if f._confusability is None:
-        f._confusability = _confusability(f)
+        rf = support_of(f)
+        f._confusability = QuantumGraph(f.source, rel_compose(converse(rf), rf), validate=False)
     return f._confusability
-
-
-def _confusability(f: CpMorphism) -> QuantumGraph:
-    rf = support_of(f)
-    rel = rel_compose(converse(rf), rf)
-    # Symmetrize against numerical drift; the result is symmetric by theorem.
-    # Block (i, j) of the converse is the adjoint image of block (j, i).
-    blocks, frames = zip(*(
-        linalg.support_projection(linalg.hermitize((a + b) / 2), frames=True)
-        for (_, a), (_, b) in zip(rel.blocks.classes(), converse(rel).blocks.classes())
-    ))
-    return QuantumGraph(f.source, QuantumRelation.stacked(f.source, f.source, frames, blocks),
-                        validate=False)
 
 
 def _graph_as_cp(g: QuantumGraph, tau: float) -> CpMorphism:

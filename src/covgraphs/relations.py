@@ -10,13 +10,14 @@ vectorized operators a_r whose span the block projects onto.
 Frames come from the kernel that made the block.  support_of keeps the
 left singular vectors of the held vec(M†) stack of a morphism born from
 Kraus maps, and the eigenvectors of the support cut of one born as Choi
-blocks; confusability keeps the eigenvectors of its support cut, compose
-the left singular vectors of its span; converse maps each frame by a -> a†,
-and discrete and complete have closed forms.  Where the kernel holds only
-frames, the relation forms the projections of a class from them on the
-first read of that class (QuantumRelation.stacked).  A relation given as
-plain projections takes its frames on first read, by one batched eigh per
-class.
+blocks; compose keeps the left singular vectors of its span, and so does
+the confusability graph, which is ℜ(f)† ∘ ℜ(f) as compose spans it,
+symmetric by construction up to round-off; converse maps each frame by
+a -> a†, and discrete and complete have closed forms.  Where the kernel
+holds only frames, the relation forms the projections of a class from them
+on the first read of that class (QuantumRelation.stacked).  A relation
+given as plain projections takes its frames on first read, by one batched
+eigh per class.
 
 Composition is the span of the operator products over the middle factors.
 A relation lays out the frame operators of each class once, when a compose

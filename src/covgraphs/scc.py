@@ -59,7 +59,6 @@ from .graphs import (
     complement,
     confusability_of,
     discrete_graph,
-    graphs_equal,
     is_homomorphism,
     is_reversible,
 )
@@ -160,7 +159,7 @@ class Source:
             raise SourceInvalid("source channel must map S to the O_A ⊗ O_B product")
         if not is_channel(channel, tol):
             raise SourceInvalid("source map is not a channel")
-        if not graphs_equal(confusability_of(channel), discrete_graph(s_system), tol):
+        if not is_reversible(channel, tol):
             raise SourceInvalid("source channel is not reversible")
         self.channel = channel
         self._graphs = {}  # tol -> source confusability graph

@@ -384,6 +384,57 @@ def quantum_source(rng, ds, da, db):
     return scc.Source(s_sys, oa, ob, chan)
 
 
+# -- oracles that share no cut code with the library ---------------------
+
+def _oracle_kraus(f):
+    """Pair (i, j) -> Kraus maps of f: the held maps of a morphism born from
+    Kraus maps, else M† = unvec(√w_k v_k) for the eigenpairs of a plain
+    np.linalg.eigh of block (i, j).  Eigenvalues at or below 1e-12 of the
+    block's largest are the round-off of a rank-deficient block."""
+    if f.kraus_vecs is not None:
+        return dict(f.kraus())
+    maps = {}
+    for (i, j), blk in f.blocks.items():
+        d, e = f.source.dims[i], f.target.dims[j]
+        w, v = np.linalg.eigh(blk)
+        kept = np.flatnonzero(w > 1e-12 * max(w[-1], 0.0))
+        maps[(i, j)] = [linalg.unvec(np.sqrt(w[k]) * v[:, k], d, e).conj().T for k in kept]
+    return maps
+
+
+def kl_reversible(f) -> bool:
+    """Knill–Laflamme: a channel on ⊕ M_{d_i} is reversible iff for every
+    target factor j and Kraus maps K_a on (i, j), K_b on (i′, j), K_a†K_b is
+    0 when i ≠ i′ and a multiple of I when i = i′, each within
+    1e-8·max(1, ‖K_a‖‖K_b‖)."""
+    by_target = {}
+    for (i, j), maps in _oracle_kraus(f).items():
+        by_target.setdefault(j, []).extend((i, k) for k in maps)
+    for maps in by_target.values():
+        for i, ka in maps:
+            for ip, kb in maps:
+                x = ka.conj().T @ kb
+                if i == ip:
+                    x = x - (np.trace(x) / x.shape[0]) * np.eye(x.shape[0])
+                scale = max(1.0, np.linalg.norm(ka) * np.linalg.norm(kb))
+                if np.linalg.norm(x) > 1e-8 * scale:
+                    return False
+    return True
+
+
+def assert_graph_symmetric(g):
+    """The confusability graph is its own converse: equal ranks at (i, j)
+    and (j, i), converse defect at most 1e-12, and the validating
+    constructor accepts it."""
+    rel = g.relation
+    n = g.system.nfactors
+    for i in range(n):
+        for j in range(i):
+            assert rel.rank(i, j) == rel.rank(j, i), (i, j)
+    assert relations.relation_defect(rel, relations.converse(rel)) <= 1e-12
+    graphs.QuantumGraph(g.system, rel, validate=True)
+
+
 # -- probe references for the closed-form self-checks --------------------
 # The library reads these defects off Choi blocks and one product table; the
 # loops below push φ-basis elements through apply, multiply and inner one at
@@ -679,16 +730,11 @@ def loop_rel_compose(q_frames, p_frames, src_dims, mid_dims, tgt_dims):
 
 
 def loop_confusability(f):
-    """ℜ(f)† ∘ ℜ(f) symmetrized and supported block by block."""
+    """ℜ(f)† ∘ ℜ(f) block by block, as compose spans it."""
     rf_frames = loop_support_frames(f)
     cv_frames = loop_converse_frames(rf_frames, f.source.dims, f.target.dims)
-    rel, _ = loop_rel_compose(cv_frames, rf_frames, f.source.dims, f.target.dims, f.source.dims)
-    blocks = {}
-    for (i, j), blk in rel.items():
-        d, e = f.source.dims[i], f.source.dims[j]
-        other = linalg.adjoint_image(rel[(j, i)], e, d)
-        blocks[(i, j)] = linalg.support_projection(linalg.hermitize((blk + other) / 2))
-    return blocks
+    return loop_rel_compose(cv_frames, rf_frames, f.source.dims, f.target.dims,
+                            f.source.dims)[0]
 
 
 def loop_extract_channel(f):

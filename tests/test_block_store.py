@@ -26,6 +26,7 @@ from covgraphs.errors import (
 )
 
 from genutil import (
+    assert_graph_symmetric,
     choi_born,
     kron_tensor_unitaries,
     loop_block_kraus,
@@ -162,6 +163,7 @@ def _map_born():
 CHANNELS = _channels()
 REVERSIBLE = _reversible_channels()
 MAP_BORN = _map_born()
+CONFUSABLE = {**CHANNELS, **MAP_BORN, **{f"reversible-{k}": f for k, f in REVERSIBLE.items()}}
 
 
 class TestStackedKernels:
@@ -338,6 +340,10 @@ class TestBatchedConstructions:
         for got, ref in zip(cpmaps.choi_marginal(f), loop_choi_marginal(f), strict=True):
             assert np.array_equal(got, ref)
 
+    @pytest.mark.parametrize("name", CONFUSABLE)
+    def test_confusability_is_symmetric_by_construction(self, name):
+        assert_graph_symmetric(graphs.confusability_of(CONFUSABLE[name]))
+
     @pytest.mark.parametrize("name", REVERSIBLE)
     def test_reverse_matches_loop(self, name):
         f = REVERSIBLE[name]
@@ -411,14 +417,14 @@ def test_is_reversible_support_projections_do_not_grow_with_n(monkeypatch):
         calls.clear()
         assert graphs.is_reversible(embed_channel(_injective_stochastic(n, n)))
         counts.append(len(calls))
-    assert counts[0] == counts[1] <= 4
+    assert counts == [1, 1]
 
 
 @pytest.mark.parametrize("name", CHANNELS)
-def test_confusability_eighs_are_the_two_support_cuts(name, monkeypatch):
-    # One eigh per class of f's Choi blocks and one per class of the
-    # symmetrized graph (none for 1x1 classes), and none to recover a basis
-    # of a projection the supports already held.
+def test_confusability_eighs_are_the_choi_support_cuts(name, monkeypatch):
+    # One eigh per class of f's Choi blocks (none for 1x1 classes) and none
+    # for the graph: compose's frames span it, and no cut recovers a basis of
+    # a projection the supports already held.
     f = choi_born(CHANNELS[name])
     calls = []
     eigh = np.linalg.eigh
@@ -429,11 +435,7 @@ def test_confusability_eighs_are_the_two_support_cuts(name, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     graphs.confusability_of(f)
-
-    def big(src, tgt):
-        return sum(klass.n > 1 for klass in systems.layout(src.dims, tgt.dims).classes)
-
-    assert len(calls) == big(f.source, f.target) + big(f.source, f.source)
+    assert len(calls) == sum(klass.n > 1 for klass in f.blocks.layout.classes)
 
 
 def test_frames_are_orthonormal_and_span_their_blocks():
@@ -786,6 +788,15 @@ def test_one_eigh_call_site():
     sites = [at for path in sorted(src.glob("*.py"))
              for name, at in _called_names(path) if name == "eigh"]
     assert len(sites) == 1 and sites[0].startswith("linalg.py:"), sites
+
+
+def test_graphs_calls_no_cut():
+    """graphs.py calls no support_projection, spectral_cut or
+    projection_frames: a graph the library makes is cut only by the kernel
+    that made it."""
+    path = pathlib.Path(covgraphs.__file__).parent / "graphs.py"
+    cuts = ("support_projection", "spectral_cut", "projection_frames")
+    assert not [at for name, at in _called_names(path) if name in cuts]
 
 
 def test_cpmaps_calls_no_eigh():

@@ -367,7 +367,8 @@ class TestCli:
             assert cli.main(["scc-verify", demo_bundle] + argv) == code
             assert calls["source_confusability_graph"] == 1, argv
             assert calls["_composite"] == 1, argv
-            assert calls["is_reversible"] <= 1, argv
+            # One for the source channel's gate, one for the composite.
+            assert calls["is_reversible"] == 2, argv
         assert "scheme: invalid (encoder is not a homomorphism)" in capsys.readouterr().out
 
     def test_parser_built_once_and_commands_looked_up_per_call(self, demo_bundle, monkeypatch):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cpmaps import CpMorphism, from_kraus
+from .cpmaps import CpMorphism, _from_stacks, from_kraus
 from .errors import DimensionMismatch, ShapeMismatch
 from .graphs import QuantumGraph, graph_from_blocks
 from .linalg import TOL_ROUNDOFF
@@ -39,8 +39,9 @@ def embed_channel(p, src: System | None = None, tgt: System | None = None) -> Cp
     """Column-stochastic matrix as a channel between commutative systems.
 
     Pair (i, j) holds the one Kraus map [[sqrt(p_ji)]] when p_ji > 0, so its
-    1x1 Choi block is sqrt(p_ji)².  Between classical systems of the matrix's
-    sizes the one (1, 1) class and the held maps are built as stacks; other
+    1x1 Choi block is sqrt(p_ji)².  The channel is born from these maps, so
+    no block is formed until read: between classical systems of the
+    matrix's sizes they go to cpmaps._from_stacks as one (1, 1) stack; other
     systems go through from_kraus, which checks the map shapes."""
     p = check_stochastic(p)
     n, m = p.shape
@@ -48,15 +49,11 @@ def embed_channel(p, src: System | None = None, tgt: System | None = None) -> Cp
     tgt = tgt if tgt is not None else classical_system(n)
     ins, outs = np.nonzero(p.T > 0)
     roots = np.sqrt(p[outs, ins])
-    keys = list(zip(ins.tolist(), outs.tolist()))
     if src.dims != (1,) * m or tgt.dims != (1,) * n:
+        keys = zip(ins.tolist(), outs.tolist())
         return from_kraus({key: [np.array([[r]])] for key, r in zip(keys, roots)}, src, tgt)
-    (klass,) = layout(src.dims, tgt.dims).classes
-    stack = np.zeros((m * n, 1, 1), dtype=complex)
-    stack[ins * n + outs, 0, 0] = roots * roots
-    maps = roots.astype(complex).reshape(-1, 1, 1)
-    maps.setflags(write=False)
-    return CpMorphism.stacked(src, tgt, [(klass, stack)], dict(zip(keys, zip(list(maps)))))
+    maps = roots.astype(complex).reshape(-1, 1, 1, 1)
+    return _from_stacks(src, tgt, layout(src.dims, tgt.dims), [(0, ins * n + outs, maps)])
 
 
 def extract_channel(f: CpMorphism) -> np.ndarray:

@@ -19,17 +19,19 @@ block mapping.  Next to the blocks a morphism holds a read-only Kraus family
 instead of diagonalizing Choi blocks:
 
   * a morphism born from Kraus maps (from_kraus, which scans and
-    shape-checks them once per class and map count, or compose, tensor
-    products and identity channels) keeps read-only stacks of its maps and
-    their stacks V of vec(M†) (CpMorphism.kraus_vecs).  Its blocks V V† are
-    formed on the first read of their class, so a morphism that is only
-    composed further never forms them; relations.support_of reads a thin
-    SVD of V instead;
+    shape-checks them once per class and map count, compose, tensor
+    products, identity channels and classical.embed_channel) stores its
+    maps once, as read-only stacks per class and map count
+    (CpMorphism.kraus_stacks).  Everything else is derived from them when
+    first read: its blocks V V†, with V the stack of vec(M†), on the first
+    read of their class, so a morphism that is only composed further never
+    forms them; relations.support_of from a thin SVD of V; and its held
+    family on the first call of kraus(), views of the stacks;
   * a morphism born as Choi blocks (bundle "choi" input, dagger, channelize,
     add, twirls, reverse channels) gets the minimal to_kraus family of its
     blocks on first use;
   * a factor pair given more Kraus maps than its block dimension d_i e_j
-    keeps the minimal to_kraus family of its own block instead, so families
+    holds the minimal to_kraus family of its own block instead, so families
     do not grow along chains of compositions.
 
 The held family need not be minimal or canonical; to_kraus always is: one
@@ -72,10 +74,10 @@ from .systems import (
 class CpMorphism:
     """Immutable CP morphism given by source, target and Choi blocks.
 
-    A morphism born from Kraus maps also holds kraus_vecs: per class and map
-    count, (class index, slots of its pairs in the class, read-only
-    (p, d e, count) stack V of the vec(M†) of their maps), so that block
-    (i, j) is V V†.  It is None for a morphism born as Choi blocks.
+    A morphism born from Kraus maps also holds kraus_stacks, the one stored
+    copy of its maps: per class and map count, (class index, slots of its
+    pairs in the class, read-only (p, count, e, d) stack of their maps).  It
+    is None for a morphism born as Choi blocks.
 
     What a morphism derives without a tolerance is computed once and kept
     on it: relations.support_of and graphs.confusability_of store their
@@ -93,7 +95,7 @@ class CpMorphism:
         self.target = target
         self.blocks = block_store(source, target, blocks, "Choi", validate)
         self._kraus = None
-        self.kraus_vecs = None
+        self.kraus_stacks = None
         self._support = None  # relations.support_of
         self._confusability = None  # graphs.confusability_of
         self._norm = None  # norm
@@ -103,15 +105,10 @@ class CpMorphism:
             self._check_psd()
 
     @classmethod
-    def stacked(cls, source: System, target: System, parts, kraus=None) -> "CpMorphism":
+    def stacked(cls, source: System, target: System, parts) -> "CpMorphism":
         """Kernel-born morphism from (class, stack) pairs of the source x target
-        layout (classes not given are zero) and, if given, its held Kraus
-        family: factor pair -> tuple of read-only maps, other pairs holding
-        none."""
-        f = cls(source, target, BlockStore.stacked(source, target, parts), validate=False)
-        if kraus is not None:
-            f._kraus = _held(kraus, f.blocks)
-        return f
+        layout (classes not given are zero)."""
+        return cls(source, target, BlockStore.stacked(source, target, parts), validate=False)
 
     def _check_psd(self):
         """Every block Hermitian and PSD within the validator slack: one
@@ -143,19 +140,13 @@ class CpMorphism:
 
     def kraus(self):
         """Held Kraus family: factor pair (i, j) -> tuple of read-only e_j x d_i
-        maps, at most d_i e_j of them; filled from to_kraus on first use when
-        the morphism was born as Choi blocks."""
+        maps, at most d_i e_j of them, made on the first call: from
+        kraus_stacks (_stacked_kraus) for a morphism born from Kraus maps,
+        else from to_kraus."""
         if self._kraus is None:
-            self._kraus = _held(to_kraus(self), self.blocks)
+            held = to_kraus(self) if self.kraus_stacks is None else _stacked_kraus(self)
+            self._kraus = MappingProxyType(held)
         return self._kraus
-
-
-def _held(kraus: dict, keys):
-    """Read-only view over all keys of a Kraus family of read-only maps;
-    keys missing from it hold no maps."""
-    full = dict.fromkeys(keys, ())
-    full.update(kraus)
-    return MappingProxyType(full)
 
 
 def _block_kraus(keys, stack: np.ndarray, d: int, e: int) -> dict:
@@ -192,9 +183,10 @@ def from_kraus(kraus, src: System, tgt: System) -> CpMorphism:
 
     Either form is grouped by class and map count (systems.located) and
     scanned and shape-checked once per group: the first failing map in
-    input order, or pair outside the layout, raises.  The morphism holds
-    read-only views of the group stacks: copies of a dict's maps, a
-    KeyedStack's maps as they are.
+    input order, or pair outside the layout, raises.  The morphism stores
+    read-only views of the group stacks once, as kraus_stacks: copies of a
+    dict's maps, a KeyedStack's maps as they are.  It forms no Choi block
+    and runs no cut until one is read.
     """
     return _from_maps(kraus, src, tgt, scan=True)
 
@@ -216,43 +208,56 @@ def _from_stacks(src: System, tgt: System, lay, stacks) -> CpMorphism:
     (class index, slots of the pairs in the class, (p, count, e, d) maps)
     triples.
 
-    The morphism keeps the stacks V of vec(M†) as kraus_vecs, and its
-    store forms block (i, j) = V V† on the first read of its class.
-    The held family is read-only views of the stacks; a pair with more maps
-    than d_i e_j holds the minimal family of its block instead, which reads
-    that class's blocks here: one _block_kraus per class.
+    The triples, their maps made read-only, are the one stored copy
+    (kraus_stacks); the store forms block (i, j) = V V† from them on the
+    first read of its class, and kraus() the held family on its first call.
     """
-    over = {}  # class index -> slots with more maps than d_i e_j
-    held = {}
-    vecs = []
+    parts = [[] for _ in lay.classes]
     for c, slots, maps in stacks:
+        maps.setflags(write=False)
+        parts[c].append((slots, maps))
+    f = CpMorphism(src, tgt, BlockStore(lay, [
+        partial(class_stack, klass, got, _choi_blocks) if got else None
+        for klass, got in zip(lay.classes, parts)]), validate=False)
+    f.kraus_stacks = tuple(stacks)
+    return f
+
+
+def choi_vecs(maps: np.ndarray) -> np.ndarray:
+    """The (p, e d, count) stack V of a (p, count, e, d) stack of maps:
+    column t of V is vec(M_t†) = conj(M_t) read row-major."""
+    p, count, e, d = maps.shape
+    return np.ascontiguousarray(maps.reshape(p, count, e * d).conj().swapaxes(1, 2))
+
+
+def _choi_blocks(maps: np.ndarray) -> np.ndarray:
+    """The Choi blocks V V† of a (p, count, e, d) stack of maps."""
+    return linalg.gram(choi_vecs(maps))
+
+
+def _stacked_kraus(f: CpMorphism) -> dict:
+    """Held family of a morphism born from Kraus maps, over every pair:
+    read-only views of kraus_stacks; a pair with more maps than d_i e_j
+    holds the minimal family of its block instead, which reads that class's
+    blocks: one _block_kraus per class."""
+    lay = f.blocks.layout
+    held = dict.fromkeys(lay.keys, ())
+    over = {}  # class index -> slots with more maps than d_i e_j
+    for c, slots, maps in f.kraus_stacks:
         klass = lay.classes[c]
-        p, count = maps.shape[:2]
-        # Column t of vs is vec(M_t†) = conj(M_t) read row-major.
-        vs = np.ascontiguousarray(maps.reshape(p, count, klass.n).conj().swapaxes(1, 2))
-        vs.setflags(write=False)
-        vecs.append((c, slots, vs))
+        count = maps.shape[1]
         if count > klass.n:
             over.setdefault(c, []).append(slots)
         else:
-            maps.setflags(write=False)
             # Consecutive runs of count views: the maps of each pair.
             keys = [klass.keys[s] for s in slots.tolist()]
             held.update(zip(keys, zip(*[iter(list(maps.reshape((-1,) + maps.shape[2:])))] * count)))
-    parts = [[] for _ in lay.classes]
-    for c, slots, vs in vecs:
-        parts[c].append((slots, vs))
-    f = CpMorphism(src, tgt, BlockStore(lay, [
-        partial(class_stack, klass, got, linalg.gram) if got else None
-        for klass, got in zip(lay.classes, parts)]), validate=False)
     for c, runs in sorted(over.items()):
         klass = lay.classes[c]
         slots = runs[0] if len(runs) == 1 else np.concatenate(runs)
         keys = [klass.keys[s] for s in slots.tolist()]
         held.update(_block_kraus(keys, f.blocks.stack(c)[slots], *klass.dims))
-    f._kraus = _held(held, lay.keys)
-    f.kraus_vecs = tuple(vecs)
-    return f
+    return held
 
 
 def to_kraus(f: CpMorphism) -> dict:

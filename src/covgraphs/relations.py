@@ -8,9 +8,9 @@ an orthonormal frame of every block: per class, linalg.Frames with the
 vectorized operators a_r whose span the block projects onto.
 
 Frames come from the kernel that made the block.  support_of keeps the
-left singular vectors of the held vec(M†) stack of a morphism born from
-Kraus maps, and the eigenvectors of the support cut of one born as Choi
-blocks; compose keeps the left singular vectors of its span, and so does
+left singular vectors of the vec(M†) stack of the maps a Kraus-born
+morphism stores, and the eigenvectors of the support cut of a Choi-born
+one; compose keeps the left singular vectors of its span, and so does
 the confusability graph, which is ℜ(f)† ∘ ℜ(f) as compose spans it,
 symmetric by construction up to round-off; converse maps each frame by
 a -> a†, and discrete and complete have closed forms.  Where the kernel
@@ -44,7 +44,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import linalg
-from .cpmaps import CpMorphism, channelize, choi_marginal, dagger as cp_dagger, is_channel
+from .cpmaps import CpMorphism, channelize, choi_marginal, choi_vecs, dagger as cp_dagger, is_channel
 from .errors import (
     CharacterizationMismatch,
     NegativeSpectrum,
@@ -155,9 +155,10 @@ def _read_only(frames: tuple) -> tuple:
 def support_of(f: CpMorphism) -> QuantumRelation:
     """Underlying relation: blockwise support projection of the Choi blocks.
 
-    For a morphism born from Kraus maps, block (i, j) is V V† with V its
-    held stack of vec(M†) (f.kraus_vecs), whose support is the column span
-    of V: one thin SVD per class and map count, cut at TOL_SPEC_SV (the
+    For a morphism born from Kraus maps, block (i, j) is V V† with V the
+    stack of vec(M†) of the maps it stores once (f.kraus_stacks), formed
+    here without forming the block; its support is the column span of V:
+    one thin SVD per class and map count, cut at TOL_SPEC_SV (the
     eigenvalue cut TOL_SPEC on V V†), whose left singular vectors are the
     frames.  For a morphism born as Choi blocks, one batched support kernel
     per class on the Hermitian parts of the blocks, whose kept eigenvectors
@@ -168,7 +169,7 @@ def support_of(f: CpMorphism) -> QuantumRelation:
     Computed once per morphism: the relation is kept on f and every later
     call returns that same object."""
     if f._support is None:
-        f._support = _support_of_maps(f) if f.kraus_vecs is not None else _support_of_blocks(f)
+        f._support = _support_of_maps(f) if f.kraus_stacks is not None else _support_of_blocks(f)
     return f._support
 
 
@@ -185,13 +186,13 @@ def _support_of_blocks(f: CpMorphism) -> QuantumRelation:
 
 
 def _support_of_maps(f: CpMorphism) -> QuantumRelation:
-    """support_of from f.kraus_vecs: each member's span goes to its own slot
+    """support_of from f.kraus_stacks: each member's span goes to its own slot
     of its class, whatever order the maps came in; pairs without maps span
     nothing."""
     lay = f.blocks.layout
     frames = [[] for _ in lay.classes]
-    for c, slots, vs in f.kraus_vecs:
-        frames[c].append((slots, linalg.span_frames(vs, tol=TOL_SPEC_SV)))
+    for c, slots, maps in f.kraus_stacks:
+        frames[c].append((slots, linalg.span_frames(choi_vecs(maps), tol=TOL_SPEC_SV)))
     return QuantumRelation.stacked(f.source, f.target, (
         got[0][1] if len(got) == 1 and np.array_equal(got[0][0], np.arange(len(klass.keys)))
         else Frames.merged(len(klass.keys), klass.n, got)

@@ -119,14 +119,12 @@ def _tensor_system(key: ExactKey) -> TensorSystem:
     return TensorSystem(*key.value)
 
 
-def tensor_cp(f: CpMorphism, g: CpMorphism,
-              source_ts: TensorSystem | None = None,
-              target_ts: TensorSystem | None = None) -> CpMorphism:
+def tensor_cp(f: CpMorphism, g: CpMorphism) -> CpMorphism:
     """Tensor product of CP morphisms: Kronecker products of the held Kraus
     maps of f and g.  Each factor holds at most d e maps per pair, so the
     product never exceeds its own block dimension and is not compressed."""
-    src = source_ts if source_ts is not None else tensor_system(f.source, g.source)
-    tgt = target_ts if target_ts is not None else tensor_system(f.target, g.target)
+    src = tensor_system(f.source, g.source)
+    tgt = tensor_system(f.target, g.target)
     kf = f.kraus()
     kg = g.kraus()
     kraus = {}
@@ -258,9 +256,7 @@ def _source_graph(src: Source, tol: float) -> QuantumGraph:
 def _composite(src: Source, n_chan: CpMorphism, e_chan: CpMorphism) -> CpMorphism:
     """((N ∘ E) ⊗ id_{O_B}) ∘ C, typed S -> B ⊗ O_B."""
     ne = compose(n_chan, e_chan)
-    lifted = tensor_cp(ne, identity_channel(src.ob_system),
-                       source_ts=src.tensor,
-                       target_ts=tensor_system(n_chan.target, src.ob_system))
+    lifted = tensor_cp(ne, identity_channel(src.ob_system))
     return compose(lifted, src.channel)
 
 

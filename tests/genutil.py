@@ -340,6 +340,37 @@ def rand_nonreversible_channel(rng):
     return cpmaps.from_kraus(kraus, src, tgt)
 
 
+def rand_over_count_channels(rng):
+    """Two channels (d,) -> (e,) whose one pair holds d e + 1 maps, more than
+    its block dimension: the isometry of a reversible channel split into
+    d e + 1 equal copies (reversible), and the d e + 1 row blocks of a random
+    isometry, scaled by √(d/e) (not reversible in general)."""
+    d = int(rng.integers(1, 4))
+    e = int(rng.integers(d, 5))
+    src, tgt, count = systems.system((d,)), systems.system((e,)), d * e + 1
+    v = np.sqrt(d / e / count) * rand_isometry(rng, e, d)
+    split = cpmaps.from_kraus({(0, 0): [v] * count}, src, tgt)
+    w = np.sqrt(d / e) * rand_isometry(rng, count * e, d)
+    blocks = cpmaps.from_kraus({(0, 0): list(w.reshape(count, e, d))}, src, tgt)
+    return split, blocks
+
+
+def basis_changed(f, us, vs):
+    """f conjugated by unitaries us[i] on the source factors and vs[j] on the
+    target factors, in its birth form: each map M of pair (i, j) of a
+    morphism born from Kraus maps becomes vs[j] M us[i]†, and each block B
+    of one born as Choi blocks becomes W B W† with W = kron(conj vs[j], us[i])."""
+    if f.kraus_stacks is not None:
+        kraus = {(i, j): [vs[j] @ m @ us[i].conj().T for m in maps]
+                 for (i, j), maps in _oracle_kraus(f).items()}
+        return cpmaps.from_kraus(kraus, f.source, f.target)
+    blocks = {}
+    for (i, j), blk in f.blocks.items():
+        w = np.kron(vs[j].conj(), us[i])
+        blocks[(i, j)] = w @ blk @ w.conj().T
+    return cpmaps.CpMorphism(f.source, f.target, blocks, validate=False)
+
+
 def classical_source(rng, ns, na, nb, full_side_info=False):
     """Random classical source with disjoint per-symbol supports (reversible)."""
     from covgraphs.classical import embed_channel
@@ -387,12 +418,15 @@ def quantum_source(rng, ds, da, db):
 # -- oracles that share no cut code with the library ---------------------
 
 def _oracle_kraus(f):
-    """Pair (i, j) -> Kraus maps of f: the held maps of a morphism born from
-    Kraus maps, else M† = unvec(√w_k v_k) for the eigenpairs of a plain
-    np.linalg.eigh of block (i, j).  Eigenvalues at or below 1e-12 of the
-    block's largest are the round-off of a rank-deficient block."""
-    if f.kraus_vecs is not None:
-        return dict(f.kraus())
+    """Pair (i, j) -> Kraus maps of f: the maps a morphism born from Kraus
+    maps was born with (its kraus_stacks), over-count pairs included, else
+    M† = unvec(√w_k v_k) for the eigenpairs of a plain np.linalg.eigh of
+    block (i, j).  Eigenvalues at or below 1e-12 of the block's largest are
+    the round-off of a rank-deficient block."""
+    if f.kraus_stacks is not None:
+        classes = f.blocks.layout.classes
+        return {classes[c].keys[s]: list(ms)
+                for c, slots, stack in f.kraus_stacks for s, ms in zip(slots.tolist(), stack)}
     maps = {}
     for (i, j), blk in f.blocks.items():
         d, e = f.source.dims[i], f.target.dims[j]
@@ -623,7 +657,7 @@ def _loop_supports(f):
     TOL_SPEC_SV times the largest (a 1x1 block in closed form).  The held
     maps are the maps the morphism was born with, except on a pair given
     more maps than d e, which holds the minimal family of the same span."""
-    if f.kraus_vecs is None:
+    if f.kraus_stacks is None:
         return {
             key: linalg.support_projection(linalg.hermitize(blk), frames=True)
             for key, blk in f.blocks.items()

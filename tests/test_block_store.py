@@ -404,14 +404,14 @@ class TestBatchedConstructions:
 
 
 def test_is_reversible_support_projections_do_not_grow_with_n(monkeypatch):
+    """One support kernel per is_reversible, of either kind: a classical
+    channel is born from Kraus maps, so its support is spanned by span_frames
+    (support_projection cuts Choi-born blocks)."""
     calls = []
-    kernel = linalg.support_projection
-
-    def counting(m, **kw):
-        calls.append(np.shape(m))
-        return kernel(m, **kw)
-
-    monkeypatch.setattr(linalg, "support_projection", counting)
+    for name in ("support_projection", "span_frames"):
+        kernel = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda m, kernel=kernel, **kw:
+                            calls.append(np.shape(m)) or kernel(m, **kw))
     counts = []
     for n in (16, 64):
         calls.clear()
@@ -592,6 +592,12 @@ class TestChecksAtTheBoundary:
         for key, maps in got.kraus().items():
             assert len(maps) == len(held.get(key, ())), key
             assert all(np.array_equal(m, r) for m, r in zip(maps, held.get(key, ()))), key
+        # Born from its maps: one stored (1, 1) group of one map per pair.
+        ((c, slots, maps),) = got.kraus_stacks
+        keys = [got.blocks.layout.classes[c].keys[s] for s in slots.tolist()]
+        assert keys == sorted(held) and maps.shape == (len(keys), 1, 1, 1)
+        assert not maps.flags.writeable
+        assert all(np.array_equal(m, held[key][0]) for key, m in zip(keys, maps[:, 0])), keys
 
     def test_action_stacks_match_per_unitary(self):
         z2, s3 = groups.cyclic_group(2), groups.symmetric_group(3)
@@ -770,6 +776,18 @@ def test_kraus_blocks_are_formed_only_by_the_store():
     assert not products
 
 
+def test_kraus_born_constructors_form_no_block_and_run_no_cut():
+    """cpmaps._from_stacks and classical.embed_channel only store the maps:
+    they call no gram, _block_kraus, spectral_cut or stack."""
+    root = pathlib.Path(covgraphs.__file__).parent
+    for path, name in (("cpmaps.py", "_from_stacks"), ("classical.py", "embed_channel")):
+        (fn,) = [node for node in ast.walk(ast.parse((root / path).read_text()))
+                 if isinstance(node, ast.FunctionDef) and node.name == name]
+        called = {node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+                  for node in ast.walk(fn) if isinstance(node, ast.Call)}
+        assert not called & {"gram", "_block_kraus", "spectral_cut", "stack"}, name
+
+
 def _called_names(path: pathlib.Path) -> list:
     """(name, "file:line") of every call in a source file, by the called
     function's own name: f(...) and x.f(...) both give f."""
@@ -882,7 +900,9 @@ class TestLazyKrausBlocks:
         assert formed == [4, 4, 2]
         src, tgt, kraus = LAZY["over"]
         formed.clear()
-        cpmaps.from_kraus(kraus, src, tgt)
+        f = cpmaps.from_kraus(kraus, src, tgt)
+        assert formed == []
+        f.kraus()
         assert formed == [2, 2, 4, 4]  # both classes hold a pair given too many maps
 
     @pytest.mark.parametrize("name", ["partial", "n64-partial"])
@@ -910,6 +930,49 @@ class TestLazyKrausBlocks:
         lifted = scc.tensor_cp(cpmaps.compose(ident, ident), cpmaps.identity_channel(src.ob_system))
         lifted.blocks.classes()
         assert max(formed) == 900
+
+    @pytest.mark.parametrize("name", list(LAZY))
+    def test_held_maps_are_views_of_the_stored_maps(self, name):
+        """A pair with at most d e maps holds read-only views of kraus_stacks,
+        the one stored copy of the maps."""
+        src, tgt, kraus = LAZY[name]
+        f = cpmaps.from_kraus(kraus, src, tgt)
+        lay, held = f.blocks.layout, f.kraus()
+        for c, slots, maps in f.kraus_stacks:
+            klass = lay.classes[c]
+            assert not maps.flags.writeable
+            if maps.shape[1] > klass.n:
+                continue
+            for s, stored in zip(slots.tolist(), maps):
+                ops = held[klass.keys[s]]
+                assert len(ops) == len(stored), klass.keys[s]
+                for m, ref in zip(ops, stored):
+                    assert np.shares_memory(m, maps) and not m.flags.writeable, klass.keys[s]
+                    assert np.array_equal(m, ref), klass.keys[s]
+
+    def test_over_count_family_is_cut_on_first_kraus(self, monkeypatch):
+        """from_kraus of a family with pairs given more than d e maps forms
+        no block and runs no eigh; the first kraus() cuts those pairs'
+        blocks, bitwise the per-block eigh of the per-pair loop's blocks."""
+        src, tgt, kraus = LAZY["over"]
+        formed = _spy_gram(monkeypatch)
+        eighs, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: eighs.append(a.shape)
+                            or eigh(a, *args, **kw))
+        f = cpmaps.from_kraus(kraus, src, tgt)
+        assert formed == [] and eighs == []
+        held = f.kraus()
+        assert formed and eighs
+        blocks, given = loop_from_kraus(kraus)
+        lay = f.blocks.layout
+        for key in lay.keys:
+            d, e = lay.classes[lay.where[key][0]].dims
+            if len(kraus.get(key, ())) > d * e:
+                (ref,) = loop_block_kraus([key], [blocks[key]], d, e).values()
+            else:
+                ref = given.get(key, ())
+            assert len(held[key]) == len(ref), key
+            assert all(m.tobytes() == r.tobytes() for m, r in zip(held[key], ref)), key
 
     def test_failed_form_leaves_the_class_to_form_again(self, monkeypatch):
         src, tgt, kraus = LAZY["n64-partial"]
@@ -947,7 +1010,7 @@ class TestLazyKrausBlocks:
             g = embed_channel(rng.dirichlet(np.ones(n), size=n).T)
         got = cpmaps.compose(g, f)
         if kind == "two-per-column16":
-            assert {vs.shape[2] for _, _, vs in got.kraus_vecs} == {1, 2}  # maps per pair
+            assert {maps.shape[1] for _, _, maps in got.kraus_stacks} == {1, 2}  # maps per pair
         ref = cpmaps._from_maps(loop_cp_compose_kraus(g, f), sys, sys)
         _assert_family_equal(got.blocks, dict(ref.blocks))
         for key, ops in ref.kraus().items():

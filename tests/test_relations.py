@@ -103,7 +103,7 @@ class TestMapBornSupport:
         assert lay.index[(1, 1)] in counts
 
         f = cpmaps.from_kraus(kraus, src, tgt)
-        assert f.kraus_vecs is not None
+        assert f.kraus_stacks is not None
         got, ref = relations.support_of(f), relations.support_of(choi_born(f))
         assert got.ranks() == ref.ranks()
         assert relations.relation_defect(got, ref) <= linalg.TOL_PROJ
@@ -172,7 +172,7 @@ class TestMorphismMemos:
         f = rand_cp(np.random.default_rng(21), sys, sys)
         if born == "choi":
             f = choi_born(f)
-        assert (f.kraus_vecs is None) == (born == "choi")
+        assert (f.kraus_stacks is None) == (born == "choi")
         spans = []
         for name in ("span_frames", "support_projection"):
             real = getattr(linalg, name)
@@ -237,7 +237,7 @@ class TestKeptChecks:
     @pytest.mark.parametrize("born", ["kraus", "choi"])
     def test_one_marginal_per_morphism_through_the_reversal(self, born, monkeypatch):
         f = _kept_check_builders(born)["reversible"]()
-        assert (f.kraus_vecs is None) == (born == "choi")
+        assert (f.kraus_stacks is None) == (born == "choi")
         seen = []
         real = cpmaps._marginal_groups
         monkeypatch.setattr(cpmaps, "_marginal_groups", lambda g: seen.append(g) or real(g))

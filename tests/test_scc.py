@@ -86,9 +86,7 @@ class TestKrausPath:
         n_chan = rand_channel(rng, oa, oa)
         e_chan = cpmaps.identity_channel(oa)
         ne = cpmaps.compose(choi_born(n_chan), choi_born(e_chan))
-        lifted = scc.tensor_cp(choi_born(ne), choi_born(cpmaps.identity_channel(src.ob_system)),
-                               source_ts=src.tensor,
-                               target_ts=scc.tensor_system(oa, src.ob_system))
+        lifted = scc.tensor_cp(choi_born(ne), choi_born(cpmaps.identity_channel(src.ob_system)))
         ref = cpmaps.compose(choi_born(lifted), choi_born(src.channel))
         assert_blocks_close(scc._composite(src, n_chan, e_chan), ref)
 

@@ -12,19 +12,26 @@ one unitary per factor: element ``g`` sends the block ``x_i`` to
 need only be a homomorphism up to phase; every check below goes through the
 induced algebra automorphisms, which compose exactly.
 
-Transport is stacked.  The block store of a CP morphism or relation holds one
-stack per dimension class (d_i, e_j) of factor pairs, and α_g moves a whole
-class with one batched product W B W† (transport); act_on_cp, twirl_cp and
-is_covariant_relation go through it.  An action holds its
-unitaries as read-only stacks, one (|G|, k, d, d) stack per factor
-dimension; the library's own constructions (trivial and permutation
-actions, tensor products, the conjugation action) and the bundle hand
-them over as such stacks.  The construction checks run once per stack: one
-finite scan, one unitarity product, and the homomorphism test as one
-gathered product over all element pairs.  Actions are immutable, so calls
-of permutation_action (trivial_action is the one with identity perms) with
-equal group, dims and perms share one action, checked when first built,
-as tensor_system shares products.
+Transport is stacked and planned once per action pair.  The block store of
+a CP morphism or relation holds one stack per dimension class (d_i, e_j) of
+factor pairs, and α_g moves a whole class with one batched product W B W†
+(transport).  W = kron(conj U_tgt[g], U_src[g]) per member, its W† and the
+image slots depend only on the two actions, g and the class, so a
+TransportPlan holds them for every element and class, built on first use
+and shared per pair of exact keys (transport_plan); transport, act_on_cp,
+twirl_cp, is_covariant_cp and is_covariant_relation all read it.  When both
+actions' identity unitaries are exactly I, the twirl adds the stack itself
+for the identity element.
+
+An action holds its unitaries as read-only stacks, one (|G|, k, d, d)
+stack per factor dimension; the library's own constructions (trivial and
+permutation actions, tensor products, the conjugation action) and the
+bundle hand them over as such stacks.  The construction checks run once
+per stack: one finite scan, one unitarity product, and the homomorphism
+test as one gathered product over all element pairs.  Actions are
+immutable, so calls of permutation_action (trivial_action is the one with
+identity perms) with equal group, dims and perms share one action, checked
+when first built, as tensor_system shares products.
 
 Two actions are equal when they share group table, dims and perms (the key)
 and their unitaries agree within TOL_ROUNDOFF.  Identical objects, different
@@ -33,11 +40,12 @@ equal keys with different bytes compare the unitaries.  The hash covers the
 key alone, never the digest, because equality tolerates round-off; so actions
 and the systems that carry them can key dicts.
 
-The conjugation action (graphs), bundle actions given with unitaries and
-identity channels (cpmaps) are shared per exact_key, the key and the
-digest (System.exact_key adds dims and weights), through ExactKey, never
-per that equality, so a shared object is bitwise the one its caller would
-have built.
+The conjugation action (graphs), bundle actions given with unitaries,
+identity channels (cpmaps) and transport plans are shared per exact_key,
+the key and the digest (System.exact_key adds dims and weights), through
+ExactKey, never per that equality, so a shared object is bitwise the one
+its caller would have built.  An exact_key is a KeptHash, built and hashed
+once with its action or system.
 """
 
 from __future__ import annotations
@@ -292,6 +300,7 @@ class AlgebraAction:
         object.__setattr__(self, "_digest", hashlib.blake2b(
             b"".join(stack.tobytes() for _, stack in classes.values())
         ).digest())
+        object.__setattr__(self, "_exact_key", KeptHash((key, self._digest)))
 
     @property
     def nfactors(self) -> int:
@@ -311,8 +320,9 @@ class AlgebraAction:
     @property
     def exact_key(self) -> tuple:
         """The key and the digest of the unitaries' bytes: equal exactly when
-        the actions are bitwise equal, unlike ==, which tolerates round-off."""
-        return self._key, self._digest
+        the actions are bitwise equal, unlike ==, which tolerates round-off.
+        Built and hashed once, with the action."""
+        return self._exact_key
 
     def __eq__(self, other):
         if self is other:
@@ -330,6 +340,23 @@ class AlgebraAction:
 
     def __hash__(self):
         return self._hash
+
+
+class KeptHash(tuple):
+    """A tuple whose hash is computed once: the exact_key of an action or a
+    system, built with it and looked up in caches many times."""
+
+    def __new__(cls, items):
+        self = super().__new__(cls, items)
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # str and bytes hashes differ between processes: rehash on unpickling.
+        return KeptHash, (tuple(self),)
 
 
 class ExactKey:
@@ -434,6 +461,57 @@ def act(action: AlgebraAction, g: int, x) -> list:
     return out
 
 
+class TransportPlan:
+    """α_g on every class of the source x target layout of one action pair,
+    for every group element: steps[c][g] = (W, W†, image) with W =
+    kron(conj(U_tgt[g][j]), U_src[g][i]) per member of class c (from
+    linalg.kron_stack), W† its conjugate transpose as a strided view, and
+    image the member positions of the moved pairs, all read-only.  trivial
+    is the identity element when both actions' identity unitaries are
+    exactly I, else None: the twirl adds the stack itself for it, bitwise
+    what it adds for I B I.  index maps class dims to c."""
+
+    __slots__ = ("index", "steps", "trivial")
+
+    def __init__(self, src: AlgebraAction, tgt: AlgebraAction):
+        from .systems import layout
+
+        if src.group != tgt.group:
+            raise GroupMismatch("source and target actions must share one group")
+        lay = layout(src.dims, tgt.dims)
+        self.index = lay.index
+        self.steps = tuple(
+            tuple(_step(src, tgt, g, klass) for g in src.group.elements)
+            for klass in lay.classes
+        )
+        e = src.group.identity
+        exact = all((stack[e] == np.eye(d)).all()
+                    for act in (src, tgt) for d, (_, stack) in act._classes.items())
+        self.trivial = e if exact else None
+
+
+def _step(src: AlgebraAction, tgt: AlgebraAction, g: int, klass) -> tuple:
+    w = linalg.kron_stack(tgt.unitary_stack(g, klass.cols).conj(),
+                          src.unitary_stack(g, klass.rows))
+    image = klass.slots(src.perm_array[g][klass.rows], tgt.perm_array[g][klass.cols])
+    w_dag = w.conj().swapaxes(1, 2)
+    for a in (w, w_dag, image):
+        a.setflags(write=False)
+    return w, w_dag, image
+
+
+def transport_plan(action_src: AlgebraAction, action_tgt: AlgebraAction) -> TransportPlan:
+    """The transport plan of an action pair.  Actions are immutable, so pairs
+    with equal exact_key share one plan, built on first use."""
+    return _transport_plan(ExactKey((action_src.exact_key, action_tgt.exact_key),
+                                    (action_src, action_tgt)))
+
+
+@lru_cache(maxsize=128)
+def _transport_plan(key: ExactKey) -> TransportPlan:
+    return TransportPlan(*key.value)
+
+
 def transport(action_src: AlgebraAction, action_tgt: AlgebraAction, g: int,
               klass, stack: np.ndarray) -> np.ndarray:
     """α_g on one (d_i, e_j) class of blocks on vec(Hom(K_j, H_i)), given as
@@ -443,16 +521,14 @@ def transport(action_src: AlgebraAction, action_tgt: AlgebraAction, g: int,
     The action sends an operator a to U_src[g][i] a U_tgt[g][j]†, i.e. the
     vec-space unitary W = kron(conj(U_tgt[g][j]), U_src[g][i]), and moves the
     block (i, j) to W B W† at (perms_src[g][i], perms_tgt[g][j]), a key of the
-    same class.  One batched product moves the class; W comes from
-    linalg.kron_stack, so every moved block is bitwise the one a per-block
-    kron loop gives.
+    same class.  One batched product moves the class, with W and the image
+    read from the pair's transport plan; W comes from linalg.kron_stack, so
+    every moved block is bitwise the one a per-block kron loop gives.
     """
-    w = linalg.kron_stack(action_tgt.unitary_stack(g, klass.cols).conj(),
-                          action_src.unitary_stack(g, klass.rows))
-    image = klass.slots(action_src.perm_array[g][klass.rows],
-                        action_tgt.perm_array[g][klass.cols])
+    plan = transport_plan(action_src, action_tgt)
+    w, w_dag, image = plan.steps[plan.index[klass.dims]][g]
     moved = np.empty(stack.shape, dtype=complex)
-    moved[image] = w @ stack @ w.conj().swapaxes(1, 2)
+    moved[image] = w @ stack @ w_dag
     return moved
 
 
@@ -467,35 +543,45 @@ def act_on_cp(f, g: int):
     return CpMorphism.stacked(f.source, f.target, parts)
 
 
+def _twirled(f) -> list:
+    """(class, group average of its stack) for every class of f, in class
+    order: the stacks summed element by element from zeros, then divided."""
+    plan = transport_plan(f.source.action, f.target.action)
+    order = f.source.action.group.order
+    out = []
+    for (klass, stack), steps in zip(f.blocks.classes(), plan.steps):
+        acc = np.zeros(stack.shape, dtype=complex)
+        for g, (w, w_dag, image) in enumerate(steps):
+            if g == plan.trivial:
+                acc += stack
+            else:
+                acc[image] += w @ stack @ w_dag
+        out.append((klass, acc / order))
+    return out
+
+
 def twirl_cp(f):
     """Group-average a CP morphism: the projector onto covariant maps."""
     from .cpmaps import CpMorphism
 
-    if f.source.action.group != f.target.action.group:
-        raise GroupMismatch("source and target actions must share one group")
-    group = f.source.action.group
-    parts = []
-    for klass, stack in f.blocks.classes():
-        acc = np.zeros(stack.shape, dtype=complex)
-        for g in group.elements:
-            acc += transport(f.source.action, f.target.action, g, klass, stack)
-        parts.append((klass, acc / group.order))
-    return CpMorphism.stacked(f.source, f.target, parts)
+    return CpMorphism.stacked(f.source, f.target, _twirled(f))
 
 
 def is_covariant_cp(f, tol: float = TOL_PROJ) -> bool:
-    """True iff the twirl leaves f unchanged in blockwise Frobenius norm."""
-    from .cpmaps import cp_norm_diff
-
-    return cp_norm_diff(twirl_cp(f), f) < tol * max(1.0, f.norm())
+    """True iff the twirl leaves f unchanged in blockwise Frobenius norm:
+    the largest Frobenius norm of a twirled block minus f's, bitwise
+    cp_norm_diff(twirl_cp(f), f), below tol * max(1, f.norm())."""
+    defect = max(
+        float(linalg.frobs(t - stack).max())
+        for (_, t), (_, stack) in zip(_twirled(f), f.blocks.classes())
+    )
+    return defect < tol * max(1.0, f.norm())
 
 
 def is_covariant_relation(p) -> bool:
     """Projector-family invariance under the induced conjugation action."""
     a_act = p.source.action
     b_act = p.target.action
-    if a_act.group != b_act.group:
-        raise GroupMismatch("source and target actions must share one group")
     for klass, stack in p.blocks.classes():
         bound = TOL_PROJ * np.maximum(1.0, linalg.frobs(stack))
         for g in a_act.group.elements:

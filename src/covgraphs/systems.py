@@ -32,7 +32,15 @@ import numpy as np
 
 from . import linalg
 from .errors import ActionShapeMismatch, ShapeMismatch
-from .groups import AlgebraAction, FiniteGroup, act, dim_classes, trivial_action, trivial_group
+from .groups import (
+    AlgebraAction,
+    FiniteGroup,
+    KeptHash,
+    act,
+    dim_classes,
+    trivial_action,
+    trivial_group,
+)
 
 
 @dataclass(frozen=True)
@@ -44,23 +52,6 @@ class QuantumSet:
         if not dims or any(d < 1 for d in dims):
             raise ShapeMismatch("a quantum set needs at least one factor of dim >= 1")
         object.__setattr__(self, "factor_dims", dims)
-
-
-class KeptHash(tuple):
-    """A tuple whose hash is computed once: System.exact_key, built with
-    the system and looked up in caches many times."""
-
-    def __new__(cls, items):
-        self = super().__new__(cls, items)
-        self._hash = tuple.__hash__(self)
-        return self
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # str and bytes hashes differ between processes: rehash on unpickling.
-        return KeptHash, (tuple(self),)
 
 
 @dataclass(frozen=True)

@@ -138,6 +138,14 @@ def assert_blocks_close(got, ref, rel=1e-12):
         assert np.linalg.norm(got.blocks[key] - blk) <= rel * scale, key
 
 
+def assert_family_equal(got, ref: dict):
+    """A block family (a block store, in key order) bitwise equal to a
+    reference dict with the same keys."""
+    assert list(got) == sorted(ref)
+    for key, blk in ref.items():
+        assert np.array_equal(got[key], blk), key
+
+
 def rand_channel(rng, src, tgt, kraus_per_pair=None):
     # Enough Kraus maps per pair that every source-factor marginal has full
     # rank (needed for the normalization into a channel).

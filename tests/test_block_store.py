@@ -26,6 +26,7 @@ from covgraphs.errors import (
 )
 
 from genutil import (
+    assert_family_equal,
     assert_graph_symmetric,
     choi_born,
     kron_tensor_unitaries,
@@ -75,12 +76,6 @@ def _psd_stack(k, n):
             a = rand_complex(rng, n, int(rng.integers(0, n + 1)))
             mats.append(a @ a.conj().T)
     return np.array(mats)
-
-
-def _assert_family_equal(got, ref: dict):
-    assert list(got) == sorted(ref)
-    for key, blk in ref.items():
-        assert np.array_equal(got[key], blk), key
 
 
 def _assert_frames_equal(rel, ref: dict):
@@ -319,24 +314,24 @@ class TestBatchedConstructions:
         f = {**CHANNELS, **MAP_BORN}[name]
         src, tgt = f.source.dims, f.target.dims
         rf = relations.support_of(f)
-        _assert_family_equal(rf.blocks, loop_support_of(f))
+        assert_family_equal(rf.blocks, loop_support_of(f))
         rf_frames = loop_support_frames(f)
         _assert_frames_equal(rf, rf_frames)
         cv = relations.converse(rf)
-        _assert_family_equal(cv.blocks, loop_converse(rf))
+        assert_family_equal(cv.blocks, loop_converse(rf))
         cv_frames = loop_converse_frames(rf_frames, src, tgt)
         _assert_frames_equal(cv, cv_frames)
         for got, (blocks, frames) in (
             (relations.compose(cv, rf), loop_rel_compose(cv_frames, rf_frames, src, tgt, src)),
             (relations.compose(rf, cv), loop_rel_compose(rf_frames, cv_frames, tgt, src, tgt)),
         ):
-            _assert_family_equal(got.blocks, blocks)
+            assert_family_equal(got.blocks, blocks)
             _assert_frames_equal(got, frames)
 
     @pytest.mark.parametrize("name", CHANNELS)
     def test_confusability_and_marginal_match_loops(self, name):
         f = CHANNELS[name]
-        _assert_family_equal(graphs.confusability_of(f).relation.blocks, loop_confusability(f))
+        assert_family_equal(graphs.confusability_of(f).relation.blocks, loop_confusability(f))
         for got, ref in zip(cpmaps.choi_marginal(f), loop_choi_marginal(f), strict=True):
             assert np.array_equal(got, ref)
 
@@ -348,7 +343,7 @@ class TestBatchedConstructions:
     def test_reverse_matches_loop(self, name):
         f = REVERSIBLE[name]
         assert graphs.is_reversible(f)
-        _assert_family_equal(graphs._reverse(f).blocks, loop_reverse(f))
+        assert_family_equal(graphs._reverse(f).blocks, loop_reverse(f))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_compose_through_one_and_many_dim_middles(self, seed):
@@ -369,7 +364,7 @@ class TestBatchedConstructions:
             _assert_frames_equal(p, p_frames)
             _assert_frames_equal(q, q_frames)
             blocks, frames = loop_rel_compose(q_frames, p_frames, *dims)
-            _assert_family_equal(got.blocks, blocks)
+            assert_family_equal(got.blocks, blocks)
             _assert_frames_equal(got, frames)
             _assert_frames_equal(relations.converse(p),
                                  loop_converse_frames(p_frames, dims[0], dims[1]))
@@ -399,7 +394,7 @@ class TestBatchedConstructions:
         monkeypatch.undo()
         assert bool(sorts) == reordered
         blocks, frames = loop_rel_compose(q_frames, p_frames, *dims)
-        _assert_family_equal(got.blocks, blocks)
+        assert_family_equal(got.blocks, blocks)
         _assert_frames_equal(got, frames)
 
 
@@ -478,7 +473,7 @@ class TestSatelliteLoops:
                 f, g = choi_born(f), choi_born(g)
         got = cpmaps.compose(g, f)
         ref = cpmaps._from_maps(loop_cp_compose_kraus(g, f), sys, sys)
-        _assert_family_equal(got.blocks, dict(ref.blocks))
+        assert_family_equal(got.blocks, dict(ref.blocks))
         for key, ops in ref.kraus().items():
             assert len(got.kraus()[key]) == len(ops), key
             assert all(np.array_equal(a, b) for a, b in zip(got.kraus()[key], ops)), key
@@ -564,7 +559,7 @@ class TestChecksAtTheBoundary:
         rel = _partial(relations.support_of(f).blocks, lambda key: key[0] != 1)
         for got, given in ((cpmaps.CpMorphism(src, tgt, choi), choi),
                            (relations.QuantumRelation(src, tgt, rel), rel)):
-            _assert_family_equal(got.blocks, loop_block_store(src, tgt, given))
+            assert_family_equal(got.blocks, loop_block_store(src, tgt, given))
             for key, blk in given.items():
                 assert not np.shares_memory(got.blocks[key], blk), (name, key)
                 assert not got.blocks[key].flags.writeable
@@ -575,7 +570,7 @@ class TestChecksAtTheBoundary:
         kraus = _rand_kraus(src, tgt)
         got = cpmaps.from_kraus(kraus, src, tgt)
         blocks, held = loop_from_kraus(kraus)
-        _assert_family_equal(got.blocks, loop_block_store(src, tgt, blocks))
+        assert_family_equal(got.blocks, loop_block_store(src, tgt, blocks))
         for key in got.blocks:
             maps = got.kraus()[key]
             assert len(maps) == len(held.get(key, ())), key
@@ -588,7 +583,7 @@ class TestChecksAtTheBoundary:
         p = rand_stochastic(rng, *shape)
         got = embed_channel(p)
         blocks, held = loop_from_kraus(loop_embed_kraus(p))
-        _assert_family_equal(got.blocks, loop_block_store(got.source, got.target, blocks))
+        assert_family_equal(got.blocks, loop_block_store(got.source, got.target, blocks))
         for key, maps in got.kraus().items():
             assert len(maps) == len(held.get(key, ())), key
             assert all(np.array_equal(m, r) for m, r in zip(maps, held.get(key, ()))), key
@@ -886,7 +881,7 @@ class TestLazyKrausBlocks:
         src, tgt, kraus = LAZY[name]
         ref = loop_block_store(src, tgt, loop_from_kraus(kraus)[0])
         for f in (cpmaps.from_kraus(kraus, src, tgt), cpmaps._from_maps(kraus, src, tgt)):
-            _assert_family_equal(f.blocks, ref)
+            assert_family_equal(f.blocks, ref)
 
     def test_blocks_are_formed_on_first_read_of_their_class(self, monkeypatch):
         formed = _spy_gram(monkeypatch)
@@ -990,7 +985,7 @@ class TestLazyKrausBlocks:
             with pytest.raises(MemoryError):
                 read()
         ref = loop_block_store(src, tgt, loop_from_kraus(kraus)[0])
-        _assert_family_equal(f.blocks, ref)
+        assert_family_equal(f.blocks, ref)
 
     @pytest.mark.parametrize("kind", ["dense16", "permutation32", "two-per-column16", "dense3"])
     def test_commutative_compose_matches_index_loop(self, kind):
@@ -1003,8 +998,13 @@ class TestLazyKrausBlocks:
             f = embed_channel(np.eye(n)[rng.permutation(n)])
             g = embed_channel(np.eye(n)[rng.permutation(n)])
         elif kind == "two-per-column16":
-            f, g = (embed_channel((np.eye(n)[rng.permutation(n)] + np.eye(n)[rng.permutation(n)]) / 2)
-                    for _ in range(2))
+            # f sends point c to s(c) and s(c) + 1, g sends m to t(m) and
+            # t(m - 1) (mod n), so g∘f reaches t(s(c)) along two paths and
+            # t(s(c) ± 1) along one.
+            r = np.random.default_rng(1006)
+            p, q = r.permutation(n), r.permutation(n)
+            f = embed_channel((np.eye(n)[p] + np.eye(n)[np.roll(p, 1)]) / 2)
+            g = embed_channel((np.eye(n)[q] + np.eye(n)[(q + 1) % n]) / 2)
         else:
             f = embed_channel(rng.dirichlet(np.ones(n), size=n).T)
             g = embed_channel(rng.dirichlet(np.ones(n), size=n).T)
@@ -1012,7 +1012,7 @@ class TestLazyKrausBlocks:
         if kind == "two-per-column16":
             assert {maps.shape[1] for _, _, maps in got.kraus_stacks} == {1, 2}  # maps per pair
         ref = cpmaps._from_maps(loop_cp_compose_kraus(g, f), sys, sys)
-        _assert_family_equal(got.blocks, dict(ref.blocks))
+        assert_family_equal(got.blocks, dict(ref.blocks))
         for key, ops in ref.kraus().items():
             assert len(got.kraus()[key]) == len(ops), key
             assert all(np.array_equal(a, b) for a, b in zip(got.kraus()[key], ops)), key

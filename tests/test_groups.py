@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from covgraphs import cpmaps, groups, linalg, relations, systems
+from covgraphs import cpmaps, graphs, groups, linalg, relations, systems
 from covgraphs.classical import embed_channel
 from covgraphs.errors import ActionShapeMismatch, GroupMismatch
 
 from genutil import (
+    assert_blocks_close,
+    assert_family_equal,
     kron_is_covariant_relation,
     kron_moved_blocks,
     kron_twirl_blocks,
@@ -216,8 +218,11 @@ def _z2_sign_system(dims, signs):
 
 
 def _transport_cases():
-    """(1,2,3) with a Z2 sign action; S3 permuting three 2-dim factors; and a
-    map (1,2) -> (2,1), whose (1,2) and (2,1) pairs both have 2x2 blocks."""
+    """(1,2,3) with a Z2 sign action; S3 permuting three 2-dim factors; a
+    map (1,2) -> (2,1), whose (1,2) and (2,1) pairs both have 2x2 blocks;
+    C2 swapping neighbours on 8 classical points (one class of 64 1x1
+    blocks); and Z2 acting on a qubit by a complex reflection, whose W is
+    complex and not symmetric."""
     m123 = _z2_sign_system((1, 2, 3), ([-1.0], [1.0, -1.0], [1.0, -1.0, 1.0]))
     s3 = groups.symmetric_group(3)
     perm222 = systems.system(
@@ -225,32 +230,33 @@ def _transport_cases():
     )
     src12 = _z2_sign_system((1, 2), ([1.0], [1.0, -1.0]))
     tgt21 = _z2_sign_system((2, 1), ([-1.0, 1.0], [-1.0]))
-    return {"m123": (m123, m123), "perm222": (perm222, perm222), "12to21": (src12, tgt21)}
+    z2 = groups.cyclic_group(2)
+    swap8 = systems.classical_system(
+        8, groups.permutation_action(z2, (1,) * 8, [range(8), [i ^ 1 for i in range(8)]])
+    )
+    flip = np.array([[0, np.exp(0.3j)], [np.exp(-0.3j), 0]])
+    q2 = systems.system((2,), groups.inner_action(z2, 2, [np.eye(2), flip]))
+    return {"m123": (m123, m123), "perm222": (perm222, perm222), "12to21": (src12, tgt21),
+            "swap8": (swap8, swap8), "q2": (q2, q2)}
 
 
 TRANSPORT_CASES = _transport_cases()
 
 
-def _assert_family_close(got: dict, ref: dict):
-    scale = max(1.0, max(np.linalg.norm(b) for b in ref.values()))
-    assert got.keys() == ref.keys()
-    for key, blk in ref.items():
-        assert np.linalg.norm(got[key] - blk) <= 1e-12 * scale, key
-
-
 class TestStackedTransport:
-    """The class-stacked transport against the per-block kron loops of genutil."""
+    """The class-stacked transport against the per-block kron loops of
+    genutil, bitwise."""
 
     @pytest.mark.parametrize("src,tgt", TRANSPORT_CASES.values(), ids=TRANSPORT_CASES.keys())
     def test_act_twirl_and_relation_match_kron_loop(self, src, tgt):
         f = rand_cp(rng, src, tgt)
         for g in src.group.elements:
-            _assert_family_close(
-                dict(groups.act_on_cp(f, g).blocks),
+            assert_family_equal(
+                groups.act_on_cp(f, g).blocks,
                 kron_moved_blocks(src.action, tgt.action, g, f.blocks),
             )
         t = groups.twirl_cp(f)
-        _assert_family_close(dict(t.blocks), kron_twirl_blocks(f))
+        assert_family_equal(t.blocks, kron_twirl_blocks(f))
         for p in (relations.support_of(f), relations.support_of(t)):
             assert groups.is_covariant_relation(p) == kron_is_covariant_relation(p)
         assert groups.is_covariant_relation(relations.support_of(t))
@@ -273,6 +279,143 @@ class TestStackedTransport:
         t = groups.twirl_cp(f)
         assert groups.is_covariant_cp(t)
         assert not calls
+
+
+def _point_and_matrix_system(group, perm_of):
+    """Three points permuted by perm_of(g) and a qutrit conjugated by the
+    permutation matrix of perm_of(g): dims (1, 1, 1, 3)."""
+    perms, units = [], []
+    for g in group.elements:
+        p = perm_of(g)
+        perms.append(tuple(p) + (3,))
+        units.append((np.eye(1),) * 3 + (np.eye(3)[:, list(p)],))
+    return systems.system((1, 1, 1, 3), groups.AlgebraAction(group, (1, 1, 1, 3), perms, units))
+
+
+def _relabelled(sys, sigma):
+    """sys with group element g relabelled sigma[g]: the table read in the new
+    labels, through shared_group, and each element's perms and unitaries
+    carried to its new label."""
+    action, group = sys.action, sys.group
+    n = group.order
+    old = np.argsort(sigma)  # old[a]: the element relabelled a
+    table = tuple(tuple(int(sigma[group.table[old[a]][old[b]]]) for b in range(n))
+                  for a in range(n))
+    relabelled = groups.shared_group(n, table, int(sigma[group.identity]))
+    return systems.system(sys.dims, groups.AlgebraAction(
+        relabelled, sys.dims,
+        tuple(action.perms[old[a]] for a in range(n)),
+        tuple(action.unitaries[old[a]] for a in range(n)),
+    ))
+
+
+def _relabelling_cases():
+    """C3 relabelled by g -> g⁻¹ and S3 by conjugation with a transposition,
+    both automorphisms of the table."""
+    c3 = groups.cyclic_group(3)
+    s3 = groups.symmetric_group(3)
+    perms = groups.symmetric_group_perms(3)
+    tau = perms.index((1, 0, 2))
+    return {
+        "C3-inverse": (_point_and_matrix_system(c3, lambda g: [(x + g) % 3 for x in range(3)]),
+                       [c3.inv(g) for g in c3.elements]),
+        "S3-conjugate": (_point_and_matrix_system(s3, lambda g: perms[g]),
+                         [s3.mul(s3.mul(tau, g), s3.inv(tau)) for g in s3.elements]),
+    }
+
+
+RELABELLING_CASES = _relabelling_cases()
+
+
+class TestTransportPlan:
+    """One plan of W stacks and images per action pair, read by every
+    transport."""
+
+    @pytest.mark.parametrize("src,tgt", TRANSPORT_CASES.values(), ids=TRANSPORT_CASES.keys())
+    def test_warm_plan_builds_no_kron(self, src, tgt, monkeypatch):
+        groups.twirl_cp(rand_cp(rng, src, tgt))
+        f = rand_cp(rng, src, tgt)
+        support = relations.support_of(f)
+        calls = []
+        kron_stack = linalg.kron_stack
+
+        def counting_kron_stack(a, b):
+            calls.append((a.shape, b.shape))
+            return kron_stack(a, b)
+
+        monkeypatch.setattr(linalg, "kron_stack", counting_kron_stack)
+        groups.twirl_cp(f)
+        groups.is_covariant_cp(f)
+        for g in src.group.elements:
+            groups.act_on_cp(f, g)
+        groups.is_covariant_relation(support)
+        assert calls == []
+        plan = groups.transport_plan(src.action, tgt.action)
+        assert plan.trivial == src.group.identity
+
+    def test_phase_on_the_identity_is_moved_not_skipped(self):
+        """An identity element acting by e^{iθ}·I moves every block by its own
+        W, which is not exactly I, like every other element."""
+        c3 = groups.cyclic_group(3)
+        x = np.roll(np.eye(3), 1, axis=0)
+        act = groups.inner_action(c3, 3, [np.exp(0.7j) * np.eye(3), x, x @ x])
+        sys = systems.system((3,), act)
+        plan = groups.transport_plan(act, act)
+        ((w, _, _), *_), = plan.steps
+        assert plan.trivial is None and not np.array_equal(w, np.eye(9)[None])
+        f = rand_cp(rng, sys, sys)
+        (klass, stack), = f.blocks.classes()
+        assert not np.array_equal(groups.transport(act, act, c3.identity, klass, stack), stack)
+        assert_family_equal(groups.twirl_cp(f).blocks, kron_twirl_blocks(f))
+
+    @pytest.mark.parametrize("name", ["m123", "swap8"])
+    def test_is_covariant_cp_is_the_twirl_distance_test(self, name):
+        """Swept across the defect of slightly non-covariant maps, the verdict
+        is cp_norm_diff(twirl_cp(f), f) < tol · max(1, f.norm())."""
+        sys, _ = TRANSPORT_CASES[name]
+        base = groups.twirl_cp(rand_cp(rng, sys, sys))
+        noise = rand_cp(rng, sys, sys)
+        verdicts = set()
+        for eps in (1e-13, 1e-10, 1e-7, 1e-4):
+            f = cpmaps.CpMorphism.stacked(sys, sys, [
+                (klass, a + eps * b)
+                for (klass, a), (_, b) in zip(base.blocks.classes(), noise.blocks.classes())
+            ])
+            defect = cpmaps.cp_norm_diff(groups.twirl_cp(f), f)
+            scale = max(1.0, f.norm())
+            at = defect / scale
+            for tol in (at / 2, np.nextafter(at, 0), at, np.nextafter(at, 1), 2 * at, 1e-8):
+                expected = defect < tol * scale
+                assert groups.is_covariant_cp(f, tol) == expected, (eps, tol)
+                verdicts.add(expected)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("sys,sigma", RELABELLING_CASES.values(),
+                             ids=RELABELLING_CASES.keys())
+    def test_relabelling_elements_by_an_automorphism(self, sys, sigma):
+        """Relabelled by an automorphism, the group is the same table and the
+        plan's steps are the same, at the new labels; covariance, channel and
+        reversibility verdicts and support ranks are identical, and twirls
+        agree within round-off (the sum runs in another order)."""
+        other = _relabelled(sys, sigma)
+        assert other.group is sys.group and other.action.exact_key != sys.action.exact_key
+        plan = groups.transport_plan(sys.action, sys.action)
+        moved = groups.transport_plan(other.action, other.action)
+        for steps, moved_steps in zip(plan.steps, moved.steps):
+            for g, step in enumerate(steps):
+                for a, b in zip(step, moved_steps[sigma[g]]):
+                    assert np.array_equal(a, b), g
+        chan = rand_channel(rng, sys, sys)
+        for f in (chan, groups.twirl_cp(chan), cpmaps.identity_channel(sys)):
+            g = cpmaps.CpMorphism.stacked(other, other, f.blocks.classes())
+            assert groups.is_covariant_cp(g) == groups.is_covariant_cp(f)
+            assert cpmaps.is_channel(g) == cpmaps.is_channel(f)
+            assert graphs.is_reversible(g) == graphs.is_reversible(f)
+            ranks = [
+                [relations.support_of(h).frame(*key).shape[1] for key in h.blocks] for h in (f, g)
+            ]
+            assert ranks[0] == ranks[1]
+            assert_blocks_close(groups.twirl_cp(g), groups.twirl_cp(f))
 
 
 def _reflection(v):

@@ -1,8 +1,8 @@
 """Immutable objects built once per exact key: groups, bundle actions, the
-conjugation action, identity channels, tensor products and discrete
-relations.  Keys are exact (ints, tuples, bytes, digests), so objects that
-are only equal within round-off are each built from their own bytes, and a
-build that raises is not kept."""
+conjugation action, identity channels, tensor products, discrete relations
+and transport plans.  Keys are exact (ints, tuples, bytes, digests), so
+objects that are only equal within round-off are each built from their own
+bytes, and a build that raises is not kept."""
 
 import contextlib
 import io
@@ -192,11 +192,14 @@ class TestTensorSystemAndDiscrete:
     def test_exact_key_is_built_and_hashed_once(self):
         a, b = _z2_system(np.diag([1.0, -1.0])), systems.classical_system(64)
         for sys in (a, b):
-            key = sys.exact_key
-            assert sys.exact_key is key and key == (sys.dims, sys.weights, sys.action.exact_key)
-            assert hash(key) == hash(tuple(key))
-            again = pickle.loads(pickle.dumps(key))
-            assert again == key and hash(again) == hash(key)
+            action = sys.action
+            for key, parts in ((sys.exact_key, (sys.dims, sys.weights, action.exact_key)),
+                               (action.exact_key, (action._key, action._digest))):
+                assert isinstance(key, groups.KeptHash) and key == parts
+                assert hash(key) == hash(tuple(key))
+                again = pickle.loads(pickle.dumps(key))
+                assert again == key and hash(again) == hash(key)
+            assert sys.exact_key is sys.exact_key and action.exact_key is action.exact_key
 
     def test_roundoff_close_systems_get_their_own_product(self):
         a, b = _z2_system(_reflection(0.3)), _z2_system(_reflection(0.3 + 1e-15))
@@ -215,6 +218,43 @@ class TestTensorSystemAndDiscrete:
         assert a == b
         assert relations.discrete(a).source is a and relations.discrete(a).target is a
         assert relations.discrete(b).source is b and relations.discrete(b).target is b
+
+
+class TestTransportPlans:
+    def test_exactly_equal_action_pairs_share_one_plan(self):
+        z = np.diag([1.0, -1.0])
+        a, b = _z2_system(z).action, _z2_system(z).action
+        assert a is not b
+        assert groups.transport_plan(b, b) is groups.transport_plan(a, a)
+        assert groups.transport_plan(a, b) is groups.transport_plan(a, a)
+
+    def test_each_ordered_pair_gets_its_own_plan(self):
+        a = _z2_system(np.diag([1.0, -1.0])).action
+        b = _z2_system(np.array([[0.0, 1.0], [1.0, 0.0]])).action
+        plans = {(s, t): groups.transport_plan(s, t) for s in (a, b) for t in (a, b)}
+        assert len({id(plan) for plan in plans.values()}) == 4
+        for (s, t), plan in plans.items():
+            w, _, _ = plan.steps[0][1]
+            assert np.array_equal(w[0], np.kron(t.unitaries[1][0].conj(), s.unitaries[1][0]))
+
+    def test_roundoff_close_actions_get_their_own_plan(self):
+        a, b = _z2_system(_reflection(0.3)).action, _z2_system(_reflection(0.3 + 1e-15)).action
+        assert a == b
+        pa, pb = groups.transport_plan(a, a), groups.transport_plan(b, b)
+        assert pb is not pa
+        for act, plan in ((a, pa), (b, pb)):
+            w, w_dag, _ = plan.steps[0][1]
+            (u,) = act.unitaries[1]
+            assert np.array_equal(w[0], np.kron(u.conj(), u))
+            assert np.array_equal(w_dag, w.conj().swapaxes(1, 2))
+            assert not w.flags.writeable and not w_dag.flags.writeable
+
+    def test_actions_of_different_groups_raise_on_every_call(self):
+        a = _z2_system(np.diag([1.0, -1.0])).action
+        c3 = groups.trivial_action(groups.cyclic_group(3), (2,))
+        for _ in range(2):
+            with pytest.raises(GroupMismatch, match="must share one group"):
+                groups.transport_plan(a, c3)
 
 
 # Systems whose "factors" or "perms" hold an entry that is not an integer:

@@ -15,13 +15,15 @@ induced algebra automorphisms, which compose exactly.
 Transport is stacked and planned once per action pair.  The block store of
 a CP morphism or relation holds one stack per dimension class (d_i, e_j) of
 factor pairs, and α_g moves a whole class with one batched product W B W†
-(transport).  W = kron(conj U_tgt[g], U_src[g]) per member, its W† and the
-image slots depend only on the two actions, g and the class, so a
-TransportPlan holds them for every element and class, built on first use
-and shared per pair of exact keys (transport_plan); transport, act_on_cp,
-twirl_cp, is_covariant_cp and is_covariant_relation all read it.  When both
-actions' identity unitaries are exactly I, the twirl adds the stack itself
-for the identity element.
+(TransportPlan.transport).  W = kron(conj U_tgt[g], U_src[g]) per member
+and the image slots depend only on the two actions, g and the class, so a
+TransportPlan builds them for an element and class the first time they are
+read and keeps them; plans are shared per pair of exact keys
+(transport_plan), and act_on_cp, twirl_cp, is_covariant_cp and
+is_covariant_relation all move blocks through one.  A plan's memory grows
+with |G|: a twirl reads every element, so its plan then holds |G| W stacks
+per class (C_n permuting n classical points: n³ entries of W and n³ image
+slots).
 
 An action holds its unitaries as read-only stacks, one (|G|, k, d, d)
 stack per factor dimension; the library's own constructions (trivial and
@@ -462,47 +464,58 @@ def act(action: AlgebraAction, g: int, x) -> list:
 
 
 class TransportPlan:
-    """α_g on every class of the source x target layout of one action pair,
-    for every group element: steps[c][g] = (W, W†, image) with W =
-    kron(conj(U_tgt[g][j]), U_src[g][i]) per member of class c (from
-    linalg.kron_stack), W† its conjugate transpose as a strided view, and
-    image the member positions of the moved pairs, all read-only.  trivial
-    is the identity element when both actions' identity unitaries are
-    exactly I, else None: the twirl adds the stack itself for it, bitwise
-    what it adds for I B I.  index maps class dims to c."""
+    """α_g on every class of the source x target layout of one action pair.
+    step(g, klass) is (W, image): W = kron(conj(U_tgt[g][j]), U_src[g][i])
+    per member of the class (from linalg.kron_stack) and image the member
+    positions of the moved pairs, both read-only.  Each step is built the
+    first time it is read and kept, so a plan read for every element (a
+    twirl) holds |G| W stacks and images per class: |G| · Σ_c k_c n_c²
+    complex entries and |G| · Σ_c k_c slots, for k_c members of n_c x n_c
+    blocks in class c."""
 
-    __slots__ = ("index", "steps", "trivial")
+    __slots__ = ("_src", "_tgt", "_index", "_steps")
 
     def __init__(self, src: AlgebraAction, tgt: AlgebraAction):
         from .systems import layout
 
         if src.group != tgt.group:
             raise GroupMismatch("source and target actions must share one group")
-        lay = layout(src.dims, tgt.dims)
-        self.index = lay.index
-        self.steps = tuple(
-            tuple(_step(src, tgt, g, klass) for g in src.group.elements)
-            for klass in lay.classes
-        )
-        e = src.group.identity
-        exact = all((stack[e] == np.eye(d)).all()
-                    for act in (src, tgt) for d, (_, stack) in act._classes.items())
-        self.trivial = e if exact else None
+        self._src, self._tgt = src, tgt
+        self._index = layout(src.dims, tgt.dims).index
+        self._steps = [[None] * src.group.order for _ in self._index]
 
+    def step(self, g: int, klass) -> tuple:
+        steps = self._steps[self._index[klass.dims]]
+        if steps[g] is None:
+            w = linalg.kron_stack(self._tgt.unitary_stack(g, klass.cols).conj(),
+                                  self._src.unitary_stack(g, klass.rows))
+            image = klass.slots(self._src.perm_array[g][klass.rows],
+                                self._tgt.perm_array[g][klass.cols])
+            for a in (w, image):
+                a.setflags(write=False)
+            steps[g] = w, image
+        return steps[g]
 
-def _step(src: AlgebraAction, tgt: AlgebraAction, g: int, klass) -> tuple:
-    w = linalg.kron_stack(tgt.unitary_stack(g, klass.cols).conj(),
-                          src.unitary_stack(g, klass.rows))
-    image = klass.slots(src.perm_array[g][klass.rows], tgt.perm_array[g][klass.cols])
-    w_dag = w.conj().swapaxes(1, 2)
-    for a in (w, w_dag, image):
-        a.setflags(write=False)
-    return w, w_dag, image
+    def transport(self, g: int, klass, stack: np.ndarray) -> np.ndarray:
+        """α_g on one (d_i, e_j) class of blocks on vec(Hom(K_j, H_i)), given
+        as a block-store class and its stack; returns the moved stack in the
+        same key order.
+
+        The action sends an operator a to U_src[g][i] a U_tgt[g][j]†, i.e. the
+        vec-space unitary W, and moves the block (i, j) to W B W† at
+        (perms_src[g][i], perms_tgt[g][j]), a key of the same class.  One
+        batched product moves the class; W comes from linalg.kron_stack, so
+        every moved block is bitwise the one a per-block kron loop gives.
+        """
+        w, image = self.step(g, klass)
+        moved = np.empty(stack.shape, dtype=complex)
+        moved[image] = w @ stack @ w.conj().swapaxes(1, 2)
+        return moved
 
 
 def transport_plan(action_src: AlgebraAction, action_tgt: AlgebraAction) -> TransportPlan:
     """The transport plan of an action pair.  Actions are immutable, so pairs
-    with equal exact_key share one plan, built on first use."""
+    with equal exact_key share one plan."""
     return _transport_plan(ExactKey((action_src.exact_key, action_tgt.exact_key),
                                     (action_src, action_tgt)))
 
@@ -512,79 +525,43 @@ def _transport_plan(key: ExactKey) -> TransportPlan:
     return TransportPlan(*key.value)
 
 
-def transport(action_src: AlgebraAction, action_tgt: AlgebraAction, g: int,
-              klass, stack: np.ndarray) -> np.ndarray:
-    """α_g on one (d_i, e_j) class of blocks on vec(Hom(K_j, H_i)), given as
-    a block-store class and its stack; returns the moved stack in the same
-    key order.
-
-    The action sends an operator a to U_src[g][i] a U_tgt[g][j]†, i.e. the
-    vec-space unitary W = kron(conj(U_tgt[g][j]), U_src[g][i]), and moves the
-    block (i, j) to W B W† at (perms_src[g][i], perms_tgt[g][j]), a key of the
-    same class.  One batched product moves the class, with W and the image
-    read from the pair's transport plan; W comes from linalg.kron_stack, so
-    every moved block is bitwise the one a per-block kron loop gives.
-    """
-    plan = transport_plan(action_src, action_tgt)
-    w, w_dag, image = plan.steps[plan.index[klass.dims]][g]
-    moved = np.empty(stack.shape, dtype=complex)
-    moved[image] = w @ stack @ w_dag
-    return moved
-
-
 def act_on_cp(f, g: int):
     """Transport a CP morphism along group element g: α_{B,g} ∘ f ∘ α_{A,g}⁻¹."""
     from .cpmaps import CpMorphism
 
-    parts = [
-        (klass, transport(f.source.action, f.target.action, g, klass, stack))
-        for klass, stack in f.blocks.classes()
-    ]
-    return CpMorphism.stacked(f.source, f.target, parts)
-
-
-def _twirled(f) -> list:
-    """(class, group average of its stack) for every class of f, in class
-    order: the stacks summed element by element from zeros, then divided."""
     plan = transport_plan(f.source.action, f.target.action)
-    order = f.source.action.group.order
-    out = []
-    for (klass, stack), steps in zip(f.blocks.classes(), plan.steps):
-        acc = np.zeros(stack.shape, dtype=complex)
-        for g, (w, w_dag, image) in enumerate(steps):
-            if g == plan.trivial:
-                acc += stack
-            else:
-                acc[image] += w @ stack @ w_dag
-        out.append((klass, acc / order))
-    return out
+    parts = [(klass, plan.transport(g, klass, stack)) for klass, stack in f.blocks.classes()]
+    return CpMorphism.stacked(f.source, f.target, parts)
 
 
 def twirl_cp(f):
     """Group-average a CP morphism: the projector onto covariant maps."""
     from .cpmaps import CpMorphism
 
-    return CpMorphism.stacked(f.source, f.target, _twirled(f))
+    plan = transport_plan(f.source.action, f.target.action)
+    group = f.source.action.group
+    parts = []
+    for klass, stack in f.blocks.classes():
+        acc = np.zeros(stack.shape, dtype=complex)
+        for g in group.elements:
+            acc += plan.transport(g, klass, stack)
+        parts.append((klass, acc / group.order))
+    return CpMorphism.stacked(f.source, f.target, parts)
 
 
 def is_covariant_cp(f, tol: float = TOL_PROJ) -> bool:
-    """True iff the twirl leaves f unchanged in blockwise Frobenius norm:
-    the largest Frobenius norm of a twirled block minus f's, bitwise
-    cp_norm_diff(twirl_cp(f), f), below tol * max(1, f.norm())."""
-    defect = max(
-        float(linalg.frobs(t - stack).max())
-        for (_, t), (_, stack) in zip(_twirled(f), f.blocks.classes())
-    )
-    return defect < tol * max(1.0, f.norm())
+    """True iff the twirl leaves f unchanged in blockwise Frobenius norm."""
+    from .cpmaps import cp_norm_diff
+
+    return cp_norm_diff(twirl_cp(f), f) < tol * max(1.0, f.norm())
 
 
 def is_covariant_relation(p) -> bool:
     """Projector-family invariance under the induced conjugation action."""
-    a_act = p.source.action
-    b_act = p.target.action
+    plan = transport_plan(p.source.action, p.target.action)
     for klass, stack in p.blocks.classes():
         bound = TOL_PROJ * np.maximum(1.0, linalg.frobs(stack))
-        for g in a_act.group.elements:
-            if np.any(linalg.frobs(transport(a_act, b_act, g, klass, stack) - stack) > bound):
+        for g in p.source.action.group.elements:
+            if np.any(linalg.frobs(plan.transport(g, klass, stack) - stack) > bound):
                 return False
     return True

@@ -220,6 +220,12 @@ class TestTensorSystemAndDiscrete:
         assert relations.discrete(b).source is b and relations.discrete(b).target is b
 
 
+def _only_class(action):
+    """The one class of the layout of a one-factor action's dims with itself."""
+    (klass,) = systems.layout(action.dims, action.dims).classes
+    return klass
+
+
 class TestTransportPlans:
     def test_exactly_equal_action_pairs_share_one_plan(self):
         z = np.diag([1.0, -1.0])
@@ -234,7 +240,7 @@ class TestTransportPlans:
         plans = {(s, t): groups.transport_plan(s, t) for s in (a, b) for t in (a, b)}
         assert len({id(plan) for plan in plans.values()}) == 4
         for (s, t), plan in plans.items():
-            w, _, _ = plan.steps[0][1]
+            w, _ = plan.step(1, _only_class(s))
             assert np.array_equal(w[0], np.kron(t.unitaries[1][0].conj(), s.unitaries[1][0]))
 
     def test_roundoff_close_actions_get_their_own_plan(self):
@@ -243,11 +249,10 @@ class TestTransportPlans:
         pa, pb = groups.transport_plan(a, a), groups.transport_plan(b, b)
         assert pb is not pa
         for act, plan in ((a, pa), (b, pb)):
-            w, w_dag, _ = plan.steps[0][1]
+            w, image = plan.step(1, _only_class(act))
             (u,) = act.unitaries[1]
             assert np.array_equal(w[0], np.kron(u.conj(), u))
-            assert np.array_equal(w_dag, w.conj().swapaxes(1, 2))
-            assert not w.flags.writeable and not w_dag.flags.writeable
+            assert not w.flags.writeable and not image.flags.writeable
 
     def test_actions_of_different_groups_raise_on_every_call(self):
         a = _z2_system(np.diag([1.0, -1.0])).action

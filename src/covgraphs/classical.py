@@ -15,7 +15,7 @@ import numpy as np
 
 from .cpmaps import CpMorphism, _from_stacks, from_kraus
 from .errors import DimensionMismatch, ShapeMismatch
-from .graphs import QuantumGraph, graph_from_blocks
+from .graphs import QuantumGraph
 from .linalg import TOL_ROUNDOFF
 from .relations import QuantumRelation
 from .systems import System, classical_system, layout
@@ -68,37 +68,12 @@ def extract_channel(f: CpMorphism) -> np.ndarray:
     return p
 
 
-def embed_relation(rel, src: System | None = None, tgt: System | None = None) -> QuantumRelation:
-    rel = np.asarray(rel, dtype=bool)
-    m, n = rel.shape
-    src = src if src is not None else classical_system(m)
-    tgt = tgt if tgt is not None else classical_system(n)
-    blocks = {
-        (i, j): np.eye(1, dtype=complex) for i in range(m) for j in range(n) if rel[i, j]
-    }
-    return QuantumRelation(src, tgt, blocks, validate=False)
-
-
 def extract_relation(p: QuantumRelation) -> np.ndarray:
     m, n = p.source.nfactors, p.target.nfactors
     rel = np.zeros((m, n), dtype=bool)
     for klass, stack in p.blocks.classes():
         rel[klass.rows, klass.cols] = stack[:, 0, 0].real > 0.5
     return rel
-
-
-def embed_graph(adj, sys: System | None = None) -> QuantumGraph:
-    adj = np.asarray(adj, dtype=bool)
-    if adj.shape[0] != adj.shape[1] or not np.array_equal(adj, adj.T):
-        raise ShapeMismatch("graph adjacency must be square and symmetric")
-    sys = sys if sys is not None else classical_system(adj.shape[0])
-    blocks = {
-        (i, j): np.eye(1, dtype=complex)
-        for i in range(adj.shape[0])
-        for j in range(adj.shape[1])
-        if adj[i, j]
-    }
-    return graph_from_blocks(sys, blocks)
 
 
 def extract_graph(g: QuantumGraph) -> np.ndarray:
@@ -120,15 +95,6 @@ def oracle_confusability(p) -> np.ndarray:
         for ip in range(m):
             adj[i, ip] = bool(np.any(rel[i] & rel[ip]))
     return adj
-
-
-def oracle_compose(r, s) -> np.ndarray:
-    """Composite S ∘ R of boolean relations (R first): boolean matrix product."""
-    r = np.asarray(r, dtype=bool)
-    s = np.asarray(s, dtype=bool)
-    if r.shape[1] != s.shape[0]:
-        raise ShapeMismatch("relation shapes do not compose")
-    return (r.astype(int) @ s.astype(int)) > 0
 
 
 def oracle_stochastic_hom(p, adj_a, adj_b) -> bool:

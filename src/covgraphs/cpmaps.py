@@ -29,7 +29,8 @@ instead of diagonalizing Choi blocks:
     family on the first call of kraus(), views of the stacks;
   * a morphism born as Choi blocks (bundle "choi" input, dagger, channelize,
     add, twirls, reverse channels) gets the minimal to_kraus family of its
-    blocks on first use;
+    blocks on first use, from the one cut of each class it keeps
+    (CpMorphism.cuts), which its support reads too;
   * a factor pair given more Kraus maps than its block dimension d_i e_j
     holds the minimal to_kraus family of its own block instead, so families
     do not grow along chains of compositions.
@@ -87,7 +88,9 @@ class CpMorphism:
     every check), the largest Frobenius and functional defects of the Choi
     marginal (is_channel) and the discreteness defect of the confusability
     graph (graphs.is_reversible).  A memo lives and dies with its morphism;
-    a call that raises keeps nothing.
+    a call that raises keeps nothing, except the spectral cut of each class
+    (cuts), in which no tol enters: it is kept on its first read, a
+    negative one too, and every reader raises on a negative cut again.
     """
 
     def __init__(self, source: System, target: System, blocks: dict, validate: bool = True):
@@ -96,6 +99,7 @@ class CpMorphism:
         self.blocks = block_store(source, target, blocks, "Choi", validate)
         self._kraus = None
         self.kraus_stacks = None
+        self._cuts = None  # cuts
         self._support = None  # relations.support_of
         self._confusability = None  # graphs.confusability_of
         self._norm = None  # norm
@@ -138,6 +142,15 @@ class CpMorphism:
     def block(self, i: int, j: int) -> np.ndarray:
         return self.blocks[(i, j)]
 
+    def cuts(self) -> tuple:
+        """linalg.spectral_cut of the Hermitian part of each class stack, in
+        class order, made on the first call and kept: the one cut that
+        to_kraus and relations.support_of read."""
+        if self._cuts is None:
+            self._cuts = tuple(linalg.spectral_cut(linalg.hermitize(stack))
+                               for _, stack in self.blocks.classes())
+        return self._cuts
+
     def kraus(self):
         """Held Kraus family: factor pair (i, j) -> tuple of read-only e_j x d_i
         maps, at most d_i e_j of them, made on the first call: from
@@ -149,13 +162,12 @@ class CpMorphism:
         return self._kraus
 
 
-def _block_kraus(keys, stack: np.ndarray, d: int, e: int) -> dict:
-    """Minimal Kraus maps of a stack of Choi blocks of the factor pairs
-    ``keys``, all d e x d e: one map per eigenpair that linalg.spectral_cut,
-    the cut of support_projection, keeps (a 1x1 block c: √c iff Re c > 0).
-    A block whose cut is negative raises NegativeSpectrum.  Each pair gets
-    a tuple of read-only, C-contiguous e x d maps, all rows of one stack."""
-    cut = linalg.spectral_cut(stack)
+def _block_kraus(keys, cut: linalg.Cut, d: int, e: int) -> dict:
+    """Minimal Kraus maps of the linalg.Cut of a stack of Choi blocks of the
+    factor pairs ``keys``, all d e x d e: one map per eigenpair the cut
+    keeps (a 1x1 block c: √c iff Re c > 0).  A block whose cut is negative
+    raises NegativeSpectrum.  Each pair gets a tuple of read-only,
+    C-contiguous e x d maps, all rows of one stack."""
     if cut.neg.any():
         s = int(cut.neg.argmax())
         raise NegativeSpectrum(f"block {keys[cut.live[s]]} has eigenvalue {cut.w[s, -1]:.3e}")
@@ -256,16 +268,16 @@ def _stacked_kraus(f: CpMorphism) -> dict:
         klass = lay.classes[c]
         slots = runs[0] if len(runs) == 1 else np.concatenate(runs)
         keys = [klass.keys[s] for s in slots.tolist()]
-        held.update(_block_kraus(keys, f.blocks.stack(c)[slots], *klass.dims))
+        held.update(_block_kraus(keys, linalg.spectral_cut(f.blocks.stack(c)[slots]), *klass.dims))
     return held
 
 
 def to_kraus(f: CpMorphism) -> dict:
     """Minimal Kraus family: one read-only map per retained eigenpair of each
-    block, as a tuple per factor pair."""
+    block, as a tuple per factor pair, read off the cuts f keeps."""
     kraus = dict.fromkeys(f.blocks)
-    for klass, stack in f.blocks.classes():
-        kraus.update(_block_kraus(klass.keys, stack, *klass.dims))
+    for klass, cut in zip(f.blocks.layout.classes, f.cuts()):
+        kraus.update(_block_kraus(klass.keys, cut, *klass.dims))
     return kraus
 
 
@@ -513,9 +525,7 @@ def _hom_defects(f: CpMorphism):
 def cp_norm_diff(f: CpMorphism, g: CpMorphism) -> float:
     if f.source != g.source or f.target != g.target:
         raise SystemMismatch("cannot compare CP morphisms of different types")
-    return max(
-        float(linalg.frobs(a - b).max()) for (_, a), (_, b) in zip(f.blocks.classes(), g.blocks.classes())
-    )
+    return f.blocks.distance(g.blocks)
 
 
 def channelize(f: CpMorphism) -> CpMorphism:

@@ -9,10 +9,6 @@ class DimensionMismatch(CovGraphsError):
     pass
 
 
-class IndexOutOfRange(CovGraphsError):
-    pass
-
-
 class NotHermitian(CovGraphsError):
     pass
 

@@ -37,7 +37,6 @@ from .relations import (
     leq,
     marginal,
     relation_defect,
-    relations_equal,
     support_of,
 )
 from .systems import BlockStore, System, basis_offset, system, total_matrix_dim
@@ -69,12 +68,6 @@ def discrete_graph(sys: System) -> QuantumGraph:
     return QuantumGraph(sys, discrete(sys), validate=False)
 
 
-def complete_graph(sys: System) -> QuantumGraph:
-    from .relations import complete
-
-    return QuantumGraph(sys, complete(sys), validate=False)
-
-
 def classify(g: QuantumGraph, tol: float = TOL_PROJ) -> dict:
     """Confusability iff Δ ≤ Γ; simple iff Δ̃ Γ̃ = 0 blockwise."""
     delta = discrete(g.system)
@@ -91,10 +84,6 @@ def complement(g: QuantumGraph) -> QuantumGraph:
     blocks = BlockStore.stacked(g.system, g.system, parts)
     return QuantumGraph(g.system, QuantumRelation(g.system, g.system, blocks, validate=False),
                         validate=False)
-
-
-def graphs_equal(a: QuantumGraph, b: QuantumGraph, tol: float = TOL_PROJ) -> bool:
-    return relations_equal(a.relation, b.relation, tol)
 
 
 def confusability_of(f: CpMorphism) -> QuantumGraph:

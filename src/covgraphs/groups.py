@@ -172,12 +172,6 @@ def symmetric_group(n: int) -> FiniteGroup:
     return shared_group(len(perms), table, index[tuple(range(n))])
 
 
-def symmetric_group_perms(n: int):
-    from itertools import permutations
-
-    return [tuple(p) for p in permutations(range(n))]
-
-
 @lru_cache(maxsize=256)
 def dim_classes(dims: tuple):
     """Factors grouped by dimension, d -> [factors of dimension d] in
@@ -441,12 +435,6 @@ def _permutation_action(group: FiniteGroup, dims: tuple, perms: tuple) -> Algebr
         d: np.broadcast_to(np.eye(d, dtype=complex), (group.order, len(idx), d, d))
         for d, idx in factors.items()
     })
-
-
-def inner_action(group: FiniteGroup, dim: int, unitaries) -> AlgebraAction:
-    """Single-factor action by conjugation with the given projective unitaries."""
-    perms = tuple((0,) for _ in range(group.order))
-    return AlgebraAction(group, (dim,), perms, tuple((u,) for u in unitaries))
 
 
 def act(action: AlgebraAction, g: int, x) -> list:

@@ -245,25 +245,22 @@ class Frames(NamedTuple):
         return out
 
 
-def support_projection(m: np.ndarray, frames: bool = False):
+def support_projection(m):
     """Orthogonal projection onto the span of eigenvectors of a Hermitian PSD
-    matrix with eigenvalue above TOL_SPEC * (max eigenvalue).
+    matrix with eigenvalue above TOL_SPEC * (max eigenvalue), and those
+    eigenvectors.
 
-    Takes one matrix, validated by as_complex, or a (k, n, n) stack as the
-    block store holds it (complex and finite, not scanned again), and returns
-    the projections in the same form, each bitwise the one of its own call.
-    Either is cut by spectral_cut, a matrix as a one-member stack, and
-    projected by Frames.projections.  A member that is not Hermitian or has
-    a negative eigenvalue raises; on a stack, the first such member in
-    stack order, and its message and ``member`` name its position.
-
-    With frames=True it also returns the kept eigenvectors V: the (n, r)
-    columns of a matrix, or the Frames of a stack, for a caller that keeps
-    both, as the supports of Choi blocks and confusability graphs do.
+    Takes one matrix, validated by as_complex and cut by spectral_cut as a
+    one-member stack, and returns (projection, its (n, r) kept columns); or
+    the Cut of a (k, n, n) stack, as a CpMorphism keeps one per class, and
+    returns ((k, n, n) projections, their Frames), each member bitwise the
+    one of its own matrix call.  Projections come from Frames.projections.
+    A member that is not Hermitian or has a negative eigenvalue raises; of
+    a Cut, the first such member in stack order, and its message and
+    ``member`` name its position.
     """
-    one = np.ndim(m) == 2
-    s = as_complex(m)[None] if one else m
-    cut = spectral_cut(s)
+    one = not isinstance(m, Cut)
+    cut = spectral_cut(as_complex(m)[None]) if one else m
     defect = frobs(cut.blocks - cut.blocks.conj().swapaxes(1, 2))
     skew = ~(defect <= TOL_SPEC * np.maximum(1.0, cut.scale))
     bad = (skew | cut.neg).nonzero()[0]
@@ -274,22 +271,22 @@ def support_projection(m: np.ndarray, frames: bool = False):
         if skew[b]:
             raise _member_error(NotHermitian, f"{at}: defect {defect[b]:.3e}", member)
         raise _member_error(NegativeSpectrum, f"{at}: min eigenvalue {cut.w[b, -1]:.3e}", member)
-    fr = Frames.prefix(len(s), s.shape[-1], cut.live, cut.rank, cut.v)
+    fr = Frames.prefix(cut.size, cut.blocks.shape[-1], cut.live, cut.rank, cut.v)
     proj = fr.projections()
-    if one:
-        proj, fr = proj[0], fr.member(0)
-    return (proj, fr) if frames else proj
+    return (proj[0], fr.member(0)) if one else (proj, fr)
 
 
 class Cut(NamedTuple):
     """The TOL_SPEC cut of a (k, n, n) stack of Hermitian PSD blocks, read on
-    its nonzero members: their positions (live), the members (blocks), their
-    Frobenius norms (scale) and eigenpairs (w, v) in canonical_eigh's order
-    and phases, how many eigenpairs each keeps (rank: a prefix, those above
-    TOL_SPEC times the top eigenvalue) and whether its least eigenvalue is
-    below -TOL_SPEC times its top or norm (neg).  A 1x1 member c has the
-    eigenpair (Re c, [[1]]), so it keeps [[1]] iff Re c > 0."""
+    its nonzero members: the stack's size k, their positions (live), the
+    members (blocks), their Frobenius norms (scale) and eigenpairs (w, v) in
+    canonical_eigh's order and phases, how many eigenpairs each keeps
+    (rank: a prefix, those above TOL_SPEC times the top eigenvalue) and
+    whether its least eigenvalue is below -TOL_SPEC times its top or norm
+    (neg).  A 1x1 member c has the eigenpair (Re c, [[1]]), so it keeps
+    [[1]] iff Re c > 0.  A cut does not raise on neg: each reader does."""
 
+    size: int
     live: np.ndarray
     blocks: np.ndarray
     scale: np.ndarray
@@ -303,14 +300,15 @@ def spectral_cut(s: np.ndarray) -> Cut:
     """The Cut of a (k, n, n) stack, as the block store holds it: the one
     eigen-cut of the library, one batched eigh of the nonzero members (1x1
     members with no eigh)."""
+    size = len(s)
     scale = frobs(s)
     live = scale.nonzero()[0]
-    if live.size < len(s):
+    if live.size < size:
         s, scale = s[live], scale[live]
     w, v = (s[:, :, 0].real, np.ones_like(s)) if s.shape[-1] == 1 else canonical_eigh(s)
     rank = np.add.reduce(w > TOL_SPEC * w[:, :1], 1)
     neg = w[:, -1] < -TOL_SPEC * np.maximum(w[:, 0], scale)
-    return Cut(live, s, scale, w, v, rank, neg)
+    return Cut(size, live, s, scale, w, v, rank, neg)
 
 
 def orthonormal_span(vectors, dim: int | None = None, tol: float = TOL_SPEC,

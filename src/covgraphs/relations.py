@@ -160,8 +160,9 @@ def support_of(f: CpMorphism) -> QuantumRelation:
     here without forming the block; its support is the column span of V:
     one thin SVD per class and map count, cut at TOL_SPEC_SV (the
     eigenvalue cut TOL_SPEC on V V†), whose left singular vectors are the
-    frames.  For a morphism born as Choi blocks, one batched support kernel
-    per class on the Hermitian parts of the blocks, whose kept eigenvectors
+    frames.  For a morphism born as Choi blocks, linalg.support_projection
+    of the cut of the Hermitian part of each class, which f keeps
+    (CpMorphism.cuts) and to_kraus reads too, and whose kept eigenvectors
     are the frames; a block with a negative eigenvalue raises
     NegativeSpectrum, naming its factor pair, and raises again on every
     later call.
@@ -174,11 +175,11 @@ def support_of(f: CpMorphism) -> QuantumRelation:
 
 
 def _support_of_blocks(f: CpMorphism) -> QuantumRelation:
-    """support_of from the Choi blocks of f."""
+    """support_of from the cuts of the Choi blocks that f keeps."""
     parts = []
-    for klass, stack in f.blocks.classes():
+    for klass, cut in zip(f.blocks.layout.classes, f.cuts()):
         try:
-            parts.append(linalg.support_projection(linalg.hermitize(stack), frames=True))
+            parts.append(linalg.support_projection(cut))
         except NegativeSpectrum as exc:
             raise type(exc)(f"Choi block {klass.keys[exc.member]}: {exc}") from None
     blocks, frames = zip(*parts)
@@ -425,9 +426,7 @@ def relations_equal(p: QuantumRelation, q: QuantumRelation, tol: float = TOL_PRO
 
 
 def relation_defect(p: QuantumRelation, q: QuantumRelation) -> float:
-    return max(
-        float(linalg.frobs(a - b).max()) for (_, a), (_, b) in zip(p.blocks.classes(), q.blocks.classes())
-    )
+    return p.blocks.distance(q.blocks)
 
 
 def marginal(p: QuantumRelation) -> list:

@@ -144,11 +144,6 @@ def functional(sys: System, x) -> complex:
     return complex(sum(w * np.trace(b) for w, b in zip(sys.weights, x)))
 
 
-def trace_end(sys: System, f) -> complex:
-    """Canonical positive faithful trace on the endomorphism algebra."""
-    return functional(sys, f)
-
-
 def phi_basis(sys: System):
     """φ-orthonormal basis of the algebra: matrix units E_pq / sqrt(w_i).
 
@@ -332,6 +327,12 @@ class BlockStore(Mapping):
             (tl.classes[tl.index[klass.dims[::-1]]], klass.transposed(stack))
             for klass, stack in self.classes()
         ]
+
+    def distance(self, other: "BlockStore") -> float:
+        """Largest Frobenius norm of a block difference with a store of the
+        same layout: one batched norm per class."""
+        return max(float(linalg.frobs(a - b).max())
+                   for (_, a), (_, b) in zip(self.classes(), other.classes()))
 
     def keyed(self, per_class) -> np.ndarray:
         """Per-class arrays of one value per member, gathered into key order."""

@@ -2,10 +2,22 @@
 
 from __future__ import annotations
 
+from itertools import permutations
+
 import numpy as np
 
-from covgraphs import cpmaps, graphs, linalg, relations, scc, systems
-from covgraphs.errors import DimensionMismatch, IndexOutOfRange, NegativeSpectrum, NotHermitian
+from covgraphs import cpmaps, graphs, groups, linalg, relations, scc, systems
+from covgraphs.errors import (
+    CovGraphsError,
+    DimensionMismatch,
+    NegativeSpectrum,
+    NotHermitian,
+    ShapeMismatch,
+)
+
+
+class IndexOutOfRange(CovGraphsError):
+    pass
 
 
 def rand_complex(rng, rows, cols):
@@ -13,8 +25,57 @@ def rand_complex(rng, rows, cols):
 
 
 def system_dimension(sys):
-    """Quantum dimension, defined (and tested) as trace_end of the identity."""
-    return systems.trace_end(sys, sys.identity()).real
+    """Quantum dimension, defined (and tested) as the functional of the
+    identity."""
+    return systems.functional(sys, sys.identity()).real
+
+
+def symmetric_group_perms(n: int):
+    return [tuple(p) for p in permutations(range(n))]
+
+
+def inner_action(group, dim: int, unitaries):
+    """Single-factor action by conjugation with the given projective unitaries."""
+    perms = tuple((0,) for _ in range(group.order))
+    return groups.AlgebraAction(group, (dim,), perms, tuple((u,) for u in unitaries))
+
+
+def complete_graph(sys):
+    return graphs.QuantumGraph(sys, relations.complete(sys), validate=False)
+
+
+def embed_relation(rel, src=None, tgt=None):
+    rel = np.asarray(rel, dtype=bool)
+    m, n = rel.shape
+    src = src if src is not None else systems.classical_system(m)
+    tgt = tgt if tgt is not None else systems.classical_system(n)
+    blocks = {
+        (i, j): np.eye(1, dtype=complex) for i in range(m) for j in range(n) if rel[i, j]
+    }
+    return relations.QuantumRelation(src, tgt, blocks, validate=False)
+
+
+def embed_graph(adj, sys=None):
+    adj = np.asarray(adj, dtype=bool)
+    if adj.shape[0] != adj.shape[1] or not np.array_equal(adj, adj.T):
+        raise ShapeMismatch("graph adjacency must be square and symmetric")
+    sys = sys if sys is not None else systems.classical_system(adj.shape[0])
+    blocks = {
+        (i, j): np.eye(1, dtype=complex)
+        for i in range(adj.shape[0])
+        for j in range(adj.shape[1])
+        if adj[i, j]
+    }
+    return graphs.graph_from_blocks(sys, blocks)
+
+
+def oracle_compose(r, s) -> np.ndarray:
+    """Composite S ∘ R of boolean relations (R first): boolean matrix product."""
+    r = np.asarray(r, dtype=bool)
+    s = np.asarray(s, dtype=bool)
+    if r.shape[1] != s.shape[0]:
+        raise ShapeMismatch("relation shapes do not compose")
+    return (r.astype(int) @ s.astype(int)) > 0
 
 
 def adjoint_element(sys, x):
@@ -667,7 +728,7 @@ def _loop_supports(f):
     more maps than d e, which holds the minimal family of the same span."""
     if f.kraus_stacks is None:
         return {
-            key: linalg.support_projection(linalg.hermitize(blk), frames=True)
+            key: linalg.support_projection(linalg.hermitize(blk))
             for key, blk in f.blocks.items()
         }
     out = {}

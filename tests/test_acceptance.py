@@ -20,6 +20,10 @@ from covgraphs.errors import NoChannel, NotReversible
 from genutil import (
     adjoint_element,
     classical_source,
+    complete_graph,
+    embed_graph,
+    embed_relation,
+    oracle_compose,
     partial_trace,
     quantum_source,
     rand_balanced_relation,
@@ -32,6 +36,7 @@ from genutil import (
     rand_stochastic,
     rand_system,
     rand_unitary,
+    symmetric_group_perms,
 )
 
 CSYS = {n: systems.classical_system(n) for n in range(1, 7)}
@@ -149,7 +154,7 @@ def test_criterion_03_relation_to_channel():
         for n in range(1, 5):
             for cols in canonical_patterns(m, n, nonempty_cols=False):
                 rel_bool = pattern_to_bool(cols, n)
-                rel = classical.embed_relation(rel_bool, CSYS[m], CSYS[n])
+                rel = embed_relation(rel_bool, CSYS[m], CSYS[n])
                 verdict = _check_relation_channel(rel)
                 assert verdict == bool(rel_bool.any(axis=1).all())
                 checked += 1
@@ -248,7 +253,7 @@ def test_criterion_06_partial_function_trichotomy():
             for i in range(m):
                 if rng.random() < 0.8:
                     rel_bool[i, int(rng.integers(0, n))] = True
-            rel = classical.embed_relation(rel_bool, CSYS[m], CSYS[n])
+            rel = embed_relation(rel_bool, CSYS[m], CSYS[n])
         elif kind == 2:
             # quantum function: unitary span or block embedding
             d = int(rng.integers(2, 4))
@@ -340,7 +345,7 @@ def test_criterion_08_source_from_graph():
 def test_criterion_09_covariance_sn():
     for n in range(2, 6):
         sn = groups.symmetric_group(n)
-        actn = groups.permutation_action(sn, (1,) * n, groups.symmetric_group_perms(n))
+        actn = groups.permutation_action(sn, (1,) * n, symmetric_group_perms(n))
         cn = systems.classical_system(n, actn)
         triv = systems.classical_system(1, groups.trivial_action(sn, (1,)))
 
@@ -364,7 +369,7 @@ def test_criterion_09_covariance_sn():
 
         # It is a homomorphism between the complete confusability graphs.
         assert graphs.is_homomorphism(
-            unif, graphs.complete_graph(triv), graphs.complete_graph(cn)
+            unif, complete_graph(triv), complete_graph(cn)
         )
 
         # No covariant function C -> C^n: the only covariant relation
@@ -398,20 +403,20 @@ def test_criterion_10_classical_oracle_equivalence():
     for r in rels2:
         for s in rels2:
             lhs = relations.compose(
-                classical.embed_relation(s, CSYS[2], CSYS[2]),
-                classical.embed_relation(r, CSYS[2], CSYS[2]),
+                embed_relation(s, CSYS[2], CSYS[2]),
+                embed_relation(r, CSYS[2], CSYS[2]),
             )
-            assert np.array_equal(classical.extract_relation(lhs), classical.oracle_compose(r, s))
+            assert np.array_equal(classical.extract_relation(lhs), oracle_compose(r, s))
             comp_count += 1
     for _ in range(100):
         m, n, q = (int(rng.integers(1, 5)) for _ in range(3))
         r = rng.random((m, n)) > 0.5
         s = rng.random((n, q)) > 0.5
         lhs = relations.compose(
-            classical.embed_relation(s, CSYS[n], CSYS[q]),
-            classical.embed_relation(r, CSYS[m], CSYS[n]),
+            embed_relation(s, CSYS[n], CSYS[q]),
+            embed_relation(r, CSYS[m], CSYS[n]),
         )
-        assert np.array_equal(classical.extract_relation(lhs), classical.oracle_compose(r, s))
+        assert np.array_equal(classical.extract_relation(lhs), oracle_compose(r, s))
         comp_count += 1
 
     # stochastic homomorphisms: exhaustive tiny + 200 random instances.
@@ -427,8 +432,8 @@ def test_criterion_10_classical_oracle_equivalence():
             for gb in graphs2:
                 quantum = graphs.is_homomorphism(
                     classical.embed_channel(p, CSYS[2], CSYS[2]),
-                    classical.embed_graph(ga, CSYS[2]),
-                    classical.embed_graph(gb, CSYS[2]),
+                    embed_graph(ga, CSYS[2]),
+                    embed_graph(gb, CSYS[2]),
                 )
                 assert quantum == classical.oracle_stochastic_hom(p, ga, gb)
                 hom_count += 1
@@ -439,8 +444,8 @@ def test_criterion_10_classical_oracle_equivalence():
         gb = classical.oracle_confusability(rand_stochastic(rng, int(rng.integers(1, 5)), n))
         quantum = graphs.is_homomorphism(
             classical.embed_channel(p, CSYS[m], CSYS[n]),
-            classical.embed_graph(ga, CSYS[m]),
-            classical.embed_graph(gb, CSYS[n]),
+            embed_graph(ga, CSYS[m]),
+            embed_graph(gb, CSYS[n]),
         )
         assert quantum == classical.oracle_stochastic_hom(p, ga, gb)
         hom_count += 1
@@ -510,8 +515,8 @@ def test_criterion_11_trace_coherence():
                     blk, [a.dims[ai], b.dims[bi]], keep=[0], weights=[b.weights[bi]]
                 )
                 partial[ai] = partial[ai] + traced
-        lhs = systems.trace_end(a, partial)
-        rhs = systems.trace_end(ts.product, x)
+        lhs = systems.functional(a, partial)
+        rhs = systems.functional(ts.product, x)
         defect = abs(lhs - rhs) / max(1.0, abs(rhs))
         worst = max(worst, defect)
         assert defect < 1e-10

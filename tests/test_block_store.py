@@ -57,6 +57,7 @@ from genutil import (
     rand_stochastic,
     rand_unitary,
     reference_canonical_eigh,
+    symmetric_group_perms,
 )
 
 rng = np.random.default_rng(707)
@@ -101,7 +102,7 @@ def _z2_sign_system(dims, signs):
 def _s3_system():
     s3 = groups.symmetric_group(3)
     return systems.system(
-        (2, 2, 2), groups.permutation_action(s3, (2, 2, 2), groups.symmetric_group_perms(3))
+        (2, 2, 2), groups.permutation_action(s3, (2, 2, 2), symmetric_group_perms(3))
     )
 
 
@@ -165,21 +166,21 @@ class TestStackedKernels:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
     def test_support_projection_and_eigh_match_per_matrix(self, n):
         st = _psd_stack(30, n)
-        proj = linalg.support_projection(st)
+        proj, _ = linalg.support_projection(linalg.spectral_cut(st))
         w, v = linalg.canonical_eigh(st)
         for s, m in enumerate(st):
-            assert np.array_equal(proj[s], linalg.support_projection(m)), s
+            assert np.array_equal(proj[s], linalg.support_projection(m)[0]), s
             ws, vs = reference_canonical_eigh(m)
             assert np.array_equal(w[s], ws) and np.array_equal(v[s], vs), s
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
     def test_support_frames_match_per_matrix(self, n):
         st = _psd_stack(30, n)
-        proj, fr = linalg.support_projection(st, frames=True)
-        assert np.array_equal(proj, linalg.support_projection(st))
+        proj, fr = linalg.support_projection(linalg.spectral_cut(st))
         assert fr.vecs.shape == (30, n, fr.ranks.max())
         for s, m in enumerate(st):
-            ps, cols = linalg.support_projection(m, frames=True)
+            ps, cols = linalg.support_projection(m)
+            assert np.array_equal(proj[s], ps), s
             assert np.array_equal(fr.member(s), cols), s
             assert not fr.vecs[s, :, fr.ranks[s]:].any(), s
             assert np.allclose(cols @ cols.conj().T, ps, atol=1e-12), s
@@ -205,7 +206,7 @@ class TestStackedKernels:
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_projection_frames_match_per_matrix(self, n):
-        mixed = linalg.support_projection(_psd_stack(24, n))
+        mixed, _ = linalg.support_projection(linalg.spectral_cut(_psd_stack(24, n)))
         holes = mixed.copy()
         holes[1::3] = 0.0  # all-zero members between live ones
         for case, st in (("mixed", mixed), ("holes", holes), ("zero", np.zeros((5, n, n), complex))):
@@ -249,12 +250,12 @@ class TestStackedKernels:
         skew = st.copy()
         skew[5, 0, n - 1] += 1j
         with pytest.raises(NotHermitian) as info:
-            linalg.support_projection(skew)
+            linalg.support_projection(linalg.spectral_cut(skew))
         assert info.value.member == 5
         both = skew.copy()
         both[3] = -np.eye(n)
         with pytest.raises(NegativeSpectrum) as info:
-            linalg.support_projection(both)
+            linalg.support_projection(linalg.spectral_cut(both))
         assert info.value.member == 3
         with pytest.raises(NegativeSpectrum):
             linalg.support_projection(-np.eye(n))
@@ -417,10 +418,11 @@ def test_is_reversible_support_projections_do_not_grow_with_n(monkeypatch):
 
 @pytest.mark.parametrize("name", CHANNELS)
 def test_confusability_eighs_are_the_choi_support_cuts(name, monkeypatch):
-    # One eigh per class of f's Choi blocks (none for 1x1 classes) and none
-    # for the graph: compose's frames span it, and no cut recovers a basis of
-    # a projection the supports already held.
-    f = choi_born(CHANNELS[name])
+    # One eigh per class of f's Choi blocks (none for 1x1 classes) in total,
+    # in either order of the readers: the support, to_kraus, kraus() and
+    # dump_channel all read the one cut of each class that f keeps, and the
+    # graph needs none, since compose's frames span it and no cut recovers a
+    # basis of a projection the supports already held.
     calls = []
     eigh = np.linalg.eigh
 
@@ -429,8 +431,28 @@ def test_confusability_eighs_are_the_choi_support_cuts(name, monkeypatch):
         return eigh(a, *args, **kw)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
-    graphs.confusability_of(f)
-    assert len(calls) == sum(klass.n > 1 for klass in f.blocks.layout.classes)
+    for support_first in (True, False):
+        f = choi_born(CHANNELS[name])
+        n_cut = sum(klass.n > 1 for klass in f.blocks.layout.classes)
+        supports = [lambda: relations.support_of(f), lambda: graphs.confusability_of(f)]
+        kraus = [lambda: cpmaps.to_kraus(f), f.kraus, lambda: bundle.dump_channel(f, "A", "B")]
+        calls.clear()
+        for read in supports + kraus if support_first else kraus + supports:
+            read()
+        assert len(calls) == n_cut, support_first
+        # A negative block is cut once too, and every read of it raises,
+        # naming its pair.
+        blocks = dict(f.blocks)
+        key = [key for key, blk in blocks.items() if blk.any()][-1]
+        blocks[key] = -blocks[key]
+        neg = cpmaps.CpMorphism(f.source, f.target, blocks, validate=False)
+        readers = [relations.support_of, cpmaps.to_kraus]
+        calls.clear()
+        for read in (readers if support_first else readers[::-1]) * 2:
+            with pytest.raises(NegativeSpectrum, match=re.escape(str(key))):
+                read(neg)
+        assert neg._support is None
+        assert len(calls) == n_cut, support_first
 
 
 def test_frames_are_orthonormal_and_span_their_blocks():
@@ -605,7 +627,7 @@ class TestChecksAtTheBoundary:
             (groups.AlgebraAction(z2, (1, 2, 3), ((0, 1, 2),) * 2, sign_units), sign_units),
             (groups.trivial_action(s3, (1, 2, 3)),
              [[np.eye(d) for d in (1, 2, 3)]] * 6),
-            (groups.permutation_action(s3, (2, 2, 2), groups.symmetric_group_perms(3)),
+            (groups.permutation_action(s3, (2, 2, 2), symmetric_group_perms(3)),
              [[np.eye(2)] * 3] * 6),
         ]
         for action, units in cases:
@@ -688,7 +710,7 @@ class TestChecksAtTheBoundary:
                      [np.eye(1), np.eye(2), np.array([[c, -s], [s, c]])]]
         else:
             group, dims = groups.symmetric_group(3), (2, 2, 2)
-            perms = groups.symmetric_group_perms(3)
+            perms = symmetric_group_perms(3)
             units = [[np.eye(2)] * 3 for _ in range(6)]
             if case == "s3-unitary":
                 units[4] = [np.eye(2), rand_unitary(rng, 2), np.eye(2)]
@@ -1028,7 +1050,7 @@ class TestLazyKrausBlocks:
         stack = (vals + 1j * np.where(np.arange(vals.size) % 3 == 0, 1e-20, 0.0)).reshape(-1, 1, 1)
         stack[-1, 0, 0] = 1e-30j  # zero real part, nonzero norm
         keys = [(s, 0) for s in range(len(stack))]
-        got = cpmaps._block_kraus(keys, stack, 1, 1)
+        got = cpmaps._block_kraus(keys, linalg.spectral_cut(stack), 1, 1)
         ref = loop_block_kraus(keys, stack, 1, 1)
         assert list(got) == keys
         for key in keys:

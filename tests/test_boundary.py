@@ -9,6 +9,8 @@ import pytest
 from covgraphs import bundle, classical, cpmaps, groups, relations, systems
 from covgraphs.errors import DimensionMismatch
 
+from genutil import inner_action
+
 
 def _json(m):
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
@@ -39,7 +41,7 @@ ENTRY_POINTS = {
     "CpMorphism": lambda bad: cpmaps.CpMorphism(QUBIT, QUBIT, {(0, 0): _bad_block(bad)}),
     "QuantumRelation": lambda bad: relations.QuantumRelation(
         QUBIT, QUBIT, {(0, 0): _bad_block(bad)}),
-    "AlgebraAction": lambda bad: groups.inner_action(
+    "AlgebraAction": lambda bad: inner_action(
         groups.cyclic_group(2), 2, [np.eye(2), _bad_map(bad)]),
     "load_bundle kraus": lambda bad: _load(channels={"f": {
         "from": "A", "to": "A", "kraus": {"0,0": [_json(_bad_map(bad))]}}}),

@@ -6,11 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from covgraphs import bundle, cli, cpmaps, graphs, groups, scc, systems
+from covgraphs import bundle, cli, cpmaps, graphs, groups, relations, scc, systems
 from covgraphs.bundle import BundleError
 from covgraphs.errors import ActionShapeMismatch
 
-from genutil import phase_fixed_unitary
+from genutil import phase_fixed_unitary, symmetric_group_perms
 
 rng = np.random.default_rng(909)
 
@@ -91,7 +91,7 @@ class TestBundle:
         }
         b = bundle.load_bundle(data)
         g = b.graphs["g"]
-        assert graphs.graphs_equal(g, graphs.discrete_graph(b.systems["A"]))
+        assert relations.relations_equal(g.relation, graphs.discrete_graph(b.systems["A"]).relation)
 
     def test_channel_choi_blocks(self):
         sys_a = systems.system((2,))
@@ -179,7 +179,7 @@ class TestBundle:
 
     def test_system_json_roundtrip(self):
         s2 = groups.symmetric_group(2)
-        act = groups.permutation_action(s2, (1, 1), groups.symmetric_group_perms(2))
+        act = groups.permutation_action(s2, (1, 1), symmetric_group_perms(2))
         sys_a = systems.classical_system(2, act)
         doc = bundle.system_to_json(sys_a)
         back = bundle.system_from_json(doc, s2)

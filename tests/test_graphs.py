@@ -4,7 +4,6 @@ import pytest
 from covgraphs import cpmaps, graphs, groups, linalg, relations, systems
 from covgraphs.classical import (
     embed_channel,
-    embed_graph,
     extract_graph,
     oracle_confusability,
     oracle_reversible,
@@ -13,6 +12,9 @@ from covgraphs.classical import (
 from covgraphs.errors import NotAChannel, NotConfusability, NotReversible, PsdViolation
 
 from genutil import (
+    complete_graph,
+    embed_graph,
+    inner_action,
     phase_fixed_unitary,
     rand_channel,
     rand_conf_graph,
@@ -21,6 +23,7 @@ from genutil import (
     rand_stochastic,
     rand_system,
     rand_unitary,
+    symmetric_group_perms,
 )
 
 rng = np.random.default_rng(606)
@@ -33,7 +36,7 @@ class TestClassify:
         assert flags["is_confusability"] and not flags["is_simple"]
 
     def test_complete(self):
-        g = graphs.complete_graph(systems.system((2,)))
+        g = complete_graph(systems.system((2,)))
         assert graphs.classify(g)["is_confusability"]
 
     def test_zero_simple(self):
@@ -52,13 +55,15 @@ class TestComplement:
 
     def test_complete_to_zero(self):
         sys = systems.system((2, 1))
-        comp = graphs.complement(graphs.complete_graph(sys))
+        comp = graphs.complement(complete_graph(sys))
         assert all(np.allclose(b, 0) for b in comp.relation.blocks.values())
 
     def test_involutive(self):
         sys = rand_system(rng, 2, 3)
         g = rand_conf_graph(rng, sys)
-        assert graphs.graphs_equal(graphs.complement(graphs.complement(g)), g)
+        assert relations.relations_equal(
+            graphs.complement(graphs.complement(g)).relation, g.relation
+        )
 
     def test_flag_swap(self):
         for _ in range(5):
@@ -81,7 +86,9 @@ class TestConfusabilityOf:
         sys = systems.system((3,))
         u = rand_unitary(rng, 3)
         f = cpmaps.from_kraus({(0, 0): [u]}, sys, sys)
-        assert graphs.graphs_equal(graphs.confusability_of(f), graphs.discrete_graph(sys))
+        assert relations.relations_equal(
+            graphs.confusability_of(f).relation, graphs.discrete_graph(sys).relation
+        )
 
     def test_trace_out_complete(self):
         sys = systems.system((2,))
@@ -89,7 +96,9 @@ class TestConfusabilityOf:
         kraus = [np.sqrt(2) * np.eye(2)[[k], :] for k in range(2)]
         f = cpmaps.from_kraus({(0, 0): kraus}, sys, tgt)
         assert cpmaps.is_channel(f)
-        assert graphs.graphs_equal(graphs.confusability_of(f), graphs.complete_graph(sys))
+        assert relations.relations_equal(
+            graphs.confusability_of(f).relation, complete_graph(sys).relation
+        )
 
     def test_contains_discrete_for_channels(self):
         for _ in range(10):
@@ -115,11 +124,13 @@ class TestRealizeChannel:
         f, env = graphs.realize_channel(graphs.discrete_graph(sys))
         assert cpmaps.is_channel(f)
         assert graphs.is_reversible(f)
-        assert graphs.graphs_equal(graphs.confusability_of(f), graphs.discrete_graph(sys))
+        assert relations.relations_equal(
+            graphs.confusability_of(f).relation, graphs.discrete_graph(sys).relation
+        )
 
     def test_complete_roundtrip(self):
         sys = systems.system((2,))
-        g = graphs.complete_graph(sys)
+        g = complete_graph(sys)
         f, _ = graphs.realize_channel(g)
         assert relations.relation_defect(graphs.confusability_of(f).relation, g.relation) < 1e-7
 
@@ -136,7 +147,7 @@ class TestRealizeChannel:
     def test_rejects_simple(self):
         sys = systems.system((2,))
         with pytest.raises(NotConfusability):
-            graphs.realize_channel(graphs.complement(graphs.complete_graph(sys)))
+            graphs.realize_channel(graphs.complement(complete_graph(sys)))
 
     def test_bad_tau(self):
         sys = systems.system((2,))
@@ -145,7 +156,7 @@ class TestRealizeChannel:
 
     def test_covariant_graph_covariant_channel(self):
         z2 = groups.cyclic_group(2)
-        act = groups.inner_action(z2, 2, [np.eye(2), np.diag([1.0, -1.0])])
+        act = inner_action(z2, 2, [np.eye(2), np.diag([1.0, -1.0])])
         sys = systems.system((2,), act)
         z = np.diag([1.0, -1.0]).astype(complex)
         blk = linalg.orthonormal_span([linalg.vec(np.eye(2)), linalg.vec(z)], dim=4)
@@ -275,7 +286,7 @@ class TestReverseChannel:
 
     def test_covariance_preserved(self):
         s2 = groups.symmetric_group(2)
-        act2 = groups.permutation_action(s2, (1, 1), groups.symmetric_group_perms(2))
+        act2 = groups.permutation_action(s2, (1, 1), symmetric_group_perms(2))
         act4 = groups.permutation_action(
             s2, (1, 1, 1, 1), [(0, 1, 2, 3), (1, 0, 3, 2)]
         )

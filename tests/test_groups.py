@@ -8,6 +8,7 @@ from covgraphs.errors import ActionShapeMismatch, GroupMismatch
 from genutil import (
     assert_blocks_close,
     assert_family_equal,
+    inner_action,
     kron_is_covariant_relation,
     kron_moved_blocks,
     kron_twirl_blocks,
@@ -16,6 +17,7 @@ from genutil import (
     rand_stochastic,
     rand_system,
     rand_unitary,
+    symmetric_group_perms,
 )
 
 rng = np.random.default_rng(202)
@@ -63,21 +65,21 @@ class TestActions:
 
     def test_swap_act(self):
         s2 = groups.symmetric_group(2)
-        act = groups.permutation_action(s2, (1, 1), groups.symmetric_group_perms(2))
+        act = groups.permutation_action(s2, (1, 1), symmetric_group_perms(2))
         y = groups.act(act, 1, [np.array([[1.0]]), np.array([[2.0]])])
         assert y[0][0, 0] == 2.0 and y[1][0, 0] == 1.0
 
     def test_inner_act(self):
         z2 = groups.cyclic_group(2)
         u = np.array([[0, 1], [1, 0]], dtype=complex)
-        act = groups.inner_action(z2, 2, [np.eye(2), u])
+        act = inner_action(z2, 2, [np.eye(2), u])
         x = [np.diag([1.0, 2.0]).astype(complex)]
         y = groups.act(act, 1, x)
         assert np.allclose(y[0], u @ x[0] @ u.conj().T)
 
     def test_permutation_actions_are_shared(self):
         s2 = groups.symmetric_group(2)
-        perms = groups.symmetric_group_perms(2)
+        perms = symmetric_group_perms(2)
         act = groups.permutation_action(s2, (1, 1), perms)
         assert groups.permutation_action(groups.symmetric_group(2), [1, 1],
                                          [list(p) for p in perms]) is act
@@ -93,12 +95,12 @@ class TestActions:
     def test_dim_mismatch_rejected(self):
         s2 = groups.symmetric_group(2)
         with pytest.raises(ActionShapeMismatch):
-            groups.permutation_action(s2, (1, 2), groups.symmetric_group_perms(2))
+            groups.permutation_action(s2, (1, 2), symmetric_group_perms(2))
 
     def test_nonunitary_rejected(self):
         z2 = groups.cyclic_group(2)
         with pytest.raises(ActionShapeMismatch):
-            groups.inner_action(z2, 2, [np.eye(2), np.diag([1.0, 2.0])])
+            inner_action(z2, 2, [np.eye(2), np.diag([1.0, 2.0])])
 
     def test_projective_phases_allowed(self):
         # Pauli X, Z generate a projective Z2 x Z2 action on B(C^2).
@@ -109,13 +111,13 @@ class TestActions:
         )
         x = np.array([[0, 1], [1, 0]], dtype=complex)
         z = np.diag([1.0, -1.0]).astype(complex)
-        act = groups.inner_action(z22, 2, [np.eye(2), x, z, x @ z])
+        act = inner_action(z22, 2, [np.eye(2), x, z, x @ z])
         assert act.group.order == 4
 
 
 def swap_system():
     s2 = groups.symmetric_group(2)
-    act = groups.permutation_action(s2, (1, 1), groups.symmetric_group_perms(2))
+    act = groups.permutation_action(s2, (1, 1), symmetric_group_perms(2))
     return systems.classical_system(2, act)
 
 
@@ -154,7 +156,7 @@ class TestTwirl:
 
     def test_twirl_of_channel_is_channel_inner_action(self):
         z2 = groups.cyclic_group(2)
-        act = groups.inner_action(z2, 2, [np.eye(2), np.diag([1.0, -1.0])])
+        act = inner_action(z2, 2, [np.eye(2), np.diag([1.0, -1.0])])
         sys = systems.system((2,), act)
         for _ in range(5):
             f = rand_channel(rng, sys, sys)
@@ -167,7 +169,7 @@ class TestCovariantChecks:
     def test_uniform_channel_covariant(self):
         n = 3
         sn = groups.symmetric_group(n)
-        actn = groups.permutation_action(sn, (1,) * n, groups.symmetric_group_perms(n))
+        actn = groups.permutation_action(sn, (1,) * n, symmetric_group_perms(n))
         cn = systems.classical_system(n, actn)
         triv = systems.classical_system(1, groups.trivial_action(sn, (1,)))
         unif = embed_channel(np.full((n, 1), 1.0 / n), triv, cn)
@@ -177,7 +179,7 @@ class TestCovariantChecks:
     def test_nonuniform_column_not_covariant(self):
         n = 3
         sn = groups.symmetric_group(n)
-        actn = groups.permutation_action(sn, (1,) * n, groups.symmetric_group_perms(n))
+        actn = groups.permutation_action(sn, (1,) * n, symmetric_group_perms(n))
         cn = systems.classical_system(n, actn)
         triv = systems.classical_system(1, groups.trivial_action(sn, (1,)))
         skew = embed_channel(np.array([[0.5], [0.3], [0.2]]), triv, cn)
@@ -226,7 +228,7 @@ def _transport_cases():
     m123 = _z2_sign_system((1, 2, 3), ([-1.0], [1.0, -1.0], [1.0, -1.0, 1.0]))
     s3 = groups.symmetric_group(3)
     perm222 = systems.system(
-        (2, 2, 2), groups.permutation_action(s3, (2, 2, 2), groups.symmetric_group_perms(3))
+        (2, 2, 2), groups.permutation_action(s3, (2, 2, 2), symmetric_group_perms(3))
     )
     src12 = _z2_sign_system((1, 2), ([1.0], [1.0, -1.0]))
     tgt21 = _z2_sign_system((2, 1), ([-1.0, 1.0], [-1.0]))
@@ -235,7 +237,7 @@ def _transport_cases():
         8, groups.permutation_action(z2, (1,) * 8, [range(8), [i ^ 1 for i in range(8)]])
     )
     flip = np.array([[0, np.exp(0.3j)], [np.exp(-0.3j), 0]])
-    q2 = systems.system((2,), groups.inner_action(z2, 2, [np.eye(2), flip]))
+    q2 = systems.system((2,), inner_action(z2, 2, [np.eye(2), flip]))
     return {"m123": (m123, m123), "perm222": (perm222, perm222), "12to21": (src12, tgt21),
             "swap8": (swap8, swap8), "q2": (q2, q2)}
 
@@ -314,7 +316,7 @@ def _relabelling_cases():
     both automorphisms of the table."""
     c3 = groups.cyclic_group(3)
     s3 = groups.symmetric_group(3)
-    perms = groups.symmetric_group_perms(3)
+    perms = symmetric_group_perms(3)
     tau = perms.index((1, 0, 2))
     return {
         "C3-inverse": (_point_and_matrix_system(c3, lambda g: [(x + g) % 3 for x in range(3)]),
@@ -356,7 +358,7 @@ class TestTransportPlan:
         twirl then builds the other elements' steps."""
         c3 = groups.cyclic_group(3)
         x = np.exp(0.4j) * np.roll(np.eye(3), 1, axis=0)
-        act = groups.inner_action(c3, 3, [np.eye(3), x, x @ x])
+        act = inner_action(c3, 3, [np.eye(3), x, x @ x])
         sys = systems.system((3,), act)
         f = rand_cp(rng, sys, sys)
         calls = []
@@ -378,7 +380,7 @@ class TestTransportPlan:
         W, which is not exactly I, like every other element."""
         c3 = groups.cyclic_group(3)
         x = np.roll(np.eye(3), 1, axis=0)
-        act = groups.inner_action(c3, 3, [np.exp(0.7j) * np.eye(3), x, x @ x])
+        act = inner_action(c3, 3, [np.exp(0.7j) * np.eye(3), x, x @ x])
         sys = systems.system((3,), act)
         plan = groups.transport_plan(act, act)
         f = rand_cp(rng, sys, sys)
@@ -425,7 +427,7 @@ class TestActionIdentity:
     def test_caller_arrays_are_copied_read_only(self):
         z2 = groups.cyclic_group(2)
         z = np.diag([1.0, -1.0]).astype(complex)
-        act = groups.inner_action(z2, 2, [np.eye(2), z])
+        act = inner_action(z2, 2, [np.eye(2), z])
         z[1, 1] = 5.0
         held = act.unitaries[1][0]
         assert np.array_equal(held, np.diag([1.0, -1.0]))
@@ -444,12 +446,12 @@ class TestActionIdentity:
         z2 = groups.cyclic_group(2)
         u = _reflection(rng.standard_normal(3) + 1j * rng.standard_normal(3))
         close = u + 1e-13 * rand_unitary(rng, 3)
-        a = groups.inner_action(z2, 3, [np.eye(3), u])
-        b = groups.inner_action(z2, 3, [np.eye(3), close])
+        a = inner_action(z2, 3, [np.eye(3), u])
+        b = inner_action(z2, 3, [np.eye(3), close])
         assert a._digest != b._digest
         assert a == b and hash(a) == hash(b)
         assert systems.system((3,), a) == systems.system((3,), b)
-        far = groups.inner_action(z2, 3, [np.eye(3), _reflection(np.ones(3, dtype=complex))])
+        far = inner_action(z2, 3, [np.eye(3), _reflection(np.ones(3, dtype=complex))])
         assert a != far
 
     def test_two_classes_compared_by_stack(self):
@@ -469,8 +471,8 @@ class TestActionIdentity:
 
     def test_key_decides_inequality(self):
         s2 = groups.symmetric_group(2)
-        swap = groups.permutation_action(s2, (1, 1), groups.symmetric_group_perms(2))
+        swap = groups.permutation_action(s2, (1, 1), symmetric_group_perms(2))
         fixed = groups.trivial_action(s2, (1, 1))
         assert swap != fixed and swap == groups.permutation_action(
-            s2, (1, 1), groups.symmetric_group_perms(2)
+            s2, (1, 1), symmetric_group_perms(2)
         )

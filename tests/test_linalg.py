@@ -15,17 +15,17 @@ def rand_c(rows, cols):
 
 class TestSupportProjection:
     def test_diagonal(self):
-        p = linalg.support_projection(np.diag([0.0, 2.0, 3.0]))
+        p, _ = linalg.support_projection(np.diag([0.0, 2.0, 3.0]))
         assert np.allclose(p, np.diag([0.0, 1.0, 1.0]))
 
     def test_zero_matrix(self):
-        p = linalg.support_projection(np.zeros((4, 4)))
+        p, _ = linalg.support_projection(np.zeros((4, 4)))
         assert np.allclose(p, 0)
 
     def test_rank_one_projector_is_own_support(self):
         v = np.array([1.0, 1.0]) / np.sqrt(2)
         m = np.outer(v, v)
-        assert np.allclose(linalg.support_projection(m), m)
+        assert np.allclose(linalg.support_projection(m)[0], m)
 
     def test_not_hermitian_raises(self):
         with pytest.raises(NotHermitian):
@@ -53,7 +53,7 @@ class TestSupportProjection:
             d = int(rng.integers(2, 17))
             a = rand_c(d, d)
             m = a @ a.conj().T
-            p = linalg.support_projection(m)
+            p, _ = linalg.support_projection(m)
             assert np.linalg.norm(p @ m - m @ p) < 1e-9 * np.linalg.norm(m)
             assert np.linalg.norm(p @ m @ p - m) < 1e-9 * np.linalg.norm(m)
 
@@ -64,7 +64,7 @@ class TestSupportProjection:
             d = 6
             a = rand_c(d, 3)
             m = a @ a.conj().T
-            p = linalg.support_projection(m)
+            p, _ = linalg.support_projection(m)
             w, v = linalg.canonical_eigh(m)
             keep = v[:, w > 1e-12 * w[0]]
             extra = rand_c(d, 1)

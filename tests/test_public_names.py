@@ -1,0 +1,54 @@
+"""Every public top-level function or class of covgraphs is used or named
+by the library, the benchmark or the README, so that a name only the tests
+call lives with the tests (tests/genutil.py), not in the library.
+
+A name counts where the code of src/covgraphs or perfbench reads it (a
+call, an attribute, an import, a base class), where a string of
+src/covgraphs (a docstring, a message) names it as a word, or where
+README.md does.  The def or class statement itself does not count.
+cli.cmd_* are exempt: cli.main looks them up by name."""
+
+import ast
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "covgraphs"
+
+
+def _names(tree, strings: bool) -> set:
+    """The names and attributes the code of tree reads, and with strings
+    the words of its string constants."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(re.findall(r"\w+", node.value))
+    return out
+
+
+def _unused_public_names() -> list:
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    used = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    for tree in trees.values():
+        used |= _names(tree, strings=True)
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        used |= _names(ast.parse(path.read_text()), strings=False)
+    return [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and not (module == "cli" and node.name.startswith("cmd_"))
+        and node.name not in used
+    ]
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    assert _unused_public_names() == []

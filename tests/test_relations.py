@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from covgraphs import cpmaps, graphs, linalg, relations, systems
-from covgraphs.classical import embed_channel, embed_relation, extract_relation, oracle_compose
+from covgraphs.classical import embed_channel, extract_relation
 from covgraphs.errors import NegativeSpectrum, NoChannel, NotAChannel, SystemMismatch
 
 from genutil import (
     choi_born,
+    embed_relation,
     loop_converse_frames,
     loop_projection_frames,
+    oracle_compose,
     rand_balanced_relation,
     rand_channel,
     rand_complex,

@@ -9,6 +9,7 @@ from genutil import (
     assert_blocks_close,
     choi_born,
     classical_source,
+    complete_graph,
     loop_source_span_vectors,
     quantum_source,
     rand_channel,
@@ -17,6 +18,7 @@ from genutil import (
     rand_stochastic,
     rand_system,
     rand_unitary,
+    symmetric_group_perms,
     tensor_element,
 )
 
@@ -56,7 +58,7 @@ class TestTensor:
 
     def test_group_mismatch(self):
         s2 = groups.symmetric_group(2)
-        act = groups.permutation_action(s2, (1, 1), groups.symmetric_group_perms(2))
+        act = groups.permutation_action(s2, (1, 1), symmetric_group_perms(2))
         with pytest.raises(GroupMismatch):
             scc.tensor_system(systems.classical_system(2, act), systems.classical_system(2))
 
@@ -66,8 +68,8 @@ class TestTensor:
         for _ in range(10):
             x = systems.random_element(a, rng)
             y = systems.random_element(b, rng)
-            lhs = systems.trace_end(ts.product, tensor_element(ts, x, y))
-            rhs = systems.trace_end(a, x) * systems.trace_end(b, y)
+            lhs = systems.functional(ts.product, tensor_element(ts, x, y))
+            rhs = systems.functional(a, x) * systems.functional(b, y)
             assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
 
 
@@ -121,7 +123,7 @@ class TestSourceGraph:
         chan = embed_channel(np.eye(2), s, ts.product)
         src = scc.Source(s, oa, ob, chan)
         g = scc.source_confusability_graph(src)
-        assert graphs.graphs_equal(g, graphs.discrete_graph(oa))
+        assert relations.relations_equal(g.relation, graphs.discrete_graph(oa).relation)
 
     def test_full_side_info_complete(self):
         s = systems.classical_system(2)
@@ -134,7 +136,7 @@ class TestSourceGraph:
         chan = embed_channel(p, s, ts.product)
         src = scc.Source(s, oa, ob, chan)
         g = scc.source_confusability_graph(src)
-        assert graphs.graphs_equal(g, graphs.complete_graph(oa))
+        assert relations.relations_equal(g.relation, complete_graph(oa).relation)
 
     def test_classical_oracle_random(self):
         for _ in range(25):
@@ -259,7 +261,7 @@ class TestEncodingValidity:
 class TestCovariantScc:
     def _swap_world(self):
         s2 = groups.symmetric_group(2)
-        perms = groups.symmetric_group_perms(2)
+        perms = symmetric_group_perms(2)
         act = groups.permutation_action(s2, (1, 1), perms)
         s_sys = systems.classical_system(2, act)
         oa = systems.classical_system(2, act)
@@ -302,26 +304,26 @@ class TestCovariantScc:
 
     def test_covariant_source_from_graph(self):
         _, _, oa, _ = self._swap_world()
-        g = graphs.complete_graph(oa)
+        g = complete_graph(oa)
         src = scc.source_from_graph(g)
         assert groups.is_covariant_cp(src.channel)
         got = scc.source_confusability_graph(src)
-        assert graphs.graphs_equal(got, g)
+        assert relations.relations_equal(got.relation, g.relation)
 
 
 class TestSourceFromGraph:
     def test_complete_two_points(self):
         oa = systems.classical_system(2)
-        src = scc.source_from_graph(graphs.complete_graph(oa))
+        src = scc.source_from_graph(complete_graph(oa))
         assert src.s_system.dims == (1, 1)
         g = scc.source_confusability_graph(src)
-        assert graphs.graphs_equal(g, graphs.complete_graph(oa))
+        assert relations.relations_equal(g.relation, complete_graph(oa).relation)
 
     def test_discrete(self):
         oa = systems.classical_system(2)
         src = scc.source_from_graph(graphs.discrete_graph(oa))
-        assert graphs.graphs_equal(
-            scc.source_confusability_graph(src), graphs.discrete_graph(oa)
+        assert relations.relations_equal(
+            scc.source_confusability_graph(src).relation, graphs.discrete_graph(oa).relation
         )
 
     def test_random_quantum(self):
@@ -336,9 +338,9 @@ class TestSourceFromGraph:
         swap = TestCovariantScc()._swap_world()[2]
         local = np.random.default_rng(708)
         sources = [scc.source_from_graph(g) for g in (
-            graphs.complete_graph(systems.classical_system(2)),
+            complete_graph(systems.classical_system(2)),
             graphs.discrete_graph(systems.classical_system(2)),
-            graphs.complete_graph(swap),
+            complete_graph(swap),
         )]
         sources += [scc.source_from_graph(rand_conf_graph(local, systems.system(dims)))
                     for dims in [(2,), (2, 1), (3,)]]
@@ -353,7 +355,7 @@ class TestSourceFromGraph:
     def test_rejects_simple(self):
         sys = systems.system((2,))
         with pytest.raises(SourceInvalid):
-            scc.source_from_graph(graphs.complement(graphs.complete_graph(sys)))
+            scc.source_from_graph(graphs.complement(complete_graph(sys)))
 
 
 class TestTheorem:

@@ -16,6 +16,8 @@ from covgraphs import bundle, cli, cpmaps, graphs, groups, relations, scc, syste
 from covgraphs.bundle import BundleError
 from covgraphs.errors import ActionShapeMismatch, GroupMismatch
 
+from genutil import inner_action
+
 C2 = {"order": 2, "mult_table": [[0, 1], [1, 0]], "identity": 0}
 
 
@@ -27,7 +29,7 @@ def _reflection(theta: float) -> np.ndarray:
 def _z2_system(u: np.ndarray):
     """Qubit on which the nontrivial element of Z2 acts by conjugation with u."""
     z2 = groups.cyclic_group(2)
-    return systems.system((2,), groups.inner_action(z2, 2, [np.eye(2), u]))
+    return systems.system((2,), inner_action(z2, 2, [np.eye(2), u]))
 
 
 def _conjugation_bundle(u: np.ndarray, extra: dict | None = None) -> dict:

@@ -44,9 +44,9 @@ owners check the rest:
     constant on its orbits.  A system that gives no unitaries acts by
     permutations alone (groups.permutation_action); one that gives
     unitaries shares one action per group, dims, perms and the shape and
-    bytes of every parsed unitary, across loads;
+    bytes of every parsed unitary, across loads (groups.shared);
   * load_bundle: with a nontrivial group, every channel is covariant, and a
-    graph declared "confusability" or "simple" is one.
+    graph declared "confusability" or "simple" is one, at load_bundle's tol.
 
 dump_json writes json.dump(obj, fh, indent=1, sort_keys=True) and a
 newline.
@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import json
 import re
-from functools import lru_cache
 from operator import itemgetter
 
 import numpy as np
@@ -71,6 +70,7 @@ from .groups import (
     FiniteGroup,
     is_covariant_cp,
     permutation_action,
+    shared,
     shared_group,
     trivial_action,
     trivial_group,
@@ -222,19 +222,21 @@ def system_from_json(data, group: FiniteGroup) -> System:
                 if str(g) in given_units else tuple(np.eye(d, dtype=complex) for d in dims)
                 for g in range(group.order)
             )
-            exact = tuple(tuple((u.shape, u.tobytes()) for u in fam) for fam in units)
-            action = _unitary_action(group, dims, perms, ExactKey(exact, units))
+            exact = ExactKey(tuple((u.shape, u.tobytes()) for u in fam) for fam in units)
+            exact.value = units
+            action = _unitary_action(group, dims, perms, exact)
     weights = data.get("weights")
     if weights is None:
         weights = dims
     return System(QuantumSet(dims), action, tuple(map(float, weights)))
 
 
-@lru_cache(maxsize=256)
+@shared
 def _unitary_action(group: FiniteGroup, dims: tuple, perms: tuple,
                     units: ExactKey) -> AlgebraAction:
-    """AlgebraAction(group, dims, perms, units.value), shared per group, dims,
-    perms and the shape and bytes of every parsed unitary (units.key)."""
+    """AlgebraAction(group, dims, perms, units.value), shared (groups.shared)
+    per group, dims, perms and the shape and bytes of every parsed unitary
+    (the items of units)."""
     return AlgebraAction(group, dims, perms, units.value)
 
 
@@ -315,16 +317,16 @@ def relation_from_json(data, systems: dict) -> QuantumRelation:
     return QuantumRelation(src, tgt, _blocks_from_json(data, src, tgt, "relation"))
 
 
-def graph_from_json(data, systems: dict) -> QuantumGraph:
+def graph_from_json(data, systems: dict, tol: float) -> QuantumGraph:
     try:
         sys = systems[data["system"]]
     except KeyError as exc:
         raise BundleError(f"graph references unknown system {exc}") from exc
     rel = QuantumRelation(sys, sys, _blocks_from_json(data, sys, sys, "graph"))
-    g = QuantumGraph(sys, rel)
+    g = QuantumGraph(sys, rel, tol)
     kind = data.get("kind")
     if kind is not None:
-        flags = classify(g)
+        flags = classify(g, tol)
         if kind == "confusability" and not flags["is_confusability"]:
             raise BundleError("graph declared 'confusability' fails the check")
         if kind == "simple" and not flags["is_simple"]:
@@ -355,9 +357,7 @@ def _named(kind: str, name: str, build, *args):
         raise BundleError(f"{kind} {name!r}: {exc}") from exc.__cause__
 
 
-def load_bundle(data, tol: float = linalg.TOL_PROJ) -> SpecBundle:
-    if isinstance(data, str):
-        data = json.loads(data)
+def load_bundle(data: dict, tol: float = linalg.TOL_PROJ) -> SpecBundle:
     group = group_from_json(data["group"]) if "group" in data else trivial_group()
 
     systems: dict = {}
@@ -391,7 +391,7 @@ def load_bundle(data, tol: float = linalg.TOL_PROJ) -> SpecBundle:
 
     graphs = {}
     for name, spec in data.get("graphs", {}).items():
-        graphs[name] = _named("graph", name, graph_from_json, spec, systems)
+        graphs[name] = _named("graph", name, graph_from_json, spec, systems, tol)
 
     relations = {}
     for name, spec in data.get("relations", {}).items():

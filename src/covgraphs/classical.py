@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cpmaps import CpMorphism, _from_stacks, from_kraus
+from .cpmaps import CpMorphism, _from_stacks
 from .errors import DimensionMismatch, ShapeMismatch
 from .graphs import QuantumGraph
 from .linalg import TOL_ROUNDOFF
@@ -40,18 +40,18 @@ def embed_channel(p, src: System | None = None, tgt: System | None = None) -> Cp
 
     Pair (i, j) holds the one Kraus map [[sqrt(p_ji)]] when p_ji > 0, so its
     1x1 Choi block is sqrt(p_ji)².  The channel is born from these maps, so
-    no block is formed until read: between classical systems of the
-    matrix's sizes they go to cpmaps._from_stacks as one (1, 1) stack; other
-    systems go through from_kraus, which checks the map shapes."""
+    no block is formed until read: they go to cpmaps._from_stacks as one
+    (1, 1) stack.  src and tgt must be commutative systems of the matrix's
+    sizes, else ShapeMismatch."""
     p = check_stochastic(p)
     n, m = p.shape
     src = src if src is not None else classical_system(m)
     tgt = tgt if tgt is not None else classical_system(n)
+    if src.dims != (1,) * m or tgt.dims != (1,) * n:
+        raise ShapeMismatch(f"a {n} x {m} stochastic matrix needs commutative systems "
+                            f"of {m} and {n} points, got factors {src.dims} -> {tgt.dims}")
     ins, outs = np.nonzero(p.T > 0)
     roots = np.sqrt(p[outs, ins])
-    if src.dims != (1,) * m or tgt.dims != (1,) * n:
-        keys = zip(ins.tolist(), outs.tolist())
-        return from_kraus({key: [np.array([[r]])] for key, r in zip(keys, roots)}, src, tgt)
     maps = roots.astype(complex).reshape(-1, 1, 1, 1)
     return _from_stacks(src, tgt, layout(src.dims, tgt.dims), [(0, ins * n + outs, maps)])
 

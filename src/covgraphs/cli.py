@@ -45,11 +45,11 @@ def _get(table: dict, name: str, what: str):
     return table[name]
 
 
-def _system_name(b, sys) -> str:
+def _system_name(b, sys) -> str | None:
     for name, s in b.systems.items():
         if s == sys:
             return name
-    return "?"
+    return None
 
 
 def cmd_analyze_channel(args) -> int:
@@ -127,6 +127,14 @@ def cmd_scc_verify(args) -> int:
     src = _get(b.sources, args.source, "source")
     n_chan = _get(b.channels, args.channel, "channel")
     e_chan = _get(b.channels, args.encoder, "encoder channel")
+    if args.output and args.decoder is None:
+        # The decoder maps B ⊗ O_B to S; its -o file names both bundle systems.
+        product = scc.tensor_system(n_chan.target, src.ob_system).product
+        names = _system_name(b, product), _system_name(b, src.s_system)
+        if names[0] is None:
+            legs = _system_name(b, n_chan.target), _system_name(b, src.ob_system)
+            return _fail("cannot write the decoder: declare its source B ⊗ O_B as a system "
+                         '{"tensor": ["%s", "%s"]}' % legs, EXIT_INPUT)
     try:
         if args.decoder is None:
             d_chan = scc.decoder_for(e_chan, src, n_chan, args.tol)
@@ -146,10 +154,7 @@ def cmd_scc_verify(args) -> int:
     ok = scc.verify_scheme(src, n_chan, e_chan, d_chan, args.tol)
     print(f"scheme: {'valid' if ok else 'invalid (decoder fails)'}")
     if ok and args.output and args.decoder is None:
-        doc = bundle_mod.dump_channel(
-            d_chan, _system_name(b, d_chan.source), _system_name(b, d_chan.target)
-        )
-        bundle_mod.dump_json(doc, args.output)
+        bundle_mod.dump_json(bundle_mod.dump_channel(d_chan, *names), args.output)
         print(f"decoder written to {args.output}")
     return EXIT_OK if ok else EXIT_FALSE
 

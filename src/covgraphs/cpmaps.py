@@ -58,7 +58,7 @@ from .errors import (
     ShapeMismatch,
     SystemMismatch,
 )
-from .groups import ExactKey
+from .groups import shared
 from .linalg import FUNCTIONAL_SLACK, TOL_PROJ, TOL_SPEC, VALIDATE_SLACK
 from .systems import (
     BlockStore,
@@ -299,16 +299,11 @@ def apply(f: CpMorphism, x) -> list:
     return out
 
 
+@shared
 def identity_channel(sys: System) -> CpMorphism:
-    """The identity channel of sys, one map I per factor.  Morphisms are
-    immutable, so systems with equal exact_key share one channel, with its
-    held maps and its support and confusability memos."""
-    return _identity_channel(ExactKey(sys.exact_key, sys))
-
-
-@lru_cache(maxsize=128)
-def _identity_channel(key: ExactKey) -> CpMorphism:
-    sys = key.value
+    """The identity channel of sys, one map I per factor, shared per system
+    (groups.shared) with its held maps and its support and confusability
+    memos."""
     kraus = {(i, i): [np.eye(d, dtype=complex)] for i, d in enumerate(sys.dims)}
     return _from_maps(kraus, sys, sys)
 

@@ -12,12 +12,10 @@ swap the two classes.  The two workhorse theorems realized here are:
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from . import linalg
-from .cpmaps import CpMorphism, _from_maps, basis_image_matrix, is_channel
+from .cpmaps import CpMorphism, _from_maps, _offsets, basis_image_matrix, is_channel
 from .errors import (
     NotAChannel,
     NotConfusability,
@@ -26,7 +24,7 @@ from .errors import (
     ShapeMismatch,
     SystemMismatch,
 )
-from .groups import AlgebraAction, ExactKey
+from .groups import AlgebraAction, shared
 from .linalg import BLEND_FLOOR, TOL_PROJ, VALIDATE_SLACK
 from .relations import (
     QuantumRelation,
@@ -161,7 +159,7 @@ def realize_channel(g: QuantumGraph, tau: float | None = None, tol: float = TOL_
     fhalf = linalg.psd_sqrt(fmat)
 
     # Environment: the source algebra as a Hilbert space, one matrix factor.
-    env_action = _conjugation_action(a_sys)
+    env_action = _conjugation_action(a_sys.action, 0)
     env = system((n,), env_action)
     w_env = float(n)
 
@@ -174,32 +172,27 @@ def realize_channel(g: QuantumGraph, tau: float | None = None, tol: float = TOL_
     return f, env
 
 
-def _conjugation_action(a_sys: System, extra: int = 0) -> AlgebraAction:
+@shared
+def _conjugation_action(action: AlgebraAction, extra: int) -> AlgebraAction:
     """Action of the group on the algebra-as-Hilbert-space by conjugation.
 
     Coordinates are the matrix units E_pq of each factor in phi_basis order
     (weights are constant on orbits, so the φ-normalization drops out), padded
-    by ``extra`` invariant directions.  It depends on the action of a_sys
-    alone, so systems whose actions are bitwise equal (equal exact_key) share
-    one action per ``extra``, checked when first built.
+    by ``extra`` invariant directions.  Shared per action and ``extra``
+    (groups.shared), so systems whose actions are bitwise equal share one.
     """
-    return _conjugation_of(ExactKey(a_sys.action.exact_key, a_sys), extra)
-
-
-@lru_cache(maxsize=128)
-def _conjugation_of(key: ExactKey, extra: int) -> AlgebraAction:
-    a_sys = key.value
-    dim = total_matrix_dim(a_sys)
+    off = _offsets(action.dims)
+    dim = int(off[-1])
     n = dim + extra
-    group = a_sys.group
+    group = action.group
     perms = tuple((0,) for _ in range(group.order))
     units = np.zeros((group.order, 1, n, n), dtype=complex)
     for gel in group.elements:
         u = units[gel, 0]
-        for a, da in enumerate(a_sys.dims):
-            ua = a_sys.action.unitaries[gel][a]
-            src = basis_offset(a_sys, a)
-            tgt = basis_offset(a_sys, a_sys.action.perms[gel][a])
+        for a, da in enumerate(action.dims):
+            ua = action.unitaries[gel][a]
+            src = off[a]
+            tgt = off[action.perms[gel][a]]
             # E_pq -> ua E_pq ua† placed at the image factor: column (p, q)
             # is the row-major ua[:, p] ua[:, q]†, i.e. kron(ua, conj(ua)).
             u[tgt:tgt + da * da, src:src + da * da] = np.kron(ua, ua.conj())

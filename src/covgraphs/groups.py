@@ -1,9 +1,19 @@
-"""Finite groups, algebra actions, twirling and covariance checks.
+"""Finite groups, algebra actions, twirling and covariance checks, and the
+one sharing rule.
 
 A group is a plain multiplication table, checked when built: order x order,
-a Latin square, an identity inside the group, associative.  Groups are
-immutable, so cyclic_group, symmetric_group, trivial_group and the bundle's
-groups share one FiniteGroup per (order, table, identity) (shared_group).
+a Latin square, an identity inside the group, associative.
+
+Groups, actions, systems and the channels on them never change once built,
+so shared(make) builds make's object once per exact key of its arguments
+and hands every later caller that object.  The key of an action or system
+is its exact_key, the key below and the digest of its unitaries' bytes
+(System.exact_key adds dims and weights), a KeptHash built and hashed once
+with its owner; never the round-off equality below, so a shared object is
+bitwise the one its caller would have built.  The shared objects: groups
+(shared_group), permutation and trivial actions, transport plans, bundle
+actions given with unitaries, the conjugation action (graphs), identity
+channels (cpmaps), discrete relations (relations) and tensor products (scc).
 
 An action on a multi-factor algebra
 ``⊕_i B(H_i)`` assigns to each group element a permutation of the factors and
@@ -18,7 +28,7 @@ factor pairs, and α_g moves a whole class with one batched product W B W†
 (TransportPlan.transport).  W = kron(conj U_tgt[g], U_src[g]) per member
 and the image slots depend only on the two actions, g and the class, so a
 TransportPlan builds them for an element and class the first time they are
-read and keeps them; plans are shared per pair of exact keys
+read and keeps them; plans are shared per action pair
 (transport_plan), and act_on_cp, twirl_cp, is_covariant_cp and
 is_covariant_relation all move blocks through one.  A plan's memory grows
 with |G|: a twirl reads every element, so its plan then holds |G| W stacks
@@ -30,10 +40,7 @@ stack per factor dimension; the library's own constructions (trivial and
 permutation actions, tensor products, the conjugation action) and the
 bundle hand them over as such stacks.  The construction checks run once
 per stack: one finite scan, one unitarity product, and the homomorphism
-test as one gathered product over all element pairs.  Actions are
-immutable, so calls of permutation_action (trivial_action is the one with
-identity perms) with equal group, dims and perms share one action, checked
-when first built, as tensor_system shares products.
+test as one gathered product over all element pairs.
 
 Two actions are equal when they share group table, dims and perms (the key)
 and their unitaries agree within TOL_ROUNDOFF.  Identical objects, different
@@ -41,21 +48,15 @@ keys and equal digests of the unitaries' bytes decide equality at once; only
 equal keys with different bytes compare the unitaries.  The hash covers the
 key alone, never the digest, because equality tolerates round-off; so actions
 and the systems that carry them can key dicts.
-
-The conjugation action (graphs), bundle actions given with unitaries,
-identity channels (cpmaps) and transport plans are shared per exact_key,
-the key and the digest (System.exact_key adds dims and weights), through
-ExactKey, never per that equality, so a shared object is bitwise the one
-its caller would have built.  An exact_key is a KeptHash, built and hashed
-once with its action or system.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import product
 from types import MappingProxyType
 
@@ -64,6 +65,55 @@ import numpy as np
 from . import linalg
 from .errors import ActionShapeMismatch, GroupMismatch, ShapeMismatch
 from .linalg import TOL_PROJ, TOL_ROUNDOFF
+
+
+class KeptHash(tuple):
+    """A tuple whose hash is computed once: the exact_key of an action or a
+    system, built with it and looked up in caches many times."""
+
+    def __new__(cls, items):
+        self = super().__new__(cls, items)
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # str and bytes hashes differ between processes: rehash on unpickling.
+        return KeptHash, (tuple(self),)
+
+
+class ExactKey(tuple):
+    """An exact key (ints, tuples, bytes, digests) that carries a value: it
+    hashes and compares as the tuple of its items alone, so that an
+    lru_cache over it shares one result per key while the function it
+    caches reads ``value``, set after construction."""
+
+
+def shared(make):
+    """make, shared per exact key of its arguments (see the module
+    docstring): each argument's exact_key if it has one, and the argument
+    itself otherwise.  One lru_cache of 128 keys per shared function; the
+    first caller's arguments build the object, and a call that raises
+    shares nothing.  The key is read from positional arguments, so a shared
+    function has no defaults, and a call that passes keywords is bound to
+    make's signature first."""
+    signature = inspect.signature(make)
+
+    @lru_cache(maxsize=128)
+    def build(key: ExactKey):
+        return make(*key.value)
+
+    @wraps(make)
+    def call(*args, **kwargs):
+        if kwargs:
+            args = signature.bind(*args, **kwargs).args
+        key = ExactKey([getattr(arg, "exact_key", arg) for arg in args])
+        key.value = args
+        return build(key)
+
+    return call
 
 
 @dataclass(frozen=True)
@@ -100,9 +150,6 @@ class FiniteGroup:
         for a, b, c in triples:
             if t[t[a, b], c] != t[a, t[b, c]]:
                 raise GroupMismatch(f"associativity fails at ({a},{b},{c})")
-        for g in range(n):
-            if not np.any(t[g] == e):
-                raise GroupMismatch(f"element {g} has no inverse")
         object.__setattr__(self, "table", tuple(tuple(int(x) for x in row) for row in t))
 
     def pairs(self):
@@ -142,11 +189,10 @@ class FiniteGroup:
         return hash((self.order, self.identity))
 
 
-@lru_cache(maxsize=256)
+@shared
 def shared_group(order: int, table: tuple, identity: int) -> FiniteGroup:
     """FiniteGroup(order, table, identity), given as ints and a tuple of int
-    tuples.  Groups are immutable, so equal arguments share one group,
-    checked when first built; a call that raises shares nothing."""
+    tuples, shared (see shared)."""
     return FiniteGroup(order, table, identity)
 
 
@@ -338,41 +384,6 @@ class AlgebraAction:
         return self._hash
 
 
-class KeptHash(tuple):
-    """A tuple whose hash is computed once: the exact_key of an action or a
-    system, built with it and looked up in caches many times."""
-
-    def __new__(cls, items):
-        self = super().__new__(cls, items)
-        self._hash = tuple.__hash__(self)
-        return self
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # str and bytes hashes differ between processes: rehash on unpickling.
-        return KeptHash, (tuple(self),)
-
-
-class ExactKey:
-    """A value that hashes and compares by an exact key alone (ints, tuples,
-    bytes, digests), so that an lru_cache over it shares one result per key
-    while the function it caches reads the value."""
-
-    __slots__ = ("key", "value")
-
-    def __init__(self, key, value):
-        self.key = key
-        self.value = value
-
-    def __eq__(self, other):
-        return isinstance(other, ExactKey) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
-
-
 def _check_homomorphism(action: AlgebraAction):
     """α_g ∘ α_h must equal α_{gh} as algebra automorphisms (phases drop out).
 
@@ -420,14 +431,13 @@ def trivial_action(group: FiniteGroup, dims) -> AlgebraAction:
 
 
 def permutation_action(group: FiniteGroup, dims, perms) -> AlgebraAction:
-    """Action that only permutes factors (identity unitaries).  Actions are
-    immutable, so equal arguments share one action, checked when first
-    built; a call that raises shares nothing."""
+    """Action that only permutes factors (identity unitaries), shared per
+    group, dims and perms (see shared)."""
     return _permutation_action(group, tuple(map(int, dims)),
                                tuple(tuple(map(int, p)) for p in perms))
 
 
-@lru_cache(maxsize=256)
+@shared
 def _permutation_action(group: FiniteGroup, dims: tuple, perms: tuple) -> AlgebraAction:
     # Identity unitaries as read-only broadcast views, one per class.
     factors, _ = dim_classes(dims)
@@ -501,16 +511,10 @@ class TransportPlan:
         return moved
 
 
+@shared
 def transport_plan(action_src: AlgebraAction, action_tgt: AlgebraAction) -> TransportPlan:
-    """The transport plan of an action pair.  Actions are immutable, so pairs
-    with equal exact_key share one plan."""
-    return _transport_plan(ExactKey((action_src.exact_key, action_tgt.exact_key),
-                                    (action_src, action_tgt)))
-
-
-@lru_cache(maxsize=128)
-def _transport_plan(key: ExactKey) -> TransportPlan:
-    return TransportPlan(*key.value)
+    """The transport plan of an action pair, shared (see shared)."""
+    return TransportPlan(action_src, action_tgt)
 
 
 def act_on_cp(f, g: int):

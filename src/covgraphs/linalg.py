@@ -9,8 +9,9 @@ convention:
     vec(A @ X @ B) = kron(B.T, A) @ vec(X)
 
 so the slow (outer) index of vec(Hom(K, H)) is the K-side index and the fast
-(inner) index is the H-side index.  All other modules go through vec/unvec and
-the helpers below instead of reshaping by hand.
+(inner) index is the H-side index.  This module states the convention: vec,
+unvec and the helpers below apply it, as do the reshapes in cpmaps.choi_vecs,
+cpmaps._block_kraus, QuantumRelation.operators and scc._source_span_vectors.
 
 Every threshold of the library is one of the constants below.  A ``tol``
 argument (default TOL_PROJ) exists only where the CLI --tol sets it.

@@ -52,7 +52,7 @@ from .errors import (
     ShapeMismatch,
     SystemMismatch,
 )
-from .groups import ExactKey
+from .groups import shared
 from .linalg import TOL_PROJ, TOL_ROUNDTRIP, TOL_SPEC, TOL_SPEC_SV, VALIDATE_SLACK, Frames
 from .systems import BlockStore, System, block_store, layout
 
@@ -200,16 +200,11 @@ def _support_of_maps(f: CpMorphism) -> QuantumRelation:
         for klass, got in zip(lay.classes, frames)))
 
 
+@shared
 def discrete(sys: System) -> QuantumRelation:
     """Identity relation: diagonal blocks project onto span{vec(I_d)}.
-    Systems are immutable, so systems with equal exact_key share one
-    relation, whose blocks and frames are read-only."""
-    return _discrete(ExactKey(sys.exact_key, sys))
-
-
-@lru_cache(maxsize=128)
-def _discrete(key: ExactKey) -> QuantumRelation:
-    sys = key.value
+    Shared per system (groups.shared); its blocks and frames are
+    read-only."""
     frames = []
     for klass in layout(sys.dims, sys.dims).classes:
         d, e = klass.dims
@@ -419,10 +414,10 @@ def leq(p: QuantumRelation, q: QuantumRelation, tol: float = TOL_PROJ) -> bool:
     return next(containment_failures(p, q, tol), None) is None
 
 
-def relations_equal(p: QuantumRelation, q: QuantumRelation, tol: float = TOL_PROJ) -> bool:
+def relations_equal(p: QuantumRelation, q: QuantumRelation) -> bool:
     if p.source != q.source or p.target != q.target:
         raise SystemMismatch("relations_equal: type mismatch")
-    return relation_defect(p, q) <= tol
+    return relation_defect(p, q) <= TOL_PROJ
 
 
 def relation_defect(p: QuantumRelation, q: QuantumRelation) -> float:

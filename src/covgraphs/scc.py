@@ -17,7 +17,7 @@ keeps its confusability graph per tol and the last scheme checked on it
 morphism keeps its support and confusability graph (see CpMorphism).  A
 memo lives and dies with its owner: no module-level store is keyed by a
 morphism or a source.  Identity channels are shared per system
-(cpmaps.identity_channel, keyed by System.exact_key), so the id_{O_B} of
+(cpmaps.identity_channel, through groups.shared), so the id_{O_B} of
 _composite and the identity on S of verify_scheme are built once and keep
 their memos across schemes and sources.
 
@@ -29,8 +29,6 @@ pairing.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -62,7 +60,7 @@ from .graphs import (
     is_homomorphism,
     is_reversible,
 )
-from .groups import AlgebraAction, ExactKey, dim_classes
+from .groups import AlgebraAction, dim_classes, shared
 from .linalg import SPAN_RATIO, TINY_UNIT, TOL_PROJ, TOL_ROUNDTRIP, TOL_SPEC
 from .relations import QuantumRelation, relation_defect
 from .systems import BlockStore, QuantumSet, System, basis_offset, system, total_matrix_dim
@@ -108,15 +106,10 @@ class TensorSystem:
         return a * self.right.nfactors + b
 
 
+@shared
 def tensor_system(a: System, b: System) -> TensorSystem:
-    """The product of a and b.  Systems are immutable, so arguments with
-    equal exact_key share one TensorSystem, checked when first built."""
-    return _tensor_system(ExactKey((a.exact_key, b.exact_key), (a, b)))
-
-
-@lru_cache(maxsize=128)
-def _tensor_system(key: ExactKey) -> TensorSystem:
-    return TensorSystem(*key.value)
+    """The product of a and b, shared per pair of systems (groups.shared)."""
+    return TensorSystem(a, b)
 
 
 def tensor_cp(f: CpMorphism, g: CpMorphism) -> CpMorphism:
@@ -352,7 +345,7 @@ def source_from_graph(g: QuantumGraph) -> Source:
 
     s_sys = system((1, 1), trivial_action(group, (1, 1)))
     nz = total_matrix_dim(oa) + 1
-    ob = system((nz,), _conjugation_action(oa, extra=1))
+    ob = system((nz,), _conjugation_action(oa.action, 1))  # one extra direction, ζ
     ts = tensor_system(oa, ob)
 
     # Complement projection blocks, rebuilt rank-exactly from the frames of
@@ -362,7 +355,7 @@ def source_from_graph(g: QuantumGraph) -> Source:
         (klass, linalg.projection_frames(np.eye(klass.n) - stack).projections())
         for klass, stack in g.relation.blocks.classes()])
 
-    kraus = {(u, ts.pair_index(a, 0)): [] for u in range(2) for a in range(oa.nfactors)}
+    kraus = {}
     raw = _dilation_components(oa, pperp, nz)
 
     # Normalize each component into an isometry-normalized dilation so that

@@ -477,12 +477,10 @@ def multiply(sys: System, x, y) -> list:
     return [a @ b for a, b in zip(x, y)]
 
 
-def random_element(sys: System, rng, hermitian: bool = False) -> list:
+def random_element(sys: System, rng) -> list:
     out = []
     for d in sys.dims:
         m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        if hermitian:
-            m = linalg.hermitize(m)
         out.append(m)
     return out
 

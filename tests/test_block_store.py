@@ -520,7 +520,7 @@ class TestSatelliteLoops:
     def test_conjugation_action_matches_loop(self, extra):
         for sys in (_z2_sign_system((1, 2, 3), ([-1.0], [1.0, -1.0], [1.0, -1.0, 1.0])),
                     _s3_system()):
-            action = graphs._conjugation_action(sys, extra)
+            action = graphs._conjugation_action(sys.action, extra)
             for g, u in enumerate(loop_conjugation_unitaries(sys, extra)):
                 assert np.array_equal(action.unitaries[g][0], u), g
 
@@ -1088,7 +1088,7 @@ def _born_from_frames(kind):
     if kind == "compose":
         rf = relations.support_of(f)
         return relations.compose(relations.converse(rf), rf)
-    return relations._discrete.__wrapped__(groups.ExactKey(sys.exact_key, sys))
+    return relations.discrete.__wrapped__(sys)
 
 
 class TestProjectionsMadeFromFrames:

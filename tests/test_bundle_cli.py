@@ -1,4 +1,5 @@
 import json
+import pathlib
 import re
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from covgraphs.errors import ActionShapeMismatch
 from genutil import phase_fixed_unitary, symmetric_group_perms
 
 rng = np.random.default_rng(909)
+DEMO = pathlib.Path(__file__).resolve().parent.parent / "demo" / "bundle.json"
 
 
 def swap_bundle():
@@ -408,6 +410,29 @@ class TestCli:
         assert r.returncode == 0
         assert "(0,0): 1" in r.stdout
         assert "reversible: yes" in r.stdout
+
+    def test_graph_to_channel_explicit_tau(self, demo_bundle, tmp_path):
+        out = tmp_path / "real.json"
+        r = run_cli(["graph-to-channel", demo_bundle, "kA", "--tau", "0.25", "-o", str(out)])
+        assert r.returncode == 0
+        assert "round-trip defect: 0.000e+00" in r.stdout
+        assert json.loads(out.read_text())["channel"]["from"] == "A"
+
+    def test_scc_verify_output_needs_the_decoder_source(self, tmp_path):
+        """With -o, the bundle must name the decoder's source B ⊗ O_B:
+        demo/bundle.json does not, so scc-verify exits 2 before any verdict,
+        names the tensor system to declare and writes nothing."""
+        data = json.loads(DEMO.read_text())
+        path, out = tmp_path / "demo.json", tmp_path / "dec.json"
+        path.write_text(json.dumps(data))
+        argv = ["scc-verify", str(path), "copy", "spread", "encode", "-o", str(out)]
+        r = run_cli(argv)
+        assert r.returncode == 2 and r.stdout == "" and not out.exists()
+        assert 'declare its source B ⊗ O_B as a system {"tensor": ["B", "A"]}' in r.stderr
+        data["systems"]["BA"] = {"tensor": ["B", "A"]}
+        path.write_text(json.dumps(data))
+        r = run_cli(argv)
+        assert r.returncode == 0 and json.loads(out.read_text())["from"] == "BA"
 
     def test_graph_to_channel_simple_rejected(self, demo_bundle):
         r = run_cli(["graph-to-channel", demo_bundle, "sA"])

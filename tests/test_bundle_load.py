@@ -13,7 +13,7 @@ import pytest
 
 from covgraphs import bundle, cli, cpmaps, graphs, systems
 from covgraphs.bundle import BundleError
-from covgraphs.errors import ShapeMismatch
+from covgraphs.errors import DimensionMismatch, ShapeMismatch
 
 from genutil import rand_complex, rand_conf_graph, rand_cp, rand_relation
 
@@ -78,6 +78,19 @@ def test_basis_outside_the_layout_is_out_of_range(section, key, basis):
     else:
         spec = {"source": "A", "target": "A", "blocks": blocks}
     with pytest.raises(ShapeMismatch, match="out of range"):
+        bundle.load_bundle({"systems": {"A": {"factors": [2]}}, section: {"x": spec}})
+
+
+@pytest.mark.parametrize("section", ["graphs", "relations"])
+def test_basis_operator_of_the_wrong_shape_raises(section):
+    """A "basis" operator of block (0, 0) of a (2,) system must be 2 x 2:
+    a 3 x 3 one spans 9-dim vectors where the block is 4 x 4."""
+    blocks = {"0,0": {"basis": [bundle.matrix_to_json(np.eye(3))]}}
+    if section == "graphs":
+        spec = {"system": "A", "blocks": blocks}
+    else:
+        spec = {"source": "A", "target": "A", "blocks": blocks}
+    with pytest.raises(DimensionMismatch, match="span vectors have dim 9, expected 4"):
         bundle.load_bundle({"systems": {"A": {"factors": [2]}}, section: {"x": spec}})
 
 
@@ -306,14 +319,19 @@ def _written(obj, tmp_path) -> bytes:
 
 
 def _demo_documents(tmp_path, monkeypatch) -> list:
-    """The documents the seven demo/bundle.json commands write with -o."""
+    """The documents the seven demo/bundle.json commands write with -o;
+    scc-verify runs on a copy that declares the decoder's source B ⊗ O_B."""
     docs, real = [], bundle.dump_json
     monkeypatch.setattr(bundle, "dump_json", lambda obj, path: docs.append(obj) or real(obj, path))
     o = str(tmp_path / "o.json")
     demo = str(DEMO)
+    data = json.loads(DEMO.read_text())
+    data["systems"]["BOB"] = {"tensor": ["B", "OB"]}
+    with_bob = tmp_path / "with_bob.json"
+    with_bob.write_text(json.dumps(data))
     for argv in (["analyze-channel", demo, "spread", "--emit-reverse", "-o", o],
                  ["analyze-channel", demo, "mix"],
-                 ["scc-verify", demo, "copy", "spread", "encode", "-o", o],
+                 ["scc-verify", str(with_bob), "copy", "spread", "encode", "-o", o],
                  ["twirl", demo, "mix", "-o", o],
                  ["check-hom", demo, "encode", "discrete_A", "discrete_A"],
                  ["check-hom", demo, "mix", "discrete_A", "discrete_A"],

@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from covgraphs import classical, cpmaps, relations, systems
+from covgraphs import bundle, classical, cpmaps, relations, systems
 from covgraphs.errors import DimensionMismatch, ShapeMismatch
 
 from genutil import (
@@ -87,6 +87,18 @@ class TestEmbeddings:
             classical.check_stochastic(p)
         with pytest.raises(DimensionMismatch):
             classical.embed_channel(p)
+
+    @pytest.mark.parametrize("src_dims, tgt_dims", [((1, 1, 1), (1, 1)), ((1, 1), (1,) * 5),
+                                                    ((2,), (1, 1))])
+    def test_systems_that_do_not_fit_the_matrix_rejected(self, src_dims, tgt_dims):
+        p = np.array([[0.5, 1.0], [0.5, 0.0]])
+        src, tgt = systems.system(src_dims), systems.system(tgt_dims)
+        with pytest.raises(ShapeMismatch, match="2 x 2 stochastic matrix needs commutative"):
+            classical.embed_channel(p, src, tgt)
+        data = {"systems": {"S": {"factors": list(src_dims)}, "T": {"factors": list(tgt_dims)}},
+                "channels": {"f": {"from": "S", "to": "T", "stochastic": p.tolist()}}}
+        with pytest.raises(ShapeMismatch, match="2 x 2 stochastic matrix needs commutative"):
+            bundle.load_bundle(data)
 
 
 class TestOracles:

@@ -99,6 +99,24 @@ class TestToKraus:
                            match=re.escape(f"block (1, 0) has eigenvalue {low:.3e}")):
             cpmaps.to_kraus(f)
 
+    @pytest.mark.parametrize("bad, error, text", [
+        ({(1, 0): [[0.0, 1.0], [0.0, 0.0]]}, ShapeMismatch, "Choi block (1, 0) is not Hermitian"),
+        ({(1, 0): -np.eye(2)}, NegativeSpectrum, "Choi block (1, 0): eigenvalue -1.000e+00"),
+        ({(0, 1): -np.eye(2), (1, 1): -np.eye(4)}, NegativeSpectrum,
+         "Choi block (0, 1): eigenvalue -1.000e+00"),
+        ({(1, 1): -np.eye(4), (0, 1): [[0.0, 1.0], [0.0, 0.0]]}, ShapeMismatch,
+         "Choi block (0, 1) is not Hermitian"),
+    ])
+    def test_validation_names_the_first_bad_block(self, bad, error, text):
+        """CpMorphism checks every Choi block Hermitian and PSD; with bad
+        blocks in two classes, the first in key order is named."""
+        sys = systems.system((1, 2))
+        blocks = {(i, j): np.eye(d * e) for i, d in enumerate(sys.dims)
+                  for j, e in enumerate(sys.dims)}
+        blocks.update({key: np.array(m, dtype=complex) for key, m in bad.items()})
+        with pytest.raises(error, match=re.escape(text)):
+            cpmaps.CpMorphism(sys, sys, blocks)
+
     @pytest.mark.parametrize("d,e", [(1, 1), (1, 2), (2, 2), (2, 3)])
     def test_minimal_maps_bitwise_equal_per_block_eigh(self, d, e):
         """The maps of one stacked cut are bitwise those of one eigh per

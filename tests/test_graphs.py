@@ -149,6 +149,17 @@ class TestRealizeChannel:
         with pytest.raises(NotConfusability):
             graphs.realize_channel(graphs.complement(complete_graph(sys)))
 
+    def test_feasible_explicit_tau_roundtrips(self):
+        own = np.random.default_rng(5)  # leaves the module's generator as it was
+        for dims in [(2,), (1, 2)]:
+            sys = systems.system(dims)
+            g = rand_conf_graph(own, sys)
+            f, env = graphs.realize_channel(g, tau=0.25)
+            assert cpmaps.is_channel(f) and env.dims == (systems.total_matrix_dim(sys),)
+            assert relations.relation_defect(
+                graphs.confusability_of(f).relation, g.relation
+            ) < 1e-7
+
     def test_bad_tau(self):
         sys = systems.system((2,))
         with pytest.raises(PsdViolation):

@@ -60,6 +60,10 @@ def _hom_cases():
             (f"channelize{name}", rand_channel(own, sys, sys)),
             (f"unitary{name}", _unitary_map(sys, own)),
         ]
+    # Factors of equal dimension that are not consecutive: the index path of
+    # cpmaps._coords, on both sides at once (np.ix_).
+    cases.append(("kraus(1,2,1)->(2,1,2)",
+                  rand_cp(own, systems.system((1, 2, 1)), systems.system((2, 1, 2)))))
     cases += [(f"dagger-{name}", cpmaps.dagger(f)) for name, f in cases]
     return [pytest.param(name, f, id=name) for name, f in cases]
 
@@ -120,8 +124,11 @@ def test_superop_matrix_source_differs_from_target():
 
 
 def test_blend_matrices_equal_probe():
-    for dims in [(2,), (1, 2), (3, 1)]:
-        g = rand_conf_graph(rng, systems.system(dims))
+    # Non-consecutive factors of equal dimension draw from their own
+    # generator, so that later tests see the module's generator as before.
+    own = np.random.default_rng(626)
+    for r, dims in [(rng, (2,)), (rng, (1, 2)), (rng, (3, 1)), (own, (1, 2, 1)), (own, (2, 1, 2))]:
+        g = rand_conf_graph(r, systems.system(dims))
         for tau in (1.0, 0.5, 0.125):
             f = graphs._graph_as_cp(g, tau)
             assert np.array_equal(graphs._superop_matrix(f), probe_superop_matrix(f))

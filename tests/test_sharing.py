@@ -143,20 +143,20 @@ class TestConjugationAction:
         z = np.diag([1.0, -1.0])
         a, b = _z2_system(z), _z2_system(z)
         assert a is not b and a.action is not b.action
-        shared = graphs._conjugation_action(a)
-        assert graphs._conjugation_action(b) is shared
-        padded = graphs._conjugation_action(b, extra=1)
+        shared = graphs._conjugation_action(a.action, 0)
+        assert graphs._conjugation_action(b.action, 0) is shared
+        padded = graphs._conjugation_action(b.action, extra=1)
         assert padded is not shared and padded.dims == (5,)
-        assert graphs._conjugation_action(a, 1) is padded
+        assert graphs._conjugation_action(a.action, 1) is padded
 
     def test_roundoff_close_systems_get_actions_from_their_own_bytes(self):
         a, b = _z2_system(_reflection(0.3)), _z2_system(_reflection(0.3 + 1e-15))
         assert a == b
-        ca, cb = graphs._conjugation_action(a), graphs._conjugation_action(b)
+        ca, cb = graphs._conjugation_action(a.action, 0), graphs._conjugation_action(b.action, 0)
         assert ca is not cb
         assert not np.array_equal(_stack(ca), _stack(cb))
         for sys, got in ((a, ca), (b, cb)):
-            fresh = graphs._conjugation_of.__wrapped__(groups.ExactKey(None, sys), 0)
+            fresh = graphs._conjugation_action.__wrapped__(sys.action, 0)
             assert np.array_equal(_stack(got), _stack(fresh))
 
 
@@ -301,3 +301,55 @@ class TestMalformedSystems:
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(["analyze-channel", str(path), "id"]) == 2
             assert "cannot load bundle" in err.getvalue() and text in err.getvalue()
+
+
+class TestSharedRule:
+    """groups.shared: one object per exact key of the arguments, built by the
+    first caller's arguments; a raising call keeps nothing."""
+
+    @staticmethod
+    def _counted():
+        built = []
+
+        @groups.shared
+        def make(action, extra):
+            """Builds one object per call."""
+            if extra < 0:
+                raise ValueError("negative extra")
+            built.append((action, extra))
+            return object()
+
+        return make, built
+
+    def test_equal_exact_keys_give_one_object(self):
+        make, built = self._counted()
+        z = np.diag([1.0, -1.0])
+        a, b = _z2_system(z).action, _z2_system(z).action
+        assert a is not b and a.exact_key == b.exact_key
+        assert make(b, 0) is make(a, 0)
+        assert built == [(b, 0)]
+        assert make(a, 1) is not make(a, 0)
+        assert make.__name__ == "make" and make.__doc__ == "Builds one object per call."
+
+    def test_roundoff_close_actions_give_separate_objects(self):
+        make, built = self._counted()
+        a, b = _z2_system(_reflection(0.3)).action, _z2_system(_reflection(0.3 + 1e-15)).action
+        assert a == b
+        assert make(a, 0) is not make(b, 0)
+        assert [action for action, _ in built] == [a, b]
+        assert built[0][0] is a and built[1][0] is b
+
+    def test_raising_call_shares_nothing(self):
+        make, built = self._counted()
+        a = _z2_system(np.diag([1.0, -1.0])).action
+        for _ in range(2):
+            with pytest.raises(ValueError, match="negative extra"):
+                make(a, -1)
+        assert built == []
+
+    def test_keyword_and_positional_calls_give_one_object(self):
+        make, built = self._counted()
+        a = _z2_system(np.diag([1.0, -1.0])).action
+        first = make(a, extra=2)
+        assert make(a, 2) is first and make(action=a, extra=2) is first
+        assert len(built) == 1

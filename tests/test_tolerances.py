@@ -4,7 +4,11 @@ block, and every ``tol`` argument defaults to one of those names."""
 import ast
 import pathlib
 
+import numpy as np
+import pytest
+
 import covgraphs
+from covgraphs import bundle, linalg
 
 SRC = pathlib.Path(covgraphs.__file__).parent
 
@@ -77,3 +81,18 @@ def test_singular_value_cut_is_named_once():
                 target = owner.targets[0].id if owner is not None else None
                 roots.append(f"{name}:{node.lineno} {target}")
     assert len(roots) == 1 and roots[0].endswith(" TOL_SPEC_SV"), roots
+
+
+def test_bundle_tol_reaches_declared_graph_kind():
+    """load_bundle's tol reaches the graph's symmetry and declared-kind
+    checks: a graph spanned by vec(I) + 3e-7 vec(Z) and vec(X), declared a
+    confusability graph, loads at tol 1e-5 and is rejected at the default."""
+    eye, z, x = np.eye(2), np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    proj = linalg.orthonormal_span([linalg.vec(eye + 3e-7 * z), linalg.vec(x)], dim=4)
+    data = {"systems": {"A": {"factors": [2]}},
+            "graphs": {"g": {"system": "A", "kind": "confusability",
+                             "blocks": {"0,0": {"projection": bundle.matrix_to_json(proj)}}}}}
+    g = bundle.load_bundle(data, tol=1e-5).graphs["g"]
+    assert np.array_equal(g.block(0, 0), bundle.matrix_from_json(bundle.matrix_to_json(proj)))
+    with pytest.raises(bundle.BundleError, match="declared 'confusability' fails the check"):
+        bundle.load_bundle(data)

@@ -45,8 +45,13 @@ owners check the rest:
     permutations alone (groups.permutation_action); one that gives
     unitaries shares one action per group, dims, perms and the shape and
     bytes of every parsed unitary, across loads (groups.shared);
-  * load_bundle: with a nontrivial group, every channel is covariant, and a
-    graph declared "confusability" or "simple" is one, at load_bundle's tol.
+  * load_bundle: the document, its group, sections, objects, actions and
+    block maps are JSON objects, "factors" and "perms" lists of integers, a
+    "tensor" two system names, and a channel gives exactly one of "kraus",
+    "choi" and "stochastic"; with a nontrivial group, every channel is
+    covariant, and a graph declared "confusability" or "simple" is one, at
+    load_bundle's tol.  The bundle keeps the system names each object
+    declares (SpecBundle.declared), and the CLI writes them back.
 
 dump_json writes json.dump(obj, fh, indent=1, sort_keys=True) and a
 newline.
@@ -163,9 +168,24 @@ def _parse_pairs(keys):
                          count=2 * len(keys)).reshape(-1, 2)
 
 
+def _object(value, what: str) -> dict:
+    """value, which must be a JSON object; else BundleError naming what."""
+    if not isinstance(value, dict):
+        raise BundleError(f"{what} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
+def _entries(data: dict, section: str):
+    """The (name, spec) pairs of a bundle section, which must be JSON
+    objects, as the section must."""
+    for name, spec in _object(data.get(section, {}), f"section {section!r}").items():
+        yield name, _object(spec, f"{section} entry {name!r}")
+
+
 def group_from_json(data) -> FiniteGroup:
     """The bundle's group; order, identity and table entries must be
     integers.  Equal groups share one FiniteGroup (groups.shared_group)."""
+    _object(data, "group")
     order, table, identity = data["order"], data["mult_table"], data.get("identity", 0)
     if not (isinstance(table, list) and all(isinstance(row, list) for row in table)):
         raise BundleError("group mult_table must be a list of rows")
@@ -176,6 +196,8 @@ def group_from_json(data) -> FiniteGroup:
 def _integers(entries, what: str) -> tuple:
     """The entries as ints; an entry that is not an integer (a bool is
     not) raises BundleError naming it."""
+    if not isinstance(entries, (list, tuple)):
+        raise BundleError(f"{what} must be a list of integers, not {type(entries).__name__}")
     entries = tuple(entries)
     for x in entries:
         if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
@@ -204,8 +226,9 @@ def system_from_json(data, group: FiniteGroup) -> System:
     if action_data is None:
         action = trivial_action(group, dims)
     else:
-        given_perms = action_data.get("perms", {})
-        given_units = action_data.get("unitaries", {})
+        _object(action_data, "action")
+        given_perms = _object(action_data.get("perms", {}), "perms")
+        given_units = _object(action_data.get("unitaries", {}), "unitaries")
         perms = tuple(
             _integers(given_perms[str(g)], "perms") if str(g) in given_perms
             else tuple(range(len(dims)))
@@ -256,8 +279,10 @@ def channel_from_json(data, systems: dict) -> CpMorphism:
     try:
         src = systems[data["from"]]
         tgt = systems[data["to"]]
-    except KeyError as exc:
+    except (KeyError, TypeError) as exc:
         raise BundleError(f"channel references unknown system {exc}") from exc
+    if sum(kind in data for kind in ("kraus", "choi", "stochastic")) != 1:
+        raise BundleError("channel needs exactly one of 'kraus', 'choi' or 'stochastic'")
     if "stochastic" in data:
         try:
             p = np.asarray(data["stochastic"], dtype=float)
@@ -270,12 +295,10 @@ def channel_from_json(data, systems: dict) -> CpMorphism:
         entries = data["kraus"]
         return from_kraus(_pair_map(entries, "Kraus maps", _kraus_entry,
                                     list(entries.values()), 5), src, tgt)
-    if "choi" in data:
-        entries = data["choi"]
-        return CpMorphism(src, tgt, _pair_map(entries, "Choi block",
-                                              lambda pair, name, m: matrix_from_json(m, name),
-                                              list(entries.values())))
-    raise BundleError("channel needs one of 'kraus', 'choi' or 'stochastic'")
+    entries = data["choi"]
+    return CpMorphism(src, tgt, _pair_map(entries, "Choi block",
+                                          lambda pair, name, m: matrix_from_json(m, name),
+                                          list(entries.values())))
 
 
 def _kraus_entry(pair, name: str, ops):
@@ -290,7 +313,7 @@ def _blocks_from_json(data, src: System, tgt: System, kind: str) -> dict:
     orthonormal_span per basis."""
 
     def one(pair, name, spec):
-        if "projection" in spec:
+        if "projection" in _object(spec, name):
             return matrix_from_json(spec["projection"], name)
         if "basis" in spec:
             vecs = [linalg.vec(linalg.as_complex(m)) for m in _maps(spec["basis"], name)]
@@ -300,7 +323,7 @@ def _blocks_from_json(data, src: System, tgt: System, kind: str) -> dict:
             return linalg.orthonormal_span(vecs, dim=src.dims[i] * tgt.dims[j])
         raise BundleError(f"{name} needs 'projection' or 'basis'")
 
-    entries = data.get("blocks", {})
+    entries = _object(data.get("blocks", {}), "blocks")
     try:
         rows = list(map(itemgetter("projection"), entries.values()))
     except (KeyError, TypeError):  # an entry without a projection
@@ -312,7 +335,7 @@ def relation_from_json(data, systems: dict) -> QuantumRelation:
     try:
         src = systems[data["source"]]
         tgt = systems[data["target"]]
-    except KeyError as exc:
+    except (KeyError, TypeError) as exc:
         raise BundleError(f"relation references unknown system {exc}") from exc
     return QuantumRelation(src, tgt, _blocks_from_json(data, src, tgt, "relation"))
 
@@ -320,7 +343,7 @@ def relation_from_json(data, systems: dict) -> QuantumRelation:
 def graph_from_json(data, systems: dict, tol: float) -> QuantumGraph:
     try:
         sys = systems[data["system"]]
-    except KeyError as exc:
+    except (KeyError, TypeError) as exc:
         raise BundleError(f"graph references unknown system {exc}") from exc
     rel = QuantumRelation(sys, sys, _blocks_from_json(data, sys, sys, "graph"))
     g = QuantumGraph(sys, rel, tol)
@@ -337,16 +360,21 @@ def graph_from_json(data, systems: dict, tol: float) -> QuantumGraph:
 
 
 class SpecBundle:
-    """Named groups/systems/channels/graphs/sources with resolved references."""
+    """Named groups/systems/channels/graphs/sources with resolved references,
+    and the system names each object declares: declared["channels"][name]
+    is a channel's (from, to), declared["graphs"][name] a graph's system,
+    declared["sources"][name] a source's (s, oa, ob) and
+    declared["systems"][name] a tensor system's (left, right)."""
 
     def __init__(self, group: FiniteGroup, systems: dict, channels: dict,
-                 graphs: dict, sources: dict, relations: dict | None = None):
+                 graphs: dict, sources: dict, relations: dict, declared: dict):
         self.group = group
         self.systems = systems
         self.channels = channels
         self.graphs = graphs
         self.sources = sources
-        self.relations = relations if relations is not None else {}
+        self.relations = relations
+        self.declared = declared
 
 
 def _named(kind: str, name: str, build, *args):
@@ -358,10 +386,19 @@ def _named(kind: str, name: str, build, *args):
 
 
 def load_bundle(data: dict, tol: float = linalg.TOL_PROJ) -> SpecBundle:
+    _object(data, "bundle")
     group = group_from_json(data["group"]) if "group" in data else trivial_group()
+    declared = {"systems": {}, "channels": {}, "graphs": {}, "sources": {}}
 
     systems: dict = {}
-    pending = dict(data.get("systems", {}))
+    pending = dict(_entries(data, "systems"))
+    for name, spec in pending.items():
+        if "tensor" in spec:
+            legs = spec["tensor"]
+            if not (isinstance(legs, list) and len(legs) == 2
+                    and all(isinstance(leg, str) for leg in legs)):
+                raise BundleError(f"system {name!r}: tensor must name two systems")
+            declared["systems"][name] = tuple(legs)
     # Resolve plain systems first, then tensor products (one nesting level at
     # a time, so products of products also resolve).
     progress = True
@@ -370,7 +407,7 @@ def load_bundle(data: dict, tol: float = linalg.TOL_PROJ) -> SpecBundle:
         for name in list(pending):
             spec = pending[name]
             if "tensor" in spec:
-                left, right = spec["tensor"]
+                left, right = declared["systems"][name]
                 if left in systems and right in systems:
                     systems[name] = tensor_system(systems[left], systems[right]).product
                     del pending[name]
@@ -383,32 +420,35 @@ def load_bundle(data: dict, tol: float = linalg.TOL_PROJ) -> SpecBundle:
         raise BundleError(f"unresolvable system references: {sorted(pending)}")
 
     channels = {}
-    for name, spec in data.get("channels", {}).items():
+    for name, spec in _entries(data, "channels"):
         chan = _named("channel", name, channel_from_json, spec, systems)
         if group.order > 1 and not is_covariant_cp(chan, tol):
             raise BundleError(f"channel {name!r} is not covariant for the bundle group")
         channels[name] = chan
+        declared["channels"][name] = spec["from"], spec["to"]
 
     graphs = {}
-    for name, spec in data.get("graphs", {}).items():
+    for name, spec in _entries(data, "graphs"):
         graphs[name] = _named("graph", name, graph_from_json, spec, systems, tol)
+        declared["graphs"][name] = spec["system"]
 
     relations = {}
-    for name, spec in data.get("relations", {}).items():
+    for name, spec in _entries(data, "relations"):
         relations[name] = _named("relation", name, relation_from_json, spec, systems)
 
     sources = {}
-    for name, spec in data.get("sources", {}).items():
+    for name, spec in _entries(data, "sources"):
         try:
             s_sys = systems[spec["s"]]
             oa = systems[spec["oa"]]
             ob = systems[spec["ob"]]
             chan = channels[spec["channel"]]
-        except KeyError as exc:
+        except (KeyError, TypeError) as exc:
             raise BundleError(f"source {name!r} references unknown object {exc}") from exc
         sources[name] = Source(s_sys, oa, ob, chan, tol=tol)
+        declared["sources"][name] = spec["s"], spec["oa"], spec["ob"]
 
-    return SpecBundle(group, systems, channels, graphs, sources, relations)
+    return SpecBundle(group, systems, channels, graphs, sources, relations, declared)
 
 
 def load_bundle_file(path: str, tol: float = linalg.TOL_PROJ) -> SpecBundle:

@@ -45,13 +45,6 @@ def _get(table: dict, name: str, what: str):
     return table[name]
 
 
-def _system_name(b, sys) -> str | None:
-    for name, s in b.systems.items():
-        if s == sys:
-            return name
-    return None
-
-
 def cmd_analyze_channel(args) -> int:
     b = _load(args.bundle, args.tol)
     f = _get(b.channels, args.channel, "channel")
@@ -74,10 +67,8 @@ def cmd_analyze_channel(args) -> int:
     if args.emit_reverse and rev:
         g = graphs.reverse_channel(f, args.tol)
         if args.output:
-            doc = bundle_mod.dump_channel(
-                g, _system_name(b, f.target), _system_name(b, f.source)
-            )
-            bundle_mod.dump_json(doc, args.output)
+            src_name, tgt_name = b.declared["channels"][args.channel]
+            bundle_mod.dump_json(bundle_mod.dump_channel(g, tgt_name, src_name), args.output)
             print(f"reverse channel written to {args.output}")
         else:
             print("reverse channel computed (use -o to write it)")
@@ -97,7 +88,7 @@ def cmd_graph_to_channel(args) -> int:
     if args.output:
         doc = {
             "environment": bundle_mod.system_to_json(env),
-            "channel": bundle_mod.dump_channel(f, _system_name(b, g.system), "environment"),
+            "channel": bundle_mod.dump_channel(f, b.declared["graphs"][args.graph], "environment"),
         }
         bundle_mod.dump_json(doc, args.output)
         print(f"written to {args.output}")
@@ -128,13 +119,15 @@ def cmd_scc_verify(args) -> int:
     n_chan = _get(b.channels, args.channel, "channel")
     e_chan = _get(b.channels, args.encoder, "encoder channel")
     if args.output and args.decoder is None:
-        # The decoder maps B ⊗ O_B to S; its -o file names both bundle systems.
-        product = scc.tensor_system(n_chan.target, src.ob_system).product
-        names = _system_name(b, product), _system_name(b, src.s_system)
-        if names[0] is None:
-            legs = _system_name(b, n_chan.target), _system_name(b, src.ob_system)
+        # The decoder maps B ⊗ O_B to S; its -o file names the tensor system
+        # the bundle declares on those legs, and the source's S.
+        s_name, _, ob_name = b.declared["sources"][args.source]
+        legs = b.declared["channels"][args.channel][1], ob_name
+        product = next((name for name, of in b.declared["systems"].items() if of == legs), None)
+        if product is None:
             return _fail("cannot write the decoder: declare its source B ⊗ O_B as a system "
                          '{"tensor": ["%s", "%s"]}' % legs, EXIT_INPUT)
+        names = product, s_name
     try:
         if args.decoder is None:
             d_chan = scc.decoder_for(e_chan, src, n_chan, args.tol)
@@ -166,10 +159,8 @@ def cmd_twirl(args) -> int:
     print(f"twirled over group of order {b.group.order}")
     print(f"covariant: {'yes' if groups.is_covariant_cp(t, args.tol) else 'no'}")
     if args.output:
-        doc = bundle_mod.dump_channel(
-            t, _system_name(b, f.source), _system_name(b, f.target)
-        )
-        bundle_mod.dump_json(doc, args.output)
+        bundle_mod.dump_json(bundle_mod.dump_channel(t, *b.declared["channels"][args.channel]),
+                             args.output)
         print(f"written to {args.output}")
     return EXIT_OK
 

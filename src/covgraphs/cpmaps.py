@@ -29,8 +29,8 @@ instead of diagonalizing Choi blocks:
     family on the first call of kraus(), views of the stacks;
   * a morphism born as Choi blocks (bundle "choi" input, dagger, channelize,
     add, twirls, reverse channels) gets the minimal to_kraus family of its
-    blocks on first use, from the one cut of each class it keeps
-    (CpMorphism.cuts), which its support reads too;
+    blocks on first use, from the one cut of each class (CpMorphism.cuts),
+    which its support reads too;
   * a factor pair given more Kraus maps than its block dimension d_i e_j
     holds the minimal to_kraus family of its own block instead, so families
     do not grow along chains of compositions.
@@ -40,6 +40,7 @@ map per eigenpair that linalg.spectral_cut keeps, at every block size.
 
 The self-checks read the blocks, not the φ-basis pushed through apply: the
 Choi marginal (is_channel) or its reshape into basis images (basis_images).
+What a morphism derives without a tolerance is kept on it (groups.kept).
 
 Channels preserve the separable standard functional: for every source factor
 i, Σ_{j,k} w_j M_ijk† M_ijk = w_i I.
@@ -58,7 +59,7 @@ from .errors import (
     ShapeMismatch,
     SystemMismatch,
 )
-from .groups import shared
+from .groups import kept, shared
 from .linalg import FUNCTIONAL_SLACK, TOL_PROJ, TOL_SPEC, VALIDATE_SLACK
 from .systems import (
     BlockStore,
@@ -80,31 +81,16 @@ class CpMorphism:
     pairs in the class, read-only (p, count, e, d) stack of their maps).  It
     is None for a morphism born as Choi blocks.
 
-    What a morphism derives without a tolerance is computed once and kept
-    on it: relations.support_of and graphs.confusability_of store their
-    result here on the first call that succeeds and return that same object
-    on every later call.  The same holds for four numbers that the checks
-    compare with their own tol: the norm (so max(1, norm), the scale of
-    every check), the largest Frobenius and functional defects of the Choi
-    marginal (is_channel) and the discreteness defect of the confusability
-    graph (graphs.is_reversible).  A memo lives and dies with its morphism;
-    a call that raises keeps nothing, except the spectral cut of each class
-    (cuts), in which no tol enters: it is kept on its first read, a
-    negative one too, and every reader raises on a negative cut again.
+    What it derives without a tolerance is kept on it (groups.kept): norm,
+    cuts, kraus, support, confusability graph and defects.  A negative cut
+    is kept too, and every reader raises on it again.
     """
 
     def __init__(self, source: System, target: System, blocks: dict, validate: bool = True):
         self.source = source
         self.target = target
         self.blocks = block_store(source, target, blocks, "Choi", validate)
-        self._kraus = None
         self.kraus_stacks = None
-        self._cuts = None  # cuts
-        self._support = None  # relations.support_of
-        self._confusability = None  # graphs.confusability_of
-        self._norm = None  # norm
-        self._marginal_defects = None  # is_channel: (Frobenius, functional)
-        self._discreteness = None  # graphs.is_reversible
         if validate:
             self._check_psd()
 
@@ -133,33 +119,29 @@ class CpMorphism:
                 raise ShapeMismatch(f"Choi block {key} is not Hermitian")
             raise NegativeSpectrum(f"Choi block {key}: eigenvalue {low[b]:.3e}")
 
+    @kept
     def norm(self) -> float:
-        """Largest Frobenius norm of a Choi block; kept on the morphism."""
-        if self._norm is None:
-            self._norm = max(float(linalg.frobs(stack).max()) for _, stack in self.blocks.classes())
-        return self._norm
+        """Largest Frobenius norm of a Choi block."""
+        return max(float(linalg.frobs(stack).max()) for _, stack in self.blocks.classes())
 
     def block(self, i: int, j: int) -> np.ndarray:
         return self.blocks[(i, j)]
 
+    @kept
     def cuts(self) -> tuple:
         """linalg.spectral_cut of the Hermitian part of each class stack, in
-        class order, made on the first call and kept: the one cut that
-        to_kraus and relations.support_of read."""
-        if self._cuts is None:
-            self._cuts = tuple(linalg.spectral_cut(linalg.hermitize(stack))
-                               for _, stack in self.blocks.classes())
-        return self._cuts
+        class order: the one cut that to_kraus and relations.support_of
+        read."""
+        return tuple(linalg.spectral_cut(linalg.hermitize(stack))
+                     for _, stack in self.blocks.classes())
 
+    @kept
     def kraus(self):
         """Held Kraus family: factor pair (i, j) -> tuple of read-only e_j x d_i
-        maps, at most d_i e_j of them, made on the first call: from
-        kraus_stacks (_stacked_kraus) for a morphism born from Kraus maps,
-        else from to_kraus."""
-        if self._kraus is None:
-            held = to_kraus(self) if self.kraus_stacks is None else _stacked_kraus(self)
-            self._kraus = MappingProxyType(held)
-        return self._kraus
+        maps, at most d_i e_j of them: from kraus_stacks (_stacked_kraus)
+        for a morphism born from Kraus maps, else from to_kraus."""
+        return MappingProxyType(to_kraus(self) if self.kraus_stacks is None
+                                else _stacked_kraus(self))
 
 
 def _block_kraus(keys, cut: linalg.Cut, d: int, e: int) -> dict:
@@ -302,8 +284,7 @@ def apply(f: CpMorphism, x) -> list:
 @shared
 def identity_channel(sys: System) -> CpMorphism:
     """The identity channel of sys, one map I per factor, shared per system
-    (groups.shared) with its held maps and its support and confusability
-    memos."""
+    (groups.shared) with what is kept on it."""
     kraus = {(i, i): [np.eye(d, dtype=complex)] for i, d in enumerate(sys.dims)}
     return _from_maps(kraus, sys, sys)
 
@@ -393,20 +374,17 @@ def is_channel(f: CpMorphism, tol: float = TOL_PROJ) -> bool:
     φ_B(f(u)) − φ_A(u) is entry (q, p) of (marg_i − w_i I) / √w_i, so on
     weights below 1 the functional test is the stricter one.
 
-    Neither defect depends on tol: the largest Frobenius defect and the
-    largest functional defect are computed from one marginal on the first
-    call and kept on f, and every call compares them with its own tol,
-    Frobenius first.
+    Neither defect depends on tol: both are kept on f (_marginal_defects),
+    and every call compares them with its own tol, Frobenius first.
     """
     scale = max(1.0, f.norm())
-    if f._marginal_defects is None:
-        f._marginal_defects = _marginal_defects(f)
-    frob, worst = f._marginal_defects
+    frob, worst = _marginal_defects(f)
     if frob >= tol * scale:
         return False
     return bool(worst < tol * scale * FUNCTIONAL_SLACK)
 
 
+@kept
 def _marginal_defects(f: CpMorphism) -> tuple:
     """(largest Frobenius norm, largest entry over √w_i) of marg_i − w_i I
     over the source factors i."""

@@ -24,7 +24,7 @@ from .errors import (
     ShapeMismatch,
     SystemMismatch,
 )
-from .groups import AlgebraAction, shared
+from .groups import AlgebraAction, kept, shared
 from .linalg import BLEND_FLOOR, TOL_PROJ, VALIDATE_SLACK
 from .relations import (
     QuantumRelation,
@@ -84,14 +84,12 @@ def complement(g: QuantumGraph) -> QuantumGraph:
                         validate=False)
 
 
+@kept
 def confusability_of(f: CpMorphism) -> QuantumGraph:
     """Underlying relation of f† ∘ f: ℜ(f)† ∘ ℜ(f) as compose spans it,
-    symmetric by construction up to round-off.  Computed once per morphism:
-    the graph is kept on f and every later call returns that same object."""
-    if f._confusability is None:
-        rf = support_of(f)
-        f._confusability = QuantumGraph(f.source, rel_compose(converse(rf), rf), validate=False)
-    return f._confusability
+    symmetric by construction up to round-off.  Kept on f (groups.kept)."""
+    rf = support_of(f)
+    return QuantumGraph(f.source, rel_compose(converse(rf), rf), validate=False)
 
 
 def _graph_as_cp(g: QuantumGraph, tau: float) -> CpMorphism:
@@ -228,15 +226,18 @@ def is_simple_homomorphism(f: CpMorphism, g_a: QuantumGraph, g_b: QuantumGraph) 
 
 
 def is_reversible(f: CpMorphism, tol: float = TOL_PROJ) -> bool:
-    """A channel is reversible iff its confusability graph is discrete.
-
-    The discreteness defect does not depend on tol: it is computed on the
-    first call that gets past the channel check and kept on f."""
+    """A channel is reversible iff its confusability graph is discrete: its
+    discreteness defect, kept on f once f passes the channel check
+    (_discreteness), is at most tol."""
     if not is_channel(f, tol):
         raise NotAChannel("reversibility is defined for channels")
-    if f._discreteness is None:
-        f._discreteness = relation_defect(confusability_of(f).relation, discrete(f.source))
-    return f._discreteness <= tol
+    return _discreteness(f) <= tol
+
+
+@kept
+def _discreteness(f: CpMorphism) -> float:
+    """The distance of f's confusability graph from the discrete graph."""
+    return relation_defect(confusability_of(f).relation, discrete(f.source))
 
 
 def reverse_channel(f: CpMorphism, tol: float = TOL_PROJ) -> CpMorphism:

@@ -1,5 +1,5 @@
 """Finite groups, algebra actions, twirling and covariance checks, and the
-one sharing rule.
+one sharing rule and the one memo rule.
 
 A group is a plain multiplication table, checked when built: order x order,
 a Latin square, an identity inside the group, associative.
@@ -14,6 +14,14 @@ bitwise the one its caller would have built.  The shared objects: groups
 (shared_group), permutation and trivial actions, transport plans, bundle
 actions given with unitaries, the conjugation action (graphs), identity
 channels (cpmaps), discrete relations (relations) and tensor products (scc).
+
+For the same reason what a check derives from one object without a
+tolerance never changes: kept(derive) stores derive(owner, *args) on the
+owner once per tuple of positional arguments, and every later call returns
+that same object.  A call that raises keeps nothing, and the memo dies with
+its owner; no module-level store is keyed by an owner, and no module writes
+another's memo.  Kept are what cpmaps, relations, graphs and scc derive
+from a morphism, relation or source, and the element pairs of a group.
 
 An action on a multi-factor algebra
 ``⊕_i B(H_i)`` assigns to each group element a permutation of the factors and
@@ -116,6 +124,30 @@ def shared(make):
     return call
 
 
+_UNSET = object()
+
+
+def kept(derive):
+    """derive, kept on its owner (see the module docstring) in the dict
+    owner._kept by derive and the positional arguments after the owner; like
+    shared, a kept function has no defaults.  Misses outnumber hits, so no
+    read raises, and object.__setattr__ sets the memo (on frozen owners too):
+    going through vars(owner) would slow every attribute read of the owner."""
+
+    @wraps(derive)
+    def call(owner, *args):
+        memo = getattr(owner, "_kept", None)
+        if memo is None:
+            memo = {}
+            object.__setattr__(owner, "_kept", memo)
+        value = memo.get((call, args), _UNSET)
+        if value is _UNSET:
+            memo[call, args] = value = derive(owner, *args)
+        return value
+
+    return call
+
+
 @dataclass(frozen=True)
 class FiniteGroup:
     """Group given by its multiplication table: table[g][h] = g*h."""
@@ -152,19 +184,17 @@ class FiniteGroup:
                 raise GroupMismatch(f"associativity fails at ({a},{b},{c})")
         object.__setattr__(self, "table", tuple(tuple(int(x) for x in row) for row in t))
 
+    @kept
     def pairs(self):
         """(g, h, gh) index arrays of the element pairs a homomorphism check
-        visits: every pair for order <= 24, a fixed sample of 800 above;
-        made on first call."""
-        if "_pairs" not in self.__dict__:
-            n = self.order
-            if n <= 24:
-                g, h = np.divmod(np.arange(n * n), n)
-            else:
-                rng = np.random.default_rng(1)
-                g, h = np.array([rng.integers(0, n, 2) for _ in range(800)]).T
-            object.__setattr__(self, "_pairs", (g, h, np.array(self.table)[g, h]))
-        return self._pairs
+        visits: every pair for order <= 24, a fixed sample of 800 above."""
+        n = self.order
+        if n <= 24:
+            g, h = np.divmod(np.arange(n * n), n)
+        else:
+            rng = np.random.default_rng(1)
+            g, h = np.array([rng.integers(0, n, 2) for _ in range(800)]).T
+        return g, h, np.array(self.table)[g, h]
 
     def mul(self, g: int, h: int) -> int:
         return self.table[g][h]

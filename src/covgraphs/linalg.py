@@ -41,7 +41,6 @@ VALIDATE_SLACK = 100  # validators and reverse_channel's marginal test accept sl
 FUNCTIONAL_SLACK = 10  # slack of is_channel's functional test over its marginal test
 BLEND_FLOOR = 1e-3  # least blend eigenvalue realize_channel accepts while halving tau
 SPAN_RATIO = 1e-2  # source-graph span cut relative to the projection tolerance
-TINY_UNIT = 1e-300  # lower bound of the magnitude unit of the source-graph span floor
 
 
 def as_complex(m, shape: tuple | None = None, scan: bool = True) -> np.ndarray:

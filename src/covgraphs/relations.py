@@ -20,15 +20,14 @@ given as plain projections takes its frames on first read, by one batched
 eigh per class.
 
 Composition is the span of the operator products over the middle factors.
-A relation lays out the frame operators of each class once, when a compose
-first reads them (operators), and the index arrays of compose are built
-once per triple of dims (_plan).  Per output class and middle class, every
-product a @ b of frame operators comes from one batched matmul; the members
-with equal product counts then share one batched SVD, and a class of one
-member spans its family with no grouping.  Between 1x1 blocks through
-1-dim middles it is the boolean product of the support patterns.
-Supports, converses, containment and defects run one batched kernel per
-class.
+A relation keeps the frame operators of each class (operators, through
+groups.kept), and the index arrays of compose are built once per triple of
+dims (_plan).  Per output class and middle class, every product a @ b of
+frame operators comes from one batched matmul; the members with equal
+product counts then share one batched SVD, and a class of one member spans
+its family with no grouping.  Between 1x1 blocks through 1-dim middles it
+is the boolean product of the support patterns.  Supports, converses,
+containment and defects run one batched kernel per class.
 
 A relation whose frames are held keeps its converse, so the ℜ(f)† of the
 confusability graph, the homomorphism pullback and the reverse channel is
@@ -52,7 +51,7 @@ from .errors import (
     ShapeMismatch,
     SystemMismatch,
 )
-from .groups import shared
+from .groups import kept, shared
 from .linalg import TOL_PROJ, TOL_ROUNDTRIP, TOL_SPEC, TOL_SPEC_SV, VALIDATE_SLACK, Frames
 from .systems import BlockStore, System, block_store, layout
 
@@ -70,7 +69,6 @@ class QuantumRelation:
         # A tuple of read-only Frames in class order, a function that makes
         # it, or None: frames of the projections, made on first read.
         self._frames = frames if frames is None or callable(frames) else _read_only(frames)
-        self._operators = None  # per class, (operators, mask) once laid out
         self._converse = None
         if validate:
             defects = self.blocks.keyed(
@@ -106,23 +104,20 @@ class QuantumRelation:
             self._frames = _read_only(self._frames())
         return self._frames
 
+    @kept
     def operators(self, c: int) -> tuple:
-        """The frame operators of class c as compose multiplies them, laid
-        out once per relation: the frame columns as read-only C-ordered
-        (k, r, rows, cols) operators, and the read-only (k, r) mask of the
-        columns within each member's rank."""
-        if self._operators is None:
-            self._operators = [None] * len(self.blocks.layout.classes)
-        if self._operators[c] is None:
-            fr = self.frames()[c]
-            d, e = self.blocks.layout.classes[c].dims
-            k, _, r = fr.vecs.shape
-            ops = np.ascontiguousarray(fr.vecs.reshape(k, e, d, r).transpose(0, 3, 2, 1))
-            ops.setflags(write=False)
-            live = np.arange(r) < fr.ranks[:, None]
-            live.setflags(write=False)
-            self._operators[c] = ops, live
-        return self._operators[c]
+        """The frame operators of class c as compose multiplies them: the
+        frame columns as read-only C-ordered (k, r, rows, cols) operators,
+        and the read-only (k, r) mask of the columns within each member's
+        rank."""
+        fr = self.frames()[c]
+        d, e = self.blocks.layout.classes[c].dims
+        k, _, r = fr.vecs.shape
+        ops = np.ascontiguousarray(fr.vecs.reshape(k, e, d, r).transpose(0, 3, 2, 1))
+        live = np.arange(r) < fr.ranks[:, None]
+        for a in (ops, live):
+            a.setflags(write=False)
+        return ops, live
 
     def frame(self, i: int, j: int) -> np.ndarray:
         """Orthonormal frame of block (i, j): its (d_i e_j, rank) columns."""
@@ -152,6 +147,7 @@ def _read_only(frames: tuple) -> tuple:
     return frames
 
 
+@kept
 def support_of(f: CpMorphism) -> QuantumRelation:
     """Underlying relation: blockwise support projection of the Choi blocks.
 
@@ -164,14 +160,9 @@ def support_of(f: CpMorphism) -> QuantumRelation:
     of the cut of the Hermitian part of each class, which f keeps
     (CpMorphism.cuts) and to_kraus reads too, and whose kept eigenvectors
     are the frames; a block with a negative eigenvalue raises
-    NegativeSpectrum, naming its factor pair, and raises again on every
-    later call.
-
-    Computed once per morphism: the relation is kept on f and every later
-    call returns that same object."""
-    if f._support is None:
-        f._support = _support_of_maps(f) if f.kraus_stacks is not None else _support_of_blocks(f)
-    return f._support
+    NegativeSpectrum, naming its factor pair, on every call.  Kept on f
+    (groups.kept)."""
+    return _support_of_maps(f) if f.kraus_stacks is not None else _support_of_blocks(f)
 
 
 def _support_of_blocks(f: CpMorphism) -> QuantumRelation:

@@ -10,16 +10,11 @@ homomorphism from the source graph to the confusability graph of N; the
 equivalent operational test is reversibility of ((N∘E) ⊗ id_{O_B}) ∘ C, and
 both are computed and asserted to agree.
 
-Each piece is computed once per owner and kept on it, so the pipeline
-encoding_is_valid -> decoder_for -> verify_scheme builds it once: a source
-keeps its confusability graph per tol and the last scheme checked on it
-(verdict and composite, for the same encoder and channel objects); a
-morphism keeps its support and confusability graph (see CpMorphism).  A
-memo lives and dies with its owner: no module-level store is keyed by a
-morphism or a source.  Identity channels are shared per system
-(cpmaps.identity_channel, through groups.shared), so the id_{O_B} of
-_composite and the identity on S of verify_scheme are built once and keep
-their memos across schemes and sources.
+The pipeline encoding_is_valid -> decoder_for -> verify_scheme builds each
+piece once: a source keeps its graph per tol (groups.kept) and the last
+scheme checked on it (Source), a morphism what its checks derive, and the
+identity channels of _composite and verify_scheme, shared per system
+(cpmaps.identity_channel), keep theirs across schemes and sources.
 
 Leg-ordering convention: product systems order factor pairs (a, b) with the
 left factor major, and product legs as left ⊗ right; all doubled-dilation
@@ -60,8 +55,8 @@ from .graphs import (
     is_homomorphism,
     is_reversible,
 )
-from .groups import AlgebraAction, dim_classes, shared
-from .linalg import SPAN_RATIO, TINY_UNIT, TOL_PROJ, TOL_ROUNDTRIP, TOL_SPEC
+from .groups import AlgebraAction, dim_classes, kept, shared
+from .linalg import SPAN_RATIO, TOL_PROJ, TOL_ROUNDTRIP, TOL_SPEC
 from .relations import QuantumRelation, relation_defect
 from .systems import BlockStore, QuantumSet, System, basis_offset, system, total_matrix_dim
 
@@ -131,13 +126,12 @@ def tensor_cp(f: CpMorphism, g: CpMorphism) -> CpMorphism:
 class Source:
     """Covariant source: a reversible channel S -> O_A ⊗ O_B.
 
-    A source computes once what its checks derive from it and keeps it:
-    its confusability graph per tol (source_confusability_graph, filled by
-    source_from_graph's round-trip gate), and one slot holding the last
-    scheme checked on it, (encoder, channel, tol) -> (verdict, composite),
-    with the two channels matched by identity.  decoder_for reads the
-    verdict and composite from that slot, and verify_scheme the composite,
-    which does not depend on tol.  The memos live and die with the source.
+    Besides its graph per tol (source_confusability_graph), a source keeps
+    one slot holding the last scheme checked on it, (encoder, channel, tol)
+    -> (verdict, composite), with the two channels matched by identity, so
+    that it does not keep every channel it was checked against.
+    decoder_for reads the verdict and composite from that slot, and
+    verify_scheme the composite, which does not depend on tol.
     """
 
     def __init__(self, s_system: System, oa_system: System, ob_system: System,
@@ -153,7 +147,6 @@ class Source:
         if not is_reversible(channel, tol):
             raise SourceInvalid("source channel is not reversible")
         self.channel = channel
-        self._graphs = {}  # tol -> source confusability graph
         self._checked = None  # (e_chan, n_chan, tol, verdict, composite)
 
     def _last_checked(self, e_chan: CpMorphism, n_chan: CpMorphism):
@@ -214,25 +207,28 @@ def _source_span_vectors(src: Source):
 
 def source_confusability_graph(src: Source, tol: float = TOL_PROJ) -> QuantumGraph:
     """Confusability graph of the source on O_A: the complement of the support
-    of the partial-traced doubled-dilation element.  Computed once per source
-    and tol: the graph is kept on src and every later call returns it."""
-    graph = src._graphs.get(tol)
-    if graph is None:
-        graph = src._graphs[tol] = _source_graph(src, tol)
-    return graph
+    of the partial-traced doubled-dilation element, kept on src per tol
+    (groups.kept)."""
+    return _graph_per_tol(src, tol)
+
+
+@kept
+def _graph_per_tol(src: Source, tol: float) -> QuantumGraph:
+    return _source_graph(src, tol)
 
 
 def _source_graph(src: Source, tol: float) -> QuantumGraph:
     oa = src.oa_system
     vecs = _source_span_vectors(src)
     # The natural magnitude unit of the traced doubled element is the squared
-    # Kraus scale of the source channel; treat anything far below it as the
-    # roundoff image of an exact zero.
+    # Kraus scale of the source channel (positive, since the channel gives
+    # each source factor a block of positive trace); treat anything far
+    # below it as the roundoff image of an exact zero.
     unit = max(
         float(np.trace(blk).real) for blk in src.channel.blocks.values()
     )
     span_tol = max(tol * SPAN_RATIO, TOL_SPEC)
-    floor = span_tol * max(unit, TINY_UNIT)
+    floor = span_tol * unit
     blocks = {}
     for (a, ap), vs in vecs.items():
         n = oa.dims[a] * oa.dims[ap]

@@ -427,21 +427,19 @@ def failure_at(lay: Layout, what: str, group, exc):
 def block_store(source: System, target: System, blocks, kind: str, validate: bool) -> BlockStore:
     """Block family of a CP morphism or relation on source x target.
 
-    ``blocks`` is a BlockStore of the same layout, kept as it is, a
-    KeyedStack, or a dict (i, j) -> (d_i e_j) x (d_i e_j) block; pairs
-    missing from it are zero.  Either form is grouped by class (located)
-    into one linalg.as_complex per class, which scans for non-finite
-    entries only if ``validate``: the first failing block in input order,
-    or pair outside the layout, raises, named by ``kind``.  The store holds
-    the class stacks; a dict's blocks are copied into them, so the
-    caller's arrays stay as they were.
+    ``blocks`` is a BlockStore of the same layout, which only the library
+    builds, kept as it is and not scanned; a KeyedStack; or a dict (i, j)
+    -> (d_i e_j) x (d_i e_j) block.  Pairs missing from it are zero.  Either
+    of the last two is grouped by class (located) into one
+    linalg.as_complex per class, which scans for non-finite entries only
+    if ``validate``: the first failing block in input order, or pair
+    outside the layout, raises, named by ``kind``.  The store holds the
+    class stacks; a dict's blocks are copied into them, so the caller's
+    arrays stay as they were.
     """
     if isinstance(blocks, BlockStore):
         if (blocks.layout.src_dims, blocks.layout.tgt_dims) != (source.dims, target.dims):
             raise ShapeMismatch(f"{kind} blocks are laid out for other systems")
-        if validate:
-            for _, stack in blocks.classes():
-                linalg.as_complex(stack)
         return blocks
     lay = layout(source.dims, target.dims)
     groups, fails = located(lay, blocks, f"{kind} block index")

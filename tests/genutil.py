@@ -172,6 +172,12 @@ def psd_factor(m):
     return (np.sqrt(w[keep])[:, None] * v[:, keep].conj().T)
 
 
+def held(owner, derive, *args):
+    """What groups.kept holds on owner for derive(owner, *args), or None
+    while nothing is kept."""
+    return vars(owner).get("_kept", {}).get((derive, args))
+
+
 def rand_system(rng, max_factors=2, max_dim=3, action=None):
     nf = int(rng.integers(1, max_factors + 1))
     dims = tuple(int(rng.integers(1, max_dim + 1)) for _ in range(nf))

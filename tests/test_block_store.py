@@ -29,6 +29,7 @@ from genutil import (
     assert_family_equal,
     assert_graph_symmetric,
     choi_born,
+    held,
     kron_tensor_unitaries,
     loop_block_kraus,
     loop_block_store,
@@ -451,7 +452,7 @@ def test_confusability_eighs_are_the_choi_support_cuts(name, monkeypatch):
         for read in (readers if support_first else readers[::-1]) * 2:
             with pytest.raises(NegativeSpectrum, match=re.escape(str(key))):
                 read(neg)
-        assert neg._support is None
+        assert held(neg, relations.support_of) is None
         assert len(calls) == n_cut, support_first
 
 

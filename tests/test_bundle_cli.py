@@ -253,6 +253,29 @@ def demo_bundle(tmp_path_factory):
     return str(path)
 
 
+# Structurally malformed copies of demo/bundle.json, each with the text its
+# error must hold.
+MALFORMED = {
+    "factors not a list": (lambda d: d["systems"]["A"].update(factors=2), "system 'A'"),
+    "perms not an object": (lambda d: d["systems"]["A"]["action"].update(perms=3), "perms"),
+    "systems a list": (lambda d: d.update(systems=list(d["systems"].values())),
+                       "section 'systems'"),
+    "null group": (lambda d: d.update(group=None), "group"),
+    "graph blocks a list": (
+        lambda d: d["graphs"]["discrete_A"].update(
+            blocks=list(d["graphs"]["discrete_A"]["blocks"].values())),
+        "graph 'discrete_A'"),
+    "top-level list": (lambda d: [d], "bundle"),
+    "tensor a string": (lambda d: d["systems"]["AOB"].update(tensor="AB"), "system 'AOB'"),
+    "stochastic and kraus": (
+        lambda d: d["channels"]["mix"].update(kraus={"0,0": [[[[1.0, 0.0]]]]}), "channel 'mix'"),
+    "system name a list": (lambda d: d["channels"]["mix"].update({"from": ["A"]}),
+                           "channel 'mix'"),
+    "graph block a number": (lambda d: d["graphs"]["discrete_A"]["blocks"].update({"0,0": 5}),
+                             "graph block 0,0"),
+}
+
+
 class TestCli:
     def test_analyze_reversible(self, demo_bundle, tmp_path):
         out = tmp_path / "rev.json"
@@ -428,11 +451,41 @@ class TestCli:
         argv = ["scc-verify", str(path), "copy", "spread", "encode", "-o", str(out)]
         r = run_cli(argv)
         assert r.returncode == 2 and r.stdout == "" and not out.exists()
-        assert 'declare its source B ⊗ O_B as a system {"tensor": ["B", "A"]}' in r.stderr
-        data["systems"]["BA"] = {"tensor": ["B", "A"]}
+        assert 'declare its source B ⊗ O_B as a system {"tensor": ["B", "OB"]}' in r.stderr
+        data["systems"]["BOB"] = {"tensor": ["B", "OB"]}
         path.write_text(json.dumps(data))
         r = run_cli(argv)
-        assert r.returncode == 0 and json.loads(out.read_text())["from"] == "BA"
+        assert r.returncode == 0 and json.loads(out.read_text())["from"] == "BOB"
+
+    def test_outputs_name_the_systems_the_bundle_declares(self, tmp_path, capsys):
+        """On demo/bundle.json, OB equals A and S: each -o file names the
+        system a channel, source or tensor declares, not the first equal one."""
+        data = json.loads(DEMO.read_text())
+        for name in ("mix", "encode"):
+            data["channels"][name + "OB"] = dict(data["channels"][name], **{"from": "OB", "to": "OB"})
+        data["systems"]["BOB"] = {"tensor": ["B", "OB"]}
+        data["systems"]["BA"] = {"tensor": ["B", "A"]}
+        path, out = tmp_path / "demo.json", tmp_path / "out.json"
+        path.write_text(json.dumps(data))
+        for argv, ends in ((["twirl", "mixOB"], ("OB", "OB")),
+                           (["analyze-channel", "encodeOB", "--emit-reverse"], ("OB", "OB")),
+                           (["analyze-channel", "spread", "--emit-reverse"], ("B", "A")),
+                           (["scc-verify", "copy", "spread", "encode"], ("BOB", "S"))):
+            assert cli.main([argv[0], str(path)] + argv[1:] + ["-o", str(out)]) == 0, argv
+            doc = json.loads(out.read_text())
+            assert (doc["from"], doc["to"]) == ends, argv
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_bundle_exits_2_naming_the_object(self, case, tmp_path, capsys):
+        change, named = MALFORMED[case]
+        data = json.loads(DEMO.read_text())
+        data = change(data) or data
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["analyze-channel", str(path), "mix"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load bundle") and named in err, err
 
     def test_graph_to_channel_simple_rejected(self, demo_bundle):
         r = run_cli(["graph-to-channel", demo_bundle, "sA"])

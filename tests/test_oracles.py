@@ -13,6 +13,7 @@ from covgraphs import cpmaps, graphs, relations
 from genutil import (
     assert_graph_symmetric,
     basis_changed,
+    held,
     kl_reversible,
     rand_channel,
     rand_nonreversible_channel,
@@ -54,7 +55,8 @@ def test_knill_laflamme_agrees_on_over_count_pairs():
     for seed in range(50):
         for f in rand_over_count_channels(np.random.default_rng(seed)):
             oracle = kl_reversible(f)
-            assert f._kraus is None  # the held family, cut here, was not read
+            # The held family, cut here, was not read.
+            assert held(f, cpmaps.CpMorphism.kraus) is None
             got = graphs.is_reversible(f)
             assert oracle == got, seed
             verdicts.append(got)

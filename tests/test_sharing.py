@@ -2,21 +2,28 @@
 conjugation action, identity channels, tensor products, discrete relations
 and transport plans.  Keys are exact (ints, tuples, bytes, digests), so
 objects that are only equal within round-off are each built from their own
-bytes, and a build that raises is not kept."""
+bytes, and a build that raises is not kept.  What a check derives from one
+object is kept on that object (groups.kept), and no module writes another
+object's memo."""
 
+import ast
 import contextlib
+import gc
 import io
 import json
+import pathlib
 import pickle
+import weakref
 
 import numpy as np
 import pytest
 
+import covgraphs
 from covgraphs import bundle, cli, cpmaps, graphs, groups, relations, scc, systems
 from covgraphs.bundle import BundleError
 from covgraphs.errors import ActionShapeMismatch, GroupMismatch
 
-from genutil import inner_action
+from genutil import held, inner_action
 
 C2 = {"order": 2, "mult_table": [[0, 1], [1, 0]], "identity": 0}
 
@@ -353,3 +360,104 @@ class TestSharedRule:
         first = make(a, extra=2)
         assert make(a, 2) is first and make(action=a, extra=2) is first
         assert len(built) == 1
+
+
+class TestKeptRule:
+    """groups.kept: derive(owner, *args) kept on the owner once per tuple of
+    positional arguments; a raising call keeps nothing, and the memo dies
+    with its owner."""
+
+    class Owner:
+        """A plain object: an owner, or what is derived from one."""
+
+    @classmethod
+    def _counted(cls):
+        derived = []
+
+        @groups.kept
+        def derive(owner, extra):
+            """Derives one object per call."""
+            if extra < 0:
+                raise ValueError("negative extra")
+            derived.append(extra)
+            return cls.Owner()
+
+        return derive, derived
+
+    def test_one_object_per_owner_and_arguments(self):
+        derive, derived = self._counted()
+        a, b = self.Owner(), self.Owner()
+        first = derive(a, 1)
+        assert derive(a, 1) is first and derive(a, 2) is not first
+        assert derive(b, 1) is not first
+        assert derived == [1, 2, 1]
+        assert held(a, derive, 1) is first and held(a, derive, 3) is None
+        assert derive.__name__ == "derive" and derive.__doc__ == "Derives one object per call."
+
+    def test_raising_call_keeps_nothing(self):
+        derive, derived = self._counted()
+        a = self.Owner()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="negative extra"):
+                derive(a, -1)
+        assert derived == [] and held(a, derive, -1) is None
+
+    def test_memo_dies_with_its_owner(self):
+        derive, _ = self._counted()
+        a = self.Owner()
+        refs = [weakref.ref(a), weakref.ref(derive(a, 1))]
+        gc.disable()
+        try:
+            del a
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_frozen_owner(self):
+        group = groups.cyclic_group(3)
+        assert group.pairs() is group.pairs()
+        assert held(group, groups.FiniteGroup.pairs) is group.pairs()
+
+
+# The two slots a module keeps on an object of another module by design:
+# a relation's converse, kept only when its frames are held, and a source's
+# last checked scheme.
+OWN_SLOTS = {("relations", "converse", "p._converse"), ("scc", "_checked_composite", "src._checked")}
+
+
+def _foreign_private_writes():
+    """(module, function, target) of every assignment in src/ to a private
+    attribute of an object other than self, or to an item of one, and of
+    every setattr of a private name on such an object; groups.kept, which
+    keeps every memo, excepted."""
+    found = set()
+    for path in sorted(pathlib.Path(covgraphs.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        exempt = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "kept" for node in ast.walk(fn)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or id(fn) in exempt:
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Assign):
+                    targets = [t for top in node.targets
+                               for t in (top.elts if isinstance(top, ast.Tuple) else [top])]
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                elif (isinstance(node, ast.Call) and len(node.args) > 1
+                      and ast.unparse(node.func) in ("setattr", "object.__setattr__")
+                      and isinstance(node.args[1], ast.Constant)):
+                    targets = [ast.Attribute(node.args[0], node.args[1].value)]
+                else:
+                    continue
+                for t in targets:
+                    while isinstance(t, ast.Subscript):
+                        t = t.value
+                    if (isinstance(t, ast.Attribute) and t.attr.startswith("_")
+                            and not (isinstance(t.value, ast.Name) and t.value.id == "self")):
+                        found.add((path.stem, fn.name, ast.unparse(t)))
+    return found
+
+
+def test_no_module_writes_another_objects_private_slot():
+    assert _foreign_private_writes() == OWN_SLOTS

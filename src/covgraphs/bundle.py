@@ -46,12 +46,13 @@ owners check the rest:
     unitaries shares one action per group, dims, perms and the shape and
     bytes of every parsed unitary, across loads (groups.shared);
   * load_bundle: the document, its group, sections, objects, actions and
-    block maps are JSON objects, "factors" and "perms" lists of integers, a
-    "tensor" two system names, and a channel gives exactly one of "kraus",
-    "choi" and "stochastic"; with a nontrivial group, every channel is
-    covariant, and a graph declared "confusability" or "simple" is one, at
-    load_bundle's tol.  The bundle keeps the system names each object
-    declares (SpecBundle.declared), and the CLI writes them back.
+    block maps are JSON objects, "factors" and "perms" lists of integers,
+    "weights" a list of finite numbers, a "tensor" two system names, and a
+    channel gives exactly one of "kraus", "choi" and "stochastic"; with a
+    nontrivial group, every channel is covariant, and a graph declared
+    "confusability" or "simple" is one, at load_bundle's tol.  The bundle
+    keeps the system names each object declares (SpecBundle.declared), and
+    the CLI writes them back.
 
 dump_json writes json.dump(obj, fh, indent=1, sort_keys=True) and a
 newline.
@@ -61,12 +62,14 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from operator import itemgetter
 
 import numpy as np
 
 from . import linalg
-from .cpmaps import CpMorphism, from_kraus
+from .classical import embed_channel
+from .cpmaps import CpMorphism, from_kraus, to_kraus
 from .errors import CovGraphsError
 from .graphs import QuantumGraph, classify
 from .groups import (
@@ -249,9 +252,20 @@ def system_from_json(data, group: FiniteGroup) -> System:
             exact.value = units
             action = _unitary_action(group, dims, perms, exact)
     weights = data.get("weights")
-    if weights is None:
-        weights = dims
-    return System(QuantumSet(dims), action, tuple(map(float, weights)))
+    weights = dims if weights is None else _weights(weights)
+    return System(QuantumSet(dims), action, weights)
+
+
+def _weights(entries) -> tuple:
+    """The entries as floats; an entry that is not a number (a bool is not)
+    or not a finite float raises BundleError naming it."""
+    if not isinstance(entries, list):
+        raise BundleError(f"weights must be a list of numbers, not {type(entries).__name__}")
+    for x in entries:
+        number = isinstance(x, (int, float)) and not isinstance(x, bool)
+        if not (number and abs(x) <= sys.float_info.max):
+            raise BundleError(f"weights entry {x!r} is not a finite number")
+    return tuple(map(float, entries))
 
 
 @shared
@@ -288,8 +302,6 @@ def channel_from_json(data, systems: dict) -> CpMorphism:
             p = np.asarray(data["stochastic"], dtype=float)
         except (TypeError, ValueError) as exc:
             raise BundleError(f"malformed stochastic matrix: {exc}") from None
-        from .classical import embed_channel
-
         return embed_channel(p, src, tgt)
     if "kraus" in data:
         entries = data["kraus"]
@@ -457,8 +469,6 @@ def load_bundle_file(path: str, tol: float = linalg.TOL_PROJ) -> SpecBundle:
 
 
 def dump_channel(f: CpMorphism, src_name: str, tgt_name: str) -> dict:
-    from .cpmaps import to_kraus
-
     kraus = to_kraus(f)
     return {
         "from": src_name,

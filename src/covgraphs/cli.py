@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Every command reads one JSON bundle, prints a plain-text report to stdout and
-optionally writes machine-readable JSON with -o.  Exit codes: 0 success /
-property holds, 1 property fails or a round trip misses tolerance, 2 input or
-reference errors, 3 internal theorem violation (never expected).
+Every command reads one JSON bundle and prints a plain-text report to stdout;
+those that make a channel also write it as machine-readable JSON with -o,
+which check-hom does not take.  Exit codes: 0 success / property holds, 1
+property fails or a round trip misses tolerance, 2 input or reference
+errors, 3 internal theorem violation (never expected).
 """
 
 from __future__ import annotations
@@ -114,11 +115,13 @@ def cmd_check_hom(args) -> int:
 
 
 def cmd_scc_verify(args) -> int:
+    if args.output and args.decoder is not None:
+        return _fail("-o writes a synthesized decoder, and a decoder was given", EXIT_INPUT)
     b = _load(args.bundle, args.tol)
     src = _get(b.sources, args.source, "source")
     n_chan = _get(b.channels, args.channel, "channel")
     e_chan = _get(b.channels, args.encoder, "encoder channel")
-    if args.output and args.decoder is None:
+    if args.output:
         # The decoder maps B ⊗ O_B to S; its -o file names the tensor system
         # the bundle declares on those legs, and the source's S.
         s_name, _, ob_name = b.declared["sources"][args.source]
@@ -146,7 +149,7 @@ def cmd_scc_verify(args) -> int:
         print("decoder synthesized")
     ok = scc.verify_scheme(src, n_chan, e_chan, d_chan, args.tol)
     print(f"scheme: {'valid' if ok else 'invalid (decoder fails)'}")
-    if ok and args.output and args.decoder is None:
+    if ok and args.output:
         bundle_mod.dump_json(bundle_mod.dump_channel(d_chan, *names), args.output)
         print(f"decoder written to {args.output}")
     return EXIT_OK if ok else EXIT_FALSE
@@ -172,13 +175,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, writes: bool = True):
         p.add_argument("bundle", help="JSON bundle path")
         p.add_argument("--tol", type=float, default=linalg.TOL_PROJ,
                        help="projection tolerance (default 1e-8) of containment (leq), "
                             "the channel, covariance, reversibility and decoder tests and "
                             "the source-graph span cut; spectral cuts stay at TOL_SPEC (1e-9)")
-        p.add_argument("-o", "--output", default=None, help="write JSON output here")
+        if writes:
+            p.add_argument("-o", "--output", default=None, help="write JSON output here")
 
     p = sub.add_parser("analyze-channel", help="relation ranks, confusability, reversibility")
     common(p)
@@ -192,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, default=None, help="blend parameter in (0,1]")
 
     p = sub.add_parser("check-hom", help="graph homomorphism test for a channel")
-    common(p)
+    common(p, writes=False)
     p.add_argument("channel")
     p.add_argument("source_graph")
     p.add_argument("target_graph")

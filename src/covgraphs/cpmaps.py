@@ -42,6 +42,11 @@ The self-checks read the blocks, not the φ-basis pushed through apply: the
 Choi marginal (is_channel) or its reshape into basis images (basis_images).
 What a morphism derives without a tolerance is kept on it (groups.kept).
 
+The input's type is the one trust rule (see systems): Choi blocks given as a
+dict or a KeyedStack are scanned, shape-checked and PSD-checked, a BlockStore
+is the library's own and taken as it is, and every Kraus family, whoever
+built it, goes through from_kraus, which scans and shape-checks it.
+
 Channels preserve the separable standard functional: for every source factor
 i, Σ_{j,k} w_j M_ijk† M_ijk = w_i I.
 """
@@ -74,7 +79,8 @@ from .systems import (
 )
 
 class CpMorphism:
-    """Immutable CP morphism given by source, target and Choi blocks.
+    """Immutable CP morphism given by source, target and Choi blocks: a
+    dict or KeyedStack, checked Hermitian PSD, or a BlockStore, unchecked.
 
     A morphism born from Kraus maps also holds kraus_stacks, the one stored
     copy of its maps: per class and map count, (class index, slots of its
@@ -86,19 +92,19 @@ class CpMorphism:
     is kept too, and every reader raises on it again.
     """
 
-    def __init__(self, source: System, target: System, blocks: dict, validate: bool = True):
+    def __init__(self, source: System, target: System, blocks):
         self.source = source
         self.target = target
-        self.blocks = block_store(source, target, blocks, "Choi", validate)
+        self.blocks = block_store(source, target, blocks, "Choi")
         self.kraus_stacks = None
-        if validate:
+        if not isinstance(blocks, BlockStore):
             self._check_psd()
 
     @classmethod
     def stacked(cls, source: System, target: System, parts) -> "CpMorphism":
         """Kernel-born morphism from (class, stack) pairs of the source x target
         layout (classes not given are zero)."""
-        return cls(source, target, BlockStore.stacked(source, target, parts), validate=False)
+        return cls(source, target, BlockStore.stacked(source, target, parts))
 
     def _check_psd(self):
         """Every block Hermitian and PSD within the validator slack: one
@@ -123,9 +129,6 @@ class CpMorphism:
     def norm(self) -> float:
         """Largest Frobenius norm of a Choi block."""
         return max(float(linalg.frobs(stack).max()) for _, stack in self.blocks.classes())
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        return self.blocks[(i, j)]
 
     @kept
     def cuts(self) -> tuple:
@@ -176,21 +179,15 @@ def from_kraus(kraus, src: System, tgt: System) -> CpMorphism:
     (k, count, e, d) maps.
 
     Either form is grouped by class and map count (systems.located) and
-    scanned and shape-checked once per group: the first failing map in
-    input order, or pair outside the layout, raises.  The morphism stores
-    read-only views of the group stacks once, as kraus_stacks: copies of a
-    dict's maps, a KeyedStack's maps as they are.  It forms no Choi block
-    and runs no cut until one is read.
+    scanned and shape-checked once per group, whoever built it: the first
+    failing map in input order, or pair outside the layout, raises.  The
+    morphism stores read-only views of the group stacks once, as
+    kraus_stacks: copies of a dict's maps, a KeyedStack's maps as they are.
+    It forms no Choi block and runs no cut until one is read.
     """
-    return _from_maps(kraus, src, tgt, scan=True)
-
-
-def _from_maps(kraus, src: System, tgt: System, scan: bool = False) -> CpMorphism:
-    """from_kraus; maps the library built (scan False) are shape-checked but
-    not scanned for non-finite entries."""
     lay = layout(src.dims, tgt.dims)
     groups, fails = located(lay, kraus, "Kraus index", maps=True)
-    stacks = linalg.as_complex_groups(groups, scan, fails, failure_at, lay, "Kraus map for pair")
+    stacks = linalg.as_complex_groups(groups, fails, failure_at, lay, "Kraus map for pair")
     return _from_stacks(src, tgt, lay, [
         (c, np.asarray(slots), stack.reshape((len(slots), count) + shape))
         for (_, shape, c, count, slots, _), stack in zip(groups, stacks)
@@ -212,7 +209,7 @@ def _from_stacks(src: System, tgt: System, lay, stacks) -> CpMorphism:
         parts[c].append((slots, maps))
     f = CpMorphism(src, tgt, BlockStore(lay, [
         partial(class_stack, klass, got, _choi_blocks) if got else None
-        for klass, got in zip(lay.classes, parts)]), validate=False)
+        for klass, got in zip(lay.classes, parts)]))
     f.kraus_stacks = tuple(stacks)
     return f
 
@@ -286,7 +283,7 @@ def identity_channel(sys: System) -> CpMorphism:
     """The identity channel of sys, one map I per factor, shared per system
     (groups.shared) with what is kept on it."""
     kraus = {(i, i): [np.eye(d, dtype=complex)] for i, d in enumerate(sys.dims)}
-    return _from_maps(kraus, sys, sys)
+    return from_kraus(kraus, sys, sys)
 
 
 def add(f: CpMorphism, g: CpMorphism, cf: float = 1.0, cg: float = 1.0) -> CpMorphism:
@@ -315,7 +312,7 @@ def compose(g: CpMorphism, f: CpMorphism) -> CpMorphism:
         if ms:
             for k, ns in g_rows.get(j, ()):
                 kraus.setdefault((i, k), []).extend(n @ m for m in ms for n in ns)
-    return _from_maps(kraus, f.source, g.target)
+    return from_kraus(kraus, f.source, g.target)
 
 
 def dagger(f: CpMorphism) -> CpMorphism:

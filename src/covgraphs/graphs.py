@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .cpmaps import CpMorphism, _from_maps, _offsets, basis_image_matrix, is_channel
+from .cpmaps import CpMorphism, _offsets, basis_image_matrix, from_kraus, is_channel
 from .errors import (
     NotAChannel,
     NotConfusability,
@@ -41,7 +41,9 @@ from .systems import BlockStore, System, basis_offset, system, total_matrix_dim
 
 
 class QuantumGraph:
-    """Symmetric quantum relation on a single system."""
+    """Symmetric quantum relation on a single system.  Symmetry does not show
+    in a relation's type, so ``validate`` stays: False for a relation the
+    library built symmetric, whose converse need not be formed to check it."""
 
     def __init__(self, sys: System, relation: QuantumRelation, tol: float = TOL_PROJ,
                  validate: bool = True):
@@ -53,9 +55,6 @@ class QuantumGraph:
                 raise ShapeMismatch(f"graph relation is not symmetric (defect {defect:.2e})")
         self.system = sys
         self.relation = relation
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        return self.relation.blocks[(i, j)]
 
 
 def graph_from_blocks(sys: System, blocks: dict) -> QuantumGraph:
@@ -80,8 +79,7 @@ def classify(g: QuantumGraph, tol: float = TOL_PROJ) -> dict:
 def complement(g: QuantumGraph) -> QuantumGraph:
     parts = [(klass, np.eye(klass.n) - stack) for klass, stack in g.relation.blocks.classes()]
     blocks = BlockStore.stacked(g.system, g.system, parts)
-    return QuantumGraph(g.system, QuantumRelation(g.system, g.system, blocks, validate=False),
-                        validate=False)
+    return QuantumGraph(g.system, QuantumRelation(g.system, g.system, blocks), validate=False)
 
 
 @kept
@@ -166,7 +164,7 @@ def realize_channel(g: QuantumGraph, tau: float | None = None, tol: float = TOL_
         off = basis_offset(a_sys, i)
         # Column x of map a is column E_xa of f̂^{1/2}.
         kraus[(i, 0)] = [fhalf[:, off + a:off + d * d:d] / np.sqrt(w_env) for a in range(d)]
-    f = _from_maps(kraus, a_sys, env)
+    f = from_kraus(kraus, a_sys, env)
     return f, env
 
 

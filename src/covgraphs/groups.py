@@ -65,7 +65,7 @@ import inspect
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache, wraps
-from itertools import product
+from itertools import permutations, product
 from types import MappingProxyType
 
 import numpy as np
@@ -196,13 +196,6 @@ class FiniteGroup:
             g, h = np.array([rng.integers(0, n, 2) for _ in range(800)]).T
         return g, h, np.array(self.table)[g, h]
 
-    def mul(self, g: int, h: int) -> int:
-        return self.table[g][h]
-
-    def inv(self, g: int) -> int:
-        row = self.table[g]
-        return row.index(self.identity)
-
     @property
     def elements(self):
         return range(self.order)
@@ -237,8 +230,6 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 def symmetric_group(n: int) -> FiniteGroup:
     """S_n with elements the permutations of range(n) in lexicographic order."""
-    from itertools import permutations
-
     perms = list(permutations(range(n)))
     index = {p: k for k, p in enumerate(perms)}
     # Composition convention: (p*q)(x) = p(q(x)).
@@ -339,7 +330,7 @@ class AlgebraAction:
                 exc = ActionShapeMismatch(f"unitaries[{g}][{i}] has wrong shape")
             return (g, i, 1), exc
 
-        stacks = linalg.as_complex_groups(groups, True, fails, name)
+        stacks = linalg.as_complex_groups(groups, fails, name)
         classes = {d: (np.array(idx), stack.reshape(ng, len(idx), d, d))
                    for (_, _, d, idx), stack in zip(groups, stacks)}
         for d, (idx, stack) in classes.items():

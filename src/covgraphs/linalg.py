@@ -43,15 +43,15 @@ BLEND_FLOOR = 1e-3  # least blend eigenvalue realize_channel accepts while halvi
 SPAN_RATIO = 1e-2  # source-graph span cut relative to the projection tolerance
 
 
-def as_complex(m, shape: tuple | None = None, scan: bool = True) -> np.ndarray:
+def as_complex(m, shape: tuple | None = None) -> np.ndarray:
     """m as a complex array, scanned for non-finite entries (DimensionMismatch).
 
     With ``shape``, m is a sequence of members, each meant to be a ``shape``
     array, and the result is their (k,) + shape stack, built by one
-    np.asarray and scanned once (only shape-checked if not ``scan``).  The
-    first member that is not finite (DimensionMismatch) or has another
-    shape (ShapeMismatch) raises, carrying its ``member`` position and
-    ``shape``; members of unequal shapes are looked at one by one.
+    np.asarray and scanned once.  The first member that is not finite
+    (DimensionMismatch) or has another shape (ShapeMismatch) raises,
+    carrying its ``member`` position and ``shape``; members of unequal
+    shapes are looked at one by one.
     """
     if shape is None:
         a = np.asarray(m, dtype=complex)
@@ -65,28 +65,27 @@ def as_complex(m, shape: tuple | None = None, scan: bool = True) -> np.ndarray:
     except ValueError:  # members of unequal shapes
         members = [np.asarray(x, dtype=complex) for x in m]
     else:
-        if a.shape[1:] == shape and (not scan or np.isfinite(a).all()):
+        if a.shape[1:] == shape and np.isfinite(a).all():
             return a
         # The first non-finite member fails, or the first if all are misshapen.
         members = a if a.shape[1:] == shape else a[:1]
     for s, x in enumerate(members):
-        if scan and not np.isfinite(x).all():
+        if not np.isfinite(x).all():
             raise _member_error(DimensionMismatch, "matrix entries must be finite", s, x.shape)
         if x.shape != shape:
             raise _member_error(ShapeMismatch, f"member {s} has shape {x.shape}, expected {shape}",
                                 s, x.shape)
 
 
-def as_complex_groups(groups, scan: bool, fails: list, name, *about) -> list:
-    """as_complex(group[0], group[1], scan) of each group of members given
-    from outside.  A group's error (``member``: its place in the group) goes
-    to name(*about, group, exc), which returns (input position, error) for
-    the list ``fails``; the error at the least position raises, the first
-    of a tie."""
+def as_complex_groups(groups, fails: list, name, *about) -> list:
+    """as_complex(group[0], group[1]) of each group of members.  A group's
+    error (``member``: its place in the group) goes to name(*about, group,
+    exc), which returns (input position, error) for the list ``fails``; the
+    error at the least position raises, the first of a tie."""
     stacks = []
     for group in groups:
         try:
-            stacks.append(as_complex(group[0], group[1], scan))
+            stacks.append(as_complex(group[0], group[1]))
         except (DimensionMismatch, ShapeMismatch) as exc:
             fails.append(name(*about, group, exc))
     if fails:

@@ -17,7 +17,10 @@ a -> a†, and discrete and complete have closed forms.  Where the kernel
 holds only frames, the relation forms the projections of a class from them
 on the first read of that class (QuantumRelation.stacked).  A relation
 given as plain projections takes its frames on first read, by one batched
-eigh per class.
+eigh per class.  By the one trust rule (see systems), projections given as
+a dict or a KeyedStack are scanned, shape-checked and projection-checked;
+a BlockStore is the library's own and taken as it is, and frames come only
+with one.
 
 Composition is the span of the operator products over the middle factors.
 A relation keeps the frame operators of each class (operators, through
@@ -43,7 +46,8 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import linalg
-from .cpmaps import CpMorphism, channelize, choi_marginal, choi_vecs, dagger as cp_dagger, is_channel
+from .cpmaps import CpMorphism, _hom_defects, channelize, choi_marginal, choi_vecs, is_channel
+from .cpmaps import dagger as cp_dagger
 from .errors import (
     CharacterizationMismatch,
     NegativeSpectrum,
@@ -61,16 +65,15 @@ class QuantumRelation:
     with an orthonormal frame of each (see frames); blocks and frames are
     read-only, so a relation can be shared."""
 
-    def __init__(self, source: System, target: System, blocks: dict, validate: bool = True,
-                 frames=None):
+    def __init__(self, source: System, target: System, blocks, frames=None):
         self.source = source
         self.target = target
-        self.blocks = block_store(source, target, blocks, "relation", validate)
+        self.blocks = block_store(source, target, blocks, "relation")
         # A tuple of read-only Frames in class order, a function that makes
         # it, or None: frames of the projections, made on first read.
         self._frames = frames if frames is None or callable(frames) else _read_only(frames)
         self._converse = None
-        if validate:
+        if not isinstance(blocks, BlockStore):
             defects = self.blocks.keyed(
                 linalg.projection_defects(stack) for _, stack in self.blocks.classes()
             )
@@ -91,7 +94,7 @@ class QuantumRelation:
         if blocks is None:
             blocks = [fr.projections if fr.vecs.shape[-1] else None for fr in frames]
         return cls(source, target, BlockStore(layout(source.dims, target.dims), blocks),
-                   validate=False, frames=frames)
+                   frames=frames)
 
     def frames(self) -> tuple:
         """linalg.Frames per class of the block store, in classes() order:
@@ -123,9 +126,6 @@ class QuantumRelation:
         """Orthonormal frame of block (i, j): its (d_i e_j, rank) columns."""
         c, s = self.blocks.layout.where[(i, j)]
         return self.frames()[c].member(s)
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        return self.blocks[(i, j)]
 
     def rank(self, i: int, j: int) -> int:
         return int(round(float(np.trace(self.blocks[(i, j)]).real)))
@@ -217,7 +217,8 @@ def complete(src: System, tgt: System | None = None) -> QuantumRelation:
 
 
 def zero_relation(src: System, tgt: System | None = None) -> QuantumRelation:
-    return QuantumRelation(src, tgt if tgt is not None else src, {}, validate=False)
+    tgt = src if tgt is None else tgt
+    return QuantumRelation(src, tgt, BlockStore.stacked(src, tgt, ()))
 
 
 def compose(q: QuantumRelation, p: QuantumRelation) -> QuantumRelation:
@@ -361,7 +362,7 @@ def converse(p: QuantumRelation) -> QuantumRelation:
                             for klass in tl.classes])
     frames = partial(_converse_frames, lay, p._frames) if held else (
         lambda: _converse_frames(lay, p.frames()))
-    c = QuantumRelation(p.target, p.source, store, validate=False, frames=frames)
+    c = QuantumRelation(p.target, p.source, store, frames=frames)
     if held:
         p._converse = c
     return c
@@ -487,8 +488,6 @@ def partial_function_flags(p: QuantumRelation):
 
     Returns (is_partial_function, is_function, witnesses).
     """
-    from .cpmaps import _hom_defects
-
     witnesses = {}
 
     # (1) coinjectivity via relation composition.

@@ -30,9 +30,9 @@ import numpy as np
 from . import linalg
 from .cpmaps import (
     CpMorphism,
-    _from_maps,
     compose,
     cp_norm_diff,
+    from_kraus,
     identity_channel,
     is_channel,
 )
@@ -55,10 +55,11 @@ from .graphs import (
     is_homomorphism,
     is_reversible,
 )
-from .groups import AlgebraAction, dim_classes, kept, shared
+from .groups import AlgebraAction, dim_classes, kept, shared, trivial_action
 from .linalg import SPAN_RATIO, TOL_PROJ, TOL_ROUNDTRIP, TOL_SPEC
 from .relations import QuantumRelation, relation_defect
-from .systems import BlockStore, QuantumSet, System, basis_offset, system, total_matrix_dim
+from .systems import BlockStore, QuantumSet, System, basis_offset, block_store, system
+from .systems import total_matrix_dim
 
 
 class TensorSystem:
@@ -120,7 +121,7 @@ def tensor_cp(f: CpMorphism, g: CpMorphism) -> CpMorphism:
         for (ib, jb), gops in kg.items():
             ops = [linalg.kron(m, n) for m in fops for n in gops]
             kraus[(src.pair_index(ia, ib), tgt.pair_index(ja, jb))] = ops
-    return _from_maps(kraus, src.product, tgt.product)
+    return from_kraus(kraus, src.product, tgt.product)
 
 
 class Source:
@@ -234,7 +235,8 @@ def _source_graph(src: Source, tol: float) -> QuantumGraph:
         n = oa.dims[a] * oa.dims[ap]
         span = linalg.orthonormal_span(vs, dim=n, tol=span_tol, floor=floor)
         blocks[(a, ap)] = np.eye(n, dtype=complex) - span
-    rel = QuantumRelation(oa, oa, blocks, validate=False)
+    # I − span is the library's own projection: handed over as a store, unchecked.
+    rel = QuantumRelation(oa, oa, block_store(oa, oa, blocks, "relation"))
     graph = QuantumGraph(oa, rel, tol=tol, validate=True)
     flags = classify(graph, tol)
     if not flags["is_confusability"]:
@@ -337,8 +339,6 @@ def source_from_graph(g: QuantumGraph) -> Source:
         raise SourceInvalid("source_from_graph needs a confusability graph")
     oa = g.system
     group = oa.group
-    from .groups import trivial_action
-
     s_sys = system((1, 1), trivial_action(group, (1, 1)))
     nz = total_matrix_dim(oa) + 1
     ob = system((nz,), _conjugation_action(oa.action, 1))  # one extra direction, ζ
@@ -369,7 +369,7 @@ def source_from_graph(g: QuantumGraph) -> Source:
             ops = [c * t[:, :, m].reshape(da * nz, 1) for m in range(da)]
             kraus[(u, ts.pair_index(a, 0))] = ops
 
-    chan = _from_maps(kraus, s_sys, ts.product)
+    chan = from_kraus(kraus, s_sys, ts.product)
     src = Source(s_sys, oa, ob, chan)
     got = source_confusability_graph(src)
     defect = relation_defect(got.relation, g.relation)

@@ -19,6 +19,12 @@ allocated) or a function that makes the stack on its first read.  A family
 given from outside, a dict from factor pair to entry or a KeyedStack, is
 grouped by class (located), checked once per class by
 linalg.as_complex_groups and copied into the class stacks (class_stack).
+
+One trust rule holds at this boundary, read off the input's type: a dict
+or a KeyedStack is always checked (scanned for non-finite entries and
+shape-checked here, and PSD- or projection-checked by the CpMorphism and
+QuantumRelation constructors); a BlockStore, which only the library
+builds, is taken as it is.  No argument switches a check off.
 """
 
 from __future__ import annotations
@@ -65,8 +71,8 @@ class System:
         if self.action.dims != dims:
             raise ActionShapeMismatch("action factor dims do not match the quantum set")
         w = tuple(map(float, self.weights))
-        if len(w) != len(dims) or any(x <= 0 for x in w):
-            raise ShapeMismatch("need one positive weight per factor")
+        if len(w) != len(dims) or not all(0 < x < np.inf for x in w):
+            raise ShapeMismatch("need one finite positive weight per factor")
         wa = np.array(w)
         if (np.abs(wa[self.action.perm_array] - wa) > linalg.TOL_ROUNDOFF).any():
             raise ActionShapeMismatch("weights must be constant on action orbits")
@@ -424,18 +430,19 @@ def failure_at(lay: Layout, what: str, group, exc):
     return (positions[p], t), exc
 
 
-def block_store(source: System, target: System, blocks, kind: str, validate: bool) -> BlockStore:
+def block_store(source: System, target: System, blocks, kind: str) -> BlockStore:
     """Block family of a CP morphism or relation on source x target.
 
-    ``blocks`` is a BlockStore of the same layout, which only the library
-    builds, kept as it is and not scanned; a KeyedStack; or a dict (i, j)
-    -> (d_i e_j) x (d_i e_j) block.  Pairs missing from it are zero.  Either
-    of the last two is grouped by class (located) into one
-    linalg.as_complex per class, which scans for non-finite entries only
-    if ``validate``: the first failing block in input order, or pair
-    outside the layout, raises, named by ``kind``.  The store holds the
-    class stacks; a dict's blocks are copied into them, so the caller's
-    arrays stay as they were.
+    The input's type is the trust rule.  A BlockStore is the library's own
+    (only the library builds one): it is kept as it is, not scanned, once
+    its layout is source x target.  A KeyedStack, or a dict (i, j) ->
+    (d_i e_j) x (d_i e_j) block, comes from outside and is always checked:
+    grouped by class (located) into one linalg.as_complex per class, which
+    scans for non-finite entries and checks shapes; the first failing block
+    in input order, or pair outside the layout, raises, named by ``kind``.
+    Pairs missing from it are zero.  The store holds the class stacks; a
+    dict's blocks are copied into them, so the caller's arrays stay as they
+    were.
     """
     if isinstance(blocks, BlockStore):
         if (blocks.layout.src_dims, blocks.layout.tgt_dims) != (source.dims, target.dims):
@@ -443,7 +450,7 @@ def block_store(source: System, target: System, blocks, kind: str, validate: boo
         return blocks
     lay = layout(source.dims, target.dims)
     groups, fails = located(lay, blocks, f"{kind} block index")
-    stacks = linalg.as_complex_groups(groups, validate, fails, failure_at, lay, f"{kind} block")
+    stacks = linalg.as_complex_groups(groups, fails, failure_at, lay, f"{kind} block")
     entries = [None] * len(lay.classes)  # located makes one group per class
     for (_, _, c, _, slots, _), stack in zip(groups, stacks):
         entries[c] = class_stack(lay.classes[c], [(slots, stack)])

@@ -34,6 +34,11 @@ def symmetric_group_perms(n: int):
     return [tuple(p) for p in permutations(range(n))]
 
 
+def inverse(group, g: int) -> int:
+    """The inverse of element g: the h with table[g][h] the identity."""
+    return group.table[g].index(group.identity)
+
+
 def inner_action(group, dim: int, unitaries):
     """Single-factor action by conjugation with the given projective unitaries."""
     perms = tuple((0,) for _ in range(group.order))
@@ -52,7 +57,7 @@ def embed_relation(rel, src=None, tgt=None):
     blocks = {
         (i, j): np.eye(1, dtype=complex) for i in range(m) for j in range(n) if rel[i, j]
     }
-    return relations.QuantumRelation(src, tgt, blocks, validate=False)
+    return relations.QuantumRelation(src, tgt, blocks)
 
 
 def embed_graph(adj, sys=None):
@@ -195,7 +200,7 @@ def rand_cp(rng, src, tgt, kraus_per_pair=2):
 def choi_born(f):
     """The same morphism rebuilt from its Choi blocks alone, so that compose
     and tensor products go through to_kraus (the eigh path)."""
-    return cpmaps.CpMorphism(f.source, f.target, f.blocks, validate=False)
+    return cpmaps.CpMorphism(f.source, f.target, f.blocks)
 
 
 def assert_blocks_close(got, ref, rel=1e-12):
@@ -279,7 +284,7 @@ def rand_relation(rng, src, tgt, max_rank=2, density=0.8):
             r = int(rng.integers(1, max_rank + 1))
             vecs = [linalg.vec(rand_complex(rng, d, e)) for _ in range(r)]
             blocks[(i, j)] = linalg.orthonormal_span(vecs, dim=d * e)
-    return relations.QuantumRelation(src, tgt, blocks, validate=False)
+    return relations.QuantumRelation(src, tgt, blocks)
 
 
 def weyl_unitaries(d):
@@ -340,7 +345,7 @@ def rand_balanced_relation(rng, src, tgt, density=0.9):
              (rand_complex(rng, src.dims[0], tgt.dims[0]) for _ in range(src.dims[0] * tgt.dims[0]))],
             dim=src.dims[0] * tgt.dims[0],
         )
-    return relations.QuantumRelation(src, tgt, blocks, validate=False)
+    return relations.QuantumRelation(src, tgt, blocks)
 
 
 def rand_reversible_channel(rng, kind=None):
@@ -443,7 +448,7 @@ def basis_changed(f, us, vs):
     for (i, j), blk in f.blocks.items():
         w = np.kron(vs[j].conj(), us[i])
         blocks[(i, j)] = w @ blk @ w.conj().T
-    return cpmaps.CpMorphism(f.source, f.target, blocks, validate=False)
+    return cpmaps.CpMorphism(f.source, f.target, blocks)
 
 
 def classical_source(rng, ns, na, nb, full_side_info=False):
@@ -871,8 +876,8 @@ def loop_choi_marginal(f):
 def loop_reverse(f):
     """Reverse Choi blocks of a reversible channel, one kron per block; the
     routing term I - α_j is exactly zero where α_j has full rank."""
-    rf = relations.QuantumRelation(f.source, f.target, loop_support_of(f), validate=False)
-    q = relations.QuantumRelation(f.target, f.source, loop_converse(rf), validate=False)
+    rf = relations.QuantumRelation(f.source, f.target, loop_support_of(f))
+    q = relations.QuantumRelation(f.target, f.source, loop_converse(rf))
     alphas = [linalg.hermitize(m) for m in loop_choi_marginal(q)]
     d_a = sum(w * d for w, d in zip(f.source.weights, f.source.dims))
     blocks = {}
@@ -1034,7 +1039,7 @@ def loop_first_hom_failure(group, dims, perms, unitaries):
     order = list(dict.fromkeys(dims))
     for g in range(group.order):
         for h in range(group.order):
-            gh = group.mul(g, h)
+            gh = group.table[g][h]
             if [perms[g][perms[h][i]] for i in range(len(dims))] != list(perms[gh]):
                 return g, h, None
             for d in order:

@@ -119,7 +119,7 @@ def test_criterion_02_choi_kraus_roundtrip():
         sys = systems.system(dims)
         ident = cpmaps.identity_channel(sys)
         for i, d in enumerate(sys.dims):
-            blk = ident.block(i, i)
+            blk = ident.blocks[(i, i)]
             w = np.linalg.eigvalsh(blk)
             assert abs(w[-1] - d) < 1e-12
             assert np.all(np.abs(w[:-1]) < 1e-12)
@@ -171,7 +171,7 @@ def test_criterion_03_relation_to_channel():
             blocks = dict(rel.blocks)
             for j in range(tgt.nfactors):
                 blocks[(kill, j)] = np.zeros_like(blocks[(kill, j)])
-            rel = relations.QuantumRelation(src, tgt, blocks, validate=False)
+            rel = relations.QuantumRelation(src, tgt, blocks)
         else:
             rel = rand_balanced_relation(rng, src, tgt)
         q_true += _check_relation_channel(rel)
@@ -352,12 +352,10 @@ def test_criterion_09_covariance_sn():
         # Twirl projector on CP maps C -> C^n in the basis of factor blocks.
         t_mat = np.zeros((n, n))
         for k in range(n):
-            basis_cp = cpmaps.CpMorphism(
-                triv, cn, {(0, k): np.eye(1, dtype=complex)}, validate=False
-            )
+            basis_cp = cpmaps.CpMorphism(triv, cn, {(0, k): np.eye(1, dtype=complex)})
             tw = groups.twirl_cp(basis_cp)
             for l in range(n):
-                t_mat[l, k] = tw.block(0, l)[0, 0].real
+                t_mat[l, k] = tw.blocks[(0, l)][0, 0].real
         eigs = np.linalg.eigvalsh(t_mat)
         fixed_dim = int(np.sum(np.abs(eigs - 1.0) < 1e-9))
         assert fixed_dim == 1
@@ -376,7 +374,7 @@ def test_criterion_09_covariance_sn():
         # candidates are the zero and the complete one, and neither is a
         # function.
         for blocks in [{}, {(0, j): np.eye(1, dtype=complex) for j in range(n)}]:
-            rel = relations.QuantumRelation(triv, cn, blocks, validate=False)
+            rel = relations.QuantumRelation(triv, cn, blocks)
             assert groups.is_covariant_relation(rel)
             _, is_fn, _ = relations.partial_function_flags(rel)
             assert not is_fn

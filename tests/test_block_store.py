@@ -263,7 +263,8 @@ class TestStackedKernels:
 
     def test_store_names_the_failing_block(self):
         sys = systems.classical_system(4)
-        f = cpmaps.CpMorphism(sys, sys, {(0, 0): [[1.0]], (2, 1): [[-1.0]]}, validate=False)
+        store = systems.block_store(sys, sys, {(0, 0): [[1.0]], (2, 1): [[-1.0]]}, "Choi")
+        f = cpmaps.CpMorphism(sys, sys, store)
         with pytest.raises(NegativeSpectrum, match=r"\(2, 1\)"):
             relations.support_of(f)
 
@@ -285,7 +286,7 @@ class TestBlockStore:
     def test_one_member_class_is_a_read_only_copy_of_the_given_block(self):
         sys = systems.system((30,))
         a = np.eye(900, dtype=complex)
-        f = cpmaps.CpMorphism(sys, sys, {(0, 0): a}, validate=False)
+        f = cpmaps.CpMorphism(sys, sys, systems.block_store(sys, sys, {(0, 0): a}, "Choi"))
         ((_, stack),) = f.blocks.classes()
         assert stack.shape == (1, 900, 900) and not np.shares_memory(stack, a)
         assert not stack.flags.writeable and np.array_equal(stack[0], a)
@@ -299,7 +300,7 @@ class TestBlockStore:
         ((_, stack),) = rel.blocks.classes()
         assert stack.shape == (4096, 1, 1) and stack.strides[0] == 0
         sys = systems.classical_system(8)
-        f = cpmaps.CpMorphism(sys, sys, {(1, 2): [[0.5]]}, validate=False)
+        f = cpmaps.CpMorphism(sys, sys, {(1, 2): [[0.5]]})
         ((_, stack),) = f.blocks.classes()
         assert stack[1 * 8 + 2, 0, 0] == 0.5 and np.count_nonzero(stack) == 1
 
@@ -307,7 +308,7 @@ class TestBlockStore:
         a, b = systems.system((1, 2)), systems.system((2, 1))
         store = relations.complete(a).blocks
         with pytest.raises(ShapeMismatch, match="laid out"):
-            relations.QuantumRelation(b, b, store, validate=False)
+            relations.QuantumRelation(b, b, store)
 
 
 class TestBatchedConstructions:
@@ -446,7 +447,8 @@ def test_confusability_eighs_are_the_choi_support_cuts(name, monkeypatch):
         blocks = dict(f.blocks)
         key = [key for key, blk in blocks.items() if blk.any()][-1]
         blocks[key] = -blocks[key]
-        neg = cpmaps.CpMorphism(f.source, f.target, blocks, validate=False)
+        neg = cpmaps.CpMorphism(f.source, f.target,
+                                systems.block_store(f.source, f.target, blocks, "Choi"))
         readers = [relations.support_of, cpmaps.to_kraus]
         calls.clear()
         for read in (readers if support_first else readers[::-1]) * 2:
@@ -495,7 +497,7 @@ class TestSatelliteLoops:
             if kind == "m123-choi":
                 f, g = choi_born(f), choi_born(g)
         got = cpmaps.compose(g, f)
-        ref = cpmaps._from_maps(loop_cp_compose_kraus(g, f), sys, sys)
+        ref = cpmaps.from_kraus(loop_cp_compose_kraus(g, f), sys, sys)
         assert_family_equal(got.blocks, dict(ref.blocks))
         for key, ops in ref.kraus().items():
             assert len(got.kraus()[key]) == len(ops), key
@@ -675,15 +677,14 @@ class TestChecksAtTheBoundary:
                 cpmaps.from_kraus(given, sys, sys)
 
     def test_library_maps_are_shape_checked(self):
-        """_from_maps skips only the non-finite scan: a transposed or ragged
-        map is named as by from_kraus, which has no switch for the scan."""
+        """Maps the library builds go through from_kraus too, which has no
+        switch for its checks: a transposed or ragged map is named."""
         sys = systems.system((1, 2))
         row = np.ones((1, 2))  # a map H_1 -> K_0 of pair (1, 0)
         for given in ({(0, 0): [[[1.0]]], (1, 0): [row.T]}, {(1, 0): [row, np.eye(2)]}):
-            for build in (cpmaps.from_kraus, cpmaps._from_maps):
-                with pytest.raises(ShapeMismatch, match=r"pair \(1, 0\) has shape \(2, 1\)|"
-                                                        r"pair \(1, 0\) has shape \(2, 2\)"):
-                    build(given, sys, sys)
+            with pytest.raises(ShapeMismatch, match=r"pair \(1, 0\) has shape \(2, 1\)|"
+                                                    r"pair \(1, 0\) has shape \(2, 2\)"):
+                cpmaps.from_kraus(given, sys, sys)
         assert list(inspect.signature(cpmaps.from_kraus).parameters) == ["kraus", "src", "tgt"]
 
     @pytest.mark.parametrize("stacked", [False, True])
@@ -903,8 +904,7 @@ class TestLazyKrausBlocks:
     def test_blocks_match_per_pair_loop(self, name):
         src, tgt, kraus = LAZY[name]
         ref = loop_block_store(src, tgt, loop_from_kraus(kraus)[0])
-        for f in (cpmaps.from_kraus(kraus, src, tgt), cpmaps._from_maps(kraus, src, tgt)):
-            assert_family_equal(f.blocks, ref)
+        assert_family_equal(cpmaps.from_kraus(kraus, src, tgt).blocks, ref)
 
     def test_blocks_are_formed_on_first_read_of_their_class(self, monkeypatch):
         formed = _spy_gram(monkeypatch)
@@ -1034,7 +1034,7 @@ class TestLazyKrausBlocks:
         got = cpmaps.compose(g, f)
         if kind == "two-per-column16":
             assert {maps.shape[1] for _, _, maps in got.kraus_stacks} == {1, 2}  # maps per pair
-        ref = cpmaps._from_maps(loop_cp_compose_kraus(g, f), sys, sys)
+        ref = cpmaps.from_kraus(loop_cp_compose_kraus(g, f), sys, sys)
         assert_family_equal(got.blocks, dict(ref.blocks))
         for key, ops in ref.kraus().items():
             assert len(got.kraus()[key]) == len(ops), key

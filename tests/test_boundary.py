@@ -1,12 +1,16 @@
 """Input from outside the library is scanned for non-finite entries at the
 boundary: every public entry point below raises DimensionMismatch on NaN and
-on ±inf.  Blocks the library builds itself (block_store with validate=False)
-are not scanned; this table is what keeps the scan on user input."""
+on ±inf.  The input's type is the one trust rule: a family given as a dict
+or a KeyedStack is always checked, and a BlockStore, which only the library
+builds, never is; no argument switches a check off.  This table is what
+keeps the scan on user input."""
+
+import inspect
 
 import numpy as np
 import pytest
 
-from covgraphs import bundle, classical, cpmaps, groups, relations, systems
+from covgraphs import bundle, classical, cpmaps, groups, linalg, relations, systems
 from covgraphs.errors import DimensionMismatch
 
 from genutil import inner_action
@@ -28,6 +32,11 @@ def _bad_block(bad):
     return b
 
 
+def _keyed(family):
+    """The dict family as a systems.KeyedStack."""
+    return systems.KeyedStack(np.array(list(family)), np.array(list(family.values())))
+
+
 QUBIT = systems.system((2,))
 SYSTEMS = {"A": {"factors": [2]}, "C": {"factors": [1, 1]}}
 
@@ -41,6 +50,12 @@ ENTRY_POINTS = {
     "CpMorphism": lambda bad: cpmaps.CpMorphism(QUBIT, QUBIT, {(0, 0): _bad_block(bad)}),
     "QuantumRelation": lambda bad: relations.QuantumRelation(
         QUBIT, QUBIT, {(0, 0): _bad_block(bad)}),
+    "from_kraus keyed": lambda bad: cpmaps.from_kraus(
+        _keyed({(0, 0): [_bad_map(bad)]}), QUBIT, QUBIT),
+    "CpMorphism keyed": lambda bad: cpmaps.CpMorphism(
+        QUBIT, QUBIT, _keyed({(0, 0): _bad_block(bad)})),
+    "QuantumRelation keyed": lambda bad: relations.QuantumRelation(
+        QUBIT, QUBIT, _keyed({(0, 0): _bad_block(bad)})),
     "AlgebraAction": lambda bad: inner_action(
         groups.cyclic_group(2), 2, [np.eye(2), _bad_map(bad)]),
     "load_bundle kraus": lambda bad: _load(channels={"f": {
@@ -73,3 +88,53 @@ ENTRY_POINTS = {
 def test_non_finite_input_raises(entry, bad):
     with pytest.raises(DimensionMismatch):
         ENTRY_POINTS[entry](bad)
+
+
+def test_no_switch_skips_a_check():
+    """The trust rule has no flag: these are the signatures at the boundary."""
+    def params(fn):
+        return [(p.name, p.kind.name, p.default) for p in inspect.signature(fn).parameters.values()]
+
+    empty = inspect.Parameter.empty
+    assert params(cpmaps.CpMorphism.__init__) == [
+        ("self", "POSITIONAL_OR_KEYWORD", empty), ("source", "POSITIONAL_OR_KEYWORD", empty),
+        ("target", "POSITIONAL_OR_KEYWORD", empty), ("blocks", "POSITIONAL_OR_KEYWORD", empty)]
+    assert params(relations.QuantumRelation.__init__) == [
+        ("self", "POSITIONAL_OR_KEYWORD", empty), ("source", "POSITIONAL_OR_KEYWORD", empty),
+        ("target", "POSITIONAL_OR_KEYWORD", empty), ("blocks", "POSITIONAL_OR_KEYWORD", empty),
+        ("frames", "POSITIONAL_OR_KEYWORD", None)]
+    assert params(systems.block_store) == [
+        (name, "POSITIONAL_OR_KEYWORD", empty) for name in ("source", "target", "blocks", "kind")]
+    assert params(linalg.as_complex) == [
+        ("m", "POSITIONAL_OR_KEYWORD", empty), ("shape", "POSITIONAL_OR_KEYWORD", None)]
+    assert params(linalg.as_complex_groups) == [
+        ("groups", "POSITIONAL_OR_KEYWORD", empty), ("fails", "POSITIONAL_OR_KEYWORD", empty),
+        ("name", "POSITIONAL_OR_KEYWORD", empty), ("about", "VAR_POSITIONAL", empty)]
+    assert not hasattr(cpmaps, "_from_maps")
+
+
+def _spy(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def test_a_store_is_taken_as_it_is(monkeypatch):
+    """A BlockStore, the library's own, is not PSD- or projection-checked; the
+    same blocks given as a dict are."""
+    eigvalsh = _spy(monkeypatch, np.linalg, "eigvalsh")
+    defects = _spy(monkeypatch, linalg, "projection_defects")
+    proj = np.zeros((4, 4), dtype=complex)
+    proj[0, 0] = 1.0
+    for make, calls, kind in ((cpmaps.CpMorphism, eigvalsh, "Choi"),
+                              (relations.QuantumRelation, defects, "relation")):
+        store = systems.block_store(QUBIT, QUBIT, {(0, 0): proj}, kind)
+        assert make(QUBIT, QUBIT, store).blocks is store and calls == []
+        make(QUBIT, QUBIT, {(0, 0): proj})
+        assert len(calls) == 1

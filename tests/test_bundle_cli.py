@@ -104,7 +104,7 @@ class TestBundle:
                 "id": {
                     "from": "A",
                     "to": "A",
-                    "choi": {"0,0": bundle.matrix_to_json(ident.block(0, 0))},
+                    "choi": {"0,0": bundle.matrix_to_json(ident.blocks[(0, 0)])},
                 }
             },
         }
@@ -273,6 +273,15 @@ MALFORMED = {
                            "channel 'mix'"),
     "graph block a number": (lambda d: d["graphs"]["discrete_A"]["blocks"].update({"0,0": 5}),
                              "graph block 0,0"),
+    "weights a number": (lambda d: d["systems"]["A"].update(weights=2), "system 'A': weights"),
+    "weights nested": (lambda d: d["systems"]["A"].update(weights=[[1]]), "system 'A': weights"),
+    "weights a string": (lambda d: d["systems"]["A"].update(weights=["a"]), "system 'A': weights"),
+    "weights NaN": (lambda d: d["systems"]["A"].update(weights=[float("nan")] * 2),
+                    "system 'A': weights"),
+    "weights inf": (lambda d: d["systems"]["A"].update(weights=[float("inf")] * 2),
+                    "system 'A': weights"),
+    "weights past float": (lambda d: d["systems"]["A"].update(weights=[10 ** 400] * 2),
+                           "system 'A': weights"),
 }
 
 
@@ -486,6 +495,25 @@ class TestCli:
         assert cli.main(["analyze-channel", str(path), "mix"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot load bundle") and named in err, err
+
+    def test_check_hom_takes_no_output(self, tmp_path, capsys):
+        """check-hom writes nothing, so -o is a usage error: exit 2, no file."""
+        out = tmp_path / "hom.json"
+        with pytest.raises(SystemExit) as info:
+            cli.main(["check-hom", str(DEMO), "encode", "discrete_A", "discrete_A",
+                      "-o", str(out)])
+        assert info.value.code == 2 and not out.exists()
+        assert "unrecognized arguments: -o" in capsys.readouterr().err
+
+    def test_scc_verify_output_refuses_a_given_decoder(self, tmp_path, capsys):
+        """-o writes a synthesized decoder; with a decoder given, scc-verify
+        exits 2 before any verdict and writes nothing."""
+        out = tmp_path / "dec.json"
+        assert cli.main(["scc-verify", str(DEMO), "copy", "spread", "encode", "mix",
+                         "-o", str(out)]) == 2
+        got = capsys.readouterr()
+        assert got.out == "" and not out.exists()
+        assert "-o writes a synthesized decoder, and a decoder was given" in got.err
 
     def test_graph_to_channel_simple_rejected(self, demo_bundle):
         r = run_cli(["graph-to-channel", demo_bundle, "sA"])

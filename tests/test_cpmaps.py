@@ -29,7 +29,7 @@ class TestFromKraus:
         for d in (2, 3):
             sys = systems.system((d,))
             f = cpmaps.identity_channel(sys)
-            blk = f.block(0, 0)
+            blk = f.blocks[(0, 0)]
             w = np.linalg.eigvalsh(blk)
             assert abs(w[-1] - d) < 1e-12 and abs(w[-2]) < 1e-12
             v = linalg.vec(np.eye(d))
@@ -40,12 +40,12 @@ class TestFromKraus:
         f = embed_channel(p)
         for i in range(2):
             for j in range(2):
-                assert abs(f.block(i, j)[0, 0] - p[j, i]) < 1e-12
+                assert abs(f.blocks[(i, j)][0, 0] - p[j, i]) < 1e-12
 
     def test_zero_family(self):
         src, tgt = systems.system((2,)), systems.system((2,))
         f = cpmaps.from_kraus({(0, 0): []}, src, tgt)
-        assert np.allclose(f.block(0, 0), 0)
+        assert np.allclose(f.blocks[(0, 0)], 0)
 
     def test_shape_check(self):
         src, tgt = systems.system((2,)), systems.system((3,))
@@ -87,13 +87,13 @@ class TestToKraus:
         ((2,), [[1.0, 0.0], [0.0, -1.0]]),
     ])
     def test_negative_block_is_named(self, tgt_dims, neg):
-        """A Choi-born morphism built without validation, whose block (1, 0)
-        is negative among positive ones of its class: to_kraus names the
-        block and its least eigenvalue."""
+        """A Choi-born morphism handed over as a store, so unchecked, whose
+        block (1, 0) is negative among positive ones of its class: to_kraus
+        names the block and its least eigenvalue."""
         src, tgt = systems.system((1, 1)), systems.system(tgt_dims)
         blocks = dict(rand_cp(rng, src, tgt).blocks)
         blocks[(1, 0)] = np.array(neg, dtype=complex)
-        f = cpmaps.CpMorphism(src, tgt, blocks, validate=False)
+        f = cpmaps.CpMorphism(src, tgt, systems.block_store(src, tgt, blocks, "Choi"))
         low = np.linalg.eigvalsh(blocks[(1, 0)])[0]
         with pytest.raises(NegativeSpectrum,
                            match=re.escape(f"block (1, 0) has eigenvalue {low:.3e}")):
@@ -304,7 +304,7 @@ class TestDagger:
         fd = cpmaps.dagger(f)
         for i in range(2):
             for j in range(2):
-                assert abs(fd.block(j, i)[0, 0] - p[j, i]) < 1e-12
+                assert abs(fd.blocks[(j, i)][0, 0] - p[j, i]) < 1e-12
 
     def test_identity_self_adjoint(self):
         sys = systems.system((2, 1))

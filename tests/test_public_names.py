@@ -6,7 +6,11 @@ A name counts where the code of src/covgraphs or perfbench reads it (a
 call, an attribute, an import, a base class), where a string of
 src/covgraphs (a docstring, a message) names it as a word, or where
 README.md does.  The def or class statement itself does not count.
-cli.cmd_* are exempt: cli.main looks them up by name."""
+cli.cmd_* are exempt: cli.main looks them up by name.
+
+A public method of a public class counts only where the code of
+src/covgraphs or perfbench reads it as an attribute; the tests read blocks
+as ``.blocks[(i, j)]`` and group products as ``group.table[g][h]``."""
 
 import ast
 import pathlib
@@ -52,3 +56,23 @@ def _unused_public_names() -> list:
 
 def test_every_public_name_is_used_outside_the_tests():
     assert _unused_public_names() == []
+
+
+def _unused_public_methods() -> list:
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    read = {node.attr for path in paths for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)}
+    return [
+        f"{path.stem}.{cls.name}.{item.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for cls in ast.parse(path.read_text()).body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for item in cls.body
+        if isinstance(item, ast.FunctionDef)
+        and not item.name.startswith("_")
+        and item.name not in read
+    ]
+
+
+def test_every_public_method_is_read_by_the_library_or_the_benchmark():
+    assert _unused_public_methods() == []

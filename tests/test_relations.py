@@ -40,7 +40,7 @@ class TestSupportOf:
         rel = relations.support_of(f)
         v = linalg.vec(u.conj().T)
         v = v / np.linalg.norm(v)
-        assert np.linalg.norm(rel.block(0, 0) - np.outer(v, v.conj())) < 1e-9
+        assert np.linalg.norm(rel.blocks[(0, 0)] - np.outer(v, v.conj())) < 1e-9
 
     def test_identity_is_discrete(self):
         sys = systems.system((2, 3))
@@ -64,16 +64,17 @@ class TestSupportOf:
         assert relations.relation_defect(conf, relations.zero_relation(src)) == 0.0
 
     def test_skewed_choi_block_is_cut_by_its_hermitian_part(self):
-        """support_of cuts the Hermitian part of an unvalidated Choi block:
+        """support_of cuts the Hermitian part of an unchecked Choi block:
         a lone 0.5j entry (skew norm 0.71) raises nothing, and the support
         is that of the Hermitian part."""
         sys = systems.system((2,))
         blk = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
         blk[0, 1] = 0.5j
-        rel = relations.support_of(cpmaps.CpMorphism(sys, sys, {(0, 0): blk}, validate=False))
+        store = systems.block_store(sys, sys, {(0, 0): blk}, "Choi")
+        rel = relations.support_of(cpmaps.CpMorphism(sys, sys, store))
         ref = relations.support_of(cpmaps.CpMorphism(sys, sys, {(0, 0): linalg.hermitize(blk)}))
         assert rel.rank(0, 0) == 2
-        assert np.array_equal(rel.block(0, 0), ref.block(0, 0))
+        assert np.array_equal(rel.blocks[(0, 0)], ref.blocks[(0, 0)])
         assert np.array_equal(rel.frame(0, 0), ref.frame(0, 0))
 
 
@@ -114,7 +115,7 @@ class TestMapBornSupport:
         for key in lay.keys:
             cols = got.frame(*key)
             assert np.allclose(cols.conj().T @ cols, np.eye(cols.shape[1]), atol=1e-12), key
-            assert np.allclose(cols @ cols.conj().T, got.block(*key), atol=1e-12), key
+            assert np.allclose(cols @ cols.conj().T, got.blocks[key], atol=1e-12), key
 
     @pytest.mark.parametrize("side", [1 + 1e-3, 1 - 1e-3])
     def test_singular_value_cut_is_the_eigenvalue_cut(self, side):
@@ -194,7 +195,7 @@ class TestMorphismMemos:
 
     def test_a_morphism_that_is_not_psd_raises_on_every_call(self):
         sys = systems.system((2,))
-        f = cpmaps.CpMorphism(sys, sys, {(0, 0): -np.eye(4)}, validate=False)
+        f = cpmaps.CpMorphism(sys, sys, systems.block_store(sys, sys, {(0, 0): -np.eye(4)}, "Choi"))
         for call in (relations.support_of, relations.support_of,
                      graphs.confusability_of, graphs.confusability_of):
             with pytest.raises(NegativeSpectrum):
@@ -306,7 +307,7 @@ class TestDiscrete:
         sys = systems.system((2,))
         d = relations.discrete(sys)
         v = linalg.vec(np.eye(2)) / np.sqrt(2)
-        assert np.linalg.norm(d.block(0, 0) - np.outer(v, v.conj())) < 1e-12
+        assert np.linalg.norm(d.blocks[(0, 0)] - np.outer(v, v.conj())) < 1e-12
 
     def test_unit_law(self):
         src = rand_system(rng, 2, 3)
@@ -336,7 +337,7 @@ class TestCompose:
         px = relations.QuantumRelation(sys, sys, {(0, 0): np.outer(v, v.conj())})
         comp = relations.compose(px, px)
         vi = linalg.vec(np.eye(2)) / np.sqrt(2)
-        assert np.linalg.norm(comp.block(0, 0) - np.outer(vi, vi.conj())) < 1e-9
+        assert np.linalg.norm(comp.blocks[(0, 0)] - np.outer(vi, vi.conj())) < 1e-9
 
     def test_associative(self):
         a, b, c, d = (rand_system(rng, 2, 2) for _ in range(4))
@@ -384,7 +385,7 @@ class TestConverse:
         p = relations.QuantumRelation(sys, sys, {(0, 0): np.outer(v, v.conj())})
         vd = linalg.vec(u.conj().T) / np.sqrt(2)
         assert np.linalg.norm(
-            relations.converse(p).block(0, 0) - np.outer(vd, vd.conj())
+            relations.converse(p).blocks[(0, 0)] - np.outer(vd, vd.conj())
         ) < 1e-12
 
     def test_involution_and_contravariance(self):

@@ -252,7 +252,6 @@ class TestEncodingValidity:
         dbad = cpmaps.CpMorphism(
             d.source, d.target,
             {k: mixed[k] + 0.5 * unif.blocks[k] for k in mixed},
-            validate=False,
         )
         assert cpmaps.is_channel(dbad)
         assert not scc.verify_scheme(src, n_chan, e_chan, dbad)

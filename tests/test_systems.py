@@ -180,29 +180,26 @@ def test_twirl_preserves_channel_property_cross_check():
 
 
 class TestBlockFamily:
-    def test_unvalidated_blocks_are_read_only_copies(self):
+    def test_validated_blocks_are_copied(self):
+        """A dict's blocks are checked and copied into read-only complex
+        class stacks, and the caller's array stays as it was."""
         sys = systems.system((2,))
         for make in (cpmaps.CpMorphism, relations.QuantumRelation):
             a = np.eye(4, dtype=complex)
-            store = make(sys, sys, {(0, 0): a}, validate=False).blocks
+            store = make(sys, sys, {(0, 0): a}).blocks
             blk = store[(0, 0)]
             assert not np.shares_memory(blk, a) and not blk.flags.writeable
             assert a.flags.writeable and np.array_equal(a, np.eye(4))
             a[0, 0] = 5.0
             assert blk[0, 0] == 1.0
             assert store.classes() is store.classes()
+            real = make(sys, sys, {(0, 0): np.eye(4)}).blocks[(0, 0)]
+            assert real.dtype == complex and np.array_equal(real, np.eye(4))
 
-    def test_unvalidated_blocks_are_made_complex(self):
-        sys = systems.system((2,))
-        for make in (cpmaps.CpMorphism, relations.QuantumRelation):
-            blk = make(sys, sys, {(0, 0): np.eye(4)}, validate=False).blocks[(0, 0)]
-            assert blk.dtype == complex and np.array_equal(blk, np.eye(4))
 
-    def test_validated_blocks_are_copied(self):
-        sys = systems.system((2,))
-        for make in (cpmaps.CpMorphism, relations.QuantumRelation):
-            a = np.eye(4, dtype=complex)
-            blk = make(sys, sys, {(0, 0): a}).blocks[(0, 0)]
-            assert blk is not a and not blk.flags.writeable
-            a[0, 0] = 5.0
-            assert blk[0, 0] == 1.0
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_weights_are_refused(bad):
+    dims = (1, 2)
+    action = groups.trivial_action(groups.trivial_group(), dims)
+    with pytest.raises(ShapeMismatch, match="one finite positive weight per factor"):
+        systems.System(systems.QuantumSet(dims), action, (1.0, bad))

@@ -93,6 +93,7 @@ def test_bundle_tol_reaches_declared_graph_kind():
             "graphs": {"g": {"system": "A", "kind": "confusability",
                              "blocks": {"0,0": {"projection": bundle.matrix_to_json(proj)}}}}}
     g = bundle.load_bundle(data, tol=1e-5).graphs["g"]
-    assert np.array_equal(g.block(0, 0), bundle.matrix_from_json(bundle.matrix_to_json(proj)))
+    assert np.array_equal(g.relation.blocks[(0, 0)],
+                          bundle.matrix_from_json(bundle.matrix_to_json(proj)))
     with pytest.raises(bundle.BundleError, match="declared 'confusability' fails the check"):
         bundle.load_bundle(data)

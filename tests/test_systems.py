@@ -180,6 +180,27 @@ def test_twirl_preserves_channel_property_cross_check():
 
 
 class TestBlockFamily:
+    def test_unvalidated_blocks_are_read_only_copies(self):
+        """A store is taken unchecked; the one block_store built from a dict
+        holds read-only copies, and the caller's array stays as it was."""
+        sys = systems.system((2,))
+        for make in (cpmaps.CpMorphism, relations.QuantumRelation):
+            a = np.eye(4, dtype=complex)
+            store = make(sys, sys, systems.block_store(sys, sys, {(0, 0): a}, "Choi")).blocks
+            blk = store[(0, 0)]
+            assert not np.shares_memory(blk, a) and not blk.flags.writeable
+            assert a.flags.writeable and np.array_equal(a, np.eye(4))
+            a[0, 0] = 5.0
+            assert blk[0, 0] == 1.0
+            assert store.classes() is store.classes()
+
+    def test_unvalidated_blocks_are_made_complex(self):
+        sys = systems.system((2,))
+        for make in (cpmaps.CpMorphism, relations.QuantumRelation):
+            store = systems.block_store(sys, sys, {(0, 0): np.eye(4)}, "Choi")
+            blk = make(sys, sys, store).blocks[(0, 0)]
+            assert blk.dtype == complex and np.array_equal(blk, np.eye(4))
+
     def test_validated_blocks_are_copied(self):
         """A dict's blocks are checked and copied into read-only complex
         class stacks, and the caller's array stays as it was."""

@@ -198,13 +198,16 @@ def group_from_json(data) -> FiniteGroup:
 
 def _integers(entries, what: str) -> tuple:
     """The entries as ints; an entry that is not an integer (a bool is
-    not) raises BundleError naming it."""
+    not) raises BundleError naming it, and one outside the int64 range a
+    BundleError naming ``what``."""
     if not isinstance(entries, (list, tuple)):
         raise BundleError(f"{what} must be a list of integers, not {type(entries).__name__}")
     entries = tuple(entries)
     for x in entries:
         if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
             raise BundleError(f"{what} entry {x!r} is not an integer")
+        if not -2 ** 63 <= x < 2 ** 63:
+            raise BundleError(f"{what} entry is outside the int64 range")
     return tuple(map(int, entries))
 
 
@@ -300,7 +303,7 @@ def channel_from_json(data, systems: dict) -> CpMorphism:
     if "stochastic" in data:
         try:
             p = np.asarray(data["stochastic"], dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, TypeError, ValueError) as exc:
             raise BundleError(f"malformed stochastic matrix: {exc}") from None
         return embed_channel(p, src, tgt)
     if "kraus" in data:
@@ -476,7 +479,6 @@ def dump_channel(f: CpMorphism, src_name: str, tgt_name: str) -> dict:
         "kraus": {
             _pair_key(i, j): [matrix_to_json(m) for m in ops]
             for (i, j), ops in kraus.items()
-            if ops
         },
     }
 

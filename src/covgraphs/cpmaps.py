@@ -16,7 +16,8 @@ class of factor pairs, which dagger, the marginal, add, channelize and the
 norms read with one batched kernel per class, behind a read-only (i, j) ->
 block mapping.  Next to the blocks a morphism holds a read-only Kraus family
 (CpMorphism.kraus), which compose and tensor products multiply and Kronecker
-instead of diagonalizing Choi blocks:
+instead of diagonalizing Choi blocks.  A held family maps each pair that has
+maps, in key order; a pair without maps is absent:
 
   * a morphism born from Kraus maps (from_kraus, which scans and
     shape-checks them once per class and map count, compose, tensor
@@ -140,9 +141,10 @@ class CpMorphism:
 
     @kept
     def kraus(self):
-        """Held Kraus family: factor pair (i, j) -> tuple of read-only e_j x d_i
-        maps, at most d_i e_j of them: from kraus_stacks (_stacked_kraus)
-        for a morphism born from Kraus maps, else from to_kraus."""
+        """Held Kraus family: each factor pair (i, j) that has maps -> tuple of
+        read-only e_j x d_i maps, at most d_i e_j of them, in key order; a
+        pair without maps is absent.  From kraus_stacks (_stacked_kraus) for
+        a morphism born from Kraus maps, else from to_kraus."""
         return MappingProxyType(to_kraus(self) if self.kraus_stacks is None
                                 else _stacked_kraus(self))
 
@@ -151,12 +153,12 @@ def _block_kraus(keys, cut: linalg.Cut, d: int, e: int) -> dict:
     """Minimal Kraus maps of the linalg.Cut of a stack of Choi blocks of the
     factor pairs ``keys``, all d e x d e: one map per eigenpair the cut
     keeps (a 1x1 block c: √c iff Re c > 0).  A block whose cut is negative
-    raises NegativeSpectrum.  Each pair gets a tuple of read-only,
-    C-contiguous e x d maps, all rows of one stack."""
+    raises NegativeSpectrum.  Each pair that keeps a map gets a tuple of
+    read-only, C-contiguous e x d maps, all rows of one stack, in the order
+    of ``keys``; a pair that keeps none is absent."""
     if cut.neg.any():
         s = int(cut.neg.argmax())
         raise NegativeSpectrum(f"block {keys[cut.live[s]]} has eigenvalue {cut.w[s, -1]:.3e}")
-    out = dict.fromkeys(keys, ())
     r = int(cut.rank.max(initial=0))
     # Map k is unvec(√w_k v_k)† = conj(√w_k v_k) read row-major as e x d.
     roots = np.sqrt(np.maximum(cut.w[:, None, :r], 0.0))
@@ -166,11 +168,9 @@ def _block_kraus(keys, cut: linalg.Cut, d: int, e: int) -> dict:
     live = [keys[s] for s in cut.live.tolist()]
     if (cut.rank == r).all():
         # Consecutive runs of r maps: the maps of each pair.
-        out.update(zip(live, zip(*[iter(flat)] * r)))
-    else:
-        for s, (key, rank) in enumerate(zip(live, cut.rank.tolist())):
-            out[key] = tuple(flat[s * r:s * r + rank])
-    return out
+        return dict(zip(live, zip(*[iter(flat)] * r)))
+    return {key: tuple(flat[s * r:s * r + rank])
+            for s, (key, rank) in enumerate(zip(live, cut.rank.tolist())) if rank}
 
 
 def from_kraus(kraus, src: System, tgt: System) -> CpMorphism:
@@ -227,12 +227,12 @@ def _choi_blocks(maps: np.ndarray) -> np.ndarray:
 
 
 def _stacked_kraus(f: CpMorphism) -> dict:
-    """Held family of a morphism born from Kraus maps, over every pair:
-    read-only views of kraus_stacks; a pair with more maps than d_i e_j
-    holds the minimal family of its block instead, which reads that class's
-    blocks: one _block_kraus per class."""
+    """Held family of a morphism born from Kraus maps: read-only views of
+    kraus_stacks, each pair with maps in key order; a pair with more maps
+    than d_i e_j holds the minimal family of its block instead, which reads
+    that class's blocks: one _block_kraus per class."""
     lay = f.blocks.layout
-    held = dict.fromkeys(lay.keys, ())
+    held = {}
     over = {}  # class index -> slots with more maps than d_i e_j
     for c, slots, maps in f.kraus_stacks:
         klass = lay.classes[c]
@@ -248,16 +248,17 @@ def _stacked_kraus(f: CpMorphism) -> dict:
         slots = runs[0] if len(runs) == 1 else np.concatenate(runs)
         keys = [klass.keys[s] for s in slots.tolist()]
         held.update(_block_kraus(keys, linalg.spectral_cut(f.blocks.stack(c)[slots]), *klass.dims))
-    return held
+    return {key: held[key] for key in sorted(held)}
 
 
 def to_kraus(f: CpMorphism) -> dict:
     """Minimal Kraus family: one read-only map per retained eigenpair of each
-    block, as a tuple per factor pair, read off the cuts f keeps."""
-    kraus = dict.fromkeys(f.blocks)
+    block, as a tuple per factor pair that keeps one, in key order, read off
+    the cuts f keeps; a pair that keeps none is absent."""
+    kraus = {}
     for klass, cut in zip(f.blocks.layout.classes, f.cuts()):
         kraus.update(_block_kraus(klass.keys, cut, *klass.dims))
-    return kraus
+    return {key: kraus[key] for key in sorted(kraus)}
 
 
 def apply(f: CpMorphism, x) -> list:
@@ -298,20 +299,19 @@ def add(f: CpMorphism, g: CpMorphism, cf: float = 1.0, cg: float = 1.0) -> CpMor
 def compose(g: CpMorphism, f: CpMorphism) -> CpMorphism:
     """Composite g ∘ f (f first): products of the held Kraus maps.
 
-    Only nonempty pairs (i, j) of f and (j, k) of g are visited; each
-    pair (i, k) collects its products n @ m with j ascending, then m, then n.
+    The held families hold only the pairs (i, j) of f and (j, k) of g that
+    have maps, in key order, so only those are visited; each pair (i, k)
+    collects its products n @ m with j ascending, then m, then n.
     """
     if f.target != g.source:
         raise SystemMismatch("compose: target of f must equal source of g")
     g_rows = {}
     for (j, k), ns in g.kraus().items():
-        if ns:
-            g_rows.setdefault(j, []).append((k, ns))
+        g_rows.setdefault(j, []).append((k, ns))
     kraus = {}
     for (i, j), ms in f.kraus().items():
-        if ms:
-            for k, ns in g_rows.get(j, ()):
-                kraus.setdefault((i, k), []).extend(n @ m for m in ms for n in ns)
+        for k, ns in g_rows.get(j, ()):
+            kraus.setdefault((i, k), []).extend(n @ m for m in ms for n in ns)
     return from_kraus(kraus, f.source, g.target)
 
 

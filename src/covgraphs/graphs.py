@@ -15,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .cpmaps import CpMorphism, _offsets, basis_image_matrix, from_kraus, is_channel
+from .cpmaps import CpMorphism, _marginal_groups, _offsets, basis_image_matrix, from_kraus
+from .cpmaps import is_channel
 from .errors import (
     NotAChannel,
     NotConfusability,
@@ -33,7 +34,6 @@ from .relations import (
     compose as rel_compose,
     discrete,
     leq,
-    marginal,
     relation_defect,
     support_of,
 )
@@ -257,24 +257,29 @@ def reverse_channel(f: CpMorphism, tol: float = TOL_PROJ) -> CpMorphism:
 
 
 def _reverse(f: CpMorphism) -> CpMorphism:
-    """reverse_channel for a channel f already found reversible."""
+    """reverse_channel for a channel f already found reversible.  α_j, its
+    projection check, full-rank test and route I - α_j run once per target
+    dimension, on the stack of its factors (cpmaps._marginal_groups of q);
+    member (j, i) of a class of q reads the route of j at layout.col_pos[j]."""
     q = converse(support_of(f))
-    alphas = marginal(q)
-    if np.any(linalg.projection_defects(alphas) > VALIDATE_SLACK * TOL_PROJ):
-        raise NotReversible("marginal of the converse relation is not a projection")
     d_a = sum(w * d for w, d in zip(f.source.weights, f.source.dims))
     tw = np.array(f.target.weights)
-    # I - α_j is exactly zero where α_j has full rank (its trace rounds to
-    # e_j), so that no round-off term leaves a reverse block with negative
-    # eigenvalues that compose and to_kraus would refuse.
-    routes = [np.zeros((e, e), dtype=complex) if round(float(np.trace(a).real)) == e
-              else np.eye(e) - a for e, a in zip(f.target.dims, alphas)]
+    routes = {}
+    for _, marg in _marginal_groups(q):
+        alphas = linalg.hermitize(marg)
+        if np.any(linalg.projection_defects(alphas) > VALIDATE_SLACK * TOL_PROJ):
+            raise NotReversible("marginal of the converse relation is not a projection")
+        e = alphas.shape[1]
+        # I - α_j is exactly zero where α_j has full rank (its trace rounds to
+        # e), so that no round-off term leaves a reverse block with negative
+        # eigenvalues that compose and to_kraus would refuse.
+        full = np.round(np.trace(alphas, axis1=1, axis2=2).real) == e
+        routes[e] = np.where(full[:, None, None], 0, np.eye(e) - alphas)
     parts = []
     for klass, stack in q.blocks.classes():
         e, d = klass.dims
-        b = klass.shape[1]
         # Member (j, i) routes I_{H_i*} ⊗ (I - α_j): kron(I_d, I_e - α_j).
-        rest = np.repeat(np.stack([routes[j] for j in klass.rows[::b]]), b, axis=0)
+        rest = routes[e][f.blocks.layout.col_pos[klass.rows]]
         spread = linalg.kron_stack(np.eye(d, dtype=complex), rest)
         w = tw[klass.rows][:, None, None]
         parts.append((klass, w * stack + (w / d_a) * spread))

@@ -116,28 +116,19 @@ def frob(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
-def frobs(mats) -> np.ndarray:
-    """Frobenius norms of a sequence of matrices, or of a (k, m, n) stack, in
-    input order: one stacked reduction per shape, bitwise equal to frob of each
-    (per matrix, the same BLAS dot products of the real and imaginary parts;
-    on 1x1 members a length-1 dot product is one rounded product, so those
-    are taken elementwise)."""
-    if isinstance(mats, np.ndarray):
-        if mats.shape[1:] == (1, 1):
-            v = mats.reshape(-1)
-            re, im = v.real, v.imag
-            return np.sqrt(re * re + im * im)
-        v = mats.reshape(len(mats), 1, mats.shape[1] * mats.shape[2])
+def frobs(mats: np.ndarray) -> np.ndarray:
+    """Frobenius norms of the members of a (k, m, n) stack, in stack order:
+    one stacked reduction, bitwise equal to frob of each member (per matrix,
+    the same BLAS dot products of the real and imaginary parts; on 1x1
+    members a length-1 dot product is one rounded product, so those are
+    taken elementwise)."""
+    if mats.shape[1:] == (1, 1):
+        v = mats.reshape(-1)
         re, im = v.real, v.imag
-        return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).reshape(-1))
-    mats = list(mats)
-    out = np.empty(len(mats))
-    by_shape = {}
-    for k, m in enumerate(mats):
-        by_shape.setdefault(m.shape, []).append(k)
-    for idx in by_shape.values():
-        out[idx] = frobs(np.stack([mats[k] for k in idx]))
-    return out
+        return np.sqrt(re * re + im * im)
+    v = mats.reshape(len(mats), 1, mats.shape[1] * mats.shape[2])
+    re, im = v.real, v.imag
+    return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).reshape(-1))
 
 
 def vec(m: np.ndarray) -> np.ndarray:
@@ -362,14 +353,10 @@ def projection_frames(p: np.ndarray) -> Frames:
     return Frames.prefix(len(p), p.shape[-1], cut.live, np.add.reduce(cut.w > 0.5, 1), cut.v)
 
 
-def projection_defects(mats) -> np.ndarray:
-    """Frobenius defect of each matrix from being an orthogonal projection,
-    max(‖p − p†‖, ‖p p − p‖), in input order; mats is a sequence of
-    matrices or a (k, n, n) stack."""
-    if isinstance(mats, np.ndarray):
-        return np.maximum(frobs(mats - mats.conj().swapaxes(1, 2)), frobs(mats @ mats - mats))
-    mats = list(mats)
-    return np.maximum(frobs([p - p.conj().T for p in mats]), frobs([p @ p - p for p in mats]))
+def projection_defects(mats: np.ndarray) -> np.ndarray:
+    """Frobenius defect of each member of a (k, n, n) stack from being an
+    orthogonal projection, max(‖p − p†‖, ‖p p − p‖), in stack order."""
+    return np.maximum(frobs(mats - mats.conj().swapaxes(1, 2)), frobs(mats @ mats - mats))
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:

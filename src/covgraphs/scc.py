@@ -110,8 +110,9 @@ def tensor_system(a: System, b: System) -> TensorSystem:
 
 def tensor_cp(f: CpMorphism, g: CpMorphism) -> CpMorphism:
     """Tensor product of CP morphisms: Kronecker products of the held Kraus
-    maps of f and g.  Each factor holds at most d e maps per pair, so the
-    product never exceeds its own block dimension and is not compressed."""
+    maps of f and g, over the pairs that have maps.  Each factor holds at
+    most d e maps per pair, so the product never exceeds its own block
+    dimension and is not compressed."""
     src = tensor_system(f.source, g.source)
     tgt = tensor_system(f.target, g.target)
     kf = f.kraus()
@@ -190,13 +191,13 @@ def _source_span_vectors(src: Source):
                 db = ob.dims[b]
                 for a in range(oa.nfactors):
                     da = oa.dims[a]
-                    ms = kraus[(u, ts.pair_index(a, b))]
+                    ms = kraus.get((u, ts.pair_index(a, b)), ())
                     if not ms:
                         continue
                     mc = np.array(ms)[None] @ c_ops[:, None]
                     for ap in range(oa.nfactors):
                         dap = oa.dims[ap]
-                        mps = kraus[(up, ts.pair_index(ap, b))]
+                        mps = kraus.get((up, ts.pair_index(ap, b)), ())
                         if not mps:
                             continue
                         y = mc[:, :, None] @ np.array(mps).conj().swapaxes(1, 2)

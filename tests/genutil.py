@@ -743,7 +743,8 @@ def _loop_supports(f):
             for key, blk in f.blocks.items()
         }
     out = {}
-    for key, ops in f.kraus().items():
+    for key in f.blocks:
+        ops = f.kraus().get(key, ())
         n = f.blocks[key].shape[0]
         if not ops:
             out[key] = (np.zeros((n, n), dtype=complex), np.zeros((n, 0), dtype=complex))
@@ -899,8 +900,8 @@ def loop_cp_compose_kraus(g, f):
             kraus[(i, k)] = [
                 n @ m
                 for j in range(f.target.nfactors)
-                for m in kf[(i, j)]
-                for n in kg[(j, k)]
+                for m in kf.get((i, j), ())
+                for n in kg.get((j, k), ())
             ]
     return kraus
 
@@ -1069,9 +1070,9 @@ def loop_source_span_vectors(src):
                      for v in simple_complete.frame(u, up).T]
             for b, (db, wb) in enumerate(zip(ob.dims, ob.weights)):
                 for a, da in enumerate(oa.dims):
-                    ms = kraus[(u, ts.pair_index(a, b))]
+                    ms = kraus.get((u, ts.pair_index(a, b)), ())
                     for ap, dap in enumerate(oa.dims):
-                        mps = kraus[(up, ts.pair_index(ap, b))]
+                        mps = kraus.get((up, ts.pair_index(ap, b)), ())
                         for c in c_ops:
                             for m in ms:
                                 mc = m @ c

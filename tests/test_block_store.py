@@ -54,6 +54,7 @@ from genutil import (
     rand_channel,
     rand_complex,
     rand_cp,
+    rand_isometry,
     rand_relation,
     rand_stochastic,
     rand_unitary,
@@ -144,7 +145,21 @@ def _reversible_channels():
         "classical16": embed_channel(_injective_stochastic(16, 24)),
         "m123": _unitary_channel(m123, m123, (0, 1, 2)),
         "12to21": _unitary_channel(src12, tgt21, (1, 0)),
+        "12to2123": _isometric_channel(),
     }
+
+
+def _isometric_channel():
+    """Isometric (1, 2) -> (2, 1, 2, 3) channel: factor 0 into a line of
+    target 3, factor 1 onto target 2.  Its target repeats dimension 2 out
+    of order, and its routes I - α_j differ within one class: I on the
+    unreached targets 0 and 1, zero on target 2, a rank-2 projection on
+    target 3.  Its own generator keeps the fixtures above as they were."""
+    r = np.random.default_rng(709)
+    src, tgt = systems.system((1, 2)), systems.system((2, 1, 2, 3))
+    # Σ_j w_j M† M = w_i I with the default weights w = dims.
+    kraus = {(0, 3): [rand_isometry(r, 3, 1) / np.sqrt(3.0)], (1, 2): [rand_unitary(r, 2)]}
+    return cpmaps.from_kraus(kraus, src, tgt)
 
 
 def _map_born():
@@ -347,6 +362,47 @@ class TestBatchedConstructions:
         f = REVERSIBLE[name]
         assert graphs.is_reversible(f)
         assert_family_equal(graphs._reverse(f).blocks, loop_reverse(f))
+
+    @pytest.mark.parametrize("kind", ["permutation", "two-per-column"])
+    def test_held_families_map_the_nonzero_pattern_in_key_order(self, kind):
+        """On n = 64 classical channels a held family maps exactly the
+        pairs with a nonzero block, in key order, whether born from Kraus
+        maps (kraus()), read off the cuts (to_kraus), composed or reversed."""
+        n = 64
+        r = np.random.default_rng(1031)
+        p = np.eye(n)[r.permutation(n)]
+        if kind == "two-per-column":
+            p = (p + np.roll(p, 1, axis=0)) / 2
+        q = np.eye(n)[r.permutation(n)]
+        f, g = embed_channel(p), embed_channel(q)
+        fams = [(f.kraus(), p), (cpmaps.to_kraus(f), p), (cpmaps.compose(g, f).kraus(), q @ p)]
+        if kind == "permutation":
+            back = graphs.reverse_channel(f)
+            fams += [(back.kraus(), p.T), (cpmaps.compose(back, f).kraus(), np.eye(n))]
+        for got, pattern in fams:
+            assert list(got) == [(i, j) for i in range(n) for j in range(n) if pattern[j, i]]
+
+    def test_tensor_with_identity_matches_full_pair_loop(self):
+        """tensor_cp over the pairs that hold maps, bitwise the Kronecker
+        products of the loop over every pair of factor pairs."""
+        n = 64
+        perm = np.eye(n)[np.random.default_rng(1032).permutation(n)]
+        f = embed_channel((perm + np.roll(perm, 1, axis=0)) / 2)
+        h = cpmaps.identity_channel(systems.system((1, 2)))
+        got = scc.tensor_cp(f, h)
+        src, tgt = scc.tensor_system(f.source, h.source), scc.tensor_system(f.target, h.target)
+        kf, kh = f.kraus(), h.kraus()
+        kraus = {
+            (src.pair_index(ia, ib), tgt.pair_index(ja, jb)): [
+                linalg.kron(m, x) for m in kf.get((ia, ja), ()) for x in kh.get((ib, jb), ())]
+            for (ia, ja) in f.blocks for (ib, jb) in h.blocks
+        }
+        ref = cpmaps.from_kraus(kraus, src.product, tgt.product)
+        assert_family_equal(got.blocks, dict(ref.blocks))
+        assert list(got.kraus()) == list(ref.kraus()) == sorted(k for k, ops in kraus.items() if ops)
+        for key, ops in ref.kraus().items():
+            assert len(got.kraus()[key]) == len(ops), key
+            assert all(np.array_equal(a, b) for a, b in zip(got.kraus()[key], ops)), key
 
     @pytest.mark.parametrize("seed", range(6))
     def test_compose_through_one_and_many_dim_middles(self, seed):
@@ -596,10 +652,10 @@ class TestChecksAtTheBoundary:
         got = cpmaps.from_kraus(kraus, src, tgt)
         blocks, held = loop_from_kraus(kraus)
         assert_family_equal(got.blocks, loop_block_store(src, tgt, blocks))
-        for key in got.blocks:
-            maps = got.kraus()[key]
-            assert len(maps) == len(held.get(key, ())), key
-            for m, ref, given in zip(maps, held.get(key, ()), kraus.get(key, ())):
+        assert list(got.kraus()) == sorted(held)
+        for key, maps in got.kraus().items():
+            assert len(maps) == len(held[key]), key
+            for m, ref, given in zip(maps, held[key], kraus[key]):
                 assert np.array_equal(m, ref) and not m.flags.writeable, key
                 assert not np.shares_memory(m, given), key
 
@@ -1053,13 +1109,13 @@ class TestLazyKrausBlocks:
         keys = [(s, 0) for s in range(len(stack))]
         got = cpmaps._block_kraus(keys, linalg.spectral_cut(stack), 1, 1)
         ref = loop_block_kraus(keys, stack, 1, 1)
-        assert list(got) == keys
-        for key in keys:
-            assert len(got[key]) == len(ref[key]), key
-            for m, r in zip(got[key], ref[key]):
+        assert list(got) == [key for key in keys if ref[key]]
+        for key, maps in got.items():
+            assert len(maps) == len(ref[key]), key
+            for m, r in zip(maps, ref[key]):
                 assert m.shape == (1, 1) and not m.flags.writeable
                 assert m.tobytes() == r.tobytes(), key
-        assert got[(len(stack) - 1, 0)] == () and got[(len(stack) - 5, 0)] == ()
+        assert (len(stack) - 1, 0) not in got and (len(stack) - 5, 0) not in got
 
     def test_dense_commutative_compose_reads_no_eigh(self, monkeypatch):
         """Dense commutative compose gives every pair more maps than its 1x1

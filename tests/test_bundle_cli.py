@@ -282,6 +282,11 @@ MALFORMED = {
                     "system 'A': weights"),
     "weights past float": (lambda d: d["systems"]["A"].update(weights=[10 ** 400] * 2),
                            "system 'A': weights"),
+    "stochastic past float": (
+        lambda d: d["channels"]["spread"]["stochastic"][0].__setitem__(0, 10 ** 400),
+        "channel 'spread': malformed stochastic matrix"),
+    "group entry past int64": (lambda d: d["group"]["mult_table"][0].__setitem__(0, 10 ** 400),
+                               "group entry is outside the int64 range"),
 }
 
 

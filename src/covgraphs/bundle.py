@@ -85,7 +85,7 @@ from .groups import (
 )
 from .relations import QuantumRelation
 from .scc import Source, tensor_system
-from .systems import KeyedStack, QuantumSet, System
+from .systems import KeyedStack, System, _shared_system
 
 
 class BundleError(CovGraphsError):
@@ -256,7 +256,7 @@ def system_from_json(data, group: FiniteGroup) -> System:
             action = _unitary_action(group, dims, perms, exact)
     weights = data.get("weights")
     weights = dims if weights is None else _weights(weights)
-    return System(QuantumSet(dims), action, weights)
+    return _shared_system(dims, weights, action)
 
 
 def _weights(entries) -> tuple:

@@ -12,8 +12,9 @@ is its exact_key, the key below and the digest of its unitaries' bytes
 with its owner; never the round-off equality below, so a shared object is
 bitwise the one its caller would have built.  The shared objects: groups
 (shared_group), permutation and trivial actions, transport plans, bundle
-actions given with unitaries, the conjugation action (graphs), identity
-channels (cpmaps), discrete relations (relations) and tensor products (scc).
+actions given with unitaries, systems, the conjugation action (graphs),
+identity channels (cpmaps), discrete relations (relations), and tensor
+products and complete simple graphs (scc).
 
 For the same reason what a check derives from one object without a
 tolerance never changes: kept(derive) stores derive(owner, *args) on the

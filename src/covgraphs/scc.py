@@ -58,7 +58,7 @@ from .graphs import (
 from .groups import AlgebraAction, dim_classes, kept, shared, trivial_action
 from .linalg import SPAN_RATIO, TOL_PROJ, TOL_ROUNDTRIP, TOL_SPEC
 from .relations import QuantumRelation, relation_defect
-from .systems import BlockStore, QuantumSet, System, basis_offset, block_store, system
+from .systems import BlockStore, QuantumSet, System, basis_offset, layout, system
 from .systems import total_matrix_dim
 
 
@@ -159,20 +159,26 @@ class Source:
         return None
 
 
+@shared
+def _complete_simple_graph(s: System) -> QuantumGraph:
+    """complement(discrete_graph(s)), shared per system (groups.shared)."""
+    return complement(discrete_graph(s))
+
+
 def _source_span_vectors(src: Source):
     """Vectors spanning the partial-traced doubled-dilation element per O_A pair.
 
     For every O_B factor b, source pair (u, u'), Kraus pair (k, k') and basis
-    operator c of the complete simple graph of S, contributes
-    sqrt(w_b) vec( Tr_b( M_{u,(a,b),k} c M_{u',(a',b),k'}† ) ) to the O_A pair
-    (a, a'), in (c, k, k') order: one batched product and one einsum per
-    (u, u', b, a, a').
+    operator c of the complete simple graph of S (_complete_simple_graph),
+    contributes sqrt(w_b) vec( Tr_b( M_{u,(a,b),k} c M_{u',(a',b),k'}† ) ) to
+    the O_A pair (a, a'), in (c, k, k') order: one batched product and one
+    einsum per (u, u', b, a, a').
     """
     s_sys = src.s_system
     oa, ob = src.oa_system, src.ob_system
     ts = src.tensor
     kraus = src.channel.kraus()
-    simple_complete = complement(discrete_graph(s_sys)).relation
+    simple_complete = _complete_simple_graph(s_sys).relation
     vecs = {
         (a, ap): []
         for a in range(oa.nfactors)
@@ -220,24 +226,30 @@ def _graph_per_tol(src: Source, tol: float) -> QuantumGraph:
 
 
 def _source_graph(src: Source, tol: float) -> QuantumGraph:
+    """I − P per O_A pair, P the span of its _source_span_vectors: per class
+    of the O_A x O_A layout, one orthonormal_span of the (k, n, c) stack of
+    the pairs with c vectors, for each c > 0, bitwise the per-pair span."""
     oa = src.oa_system
     vecs = _source_span_vectors(src)
     # The natural magnitude unit of the traced doubled element is the squared
     # Kraus scale of the source channel (positive, since the channel gives
     # each source factor a block of positive trace); treat anything far
     # below it as the roundoff image of an exact zero.
-    unit = max(
-        float(np.trace(blk).real) for blk in src.channel.blocks.values()
-    )
+    unit = max(float(np.trace(stack, axis1=1, axis2=2).real.max())
+               for _, stack in src.channel.blocks.classes())
     span_tol = max(tol * SPAN_RATIO, TOL_SPEC)
     floor = span_tol * unit
-    blocks = {}
-    for (a, ap), vs in vecs.items():
-        n = oa.dims[a] * oa.dims[ap]
-        span = linalg.orthonormal_span(vs, dim=n, tol=span_tol, floor=floor)
-        blocks[(a, ap)] = np.eye(n, dtype=complex) - span
-    # I − span is the library's own projection: handed over as a store, unchecked.
-    rel = QuantumRelation(oa, oa, block_store(oa, oa, blocks, "relation"))
+    parts = []
+    for klass in layout(oa.dims, oa.dims).classes:
+        counts = np.array([len(vecs[key]) for key in klass.keys])
+        span = np.zeros((len(counts), klass.n, klass.n), dtype=complex)
+        for count in set(counts[counts > 0].tolist()):
+            at = np.flatnonzero(counts == count)
+            fams = np.array([vecs[klass.keys[s]] for s in at]).swapaxes(1, 2)
+            span[at] = linalg.orthonormal_span(fams, tol=span_tol, floor=floor)
+        # I − P is the library's own: scanned for non-finite entries, then held as a store.
+        parts.append((klass, linalg.as_complex(np.eye(klass.n, dtype=complex) - span)))
+    rel = QuantumRelation(oa, oa, BlockStore.stacked(oa, oa, parts))
     graph = QuantumGraph(oa, rel, tol=tol, validate=True)
     flags = classify(graph, tol)
     if not flags["is_confusability"]:

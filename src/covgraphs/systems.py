@@ -11,6 +11,11 @@ which is the unique choice making the induced Frobenius structure separable
 into exactly column-stochastic matrices and the identity map into a channel.
 Algebra elements are plain lists of per-factor complex matrices.
 
+A system never changes once built: system, separable_standard,
+classical_system and the bundle build it through one constructor shared
+(groups.shared) per dims, weights and the action's exact_key, validated on
+its first build.  System(...) is the raw constructor, new on every call.
+
 Block families of maps between systems (Choi blocks, relation projections)
 live in a BlockStore, the one owner of their representation: one (k, n, n)
 stack per class (d_i, e_j) of factor pairs, behind a read-only mapping from
@@ -44,6 +49,7 @@ from .groups import (
     KeptHash,
     act,
     dim_classes,
+    shared,
     trivial_action,
     trivial_group,
 )
@@ -129,11 +135,18 @@ class System:
         return hash((self.dims, self.weights, self.action))
 
 
+@shared
+def _shared_system(dims: tuple, weights: tuple, action: AlgebraAction) -> System:
+    """System(QuantumSet(dims), action, weights), validated on its first build
+    and shared (groups.shared) per dims, weights and the action's exact_key."""
+    return System(QuantumSet(dims), action, weights)
+
+
 def separable_standard(qset: QuantumSet, action: AlgebraAction | None = None) -> System:
-    """System with the canonical weights w_i = d_i."""
+    """System with the canonical weights w_i = d_i (_shared_system)."""
     if action is None:
         action = trivial_action(trivial_group(), qset.factor_dims)
-    return System(qset, action, tuple(float(d) for d in qset.factor_dims))
+    return _shared_system(qset.factor_dims, tuple(map(float, qset.factor_dims)), action)
 
 
 def system(dims, action: AlgebraAction | None = None) -> System:

@@ -1081,3 +1081,27 @@ def loop_source_span_vectors(src):
                                     g = np.sqrt(wb) * np.einsum("abcb->ac", y4)
                                     vecs[(a, ap)].append(linalg.vec(g))
     return vecs
+
+
+def unshared_system(dims, action=None):
+    """A new System by the raw constructor: exactly equal to
+    systems.system(dims, action), which is shared per exact key, but
+    another object."""
+    sys = systems.system(dims, action)
+    return systems.System(systems.QuantumSet(sys.dims), sys.action, sys.weights)
+
+
+def loop_source_graph_blocks(src, tol=linalg.TOL_PROJ):
+    """The blocks of scc._source_graph one O_A pair at a time: I − P with P
+    the orthonormal_span of the pair's span vectors, at the span cut and
+    floor of the source graph (the floor scaled by the largest trace of a
+    Choi block of the source channel)."""
+    oa = src.oa_system
+    unit = max(float(np.trace(blk).real) for blk in src.channel.blocks.values())
+    span_tol = max(tol * linalg.SPAN_RATIO, linalg.TOL_SPEC)
+    blocks = {}
+    for (a, ap), vs in scc._source_span_vectors(src).items():
+        n = oa.dims[a] * oa.dims[ap]
+        span = linalg.orthonormal_span(vs, dim=n, tol=span_tol, floor=span_tol * unit)
+        blocks[(a, ap)] = np.eye(n, dtype=complex) - span
+    return blocks

@@ -19,6 +19,7 @@ from genutil import (
     rand_system,
     rand_unitary,
     symmetric_group_perms,
+    unshared_system,
 )
 
 rng = np.random.default_rng(202)
@@ -437,7 +438,7 @@ class TestActionIdentity:
             held[1, 1] = 5.0
 
     def test_systems_are_hashable_dict_keys(self):
-        a, b = systems.system((2, 1)), systems.system((2, 1))
+        a, b = systems.system((2, 1)), unshared_system((2, 1))
         assert a is not b and a == b and hash(a) == hash(b)
         names = {a: "A", systems.system((1, 2)): "C"}
         assert names[b] == "A"

@@ -22,6 +22,7 @@ from genutil import (
     rand_relation,
     rand_system,
     rand_unitary,
+    unshared_system,
 )
 
 rng = np.random.default_rng(505)
@@ -290,7 +291,7 @@ class TestKeptChecks:
 
 class TestDiscrete:
     def test_shared_per_system_and_read_only(self):
-        a, b = systems.system((1, 2, 2)), systems.system((1, 2, 2))
+        a, b = systems.system((1, 2, 2)), unshared_system((1, 2, 2))
         assert a is not b and a == b
         d = relations.discrete(a)
         assert relations.discrete(b) is d

@@ -10,6 +10,7 @@ from genutil import (
     choi_born,
     classical_source,
     complete_graph,
+    loop_source_graph_blocks,
     loop_source_span_vectors,
     quantum_source,
     rand_channel,
@@ -350,6 +351,36 @@ class TestSourceFromGraph:
             for key, vs in ref.items():
                 assert len(got[key]) == len(vs), key
                 assert all(np.array_equal(v, r) for v, r in zip(got[key], vs)), key
+
+    def test_source_graph_matches_per_pair_spans(self):
+        """The class-batched spans of _source_graph are bitwise the per-pair
+        orthonormal_span reference, on the sources of
+        test_span_vectors_match_loop, a 2-point S -> 16-point O_A one and a
+        classical one on which the span floor decides an edge."""
+        swap = TestCovariantScc()._swap_world()[2]
+        local = np.random.default_rng(708)
+        sources = [scc.source_from_graph(g) for g in (
+            complete_graph(systems.classical_system(2)),
+            graphs.discrete_graph(systems.classical_system(2)),
+            complete_graph(swap),
+        )]
+        sources += [scc.source_from_graph(rand_conf_graph(local, systems.system(dims)))
+                    for dims in [(2,), (2, 1), (3,)]]
+        sources += [classical_source(local, 2, 2, 2)[0], quantum_source(local, 2, 2, 2)]
+        sources.append(classical_source(local, 2, 16, 1)[0])
+        # Symbol 0 puts 2.5e-13 on letter 2, so at tol 1e-4 the floor, not
+        # the relative cut, decides whether letters 1 and 2 are confusable.
+        s_sys, oa, ob = (systems.classical_system(n) for n in (2, 3, 1))
+        faint = np.array([[1 - 2.5e-13, 0.0], [0.0, 1.0], [2.5e-13, 0.0]])
+        sources.append(scc.Source(s_sys, oa, ob, embed_channel(
+            faint, s_sys, scc.tensor_system(oa, ob).product)))
+        for src in sources:
+            for tol in (linalg.TOL_PROJ, 1e-4):
+                got = scc._source_graph(src, tol).relation.blocks
+                ref = loop_source_graph_blocks(src, tol)
+                assert list(got) == list(ref)
+                for key, blk in ref.items():
+                    assert got[key].tobytes() == blk.tobytes(), (src.oa_system.dims, tol, key)
 
     def test_rejects_simple(self):
         sys = systems.system((2,))

@@ -1,10 +1,10 @@
-"""Immutable objects built once per exact key: groups, bundle actions, the
-conjugation action, identity channels, tensor products, discrete relations
-and transport plans.  Keys are exact (ints, tuples, bytes, digests), so
-objects that are only equal within round-off are each built from their own
-bytes, and a build that raises is not kept.  What a check derives from one
-object is kept on that object (groups.kept), and no module writes another
-object's memo."""
+"""Immutable objects built once per exact key: groups, bundle actions,
+systems, the conjugation action, identity channels, tensor products,
+discrete relations, the complete simple graph and transport plans.  Keys
+are exact (ints, tuples, bytes, digests), so objects that are only equal
+within round-off are each built from their own bytes, and a build that
+raises is not kept.  What a check derives from one object is kept on that
+object (groups.kept), and no module writes another object's memo."""
 
 import ast
 import contextlib
@@ -34,9 +34,11 @@ def _reflection(theta: float) -> np.ndarray:
 
 
 def _z2_system(u: np.ndarray):
-    """Qubit on which the nontrivial element of Z2 acts by conjugation with u."""
+    """Qubit on which the nontrivial element of Z2 acts by conjugation with u,
+    built by the raw System constructor: each call is a new system with a
+    new action, whatever its bytes."""
     z2 = groups.cyclic_group(2)
-    return systems.system((2,), inner_action(z2, 2, [np.eye(2), u]))
+    return systems.System(systems.QuantumSet((2,)), inner_action(z2, 2, [np.eye(2), u]), (2.0,))
 
 
 def _conjugation_bundle(u: np.ndarray, extra: dict | None = None) -> dict:
@@ -89,7 +91,7 @@ class TestBundleSharing:
         z = np.diag([1.0, -1.0])
         a, b = (bundle.load_bundle(_conjugation_bundle(z)) for _ in range(2))
         assert a.group is b.group is groups.cyclic_group(2)
-        assert a.systems["A"] is not b.systems["A"]
+        assert a.systems["A"] is b.systems["A"]
         assert a.systems["A"].action is b.systems["A"].action
         assert np.array_equal(a.systems["A"].action.unitaries[1][0], z)
 
@@ -188,6 +190,67 @@ class TestIdentityChannel:
         assert ia is not ib
         assert ia.source.exact_key == a.exact_key and ib.source.exact_key == b.exact_key
         assert ib.source.action.exact_key != ia.source.action.exact_key
+
+
+class TestSystems:
+    """systems.system, separable_standard, classical_system and the bundle
+    build through one constructor shared per dims, weights and the action's
+    exact key; systems.System stays the raw, unshared constructor."""
+
+    def test_one_system_per_exact_key(self):
+        a = systems.classical_system(3)
+        assert systems.classical_system(3) is a and systems.system((1, 1, 1)) is a
+        assert systems.separable_standard(systems.QuantumSet((1, 1, 1))) is a
+        assert systems.classical_system(4) is not a
+        assert systems.system((2, 1)) is systems.system([2, 1]) is not systems.system((1, 2))
+        raw = systems.System(a.qset, a.action, a.weights)
+        assert raw is not a and raw.exact_key == a.exact_key
+
+    def test_two_loads_of_one_bundle_share_each_system(self):
+        z = np.diag([1.0, -1.0])
+        data = _conjugation_bundle(z)
+        a, b = (bundle.load_bundle(data).systems["A"] for _ in range(2))
+        assert a is b
+        assert systems.system((2,), a.action) is a
+
+    def test_roundoff_close_action_gives_its_own_equal_system(self):
+        z2 = groups.cyclic_group(2)
+        u, close = _reflection(0.4), _reflection(0.4 + 1e-15)
+        a = systems.system((2,), inner_action(z2, 2, [np.eye(2), u]))
+        b = systems.system((2,), inner_action(z2, 2, [np.eye(2), close]))
+        assert a is not b and a == b and a.exact_key != b.exact_key
+        assert systems.system((2,), inner_action(z2, 2, [np.eye(2), close])) is b
+
+    def test_raising_construction_shares_nothing(self, monkeypatch):
+        checked = []
+        post_init = systems.System.__post_init__
+
+        def counted(sys):
+            checked.append(sys.qset.factor_dims)
+            post_init(sys)
+
+        monkeypatch.setattr(systems.System, "__post_init__", counted)
+        swap = groups.permutation_action(groups.cyclic_group(2), (1, 1), ((0, 1), (1, 0)))
+        for _ in range(2):
+            with pytest.raises(ActionShapeMismatch, match="constant on action orbits"):
+                systems._shared_system((1, 1), (1.0, 2.0), swap)
+        ok = [systems._shared_system((1, 1), (2.0, 2.0), swap) for _ in range(2)]
+        assert ok[0] is ok[1]
+        assert checked == [(1, 1)] * 3
+
+    def test_complete_simple_graph_is_one_object_per_system(self):
+        a = systems.system((2, 1))
+        graph = scc._complete_simple_graph(a)
+        assert scc._complete_simple_graph(systems.system((2, 1))) is graph
+        assert scc._complete_simple_graph(systems.system((1, 2))) is not graph
+        fresh = graphs.complement(graphs.discrete_graph(a))
+        assert graph.system.exact_key == a.exact_key
+        assert relations.relations_equal(graph.relation, fresh.relation)
+        # Angles no other test uses: a shared object keeps its first
+        # caller's system, which other tests compare by identity.
+        close = [_z2_system(_reflection(t)) for t in (0.7, 0.7 + 1e-15)]
+        assert close[0] == close[1]
+        assert scc._complete_simple_graph(close[0]) is not scc._complete_simple_graph(close[1])
 
 
 class TestTensorSystemAndDiscrete:

@@ -309,12 +309,8 @@ def orthonormal_span(vectors, dim: int | None = None, tol: float = TOL_SPEC,
     Rank is the numerical rank at threshold tol relative to the largest
     singular value; `floor` additionally discards singular values below an
     absolute scale (so that a family of pure-roundoff vectors spans nothing).
-    An empty list yields the zero projection (dim required); a (k, n, c) array
-    of k families of c >= 1 columns yields their (k, n, n) projections, from
-    one span_frames call, each bitwise the call on its family's columns.
+    An empty list yields the zero projection (dim required).
     """
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 3:
-        return span_frames(vectors, tol, floor).projections()
     vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
     if not vecs:
         if dim is None:

@@ -227,8 +227,9 @@ def _graph_per_tol(src: Source, tol: float) -> QuantumGraph:
 
 def _source_graph(src: Source, tol: float) -> QuantumGraph:
     """I − P per O_A pair, P the span of its _source_span_vectors: per class
-    of the O_A x O_A layout, one orthonormal_span of the (k, n, c) stack of
-    the pairs with c vectors, for each c > 0, bitwise the per-pair span."""
+    of the O_A x O_A layout, one linalg.span_frames of the (k, n, c) stack of
+    the pairs with c vectors, for each c > 0, bitwise the per-pair
+    orthonormal_span."""
     oa = src.oa_system
     vecs = _source_span_vectors(src)
     # The natural magnitude unit of the traced doubled element is the squared
@@ -246,7 +247,7 @@ def _source_graph(src: Source, tol: float) -> QuantumGraph:
         for count in set(counts[counts > 0].tolist()):
             at = np.flatnonzero(counts == count)
             fams = np.array([vecs[klass.keys[s]] for s in at]).swapaxes(1, 2)
-            span[at] = linalg.orthonormal_span(fams, tol=span_tol, floor=floor)
+            span[at] = linalg.span_frames(fams, span_tol, floor).projections()
         # I − P is the library's own: scanned for non-finite entries, then held as a store.
         parts.append((klass, linalg.as_complex(np.eye(klass.n, dtype=complex) - span)))
     rel = QuantumRelation(oa, oa, BlockStore.stacked(oa, oa, parts))

@@ -204,21 +204,25 @@ class TestStackedKernels:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
     def test_orthonormal_span_stack_matches_per_family(self, n):
         # Families of c vectors of mixed rank, some exactly zero and some
-        # below the absolute floor.
+        # (every fifth) below the absolute floor, at each (tol, floor).
+        cuts = ((linalg.TOL_SPEC, linalg.TOL_SPEC), (linalg.TOL_SPEC, 0.0), (1e-3, 1e-6))
         for c in (1, 2, 5):
             fams = []
             for s in range(12):
-                r = min(int(rng.integers(0, c + 1)), n)
+                r = min(int(rng.integers(1 if s % 5 == 4 else 0, c + 1)), n)
                 fam = rand_complex(rng, n, r) @ rand_complex(rng, r, c)
                 fams.append(fam * (1e-12 if s % 5 == 4 else 1.0))
             st = np.array(fams)
-            fr = linalg.span_frames(st, floor=linalg.TOL_SPEC)
-            proj = fr.projections()
-            for s, fam in enumerate(st):
-                ps = linalg.orthonormal_span(list(fam.T), floor=linalg.TOL_SPEC)
-                cols = linalg.span_frames(fam[None], floor=linalg.TOL_SPEC).member(0)
-                assert np.array_equal(proj[s], ps), (c, s)
-                assert np.array_equal(fr.member(s), cols), (c, s)
+            for tol, floor in cuts:
+                fr = linalg.span_frames(st, tol, floor)
+                proj = fr.projections()
+                for s, fam in enumerate(st):
+                    ps = linalg.orthonormal_span(list(fam.T), tol=tol, floor=floor)
+                    cols = linalg.span_frames(fam[None], tol, floor).member(0)
+                    assert np.array_equal(proj[s], ps), (c, tol, floor, s)
+                    assert np.array_equal(fr.member(s), cols), (c, tol, floor, s)
+                    if s % 5 == 4:
+                        assert proj[s].any() == (floor == 0.0), (c, tol, floor, s)
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_projection_frames_match_per_matrix(self, n):

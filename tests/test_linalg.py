@@ -92,23 +92,6 @@ class TestOrthonormalSpan:
         with pytest.raises(DimensionMismatch):
             linalg.orthonormal_span([np.ones(2), np.ones(3)])
 
-    @pytest.mark.parametrize("n", [1, 2, 4, 9])
-    def test_stack_members_are_bitwise_their_own_calls(self, n):
-        # Families of c columns of mixed rank; member 2 lies below the floor
-        # (its span is zero) while the others lie above it.
-        for c in (1, 3):
-            fams = [rand_c(n, min(r, n)) @ rand_c(min(r, n), c) for r in (1, 2, 3, 1, 2)]
-            fams[2] = fams[2] * 1e-9
-            st = np.array(fams)
-            for tol, floor in ((linalg.TOL_SPEC, 0.0), (1e-3, 1e-6)):
-                got = linalg.orthonormal_span(st, tol=tol, floor=floor)
-                assert got.shape == (len(st), n, n)
-                for s, fam in enumerate(st):
-                    one = linalg.orthonormal_span(list(fam.T), dim=n, tol=tol, floor=floor)
-                    assert got[s].tobytes() == one.tobytes(), (c, tol, s)
-                assert got[2].any() == (floor == 0.0)
-                assert all(got[s].any() for s in (0, 1, 3, 4))
-
 
 class TestPartialTrace:
     def test_factorized(self):

@@ -54,8 +54,8 @@ owners check the rest:
     keeps the system names each object declares (SpecBundle.declared), and
     the CLI writes them back.
 
-dump_json writes json.dump(obj, fh, indent=1, sort_keys=True) and a
-newline.
+dump_json writes json.dumps(obj, indent=1, sort_keys=True) and a newline
+in one write.
 """
 
 from __future__ import annotations
@@ -484,8 +484,7 @@ def dump_channel(f: CpMorphism, src_name: str, tgt_name: str) -> dict:
 
 
 def dump_json(obj, path: str):
-    """Write obj as json.dump(obj, fh, indent=1, sort_keys=True) and a
-    newline."""
+    """Write obj as json.dumps(obj, indent=1, sort_keys=True) and a newline,
+    in one write."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=1, sort_keys=True) + "\n")

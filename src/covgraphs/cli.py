@@ -168,6 +168,18 @@ def cmd_twirl(args) -> int:
     return EXIT_OK
 
 
+def _tolerance(text: str) -> float:
+    """--tol: a finite float with 0 < tol < 1.  At tol >= 1 every projection
+    test passes, since a rank mismatch has a defect of at least 1."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 < tol < 1:  # NaN and inf fail too
+        raise argparse.ArgumentTypeError(f"need a finite 0 < tol < 1, got {text!r}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="covgraphs",
@@ -177,10 +189,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, writes: bool = True):
         p.add_argument("bundle", help="JSON bundle path")
-        p.add_argument("--tol", type=float, default=linalg.TOL_PROJ,
-                       help="projection tolerance (default 1e-8) of containment (leq), "
-                            "the channel, covariance, reversibility and decoder tests and "
-                            "the source-graph span cut; spectral cuts stay at TOL_SPEC (1e-9)")
+        p.add_argument("--tol", type=_tolerance, default=linalg.TOL_PROJ,
+                       help="projection tolerance, finite 0 < tol < 1 (default 1e-8), of "
+                            "containment (leq), the channel, covariance, reversibility and "
+                            "decoder tests and the source-graph span cut; spectral cuts stay "
+                            "at TOL_SPEC (1e-9)")
         if writes:
             p.add_argument("-o", "--output", default=None, help="write JSON output here")
 

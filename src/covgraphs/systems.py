@@ -47,7 +47,6 @@ from .groups import (
     AlgebraAction,
     FiniteGroup,
     KeptHash,
-    act,
     dim_classes,
     shared,
     trivial_action,
@@ -477,18 +476,6 @@ def coords(sys: System, x) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def element_from_coords(sys: System, v: np.ndarray) -> list:
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if v.size != total_matrix_dim(sys):
-        raise ShapeMismatch("coordinate vector has wrong length")
-    out = []
-    pos = 0
-    for d, w in zip(sys.dims, sys.weights):
-        out.append(v[pos:pos + d * d].reshape(d, d) / np.sqrt(w))
-        pos += d * d
-    return out
-
-
 def multiply(sys: System, x, y) -> list:
     x = sys.check_element(x)
     y = sys.check_element(y)
@@ -506,70 +493,85 @@ def random_element(sys: System, rng) -> list:
 def ssfa_defects(sys: System, rng=None) -> dict:
     """Numerical validity checks for the separable standard Frobenius data.
 
-    Returns the worst Frobenius defect per axiom: associativity and unitality
-    on random elements, invariance on the φ-basis, and separability, Frobenius
-    and standardness read off one table t[k, l] = coords(u_k u_l) of products
-    of φ-basis elements, built from multiply.
+    Returns the worst defect per axiom.  Associativity and unitality: six
+    rounds of random x, y, z, one stacked product per factor.  Invariance:
+    |φ(α_g(u)) - φ(u)| on the φ-basis, one batched conjugate-and-trace per
+    group element and factor.  Separability, Frobenius and standardness are
+    read from the structure constants u_k u_l = c u_m (_structure_constants),
+    with no table of N³ entries (N = Σ_i d_i²):
+      * m ∘ m† is diagonal, its entry at m the sum of |c|² of the products
+        landing on u_m, so separability (m ∘ m† = id) is one bincount;
+      * Frobenius, (id ⊗ m)(m† ⊗ id) = m† m = (m ⊗ id)(id ⊗ m†), on 24
+        random index quadruples, through the N x N tables of m and c;
+      * standardness, (C C†)ᵀ = C† C with C[k, l] = conj(φ(u_k u_l)).
     """
     if rng is None:
         rng = np.random.default_rng(7)
-    basis = phi_basis(sys)
-    one = sys.identity()
+    draws = [random_element(sys, rng) for _ in range(18)]
     assoc = unital = 0.0
-    for _ in range(6):
-        x, y, z = (random_element(sys, rng) for _ in range(3))
-        lhs = multiply(sys, multiply(sys, x, y), z)
-        rhs = multiply(sys, x, multiply(sys, y, z))
-        assoc = max(assoc, _diff(lhs, rhs))
-        unital = max(unital, _diff(multiply(sys, one, x), x), _diff(multiply(sys, x, one), x))
+    for i, d in enumerate(sys.dims):
+        x, y, z = (np.stack([e[i] for e in draws[r::3]]) for r in range(3))
+        one = np.eye(d, dtype=complex)
+        assoc = max(assoc, float(linalg.frobs((x @ y) @ z - x @ (y @ z)).max()))
+        unital = max(unital, float(linalg.frobs(one @ x - x).max()),
+                     float(linalg.frobs(x @ one - x).max()))
 
-    nb = len(basis)
-    t = _product_table(sys)
-    # m†(x) = Σ_kl <u_k u_l, x> u_k ⊗ u_l, so row k of flat† flat is
-    # coords(m(m†(u_k))): separability (m ∘ m† = id) is flat† flat = I.
-    flat = t.reshape(nb * nb, nb)
-    mmdag = flat.conj().T @ flat
-    sep = max(_diff(element_from_coords(sys, row), u[3]) for row, u in zip(mmdag, basis))
+    nb = total_matrix_dim(sys)
+    k, l, m, c = _structure_constants(sys)
+    root_w = np.sqrt(np.repeat(sys.weights, np.square(sys.dims)))
+    mmdag = np.bincount(m, weights=c.real * c.real + c.imag * c.imag, minlength=nb)
+    sep = float((np.abs(mmdag - 1.0) / root_w).max())
 
-    # Frobenius: (id ⊗ m)(m† ⊗ id) = m† m = (m ⊗ id)(id ⊗ m†), probed via
-    # matrix elements <u_a ⊗ u_b, . (u_c ⊗ u_d)> on random index quadruples:
+    # prod[k, l] = m and coef[k, l] = c where u_k u_l = c u_m; -1 and 0
+    # where u_k u_l = 0.  On index quadruples (a, b, c, d):
     #   mid   = <u_a u_b, u_c u_d>
     #   left  = Σ_l <u_a u_l, u_c> <u_b, u_l u_d>
     #   right = Σ_k <u_a, u_c u_k> <u_k u_b, u_d>
-    frobdef = 0.0
-    for _ in range(24):
-        a, b, c, d = (int(rng.integers(0, nb)) for _ in range(4))
-        mid = complex(np.vdot(t[a, b], t[c, d]))
-        left = complex(np.sum(t[a, :, c].conj() * t[:, d, b]))
-        right = complex(np.sum(t[c, :, a] * t[:, b, d].conj()))
-        frobdef = max(frobdef, abs(mid - left), abs(mid - right))
+    prod = np.full((nb, nb), -1)
+    prod[k, l] = m
+    coef = np.zeros((nb, nb), dtype=complex)
+    coef[k, l] = c
+    qa, qb, qc, qd = rng.integers(0, nb, size=(24, 4)).T
+    hit = (prod[qa, qb] >= 0) & (prod[qa, qb] == prod[qc, qd])
+    mid = np.where(hit, coef[qa, qb].conj() * coef[qc, qd], 0)
+    left = ((coef[qa] * (prod[qa] == qc[:, None])).conj()
+            * (coef[:, qd] * (prod[:, qd] == qb)).T).sum(axis=1)
+    right = ((coef[qc] * (prod[qc] == qa[:, None]))
+             * (coef[:, qb] * (prod[:, qb] == qd)).T.conj()).sum(axis=1)
+    frobdef = float(max(np.abs(mid - left).max(), np.abs(mid - right).max()))
 
-    # Standardness: equality of left and right traces of the induced
-    # self-duality for every linear map, equivalent to (C C†)ᵀ = C† C with
-    # C[k,l] = conj(φ(u_k u_l)) and φ(x) = <1, x>.
-    cmat = (t @ coords(sys, one)).conj()
+    cmat = np.zeros((nb, nb), dtype=complex)
+    cmat[k, l] = (c * coords(sys, sys.identity())[m]).conj()
     std = linalg.frob((cmat @ cmat.conj().T).T - cmat.conj().T @ cmat)
 
-    invdef = max(
-        abs(functional(sys, act(sys.action, g, u)) - functional(sys, u))
-        for g in sys.group.elements for (_, _, _, u) in basis
-    )
+    invdef = 0.0
+    for i, (d, w) in enumerate(zip(sys.dims, sys.weights)):
+        units = np.eye(d * d, dtype=complex).reshape(d * d, d, d) * (1.0 / np.sqrt(w))
+        base = w * np.trace(units, axis1=1, axis2=2)
+        for g in sys.group.elements:
+            u = sys.action.unitaries[g][i]
+            moved = np.trace(u @ units @ u.conj().T, axis1=1, axis2=2)
+            img = sys.weights[sys.action.perms[g][i]]
+            invdef = max(invdef, float(np.abs(img * moved - base).max()))
     return {"associativity": assoc, "unitality": unital, "separability": sep,
             "frobenius": frobdef, "standardness": std, "invariance": invdef}
 
 
-def _product_table(sys: System) -> np.ndarray:
-    """t[k, l] = coords(u_k u_l) over the φ-basis u, from one batched product
-    of the basis blocks per factor.  Each entry of a product has at most one
-    nonzero term, so the table is bitwise the one multiply and coords give."""
-    nb = total_matrix_dim(sys)
-    t = np.zeros((nb, nb, nb), dtype=complex)
+def _structure_constants(sys: System) -> tuple:
+    """The Σ_i d_i³ nonzero products u_k u_l = c u_m of the φ-basis, with
+    k = (i, p, q), l = (i, q, s) and m = (i, p, s), as flat arrays (k, l, m,
+    c) of coordinate indices and complex constants.  c_i = √w_i (1/√w_i)²
+    is the one nonzero entry of coords(u_k u_l), bitwise."""
+    ks, ls, ms, cs = [], [], [], []
     for i, (d, w) in enumerate(zip(sys.dims, sys.weights)):
-        units = np.eye(d * d, dtype=complex).reshape(d * d, d, d) * (1.0 / np.sqrt(w))
-        prods = (units[:, None] @ units[None, :]).reshape(d * d, d * d, d * d)
-        k = slice(basis_offset(sys, i), basis_offset(sys, i) + d * d)
-        t[k, k, k] = np.sqrt(w) * prods
-    return t
+        off = basis_offset(sys, i)
+        p, q, s = np.indices((d, d, d)).reshape(3, -1)
+        unit = 1.0 / np.sqrt(w)
+        ks.append(off + p * d + q)
+        ls.append(off + q * d + s)
+        ms.append(off + p * d + s)
+        cs.append(np.full(d ** 3, np.sqrt(w) * complex(unit * unit)))
+    return tuple(map(np.concatenate, (ks, ls, ms, cs)))
 
 
 def _diff(x, y) -> float:

@@ -107,6 +107,20 @@ def inner(sys, x, y) -> complex:
     )
 
 
+def element_from_coords(sys, v: np.ndarray) -> list:
+    """The algebra element with coordinates v in the φ-orthonormal basis,
+    the inverse of systems.coords."""
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    if v.size != systems.total_matrix_dim(sys):
+        raise ShapeMismatch("coordinate vector has wrong length")
+    out = []
+    pos = 0
+    for d, w in zip(sys.dims, sys.weights):
+        out.append(v[pos:pos + d * d].reshape(d, d) / np.sqrt(w))
+        pos += d * d
+    return out
+
+
 def adjointness_defect(f, rng):
     """Gate for the dagger formula: <y, f(x)>_B = <f†(y), x>_A on random pairs."""
     fd = cpmaps.dagger(f)
@@ -550,9 +564,9 @@ def assert_graph_symmetric(g):
 
 
 # -- probe references for the closed-form self-checks --------------------
-# The library reads these defects off Choi blocks and one product table; the
-# loops below push φ-basis elements through apply, multiply and inner one at
-# a time, as the defining equations are written.
+# The library reads these defects off Choi blocks and structure constants; the
+# loops below push φ-basis elements through apply, multiply, act and inner
+# one at a time, as the defining equations are written.
 
 def probe_superop_matrix(f):
     """Column k is coords(f(u_k)) for the k-th φ-basis element of the source."""
@@ -607,13 +621,22 @@ def probe_hom_defects(f):
 
 
 def probe_ssfa_defects(sys, rng):
-    """Separability, Frobenius and standardness defects of systems.ssfa_defects
-    by basis loops; ``rng`` in the state ssfa_defects is given, so the same
-    index quadruples are drawn."""
+    """Every defect of systems.ssfa_defects by per-element loops: the same
+    random elements through multiply, invariance through act and functional
+    on each φ-basis element, and separability, Frobenius and standardness
+    by basis loops.  ``rng`` in the state ssfa_defects is given, so the
+    same elements and index quadruples are drawn."""
     multiply = systems.multiply
     basis = systems.phi_basis(sys)
-    for _ in range(18):  # the associativity and unitality probes
-        systems.random_element(sys, rng)
+    one = sys.identity()
+    assoc = unital = 0.0
+    for _ in range(6):
+        x, y, z = (systems.random_element(sys, rng) for _ in range(3))
+        lhs = multiply(sys, multiply(sys, x, y), z)
+        rhs = multiply(sys, x, multiply(sys, y, z))
+        assoc = max(assoc, systems._diff(lhs, rhs))
+        unital = max(unital, systems._diff(multiply(sys, one, x), x),
+                     systems._diff(multiply(sys, x, one), x))
 
     sep = 0.0
     for (_, _, _, u) in basis:
@@ -652,12 +675,19 @@ def probe_ssfa_defects(sys, rng):
         ]
     )
     std = linalg.frob((cmat @ cmat.conj().T).T - cmat.conj().T @ cmat)
-    return {"separability": sep, "frobenius": frobdef, "standardness": std}
+
+    invdef = max(
+        abs(systems.functional(sys, groups.act(sys.action, g, u)) - systems.functional(sys, u))
+        for g in sys.group.elements for (_, _, _, u) in basis
+    )
+    return {"associativity": assoc, "unitality": unital, "separability": sep,
+            "frobenius": frobdef, "standardness": std, "invariance": invdef}
 
 
 def probe_product_table(sys):
     """t[k, l] = coords(u_k u_l) over the φ-basis, by N² multiply and coords
-    calls: the reference for systems._product_table."""
+    calls: the dense table that systems._structure_constants lists the
+    nonzero entries of."""
     basis = systems.phi_basis(sys)
     return np.array([
         [systems.coords(sys, systems.multiply(sys, a, b)) for (_, _, _, b) in basis]

@@ -501,6 +501,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot load bundle") and named in err, err
 
+    @pytest.mark.parametrize("tol", ["abc", "nan", "inf", "0", "-1", "5"])
+    def test_tol_outside_the_open_unit_interval_exits_2(self, tol, capsys):
+        """--tol takes a finite 0 < tol < 1: at tol >= 1 every projection
+        test passes, since a rank mismatch has a defect of at least 1.  Any
+        other value is refused by the parser, as a non-number is: exit 2,
+        naming --tol, before the bundle is read."""
+        with pytest.raises(SystemExit) as info:
+            cli.main(["analyze-channel", str(DEMO), "mix", "--tol", tol])
+        assert info.value.code == 2
+        got = capsys.readouterr()
+        assert got.out == "" and "argument --tol" in got.err and repr(tol) in got.err
+
+    def test_small_tol_is_accepted(self, capsys):
+        assert cli.main(["analyze-channel", str(DEMO), "mix", "--tol", "1e-4"]) == 0
+        assert "reversible: no" in capsys.readouterr().out
+
     def test_check_hom_takes_no_output(self, tmp_path, capsys):
         """check-hom writes nothing, so -o is a usage error: exit 2, no file."""
         out = tmp_path / "hom.json"

@@ -144,9 +144,6 @@ RAISES = {
     "systems.check_element factors": (
         lambda: PAIR.check_element([np.eye(1)]),
         ShapeMismatch, "element has wrong number of factor blocks"),
-    "systems.element_from_coords length": (
-        lambda: systems.element_from_coords(QUBIT, np.zeros(3)),
-        ShapeMismatch, "coordinate vector has wrong length"),
     "groups.FiniteGroup identity": (
         lambda: groups.FiniteGroup(2, ((0, 1), (1, 0)), 1),
         GroupMismatch, "identity row/column must be trivial"),

@@ -1,9 +1,10 @@
-"""The self-checks read Choi blocks and one product table in closed form; they
+"""The self-checks read Choi blocks and structure constants in closed form; they
 must agree with the φ-basis probe loops of genutil, which push basis elements
-through apply, multiply and inner one at a time."""
+through apply, multiply, act and inner one at a time."""
 
 import ast
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,10 +94,23 @@ def test_hom_defects_match_probe(name, f):
     ((2, 3), (0.5, 7.0)),
 ], ids=str)
 def test_ssfa_defects_match_probe(dims, weights):
-    sys = _weighted(dims, weights)
+    _ssfa_matches_probe(_weighted(dims, weights))
+
+
+def test_ssfa_defects_match_probe_under_a_group():
+    """Z2 swaps the two qubit factors of (2, 1, 2), conjugating by u and u†."""
+    u = rand_unitary(np.random.default_rng(646), 2)
+    one, eye = np.eye(1), np.eye(2)
+    action = groups.AlgebraAction(groups.cyclic_group(2), (2, 1, 2), ((0, 1, 2), (2, 1, 0)),
+                                  ((eye, one, eye), (u, one, u.conj().T)))
+    _ssfa_matches_probe(systems.system((2, 1, 2), action))
+
+
+def _ssfa_matches_probe(sys):
     got = systems.ssfa_defects(sys, rng=np.random.default_rng(11))
     ref = probe_ssfa_defects(sys, np.random.default_rng(11))
     assert all(type(v) is float for v in got.values())
+    assert got.keys() == ref.keys()
     for key, val in ref.items():
         assert _close(got[key], val), (key, got[key], val)
 
@@ -108,8 +122,29 @@ def test_ssfa_defects_match_probe(dims, weights):
     ((6,), (6.0,)),
 ], ids=str)
 def test_product_table_bitwise_equal_probe(dims, weights):
+    """The structure constants, scattered into an (N, N, N) zero table, are
+    bitwise the table of coords(u_k u_l) the probe builds."""
     sys = _weighted(dims, weights)
-    assert systems._product_table(sys).tobytes() == probe_product_table(sys).tobytes()
+    k, l, m, c = systems._structure_constants(sys)
+    nb = systems.total_matrix_dim(sys)
+    assert len(c) == sum(d ** 3 for d in dims)
+    table = np.zeros((nb, nb, nb), dtype=complex)
+    table[k, l, m] = c
+    assert table.tobytes() == probe_product_table(sys).tobytes()
+
+
+def test_ssfa_defects_form_no_cubic_table():
+    """At d = 10 the dense (N, N, N) table alone is 16 MB."""
+    sys = systems.system((10,))
+    systems.ssfa_defects(sys)  # warm: imports and caches outside the count
+    tracemalloc.start()
+    try:
+        defects = systems.ssfa_defects(sys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak
+    assert all(v < 1e-12 for v in defects.values()), defects
 
 
 def test_superop_matrix_source_differs_from_target():

@@ -29,6 +29,10 @@ C2 = {"order": 2, "mult_table": [[0, 1], [1, 0]], "identity": 0}
 
 
 def _reflection(theta: float) -> np.ndarray:
+    """A real reflection.  Each test takes angles no other test uses: a
+    shared object keeps the system or action of its first caller, which
+    the tests compare by identity, so a second test on the same bytes would
+    pass or fail by test order."""
     return np.array([[np.cos(theta), np.sin(theta)],
                      [np.sin(theta), -np.cos(theta)]], dtype=complex)
 
@@ -96,7 +100,7 @@ class TestBundleSharing:
         assert np.array_equal(a.systems["A"].action.unitaries[1][0], z)
 
     def test_unitaries_equal_within_roundoff_get_their_own_action(self):
-        u, close = _reflection(0.3), _reflection(0.3 + 1e-15)
+        u, close = _reflection(0.31), _reflection(0.31 + 1e-15)
         assert not np.array_equal(u, close)
         a = bundle.load_bundle(_conjugation_bundle(u)).systems["A"]
         b = bundle.load_bundle(_conjugation_bundle(close)).systems["A"]
@@ -159,7 +163,7 @@ class TestConjugationAction:
         assert graphs._conjugation_action(a.action, 1) is padded
 
     def test_roundoff_close_systems_get_actions_from_their_own_bytes(self):
-        a, b = _z2_system(_reflection(0.3)), _z2_system(_reflection(0.3 + 1e-15))
+        a, b = _z2_system(_reflection(0.32)), _z2_system(_reflection(0.32 + 1e-15))
         assert a == b
         ca, cb = graphs._conjugation_action(a.action, 0), graphs._conjugation_action(b.action, 0)
         assert ca is not cb
@@ -184,7 +188,7 @@ class TestIdentityChannel:
         assert relations.support_of(again) is rel and graphs.confusability_of(again) is gamma
 
     def test_roundoff_close_systems_get_their_own_channel(self):
-        a, b = _z2_system(_reflection(0.3)), _z2_system(_reflection(0.3 + 1e-15))
+        a, b = _z2_system(_reflection(0.33)), _z2_system(_reflection(0.33 + 1e-15))
         assert a == b
         ia, ib = cpmaps.identity_channel(a), cpmaps.identity_channel(b)
         assert ia is not ib
@@ -246,8 +250,6 @@ class TestSystems:
         fresh = graphs.complement(graphs.discrete_graph(a))
         assert graph.system.exact_key == a.exact_key
         assert relations.relations_equal(graph.relation, fresh.relation)
-        # Angles no other test uses: a shared object keeps its first
-        # caller's system, which other tests compare by identity.
         close = [_z2_system(_reflection(t)) for t in (0.7, 0.7 + 1e-15)]
         assert close[0] == close[1]
         assert scc._complete_simple_graph(close[0]) is not scc._complete_simple_graph(close[1])
@@ -274,7 +276,7 @@ class TestTensorSystemAndDiscrete:
             assert sys.exact_key is sys.exact_key and action.exact_key is action.exact_key
 
     def test_roundoff_close_systems_get_their_own_product(self):
-        a, b = _z2_system(_reflection(0.3)), _z2_system(_reflection(0.3 + 1e-15))
+        a, b = _z2_system(_reflection(0.34)), _z2_system(_reflection(0.34 + 1e-15))
         assert a == b
         ta, tb = scc.tensor_system(a, a), scc.tensor_system(b, b)
         assert tb is not ta
@@ -286,7 +288,7 @@ class TestTensorSystemAndDiscrete:
                 assert np.array_equal(got, np.kron(u, u)), g
 
     def test_roundoff_close_systems_get_their_own_discrete_relation(self):
-        a, b = _z2_system(_reflection(0.3)), _z2_system(_reflection(0.3 + 1e-15))
+        a, b = _z2_system(_reflection(0.35)), _z2_system(_reflection(0.35 + 1e-15))
         assert a == b
         assert relations.discrete(a).source is a and relations.discrete(a).target is a
         assert relations.discrete(b).source is b and relations.discrete(b).target is b
@@ -316,7 +318,7 @@ class TestTransportPlans:
             assert np.array_equal(w[0], np.kron(t.unitaries[1][0].conj(), s.unitaries[1][0]))
 
     def test_roundoff_close_actions_get_their_own_plan(self):
-        a, b = _z2_system(_reflection(0.3)).action, _z2_system(_reflection(0.3 + 1e-15)).action
+        a, b = _z2_system(_reflection(0.36)).action, _z2_system(_reflection(0.36 + 1e-15)).action
         assert a == b
         pa, pb = groups.transport_plan(a, a), groups.transport_plan(b, b)
         assert pb is not pa
@@ -403,7 +405,7 @@ class TestSharedRule:
 
     def test_roundoff_close_actions_give_separate_objects(self):
         make, built = self._counted()
-        a, b = _z2_system(_reflection(0.3)).action, _z2_system(_reflection(0.3 + 1e-15)).action
+        a, b = _z2_system(_reflection(0.37)).action, _z2_system(_reflection(0.37 + 1e-15)).action
         assert a == b
         assert make(a, 0) is not make(b, 0)
         assert [action for action, _ in built] == [a, b]

@@ -6,6 +6,7 @@ from covgraphs.errors import ActionShapeMismatch, ShapeMismatch
 
 from genutil import (
     adjoint_element,
+    element_from_coords,
     inner,
     inner_action,
     rand_channel,
@@ -156,8 +157,10 @@ def test_coords_roundtrip():
     sys = systems.system((2, 3))
     x = systems.random_element(sys, rng)
     v = systems.coords(sys, x)
-    y = systems.element_from_coords(sys, v)
+    y = element_from_coords(sys, v)
     assert max(np.linalg.norm(a - b) for a, b in zip(x, y)) < 1e-12
+    with pytest.raises(ShapeMismatch, match="coordinate vector has wrong length"):
+        element_from_coords(systems.system((2,)), np.zeros(3))
     # φ-orthonormality of the basis
     basis = systems.phi_basis(sys)
     for k, (_, _, _, u) in enumerate(basis[:6]):

@@ -54,8 +54,9 @@ owners check the rest:
     keeps the system names each object declares (SpecBundle.declared), and
     the CLI writes them back.
 
-dump_json writes json.dumps(obj, indent=1, sort_keys=True) and a newline
-in one write.
+dump_channel writes a channel's held Kraus family, so it forms no Choi
+block and runs no cut of its own; dump_json writes json.dumps(obj,
+indent=1, sort_keys=True) and a newline in one write.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ import numpy as np
 
 from . import linalg
 from .classical import embed_channel
-from .cpmaps import CpMorphism, from_kraus, to_kraus
+from .cpmaps import CpMorphism, from_kraus
 from .errors import CovGraphsError
 from .graphs import QuantumGraph, classify
 from .groups import (
@@ -472,13 +473,15 @@ def load_bundle_file(path: str, tol: float = linalg.TOL_PROJ) -> SpecBundle:
 
 
 def dump_channel(f: CpMorphism, src_name: str, tgt_name: str) -> dict:
-    kraus = to_kraus(f)
+    """f as a channel entry from src_name to tgt_name: its held Kraus family
+    (CpMorphism.kraus), minimal for a morphism born as Choi blocks and the
+    maps as stored for one born from Kraus maps."""
     return {
         "from": src_name,
         "to": tgt_name,
         "kraus": {
             _pair_key(i, j): [matrix_to_json(m) for m in ops]
-            for (i, j), ops in kraus.items()
+            for (i, j), ops in f.kraus().items()
         },
     }
 

@@ -33,7 +33,7 @@ maps, in key order; a pair without maps is absent:
     blocks on first use, from the one cut of each class (CpMorphism.cuts),
     which its support reads too;
   * a factor pair given more Kraus maps than its block dimension d_i e_j
-    holds the minimal to_kraus family of its own block instead, so families
+    holds its to_kraus maps instead, read off the kept cuts, so families
     do not grow along chains of compositions.
 
 The held family need not be minimal or canonical; to_kraus always is: one
@@ -134,8 +134,9 @@ class CpMorphism:
     @kept
     def cuts(self) -> tuple:
         """linalg.spectral_cut of the Hermitian part of each class stack, in
-        class order: the one cut that to_kraus and relations.support_of
-        read."""
+        class order: the one cut that to_kraus reads, for the held family of
+        a Choi-born morphism and the over-count pairs of a Kraus-born one,
+        and that relations.support_of reads for a Choi-born morphism."""
         return tuple(linalg.spectral_cut(linalg.hermitize(stack))
                      for _, stack in self.blocks.classes())
 
@@ -144,7 +145,8 @@ class CpMorphism:
         """Held Kraus family: each factor pair (i, j) that has maps -> tuple of
         read-only e_j x d_i maps, at most d_i e_j of them, in key order; a
         pair without maps is absent.  From kraus_stacks (_stacked_kraus) for
-        a morphism born from Kraus maps, else from to_kraus."""
+        a morphism born from Kraus maps, else from to_kraus; the family
+        bundle.dump_channel writes."""
         return MappingProxyType(to_kraus(self) if self.kraus_stacks is None
                                 else _stacked_kraus(self))
 
@@ -229,25 +231,21 @@ def _choi_blocks(maps: np.ndarray) -> np.ndarray:
 def _stacked_kraus(f: CpMorphism) -> dict:
     """Held family of a morphism born from Kraus maps: read-only views of
     kraus_stacks, each pair with maps in key order; a pair with more maps
-    than d_i e_j holds the minimal family of its block instead, which reads
-    that class's blocks: one _block_kraus per class."""
+    than d_i e_j holds its to_kraus maps instead, read off the kept cuts."""
     lay = f.blocks.layout
-    held = {}
-    over = {}  # class index -> slots with more maps than d_i e_j
+    held, over = {}, []
     for c, slots, maps in f.kraus_stacks:
         klass = lay.classes[c]
         count = maps.shape[1]
+        keys = [klass.keys[s] for s in slots.tolist()]
         if count > klass.n:
-            over.setdefault(c, []).append(slots)
+            over += keys
         else:
             # Consecutive runs of count views: the maps of each pair.
-            keys = [klass.keys[s] for s in slots.tolist()]
             held.update(zip(keys, zip(*[iter(list(maps.reshape((-1,) + maps.shape[2:])))] * count)))
-    for c, runs in sorted(over.items()):
-        klass = lay.classes[c]
-        slots = runs[0] if len(runs) == 1 else np.concatenate(runs)
-        keys = [klass.keys[s] for s in slots.tolist()]
-        held.update(_block_kraus(keys, linalg.spectral_cut(f.blocks.stack(c)[slots]), *klass.dims))
+    if over:
+        minimal = to_kraus(f)
+        held.update((key, minimal[key]) for key in over if key in minimal)
     return {key: held[key] for key in sorted(held)}
 
 
@@ -408,8 +406,9 @@ def is_star_cohomomorphism(f: CpMorphism) -> bool:
 
 def basis_images(f: CpMorphism) -> list:
     """Per target factor j, the images f(u)_j of the φ-basis u = E_pq / √w_i
-    of the source as an (N_A, e_j, e_j) stack in phi_basis order: f(E_pq)_j is
-    the conjugate of block (i, j) read as (e, d, e, d) at [:, p, :, q]."""
+    of the source as an (N_A, e_j, e_j) stack in φ-basis order
+    (`systems.coords`): f(E_pq)_j is the conjugate of block (i, j) read as
+    (e, d, e, d) at [:, p, :, q]."""
     images = basis_image_matrix(f)
     out, pos = [], 0
     for e in f.target.dims:
@@ -442,8 +441,8 @@ def basis_image_matrix(f: CpMorphism) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def _offsets(dims: tuple) -> np.ndarray:
-    """Offset of each factor's d x d coordinates in phi_basis order, and the
-    total after the last."""
+    """Offset of each factor's d x d coordinates in φ-basis order
+    (`systems.coords`), and the total after the last."""
     off = np.cumsum((0,) + tuple(d * d for d in dims))
     off.setflags(write=False)
     return off

@@ -172,10 +172,11 @@ def realize_channel(g: QuantumGraph, tau: float | None = None, tol: float = TOL_
 def _conjugation_action(action: AlgebraAction, extra: int) -> AlgebraAction:
     """Action of the group on the algebra-as-Hilbert-space by conjugation.
 
-    Coordinates are the matrix units E_pq of each factor in phi_basis order
-    (weights are constant on orbits, so the φ-normalization drops out), padded
-    by ``extra`` invariant directions.  Shared per action and ``extra``
-    (groups.shared), so systems whose actions are bitwise equal share one.
+    Coordinates are the matrix units E_pq of each factor in φ-basis order
+    (`systems.coords`; weights are constant on orbits, so the φ-normalization
+    drops out), padded by ``extra`` invariant directions.  Shared per action
+    and ``extra`` (groups.shared), so systems whose actions are bitwise equal
+    share one.
     """
     off = _offsets(action.dims)
     dim = int(off[-1])

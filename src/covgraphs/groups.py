@@ -37,12 +37,14 @@ factor pairs, and α_g moves a whole class with one batched product W B W†
 (TransportPlan.transport).  W = kron(conj U_tgt[g], U_src[g]) per member
 and the image slots depend only on the two actions, g and the class, so a
 TransportPlan builds them for an element and class the first time they are
-read and keeps them; plans are shared per action pair
-(transport_plan), and act_on_cp, twirl_cp, is_covariant_cp and
-is_covariant_relation all move blocks through one.  A plan's memory grows
-with |G|: a twirl reads every element, so its plan then holds |G| W stacks
-per class (C_n permuting n classical points: n³ entries of W and n³ image
-slots).
+read and keeps them in one dict keyed by (class dims, g); plans are shared
+per action pair (transport_plan), and act_on_cp, twirl_cp, is_covariant_cp
+and is_covariant_relation all move blocks through one.  act_on_cp and
+twirl_cp build through type(f).stacked and is_covariant_cp compares block
+stores, so this module imports nothing from the modules above it.  A plan's
+memory grows with |G|: a twirl reads every element, so its plan then holds
+|G| W stacks per class (C_n permuting n classical points: n³ entries of W
+and n³ image slots).
 
 An action holds its unitaries as read-only stacks, one (|G|, k, d, d)
 stack per factor dimension; the library's own constructions (trivial and
@@ -52,11 +54,11 @@ per stack: one finite scan, one unitarity product, and the homomorphism
 test as one gathered product over all element pairs.
 
 Two actions are equal when they share group table, dims and perms (the key)
-and their unitaries agree within TOL_ROUNDOFF.  Identical objects, different
-keys and equal digests of the unitaries' bytes decide equality at once; only
-equal keys with different bytes compare the unitaries.  The hash covers the
-key alone, never the digest, because equality tolerates round-off; so actions
-and the systems that carry them can key dicts.
+and their unitaries agree within TOL_ROUNDOFF.  Identical objects and
+different keys decide equality at once; equal keys compare the unitaries,
+which is rare, since the library shares one action per exact key.
+The hash covers the key alone, never the digest, because equality tolerates
+round-off; so actions and the systems that carry them can key dicts.
 """
 
 from __future__ import annotations
@@ -355,9 +357,9 @@ class AlgebraAction:
         if self.perms[e] != tuple(range(nf)):
             raise ActionShapeMismatch("identity element must fix the factor slots")
         _check_homomorphism(self)
-        # Identity: equal keys are necessary for equality, and equal bytes of
-        # the unitaries sufficient; only the hash of the key is kept, because
-        # equality tolerates TOL_ROUNDOFF in the unitaries.
+        # Identity: equal keys are necessary for equality; only the hash of
+        # the key is kept, because equality tolerates TOL_ROUNDOFF in the
+        # unitaries, and the digest of their bytes goes into exact_key.
         key = (n, self.group.table, e, dims, self.perms)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
@@ -395,8 +397,6 @@ class AlgebraAction:
             return NotImplemented
         if self._key != other._key:
             return False
-        if self._digest == other._digest:
-            return True
         return all(
             np.allclose(stack, other._classes[d][1], atol=TOL_ROUNDOFF)
             for d, (_, stack) in self._classes.items()
@@ -469,20 +469,6 @@ def _permutation_action(group: FiniteGroup, dims: tuple, perms: tuple) -> Algebr
     })
 
 
-def act(action: AlgebraAction, g: int, x) -> list:
-    """Apply α_g to an algebra element (list of per-factor blocks)."""
-    if len(x) != action.nfactors:
-        raise ShapeMismatch("algebra element has wrong number of factors")
-    out = [None] * action.nfactors
-    for i, d in enumerate(action.dims):
-        xi = linalg.as_complex(x[i])
-        if xi.shape != (d, d):
-            raise ShapeMismatch(f"factor {i} block has wrong shape")
-        u = action.unitaries[g][i]
-        out[action.perms[g][i]] = u @ xi @ u.conj().T
-    return out
-
-
 class TransportPlan:
     """α_g on every class of the source x target layout of one action pair.
     step(g, klass) is (W, image): W = kron(conj(U_tgt[g][j]), U_src[g][i])
@@ -493,28 +479,25 @@ class TransportPlan:
     complex entries and |G| · Σ_c k_c slots, for k_c members of n_c x n_c
     blocks in class c."""
 
-    __slots__ = ("_src", "_tgt", "_index", "_steps")
+    __slots__ = ("_src", "_tgt", "_steps")
 
     def __init__(self, src: AlgebraAction, tgt: AlgebraAction):
-        from .systems import layout
-
         if src.group != tgt.group:
             raise GroupMismatch("source and target actions must share one group")
         self._src, self._tgt = src, tgt
-        self._index = layout(src.dims, tgt.dims).index
-        self._steps = [[None] * src.group.order for _ in self._index]
+        self._steps = {}  # (class dims, g) -> (W, image)
 
     def step(self, g: int, klass) -> tuple:
-        steps = self._steps[self._index[klass.dims]]
-        if steps[g] is None:
+        step = self._steps.get((klass.dims, g))
+        if step is None:
             w = linalg.kron_stack(self._tgt.unitary_stack(g, klass.cols).conj(),
                                   self._src.unitary_stack(g, klass.rows))
             image = klass.slots(self._src.perm_array[g][klass.rows],
                                 self._tgt.perm_array[g][klass.cols])
             for a in (w, image):
                 a.setflags(write=False)
-            steps[g] = w, image
-        return steps[g]
+            self._steps[klass.dims, g] = step = w, image
+        return step
 
     def transport(self, g: int, klass, stack: np.ndarray) -> np.ndarray:
         """α_g on one (d_i, e_j) class of blocks on vec(Hom(K_j, H_i)), given
@@ -541,17 +524,13 @@ def transport_plan(action_src: AlgebraAction, action_tgt: AlgebraAction) -> Tran
 
 def act_on_cp(f, g: int):
     """Transport a CP morphism along group element g: α_{B,g} ∘ f ∘ α_{A,g}⁻¹."""
-    from .cpmaps import CpMorphism
-
     plan = transport_plan(f.source.action, f.target.action)
     parts = [(klass, plan.transport(g, klass, stack)) for klass, stack in f.blocks.classes()]
-    return CpMorphism.stacked(f.source, f.target, parts)
+    return type(f).stacked(f.source, f.target, parts)
 
 
 def twirl_cp(f):
     """Group-average a CP morphism: the projector onto covariant maps."""
-    from .cpmaps import CpMorphism
-
     plan = transport_plan(f.source.action, f.target.action)
     group = f.source.action.group
     parts = []
@@ -560,14 +539,12 @@ def twirl_cp(f):
         for g in group.elements:
             acc += plan.transport(g, klass, stack)
         parts.append((klass, acc / group.order))
-    return CpMorphism.stacked(f.source, f.target, parts)
+    return type(f).stacked(f.source, f.target, parts)
 
 
 def is_covariant_cp(f, tol: float = TOL_PROJ) -> bool:
     """True iff the twirl leaves f unchanged in blockwise Frobenius norm."""
-    from .cpmaps import cp_norm_diff
-
-    return cp_norm_diff(twirl_cp(f), f) < tol * max(1.0, f.norm())
+    return twirl_cp(f).blocks.distance(f.blocks) < tol * max(1.0, f.norm())
 
 
 def is_covariant_relation(p) -> bool:

@@ -99,9 +99,6 @@ class System:
     def identity(self) -> list:
         return [np.eye(d, dtype=complex) for d in self.dims]
 
-    def zero(self) -> list:
-        return [np.zeros((d, d), dtype=complex) for d in self.dims]
-
     def check_element(self, x) -> list:
         if len(x) != self.nfactors:
             raise ShapeMismatch("element has wrong number of factor blocks")
@@ -154,30 +151,6 @@ def system(dims, action: AlgebraAction | None = None) -> System:
 
 def classical_system(n: int, action: AlgebraAction | None = None) -> System:
     return system((1,) * n, action)
-
-
-def functional(sys: System, x) -> complex:
-    """φ(x) = Σ_i w_i Tr(x_i); G-invariant by the orbit condition on weights."""
-    x = sys.check_element(x)
-    return complex(sum(w * np.trace(b) for w, b in zip(sys.weights, x)))
-
-
-def phi_basis(sys: System):
-    """φ-orthonormal basis of the algebra: matrix units E_pq / sqrt(w_i).
-
-    Returns a list of (factor, p, q, element) in a fixed deterministic order;
-    the coordinate index of (i, p, q) is offset(i) + p*d_i + q.
-    """
-    out = []
-    for i, d in enumerate(sys.dims):
-        s = 1.0 / np.sqrt(sys.weights[i])
-        for p in range(d):
-            for q in range(d):
-                e = sys.zero()
-                e[i] = e[i].copy()
-                e[i][p, q] = s
-                out.append((i, p, q, e))
-    return out
 
 
 def basis_offset(sys: System, i: int) -> int:
@@ -474,12 +447,6 @@ def coords(sys: System, x) -> np.ndarray:
     x = sys.check_element(x)
     parts = [np.sqrt(w) * b.reshape(-1) for w, b in zip(sys.weights, x)]
     return np.concatenate(parts)
-
-
-def multiply(sys: System, x, y) -> list:
-    x = sys.check_element(x)
-    y = sys.check_element(y)
-    return [a @ b for a, b in zip(x, y)]
 
 
 def random_element(sys: System, rng) -> list:

@@ -27,7 +27,7 @@ def rand_complex(rng, rows, cols):
 def system_dimension(sys):
     """Quantum dimension, defined (and tested) as the functional of the
     identity."""
-    return systems.functional(sys, sys.identity()).real
+    return functional(sys, sys.identity()).real
 
 
 def symmetric_group_perms(n: int):
@@ -105,6 +105,57 @@ def inner(sys, x, y) -> complex:
     return complex(
         sum(w * np.trace(a.conj().T @ b) for w, a, b in zip(sys.weights, x, y))
     )
+
+
+def zero(sys) -> list:
+    """The zero element of sys."""
+    return [np.zeros((d, d), dtype=complex) for d in sys.dims]
+
+
+def functional(sys, x) -> complex:
+    """φ(x) = Σ_i w_i Tr(x_i); G-invariant by the orbit condition on weights."""
+    x = sys.check_element(x)
+    return complex(sum(w * np.trace(b) for w, b in zip(sys.weights, x)))
+
+
+def multiply(sys, x, y) -> list:
+    """The product x y of two elements of sys, factor by factor."""
+    x = sys.check_element(x)
+    y = sys.check_element(y)
+    return [a @ b for a, b in zip(x, y)]
+
+
+def phi_basis(sys):
+    """φ-orthonormal basis of the algebra: matrix units E_pq / sqrt(w_i).
+
+    Returns a list of (factor, p, q, element) in a fixed deterministic order;
+    the coordinate index of (i, p, q) is offset(i) + p*d_i + q, the order of
+    systems.coords.
+    """
+    out = []
+    for i, d in enumerate(sys.dims):
+        s = 1.0 / np.sqrt(sys.weights[i])
+        for p in range(d):
+            for q in range(d):
+                e = zero(sys)
+                e[i][p, q] = s
+                out.append((i, p, q, e))
+    return out
+
+
+def act(action, g: int, x) -> list:
+    """Apply α_g to an algebra element (list of per-factor blocks): block
+    x_i goes to U[g][i] x_i U[g][i]† at slot perms[g][i]."""
+    if len(x) != action.nfactors:
+        raise ShapeMismatch("algebra element has wrong number of factors")
+    out = [None] * action.nfactors
+    for i, d in enumerate(action.dims):
+        xi = linalg.as_complex(x[i])
+        if xi.shape != (d, d):
+            raise ShapeMismatch(f"factor {i} block has wrong shape")
+        u = action.unitaries[g][i]
+        out[action.perms[g][i]] = u @ xi @ u.conj().T
+    return out
 
 
 def element_from_coords(sys, v: np.ndarray) -> list:
@@ -570,7 +621,7 @@ def assert_graph_symmetric(g):
 
 def probe_superop_matrix(f):
     """Column k is coords(f(u_k)) for the k-th φ-basis element of the source."""
-    basis = systems.phi_basis(f.source)
+    basis = phi_basis(f.source)
     out = np.zeros((systems.total_matrix_dim(f.target), len(basis)), dtype=complex)
     for k, (_, _, _, u) in enumerate(basis):
         out[:, k] = systems.coords(f.target, cpmaps.apply(f, u))
@@ -602,7 +653,7 @@ def loop_superop_matrix(f):
 def probe_hom_defects(f):
     """(max, (multiplicativity, unit, star)) of cpmaps._hom_defects, by
     N² apply calls."""
-    basis = systems.phi_basis(f.source)
+    basis = phi_basis(f.source)
     images = [cpmaps.apply(f, u) for (_, _, _, u) in basis]
     mult = star = 0.0
     for (ka, (_, _, _, ua)) in enumerate(basis):
@@ -613,8 +664,8 @@ def probe_hom_defects(f):
                           cpmaps.apply(f, [m.conj().T for m in ua])),
         )
         for (kb, (_, _, _, ub)) in enumerate(basis):
-            lhs = cpmaps.apply(f, systems.multiply(f.source, ua, ub))
-            rhs = systems.multiply(f.target, fa, images[kb])
+            lhs = cpmaps.apply(f, multiply(f.source, ua, ub))
+            rhs = multiply(f.target, fa, images[kb])
             mult = max(mult, systems._diff(lhs, rhs))
     unit = systems._diff(cpmaps.apply(f, f.source.identity()), f.target.identity())
     return max(mult, unit, star), (mult, unit, star)
@@ -626,8 +677,7 @@ def probe_ssfa_defects(sys, rng):
     on each φ-basis element, and separability, Frobenius and standardness
     by basis loops.  ``rng`` in the state ssfa_defects is given, so the
     same elements and index quadruples are drawn."""
-    multiply = systems.multiply
-    basis = systems.phi_basis(sys)
+    basis = phi_basis(sys)
     one = sys.identity()
     assoc = unital = 0.0
     for _ in range(6):
@@ -640,7 +690,7 @@ def probe_ssfa_defects(sys, rng):
 
     sep = 0.0
     for (_, _, _, u) in basis:
-        acc = sys.zero()
+        acc = zero(sys)
         for (_, _, _, a) in basis:
             for (_, _, _, b) in basis:
                 c = inner(sys, multiply(sys, a, b), u)
@@ -669,7 +719,7 @@ def probe_ssfa_defects(sys, rng):
 
     cmat = np.array(
         [
-            [complex(systems.functional(sys, multiply(sys, uk[3], ul[3]))).conjugate()
+            [complex(functional(sys, multiply(sys, uk[3], ul[3]))).conjugate()
              for ul in basis]
             for uk in basis
         ]
@@ -677,7 +727,7 @@ def probe_ssfa_defects(sys, rng):
     std = linalg.frob((cmat @ cmat.conj().T).T - cmat.conj().T @ cmat)
 
     invdef = max(
-        abs(systems.functional(sys, groups.act(sys.action, g, u)) - systems.functional(sys, u))
+        abs(functional(sys, act(sys.action, g, u)) - functional(sys, u))
         for g in sys.group.elements for (_, _, _, u) in basis
     )
     return {"associativity": assoc, "unitality": unital, "separability": sep,
@@ -688,9 +738,9 @@ def probe_product_table(sys):
     """t[k, l] = coords(u_k u_l) over the φ-basis, by N² multiply and coords
     calls: the dense table that systems._structure_constants lists the
     nonzero entries of."""
-    basis = systems.phi_basis(sys)
+    basis = phi_basis(sys)
     return np.array([
-        [systems.coords(sys, systems.multiply(sys, a, b)) for (_, _, _, b) in basis]
+        [systems.coords(sys, multiply(sys, a, b)) for (_, _, _, b) in basis]
         for (_, _, _, a) in basis
     ])
 

@@ -23,6 +23,8 @@ from genutil import (
     complete_graph,
     embed_graph,
     embed_relation,
+    functional,
+    multiply,
     oracle_compose,
     partial_trace,
     quantum_source,
@@ -37,6 +39,7 @@ from genutil import (
     rand_system,
     rand_unitary,
     symmetric_group_perms,
+    zero,
 )
 
 CSYS = {n: systems.classical_system(n) for n in range(1, 7)}
@@ -505,7 +508,7 @@ def test_criterion_11_trace_coherence():
 
         # Tr_{r ⊠ s} = Tr_r ∘ Tr_s: partial-trace the B legs with B weights,
         # then take the A trace.
-        partial = a.zero()
+        partial = zero(a)
         for ai in range(a.nfactors):
             for bi in range(b.nfactors):
                 blk = x[ts.pair_index(ai, bi)]
@@ -513,14 +516,14 @@ def test_criterion_11_trace_coherence():
                     blk, [a.dims[ai], b.dims[bi]], keep=[0], weights=[b.weights[bi]]
                 )
                 partial[ai] = partial[ai] + traced
-        lhs = systems.functional(a, partial)
-        rhs = systems.functional(ts.product, x)
+        lhs = functional(a, partial)
+        rhs = functional(ts.product, x)
         defect = abs(lhs - rhs) / max(1.0, abs(rhs))
         worst = max(worst, defect)
         assert defect < 1e-10
 
         # positivity and faithfulness of the weighted partial trace
-        psd = systems.multiply(
+        psd = multiply(
             ts.product, adjoint_element(ts.product, x), x
         )
         total = 0.0

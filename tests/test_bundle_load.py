@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from covgraphs import bundle, cli, cpmaps, graphs, systems
+from covgraphs import bundle, cli, cpmaps, graphs, linalg, relations, systems
 from covgraphs.bundle import BundleError
 from covgraphs.errors import DimensionMismatch, ShapeMismatch
 
@@ -385,3 +385,77 @@ def test_writer_bytes_equal_json_dump_on_edge_cases(name, tmp_path):
                          ids=["int key", "tuple", "numpy float"])
 def test_writer_leaves_other_documents_to_json(doc, tmp_path):
     assert _written(doc, tmp_path) == _json_bytes(doc)
+
+
+def _spy(monkeypatch) -> list:
+    """Record every np.linalg.eigh and linalg.gram call, by name."""
+    calls, eigh, gram = [], np.linalg.eigh, linalg.gram
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: calls.append("eigh")
+                        or eigh(a, *args, **kw))
+    monkeypatch.setattr(linalg, "gram", lambda vs: calls.append("gram") or gram(vs))
+    return calls
+
+
+def _dumped_maps(doc) -> dict:
+    return {key: [bundle.matrix_from_json(m) for m in ops] for key, ops in doc["kraus"].items()}
+
+
+@pytest.mark.parametrize("born", ["realize_channel", "from_kraus"])
+def test_dump_of_a_kraus_born_morphism_writes_the_stored_maps(born, monkeypatch):
+    """dump_channel of a morphism born from Kraus maps writes the maps it
+    stores: it forms no V V† block and runs no eigh."""
+    if born == "realize_channel":
+        f, _ = graphs.realize_channel(bundle.load_bundle_file(str(DEMO)).graphs["complete_A"])
+    else:
+        src, tgt = systems.system((2, 1)), systems.system((3, 2))
+        f = cpmaps.from_kraus({(0, 0): [rand_complex(rng, 3, 2) for _ in range(2)],
+                               (1, 0): [rand_complex(rng, 3, 1)],
+                               (0, 1): [rand_complex(rng, 2, 2) for _ in range(3)]}, src, tgt)
+    assert f.kraus_stacks is not None
+    calls = _spy(monkeypatch)
+    doc = bundle.dump_channel(f, "A", "B")
+    assert calls == []
+    held, dumped = f.kraus(), _dumped_maps(doc)
+    assert list(dumped) == [f"{i},{j}" for i, j in held]
+    for (i, j), ops in held.items():
+        got = dumped[f"{i},{j}"]
+        assert len(got) == len(ops)
+        assert all(np.array_equal(m, r) for m, r in zip(got, ops)), (i, j)
+
+
+def test_dump_of_a_choi_born_morphism_is_bitwise_to_kraus():
+    """A Choi-born morphism's held family is its minimal to_kraus family, so
+    its dump holds exactly the to_kraus maps of the same blocks."""
+    src, tgt = systems.system((2, 1)), systems.system((2, 3))
+    blocks = dict(rand_cp(rng, src, tgt, 3).blocks.items())
+    doc = bundle.dump_channel(cpmaps.CpMorphism(src, tgt, blocks), "A", "B")
+    ref = cpmaps.to_kraus(cpmaps.CpMorphism(src, tgt, blocks))
+    dumped = _dumped_maps(doc)
+    assert list(dumped) == [f"{i},{j}" for i, j in ref]
+    for (i, j), ops in ref.items():
+        got = dumped[f"{i},{j}"]
+        assert [m.tobytes() for m in got] == [m.tobytes() for m in ops], (i, j)
+
+
+def test_graph_to_channel_output_reloads_to_the_realized_channel(tmp_path, capsys):
+    """The -o document of graph-to-channel on complete_A reloads to the
+    channel realize_channel makes, blocks within 1e-12, with the same
+    confusability graph, and dumps again to the same document."""
+    out = tmp_path / "real.json"
+    assert cli.main(["graph-to-channel", str(DEMO), "complete_A", "-o", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    demo = json.loads(DEMO.read_text())
+    reloaded = bundle.load_bundle({
+        "group": demo["group"],
+        "systems": {"A": demo["systems"]["A"], "environment": doc["environment"]},
+        "channels": {"f": doc["channel"]},
+    }).channels["f"]
+    g = bundle.load_bundle_file(str(DEMO)).graphs["complete_A"]
+    f, _ = graphs.realize_channel(g)
+    assert reloaded.source == f.source and reloaded.target == f.target
+    assert reloaded.blocks.distance(f.blocks) <= 1e-12
+    conf = graphs.confusability_of(reloaded).relation
+    assert relations.relations_equal(conf, graphs.confusability_of(f).relation)
+    assert relations.relations_equal(conf, g.relation)
+    assert bundle.dump_channel(reloaded, "A", "environment") == doc["channel"]

@@ -13,6 +13,7 @@ from genutil import (
     assert_blocks_close,
     choi_born,
     loop_block_kraus,
+    multiply,
     psd_factor,
     rand_channel,
     rand_complex,
@@ -195,7 +196,7 @@ class TestApply:
             tgt = rand_system(rng, 2, 3)
             f = rand_cp(rng, src, tgt)
             x = systems.random_element(src, rng)
-            psd = systems.multiply(src, adjoint_element(src, x), x)
+            psd = multiply(src, adjoint_element(src, x), x)
             y = cpmaps.apply(f, psd)
             for blk in y:
                 assert float(np.linalg.eigvalsh(linalg.hermitize(blk))[0]) > -1e-9

@@ -3,9 +3,10 @@ import pytest
 
 from covgraphs import cpmaps, graphs, groups, linalg, relations, systems
 from covgraphs.classical import embed_channel
-from covgraphs.errors import ActionShapeMismatch, GroupMismatch
+from covgraphs.errors import ActionShapeMismatch, GroupMismatch, ShapeMismatch
 
 from genutil import (
+    act,
     assert_blocks_close,
     assert_family_equal,
     inner_action,
@@ -62,21 +63,30 @@ class TestActions:
     def test_trivial_act(self):
         sys = systems.system((2, 1))
         x = [np.array([[1, 2], [3, 4]], dtype=complex), np.array([[5.0]])]
-        y = groups.act(sys.action, 0, x)
+        y = act(sys.action, 0, x)
         assert all(np.allclose(a, b) for a, b in zip(x, y))
 
     def test_swap_act(self):
         s2 = groups.symmetric_group(2)
-        act = groups.permutation_action(s2, (1, 1), symmetric_group_perms(2))
-        y = groups.act(act, 1, [np.array([[1.0]]), np.array([[2.0]])])
+        action = groups.permutation_action(s2, (1, 1), symmetric_group_perms(2))
+        y = act(action, 1, [np.array([[1.0]]), np.array([[2.0]])])
         assert y[0][0, 0] == 2.0 and y[1][0, 0] == 1.0
+
+    def test_act_refuses_wrong_shapes(self):
+        """genutil.act names a wrong number of factors and a wrong block
+        shape."""
+        action = groups.permutation_action(groups.cyclic_group(2), (1, 1), ((0, 1), (1, 0)))
+        with pytest.raises(ShapeMismatch, match="algebra element has wrong number of factors"):
+            act(action, 1, [np.eye(1)])
+        with pytest.raises(ShapeMismatch, match="factor 1 block has wrong shape"):
+            act(action, 1, [np.eye(1), np.eye(2)])
 
     def test_inner_act(self):
         z2 = groups.cyclic_group(2)
         u = np.array([[0, 1], [1, 0]], dtype=complex)
-        act = inner_action(z2, 2, [np.eye(2), u])
+        action = inner_action(z2, 2, [np.eye(2), u])
         x = [np.diag([1.0, 2.0]).astype(complex)]
-        y = groups.act(act, 1, x)
+        y = act(action, 1, x)
         assert np.allclose(y[0], u @ x[0] @ u.conj().T)
 
     def test_permutation_actions_are_shared(self):
@@ -470,6 +480,22 @@ class TestActionIdentity:
         close, far = action(sign * np.exp(1e-14j)), action(sign * np.exp(1e-3j))
         assert a._digest != close._digest and a._digest != far._digest
         assert a == close and a != far
+
+    def test_equality_reads_keys_and_unitaries(self):
+        """Raw-built actions with equal bytes are ==, as is a round-off-close
+        one; other perms are not, and a non-action compares unequal."""
+        z2 = groups.cyclic_group(2)
+        u = _reflection(np.array([1.0, 2.0, 0.5j]))
+        a = inner_action(z2, 3, [np.eye(3), u])
+        twin = inner_action(z2, 3, [np.eye(3), u.copy()])
+        assert a is not twin and a._digest == twin._digest and a == twin
+        close = inner_action(z2, 3, [np.eye(3), u + 1e-14 * rand_unitary(rng, 3)])
+        assert a._digest != close._digest and a == close
+        eye = np.eye(1)
+        swap = groups.AlgebraAction(z2, (1, 1), ((0, 1), (1, 0)), ((eye, eye),) * 2)
+        fixed = groups.AlgebraAction(z2, (1, 1), ((0, 1), (0, 1)), ((eye, eye),) * 2)
+        assert swap != fixed
+        assert (a == 3) is False and a.__eq__(3) is NotImplemented
 
     def test_key_decides_inequality(self):
         s2 = groups.symmetric_group(2)

@@ -3,10 +3,10 @@ by the library, the benchmark or the README, so that a name only the tests
 call lives with the tests (tests/genutil.py), not in the library.
 
 A name counts where the code of src/covgraphs or perfbench reads it (a
-call, an attribute, an import, a base class), where a string of
-src/covgraphs (a docstring, a message) names it as a word, or where
-README.md does.  The def or class statement itself does not count.
-cli.cmd_* are exempt: cli.main looks them up by name.
+call, an attribute, an import, a base class), or where README.md names it
+inside a code span.  A word of a docstring or message does not count, nor
+does the def or class statement itself.  cli.cmd_* are exempt: cli.main
+looks them up by name.
 
 A public method of a public class counts only where the code of
 src/covgraphs or perfbench reads it as an attribute; the tests read blocks
@@ -20,9 +20,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "covgraphs"
 
 
-def _names(tree, strings: bool) -> set:
-    """The names and attributes the code of tree reads, and with strings
-    the words of its string constants."""
+def _names(tree) -> set:
+    """The names and attributes the code of tree reads."""
     out = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -31,18 +30,23 @@ def _names(tree, strings: bool) -> set:
             out.add(node.attr)
         elif isinstance(node, ast.alias):
             out.add(node.name)
-        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.update(re.findall(r"\w+", node.value))
     return out
+
+
+def _readme_code_words() -> set:
+    """The words inside README.md's code spans and fenced blocks."""
+    text = (ROOT / "README.md").read_text()
+    spans = re.findall(r"```.*?```|`[^`\n]+`", text, re.S)
+    return {word for span in spans for word in re.findall(r"\w+", span)}
 
 
 def _unused_public_names() -> list:
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    used = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    used = _readme_code_words()
     for tree in trees.values():
-        used |= _names(tree, strings=True)
+        used |= _names(tree)
     for path in sorted((ROOT / "perfbench").glob("*.py")):
-        used |= _names(ast.parse(path.read_text()), strings=False)
+        used |= _names(ast.parse(path.read_text()))
     return [
         f"{module}.{node.name}"
         for module, tree in trees.items()

@@ -60,7 +60,6 @@ def test_bundle_raise_exits_2(case, tmp_path, capsys):
 
 Z2 = groups.cyclic_group(2)
 QUBIT, PAIR = systems.system((2,)), systems.classical_system(2)
-SWAP = groups.permutation_action(Z2, (1, 1), ((0, 1), (1, 0)))
 
 
 def _coding():
@@ -162,12 +161,6 @@ RAISES = {
     "groups.AlgebraAction identity perms": (
         lambda: _action(((1, 0), (0, 1)), {1: np.ones((2, 2, 1, 1))}, (1, 1)),
         ActionShapeMismatch, "identity element must fix the factor slots"),
-    "groups.act factors": (
-        lambda: groups.act(SWAP, 1, [np.eye(1)]),
-        ShapeMismatch, "algebra element has wrong number of factors"),
-    "groups.act block shape": (
-        lambda: groups.act(SWAP, 1, [np.eye(1), np.eye(2)]),
-        ShapeMismatch, "factor 1 block has wrong shape"),
     "classical.check_stochastic ndim": (
         lambda: classical.check_stochastic([0.5, 0.5]),
         ShapeMismatch, "stochastic matrix must be 2-dimensional"),

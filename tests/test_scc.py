@@ -10,6 +10,7 @@ from genutil import (
     choi_born,
     classical_source,
     complete_graph,
+    functional,
     loop_source_graph_blocks,
     loop_source_span_vectors,
     quantum_source,
@@ -69,8 +70,8 @@ class TestTensor:
         for _ in range(10):
             x = systems.random_element(a, rng)
             y = systems.random_element(b, rng)
-            lhs = systems.functional(ts.product, tensor_element(ts, x, y))
-            rhs = systems.functional(a, x) * systems.functional(b, y)
+            lhs = functional(ts.product, tensor_element(ts, x, y))
+            rhs = functional(a, x) * functional(b, y)
             assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
 
 

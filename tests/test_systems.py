@@ -5,13 +5,18 @@ from covgraphs import cpmaps, groups, relations, systems
 from covgraphs.errors import ActionShapeMismatch, ShapeMismatch
 
 from genutil import (
+    act,
     adjoint_element,
     element_from_coords,
+    functional,
     inner,
     inner_action,
+    multiply,
+    phi_basis,
     rand_channel,
     symmetric_group_perms,
     system_dimension,
+    zero,
 )
 
 rng = np.random.default_rng(303)
@@ -22,7 +27,7 @@ class TestSeparableStandard:
         sys = systems.classical_system(4)
         assert sys.weights == (1.0,) * 4
         x = [np.array([[v]]) for v in (0.1, 0.2, 0.3, 0.4)]
-        assert abs(systems.functional(sys, x) - 1.0) < 1e-12
+        assert abs(functional(sys, x) - 1.0) < 1e-12
 
     def test_matrix_factor_weight_solves_separability(self):
         # Oracle: m ∘ m†(x) = (d/w) x on a single factor, so separability
@@ -57,13 +62,13 @@ def _mmdag_scale(d, w):
         groups.trivial_action(groups.trivial_group(), (d,)),
         (w,),
     )
-    basis = systems.phi_basis(sys)
+    basis = phi_basis(sys)
     x = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))]
-    acc = sys.zero()
+    acc = zero(sys)
     for (_, _, _, a) in basis:
         for (_, _, _, b) in basis:
-            c = inner(sys, systems.multiply(sys, a, b), x)
-            ab = systems.multiply(sys, a, b)
+            c = inner(sys, multiply(sys, a, b), x)
+            ab = multiply(sys, a, b)
             acc = [t + c * s for t, s in zip(acc, ab)]
     ratios = acc[0] / x[0]
     return float(np.mean(ratios).real)
@@ -72,39 +77,39 @@ def _mmdag_scale(d, w):
 class TestFunctional:
     def test_probability_vector(self):
         sys = systems.classical_system(2)
-        assert abs(systems.functional(sys, [np.array([[0.3]]), np.array([[0.7]])]) - 1.0) < 1e-12
+        assert abs(functional(sys, [np.array([[0.3]]), np.array([[0.7]])]) - 1.0) < 1e-12
 
     def test_matrix_identity(self):
         sys = systems.system((2,))
-        assert abs(systems.functional(sys, sys.identity()) - 4.0) < 1e-12
+        assert abs(functional(sys, sys.identity()) - 4.0) < 1e-12
 
     def test_zero(self):
         sys = systems.system((2, 3))
-        assert systems.functional(sys, sys.zero()) == 0
+        assert functional(sys, zero(sys)) == 0
 
     def test_invariance(self):
         z2 = groups.cyclic_group(2)
-        act = inner_action(z2, 2, [np.eye(2), np.diag([1.0, -1.0])])
-        sys = systems.system((2,), act)
-        for (_, _, _, u) in systems.phi_basis(sys):
+        action = inner_action(z2, 2, [np.eye(2), np.diag([1.0, -1.0])])
+        sys = systems.system((2,), action)
+        for (_, _, _, u) in phi_basis(sys):
             for g in sys.group.elements:
-                lhs = systems.functional(sys, groups.act(sys.action, g, u))
-                assert abs(lhs - systems.functional(sys, u)) < 1e-12
+                lhs = functional(sys, act(sys.action, g, u))
+                assert abs(lhs - functional(sys, u)) < 1e-12
 
     def test_shape_mismatch(self):
         sys = systems.system((2,))
         with pytest.raises(ShapeMismatch):
-            systems.functional(sys, [np.eye(3)])
+            functional(sys, [np.eye(3)])
 
 
 class TestTraceEnd:
     def test_classical_identity(self):
         sys = systems.classical_system(5)
-        assert abs(systems.functional(sys, sys.identity()) - 5.0) < 1e-12
+        assert abs(functional(sys, sys.identity()) - 5.0) < 1e-12
 
     def test_matrix_identity(self):
         sys = systems.system((2,))
-        assert abs(systems.functional(sys, sys.identity()) - 4.0) < 1e-12
+        assert abs(functional(sys, sys.identity()) - 4.0) < 1e-12
 
     def test_system_dimension(self):
         sys = systems.system((2, 3, 1))
@@ -114,8 +119,8 @@ class TestTraceEnd:
         sys = systems.system((2, 1))
         for _ in range(10):
             x = systems.random_element(sys, rng)
-            psd = systems.multiply(sys, adjoint_element(sys, x), x)
-            val = systems.functional(sys, psd)
+            psd = multiply(sys, adjoint_element(sys, x), x)
+            val = functional(sys, psd)
             assert val.real > 0 and abs(val.imag) < 1e-12
 
     def test_tracial_per_factor(self):
@@ -123,8 +128,8 @@ class TestTraceEnd:
         for _ in range(10):
             x = systems.random_element(sys, rng)
             y = systems.random_element(sys, rng)
-            lhs = systems.functional(sys, systems.multiply(sys, x, y))
-            rhs = systems.functional(sys, systems.multiply(sys, y, x))
+            lhs = functional(sys, multiply(sys, x, y))
+            rhs = functional(sys, multiply(sys, y, x))
             assert abs(lhs - rhs) < 1e-9
 
 
@@ -162,7 +167,7 @@ def test_coords_roundtrip():
     with pytest.raises(ShapeMismatch, match="coordinate vector has wrong length"):
         element_from_coords(systems.system((2,)), np.zeros(3))
     # φ-orthonormality of the basis
-    basis = systems.phi_basis(sys)
+    basis = phi_basis(sys)
     for k, (_, _, _, u) in enumerate(basis[:6]):
         c = systems.coords(sys, u)
         expected = np.zeros(len(basis))

@@ -20,15 +20,24 @@ Complex scalars serialize as two-element arrays [re, im]; matrices as nested
 row lists of those.  Channels may also be given by "choi" blocks or, for
 commutative systems, by a plain real "stochastic" matrix.
 
-This module only parses.  A ragged or non-numeric matrix or a malformed
-"i,j" key raises BundleError naming the entry, and load_bundle prefixes it
-with the object it was building.  A map whose "i,j" keys are all two
-decimal numbers without leading zeros (so distinct keys are distinct pairs)
-and whose entries share one shape becomes a systems.KeyedStack: its pairs
-as one (k, 2) int array, parsed in one pass over the key text, and its
-entries as one array.  Any other map becomes a dict from factor pair to
-parsed entry, in entry order, a repeated pair keeping its last entry.  The
-owners check the rest:
+This module only parses.  Every number the document holds is read by one
+rule (_numbers): one np.asarray must give an integer or float array, so a
+string, null, object, ragged list or all-boolean array raises BundleError
+naming the entry.  Flat lists ("factors", "perms", "weights", the group's
+order, identity and rows) are first read entry by entry, refusing a bool
+and naming the first bad entry: an integer must fit int64, a weight be
+finite.  Known limit: numpy reads a bool mixed with numbers inside a
+nested matrix as 0 or 1; refusing it would need a walk over every leaf, a
+quarter or more of a load.  Names of other objects are looked up by one
+rule (_refs).  An unknown name or a malformed "i,j" key raises BundleError
+naming it, and load_bundle prefixes each with the object it was building.
+
+A map whose "i,j" keys are all two decimal numbers without leading zeros
+(so distinct keys are distinct pairs) and whose entries share one shape
+becomes a systems.KeyedStack: its pairs as one (k, 2) int array, parsed in
+one pass over the key text, and its entries as one array.  Any other map
+becomes a dict from factor pair to parsed entry, in entry order, a
+repeated pair keeping its last entry.  The owners check the rest:
 
   * systems.block_store (through CpMorphism and QuantumRelation) and
     cpmaps.from_kraus: finite entries, each block or map of its factor
@@ -36,8 +45,8 @@ owners check the rest:
     form (systems.located), naming the first failure in entry order;
   * CpMorphism: Choi blocks Hermitian PSD; QuantumRelation: projections;
   * FiniteGroup: a table of order x order, a Latin square, associative,
-    with its identity inside the group; group_from_json itself requires
-    integers.  Equal groups share one FiniteGroup (groups.shared_group);
+    with its identity inside the group.  Equal groups share one
+    FiniteGroup (groups.shared_group);
   * AlgebraAction: each element permutes factors of equal dimension with
     one family of finite unitaries, and the action is a homomorphism up to
     phase, naming the first failing unitary by (g, i); System: weights
@@ -46,8 +55,7 @@ owners check the rest:
     unitaries shares one action per group, dims, perms and the shape and
     bytes of every parsed unitary, across loads (groups.shared);
   * load_bundle: the document, its group, sections, objects, actions and
-    block maps are JSON objects, "factors" and "perms" lists of integers,
-    "weights" a list of finite numbers, a "tensor" two system names, and a
+    block maps are JSON objects, a "tensor" two system names, and a
     channel gives exactly one of "kraus", "choi" and "stochastic"; with a
     nontrivial group, every channel is covariant, and a graph declared
     "confusability" or "simple" is one, at load_bundle's tol.  The bundle
@@ -105,19 +113,45 @@ def matrix_from_json(data, name: str = "matrix") -> np.ndarray:
 
 
 def _parse(data, name: str, ndim: int) -> np.ndarray:
-    """JSON number arrays of ndim axes ending in [re, im] pairs, with one
-    np.asarray, as a complex array of ndim - 1 axes.  Ragged or non-numeric
-    data raise BundleError naming it."""
-    try:
-        a = np.asarray(data)
-    except ValueError as exc:
-        raise BundleError(f"malformed {name}: {exc}") from None
-    if a.size == 0 and a.ndim < ndim:
+    """JSON number arrays of ndim axes ending in [re, im] pairs (_numbers) as
+    a complex array of ndim - 1 axes; empty data of fewer axes as zeros of
+    its shape, for the owner to name."""
+    a = _numbers(data, name, ndim)
+    if a.ndim < ndim:
         return np.zeros(a.shape, dtype=complex)
-    if a.dtype.kind not in "biuf" or a.ndim != ndim or a.shape[-1] != 2:
-        raise BundleError(f"malformed {name}: expected numbers nested {ndim} deep, ending in "
-                          f"[re, im] pairs; got shape {a.shape} of {a.dtype}")
     return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
+
+
+# Flat lists: entry types, largest magnitude, and words naming a bad list and entry.
+_FLAT = {int: ((int, np.integer), np.inf, "integers", "an integer"),
+         float: ((int, float), sys.float_info.max, "numbers", "a finite number")}
+
+
+def _numbers(data, what: str, ndim: int | None = None, flat: type | None = None):
+    """The one numeric rule (module docstring): data as an integer or float
+    array, nested ndim deep and ending in [re, im] pairs when ndim is given
+    (or empty with fewer axes).  Given flat, int or float, data is a list
+    checked entry by entry and returned as a tuple of flat."""
+    if flat is not None:
+        kinds, top, plural, noun = _FLAT[flat]
+        if not isinstance(data, (list, tuple)):
+            raise BundleError(f"{what} must be a list of {plural}, not {type(data).__name__}")
+        for x in data:
+            if isinstance(x, bool) or not isinstance(x, kinds) or not abs(x) <= top:
+                raise BundleError(f"{what} entry {x!r} is not {noun}")
+            if flat is int and not -2 ** 63 <= x < 2 ** 63:
+                raise BundleError(f"{what} entry is outside the int64 range")
+    try:
+        a = np.asarray(data, dtype=flat)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise BundleError(f"malformed {what}: {exc}") from None
+    nested = (ndim is None or (a.ndim == ndim and a.shape[-1] == 2)
+              or (a.size == 0 and a.ndim < ndim))
+    if a.dtype.kind not in "iuf" or not nested:
+        deep = "" if ndim is None else f" nested {ndim} deep, ending in [re, im] pairs"
+        raise BundleError(f"malformed {what}: expected numbers{deep}; "
+                          f"got shape {a.shape} of {a.dtype}")
+    return a if flat is None else tuple(a.tolist())
 
 
 def _maps(data, name: str):
@@ -187,29 +221,15 @@ def _entries(data: dict, section: str):
 
 
 def group_from_json(data) -> FiniteGroup:
-    """The bundle's group; order, identity and table entries must be
-    integers.  Equal groups share one FiniteGroup (groups.shared_group)."""
+    """The bundle's group, its order, identity and table rows read as
+    integers (_numbers).  Equal groups share one FiniteGroup
+    (groups.shared_group)."""
     _object(data, "group")
     order, table, identity = data["order"], data["mult_table"], data.get("identity", 0)
     if not (isinstance(table, list) and all(isinstance(row, list) for row in table)):
         raise BundleError("group mult_table must be a list of rows")
-    order, identity = _integers((order, identity), "group")
-    return shared_group(order, tuple(_integers(row, "group") for row in table), identity)
-
-
-def _integers(entries, what: str) -> tuple:
-    """The entries as ints; an entry that is not an integer (a bool is
-    not) raises BundleError naming it, and one outside the int64 range a
-    BundleError naming ``what``."""
-    if not isinstance(entries, (list, tuple)):
-        raise BundleError(f"{what} must be a list of integers, not {type(entries).__name__}")
-    entries = tuple(entries)
-    for x in entries:
-        if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
-            raise BundleError(f"{what} entry {x!r} is not an integer")
-        if not -2 ** 63 <= x < 2 ** 63:
-            raise BundleError(f"{what} entry is outside the int64 range")
-    return tuple(map(int, entries))
+    order, identity = _numbers((order, identity), "group", flat=int)
+    return shared_group(order, tuple(_numbers(row, "group", flat=int) for row in table), identity)
 
 
 def system_to_json(sys: System) -> dict:
@@ -228,7 +248,7 @@ def system_to_json(sys: System) -> dict:
 
 
 def system_from_json(data, group: FiniteGroup) -> System:
-    dims = _integers(data["factors"], "factors")
+    dims = _numbers(data["factors"], "factors", flat=int)
     action_data = data.get("action")
     if action_data is None:
         action = trivial_action(group, dims)
@@ -237,7 +257,7 @@ def system_from_json(data, group: FiniteGroup) -> System:
         given_perms = _object(action_data.get("perms", {}), "perms")
         given_units = _object(action_data.get("unitaries", {}), "unitaries")
         perms = tuple(
-            _integers(given_perms[str(g)], "perms") if str(g) in given_perms
+            _numbers(given_perms[str(g)], "perms", flat=int) if str(g) in given_perms
             else tuple(range(len(dims)))
             for g in range(group.order)
         )
@@ -256,20 +276,8 @@ def system_from_json(data, group: FiniteGroup) -> System:
             exact.value = units
             action = _unitary_action(group, dims, perms, exact)
     weights = data.get("weights")
-    weights = dims if weights is None else _weights(weights)
+    weights = dims if weights is None else _numbers(weights, "weights", flat=float)
     return _shared_system(dims, weights, action)
-
-
-def _weights(entries) -> tuple:
-    """The entries as floats; an entry that is not a number (a bool is not)
-    or not a finite float raises BundleError naming it."""
-    if not isinstance(entries, list):
-        raise BundleError(f"weights must be a list of numbers, not {type(entries).__name__}")
-    for x in entries:
-        number = isinstance(x, (int, float)) and not isinstance(x, bool)
-        if not (number and abs(x) <= sys.float_info.max):
-            raise BundleError(f"weights entry {x!r} is not a finite number")
-    return tuple(map(float, entries))
 
 
 @shared
@@ -285,28 +293,29 @@ def _pair_key(i: int, j: int) -> str:
     return f"{i},{j}"
 
 
-def _parse_pair(key: str):
+def _parse_pair(key):
     try:
         i, j = key.split(",")
         return int(i), int(j)
-    except ValueError as exc:
+    except (AttributeError, ValueError) as exc:  # a key that is no str, or not two numbers
         raise BundleError(f"factor-pair key {key!r} must look like 'i,j'") from exc
 
 
-def channel_from_json(data, systems: dict) -> CpMorphism:
+def _refs(table: dict, spec: dict, fields: tuple, what: str) -> list:
+    """The objects of table that spec names under fields; a missing field or
+    an unknown name raises BundleError: what, then the name."""
     try:
-        src = systems[data["from"]]
-        tgt = systems[data["to"]]
+        return [table[spec[field]] for field in fields]
     except (KeyError, TypeError) as exc:
-        raise BundleError(f"channel references unknown system {exc}") from exc
+        raise BundleError(f"{what} {exc}") from exc
+
+
+def channel_from_json(data, systems: dict) -> CpMorphism:
+    src, tgt = _refs(systems, data, ("from", "to"), "channel references unknown system")
     if sum(kind in data for kind in ("kraus", "choi", "stochastic")) != 1:
         raise BundleError("channel needs exactly one of 'kraus', 'choi' or 'stochastic'")
     if "stochastic" in data:
-        try:
-            p = np.asarray(data["stochastic"], dtype=float)
-        except (OverflowError, TypeError, ValueError) as exc:
-            raise BundleError(f"malformed stochastic matrix: {exc}") from None
-        return embed_channel(p, src, tgt)
+        return embed_channel(_numbers(data["stochastic"], "stochastic matrix"), src, tgt)
     if "kraus" in data:
         entries = data["kraus"]
         return from_kraus(_pair_map(entries, "Kraus maps", _kraus_entry,
@@ -348,19 +357,12 @@ def _blocks_from_json(data, src: System, tgt: System, kind: str) -> dict:
 
 
 def relation_from_json(data, systems: dict) -> QuantumRelation:
-    try:
-        src = systems[data["source"]]
-        tgt = systems[data["target"]]
-    except (KeyError, TypeError) as exc:
-        raise BundleError(f"relation references unknown system {exc}") from exc
+    src, tgt = _refs(systems, data, ("source", "target"), "relation references unknown system")
     return QuantumRelation(src, tgt, _blocks_from_json(data, src, tgt, "relation"))
 
 
 def graph_from_json(data, systems: dict, tol: float) -> QuantumGraph:
-    try:
-        sys = systems[data["system"]]
-    except (KeyError, TypeError) as exc:
-        raise BundleError(f"graph references unknown system {exc}") from exc
+    (sys,) = _refs(systems, data, ("system",), "graph references unknown system")
     rel = QuantumRelation(sys, sys, _blocks_from_json(data, sys, sys, "graph"))
     g = QuantumGraph(sys, rel, tol)
     kind = data.get("kind")
@@ -454,13 +456,9 @@ def load_bundle(data: dict, tol: float = linalg.TOL_PROJ) -> SpecBundle:
 
     sources = {}
     for name, spec in _entries(data, "sources"):
-        try:
-            s_sys = systems[spec["s"]]
-            oa = systems[spec["oa"]]
-            ob = systems[spec["ob"]]
-            chan = channels[spec["channel"]]
-        except (KeyError, TypeError) as exc:
-            raise BundleError(f"source {name!r} references unknown object {exc}") from exc
+        unknown = f"source {name!r} references unknown object"
+        s_sys, oa, ob = _refs(systems, spec, ("s", "oa", "ob"), unknown)
+        (chan,) = _refs(channels, spec, ("channel",), unknown)
         sources[name] = Source(s_sys, oa, ob, chan, tol=tol)
         declared["sources"][name] = spec["s"], spec["oa"], spec["ob"]
 

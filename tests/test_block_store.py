@@ -823,6 +823,30 @@ def test_one_failure_rule():
     assert not offenders
 
 
+def test_one_numeric_rule_in_bundle():
+    """Every number a bundle document holds is read by bundle._numbers: in
+    bundle.py np.asarray is called only there and in the writer
+    matrix_to_json, and no except clause outside _numbers names
+    OverflowError."""
+    tree = ast.parse((pathlib.Path(covgraphs.__file__).parent / "bundle.py").read_text())
+
+    def inside(name):
+        return {id(node) for fn in ast.walk(tree)
+                if isinstance(fn, ast.FunctionDef) and fn.name == name for node in ast.walk(fn)}
+
+    numbers, writer = inside("_numbers"), inside("matrix_to_json")
+    offenders = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "asarray"
+                and id(node) not in numbers | writer):
+            offenders.append(f"np.asarray at line {node.lineno}")
+        if (isinstance(node, ast.ExceptHandler) and node.type is not None
+                and "OverflowError" in {getattr(n, "id", None) for n in ast.walk(node.type)}
+                and id(node) not in numbers):
+            offenders.append(f"except OverflowError at line {node.lineno}")
+    assert not offenders
+
+
 def test_bundle_only_parses():
     """bundle hands parsed keyed stacks and dicts to the owners of the block
     store and the actions, which group them by class: it names none of the

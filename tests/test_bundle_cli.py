@@ -287,6 +287,20 @@ MALFORMED = {
         "channel 'spread': malformed stochastic matrix"),
     "group entry past int64": (lambda d: d["group"]["mult_table"][0].__setitem__(0, 10 ** 400),
                                "group entry is outside the int64 range"),
+    "stochastic of strings": (lambda d: d["channels"]["mix"].update(stochastic=[["0.5"] * 2] * 2),
+                              "channel 'mix': malformed stochastic matrix"),
+    "stochastic of bools": (
+        lambda d: d["channels"]["mix"].update(stochastic=[[True, False], [False, True]]),
+        "channel 'mix': malformed stochastic matrix"),
+    "null in stochastic": (lambda d: d["channels"]["mix"]["stochastic"][0].__setitem__(0, None),
+                           "channel 'mix': malformed stochastic matrix"),
+    "Choi block of bools": (
+        lambda d: d["channels"].update(bools={"from": "A", "to": "A", "choi": {
+            "0,0": [[[True, False]]], "1,1": [[[True, False]]]}}),
+        "channel 'bools': malformed Choi block 0,0"),
+    "graph basis a number": (
+        lambda d: d["graphs"]["discrete_A"]["blocks"].update({"0,0": {"basis": 5}}),
+        "graph 'discrete_A': malformed graph block 0,0"),
 }
 
 

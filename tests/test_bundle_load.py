@@ -306,6 +306,26 @@ def test_keys_with_leading_zeros_are_not_keyed():
     assert bundle._parse_pairs(["0,0", "1,0", "10,20"]).tolist() == [[0, 0], [1, 0], [10, 20]]
 
 
+@pytest.mark.parametrize("path", ["keyed", "per-entry"])
+@pytest.mark.parametrize("where", ["graph", "kraus"])
+def test_key_that_is_no_str_is_refused_by_name(where, path, monkeypatch):
+    """JSON keys are strings, but a document built in Python may key a
+    factor pair by an int or a tuple: such a key raises BundleError like any
+    key that is not "i,j", on the keyed and the per-entry path alike."""
+    data = json.loads(DEMO.read_text())
+    if where == "graph":
+        data["graphs"]["discrete_A"]["blocks"] = {0: {"projection": ONE},
+                                                  "1,1": {"projection": ONE}}
+        named = "graph 'discrete_A': factor-pair key 0 must look like 'i,j'"
+    else:
+        data["channels"]["k"] = {"from": "A", "to": "A", "kraus": {(0, 0): [ONE], "1,1": [ONE]}}
+        named = "channel 'k': factor-pair key (0, 0) must look like 'i,j'"
+    if path == "per-entry":
+        monkeypatch.setattr(bundle, "_parse_pairs", lambda keys: None)
+    with pytest.raises(BundleError, match=re.escape(named)):
+        bundle.load_bundle(data)
+
+
 # -- the writer ----------------------------------------------------------
 
 def _json_bytes(obj) -> bytes:

@@ -225,6 +225,9 @@ def group_from_json(data) -> FiniteGroup:
     integers (_numbers).  Equal groups share one FiniteGroup
     (groups.shared_group)."""
     _object(data, "group")
+    for field in ("order", "mult_table"):
+        if field not in data:
+            raise BundleError(f"group needs {field!r}")
     order, table, identity = data["order"], data["mult_table"], data.get("identity", 0)
     if not (isinstance(table, list) and all(isinstance(row, list) for row in table)):
         raise BundleError("group mult_table must be a list of rows")
@@ -248,6 +251,8 @@ def system_to_json(sys: System) -> dict:
 
 
 def system_from_json(data, group: FiniteGroup) -> System:
+    if "factors" not in data:
+        raise BundleError("needs 'factors'")
     dims = _numbers(data["factors"], "factors", flat=int)
     action_data = data.get("action")
     if action_data is None:

@@ -2,9 +2,12 @@
 
 Every command reads one JSON bundle and prints a plain-text report to stdout;
 those that make a channel also write it as machine-readable JSON with -o,
-which check-hom does not take.  Exit codes: 0 success / property holds, 1
-property fails or a round trip misses tolerance, 2 input or reference
-errors, 3 internal theorem violation (never expected).
+which check-hom does not take.  A command returns its verdict: exit 0 when
+the property holds, 1 when it fails or a round trip misses tolerance.  Any
+other outcome is an exception, which main() alone maps to a code: 2 for an
+input error (a CovGraphsError that is not a TheoremViolation), 3 for a
+theorem violation or any other exception (never expected).  Argument errors
+exit 2 from argparse.
 """
 
 from __future__ import annotations
@@ -15,12 +18,7 @@ import sys
 
 from . import bundle as bundle_mod
 from . import cpmaps, graphs, groups, linalg, relations, scc
-from .errors import (
-    CovGraphsError,
-    NotConfusability,
-    NotValid,
-    TheoremViolation,
-)
+from .errors import CovGraphsError, TheoremViolation
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -31,18 +29,13 @@ EXIT_INTERNAL = 3
 def _load(path: str, tol: float):
     try:
         return bundle_mod.load_bundle_file(path, tol=tol)
-    except (OSError, ValueError, KeyError, CovGraphsError) as exc:
-        raise SystemExit(_fail(f"cannot load bundle: {exc}", EXIT_INPUT))
-
-
-def _fail(msg: str, code: int) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return code
+    except (OSError, ValueError, CovGraphsError) as exc:
+        raise CovGraphsError(f"cannot load bundle: {exc}") from exc
 
 
 def _get(table: dict, name: str, what: str):
     if name not in table:
-        raise SystemExit(_fail(f"unknown {what} {name!r}", EXIT_INPUT))
+        raise CovGraphsError(f"unknown {what} {name!r}")
     return table[name]
 
 
@@ -79,10 +72,7 @@ def cmd_analyze_channel(args) -> int:
 def cmd_graph_to_channel(args) -> int:
     b = _load(args.bundle, args.tol)
     g = _get(b.graphs, args.graph, "graph")
-    try:
-        f, env = graphs.realize_channel(g, tau=args.tau, tol=args.tol)
-    except NotConfusability as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    f, env = graphs.realize_channel(g, tau=args.tau, tol=args.tol)
     defect = relations.relation_defect(graphs.confusability_of(f).relation, g.relation)
     print(f"realized channel into environment of dimension {env.dims[0]}")
     print(f"round-trip defect: {defect:.3e}")
@@ -104,10 +94,7 @@ def cmd_check_hom(args) -> int:
     f = _get(b.channels, args.channel, "channel")
     ga = _get(b.graphs, args.source_graph, "graph")
     gb = _get(b.graphs, args.target_graph, "graph")
-    try:
-        failures = sorted(graphs.homomorphism_failures(f, ga, gb, args.tol))
-    except CovGraphsError as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    failures = sorted(graphs.homomorphism_failures(f, ga, gb, args.tol))
     print(f"homomorphism: {'false' if failures else 'true'}")
     for (i, j), defect in failures:
         print(f"witness block ({i},{j}): containment defect {defect:.3e}")
@@ -116,7 +103,7 @@ def cmd_check_hom(args) -> int:
 
 def cmd_scc_verify(args) -> int:
     if args.output and args.decoder is not None:
-        return _fail("-o writes a synthesized decoder, and a decoder was given", EXIT_INPUT)
+        raise CovGraphsError("-o writes a synthesized decoder, and a decoder was given")
     b = _load(args.bundle, args.tol)
     src = _get(b.sources, args.source, "source")
     n_chan = _get(b.channels, args.channel, "channel")
@@ -128,25 +115,18 @@ def cmd_scc_verify(args) -> int:
         legs = b.declared["channels"][args.channel][1], ob_name
         product = next((name for name, of in b.declared["systems"].items() if of == legs), None)
         if product is None:
-            return _fail("cannot write the decoder: declare its source B ⊗ O_B as a system "
-                         '{"tensor": ["%s", "%s"]}' % legs, EXIT_INPUT)
+            raise CovGraphsError("cannot write the decoder: declare its source B ⊗ O_B as a "
+                                 'system {"tensor": ["%s", "%s"]}' % legs)
         names = product, s_name
-    try:
-        if args.decoder is None:
-            d_chan = scc.decoder_for(e_chan, src, n_chan, args.tol)
-        elif scc.encoding_is_valid(e_chan, src, n_chan, args.tol):
-            d_chan = _get(b.channels, args.decoder, "decoder channel")
-        else:
-            raise NotValid("encoder is not a homomorphism")
-    except NotValid:
+    if not scc.encoding_is_valid(e_chan, src, n_chan, args.tol):
         print("scheme: invalid (encoder is not a homomorphism)")
         return EXIT_FALSE
-    except TheoremViolation as exc:
-        return _fail(str(exc), EXIT_INTERNAL)
-    except CovGraphsError as exc:
-        return _fail(str(exc), EXIT_INPUT)
     if args.decoder is None:
+        # Reads the verdict and composite just kept in the source's slot.
+        d_chan = scc.decoder_for(e_chan, src, n_chan, args.tol)
         print("decoder synthesized")
+    else:
+        d_chan = _get(b.channels, args.decoder, "decoder channel")
     ok = scc.verify_scheme(src, n_chan, e_chan, d_chan, args.tol)
     print(f"scheme: {'valid' if ok else 'invalid (decoder fails)'}")
     if ok and args.output:
@@ -239,12 +219,14 @@ def main(argv=None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else EXIT_INPUT
     except TheoremViolation as exc:
-        return _fail(str(exc), EXIT_INTERNAL)
+        code, msg = EXIT_INTERNAL, str(exc)
     except CovGraphsError as exc:
-        return _fail(str(exc), EXIT_INPUT)
+        code, msg = EXIT_INPUT, str(exc)
+    except Exception as exc:
+        code, msg = EXIT_INTERNAL, f"internal error: {type(exc).__name__}: {exc}"
+    print(f"error: {msg}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -398,7 +398,7 @@ class AlgebraAction:
         if self._key != other._key:
             return False
         return all(
-            np.allclose(stack, other._classes[d][1], atol=TOL_ROUNDOFF)
+            np.allclose(stack, other._classes[d][1], rtol=0, atol=TOL_ROUNDOFF)
             for d, (_, stack) in self._classes.items()
         )
 

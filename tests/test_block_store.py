@@ -847,6 +847,42 @@ def test_one_numeric_rule_in_bundle():
     assert not offenders
 
 
+def test_one_exit_rule_in_cli():
+    """cli.main alone maps an exception to an exit code.  No other function
+    of cli.py reads EXIT_INPUT or EXIT_INTERNAL, or has an except clause
+    naming TheoremViolation, CovGraphsError or Exception, but for _load's,
+    which re-raises as CovGraphsError; no SystemExit is raised; and every
+    return of a cmd_* function is EXIT_OK, EXIT_FALSE or a conditional of
+    the two."""
+    tree = ast.parse((pathlib.Path(covgraphs.__file__).parent / "cli.py").read_text())
+
+    def names(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+    def verdict(node):
+        if isinstance(node, ast.IfExp):
+            return verdict(node.body) and verdict(node.orelse)
+        return isinstance(node, ast.Name) and node.id in ("EXIT_OK", "EXIT_FALSE")
+
+    offenders = [f"raise SystemExit at line {node.lineno}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Raise) and "SystemExit" in names(node)]
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef) or fn.name == "main":
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and node.id in ("EXIT_INPUT", "EXIT_INTERNAL"):
+                offenders.append(f"{fn.name} reads {node.id} at line {node.lineno}")
+            if (isinstance(node, ast.ExceptHandler) and node.type is not None
+                    and names(node.type) & {"TheoremViolation", "CovGraphsError", "Exception"}
+                    and not (fn.name == "_load" and [type(n) for n in node.body] == [ast.Raise]
+                             and node.body[0].exc.func.id == "CovGraphsError")):
+                offenders.append(f"{fn.name} catches at line {node.lineno}")
+            if (fn.name.startswith("cmd_") and isinstance(node, ast.Return)
+                    and not verdict(node.value)):
+                offenders.append(f"{fn.name} returns at line {node.lineno}")
+    assert not offenders
+
+
 def test_bundle_only_parses():
     """bundle hands parsed keyed stacks and dicts to the owners of the block
     store and the actions, which group them by class: it names none of the

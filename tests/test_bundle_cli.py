@@ -221,6 +221,10 @@ def demo_bundle(tmp_path_factory):
             "dec": {"from": "BOB", "to": "S",
                     "stochastic": [[1.0, 1.0, 1.0, 1.0, 0.0, 1.0],
                                    [0.0, 0.0, 0.0, 0.0, 1.0, 0.0]]},
+            "bad_dec": {"from": "BOB", "to": "S",
+                        "stochastic": [[0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+                                       [1.0, 1.0, 1.0, 1.0, 0.0, 1.0]]},
+            "leak": {"from": "A", "to": "A", "kraus": {"0,0": [[[[1.0, 0.0]]]]}},
             "hadamard": {"from": "Q", "to": "Q",
                          "kraus": {"0,0": [[[[0.7071067811865476, 0.0],
                                              [0.7071067811865476, 0.0]],
@@ -301,7 +305,127 @@ MALFORMED = {
     "graph basis a number": (
         lambda d: d["graphs"]["discrete_A"]["blocks"].update({"0,0": {"basis": 5}}),
         "graph 'discrete_A': malformed graph block 0,0"),
+    "no factors": (lambda d: d["systems"]["A"].__delitem__("factors"),
+                   "system 'A': needs 'factors'"),
+    "no group order": (lambda d: d["group"].__delitem__("order"), "group needs 'order'"),
+    "no group table": (lambda d: d["group"].__delitem__("mult_table"),
+                       "group needs 'mult_table'"),
 }
+
+
+def _constant(value):
+    return lambda fn: lambda *args, **kwargs: value
+
+
+def _negated(fn):
+    return lambda *args, **kwargs: not fn(*args, **kwargs)
+
+
+def _raising(exc):
+    def wrap(fn):
+        def raise_(*args, **kwargs):
+            raise exc
+        return raise_
+    return wrap
+
+
+# The exit contract, one row per (command, outcome): argv, with BUNDLE, DEMO,
+# MISSING and OUT standing for the demo_bundle fixture, demo/bundle.json, a
+# path that does not exist and an output path; a library function replaced
+# for the run, as (module, name, wrapper of the original), or None; the exit
+# code; lines stdout must hold, each as the start of one of its lines; and the
+# prefix of stderr ("" for none).
+EXIT_CONTRACT = {
+    "analyze-channel reversible, reverse written": (
+        ["analyze-channel", "BUNDLE", "inj", "--emit-reverse", "-o", "OUT"], None, 0,
+        ["is channel: yes", "reversible: yes", "reverse channel written to OUT"], ""),
+    "analyze-channel reversible, no -o": (
+        ["analyze-channel", "BUNDLE", "inj", "--emit-reverse"], None, 0,
+        ["reversible: yes", "reverse channel computed (use -o to write it)"], ""),
+    "analyze-channel not reversible": (
+        ["analyze-channel", "BUNDLE", "merge"], None, 0, ["reversible: no"], ""),
+    "analyze-channel not a channel": (
+        ["analyze-channel", "BUNDLE", "leak"], None, 0,
+        ["is channel: no", "reversible: n/a (not a channel)"], ""),
+    "analyze-channel unknown channel": (
+        ["analyze-channel", "BUNDLE", "nope"], None, 2, [], "error: unknown channel 'nope'"),
+    "analyze-channel unreadable bundle": (
+        ["analyze-channel", "MISSING", "inj"], None, 2, [], "error: cannot load bundle: "),
+    "graph-to-channel realized": (
+        ["graph-to-channel", "BUNDLE", "dA", "-o", "OUT"], None, 0,
+        ["round-trip defect: 0.000e+00", "written to OUT"], ""),
+    "graph-to-channel not a confusability graph": (
+        ["graph-to-channel", "BUNDLE", "sA"], None, 2, [],
+        "error: realize_channel needs a confusability graph"),
+    "graph-to-channel round trip failed": (
+        ["graph-to-channel", "BUNDLE", "dA"], (relations, "relation_defect", _constant(1.0)), 1,
+        ["round-trip defect: 1.000e+00", "round trip FAILED tolerance"], ""),
+    "check-hom true": (
+        ["check-hom", "BUNDLE", "inj", "kA", "kB"], None, 0, ["homomorphism: true"], ""),
+    "check-hom false": (
+        ["check-hom", "BUNDLE", "merge", "dA", "kB"], None, 1,
+        ["homomorphism: false", "witness block (0,1): containment defect 1.000e+00",
+         "witness block (1,0): containment defect 1.000e+00"], ""),
+    "check-hom systems do not match": (
+        ["check-hom", "BUNDLE", "inj", "kB", "kA"], None, 2, [],
+        "error: homomorphism check: systems do not match"),
+    "scc-verify synthesized, valid": (
+        ["scc-verify", "BUNDLE", "csrc", "inj", "enc", "-o", "OUT"], None, 0,
+        ["decoder synthesized", "scheme: valid", "decoder written to OUT"], ""),
+    "scc-verify given, valid": (
+        ["scc-verify", "BUNDLE", "csrc", "inj", "enc", "dec"], None, 0, ["scheme: valid"], ""),
+    "scc-verify given, invalid encoder": (
+        ["scc-verify", "BUNDLE", "csrc", "merge", "enc", "dec"], None, 1,
+        ["scheme: invalid (encoder is not a homomorphism)"], ""),
+    "scc-verify synthesized, invalid encoder": (
+        ["scc-verify", "BUNDLE", "csrc", "merge", "enc"], None, 1,
+        ["scheme: invalid (encoder is not a homomorphism)"], ""),
+    "scc-verify given, decoder fails": (
+        ["scc-verify", "BUNDLE", "csrc", "inj", "enc", "bad_dec"], None, 1,
+        ["scheme: invalid (decoder fails)"], ""),
+    "scc-verify wrong-typed decoder": (
+        ["scc-verify", "BUNDLE", "csrc", "inj", "enc", "inj"], None, 2, [],
+        "error: decoder must map B ⊗ O_B to S"),
+    "scc-verify -o with a decoder given": (
+        ["scc-verify", "BUNDLE", "csrc", "inj", "enc", "dec", "-o", "OUT"], None, 2, [],
+        "error: -o writes a synthesized decoder, and a decoder was given"),
+    "scc-verify -o without the declared product": (
+        ["scc-verify", "DEMO", "copy", "spread", "encode", "-o", "OUT"], None, 2, [],
+        "error: cannot write the decoder: declare its source B ⊗ O_B"),
+    "scc-verify theorem violation": (
+        ["scc-verify", "BUNDLE", "csrc", "inj", "enc"], (scc, "is_homomorphism", _negated), 3,
+        [], "error: homomorphism test (False) and composite reversibility (True) disagree"),
+    "twirl covariant": (
+        ["twirl", "BUNDLE", "inj", "-o", "OUT"], None, 0,
+        ["twirled over group of order 1", "covariant: yes", "written to OUT"], ""),
+    "any command internal error": (
+        ["twirl", "BUNDLE", "inj", "-o", "OUT"],
+        (groups, "twirl_cp", _raising(RuntimeError("injected"))), 3, [],
+        "error: internal error: RuntimeError: injected"),
+}
+
+
+@pytest.mark.parametrize("case", EXIT_CONTRACT)
+def test_exit_contract(case, demo_bundle, tmp_path, monkeypatch, capsys):
+    """A command returns 0 or 1, its verdict; main() maps an input error to
+    2 and a theorem violation or any other exception to 3."""
+    argv, patch, code, lines, err_prefix = EXIT_CONTRACT[case]
+    out = tmp_path / "out.json"
+    paths = {"BUNDLE": demo_bundle, "DEMO": str(DEMO), "MISSING": str(tmp_path / "missing.json"),
+             "OUT": str(out)}
+    if patch is not None:
+        module, name, wrap = patch
+        monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    assert cli.main([paths.get(a, a) for a in argv]) == code
+    got = capsys.readouterr()
+    stdout = got.out.splitlines()
+    for line in lines:
+        line = line.replace("OUT", str(out))
+        assert any(s.startswith(line) for s in stdout), (line, got.out)
+    assert got.err.startswith(err_prefix) and bool(got.err) == bool(err_prefix), got.err
+    if code >= 2:
+        assert got.out == ""
+    assert out.exists() == (code == 0 and "-o" in argv)
 
 
 class TestCli:

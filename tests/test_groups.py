@@ -466,6 +466,23 @@ class TestActionIdentity:
         far = inner_action(z2, 3, [np.eye(3), _reflection(np.ones(3, dtype=complex))])
         assert a != far
 
+    def test_equality_has_no_relative_slack(self):
+        """== allows TOL_ROUNDOFF per entry and nothing relative: a Hadamard
+        reflection conjugated by a 1e-6 rotation (1.4e-6 away) gives another
+        action and another system, one conjugated by a 1e-13 rotation the
+        same."""
+        z2 = groups.cyclic_group(2)
+        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+
+        def rotated(theta):
+            r = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+            return inner_action(z2, 2, [np.eye(2), r @ h @ r.T])
+
+        a, far, near = rotated(0.0), rotated(1e-6), rotated(1e-13)
+        assert np.abs(far.unitaries[1][0] - h).max() > 1e-6
+        assert a != far and systems.system((2,), a) != systems.system((2,), far)
+        assert a == near and systems.system((2,), a) == systems.system((2,), near)
+
     def test_two_classes_compared_by_stack(self):
         """Equal keys, different digests: the second class decides."""
         z2 = groups.cyclic_group(2)

@@ -8,7 +8,8 @@ rescaling.
 
 import numpy as np
 
-from covgraphs import cpmaps, graphs, relations
+from covgraphs import cpmaps, graphs, groups, relations, scc, systems
+from covgraphs.classical import embed_channel
 
 from genutil import (
     assert_graph_symmetric,
@@ -16,11 +17,14 @@ from genutil import (
     held,
     kl_reversible,
     rand_channel,
+    rand_conf_graph,
     rand_nonreversible_channel,
     rand_over_count_channels,
     rand_reversible_channel,
+    rand_stochastic,
     rand_system,
     rand_unitary,
+    symmetric_group_perms,
 )
 
 
@@ -87,3 +91,53 @@ def test_verdicts_invariant_under_basis_change():
             assert cpmaps.cp_norm_diff(back, cpmaps.identity_channel(g.source)) <= 1e-7, n
         for c in (1e-3, 7.5):
             assert _ranks(cpmaps.add(f, f, c, 0.0)) == ranks, (n, c)
+
+
+def _tolerance_cases(seed):
+    """(what, decide(tol), verdict known by construction or None) of one
+    seed: the reversible and non-reversible channels of genutil, a classical
+    4-point homomorphism test, coding schemes on source_from_graph sources
+    with 3-point classical and (2,) quantum O_A, and a C2-twirled 2-point
+    channel, as it is and moved 1e-3 towards a constant channel."""
+    rng = np.random.default_rng(seed)
+    for kind, f in (("reversible", rand_reversible_channel(rng)),
+                    ("non-reversible", rand_nonreversible_channel(rng))):
+        yield f"{kind} is_channel", lambda tol, f=f: cpmaps.is_channel(f, tol), True
+        yield (f"{kind} is_reversible", lambda tol, f=f: graphs.is_reversible(f, tol),
+               kind == "reversible")
+
+    def sparse(sys, n):
+        return embed_channel(rand_stochastic(rng, n, n, zeros=0.6), sys, sys)
+
+    c4 = systems.classical_system(4)
+    f = sparse(c4, 4)
+    ga, gb = (graphs.confusability_of(sparse(c4, 4)) for _ in range(2))
+    yield "classical is_homomorphism", lambda tol: graphs.is_homomorphism(f, ga, gb, tol), None
+    c3, q2 = systems.classical_system(3), systems.system((2,))
+    for oa, g, n_chan in ((c3, graphs.confusability_of(sparse(c3, 3)), sparse(c3, 3)),
+                          (q2, rand_conf_graph(rng, q2), rand_channel(rng, q2, q2, 1 + seed % 2))):
+        src, e_chan = scc.source_from_graph(g), cpmaps.identity_channel(oa)
+        yield (f"encoding_is_valid on {oa.dims}",
+               lambda tol, a=(e_chan, src, n_chan): scc.encoding_is_valid(*a, tol), None)
+    s2 = groups.symmetric_group(2)
+    pair = systems.classical_system(2, groups.permutation_action(s2, (1, 1),
+                                                                  symmetric_group_perms(2)))
+    t = groups.twirl_cp(embed_channel(rand_stochastic(rng, 2, 2), pair, pair))
+    moved = cpmaps.add(t, embed_channel(np.array([[1.0, 1.0], [0.0, 0.0]]), pair, pair),
+                       1 - 1e-3, 1e-3)
+    yield "twirled is_covariant_cp", lambda tol: groups.is_covariant_cp(t, tol), True
+    yield "moved is_covariant_cp", lambda tol: groups.is_covariant_cp(moved, tol), False
+
+
+def test_verdicts_stable_across_tolerance_decades():
+    """Seeds 0-19, fixed in advance: each verdict is the same at tol 1e-10,
+    1e-8 and 1e-6, and the one known by construction where there is one.  A
+    verdict that flips is a finding for the library, not for this test."""
+    verdicts = []
+    for seed in range(20):
+        for what, decide, known in _tolerance_cases(seed):
+            got = [decide(tol) for tol in (1e-10, 1e-8, 1e-6)]
+            assert len(set(got)) == 1, (seed, what, got)
+            assert known is None or got[0] == known, (seed, what)
+            verdicts.append(got[0])
+    assert len(verdicts) == 180

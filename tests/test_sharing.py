@@ -127,6 +127,9 @@ MALFORMED_GROUPS = {
                    BundleError, "True is not an integer"),
     "row not a list": ({"order": 2, "mult_table": [[0, 1], 1], "identity": 0},
                        BundleError, "list of rows"),
+    "no order": ({"mult_table": [[0, 1], [1, 0]], "identity": 0},
+                 BundleError, "group needs 'order'"),
+    "no table": ({"order": 2, "identity": 0}, BundleError, "group needs 'mult_table'"),
 }
 
 

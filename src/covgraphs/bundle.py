@@ -30,7 +30,7 @@ finite.  Known limit: numpy reads a bool mixed with numbers inside a
 nested matrix as 0 or 1; refusing it would need a walk over every leaf, a
 quarter or more of a load.  Names of other objects are looked up by one
 rule (_refs).  An unknown name or a malformed "i,j" key raises BundleError
-naming it, and load_bundle prefixes each with the object it was building.
+naming it, and load_bundle prefixes every error with the object it built.
 
 A map whose "i,j" keys are all two decimal numbers without leading zeros
 (so distinct keys are distinct pairs) and whose entries share one shape
@@ -43,7 +43,8 @@ repeated pair keeping its last entry.  The owners check the rest:
     cpmaps.from_kraus: finite entries, each block or map of its factor
     pair's shape and pairs inside the layout, once per class for either
     form (systems.located), naming the first failure in entry order;
-  * CpMorphism: Choi blocks Hermitian PSD; QuantumRelation: projections;
+  * CpMorphism: Choi blocks Hermitian, and PSD by the cut every reader
+    reads; QuantumRelation: projections; QuantumGraph: symmetric;
   * FiniteGroup: a table of order x order, a Latin square, associative,
     with its identity inside the group.  Equal groups share one
     FiniteGroup (groups.shared_group);
@@ -369,7 +370,7 @@ def relation_from_json(data, systems: dict) -> QuantumRelation:
 def graph_from_json(data, systems: dict, tol: float) -> QuantumGraph:
     (sys,) = _refs(systems, data, ("system",), "graph references unknown system")
     rel = QuantumRelation(sys, sys, _blocks_from_json(data, sys, sys, "graph"))
-    g = QuantumGraph(sys, rel, tol)
+    g = QuantumGraph(sys, rel)
     kind = data.get("kind")
     if kind is not None:
         flags = classify(g, tol)
@@ -401,11 +402,11 @@ class SpecBundle:
 
 
 def _named(kind: str, name: str, build, *args):
-    """build(*args), with a BundleError prefixed by the object it was building."""
+    """build(*args), a CovGraphsError re-raised as its type, prefixed by the object built."""
     try:
         return build(*args)
-    except BundleError as exc:
-        raise BundleError(f"{kind} {name!r}: {exc}") from exc.__cause__
+    except CovGraphsError as exc:
+        raise type(exc)(f"{kind} {name!r}: {exc}") from exc.__cause__
 
 
 def load_bundle(data: dict, tol: float = linalg.TOL_PROJ) -> SpecBundle:
@@ -464,7 +465,7 @@ def load_bundle(data: dict, tol: float = linalg.TOL_PROJ) -> SpecBundle:
         unknown = f"source {name!r} references unknown object"
         s_sys, oa, ob = _refs(systems, spec, ("s", "oa", "ob"), unknown)
         (chan,) = _refs(channels, spec, ("channel",), unknown)
-        sources[name] = Source(s_sys, oa, ob, chan, tol=tol)
+        sources[name] = _named("source", name, Source, s_sys, oa, ob, chan, tol)
         declared["sources"][name] = spec["s"], spec["oa"], spec["ob"]
 
     return SpecBundle(group, systems, channels, graphs, sources, relations, declared)

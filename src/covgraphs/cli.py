@@ -3,11 +3,11 @@
 Every command reads one JSON bundle and prints a plain-text report to stdout;
 those that make a channel also write it as machine-readable JSON with -o,
 which check-hom does not take.  A command returns its verdict: exit 0 when
-the property holds, 1 when it fails or a round trip misses tolerance.  Any
-other outcome is an exception, which main() alone maps to a code: 2 for an
-input error (a CovGraphsError that is not a TheoremViolation), 3 for a
-theorem violation or any other exception (never expected).  Argument errors
-exit 2 from argparse.
+the property holds, 1 when it fails or a round trip misses tolerance at the
+default --tau.  Any other outcome is an exception, which main() alone maps
+to a code: 2 for an input error (a CovGraphsError that is not a
+TheoremViolation, such as a given --tau that misses), 3 for a theorem
+violation or any other exception (never expected).  Argument errors exit 2.
 """
 
 from __future__ import annotations
@@ -74,6 +74,9 @@ def cmd_graph_to_channel(args) -> int:
     g = _get(b.graphs, args.graph, "graph")
     f, env = graphs.realize_channel(g, tau=args.tau, tol=args.tol)
     defect = relations.relation_defect(graphs.confusability_of(f).relation, g.relation)
+    if args.tau is not None and defect > linalg.TOL_ROUNDTRIP:
+        raise CovGraphsError(f"--tau {args.tau:g}: its channel does not read the graph back "
+                             f"(round-trip defect {defect:.3e})")
     print(f"realized channel into environment of dimension {env.dims[0]}")
     print(f"round-trip defect: {defect:.3e}")
     if args.output:
@@ -172,8 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=_tolerance, default=linalg.TOL_PROJ,
                        help="projection tolerance, finite 0 < tol < 1 (default 1e-8), of "
                             "containment (leq), the channel, covariance, reversibility and "
-                            "decoder tests and the source-graph span cut; spectral cuts stay "
-                            "at TOL_SPEC (1e-9)")
+                            "decoder tests and the source-graph span cut; spectral cuts stay at "
+                            "TOL_SPEC (1e-9), and graph symmetry at 100 * TOL_PROJ (1e-6)")
         if writes:
             p.add_argument("-o", "--output", default=None, help="write JSON output here")
 
@@ -186,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph-to-channel", help="realize a confusability graph by a channel")
     common(p)
     p.add_argument("graph")
-    p.add_argument("--tau", type=float, default=None, help="blend parameter in (0,1]")
+    p.add_argument("--tau", type=float, default=None,
+                   help="blend parameter in (0,1]; exit 2 if its channel misses the graph")
 
     p = sub.add_parser("check-hom", help="graph homomorphism test for a channel")
     common(p, writes=False)

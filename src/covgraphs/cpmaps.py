@@ -30,11 +30,11 @@ maps, in key order; a pair without maps is absent:
     family on the first call of kraus(), views of the stacks;
   * a morphism born as Choi blocks (bundle "choi" input, dagger, channelize,
     add, twirls, reverse channels) gets the minimal to_kraus family of its
-    blocks on first use, from the one cut of each class (CpMorphism.cuts),
+    blocks on first use, from the one cut of each class (CpMorphism.cut),
     which its support reads too;
   * a factor pair given more Kraus maps than its block dimension d_i e_j
-    holds its to_kraus maps instead, read off the kept cuts, so families
-    do not grow along chains of compositions.
+    holds its to_kraus maps instead, read off the kept cut of its own
+    class, so families do not grow along chains of compositions.
 
 The held family need not be minimal or canonical; to_kraus always is: one
 map per eigenpair that linalg.spectral_cut keeps, at every block size.
@@ -44,9 +44,10 @@ Choi marginal (is_channel) or its reshape into basis images (basis_images).
 What a morphism derives without a tolerance is kept on it (groups.kept).
 
 The input's type is the one trust rule (see systems): Choi blocks given as a
-dict or a KeyedStack are scanned, shape-checked and PSD-checked, a BlockStore
-is the library's own and taken as it is, and every Kraus family, whoever
-built it, goes through from_kraus, which scans and shape-checks it.
+dict or a KeyedStack are scanned, shape-checked, and PSD-checked by the kept
+cut every later reader reads (CpMorphism.cut), a BlockStore is the
+library's own and taken as it is, and every Kraus family, whoever built it,
+goes through from_kraus, which scans and shape-checks it.
 
 Channels preserve the separable standard functional: for every source factor
 i, Σ_{j,k} w_j M_ijk† M_ijk = w_i I.
@@ -66,7 +67,7 @@ from .errors import (
     SystemMismatch,
 )
 from .groups import kept, shared
-from .linalg import FUNCTIONAL_SLACK, TOL_PROJ, TOL_SPEC, VALIDATE_SLACK
+from .linalg import FUNCTIONAL_SLACK, TOL_PROJ, VALIDATE_SLACK
 from .systems import (
     BlockStore,
     System,
@@ -90,7 +91,7 @@ class CpMorphism:
 
     What it derives without a tolerance is kept on it (groups.kept): norm,
     cuts, kraus, support, confusability graph and defects.  A negative cut
-    is kept too, and every reader raises on it again.
+    is kept too, and every reader raises on it again (_psd_cut).
     """
 
     def __init__(self, source: System, target: System, blocks):
@@ -108,23 +109,23 @@ class CpMorphism:
         return cls(source, target, BlockStore.stacked(source, target, parts))
 
     def _check_psd(self):
-        """Every block Hermitian and PSD within the validator slack: one
-        Frobenius defect and one batched eigvalsh per class; the first failing
-        block in key order raises."""
+        """Every block Hermitian within the validator slack, one Frobenius
+        defect per class, and PSD by the cut of its class, as every reader
+        reads it (_psd_cut); the first failing block in key order raises."""
         scale = max(1.0, self.norm())
-        skew, low = [], []
-        for _, stack in self.blocks.classes():
-            skew.append(linalg.frobs(stack - stack.conj().swapaxes(1, 2)))
-            low.append(np.linalg.eigvalsh(linalg.hermitize(stack))[:, 0])
-        skew, low = self.blocks.keyed(skew), self.blocks.keyed(low)
+        lay = self.blocks.layout
+        skew = self.blocks.keyed(linalg.frobs(stack - stack.conj().swapaxes(1, 2))
+                                 for _, stack in self.blocks.classes())
+        neg = self.blocks.keyed(np.isin(np.arange(cut.size), cut.live[cut.neg])
+                                for cut in map(self.cut, range(len(lay.classes))))
         not_herm = skew > VALIDATE_SLACK * TOL_PROJ * scale
-        bad = np.flatnonzero(not_herm | (low < -VALIDATE_SLACK * TOL_SPEC * scale))
+        bad = np.flatnonzero(not_herm | (neg > 0))
         if bad.size:
-            b = bad[0]
-            key = self.blocks.layout.keys[b]
-            if not_herm[b]:
+            key = lay.keys[bad[0]]
+            if not_herm[bad[0]]:
                 raise ShapeMismatch(f"Choi block {key} is not Hermitian")
-            raise NegativeSpectrum(f"Choi block {key}: eigenvalue {low[b]:.3e}")
+            c = lay.where[key][0]
+            _psd_cut(lay.classes[c].keys, self.cut(c))
 
     @kept
     def norm(self) -> float:
@@ -132,13 +133,12 @@ class CpMorphism:
         return max(float(linalg.frobs(stack).max()) for _, stack in self.blocks.classes())
 
     @kept
-    def cuts(self) -> tuple:
-        """linalg.spectral_cut of the Hermitian part of each class stack, in
-        class order: the one cut that to_kraus reads, for the held family of
-        a Choi-born morphism and the over-count pairs of a Kraus-born one,
-        and that relations.support_of reads for a Choi-born morphism."""
-        return tuple(linalg.spectral_cut(linalg.hermitize(stack))
-                     for _, stack in self.blocks.classes())
+    def cut(self, c: int) -> linalg.Cut:
+        """linalg.spectral_cut of the Hermitian part of class c's stack: the
+        one cut of the class that the PSD check at construction, to_kraus
+        (held family or over-count pairs) and relations.support_of of a
+        Choi-born morphism read, each through _psd_cut."""
+        return linalg.spectral_cut(linalg.hermitize(self.blocks.stack(c)))
 
     @kept
     def kraus(self):
@@ -151,16 +151,24 @@ class CpMorphism:
                                 else _stacked_kraus(self))
 
 
+def _psd_cut(keys, cut: linalg.Cut) -> linalg.Cut:
+    """cut, the linalg.Cut of Choi blocks of the factor pairs ``keys``, as
+    every reader reads it: the first negative block raises NegativeSpectrum
+    naming its pair and least eigenvalue."""
+    if cut.neg.any():
+        s = int(cut.neg.argmax())
+        raise NegativeSpectrum(f"Choi block {keys[cut.live[s]]}: eigenvalue {cut.w[s, -1]:.3e}")
+    return cut
+
+
 def _block_kraus(keys, cut: linalg.Cut, d: int, e: int) -> dict:
     """Minimal Kraus maps of the linalg.Cut of a stack of Choi blocks of the
     factor pairs ``keys``, all d e x d e: one map per eigenpair the cut
     keeps (a 1x1 block c: √c iff Re c > 0).  A block whose cut is negative
-    raises NegativeSpectrum.  Each pair that keeps a map gets a tuple of
+    raises (_psd_cut).  Each pair that keeps a map gets a tuple of
     read-only, C-contiguous e x d maps, all rows of one stack, in the order
     of ``keys``; a pair that keeps none is absent."""
-    if cut.neg.any():
-        s = int(cut.neg.argmax())
-        raise NegativeSpectrum(f"block {keys[cut.live[s]]} has eigenvalue {cut.w[s, -1]:.3e}")
+    _psd_cut(keys, cut)
     r = int(cut.rank.max(initial=0))
     # Map k is unvec(√w_k v_k)† = conj(√w_k v_k) read row-major as e x d.
     roots = np.sqrt(np.maximum(cut.w[:, None, :r], 0.0))
@@ -231,31 +239,29 @@ def _choi_blocks(maps: np.ndarray) -> np.ndarray:
 def _stacked_kraus(f: CpMorphism) -> dict:
     """Held family of a morphism born from Kraus maps: read-only views of
     kraus_stacks, each pair with maps in key order; a pair with more maps
-    than d_i e_j holds its to_kraus maps instead, read off the kept cuts."""
+    than d_i e_j holds the to_kraus maps of its own class's cut instead."""
     lay = f.blocks.layout
-    held, over = {}, []
+    held = {}
     for c, slots, maps in f.kraus_stacks:
         klass = lay.classes[c]
         count = maps.shape[1]
         keys = [klass.keys[s] for s in slots.tolist()]
         if count > klass.n:
-            over += keys
+            minimal = _block_kraus(klass.keys, f.cut(c), *klass.dims)
+            held.update((key, minimal[key]) for key in keys if key in minimal)
         else:
             # Consecutive runs of count views: the maps of each pair.
             held.update(zip(keys, zip(*[iter(list(maps.reshape((-1,) + maps.shape[2:])))] * count)))
-    if over:
-        minimal = to_kraus(f)
-        held.update((key, minimal[key]) for key in over if key in minimal)
     return {key: held[key] for key in sorted(held)}
 
 
 def to_kraus(f: CpMorphism) -> dict:
     """Minimal Kraus family: one read-only map per retained eigenpair of each
     block, as a tuple per factor pair that keeps one, in key order, read off
-    the cuts f keeps; a pair that keeps none is absent."""
+    the cut f keeps of each class; a pair that keeps none is absent."""
     kraus = {}
-    for klass, cut in zip(f.blocks.layout.classes, f.cuts()):
-        kraus.update(_block_kraus(klass.keys, cut, *klass.dims))
+    for c, klass in enumerate(f.blocks.layout.classes):
+        kraus.update(_block_kraus(klass.keys, f.cut(c), *klass.dims))
     return {key: kraus[key] for key in sorted(kraus)}
 
 

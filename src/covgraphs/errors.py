@@ -33,10 +33,6 @@ class SystemMismatch(CovGraphsError):
     pass
 
 
-class CharacterizationMismatch(CovGraphsError):
-    """Provably-equivalent criteria disagreed numerically; signals a bug."""
-
-
 class NoChannel(CovGraphsError):
     pass
 
@@ -63,6 +59,10 @@ class SourceInvalid(CovGraphsError):
 
 class TheoremViolation(CovGraphsError):
     """Two independently computed sides of a theorem disagreed; signals a bug."""
+
+
+class CharacterizationMismatch(TheoremViolation):
+    """Provably-equivalent criteria disagreed numerically; signals a bug."""
 
 
 class NotValid(CovGraphsError):

@@ -41,17 +41,17 @@ from .systems import BlockStore, System, basis_offset, system, total_matrix_dim
 
 
 class QuantumGraph:
-    """Symmetric quantum relation on a single system.  Symmetry does not show
-    in a relation's type, so ``validate`` stays: False for a relation the
+    """Symmetric quantum relation on a single system, at most VALIDATE_SLACK *
+    TOL_PROJ from its converse at any tol.  Symmetry does not show in a
+    relation's type, so ``validate`` stays: False for a relation the
     library built symmetric, whose converse need not be formed to check it."""
 
-    def __init__(self, sys: System, relation: QuantumRelation, tol: float = TOL_PROJ,
-                 validate: bool = True):
+    def __init__(self, sys: System, relation: QuantumRelation, validate: bool = True):
         if relation.source != sys or relation.target != sys:
             raise SystemMismatch("graph relation must live on the given system")
         if validate:
             defect = relation_defect(relation, converse(relation))
-            if defect > VALIDATE_SLACK * tol:
+            if defect > VALIDATE_SLACK * TOL_PROJ:
                 raise ShapeMismatch(f"graph relation is not symmetric (defect {defect:.2e})")
         self.system = sys
         self.relation = relation

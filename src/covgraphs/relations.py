@@ -9,11 +9,12 @@ vectorized operators a_r whose span the block projects onto.
 
 Frames come from the kernel that made the block.  support_of keeps the
 left singular vectors of the vec(M†) stack of the maps a Kraus-born
-morphism stores, and the eigenvectors of the support cut of a Choi-born
-one; compose keeps the left singular vectors of its span, and so does
-the confusability graph, which is ℜ(f)† ∘ ℜ(f) as compose spans it,
-symmetric by construction up to round-off; converse maps each frame by
-a -> a†, and discrete and complete have closed forms.  Where the kernel
+morphism stores, and the eigenvectors of the kept cut of a Choi-born one
+(CpMorphism.cut, which its PSD check read); compose keeps the left
+singular vectors of its span, and so does the confusability graph, which
+is ℜ(f)† ∘ ℜ(f) as compose spans it, symmetric by construction up to
+round-off; converse maps each frame by a -> a†, and discrete and complete
+have closed forms.  Where the kernel
 holds only frames, the relation forms the projections of a class from them
 on the first read of that class (QuantumRelation.stacked).  A relation
 given as plain projections takes its frames on first read, by one batched
@@ -46,11 +47,10 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import linalg
-from .cpmaps import CpMorphism, _hom_defects, channelize, choi_marginal, choi_vecs, is_channel
-from .cpmaps import dagger as cp_dagger
+from .cpmaps import CpMorphism, _hom_defects, _psd_cut, channelize, choi_marginal, choi_vecs
+from .cpmaps import dagger as cp_dagger, is_channel
 from .errors import (
     CharacterizationMismatch,
-    NegativeSpectrum,
     NoChannel,
     ShapeMismatch,
     SystemMismatch,
@@ -158,22 +158,16 @@ def support_of(f: CpMorphism) -> QuantumRelation:
     eigenvalue cut TOL_SPEC on V V†), whose left singular vectors are the
     frames.  For a morphism born as Choi blocks, linalg.support_projection
     of the cut of the Hermitian part of each class, which f keeps
-    (CpMorphism.cuts) and to_kraus reads too, and whose kept eigenvectors
-    are the frames; a block with a negative eigenvalue raises
-    NegativeSpectrum, naming its factor pair, on every call.  Kept on f
-    (groups.kept)."""
+    (CpMorphism.cut) and to_kraus reads too, and whose kept eigenvectors
+    are the frames; a block whose cut is negative raises NegativeSpectrum
+    with the constructor's text, on every call.  Kept on f (groups.kept)."""
     return _support_of_maps(f) if f.kraus_stacks is not None else _support_of_blocks(f)
 
 
 def _support_of_blocks(f: CpMorphism) -> QuantumRelation:
     """support_of from the cuts of the Choi blocks that f keeps."""
-    parts = []
-    for klass, cut in zip(f.blocks.layout.classes, f.cuts()):
-        try:
-            parts.append(linalg.support_projection(cut))
-        except NegativeSpectrum as exc:
-            raise type(exc)(f"Choi block {klass.keys[exc.member]}: {exc}") from None
-    blocks, frames = zip(*parts)
+    blocks, frames = zip(*(linalg.support_projection(_psd_cut(klass.keys, f.cut(c)))
+                           for c, klass in enumerate(f.blocks.layout.classes)))
     return QuantumRelation.stacked(f.source, f.target, frames, blocks)
 
 

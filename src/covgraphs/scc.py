@@ -251,7 +251,7 @@ def _source_graph(src: Source, tol: float) -> QuantumGraph:
         # I − P is the library's own: scanned for non-finite entries, then held as a store.
         parts.append((klass, linalg.as_complex(np.eye(klass.n, dtype=complex) - span)))
     rel = QuantumRelation(oa, oa, BlockStore.stacked(oa, oa, parts))
-    graph = QuantumGraph(oa, rel, tol=tol, validate=True)
+    graph = QuantumGraph(oa, rel)
     flags = classify(graph, tol)
     if not flags["is_confusability"]:
         raise SourceInvalid("source graph failed the confusability gate")

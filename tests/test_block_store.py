@@ -847,6 +847,19 @@ def test_one_numeric_rule_in_bundle():
     assert not offenders
 
 
+def test_one_spectrum_rule_in_cpmaps():
+    """cpmaps.py calls no numpy eigen routine (eigh, eigvalsh, eig, eigvals):
+    a Choi block's spectrum comes only from CpMorphism.cut, which the PSD
+    check at construction and every later reader read."""
+    tree = ast.parse((pathlib.Path(covgraphs.__file__).parent / "cpmaps.py").read_text())
+    offenders = [
+        f"{node.func.attr} at line {node.lineno}" for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("eigh", "eigvalsh", "eig", "eigvals")
+    ]
+    assert not offenders
+
+
 def test_one_exit_rule_in_cli():
     """cli.main alone maps an exception to an exit code.  No other function
     of cli.py reads EXIT_INPUT or EXIT_INTERNAL, or has an except clause

@@ -127,12 +127,12 @@ def _spy(monkeypatch, owner, name):
 
 def test_a_store_is_taken_as_it_is(monkeypatch):
     """A BlockStore, the library's own, is not PSD- or projection-checked; the
-    same blocks given as a dict are."""
-    eigvalsh = _spy(monkeypatch, np.linalg, "eigvalsh")
+    same blocks given as a dict are, the Choi blocks by one cut per class."""
+    cuts = _spy(monkeypatch, linalg, "spectral_cut")
     defects = _spy(monkeypatch, linalg, "projection_defects")
     proj = np.zeros((4, 4), dtype=complex)
     proj[0, 0] = 1.0
-    for make, calls, kind in ((cpmaps.CpMorphism, eigvalsh, "Choi"),
+    for make, calls, kind in ((cpmaps.CpMorphism, cuts, "Choi"),
                               (relations.QuantumRelation, defects, "relation")):
         store = systems.block_store(QUBIT, QUBIT, {(0, 0): proj}, kind)
         assert make(QUBIT, QUBIT, store).blocks is store and calls == []

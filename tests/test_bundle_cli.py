@@ -9,7 +9,7 @@ import pytest
 
 from covgraphs import bundle, cli, cpmaps, graphs, groups, relations, scc, systems
 from covgraphs.bundle import BundleError
-from covgraphs.errors import ActionShapeMismatch
+from covgraphs.errors import ActionShapeMismatch, CharacterizationMismatch
 
 from genutil import phase_fixed_unitary, symmetric_group_perms
 
@@ -360,6 +360,17 @@ EXIT_CONTRACT = {
     "graph-to-channel round trip failed": (
         ["graph-to-channel", "BUNDLE", "dA"], (relations, "relation_defect", _constant(1.0)), 1,
         ["round-trip defect: 1.000e+00", "round trip FAILED tolerance"], ""),
+    "graph-to-channel --tau 1e-10 does not read back": (
+        ["graph-to-channel", "DEMO", "complete_A", "--tau", "1e-10", "-o", "OUT"], None, 2, [],
+        "error: --tau 1e-10: its channel does not read the graph back "
+        "(round-trip defect 1.000e+00)"),
+    "graph-to-channel --tau 5e-10 does not read back": (
+        ["graph-to-channel", "DEMO", "complete_A", "--tau", "5e-10", "-o", "OUT"], None, 2, [],
+        "error: --tau 5e-10: its channel does not read the graph back "
+        "(round-trip defect 1.000e+00)"),
+    "graph-to-channel --tau 1e-9 reads back": (
+        ["graph-to-channel", "DEMO", "complete_A", "--tau", "1e-9", "-o", "OUT"], None, 0,
+        ["round-trip defect: 0.000e+00", "written to OUT"], ""),
     "check-hom true": (
         ["check-hom", "BUNDLE", "inj", "kA", "kB"], None, 0, ["homomorphism: true"], ""),
     "check-hom false": (
@@ -398,6 +409,10 @@ EXIT_CONTRACT = {
     "twirl covariant": (
         ["twirl", "BUNDLE", "inj", "-o", "OUT"], None, 0,
         ["twirled over group of order 1", "covariant: yes", "written to OUT"], ""),
+    "characterization mismatch": (
+        ["twirl", "BUNDLE", "inj", "-o", "OUT"],
+        (groups, "twirl_cp", _raising(CharacterizationMismatch("injected"))), 3, [],
+        "error: injected"),
     "any command internal error": (
         ["twirl", "BUNDLE", "inj", "-o", "OUT"],
         (groups, "twirl_cp", _raising(RuntimeError("injected"))), 3, [],
@@ -426,6 +441,25 @@ def test_exit_contract(case, demo_bundle, tmp_path, monkeypatch, capsys):
     if code >= 2:
         assert got.out == ""
     assert out.exists() == (code == 0 and "-o" in argv)
+
+
+@pytest.mark.parametrize("argv", [["analyze-channel", "f"], ["twirl", "f", "-o", "OUT"]])
+def test_a_choi_block_that_no_reader_accepts_is_refused_at_load(argv, tmp_path, capsys):
+    """A Choi block whose least eigenvalue, -5e-8, lies below the cut every
+    reader applies is refused at load, naming its channel, before any
+    output."""
+    v = np.eye(2).reshape(-1)
+    w = np.array([1.0, 0.0, 0.0, -1.0]) / np.sqrt(2)
+    band = np.outer(v, v) - 5e-8 * np.outer(w, w)
+    path, out = tmp_path / "band.json", tmp_path / "out.json"
+    path.write_text(json.dumps({"systems": {"A": {"factors": [2]}}, "channels": {
+        "f": {"from": "A", "to": "A", "choi": {"0,0": bundle.matrix_to_json(band)}}}}))
+    argv = [argv[0], str(path)] + [str(out) if a == "OUT" else a for a in argv[1:]]
+    assert cli.main(argv) == 2
+    got = capsys.readouterr()
+    assert got.out == "" and not out.exists()
+    assert got.err == ("error: cannot load bundle: channel 'f': "
+                       "Choi block (0, 0): eigenvalue -5.000e-08\n")
 
 
 class TestCli:

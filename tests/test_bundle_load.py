@@ -2,6 +2,7 @@
 named when a bundle holds several; bundle writing: the bytes of json.dump."""
 
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -13,7 +14,7 @@ import pytest
 
 from covgraphs import bundle, cli, cpmaps, graphs, linalg, relations, systems
 from covgraphs.bundle import BundleError
-from covgraphs.errors import DimensionMismatch, ShapeMismatch
+from covgraphs.errors import DimensionMismatch, ShapeMismatch, SourceInvalid
 
 from genutil import rand_complex, rand_conf_graph, rand_cp, rand_relation
 
@@ -272,13 +273,14 @@ MALFORMED = ["bad key", "duplicate", "out of range", "wrong shape", "nan", "ragg
 # without keyed stacks, and as before them.
 Q2_ERRORS = {
     ("graph", "bad key"): ("BundleError", "graph 'x': factor-pair key '0;1' must look like 'i,j'"),
-    ("graph", "out of range"): ("ShapeMismatch", "relation block index (5, 0) out of range"),
-    ("relation", "wrong shape"): ("ShapeMismatch",
+    ("graph", "out of range"): ("ShapeMismatch",
+                                "graph 'x': relation block index (5, 0) out of range"),
+    ("relation", "wrong shape"): ("ShapeMismatch", "relation 'x': "
                                   "relation block (0, 0) has shape (5, 5), expected (4,4)"),
-    ("choi", "nan"): ("DimensionMismatch", "matrix entries must be finite"),
-    ("kraus", "wrong shape"): ("ShapeMismatch",
+    ("choi", "nan"): ("DimensionMismatch", "channel 'x': matrix entries must be finite"),
+    ("kraus", "wrong shape"): ("ShapeMismatch", "channel 'x': "
                                "Kraus map for pair (0, 0) has shape (3, 2), expected (2,2)"),
-    ("kraus", "out of range"): ("ShapeMismatch", "Kraus index (5, 0) out of range"),
+    ("kraus", "out of range"): ("ShapeMismatch", "channel 'x': Kraus index (5, 0) out of range"),
 }
 
 
@@ -323,6 +325,32 @@ def test_key_that_is_no_str_is_refused_by_name(where, path, monkeypatch):
     if path == "per-entry":
         monkeypatch.setattr(bundle, "_parse_pairs", lambda keys: None)
     with pytest.raises(BundleError, match=re.escape(named)):
+        bundle.load_bundle(data)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-4])
+def test_graph_symmetry_is_checked_at_the_validator_tolerance(tol):
+    """A graph block onto span{vec(I + 5e-4 E_01)} has symmetry defect
+    7.07e-4: refused at every load tol, since graph symmetry is bounded by
+    VALIDATE_SLACK * TOL_PROJ, not by --tol."""
+    assert list(inspect.signature(graphs.QuantumGraph).parameters) == [
+        "sys", "relation", "validate"]
+    u = linalg.vec(np.eye(2) + 5e-4 * np.eye(2, k=1))
+    u /= np.linalg.norm(u)
+    data = {"systems": {"A": {"factors": [2]}}, "graphs": {"g": {"system": "A", "blocks": {
+        "0,0": {"projection": bundle.matrix_to_json(np.outer(u, u.conj()))}}}}}
+    with pytest.raises(ShapeMismatch, match=re.escape(
+            "graph 'g': graph relation is not symmetric (defect 7.07e-04)")):
+        bundle.load_bundle(data, tol=tol)
+
+
+def test_a_source_error_names_its_source():
+    """load_bundle prefixes an error of any type with the object it was
+    building, a source too, and keeps the error's type."""
+    data = json.loads(DEMO.read_text())
+    data["sources"]["copy"]["channel"] = "mix"
+    with pytest.raises(SourceInvalid, match=re.escape(
+            "source 'copy': source channel must map S to the O_A ⊗ O_B product")):
         bundle.load_bundle(data)
 
 

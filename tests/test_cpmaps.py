@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from covgraphs import cpmaps, linalg, systems
+from covgraphs import cpmaps, graphs, linalg, relations, systems
 from covgraphs.classical import embed_channel
 from covgraphs.errors import NegativeSpectrum, ShapeMismatch, SystemMismatch
 
@@ -97,7 +97,7 @@ class TestToKraus:
         f = cpmaps.CpMorphism(src, tgt, systems.block_store(src, tgt, blocks, "Choi"))
         low = np.linalg.eigvalsh(blocks[(1, 0)])[0]
         with pytest.raises(NegativeSpectrum,
-                           match=re.escape(f"block (1, 0) has eigenvalue {low:.3e}")):
+                           match=re.escape(f"Choi block (1, 0): eigenvalue {low:.3e}")):
             cpmaps.to_kraus(f)
 
     @pytest.mark.parametrize("bad, error, text", [
@@ -132,6 +132,64 @@ class TestToKraus:
         for key, maps in got.items():
             assert len(maps) == len(ref[key]), key
             assert all(m.tobytes() == r.tobytes() for m, r in zip(maps, ref[key])), key
+
+
+def _band_block() -> np.ndarray:
+    """|vec I><vec I| − 5e-8 w w† with w = (1, 0, 0, −1)/√2: its least
+    eigenvalue, −5e-8, is within the old load-time slack (−2e-7) and
+    below the cut every reader applies (−2e-9)."""
+    v = linalg.vec(np.eye(2))
+    w = np.array([1.0, 0.0, 0.0, -1.0]) / np.sqrt(2)
+    return np.outer(v, v.conj()) - 5e-8 * np.outer(w, w)
+
+
+BAND_TEXT = "Choi block (0, 0): eigenvalue -5.000e-08"
+
+
+class TestOnePsdRule:
+    def test_a_block_that_loads_can_be_read(self):
+        """The constructor refuses the band block with the text every
+        reader gives; handed over as a store, every read raises it, on
+        every call."""
+        q2 = systems.system((2,))
+        with pytest.raises(NegativeSpectrum, match=re.escape(BAND_TEXT)):
+            cpmaps.CpMorphism(q2, q2, {(0, 0): _band_block()})
+        f = cpmaps.CpMorphism(q2, q2, systems.block_store(q2, q2, {(0, 0): _band_block()}, "Choi"))
+        readers = [cpmaps.to_kraus, cpmaps.CpMorphism.kraus, relations.support_of,
+                   graphs.confusability_of]
+        for read in readers * 2:
+            with pytest.raises(NegativeSpectrum, match=f"^{re.escape(BAND_TEXT)}$"):
+                read(f)
+
+    def test_one_cut_per_class(self, monkeypatch):
+        """A dict-given Choi morphism cuts each class once, across its
+        construction, its support and its held family, and runs no other
+        eigen-decomposition."""
+        sys = systems.system((1, 2, 3))
+        blocks = dict(rand_channel(rng, sys, sys).blocks)
+        calls = []
+        real = linalg.spectral_cut
+        monkeypatch.setattr(linalg, "spectral_cut", lambda s: calls.append(1) or real(s))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: calls.append("eigvalsh"))
+        f = cpmaps.CpMorphism(sys, sys, blocks)
+        relations.support_of(f)
+        f.kraus()
+        assert calls == [1] * len(f.blocks.layout.classes) and len(calls) == 9
+
+    def test_an_over_count_pair_cuts_its_own_class(self, monkeypatch):
+        """One 1x1 pair of (1, 2, 3) given three maps: the first kraus()
+        cuts that pair's class alone, and holds its √c."""
+        calls = []
+        real = linalg.spectral_cut
+        monkeypatch.setattr(linalg, "spectral_cut", lambda s: calls.append(1) or real(s))
+        sys = systems.system((1, 2, 3))
+        kraus = {(i, i): [np.eye(d, dtype=complex)] for i, d in enumerate(sys.dims)}
+        kraus[(0, 0)] = [np.array([[0.6]]), np.array([[0.0]]), np.array([[0.8]])]
+        held = cpmaps.from_kraus(kraus, sys, sys).kraus()
+        assert len(calls) == 1
+        assert len(held[(0, 0)]) == 1 and np.isclose(held[(0, 0)][0][0, 0], 1.0)
+        assert [np.array_equal(held[(i, i)][0], np.eye(d)) for i, d in ((1, 2), (2, 3))] == [
+            True, True]
 
 
 class TestApply:

@@ -141,3 +141,120 @@ def test_verdicts_stable_across_tolerance_decades():
             assert known is None or got[0] == known, (seed, what)
             verdicts.append(got[0])
     assert len(verdicts) == 180
+
+
+RELABEL_DIMS = [(2, 2), (1, 2, 2), (2, 1, 2), (1, 1, 2), (3, 3, 1)]
+
+
+def _dim_preserving(rng, dims):
+    """A random permutation of the factors that moves each factor only among
+    factors of its own dimension, as a list: factor i goes to perm[i]."""
+    perm = list(range(len(dims)))
+    for d in set(dims):
+        at = [i for i, e in enumerate(dims) if e == d]
+        for i, j in zip(at, rng.permutation(at).tolist()):
+            perm[i] = j
+    return perm
+
+
+def _relabelled(f, sa, sb, src=None, tgt=None):
+    """f with block (i, j) moved to (sa[i], sb[j]), in its birth form: a
+    Kraus-born f moves its maps, a Choi-born one its blocks.  src and tgt
+    default to f's systems."""
+    src, tgt = src or f.source, tgt or f.target
+    if f.kraus_stacks is not None:
+        kraus = {(sa[i], sb[j]): list(maps) for (i, j), maps in f.kraus().items()}
+        return cpmaps.from_kraus(kraus, src, tgt)
+    blocks = {(sa[i], sb[j]): np.array(blk) for (i, j), blk in f.blocks.items()}
+    return cpmaps.CpMorphism(src, tgt, blocks)
+
+
+def _relabel_verdicts(f, sa, sb):
+    """(is_channel, is_reversible, support ranks, confusability ranks) of f,
+    the ranks as dicts keyed by the relabelled pairs (support: (sa[i],
+    sb[j]); confusability, a graph on the source: (sa[i], sa[i']))."""
+    chan = cpmaps.is_channel(f)
+    rel, conf = relations.support_of(f), graphs.confusability_of(f).relation
+    return (chan, graphs.is_reversible(f) if chan else None,
+            {(sa[i], sb[j]): r for (i, j), r in zip(rel.blocks, rel.ranks())},
+            {(sa[i], sa[k]): r for (i, k), r in zip(conf.blocks, conf.ranks())})
+
+
+def test_verdicts_invariant_under_factor_relabelling():
+    """Trivial group, seeds 0-19: moving block (i, j) to (σ_A(i), σ_B(j)),
+    with σ_A and σ_B random permutations among factors of equal dimension,
+    moves no verdict and no rank, on random channels with one map per pair
+    and on factor-diagonal unitary channels, which are reversible."""
+    cases = 0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        for dims in RELABEL_DIMS:
+            s = systems.system(dims)
+            sa, sb = _dim_preserving(rng, dims), _dim_preserving(rng, dims)
+            ident = list(range(len(dims)))
+            diag = {(i, i): [rand_unitary(rng, d)] for i, d in enumerate(dims)}
+            unitary = cpmaps.from_kraus(diag, s, s)
+            for f in (rand_channel(rng, s, s, kraus_per_pair=1), unitary):
+                got = _relabel_verdicts(_relabelled(f, sa, sb), ident, ident)
+                assert got == _relabel_verdicts(f, sa, sb), (seed, dims, sa, sb)
+                cases += 1
+            assert graphs.is_reversible(unitary)
+    assert cases == 200
+
+
+def _c2_involution(rng, d):
+    """A d x d unitary that squares to the identity: a reflection conjugated
+    by a random unitary."""
+    u = rand_unitary(rng, d)
+    return u @ np.diag([1.0] + [-1.0] * (d - 1)) @ u.conj().T
+
+
+# (dims, the nontrivial element's factor permutation, two factors of equal
+# dimension to swap).
+C2_RELABELS = [((1, 2, 2), (0, 2, 1), (1, 2)), ((2, 2), (0, 1), (0, 1)),
+               ((2, 1, 2), (2, 1, 0), (0, 2))]
+
+
+def _c2_system(rng, dims, perm):
+    """A C2 action on dims: factor i goes to perm[i] under the nontrivial
+    element, by an involution on a fixed factor and by v, v† on a swapped
+    pair, so that the element squares to the identity."""
+    units = [None] * len(dims)
+    for i, j in enumerate(perm):
+        if i == j:
+            units[i] = _c2_involution(rng, dims[i])
+        elif units[i] is None:
+            units[i] = rand_unitary(rng, dims[i])
+            units[j] = units[i].conj().T
+    return units
+
+
+def test_twirl_and_covariance_invariant_under_factor_swap():
+    """C2 actions, seeds 0-19: swapping two factors of equal dimension, with
+    the permutation and the unitaries conjugated to match, moves the twirl
+    by at most 1e-12 at the relabelled pairs and keeps is_covariant_cp's
+    verdict, on a random channel and on its twirl."""
+    c2 = groups.symmetric_group(2)
+    verdicts = []
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        for dims, perm, (a, b) in C2_RELABELS:
+            swap = list(range(len(dims)))
+            swap[a], swap[b] = b, a
+            units = _c2_system(rng, dims, perm)
+            moved_perm = tuple(swap[perm[swap[i]]] for i in range(len(dims)))
+            moved_units = [units[swap[i]] for i in range(len(dims))]
+            s, t = (systems.system(dims, groups.AlgebraAction(
+                c2, dims, (tuple(range(len(dims))), p),
+                (tuple(np.eye(d, dtype=complex) for d in dims), tuple(u))))
+                for p, u in ((perm, units), (moved_perm, moved_units)))
+            f = rand_channel(rng, s, s, kraus_per_pair=1)
+            g = _relabelled(f, swap, swap, t, t)
+            tf, tg = groups.twirl_cp(f), groups.twirl_cp(g)
+            diff = max(np.abs(tg.blocks[(swap[i], swap[j])] - blk).max()
+                       for (i, j), blk in tf.blocks.items())
+            assert diff <= 1e-12, (seed, dims)
+            for x, y in ((f, g), (tf, tg)):
+                assert groups.is_covariant_cp(x) == groups.is_covariant_cp(y), (seed, dims)
+                verdicts.append(groups.is_covariant_cp(x))
+    assert len(verdicts) == 120 and 0 < sum(verdicts) < 120

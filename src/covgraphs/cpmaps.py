@@ -55,7 +55,7 @@ i, Σ_{j,k} w_j M_ijk† M_ijk = w_i I.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 from types import MappingProxyType
 
 import numpy as np
@@ -72,12 +72,12 @@ from .systems import (
     BlockStore,
     System,
     _diff,
-    basis_offset,
     block_store,
     class_stack,
     failure_at,
     layout,
     located,
+    offsets,
 )
 
 class CpMorphism:
@@ -429,7 +429,7 @@ def basis_image_matrix(f: CpMorphism) -> np.ndarray:
     its target factors in order, each e_j x e_j image read row-major.  One
     reshape, scale and transpose per class, placed by one gather of its
     rows (target factors) and columns (source factors)."""
-    src_off, tgt_off = _offsets(f.source.dims), _offsets(f.target.dims)
+    src_off, tgt_off = offsets(f.source.dims), offsets(f.target.dims)
     inv = 1.0 / np.sqrt(np.array(f.source.weights))
     out = np.empty((tgt_off[-1], src_off[-1]), dtype=complex)
     for klass, stack in f.blocks.classes():
@@ -443,15 +443,6 @@ def basis_image_matrix(f: CpMorphism) -> np.ndarray:
         # (i, j, r, p, s, q) -> (j, r, s, i, p, q): f(E_pq)_j[r, s] of source factor i.
         out[at] = imgs.transpose(1, 2, 4, 0, 3, 5).reshape(b * e * e, a * d * d)
     return out
-
-
-@lru_cache(maxsize=128)
-def _offsets(dims: tuple) -> np.ndarray:
-    """Offset of each factor's d x d coordinates in φ-basis order
-    (`systems.coords`), and the total after the last."""
-    off = np.cumsum((0,) + tuple(d * d for d in dims))
-    off.setflags(write=False)
-    return off
 
 
 def _coords(off: np.ndarray, factors: np.ndarray, size: int):
@@ -482,8 +473,7 @@ def _hom_defects(f: CpMorphism):
         rows, cols = imgs.reshape(n * e, e), imgs.transpose(1, 0, 2).reshape(e, n * e)
         prod = (rows @ cols).reshape(n, e, n, e)
         adj = imgs.conj().transpose(0, 2, 1)
-        for i, d in enumerate(src.dims):
-            off = basis_offset(src, i)
+        for i, (off, d) in enumerate(zip(offsets(src.dims), src.dims)):
             own = imgs[off:off + d * d].reshape(d, d, e, e)
             scaled = own.transpose(0, 2, 1, 3) / roots[i]  # (p, r, s, t)
             for q in range(d):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .cpmaps import CpMorphism, _marginal_groups, _offsets, basis_image_matrix, from_kraus
+from .cpmaps import CpMorphism, _marginal_groups, basis_image_matrix, from_kraus
 from .cpmaps import is_channel
 from .errors import (
     NotAChannel,
@@ -37,7 +37,7 @@ from .relations import (
     relation_defect,
     support_of,
 )
-from .systems import BlockStore, System, basis_offset, system, total_matrix_dim
+from .systems import BlockStore, System, offsets, system
 
 
 class QuantumGraph:
@@ -128,7 +128,7 @@ def realize_channel(g: QuantumGraph, tau: float | None = None, tol: float = TOL_
         raise NotConfusability("realize_channel needs a confusability graph")
 
     a_sys = g.system
-    n = total_matrix_dim(a_sys)
+    n = int(offsets(a_sys.dims)[-1])
 
     def blend_matrix(t: float) -> np.ndarray:
         return _superop_matrix(_graph_as_cp(g, t))
@@ -160,8 +160,7 @@ def realize_channel(g: QuantumGraph, tau: float | None = None, tol: float = TOL_
     w_env = float(n)
 
     kraus = {}
-    for i, d in enumerate(a_sys.dims):
-        off = basis_offset(a_sys, i)
+    for i, (off, d) in enumerate(zip(offsets(a_sys.dims), a_sys.dims)):
         # Column x of map a is column E_xa of f̂^{1/2}.
         kraus[(i, 0)] = [fhalf[:, off + a:off + d * d:d] / np.sqrt(w_env) for a in range(d)]
     f = from_kraus(kraus, a_sys, env)
@@ -178,7 +177,7 @@ def _conjugation_action(action: AlgebraAction, extra: int) -> AlgebraAction:
     and ``extra`` (groups.shared), so systems whose actions are bitwise equal
     share one.
     """
-    off = _offsets(action.dims)
+    off = offsets(action.dims)
     dim = int(off[-1])
     n = dim + extra
     group = action.group

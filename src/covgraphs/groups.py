@@ -8,7 +8,7 @@ Groups, actions, systems and the channels on them never change once built,
 so shared(make) builds make's object once per exact key of its arguments
 and hands every later caller that object.  The key of an action or system
 is its exact_key, the key below and the digest of its unitaries' bytes
-(System.exact_key adds dims and weights), a KeptHash built and hashed once
+(System.exact_key adds dims and weights), an ExactKey built and hashed once
 with its owner; never the round-off equality below, so a shared object is
 bitwise the one its caller would have built.  The shared objects: groups
 (shared_group), permutation and trivial actions, transport plans, bundle
@@ -78,9 +78,12 @@ from .errors import ActionShapeMismatch, GroupMismatch, ShapeMismatch
 from .linalg import TOL_PROJ, TOL_ROUNDOFF
 
 
-class KeptHash(tuple):
-    """A tuple whose hash is computed once: the exact_key of an action or a
-    system, built with it and looked up in caches many times."""
+class ExactKey(tuple):
+    """An exact key (ints, tuples, bytes, digests), hashed once when built:
+    the exact_key of an action or a system, or the key of a shared call.
+    It hashes and compares as the tuple of its items alone, so that an
+    lru_cache over it shares one result per key while the function it
+    caches reads ``value``, set after construction."""
 
     def __new__(cls, items):
         self = super().__new__(cls, items)
@@ -92,14 +95,7 @@ class KeptHash(tuple):
 
     def __reduce__(self):
         # str and bytes hashes differ between processes: rehash on unpickling.
-        return KeptHash, (tuple(self),)
-
-
-class ExactKey(tuple):
-    """An exact key (ints, tuples, bytes, digests) that carries a value: it
-    hashes and compares as the tuple of its items alone, so that an
-    lru_cache over it shares one result per key while the function it
-    caches reads ``value``, set after construction."""
+        return ExactKey, (tuple(self),)
 
 
 def shared(make):
@@ -366,7 +362,7 @@ class AlgebraAction:
         object.__setattr__(self, "_digest", hashlib.blake2b(
             b"".join(stack.tobytes() for _, stack in classes.values())
         ).digest())
-        object.__setattr__(self, "_exact_key", KeptHash((key, self._digest)))
+        object.__setattr__(self, "_exact_key", ExactKey((key, self._digest)))
 
     @property
     def nfactors(self) -> int:

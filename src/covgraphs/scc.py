@@ -58,8 +58,7 @@ from .graphs import (
 from .groups import AlgebraAction, dim_classes, kept, shared, trivial_action
 from .linalg import SPAN_RATIO, TOL_PROJ, TOL_ROUNDTRIP, TOL_SPEC
 from .relations import QuantumRelation, relation_defect
-from .systems import BlockStore, QuantumSet, System, basis_offset, layout, system
-from .systems import total_matrix_dim
+from .systems import BlockStore, System, layout, offsets, system
 
 
 class TensorSystem:
@@ -96,7 +95,7 @@ class TensorSystem:
                 stacks[da * db][:, pos[pairs]] = prod.reshape(
                     group.order, len(pairs), da * db, da * db)
         action = AlgebraAction(group, dims, perms, stacks)
-        self.product = System(QuantumSet(dims), action, weights)
+        self.product = System(dims, action, weights)
 
     def pair_index(self, a: int, b: int) -> int:
         return a * self.right.nfactors + b
@@ -354,7 +353,7 @@ def source_from_graph(g: QuantumGraph) -> Source:
     oa = g.system
     group = oa.group
     s_sys = system((1, 1), trivial_action(group, (1, 1)))
-    nz = total_matrix_dim(oa) + 1
+    nz = int(offsets(oa.dims)[-1]) + 1
     ob = system((nz,), _conjugation_action(oa.action, 1))  # one extra direction, ζ
     ts = tensor_system(oa, ob)
 
@@ -396,18 +395,17 @@ def _dilation_components(oa: System, pperp: dict, nz: int) -> dict:
     """Unnormalized dilation tensors t[n, ζ, m] of source_from_graph: per
     component u and O_A factor a, the pairs (a, t) with M_u[a, m] = c t[:, :, m]."""
     raw = {0: [], 1: []}
+    off = offsets(oa.dims)
     for a, da in enumerate(oa.dims):
         t0 = np.zeros((da, nz, da), dtype=complex)
-        off = basis_offset(oa, a)
         for p in range(da):
             for q in range(da):
-                t0[p, off + p * da + q, q] = 1.0
+                t0[p, off[a] + p * da + q, q] = 1.0
         t1 = np.zeros((da, nz, da), dtype=complex)
         for av, dav in enumerate(oa.dims):
             blk = pperp[(a, av)].reshape(dav, da, dav, da)
-            off = basis_offset(oa, av)
-            # t1[n, off + p dav + q, m] = blk[p, n, q, m]
-            t1[:, off:off + dav * dav, :] = blk.transpose(1, 0, 2, 3).reshape(da, dav * dav, da)
+            # t1[n, off[av] + p dav + q, m] = blk[p, n, q, m]
+            t1[:, off[av]:off[av + 1], :] = blk.transpose(1, 0, 2, 3).reshape(da, dav * dav, da)
         for n in range(da):
             t1[n, nz - 1, n] = 1.0
         raw[0].append((a, t0))

@@ -11,10 +11,11 @@ which is the unique choice making the induced Frobenius structure separable
 into exactly column-stochastic matrices and the identity map into a channel.
 Algebra elements are plain lists of per-factor complex matrices.
 
-A system never changes once built: system, separable_standard,
-classical_system and the bundle build it through one constructor shared
-(groups.shared) per dims, weights and the action's exact_key, validated on
-its first build.  System(...) is the raw constructor, new on every call.
+A system never changes once built: system, classical_system and the
+bundle build it through one constructor shared (groups.shared) per dims,
+weights and the action's exact_key, validated on its first build.
+System(...) is the raw constructor, new on every call.  Its φ-basis
+coordinates lay the factors out in order, d_i² each (offsets).
 
 Block families of maps between systems (Choi blocks, relation projections)
 live in a BlockStore, the one owner of their representation: one (k, n, n)
@@ -29,7 +30,9 @@ One trust rule holds at this boundary, read off the input's type: a dict
 or a KeyedStack is always checked (scanned for non-finite entries and
 shape-checked here, and PSD- or projection-checked by the CpMorphism and
 QuantumRelation constructors); a BlockStore, which only the library
-builds, is taken as it is.  No argument switches a check off.
+builds, is taken as it is.  No argument switches a check off but one:
+graphs.QuantumGraph's validate=False, for a graph the library built
+symmetric, since symmetry does not show in a relation's type.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .errors import ActionShapeMismatch, ShapeMismatch
 from .groups import (
     AlgebraAction,
     FiniteGroup,
-    KeptHash,
+    ExactKey,
     dim_classes,
     shared,
     trivial_action,
@@ -54,25 +57,21 @@ from .groups import (
 )
 
 
-@dataclass(frozen=True)
-class QuantumSet:
-    factor_dims: tuple
-
-    def __post_init__(self):
-        dims = tuple(map(int, self.factor_dims))
-        if not dims or any(d < 1 for d in dims):
-            raise ShapeMismatch("a quantum set needs at least one factor of dim >= 1")
-        object.__setattr__(self, "factor_dims", dims)
+def _factor_dims(dims) -> tuple:
+    dims = tuple(map(int, dims))
+    if not dims or any(d < 1 for d in dims):
+        raise ShapeMismatch("a quantum set needs at least one factor of dim >= 1")
+    return dims
 
 
 @dataclass(frozen=True)
 class System:
-    qset: QuantumSet
+    dims: tuple
     action: AlgebraAction
     weights: tuple
 
     def __post_init__(self):
-        dims = self.qset.factor_dims
+        dims = _factor_dims(self.dims)
         if self.action.dims != dims:
             raise ActionShapeMismatch("action factor dims do not match the quantum set")
         w = tuple(map(float, self.weights))
@@ -81,12 +80,9 @@ class System:
         wa = np.array(w)
         if (np.abs(wa[self.action.perm_array] - wa) > linalg.TOL_ROUNDOFF).any():
             raise ActionShapeMismatch("weights must be constant on action orbits")
+        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "_exact_key", KeptHash((dims, w, self.action.exact_key)))
-
-    @property
-    def dims(self) -> tuple:
-        return self.qset.factor_dims
+        object.__setattr__(self, "_exact_key", ExactKey((dims, w, self.action.exact_key)))
 
     @property
     def nfactors(self) -> int:
@@ -133,32 +129,31 @@ class System:
 
 @shared
 def _shared_system(dims: tuple, weights: tuple, action: AlgebraAction) -> System:
-    """System(QuantumSet(dims), action, weights), validated on its first build
-    and shared (groups.shared) per dims, weights and the action's exact_key."""
-    return System(QuantumSet(dims), action, weights)
-
-
-def separable_standard(qset: QuantumSet, action: AlgebraAction | None = None) -> System:
-    """System with the canonical weights w_i = d_i (_shared_system)."""
-    if action is None:
-        action = trivial_action(trivial_group(), qset.factor_dims)
-    return _shared_system(qset.factor_dims, tuple(map(float, qset.factor_dims)), action)
+    """System(dims, action, weights), validated on its first build and
+    shared (groups.shared) per dims, weights and the action's exact_key."""
+    return System(dims, action, weights)
 
 
 def system(dims, action: AlgebraAction | None = None) -> System:
-    return separable_standard(QuantumSet(tuple(dims)), action)
+    """System with the separable standard weights w_i = d_i and, by default,
+    the trivial group's action (_shared_system)."""
+    dims = _factor_dims(dims)
+    if action is None:
+        action = trivial_action(trivial_group(), dims)
+    return _shared_system(dims, tuple(map(float, dims)), action)
 
 
 def classical_system(n: int, action: AlgebraAction | None = None) -> System:
     return system((1,) * n, action)
 
 
-def basis_offset(sys: System, i: int) -> int:
-    return int(sum(d * d for d in sys.dims[:i]))
-
-
-def total_matrix_dim(sys: System) -> int:
-    return int(sum(d * d for d in sys.dims))
+@lru_cache(maxsize=128)
+def offsets(dims: tuple) -> np.ndarray:
+    """Read-only offset of each factor's d x d coordinates in φ-basis order
+    (coords), and N = Σ_i d_i², the total, after the last."""
+    off = np.cumsum((0,) + tuple(d * d for d in dims))
+    off.setflags(write=False)
+    return off
 
 
 class BlockClass:
@@ -483,7 +478,7 @@ def ssfa_defects(sys: System, rng=None) -> dict:
         unital = max(unital, float(linalg.frobs(one @ x - x).max()),
                      float(linalg.frobs(x @ one - x).max()))
 
-    nb = total_matrix_dim(sys)
+    nb = int(offsets(sys.dims)[-1])
     k, l, m, c = _structure_constants(sys)
     root_w = np.sqrt(np.repeat(sys.weights, np.square(sys.dims)))
     mmdag = np.bincount(m, weights=c.real * c.real + c.imag * c.imag, minlength=nb)
@@ -530,8 +525,7 @@ def _structure_constants(sys: System) -> tuple:
     c) of coordinate indices and complex constants.  c_i = √w_i (1/√w_i)²
     is the one nonzero entry of coords(u_k u_l), bitwise."""
     ks, ls, ms, cs = [], [], [], []
-    for i, (d, w) in enumerate(zip(sys.dims, sys.weights)):
-        off = basis_offset(sys, i)
+    for off, d, w in zip(offsets(sys.dims), sys.dims, sys.weights):
         p, q, s = np.indices((d, d, d)).reshape(3, -1)
         unit = 1.0 / np.sqrt(w)
         ks.append(off + p * d + q)

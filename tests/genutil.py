@@ -158,11 +158,22 @@ def act(action, g: int, x) -> list:
     return out
 
 
+def basis_offset(sys, i: int) -> int:
+    """Offset of factor i's d x d coordinates in φ-basis order: the sum of
+    d_j² over the factors before it, summed here apart from systems.offsets."""
+    return int(sum(d * d for d in sys.dims[:i]))
+
+
+def total_matrix_dim(sys) -> int:
+    """N = Σ_i d_i², the number of φ-basis coordinates."""
+    return basis_offset(sys, sys.nfactors)
+
+
 def element_from_coords(sys, v: np.ndarray) -> list:
     """The algebra element with coordinates v in the φ-orthonormal basis,
     the inverse of systems.coords."""
     v = np.asarray(v, dtype=complex).reshape(-1)
-    if v.size != systems.total_matrix_dim(sys):
+    if v.size != total_matrix_dim(sys):
         raise ShapeMismatch("coordinate vector has wrong length")
     out = []
     pos = 0
@@ -622,7 +633,7 @@ def assert_graph_symmetric(g):
 def probe_superop_matrix(f):
     """Column k is coords(f(u_k)) for the k-th φ-basis element of the source."""
     basis = phi_basis(f.source)
-    out = np.zeros((systems.total_matrix_dim(f.target), len(basis)), dtype=complex)
+    out = np.zeros((total_matrix_dim(f.target), len(basis)), dtype=complex)
     for k, (_, _, _, u) in enumerate(basis):
         out[:, k] = systems.coords(f.target, cpmaps.apply(f, u))
     return out
@@ -997,15 +1008,15 @@ def kron_tensor_unitaries(left, right):
 
 def loop_conjugation_unitaries(a_sys, extra=0):
     """The conjugation action's unitaries, one matrix unit E_pq at a time."""
-    dim = systems.total_matrix_dim(a_sys)
+    dim = total_matrix_dim(a_sys)
     n = dim + extra
     units = []
     for gel in a_sys.group.elements:
         u = np.zeros((n, n), dtype=complex)
         for a, da in enumerate(a_sys.dims):
             ua = a_sys.action.unitaries[gel][a]
-            src = systems.basis_offset(a_sys, a)
-            tgt = systems.basis_offset(a_sys, a_sys.action.perms[gel][a])
+            src = basis_offset(a_sys, a)
+            tgt = basis_offset(a_sys, a_sys.action.perms[gel][a])
             for p in range(da):
                 for q in range(da):
                     img = np.outer(ua[:, p], ua[:, q].conj())
@@ -1020,14 +1031,14 @@ def loop_dilation_components(oa, pperp, nz):
     raw = {0: [], 1: []}
     for a, da in enumerate(oa.dims):
         t0 = np.zeros((da, nz, da), dtype=complex)
-        off = systems.basis_offset(oa, a)
+        off = basis_offset(oa, a)
         for p in range(da):
             for q in range(da):
                 t0[p, off + p * da + q, q] = 1.0
         t1 = np.zeros((da, nz, da), dtype=complex)
         for av, dav in enumerate(oa.dims):
             blk = pperp[(a, av)].reshape(dav, da, dav, da)
-            off = systems.basis_offset(oa, av)
+            off = basis_offset(oa, av)
             for n in range(da):
                 for m in range(da):
                     for p in range(dav):
@@ -1168,7 +1179,7 @@ def unshared_system(dims, action=None):
     systems.system(dims, action), which is shared per exact key, but
     another object."""
     sys = systems.system(dims, action)
-    return systems.System(systems.QuantumSet(sys.dims), sys.action, sys.weights)
+    return systems.System(sys.dims, sys.action, sys.weights)
 
 
 def loop_source_graph_blocks(src, tol=linalg.TOL_PROJ):

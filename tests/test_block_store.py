@@ -60,6 +60,7 @@ from genutil import (
     rand_unitary,
     reference_canonical_eigh,
     symmetric_group_perms,
+    total_matrix_dim,
 )
 
 rng = np.random.default_rng(707)
@@ -590,7 +591,7 @@ class TestSatelliteLoops:
     def test_dilation_components_match_loop(self):
         for oa in (_z2_sign_system((1, 2, 3), ([-1.0], [1.0, -1.0], [1.0, -1.0, 1.0])),
                    _s3_system()):
-            nz = systems.total_matrix_dim(oa) + 1
+            nz = total_matrix_dim(oa) + 1
             pperp = {
                 (a, b): rand_complex(rng, da * db, da * db)
                 for a, da in enumerate(oa.dims) for b, db in enumerate(oa.dims)

@@ -368,6 +368,12 @@ EXIT_CONTRACT = {
         ["graph-to-channel", "DEMO", "complete_A", "--tau", "5e-10", "-o", "OUT"], None, 2, [],
         "error: --tau 5e-10: its channel does not read the graph back "
         "(round-trip defect 1.000e+00)"),
+    "graph-to-channel --tau 1 is infeasible": (
+        ["graph-to-channel", "DEMO", "complete_A", "--tau", "1", "-o", "OUT"], None, 2, [],
+        "error: blend parameter 1.0 is infeasible"),
+    "graph-to-channel --tau 2 is out of range": (
+        ["graph-to-channel", "DEMO", "complete_A", "--tau", "2", "-o", "OUT"], None, 2, [],
+        "error: blend parameter must lie in (0, 1]"),
     "graph-to-channel --tau 1e-9 reads back": (
         ["graph-to-channel", "DEMO", "complete_A", "--tau", "1e-9", "-o", "OUT"], None, 0,
         ["round-trip defect: 0.000e+00", "written to OUT"], ""),

@@ -24,6 +24,7 @@ from genutil import (
     rand_system,
     rand_unitary,
     symmetric_group_perms,
+    total_matrix_dim,
 )
 
 rng = np.random.default_rng(606)
@@ -155,10 +156,20 @@ class TestRealizeChannel:
             sys = systems.system(dims)
             g = rand_conf_graph(own, sys)
             f, env = graphs.realize_channel(g, tau=0.25)
-            assert cpmaps.is_channel(f) and env.dims == (systems.total_matrix_dim(sys),)
+            assert cpmaps.is_channel(f) and env.dims == (total_matrix_dim(sys),)
             assert relations.relation_defect(
                 graphs.confusability_of(f).relation, g.relation
             ) < 1e-7
+
+    def test_tau_one_is_refused_as_infeasible(self):
+        """At τ = 1 the blend is the graph alone, which is not positive
+        definite: realize_channel names the parameter it refuses."""
+        own = np.random.default_rng(9)  # leaves the module's generator as it was
+        for dims in [(2,), (3,), (1, 2), (2, 2), (1, 1, 1)]:
+            sys = systems.system(dims)
+            for g in (rand_conf_graph(own, sys), complete_graph(sys)):
+                with pytest.raises(PsdViolation, match=r"^blend parameter 1\.0 is infeasible$"):
+                    graphs.realize_channel(g, tau=1.0)
 
     def test_bad_tau(self):
         sys = systems.system((2,))

@@ -1,6 +1,10 @@
 """Modules import at the top: no function in src/covgraphs imports.  groups,
 which systems and cpmaps import, reads the morphisms it transports through
-their own methods, so it needs no late import of either."""
+their own methods, so it needs no late import of either.
+
+A private name imported from another module is a decision that two modules
+share it, so the set of such imports is pinned: a new one changes PRIVATE
+here, where review sees it."""
 
 import ast
 import pathlib
@@ -8,6 +12,18 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "covgraphs"
 
 ALLOWED = set()
+
+# (importing module, source module, private name)
+PRIVATE = {
+    ("bundle", "systems", "_shared_system"),
+    ("classical", "cpmaps", "_from_stacks"),
+    ("cpmaps", "systems", "_diff"),
+    ("graphs", "cpmaps", "_marginal_groups"),
+    ("relations", "cpmaps", "_hom_defects"),
+    ("relations", "cpmaps", "_psd_cut"),
+    ("scc", "graphs", "_conjugation_action"),
+    ("scc", "graphs", "_reverse"),
+}
 
 
 def _function_imports() -> set:
@@ -26,3 +42,19 @@ def _function_imports() -> set:
 
 def test_function_level_imports_are_the_circular_ones():
     assert _function_imports() == ALLOWED
+
+
+def _private_imports() -> set:
+    """(module, source module, name) of every private name one module of
+    src/covgraphs imports from another."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                found.update((path.stem, node.module, a.name) for a in node.names
+                             if a.name.startswith("_"))
+    return found
+
+
+def test_private_cross_module_imports_are_the_pinned_ones():
+    assert _private_imports() == PRIVATE

@@ -1,12 +1,14 @@
 """Verdicts checked against oracles that share no cut code with the library.
 
 The Knill–Laflamme oracle decides reversibility from products of Kraus maps
-alone: no support cut, no relation compose.  The metamorphic checks ask
-that verdicts and ranks do not move under a change of basis or a positive
-rescaling.
+alone: no support cut, no relation compose.  The exact oracle reads ranks
+and reversibility off Gaussian-rational Kraus maps in sympy arithmetic, with
+no tolerance at all.  The metamorphic checks ask that verdicts and ranks do
+not move under a change of basis or a positive rescaling.
 """
 
 import numpy as np
+import sympy
 
 from covgraphs import cpmaps, graphs, groups, relations, scc, systems
 from covgraphs.classical import embed_channel
@@ -258,3 +260,97 @@ def test_twirl_and_covariance_invariant_under_factor_swap():
                 assert groups.is_covariant_cp(x) == groups.is_covariant_cp(y), (seed, dims)
                 verdicts.append(groups.is_covariant_cp(x))
     assert len(verdicts) == 120 and 0 < sum(verdicts) < 120
+
+
+# -- exact-arithmetic oracle ----------------------------------------------
+# Kraus maps c_k U_k with Σ c_k² = 1 per source factor and each U_k a
+# permutation times a diagonal of {±1, ±i} times a Pythagorean rotation, so
+# every entry is a Gaussian rational and sympy decides every rank exactly.
+
+PYTHAGOREAN = ((3, 4, 5), (5, 12, 13), (8, 15, 17))
+COEFFICIENTS = ((1,), (sympy.Rational(3, 5), sympy.Rational(4, 5)),
+                (sympy.Rational(1, 3), sympy.Rational(2, 3), sympy.Rational(2, 3)))
+PHASES = (1, -1, sympy.I, -sympy.I)
+
+
+def _exact_unitary(rng, d):
+    """P D R: a permutation, a diagonal of {±1, ±i} and a Pythagorean
+    rotation in a random coordinate plane (none for d = 1)."""
+    rot = sympy.eye(d)
+    if d > 1:
+        a, b, c = PYTHAGOREAN[int(rng.integers(3))]
+        p, q = sorted(rng.choice(d, 2, replace=False).tolist())
+        rot[p, p] = rot[q, q] = sympy.Rational(a, c)
+        rot[p, q], rot[q, p] = -sympy.Rational(b, c), sympy.Rational(b, c)
+    phases = sympy.diag(*[PHASES[k] for k in rng.integers(4, size=d).tolist()])
+    perm = rng.permutation(d).tolist()
+    return sympy.Matrix(d, d, lambda r, s: int(perm[r] == s)) * phases * rot
+
+
+def _exact_kraus(rng, dims, reversible):
+    """{(i, j): [M]} of exact maps on dims -> dims, every factor of one
+    dimension d: per source factor i, one coefficient set, and either
+    (reversible) one unitary up to phases, every map to one target,
+    distinct per source factor, or a unitary and a random target per map."""
+    d, n = dims[0], len(dims)
+    targets = rng.permutation(n).tolist()
+    kraus = {}
+    for i in range(n):
+        u = _exact_unitary(rng, d)
+        for c in COEFFICIENTS[int(rng.integers(3))]:
+            if reversible:
+                key, m = (i, targets[i]), c * PHASES[int(rng.integers(4))] * u
+            else:
+                key, m = (i, int(rng.integers(n))), c * _exact_unitary(rng, d)
+            kraus.setdefault(key, []).append(m)
+    return kraus
+
+
+def _exact_rank(mats):
+    """Rank of the span of the vectorized matrices, exactly; 0 for none."""
+    if not mats:
+        return 0
+    return sympy.Matrix.hstack(*[m.reshape(m.rows * m.cols, 1) for m in mats]).rank()
+
+
+def _exact_verdicts(kraus, n):
+    """(support ranks, confusability ranks, reversible) of an exact Kraus
+    family on n source and n target factors, in key order: support block
+    (i, j) spans vec(M†) over its maps, confusability block (i, i′) spans
+    vec(M_a† M_b) over maps M_a on (i, j) and M_b on (i′, j); reversible is
+    Knill–Laflamme with no tolerance: every product M_a† M_b of one source
+    factor is a multiple of I and every product across two is 0."""
+    support = [_exact_rank([m.H for m in kraus.get((i, j), [])])
+               for i in range(n) for j in range(n)]
+    conf, reversible = [], True
+    for i in range(n):
+        for ip in range(n):
+            prods = [a.H * b for j in range(n)
+                     for a in kraus.get((i, j), []) for b in kraus.get((ip, j), [])]
+            conf.append(_exact_rank(prods))
+            for x in prods:
+                if i == ip:
+                    x = x - (x.trace() / x.rows) * sympy.eye(x.rows)
+                reversible &= x.is_zero_matrix
+    return support, conf, reversible
+
+
+def test_exact_ranks_and_reversibility():
+    """Seeds 0-9 on (2,), (3,) and (2, 2), each a reversible and a generic
+    Gaussian-rational channel: support ranks, confusability ranks and
+    is_reversible equal their exact values."""
+    verdicts = []
+    for dims in [(2,), (3,), (2, 2)]:
+        sys = systems.system(dims)
+        for seed in range(10):
+            for reversible in (True, False):
+                exact = _exact_kraus(np.random.default_rng(seed), dims, reversible)
+                f = cpmaps.from_kraus({key: [np.array(m, dtype=complex) for m in maps]
+                                       for key, maps in exact.items()}, sys, sys)
+                support, conf, rev = _exact_verdicts(exact, len(dims))
+                assert cpmaps.is_channel(f), (dims, seed, reversible)
+                assert _ranks(f) == (support, conf), (dims, seed, reversible)
+                assert graphs.is_reversible(f) == rev, (dims, seed, reversible)
+                assert rev or not reversible, (dims, seed)
+                verdicts.append(rev)
+    assert len(verdicts) == 60 and 30 <= sum(verdicts) < 60

@@ -134,11 +134,11 @@ RAISES = {
     "scc decoder type": (
         lambda: _verify(cpmaps.identity_channel(QUBIT)),
         SystemMismatch, "decoder must map B ⊗ O_B to S"),
-    "systems.QuantumSet empty": (
-        lambda: systems.QuantumSet(()),
+    "systems.system empty": (
+        lambda: systems.system(()),
         ShapeMismatch, "a quantum set needs at least one factor of dim >= 1"),
     "systems.System weights": (
-        lambda: systems.System(systems.QuantumSet((2,)), groups.trivial_action(Z2, (2,)), (-1.0,)),
+        lambda: systems.System((2,), groups.trivial_action(Z2, (2,)), (-1.0,)),
         ShapeMismatch, "need one finite positive weight per factor"),
     "systems.check_element factors": (
         lambda: PAIR.check_element([np.eye(1)]),

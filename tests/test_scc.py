@@ -3,7 +3,7 @@ import pytest
 
 from covgraphs import cpmaps, graphs, groups, linalg, relations, scc, systems
 from covgraphs.classical import embed_channel, extract_graph, oracle_source_graph
-from covgraphs.errors import GroupMismatch, NotValid, SourceInvalid
+from covgraphs.errors import GroupMismatch, NotValid, RoundTripFailure, SourceInvalid
 
 from genutil import (
     assert_blocks_close,
@@ -334,6 +334,12 @@ class TestSourceFromGraph:
             src = scc.source_from_graph(g)
             got = scc.source_confusability_graph(src)
             assert relations.relation_defect(got.relation, g.relation) < 1e-7
+
+    def test_round_trip_gate_refuses_a_source_that_misses_its_graph(self, monkeypatch):
+        """A source whose graph does not read g back is refused, with the defect."""
+        monkeypatch.setattr(scc, "relation_defect", lambda got, want: 1.0)
+        with pytest.raises(RoundTripFailure, match=r"^source graph round trip defect 1\.00e\+00$"):
+            scc.source_from_graph(complete_graph(systems.system((2,))))
 
     def test_span_vectors_match_loop(self):
         swap = TestCovariantScc()._swap_world()[2]

@@ -14,6 +14,7 @@ from covgraphs import cpmaps, graphs, groups, linalg, systems
 from covgraphs.classical import embed_channel
 
 from genutil import (
+    basis_offset,
     loop_basis_images,
     loop_superop_matrix,
     probe_hom_defects,
@@ -25,6 +26,7 @@ from genutil import (
     rand_cp,
     rand_stochastic,
     rand_unitary,
+    total_matrix_dim,
 )
 
 rng = np.random.default_rng(606)
@@ -32,7 +34,7 @@ rng = np.random.default_rng(606)
 
 def _weighted(dims, weights):
     action = groups.trivial_action(groups.trivial_group(), dims)
-    return systems.System(systems.QuantumSet(dims), action, weights)
+    return systems.System(dims, action, weights)
 
 
 def _unitary_map(sys, r=rng):
@@ -126,7 +128,7 @@ def test_product_table_bitwise_equal_probe(dims, weights):
     bitwise the table of coords(u_k u_l) the probe builds."""
     sys = _weighted(dims, weights)
     k, l, m, c = systems._structure_constants(sys)
-    nb = systems.total_matrix_dim(sys)
+    nb = total_matrix_dim(sys)
     assert len(c) == sum(d ** 3 for d in dims)
     table = np.zeros((nb, nb, nb), dtype=complex)
     table[k, l, m] = c
@@ -190,9 +192,9 @@ def test_basis_images_and_blends_bitwise_equal_pair_loop(dims):
         assert graphs._superop_matrix(blend).tobytes() == loop_superop_matrix(blend).tobytes()
     # The emitted maps: columns of the square root of the blend at tau.
     fhalf = linalg.psd_sqrt(linalg.hermitize(loop_superop_matrix(graphs._graph_as_cp(g, tau))))
-    n = systems.total_matrix_dim(sys)
+    n = total_matrix_dim(sys)
     for i, d in enumerate(dims):
-        off = systems.basis_offset(sys, i)
+        off = basis_offset(sys, i)
         ref = [fhalf[:, off + a:off + d * d:d] / np.sqrt(float(n)) for a in range(d)]
         got = f.kraus()[(i, 0)]
         assert len(got) == d and all(np.array_equal(m, r) for m, r in zip(got, ref)), i

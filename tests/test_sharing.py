@@ -42,7 +42,7 @@ def _z2_system(u: np.ndarray):
     built by the raw System constructor: each call is a new system with a
     new action, whatever its bytes."""
     z2 = groups.cyclic_group(2)
-    return systems.System(systems.QuantumSet((2,)), inner_action(z2, 2, [np.eye(2), u]), (2.0,))
+    return systems.System((2,), inner_action(z2, 2, [np.eye(2), u]), (2.0,))
 
 
 def _conjugation_bundle(u: np.ndarray, extra: dict | None = None) -> dict:
@@ -200,17 +200,17 @@ class TestIdentityChannel:
 
 
 class TestSystems:
-    """systems.system, separable_standard, classical_system and the bundle
-    build through one constructor shared per dims, weights and the action's
-    exact key; systems.System stays the raw, unshared constructor."""
+    """systems.system, classical_system and the bundle build through one
+    constructor shared per dims, weights and the action's exact key;
+    systems.System stays the raw, unshared constructor."""
 
     def test_one_system_per_exact_key(self):
         a = systems.classical_system(3)
         assert systems.classical_system(3) is a and systems.system((1, 1, 1)) is a
-        assert systems.separable_standard(systems.QuantumSet((1, 1, 1))) is a
+        assert systems.system((1, 1, 1)) is a
         assert systems.classical_system(4) is not a
         assert systems.system((2, 1)) is systems.system([2, 1]) is not systems.system((1, 2))
-        raw = systems.System(a.qset, a.action, a.weights)
+        raw = systems.System(a.dims, a.action, a.weights)
         assert raw is not a and raw.exact_key == a.exact_key
 
     def test_two_loads_of_one_bundle_share_each_system(self):
@@ -233,7 +233,7 @@ class TestSystems:
         post_init = systems.System.__post_init__
 
         def counted(sys):
-            checked.append(sys.qset.factor_dims)
+            checked.append(sys.dims)
             post_init(sys)
 
         monkeypatch.setattr(systems.System, "__post_init__", counted)
@@ -272,7 +272,7 @@ class TestTensorSystemAndDiscrete:
             action = sys.action
             for key, parts in ((sys.exact_key, (sys.dims, sys.weights, action.exact_key)),
                                (action.exact_key, (action._key, action._digest))):
-                assert isinstance(key, groups.KeptHash) and key == parts
+                assert isinstance(key, groups.ExactKey) and key == parts
                 assert hash(key) == hash(tuple(key))
                 again = pickle.loads(pickle.dumps(key))
                 assert again == key and hash(again) == hash(key)

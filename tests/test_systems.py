@@ -47,18 +47,18 @@ class TestSeparableStandard:
         s2 = groups.symmetric_group(2)
         act = groups.permutation_action(s2, (1, 1), symmetric_group_perms(2))
         with pytest.raises(ActionShapeMismatch):
-            systems.System(systems.QuantumSet((1, 1)), act, (1.0, 2.0))
+            systems.System((1, 1), act, (1.0, 2.0))
 
     def test_action_shape_mismatch(self):
         act = groups.trivial_action(groups.trivial_group(), (2,))
         with pytest.raises(ActionShapeMismatch):
-            systems.System(systems.QuantumSet((3,)), act, (3.0,))
+            systems.System((3,), act, (3.0,))
 
 
 def _mmdag_scale(d, w):
     """Return c with m ∘ m† = c id for the weight-w functional on B(C^d)."""
     sys = systems.System(
-        systems.QuantumSet((d,)),
+        (d,),
         groups.trivial_action(groups.trivial_group(), (d,)),
         (w,),
     )
@@ -150,7 +150,7 @@ class TestSsfa:
 
     def test_wrong_weight_breaks_separability(self):
         sys = systems.System(
-            systems.QuantumSet((2,)),
+            (2,),
             groups.trivial_action(groups.trivial_group(), (2,)),
             (1.0,),
         )
@@ -231,4 +231,4 @@ def test_non_finite_weights_are_refused(bad):
     dims = (1, 2)
     action = groups.trivial_action(groups.trivial_group(), dims)
     with pytest.raises(ShapeMismatch, match="one finite positive weight per factor"):
-        systems.System(systems.QuantumSet(dims), action, (1.0, bad))
+        systems.System(dims, action, (1.0, bad))

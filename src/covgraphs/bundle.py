@@ -84,7 +84,6 @@ from .errors import CovGraphsError
 from .graphs import QuantumGraph, classify
 from .groups import (
     AlgebraAction,
-    ExactKey,
     FiniteGroup,
     is_covariant_cp,
     permutation_action,
@@ -95,7 +94,7 @@ from .groups import (
 )
 from .relations import QuantumRelation
 from .scc import Source, tensor_system
-from .systems import KeyedStack, System, _shared_system
+from .systems import KeyedStack, System, _factor_dims, _shared_system
 
 
 class BundleError(CovGraphsError):
@@ -254,7 +253,7 @@ def system_to_json(sys: System) -> dict:
 def system_from_json(data, group: FiniteGroup) -> System:
     if "factors" not in data:
         raise BundleError("needs 'factors'")
-    dims = _numbers(data["factors"], "factors", flat=int)
+    dims = _factor_dims(_numbers(data["factors"], "factors", flat=int))
     action_data = data.get("action")
     if action_data is None:
         action = trivial_action(group, dims)
@@ -278,9 +277,8 @@ def system_from_json(data, group: FiniteGroup) -> System:
                 if str(g) in given_units else tuple(np.eye(d, dtype=complex) for d in dims)
                 for g in range(group.order)
             )
-            exact = ExactKey(tuple((u.shape, u.tobytes()) for u in fam) for fam in units)
-            exact.value = units
-            action = _unitary_action(group, dims, perms, exact)
+            action = _unitary_action(group, dims, perms, tuple(
+                tuple((u.shape, u.tobytes()) for u in fam) for fam in units))
     weights = data.get("weights")
     weights = dims if weights is None else _numbers(weights, "weights", flat=float)
     return _shared_system(dims, weights, action)
@@ -288,11 +286,13 @@ def system_from_json(data, group: FiniteGroup) -> System:
 
 @shared
 def _unitary_action(group: FiniteGroup, dims: tuple, perms: tuple,
-                    units: ExactKey) -> AlgebraAction:
-    """AlgebraAction(group, dims, perms, units.value), shared (groups.shared)
-    per group, dims, perms and the shape and bytes of every parsed unitary
-    (the items of units)."""
-    return AlgebraAction(group, dims, perms, units.value)
+                    units: tuple) -> AlgebraAction:
+    """AlgebraAction with the per-element unitary families given as the
+    (shape, bytes) of each parsed complex matrix, shared (groups.shared)
+    per group, dims, perms and those shapes and bytes."""
+    return AlgebraAction(group, dims, perms, tuple(
+        tuple(np.frombuffer(raw, dtype=complex).reshape(shape) for shape, raw in fam)
+        for fam in units))
 
 
 def _pair_key(i: int, j: int) -> str:

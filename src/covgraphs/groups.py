@@ -6,15 +6,16 @@ a Latin square, an identity inside the group, associative.
 
 Groups, actions, systems and the channels on them never change once built,
 so shared(make) builds make's object once per exact key of its arguments
-and hands every later caller that object.  The key of an action or system
-is its exact_key, the key below and the digest of its unitaries' bytes
-(System.exact_key adds dims and weights), an ExactKey built and hashed once
-with its owner; never the round-off equality below, so a shared object is
-bitwise the one its caller would have built.  The shared objects: groups
-(shared_group), permutation and trivial actions, transport plans, bundle
-actions given with unitaries, systems, the conjugation action (graphs),
-identity channels (cpmaps), discrete relations (relations), and tensor
-products and complete simple graphs (scc).
+and hands every later caller that object.  The exact key of an action or
+system is its exact_key, a 32-byte blake2b digest set once with its owner:
+of the key below and the unitaries' bytes for an action, of dims, weights
+and the action's exact_key for a system.  It is never the round-off
+equality below, so a shared object is bitwise the one its caller would
+have built.  The shared objects: groups (shared_group), permutation and
+trivial actions, transport plans, bundle actions given with unitaries,
+systems, the conjugation action (graphs), identity channels (cpmaps),
+discrete relations (relations), and tensor products and complete simple
+graphs (scc).
 
 For the same reason what a check derives from one object without a
 tolerance never changes: kept(derive) stores derive(owner, *args) on the
@@ -57,7 +58,7 @@ Two actions are equal when they share group table, dims and perms (the key)
 and their unitaries agree within TOL_ROUNDOFF.  Identical objects and
 different keys decide equality at once; equal keys compare the unitaries,
 which is rare, since the library shares one action per exact key.
-The hash covers the key alone, never the digest, because equality tolerates
+The hash covers the key alone, never exact_key, because equality tolerates
 round-off; so actions and the systems that carry them can key dicts.
 """
 
@@ -65,6 +66,7 @@ from __future__ import annotations
 
 import hashlib
 import inspect
+import marshal
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache, wraps
@@ -78,52 +80,36 @@ from .errors import ActionShapeMismatch, GroupMismatch, ShapeMismatch
 from .linalg import TOL_PROJ, TOL_ROUNDOFF
 
 
-class ExactKey(tuple):
-    """An exact key (ints, tuples, bytes, digests), hashed once when built:
-    the exact_key of an action or a system, or the key of a shared call.
-    It hashes and compares as the tuple of its items alone, so that an
-    lru_cache over it shares one result per key while the function it
-    caches reads ``value``, set after construction."""
-
-    def __new__(cls, items):
-        self = super().__new__(cls, items)
-        self._hash = tuple.__hash__(self)
-        return self
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # str and bytes hashes differ between processes: rehash on unpickling.
-        return ExactKey, (tuple(self),)
+_UNSET = object()
 
 
 def shared(make):
     """make, shared per exact key of its arguments (see the module
-    docstring): each argument's exact_key if it has one, and the argument
-    itself otherwise.  One lru_cache of 128 keys per shared function; the
-    first caller's arguments build the object, and a call that raises
-    shares nothing.  The key is read from positional arguments, so a shared
-    function has no defaults, and a call that passes keywords is bound to
-    make's signature first."""
+    docstring): the tuple of each argument's exact_key if it has one, and
+    of the argument itself otherwise.  One dict of at most 128 keys per
+    shared function, least recently used first: a hit moves its key to the
+    end, and a miss builds with the first caller's arguments and then drops
+    the oldest key of a full dict; a call that raises shares nothing.  The
+    key is read from positional arguments, so a shared function has no
+    defaults, and a call that passes keywords is bound to make's signature
+    first."""
     signature = inspect.signature(make)
-
-    @lru_cache(maxsize=128)
-    def build(key: ExactKey):
-        return make(*key.value)
+    built = {}
 
     @wraps(make)
     def call(*args, **kwargs):
         if kwargs:
             args = signature.bind(*args, **kwargs).args
-        key = ExactKey([getattr(arg, "exact_key", arg) for arg in args])
-        key.value = args
-        return build(key)
+        key = tuple([getattr(arg, "exact_key", arg) for arg in args])
+        value = built.pop(key, _UNSET)
+        if value is _UNSET:
+            value = make(*args)
+            if len(built) >= 128:
+                del built[next(iter(built))]
+        built[key] = value
+        return value
 
     return call
-
-
-_UNSET = object()
 
 
 def kept(derive):
@@ -267,8 +253,9 @@ class AlgebraAction:
     stack is scanned (linalg.as_complex_groups) and checked for unitarity
     once, and the homomorphism check is one gathered product per dimension;
     the first failing (g, i) or (g, h) raises.  Afterwards unitaries[g][i]
-    is a view of its stack, and perm_array is perms as a read-only
-    (|G|, nfactors) array.
+    is a view of its stack, perm_array is perms as a read-only
+    (|G|, nfactors) array, and exact_key the digest of the group, dims,
+    perms and the stacks' bytes (see the module docstring).
     """
 
     group: FiniteGroup
@@ -353,16 +340,17 @@ class AlgebraAction:
         if self.perms[e] != tuple(range(nf)):
             raise ActionShapeMismatch("identity element must fix the factor slots")
         _check_homomorphism(self)
-        # Identity: equal keys are necessary for equality; only the hash of
-        # the key is kept, because equality tolerates TOL_ROUNDOFF in the
-        # unitaries, and the digest of their bytes goes into exact_key.
+        # Identity: equal keys are necessary for equality and the hash reads
+        # the key alone, because equality tolerates TOL_ROUNDOFF in the
+        # unitaries.  exact_key, the digest of the key and the unitaries'
+        # bytes, is equal exactly when the actions are bitwise equal;
+        # marshal's version 2 writes the key by value, with no references.
         key = (n, self.group.table, e, dims, self.perms)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
-        object.__setattr__(self, "_digest", hashlib.blake2b(
-            b"".join(stack.tobytes() for _, stack in classes.values())
-        ).digest())
-        object.__setattr__(self, "_exact_key", ExactKey((key, self._digest)))
+        object.__setattr__(self, "exact_key", hashlib.blake2b(b"".join(
+            [marshal.dumps(key, 2)] + [stack.tobytes() for _, stack in classes.values()]),
+            digest_size=32).digest())
 
     @property
     def nfactors(self) -> int:
@@ -378,13 +366,6 @@ class AlgebraAction:
         share one dimension d."""
         _, stack = self._classes[self.dims[factors[0]]]
         return stack[g, self._slot[np.asarray(factors)]]
-
-    @property
-    def exact_key(self) -> tuple:
-        """The key and the digest of the unitaries' bytes: equal exactly when
-        the actions are bitwise equal, unlike ==, which tolerates round-off.
-        Built and hashed once, with the action."""
-        return self._exact_key
 
     def __eq__(self, other):
         if self is other:

@@ -13,7 +13,8 @@ Algebra elements are plain lists of per-factor complex matrices.
 
 A system never changes once built: system, classical_system and the
 bundle build it through one constructor shared (groups.shared) per dims,
-weights and the action's exact_key, validated on its first build.
+weights and the action's exact_key, validated on its first build; the
+system's own exact_key is the digest of those three.
 System(...) is the raw constructor, new on every call.  Its φ-basis
 coordinates lay the factors out in order, d_i² each (offsets).
 
@@ -37,6 +38,8 @@ symmetric, since symmetry does not show in a relation's type.
 
 from __future__ import annotations
 
+import hashlib
+import marshal
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
@@ -49,7 +52,6 @@ from .errors import ActionShapeMismatch, ShapeMismatch
 from .groups import (
     AlgebraAction,
     FiniteGroup,
-    ExactKey,
     dim_classes,
     shared,
     trivial_action,
@@ -82,7 +84,10 @@ class System:
             raise ActionShapeMismatch("weights must be constant on action orbits")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "_exact_key", ExactKey((dims, w, self.action.exact_key)))
+        # Dims, weights and the action's exact key: equal exactly when the
+        # systems are bitwise equal, unlike ==, which tolerates round-off.
+        object.__setattr__(self, "exact_key", hashlib.blake2b(
+            marshal.dumps((dims, w), 2) + self.action.exact_key, digest_size=32).digest())
 
     @property
     def nfactors(self) -> int:
@@ -105,13 +110,6 @@ class System:
                 raise ShapeMismatch(f"factor block has shape {b.shape}, expected ({d},{d})")
             out.append(b)
         return out
-
-    @property
-    def exact_key(self) -> tuple:
-        """Dims, weights and the action's exact key: equal exactly when the
-        systems are bitwise equal, unlike ==, which tolerates round-off.
-        Built and hashed once, with the system."""
-        return self._exact_key
 
     def __eq__(self, other):
         if self is other:

@@ -307,6 +307,13 @@ MALFORMED = {
         "graph 'discrete_A': malformed graph block 0,0"),
     "no factors": (lambda d: d["systems"]["A"].__delitem__("factors"),
                    "system 'A': needs 'factors'"),
+    "factor of dim 0": (lambda d: d["systems"].update(A={"factors": [0]}),
+                        "system 'A': a quantum set needs at least one factor of dim >= 1"),
+    "factor of dim -1": (lambda d: d["systems"].update(A={"factors": [-1]}),
+                         "system 'A': a quantum set needs at least one factor of dim >= 1"),
+    "factor of dim 0 with an action": (
+        lambda d: d["systems"]["A"].update(factors=[2, 0]),
+        "system 'A': a quantum set needs at least one factor of dim >= 1"),
     "no group order": (lambda d: d["group"].__delitem__("order"), "group needs 'order'"),
     "no group table": (lambda d: d["group"].__delitem__("mult_table"),
                        "group needs 'mult_table'"),

@@ -460,7 +460,7 @@ class TestActionIdentity:
         close = u + 1e-13 * rand_unitary(rng, 3)
         a = inner_action(z2, 3, [np.eye(3), u])
         b = inner_action(z2, 3, [np.eye(3), close])
-        assert a._digest != b._digest
+        assert a.exact_key != b.exact_key
         assert a == b and hash(a) == hash(b)
         assert systems.system((3,), a) == systems.system((3,), b)
         far = inner_action(z2, 3, [np.eye(3), _reflection(np.ones(3, dtype=complex))])
@@ -495,7 +495,7 @@ class TestActionIdentity:
 
         a = action(sign)
         close, far = action(sign * np.exp(1e-14j)), action(sign * np.exp(1e-3j))
-        assert a._digest != close._digest and a._digest != far._digest
+        assert a.exact_key != close.exact_key and a.exact_key != far.exact_key
         assert a == close and a != far
 
     def test_equality_reads_keys_and_unitaries(self):
@@ -505,9 +505,9 @@ class TestActionIdentity:
         u = _reflection(np.array([1.0, 2.0, 0.5j]))
         a = inner_action(z2, 3, [np.eye(3), u])
         twin = inner_action(z2, 3, [np.eye(3), u.copy()])
-        assert a is not twin and a._digest == twin._digest and a == twin
+        assert a is not twin and a.exact_key == twin.exact_key and a == twin
         close = inner_action(z2, 3, [np.eye(3), u + 1e-14 * rand_unitary(rng, 3)])
-        assert a._digest != close._digest and a == close
+        assert a.exact_key != close.exact_key and a == close
         eye = np.eye(1)
         swap = groups.AlgebraAction(z2, (1, 1), ((0, 1), (1, 0)), ((eye, eye),) * 2)
         fixed = groups.AlgebraAction(z2, (1, 1), ((0, 1), (0, 1)), ((eye, eye),) * 2)

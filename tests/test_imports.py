@@ -15,6 +15,7 @@ ALLOWED = set()
 
 # (importing module, source module, private name)
 PRIVATE = {
+    ("bundle", "systems", "_factor_dims"),
     ("bundle", "systems", "_shared_system"),
     ("classical", "cpmaps", "_from_stacks"),
     ("cpmaps", "systems", "_diff"),

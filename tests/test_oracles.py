@@ -1,14 +1,17 @@
 """Verdicts checked against oracles that share no cut code with the library.
 
 The Knill–Laflamme oracle decides reversibility from products of Kraus maps
-alone: no support cut, no relation compose.  The exact oracle reads ranks
-and reversibility off Gaussian-rational Kraus maps in sympy arithmetic, with
-no tolerance at all.  The metamorphic checks ask that verdicts and ranks do
-not move under a change of basis or a positive rescaling.
+alone: no support cut, no relation compose.  The exact oracles read ranks,
+reversibility and homomorphism containment off Gaussian-rational Kraus maps
+in sympy arithmetic, with no tolerance at all.  The metamorphic checks ask
+that verdicts and ranks do not move under a change of basis or a positive
+rescaling.
 """
 
 import numpy as np
 import sympy
+from sympy import QQ_I
+from sympy.polys.matrices import DomainMatrix
 
 from covgraphs import cpmaps, graphs, groups, relations, scc, systems
 from covgraphs.classical import embed_channel
@@ -354,3 +357,55 @@ def test_exact_ranks_and_reversibility():
                 assert rev or not reversible, (dims, seed)
                 verdicts.append(rev)
     assert len(verdicts) == 60 and 30 <= sum(verdicts) < 60
+
+
+def _exact_products(kraus):
+    """{(i, i′): [M_a† M_b]} over maps M_a on (i, j) and M_b on (i′, j)."""
+    prods = {}
+    for (i, j), ms in kraus.items():
+        for (ip, jp), mps in kraus.items():
+            if j == jp:
+                prods.setdefault((i, ip), []).extend(a.H * b for a in ms for b in mps)
+    return prods
+
+
+def _exact_span_rank(mats):
+    """Rank of the span of the flattened matrices over QQ_I, exactly."""
+    if not mats:
+        return 0
+    rows = [[QQ_I.from_sympy(sympy.expand(x)) for x in m] for m in mats]
+    return DomainMatrix(rows, (len(rows), len(rows[0])), QQ_I).rank()
+
+
+def test_exact_homomorphism_containment():
+    """Seeds 0-9 on (2,), (3,) and (2, 2): exact channels f, n and g with
+    Γ_B the confusability graph of n and Γ_A the discrete graph or that of
+    g.  The pullback block (i, i′) spans (N_c M_a)† (N_d M_b), the products
+    of the composite n ∘ f, and f is a homomorphism exactly when every
+    pullback block adds no rank to its Γ_A block; is_homomorphism agrees."""
+    verdicts = []
+    for dims in [(2,), (3,), (2, 2)]:
+        sys = systems.system(dims)
+        discrete = {(i, i): [sympy.eye(d)] for i, d in enumerate(dims)}
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            flags = rng.integers(2, size=2).tolist() + [0]
+            exact = [_exact_kraus(rng, dims, bool(r)) for r in flags]
+            f, n, g = (cpmaps.from_kraus({key: [np.array(m, dtype=complex) for m in maps]
+                                          for key, maps in e.items()}, sys, sys)
+                       for e in exact)
+            composite = {}
+            for (i, j), ms in exact[0].items():
+                for (jn, k), ns in exact[1].items():
+                    if jn == j:
+                        composite.setdefault((i, k), []).extend(c * m for m in ms for c in ns)
+            pullback = _exact_products(composite)
+            for g_a, blocks in ((graphs.discrete_graph(sys), discrete),
+                                (graphs.confusability_of(g), _exact_products(exact[2]))):
+                want = all(_exact_span_rank(mats + blocks.get(key, []))
+                           == _exact_span_rank(blocks.get(key, []))
+                           for key, mats in pullback.items())
+                got = graphs.is_homomorphism(f, g_a, graphs.confusability_of(n))
+                assert got == want, (dims, seed, flags)
+                verdicts.append(want)
+    assert len(verdicts) == 60 and 0 < sum(verdicts) < 60

@@ -23,7 +23,7 @@ from covgraphs import bundle, cli, cpmaps, graphs, groups, relations, scc, syste
 from covgraphs.bundle import BundleError
 from covgraphs.errors import ActionShapeMismatch, GroupMismatch
 
-from genutil import held, inner_action
+from genutil import held, inner_action, unshared_system
 
 C2 = {"order": 2, "mult_table": [[0, 1], [1, 0]], "identity": 0}
 
@@ -267,16 +267,33 @@ class TestTensorSystemAndDiscrete:
         assert relations.discrete(b) is relations.discrete(a)
 
     def test_exact_key_is_built_and_hashed_once(self):
+        """An exact key is a digest set once with its owner: bytes, the same
+        object on every read, kept by pickling, equal for an independently
+        built twin, and another when only the dims, the weights, the perms
+        or one unitary entry differ."""
         a, b = _z2_system(np.diag([1.0, -1.0])), systems.classical_system(64)
         for sys in (a, b):
-            action = sys.action
-            for key, parts in ((sys.exact_key, (sys.dims, sys.weights, action.exact_key)),
-                               (action.exact_key, (action._key, action._digest))):
-                assert isinstance(key, groups.ExactKey) and key == parts
-                assert hash(key) == hash(tuple(key))
-                again = pickle.loads(pickle.dumps(key))
-                assert again == key and hash(again) == hash(key)
-            assert sys.exact_key is sys.exact_key and action.exact_key is action.exact_key
+            for owner in (sys, sys.action):
+                key = owner.exact_key
+                assert isinstance(key, bytes) and owner.exact_key is key
+                assert pickle.loads(pickle.dumps(key)) == key
+            twin = unshared_system(sys.dims, sys.action)
+            assert twin is not sys and twin.exact_key == sys.exact_key
+        trivial = groups.trivial_group()
+        dims = [systems.System((d,), groups.trivial_action(trivial, (d,)), (1.0,))
+                for d in (2, 3)]
+        swap = groups.permutation_action(groups.cyclic_group(2), (1, 1), ((0, 1), (1, 0)))
+        fixed = groups.permutation_action(groups.cyclic_group(2), (1, 1), ((0, 1), (0, 1)))
+        weights = [systems.System((1, 1), fixed, w) for w in ((1.0, 1.0), (1.0, 2.0))]
+        perms = [systems.System((1, 1), action, (1.0, 1.0)) for action in (fixed, swap)]
+        u = _reflection(0.38)
+        v = u.copy()
+        v[0, 0] += 1e-15
+        assert np.count_nonzero(u != v) == 1
+        entry = [_z2_system(u), _z2_system(v)]
+        for x, y in (dims, weights, perms, entry):
+            assert x.exact_key != y.exact_key
+        assert entry[0].action.exact_key != entry[1].action.exact_key
 
     def test_roundoff_close_systems_get_their_own_product(self):
         a, b = _z2_system(_reflection(0.34)), _z2_system(_reflection(0.34 + 1e-15))
@@ -429,6 +446,24 @@ class TestSharedRule:
         assert make(a, 2) is first and make(action=a, extra=2) is first
         assert len(built) == 1
 
+    def test_least_recently_used_key_goes_first(self):
+        """128 keys fill a shared function; a hit makes its key the most
+        recent, so the 129th key drops the oldest other one.  A keyword call
+        hits its positional twin, and a call that raises drops nothing: the
+        oldest key still hits after it."""
+        make, built = self._counted()
+        a = _z2_system(np.diag([1.0, -1.0])).action
+        first = [make(a, k) for k in range(128)]
+        assert len(built) == 128
+        assert make(a, 0) is first[0] and len(built) == 128
+        make(a, 128)
+        assert make(a, 0) is first[0] and len(built) == 129
+        assert make(a, 1) is not first[1] and built[-1] == (a, 1)
+        assert make(a, extra=5) is make(a, 5) is first[5] and len(built) == 130
+        with pytest.raises(ValueError, match="negative extra"):
+            make(a, -1)
+        assert make(a, 3) is first[3] and len(built) == 130
+
 
 class TestKeptRule:
     """groups.kept: derive(owner, *args) kept on the owner once per tuple of
@@ -529,3 +564,27 @@ def _foreign_private_writes():
 
 def test_no_module_writes_another_objects_private_slot():
     assert _foreign_private_writes() == OWN_SLOTS
+
+
+def _memo_functions():
+    """{module.function: takes positional parameters only} for every
+    function in src/ decorated @shared or @kept."""
+    found = {}
+    for path in sorted(pathlib.Path(covgraphs.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    ast.unparse(d).split(".")[-1] in ("shared", "kept")
+                    for d in fn.decorator_list):
+                a = fn.args
+                found[f"{path.stem}.{fn.name}"] = not (
+                    a.defaults or a.kw_defaults or a.kwonlyargs or a.vararg or a.kwarg)
+    return found
+
+
+def test_shared_and_kept_functions_take_positional_parameters_only():
+    """shared and kept key a call by its positional arguments, so a memo
+    function has no default, no *args or **kwargs and no keyword-only
+    parameter."""
+    memo = _memo_functions()
+    assert len(memo) >= 20
+    assert [name for name, plain in memo.items() if not plain] == []

@@ -245,7 +245,9 @@ def system_to_json(sys: System) -> dict:
             if g == group.identity:
                 continue
             perms[str(g)] = list(sys.action.perms[g])
-            unitaries[str(g)] = [matrix_to_json(u) for u in sys.action.unitaries[g]]
+            # Each class stack holds its factors in factor order.
+            members = {d: iter(stack[g]) for d, stack in sys.action.unitaries.items()}
+            unitaries[str(g)] = [matrix_to_json(next(members[d])) for d in sys.dims]
         out["action"] = {"perms": perms, "unitaries": unitaries}
     return out
 

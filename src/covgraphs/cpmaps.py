@@ -46,8 +46,10 @@ What a morphism derives without a tolerance is kept on it (groups.kept).
 The input's type is the one trust rule (see systems): Choi blocks given as a
 dict or a KeyedStack are scanned, shape-checked, and PSD-checked by the kept
 cut every later reader reads (CpMorphism.cut), a BlockStore is the
-library's own and taken as it is, and every Kraus family, whoever built it,
-goes through from_kraus, which scans and shape-checks it.
+library's own and taken as it is, and every Kraus family goes through
+from_kraus, which scans and shape-checks it, but classical.embed_channel's:
+its 1x1 maps go to _from_stacks unscanned, being square roots of entries
+that check_stochastic has scanned.
 
 Channels preserve the separable standard functional: for every source factor
 i, Σ_{j,k} w_j M_ijk† M_ijk = w_i I.

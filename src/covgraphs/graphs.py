@@ -180,20 +180,20 @@ def _conjugation_action(action: AlgebraAction, extra: int) -> AlgebraAction:
     off = offsets(action.dims)
     dim = int(off[-1])
     n = dim + extra
-    group = action.group
-    perms = tuple((0,) for _ in range(group.order))
-    units = np.zeros((group.order, 1, n, n), dtype=complex)
-    for gel in group.elements:
-        u = units[gel, 0]
-        for a, da in enumerate(action.dims):
-            ua = action.unitaries[gel][a]
-            src = off[a]
-            tgt = off[action.perms[gel][a]]
-            # E_pq -> ua E_pq ua† placed at the image factor: column (p, q)
-            # is the row-major ua[:, p] ua[:, q]†, i.e. kron(ua, conj(ua)).
-            u[tgt:tgt + da * da, src:src + da * da] = np.kron(ua, ua.conj())
-        u[dim:, dim:] = np.eye(extra)
-    return AlgebraAction(group, (n,), perms, {n: units})
+    order = action.group.order
+    units = np.zeros((order, n, n), dtype=complex)
+    elements = np.arange(order)[:, None, None, None]
+    for d, (idx, stack) in action.factor_classes().items():
+        # E_pq -> u E_pq u† placed at the image factor: column (p, q) is the
+        # row-major u[:, p] u[:, q]†, i.e. kron(u, conj(u)), one kron_stack
+        # for the whole class, placed at every element's (image, factor).
+        span = np.arange(d * d)
+        rows = off[action.perm_array[:, idx]][..., None] + span
+        cols = off[idx][:, None] + span
+        units[elements, rows[..., None], cols[None, :, None, :]] = linalg.kron_stack(
+            stack, stack.conj())
+    units[:, dim:, dim:] = np.eye(extra)
+    return AlgebraAction(action.group, (n,), ((0,),) * order, {n: units[:, None]})
 
 
 def homomorphism_failures(f: CpMorphism, g_a: QuantumGraph, g_b: QuantumGraph,

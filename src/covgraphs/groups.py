@@ -1,21 +1,26 @@
 """Finite groups, algebra actions, twirling and covariance checks, and the
 one sharing rule and the one memo rule.
 
-A group is a plain multiplication table, checked when built: order x order,
-a Latin square, an identity inside the group, associative.
+A group is a plain multiplication table, checked in full when built, at
+every order: order x order, a Latin square (one sort per axis), an identity
+inside the group, and associative over every triple, one row a at a time
+as array operations (|G|³ table reads in all: some 0.9 s for S6, order
+720, on a 2-vCPU host).  Its exact_key is the digest of order, table and
+identity, which its equality and hash read.
 
 Groups, actions, systems and the channels on them never change once built,
 so shared(make) builds make's object once per exact key of its arguments
-and hands every later caller that object.  The exact key of an action or
-system is its exact_key, a 32-byte blake2b digest set once with its owner:
-of the key below and the unitaries' bytes for an action, of dims, weights
-and the action's exact_key for a system.  It is never the round-off
-equality below, so a shared object is bitwise the one its caller would
-have built.  The shared objects: groups (shared_group), permutation and
-trivial actions, transport plans, bundle actions given with unitaries,
-systems, the conjugation action (graphs), identity channels (cpmaps),
-discrete relations (relations), and tensor products and complete simple
-graphs (scc).
+and hands every later caller that object.  The exact key of a group,
+action or system is its exact_key, a 32-byte blake2b digest set once with
+its owner: of order, table and identity for a group, of the key below and
+the unitaries' bytes for an action, of dims, weights and the action's
+exact_key for a system, so a shared key hashes in C.  It is never the
+round-off equality below, so a shared object is bitwise the one its
+caller would have built.  The shared objects: groups (shared_group),
+permutation and trivial actions, transport plans, bundle actions given
+with unitaries, systems, the conjugation action (graphs), identity
+channels (cpmaps), discrete relations (relations), and tensor products
+and complete simple graphs (scc).
 
 For the same reason what a check derives from one object without a
 tolerance never changes: kept(derive) stores derive(owner, *args) on the
@@ -23,7 +28,7 @@ owner once per tuple of positional arguments, and every later call returns
 that same object.  A call that raises keeps nothing, and the memo dies with
 its owner; no module-level store is keyed by an owner, and no module writes
 another's memo.  Kept are what cpmaps, relations, graphs and scc derive
-from a morphism, relation or source, and the element pairs of a group.
+from a morphism, relation or source.
 
 An action on a multi-factor algebra
 ``⊕_i B(H_i)`` assigns to each group element a permutation of the factors and
@@ -47,14 +52,18 @@ memory grows with |G|: a twirl reads every element, so its plan then holds
 |G| W stacks per class (C_n permuting n classical points: n³ entries of W
 and n³ image slots).
 
-An action holds its unitaries as read-only stacks, one (|G|, k, d, d)
-stack per factor dimension; the library's own constructions (trivial and
-permutation actions, tensor products, the conjugation action) and the
-bundle hand them over as such stacks.  The construction checks run once
-per stack: one finite scan, one unitarity product, and the homomorphism
-test as one gathered product over all element pairs.
+An action holds its unitaries once, as the read-only mapping unitaries
+from each factor dimension d to the (|G|, k, d, d) stack of its k
+factors; the library's own constructions (trivial and permutation
+actions, tensor products, the conjugation action) hand them over as such
+stacks, and the bundle per element.  The construction checks run by kind,
+each in full at every order, and the first failing kind raises: perms,
+identity, unitaries (shape and finiteness), unitarity, homomorphism.  The
+homomorphism test visits every element pair, one element g at a time
+against all h, so its cost is |G|² Σ k d³ (some 2.5 s for S6 permuting
+six qubits on a 2-vCPU host).
 
-Two actions are equal when they share group table, dims and perms (the key)
+Two actions are equal when they share group, dims and perms (the key)
 and their unitaries agree within TOL_ROUNDOFF.  Identical objects and
 different keys decide equality at once; equal keys compare the unitaries,
 which is rare, since the library shares one action per exact key.
@@ -70,7 +79,7 @@ import marshal
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache, wraps
-from itertools import permutations, product
+from itertools import permutations
 from types import MappingProxyType
 
 import numpy as np
@@ -133,9 +142,13 @@ def kept(derive):
     return call
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    """Group given by its multiplication table: table[g][h] = g*h."""
+    """Group given by its multiplication table: table[g][h] = g*h.
+
+    Checked in full when built (see the module docstring); afterwards table
+    is a tuple of int tuples and exact_key the digest of order, table and
+    identity, which equality and the hash read."""
 
     order: int
     table: tuple
@@ -150,51 +163,36 @@ class FiniteGroup:
         t = np.asarray(self.table, dtype=int) if square else None
         if t is None or t.shape != (n, n):
             raise GroupMismatch("multiplication table must be order x order")
-        for row in range(n):
-            if sorted(t[row]) != list(range(n)) or sorted(t[:, row]) != list(range(n)):
-                raise GroupMismatch("multiplication table is not a Latin square")
+        elements = np.arange(n)
+        if not ((np.sort(t, axis=1) == elements).all()
+                and (np.sort(t, axis=0) == elements[:, None]).all()):
+            raise GroupMismatch("multiplication table is not a Latin square")
         e = self.identity
         if not 0 <= e < n:
             raise GroupMismatch(f"identity {e} is not an element of a group of order {n}")
-        if not (np.all(t[e] == np.arange(n)) and np.all(t[:, e] == np.arange(n))):
+        if not (np.all(t[e] == elements) and np.all(t[:, e] == elements)):
             raise GroupMismatch("identity row/column must be trivial")
-        # Associativity: exhaustive for small orders, sampled above 24.
-        if n <= 24:
-            triples = product(range(n), repeat=3)
-        else:
-            rng = np.random.default_rng(0)
-            triples = (tuple(rng.integers(0, n, 3)) for _ in range(5000))
-        for a, b, c in triples:
-            if t[t[a, b], c] != t[a, t[b, c]]:
+        # Associativity over every triple, one row a at a time: (ab)c is
+        # t[t[a]][b, c] and a(bc) is t[a][t][b, c].
+        for a in range(n):
+            bad = t[t[a]] != t[a][t]
+            if bad.any():
+                b, c = divmod(int(bad.argmax()), n)
                 raise GroupMismatch(f"associativity fails at ({a},{b},{c})")
-        object.__setattr__(self, "table", tuple(tuple(int(x) for x in row) for row in t))
-
-    @kept
-    def pairs(self):
-        """(g, h, gh) index arrays of the element pairs a homomorphism check
-        visits: every pair for order <= 24, a fixed sample of 800 above."""
-        n = self.order
-        if n <= 24:
-            g, h = np.divmod(np.arange(n * n), n)
-        else:
-            rng = np.random.default_rng(1)
-            g, h = np.array([rng.integers(0, n, 2) for _ in range(800)]).T
-        return g, h, np.array(self.table)[g, h]
+        object.__setattr__(self, "table", tuple(map(tuple, t.tolist())))
+        object.__setattr__(self, "exact_key", hashlib.blake2b(
+            np.array([n, e], dtype=np.int64).tobytes() + t.astype(np.int64).tobytes(),
+            digest_size=32).digest())
 
     @property
     def elements(self):
         return range(self.order)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FiniteGroup)
-            and self.order == other.order
-            and self.table == other.table
-            and self.identity == other.identity
-        )
+        return isinstance(other, FiniteGroup) and self.exact_key == other.exact_key
 
     def __hash__(self):
-        return hash((self.order, self.identity))
+        return hash(self.exact_key)
 
 
 @shared
@@ -244,112 +242,41 @@ def dim_classes(dims: tuple):
 class AlgebraAction:
     """Action of a finite group on the factors of a quantum set.
 
-    ``unitaries`` is given either per element, unitaries[g][i] the d_i x d_i
-    unitary of factor i, or as class stacks: a mapping from each factor
-    dimension d to the (|G|, k, d, d) stack of the unitaries of its k
-    factors (in factor order), which the action holds read-only, copied only
-    when it is not a contiguous complex array.  Per-element unitaries are
-    copied into such stacks, one np.asarray per dimension.  Either way each
-    stack is scanned (linalg.as_complex_groups) and checked for unitarity
-    once, and the homomorphism check is one gathered product per dimension;
-    the first failing (g, i) or (g, h) raises.  Afterwards unitaries[g][i]
-    is a view of its stack, perm_array is perms as a read-only
-    (|G|, nfactors) array, and exact_key the digest of the group, dims,
-    perms and the stacks' bytes (see the module docstring).
+    ``unitaries`` is given per element, unitaries[g][i] the d_i x d_i
+    unitary of factor i, or as what the action holds afterwards: the
+    read-only mapping from each factor dimension d to the (|G|, k, d, d)
+    stack of its k factors in factor order, copied only when it is not a
+    contiguous complex array.  The checks run by kind (see the module
+    docstring): perms, identity, unitaries (shape and finiteness, through
+    linalg.as_complex_groups), unitarity, homomorphism.  perm_array is perms
+    as a read-only (|G|, nfactors) array, and exact_key the digest of the
+    key and the stacks' bytes.
     """
 
     group: FiniteGroup
     dims: tuple
     perms: tuple          # perms[g][i] = image slot of factor i
-    unitaries: tuple      # unitaries[g][i] : d_i x d_i unitary, or class stacks
+    unitaries: Mapping    # d -> (|G|, k, d, d) stack, once built
 
     def __post_init__(self):
         dims = tuple(map(int, self.dims))
-        object.__setattr__(self, "dims", dims)
-        n, nf = self.group.order, len(dims)
-        stacked = isinstance(self.unitaries, Mapping)
-        if len(self.perms) != n or (not stacked and len(self.unitaries) != n):
-            raise ActionShapeMismatch("need one permutation and unitary family per element")
+        perms, perm_array = _checked_perms(self.group, dims, self.perms)
         factors, slot = dim_classes(dims)
-        if stacked and set(self.unitaries) != set(factors):
-            raise ActionShapeMismatch("need one unitary stack per factor dimension")
-        # Failures by (g, i, order at (g, i)): the elements before the first
-        # malformed family, at (g,), have their unitaries checked first.
-        perms, fails = [], []
-        for g in range(n):
-            p = tuple(map(int, self.perms[g]))
-            if sorted(p) != list(range(nf)):
-                malformed = f"perms[{g}] is not a permutation of the factors"
-            elif not stacked and len(self.unitaries[g]) != nf:
-                malformed = f"unitaries[{g}] has {len(self.unitaries[g])} entries, expected {nf}"
-            else:
-                perms.append(p)
-                continue
-            fails.append(((g,), ActionShapeMismatch(malformed)))
-            break
-        ng = len(perms)
-        perm_array = np.array(perms, dtype=int).reshape(ng, nf)
-        dim = np.array(dims, dtype=int)
-        bad = (dim[perm_array] != dim).ravel().nonzero()[0]
-        if bad.size:
-            g, i = divmod(int(bad[0]), nf)
-            fails.append(((g, i, 0), ActionShapeMismatch(
-                f"perms[{g}] maps factor {i} to unequal dimension")))
-        groups = []  # (unitaries of the factors of dimension d, (d, d), d, those factors)
-        for d, idx in factors.items():
-            k = len(idx)
-            if stacked:
-                given = self.unitaries[d]
-                if np.shape(given) != (n, k, d, d):
-                    raise ActionShapeMismatch(
-                        f"unitary stack of dimension {d} has shape {np.shape(given)}, "
-                        f"expected {(n, k, d, d)}")
-                members = np.reshape(given[:ng], (ng * k, d, d))
-            else:
-                members = [self.unitaries[g][i] for g in range(ng) for i in idx]
-            groups.append((members, (d, d), d, idx))
-
-        def name(group, exc):
-            g, s = divmod(exc.member, len(group[3]))
-            i = group[3][s]
-            if isinstance(exc, ShapeMismatch):
-                exc = ActionShapeMismatch(f"unitaries[{g}][{i}] has wrong shape")
-            return (g, i, 1), exc
-
-        stacks = linalg.as_complex_groups(groups, fails, name)
-        classes = {d: (np.array(idx), stack.reshape(ng, len(idx), d, d))
-                   for (_, _, d, idx), stack in zip(groups, stacks)}
-        for d, (idx, stack) in classes.items():
-            flat = stack.reshape(-1, d, d)
-            bad = linalg.frobs(flat @ flat.conj().swapaxes(1, 2) - np.eye(d)) > TOL_PROJ * max(1.0, d)
-            if bad.any():
-                g, s = divmod(int(np.argmax(bad)), len(idx))
-                raise ActionShapeMismatch(f"unitaries[{g}][{idx[s]}] is not unitary")
-            stack.setflags(write=False)
-        object.__setattr__(self, "perms", tuple(perms))
-        rows = {d: list(stack.reshape(-1, d, d)) for d, (_, stack) in classes.items()}
-        at = [(rows[d], len(factors[d]), s) for d, s in zip(dims, slot.tolist())]
-        object.__setattr__(self, "unitaries", tuple(
-            tuple([members[g * k + s] for members, k, s in at]) for g in range(n)
-        ))
-        object.__setattr__(self, "_classes", classes)
-        object.__setattr__(self, "_slot", slot)
-        perm_array.setflags(write=False)
-        object.__setattr__(self, "perm_array", perm_array)
-        e = self.group.identity
-        if self.perms[e] != tuple(range(nf)):
-            raise ActionShapeMismatch("identity element must fix the factor slots")
-        _check_homomorphism(self)
+        unitaries = _checked_unitaries(self.group.order, factors, self.unitaries)
+        for name, value in (("dims", dims), ("perms", perms), ("perm_array", perm_array),
+                            ("unitaries", MappingProxyType(unitaries)), ("_slot", slot)):
+            object.__setattr__(self, name, value)
+        _check_homomorphism(self, factors)
         # Identity: equal keys are necessary for equality and the hash reads
         # the key alone, because equality tolerates TOL_ROUNDOFF in the
         # unitaries.  exact_key, the digest of the key and the unitaries'
         # bytes, is equal exactly when the actions are bitwise equal;
         # marshal's version 2 writes the key by value, with no references.
-        key = (n, self.group.table, e, dims, self.perms)
+        key = (self.group.exact_key, dims, perms)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
         object.__setattr__(self, "exact_key", hashlib.blake2b(b"".join(
-            [marshal.dumps(key, 2)] + [stack.tobytes() for _, stack in classes.values()]),
+            [marshal.dumps(key, 2)] + [stack.tobytes() for stack in unitaries.values()]),
             digest_size=32).digest())
 
     @property
@@ -357,15 +284,16 @@ class AlgebraAction:
         return len(self.dims)
 
     def factor_classes(self) -> dict:
-        """Factor dimension d -> (factors of dimension d, read-only (|G|, k, d, d)
-        stack of their unitaries), in first-factor order."""
-        return self._classes
+        """Factor dimension d -> (factors of dimension d as an array, the
+        read-only (|G|, k, d, d) stack of their unitaries), in first-factor
+        order."""
+        factors, _ = dim_classes(self.dims)
+        return {d: (np.array(idx), self.unitaries[d]) for d, idx in factors.items()}
 
     def unitary_stack(self, g: int, factors) -> np.ndarray:
-        """(k, d, d) stack of unitaries[g][i] for the given factors, which
-        share one dimension d."""
-        _, stack = self._classes[self.dims[factors[0]]]
-        return stack[g, self._slot[np.asarray(factors)]]
+        """(k, d, d) stack of the unitaries of element g on the given
+        factors, which share one dimension d."""
+        return self.unitaries[self.dims[factors[0]]][g, self._slot[np.asarray(factors)]]
 
     def __eq__(self, other):
         if self is other:
@@ -375,52 +303,111 @@ class AlgebraAction:
         if self._key != other._key:
             return False
         return all(
-            np.allclose(stack, other._classes[d][1], rtol=0, atol=TOL_ROUNDOFF)
-            for d, (_, stack) in self._classes.items()
+            np.allclose(stack, other.unitaries[d], rtol=0, atol=TOL_ROUNDOFF)
+            for d, stack in self.unitaries.items()
         )
 
     def __hash__(self):
         return self._hash
 
 
-def _check_homomorphism(action: AlgebraAction):
+def _checked_perms(group: FiniteGroup, dims: tuple, given) -> tuple:
+    """given as a tuple of int tuples and a read-only (|G|, nfactors) array,
+    once it is one permutation of the factors per element, onto factors of
+    equal dimension, the identity's fixing every slot."""
+    n, nf = group.order, len(dims)
+    if len(given) != n:
+        raise ActionShapeMismatch("need one permutation and unitary family per element")
+    perms = tuple(tuple(map(int, p)) for p in given)
+    for g, p in enumerate(perms):
+        if sorted(p) != list(range(nf)):
+            raise ActionShapeMismatch(f"perms[{g}] is not a permutation of the factors")
+    perm_array = np.array(perms, dtype=int).reshape(n, nf)
+    dim = np.array(dims, dtype=int)
+    bad = dim[perm_array] != dim
+    if bad.any():
+        g, i = divmod(int(bad.argmax()), nf)
+        raise ActionShapeMismatch(f"perms[{g}] maps factor {i} to unequal dimension")
+    if perms[group.identity] != tuple(range(nf)):
+        raise ActionShapeMismatch("identity element must fix the factor slots")
+    perm_array.setflags(write=False)
+    return perms, perm_array
+
+
+def _checked_unitaries(n: int, factors, given) -> dict:
+    """d -> read-only (n, k, d, d) stack of the unitaries of the k factors of
+    dimension d, from per-element families or class stacks, once every
+    member has its shape, is finite (the least (g, i) failing raises) and is
+    unitary (the first failure in class order raises)."""
+    nf = sum(map(len, factors.values()))
+    if isinstance(given, Mapping):
+        if set(given) != set(factors):
+            raise ActionShapeMismatch("need one unitary stack per factor dimension")
+        for d, idx in factors.items():
+            if np.shape(given[d]) != (n, len(idx), d, d):
+                raise ActionShapeMismatch(
+                    f"unitary stack of dimension {d} has shape {np.shape(given[d])}, "
+                    f"expected {(n, len(idx), d, d)}")
+        members = {d: np.reshape(given[d], (-1, d, d)) for d in factors}
+    else:
+        if len(given) != n:
+            raise ActionShapeMismatch("need one permutation and unitary family per element")
+        for g, family in enumerate(given):
+            if len(family) != nf:
+                raise ActionShapeMismatch(
+                    f"unitaries[{g}] has {len(family)} entries, expected {nf}")
+        members = {d: [family[i] for family in given for i in idx] for d, idx in factors.items()}
+
+    def name(group, exc):
+        g, s = divmod(exc.member, len(group[2]))
+        i = group[2][s]
+        if isinstance(exc, ShapeMismatch):
+            exc = ActionShapeMismatch(f"unitaries[{g}][{i}] has wrong shape")
+        return (g, i), exc
+
+    groups = [(members[d], (d, d), idx) for d, idx in factors.items()]
+    stacks = {}
+    for (d, idx), flat in zip(factors.items(), linalg.as_complex_groups(groups, [], name)):
+        bad = linalg.frobs(flat @ flat.conj().swapaxes(1, 2) - np.eye(d)) > TOL_PROJ * max(1.0, d)
+        if bad.any():
+            g, s = divmod(int(bad.argmax()), len(idx))
+            raise ActionShapeMismatch(f"unitaries[{g}][{idx[s]}] is not unitary")
+        stacks[d] = flat.reshape(n, len(idx), d, d)
+        stacks[d].setflags(write=False)
+    return stacks
+
+
+def _check_homomorphism(action: AlgebraAction, factors):
     """α_g ∘ α_h must equal α_{gh} as algebra automorphisms (phases drop out).
 
-    On each factor i, U_g[π_h(i)] U_h[i] must be U_gh[i] times a phase: one
-    gathered product per factor dimension over all checked element pairs,
-    exhaustive for |G| <= 24, sampled above.  The first failing pair, in
-    pair order, raises: its perms, else its first failing factor in class
-    order.
+    Every pair is checked, one element g at a time against every h: the
+    perms, and on each factor i that U_g[π_h(i)] U_h[i] is U_gh[i] times a
+    phase, one gathered product per factor dimension, so a step holds
+    O(|G| · Σ k d²) entries.  The first failing pair (g, h) raises: its
+    perms, else its first failing factor in class order.
     """
-    g, h, gh = action.group.pairs()
+    table = np.array(action.group.table)
     perms = action.perm_array
-    perm_bad = (perms[g[:, None], perms[h]] != perms[gh]).any(axis=1)
-    pair_bad = perm_bad.copy()
-    factor_bad = []
-    for d, (idx, stack) in action._classes.items():
-        lhs = stack[g[:, None], action._slot[perms[h][:, idx]]]
-        # Ad(lhs) = Ad(U_gh) iff lhs† U_gh is a phase.
-        x = ((lhs @ stack[h]).conj().swapaxes(-1, -2) @ stack[gh]).reshape(-1, d, d)
-        tr = x.trace(axis1=1, axis2=2)
-        phase_defect = linalg.frobs(x - (tr / d)[:, None, None] * np.eye(d)) + np.abs(
-            np.abs(tr) / d - 1.0
-        )
-        bad = (phase_defect > TOL_PROJ * max(1.0, d)).reshape(len(g), len(idx))
-        pair_bad |= bad.any(axis=1)
-        factor_bad.append(bad)
-    failing = pair_bad.nonzero()[0]
-    if not failing.size:
-        return
-    p = failing[0]
-    where = f"({g[p]},{h[p]})"
-    if perm_bad[p]:
-        raise ActionShapeMismatch(f"perms are not a homomorphism at {where}")
-    for (idx, _), bad in zip(action._classes.values(), factor_bad):
-        if bad[p].any():
+    # at[d][h, s]: position in class d of the image slot π_h of its factor s.
+    at = {d: action._slot[perms[:, idx]] for d, idx in factors.items()}
+    named = [None] + [i for idx in factors.values() for i in idx]
+    for g in action.group.elements:
+        gh = table[g]
+        bad = [(perms[g][perms] != perms[gh]).any(axis=1)[:, None]]
+        for d, stack in action.unitaries.items():
+            # Ad(lhs) = Ad(U_gh) iff lhs† U_gh is a phase.
+            x = ((stack[g, at[d]] @ stack).conj().swapaxes(-1, -2) @ stack[gh]).reshape(-1, d, d)
+            tr = x.trace(axis1=1, axis2=2)
+            defect = linalg.frobs(x - (tr / d)[:, None, None] * np.eye(d)) + np.abs(
+                np.abs(tr) / d - 1.0)
+            bad.append((defect > TOL_PROJ * max(1.0, d)).reshape(len(gh), -1))
+        bad = np.hstack(bad)  # bad[h]: the perms, then each factor in class order
+        if bad.any():
+            h, col = divmod(int(bad.argmax()), bad.shape[1])
+            if not col:
+                raise ActionShapeMismatch(f"perms are not a homomorphism at ({g},{h})")
             raise ActionShapeMismatch(
-                f"action is not a homomorphism up to phase at {where}, "
-                f"factor {idx[np.argmax(bad[p])]}"
-            )
+                f"action is not a homomorphism up to phase at ({g},{h}), factor {named[col]}")
 
 
 def trivial_action(group: FiniteGroup, dims) -> AlgebraAction:

@@ -456,9 +456,10 @@ def ssfa_defects(sys: System, rng=None) -> dict:
     Returns the worst defect per axiom.  Associativity and unitality: six
     rounds of random x, y, z, one stacked product per factor.  Invariance:
     |φ(α_g(u)) - φ(u)| on the φ-basis, one batched conjugate-and-trace per
-    group element and factor.  Separability, Frobenius and standardness are
-    read from the structure constants u_k u_l = c u_m (_structure_constants),
-    with no table of N³ entries (N = Σ_i d_i²):
+    factor over every group element, from the action's class stacks.
+    Separability, Frobenius and standardness are read from the structure
+    constants u_k u_l = c u_m (_structure_constants), with no table of N³
+    entries (N = Σ_i d_i²):
       * m ∘ m† is diagonal, its entry at m the sum of |c|² of the products
         landing on u_m, so separability (m ∘ m† = id) is one bincount;
       * Frobenius, (id ⊗ m)(m† ⊗ id) = m† m = (m ⊗ id)(id ⊗ m†), on 24
@@ -505,14 +506,14 @@ def ssfa_defects(sys: System, rng=None) -> dict:
     std = linalg.frob((cmat @ cmat.conj().T).T - cmat.conj().T @ cmat)
 
     invdef = 0.0
+    _, slot = dim_classes(sys.dims)
+    image_weights = np.asarray(sys.weights)[sys.action.perm_array]
     for i, (d, w) in enumerate(zip(sys.dims, sys.weights)):
         units = np.eye(d * d, dtype=complex).reshape(d * d, d, d) * (1.0 / np.sqrt(w))
         base = w * np.trace(units, axis1=1, axis2=2)
-        for g in sys.group.elements:
-            u = sys.action.unitaries[g][i]
-            moved = np.trace(u @ units @ u.conj().T, axis1=1, axis2=2)
-            img = sys.weights[sys.action.perms[g][i]]
-            invdef = max(invdef, float(np.abs(img * moved - base).max()))
+        u = sys.action.unitaries[d][:, slot[i], None]
+        moved = np.trace(u @ units @ u.conj().swapaxes(2, 3), axis1=2, axis2=3)
+        invdef = max(invdef, float(np.abs(image_weights[:, i, None] * moved - base).max()))
     return {"associativity": assoc, "unitality": unital, "separability": sep,
             "frobenius": frobdef, "standardness": std, "invariance": invdef}
 

@@ -143,6 +143,13 @@ def phi_basis(sys):
     return out
 
 
+def unitary(action, g: int, i: int) -> np.ndarray:
+    """Element g's unitary on factor i, read from the action's class stack
+    of dimension d_i, where factor i is the k-th factor of that dimension."""
+    d = action.dims[i]
+    return action.unitaries[d][g, action.dims[:i].count(d)]
+
+
 def act(action, g: int, x) -> list:
     """Apply α_g to an algebra element (list of per-factor blocks): block
     x_i goes to U[g][i] x_i U[g][i]† at slot perms[g][i]."""
@@ -153,7 +160,7 @@ def act(action, g: int, x) -> list:
         xi = linalg.as_complex(x[i])
         if xi.shape != (d, d):
             raise ShapeMismatch(f"factor {i} block has wrong shape")
-        u = action.unitaries[g][i]
+        u = unitary(action, g, i)
         out[action.perms[g][i]] = u @ xi @ u.conj().T
     return out
 
@@ -765,7 +772,7 @@ def kron_moved_blocks(src_act, tgt_act, g, blocks):
     """α_g on a block family: block (i, j) -> W B W† at the image pair."""
     moved = {}
     for (i, j), blk in blocks.items():
-        w = np.kron(tgt_act.unitaries[g][j].conj(), src_act.unitaries[g][i])
+        w = np.kron(unitary(tgt_act, g, j).conj(), unitary(src_act, g, i))
         moved[(src_act.perms[g][i], tgt_act.perms[g][j])] = w @ blk @ w.conj().T
     return moved
 
@@ -1000,7 +1007,7 @@ def loop_cp_compose_kraus(g, f):
 def kron_tensor_unitaries(left, right):
     """Unitaries of the product action: kron(U_a, U_b) per element and pair."""
     return [
-        [np.kron(left.action.unitaries[g][a], right.action.unitaries[g][b])
+        [np.kron(unitary(left.action, g, a), unitary(right.action, g, b))
          for a in range(left.nfactors) for b in range(right.nfactors)]
         for g in left.group.elements
     ]
@@ -1014,7 +1021,7 @@ def loop_conjugation_unitaries(a_sys, extra=0):
     for gel in a_sys.group.elements:
         u = np.zeros((n, n), dtype=complex)
         for a, da in enumerate(a_sys.dims):
-            ua = a_sys.action.unitaries[gel][a]
+            ua = unitary(a_sys.action, gel, a)
             src = basis_offset(a_sys, a)
             tgt = basis_offset(a_sys, a_sys.action.perms[gel][a])
             for p in range(da):

@@ -24,6 +24,8 @@ from genutil import (
     embed_graph,
     embed_relation,
     functional,
+    inner_action,
+    kl_reversible,
     multiply,
     oracle_compose,
     partial_trace,
@@ -541,3 +543,74 @@ def test_criterion_11_trace_coherence():
             total += float(np.trace(acc).real) * a.weights[ai]
         assert total > 1e-12  # faithful: nonzero PSD has positive trace
     print(f"ACCEPTANCE 11: PASS - trace coherence on 100 endomorphisms (worst defect {worst:.1e})")
+
+
+def _criterion_12_worlds():
+    """(name, system, covariant graph, covariant reversible channel,
+    covariant non-reversible channel) on three nontrivial groups: the Klein
+    four acting on a qubit by Paulis, C3 acting on a qutrit by the shift,
+    and S3 permuting three 2-dim factors."""
+    eye, x, z = np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    klein = groups.FiniteGroup(4, ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)), 0)
+    qubit = systems.system((2,), inner_action(klein, 2, [eye, x, z, x @ z]))
+    pauli = graphs.graph_from_blocks(qubit, {(0, 0): linalg.orthonormal_span(
+        [linalg.vec(eye), linalg.vec(z)], dim=4)})
+
+    shift = np.roll(np.eye(3), 1, axis=0)
+    powers = [np.linalg.matrix_power(shift, k) for k in range(3)]
+    qutrit = systems.system((3,), inner_action(groups.cyclic_group(3), 3, powers))
+    circulant = graphs.graph_from_blocks(qutrit, {(0, 0): linalg.orthonormal_span(
+        [linalg.vec(u) for u in powers], dim=9)})
+
+    s3 = groups.symmetric_group(3)
+    triple = systems.system((2, 2, 2), groups.permutation_action(
+        s3, (2, 2, 2), symmetric_group_perms(3)))
+    blocks = {(i, j): linalg.orthonormal_span([linalg.vec(eye)] + [linalg.vec(z)] * (i == j),
+                                              dim=4)
+              for i in range(3) for j in range(3)}
+    cube = graphs.graph_from_blocks(triple, blocks)
+
+    def channel(sys, maps):
+        return cpmaps.from_kraus({(i, i): maps for i in range(sys.nfactors)}, sys, sys)
+
+    return [
+        ("Klein four by Paulis", qubit, pauli, channel(qubit, [z]),
+         channel(qubit, [eye / np.sqrt(2), z / np.sqrt(2)])),
+        ("C3 by the qutrit shift", qutrit, circulant, channel(qutrit, [shift]),
+         channel(qutrit, [u / np.sqrt(3) for u in powers])),
+        ("S3 on three qubit factors", triple, cube, channel(triple, [z]),
+         channel(triple, [eye / np.sqrt(2), z / np.sqrt(2)])),
+    ]
+
+
+def test_criterion_12_covariant_results_2_and_3():
+    """Results 2 and 3 of the paper on nontrivial groups.  Result 2: the
+    channel realize_channel builds from a covariant graph is covariant, and
+    its confusability graph is that graph.  Result 3: a covariant reversible
+    channel has a covariant reverse g with g ∘ f = id, and a covariant
+    non-reversible one is rejected; the Knill–Laflamme oracle agrees on
+    both."""
+    worst = 0.0
+    for name, sys, graph, reversible, lossy in _criterion_12_worlds():
+        assert groups.is_covariant_relation(graph.relation), name
+        f, env = graphs.realize_channel(graph)
+        assert env.group == sys.group and cpmaps.is_channel(f), name
+        assert groups.is_covariant_cp(f), name
+        defect = relations.relation_defect(graphs.confusability_of(f).relation, graph.relation)
+        assert defect < linalg.TOL_ROUNDTRIP, name
+
+        assert groups.is_covariant_cp(reversible) and graphs.is_reversible(reversible), name
+        assert kl_reversible(reversible), name
+        back = graphs.reverse_channel(reversible)
+        assert cpmaps.is_channel(back) and groups.is_covariant_cp(back), name
+        round_trip = cpmaps.cp_norm_diff(cpmaps.compose(back, reversible),
+                                         cpmaps.identity_channel(sys))
+        assert round_trip < 1e-7, name
+
+        assert groups.is_covariant_cp(lossy) and not graphs.is_reversible(lossy), name
+        assert not kl_reversible(lossy), name
+        with pytest.raises(NotReversible):
+            graphs.reverse_channel(lossy)
+        worst = max(worst, defect, round_trip)
+    print(f"ACCEPTANCE 12: PASS - results 2 and 3 on the Klein four, C3 and S3 "
+          f"(worst defect {worst:.1e})")

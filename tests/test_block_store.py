@@ -61,6 +61,7 @@ from genutil import (
     reference_canonical_eigh,
     symmetric_group_perms,
     total_matrix_dim,
+    unitary,
 )
 
 rng = np.random.default_rng(707)
@@ -578,7 +579,7 @@ class TestSatelliteLoops:
         ts = scc.TensorSystem(left, right)
         for g, units in enumerate(kron_tensor_unitaries(left, right)):
             for pair, u in enumerate(units):
-                assert np.array_equal(ts.product.action.unitaries[g][pair], u), (g, pair)
+                assert np.array_equal(unitary(ts.product.action, g, pair), u), (g, pair)
 
     @pytest.mark.parametrize("extra", [0, 1])
     def test_conjugation_action_matches_loop(self, extra):
@@ -586,7 +587,7 @@ class TestSatelliteLoops:
                     _s3_system()):
             action = graphs._conjugation_action(sys.action, extra)
             for g, u in enumerate(loop_conjugation_unitaries(sys, extra)):
-                assert np.array_equal(action.unitaries[g][0], u), g
+                assert np.array_equal(unitary(action, g, 0), u), g
 
     def test_dilation_components_match_loop(self):
         for oa in (_z2_sign_system((1, 2, 3), ([-1.0], [1.0, -1.0], [1.0, -1.0, 1.0])),
@@ -701,9 +702,9 @@ class TestChecksAtTheBoundary:
             for d, (idx, stack) in got.items():
                 assert np.array_equal(stack, ref[d]) and not stack.flags.writeable, d
                 assert list(idx) == [i for i, di in enumerate(action.dims) if di == d]
-            for g, row in enumerate(action.unitaries):
-                for i, u in enumerate(row):
-                    assert np.array_equal(u, units[g][i]), (g, i)
+            for g in action.group.elements:
+                for i in range(action.nfactors):
+                    assert np.array_equal(unitary(action, g, i), units[g][i]), (g, i)
 
     @pytest.mark.parametrize("dims", [(1, 1, 1, 1), (1, 2, 2, 3)])
     def test_first_nonprojection_is_named(self, dims):
@@ -859,6 +860,38 @@ def test_one_spectrum_rule_in_cpmaps():
         and node.func.attr in ("eigh", "eigvalsh", "eig", "eigvals")
     ]
     assert not offenders
+
+
+def _numpy_random_users() -> set:
+    """module.function (class methods as module.Class.method, module level
+    as the module) of every reference to numpy.random in src/covgraphs."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if (isinstance(node, ast.Attribute) and node.attr == "random"
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+                or isinstance(node, ast.Import)
+                and any(alias.name.startswith("numpy.random") for alias in node.names)
+                or isinstance(node, ast.ImportFrom) and node.module is not None
+                and (node.module.startswith("numpy.random") or node.module == "numpy"
+                     and any(alias.name == "random" for alias in node.names))):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(pathlib.Path(covgraphs.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_only_ssfa_defects_draws_from_numpy_random():
+    """No function in src/covgraphs draws from numpy.random but
+    systems.ssfa_defects, whose random probes its docstring states: group
+    and action checks are exhaustive, and every other verdict is
+    deterministic."""
+    assert _numpy_random_users() <= {"systems.ssfa_defects"}
 
 
 def test_one_exit_rule_in_cli():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from genutil import (
     rand_system,
     rand_unitary,
     symmetric_group_perms,
+    unitary,
     unshared_system,
 )
 
@@ -57,6 +60,26 @@ class TestFiniteGroup:
         )
         with pytest.raises(GroupMismatch):
             groups.FiniteGroup(5, table, 0)
+
+    def test_associativity_is_checked_in_full_above_order_24(self):
+        """Z_26 with the intercalate at rows 1 and 14, columns 2 and 15
+        swapped is a Latin square with identity 0 (a loop), and the first
+        triple in row-major order at which it fails is (1,1,1): 1*1 = 2 and
+        2*1 = 3, but 1*2 = 16."""
+        table = [[(a + b) % 26 for b in range(26)] for a in range(26)]
+        for row in (1, 14):
+            table[row][2], table[row][15] = table[row][15], table[row][2]
+        with pytest.raises(GroupMismatch, match=re.escape("associativity fails at (1,1,1)")):
+            groups.FiniteGroup(26, tuple(map(tuple, table)), 0)
+
+    def test_equality_and_hash_read_the_digest(self):
+        c4 = groups.cyclic_group(4)
+        twin = groups.FiniteGroup(4, tuple(tuple(row) for row in c4.table), 0)
+        assert twin is not c4 and twin.exact_key == c4.exact_key
+        assert twin == c4 and hash(twin) == hash(c4)
+        z22 = groups.FiniteGroup(
+            4, ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)), 0)
+        assert z22 != c4 and z22.exact_key != c4.exact_key
 
 
 class TestActions:
@@ -113,6 +136,43 @@ class TestActions:
         z2 = groups.cyclic_group(2)
         with pytest.raises(ActionShapeMismatch):
             inner_action(z2, 2, [np.eye(2), np.diag([1.0, 2.0])])
+
+    def test_homomorphism_is_checked_for_every_pair_above_order_24(self):
+        """C_26 acting on a qubit by diag(1, ω^g), with element 5's phase
+        moved by 0.3: the first failing pair (g, h) in lexicographic order
+        is (1,4), since 1*4 = 5."""
+        c26 = groups.cyclic_group(26)
+        phases = 2 * np.pi * np.arange(26) / 26
+        phases[5] += 0.3
+        units = [np.diag([1.0, np.exp(1j * t)]) for t in phases]
+        with pytest.raises(ActionShapeMismatch, match=re.escape("phase at (1,4), factor 0")):
+            inner_action(c26, 2, units)
+
+    def test_perms_are_checked_before_unitaries(self):
+        """A bad perm at element 1 is named before a NaN unitary at element
+        0: the checks run by kind, perms first."""
+        z2 = groups.cyclic_group(2)
+        nan, one = np.full((1, 1), np.nan), np.eye(1)
+        with pytest.raises(ActionShapeMismatch,
+                           match=re.escape("perms[1] is not a permutation of the factors")):
+            groups.AlgebraAction(z2, (1, 1), ((0, 1), (0, 0)), ((nan, one), (one, one)))
+
+    def test_shared_actions_hash_no_group(self, monkeypatch):
+        """A shared call keyed by a group reads its exact_key, so building and
+        then hitting a permutation action runs FiniteGroup.__hash__ zero
+        times."""
+        group = groups.symmetric_group(3)
+        calls = []
+
+        def counted(self):
+            calls.append(self)
+            return hash(self.exact_key)
+
+        monkeypatch.setattr(groups.FiniteGroup, "__hash__", counted)
+        perms = symmetric_group_perms(3)
+        first = groups.permutation_action(group, (2, 2, 2), perms)
+        assert groups.permutation_action(group, (2, 2, 2), perms) is first
+        assert calls == []
 
     def test_projective_phases_allowed(self):
         # Pauli X, Z generate a projective Z2 x Z2 action on B(C^2).
@@ -319,7 +379,8 @@ def _relabelled(sys, sigma):
     return systems.system(sys.dims, groups.AlgebraAction(
         relabelled, sys.dims,
         tuple(action.perms[old[a]] for a in range(n)),
-        tuple(action.unitaries[old[a]] for a in range(n)),
+        tuple(tuple(unitary(action, old[a], i) for i in range(action.nfactors))
+              for a in range(n)),
     ))
 
 
@@ -441,7 +502,7 @@ class TestActionIdentity:
         z = np.diag([1.0, -1.0]).astype(complex)
         act = inner_action(z2, 2, [np.eye(2), z])
         z[1, 1] = 5.0
-        held = act.unitaries[1][0]
+        held = unitary(act, 1, 0)
         assert np.array_equal(held, np.diag([1.0, -1.0]))
         assert not held.flags.writeable
         with pytest.raises(ValueError):
@@ -479,7 +540,7 @@ class TestActionIdentity:
             return inner_action(z2, 2, [np.eye(2), r @ h @ r.T])
 
         a, far, near = rotated(0.0), rotated(1e-6), rotated(1e-13)
-        assert np.abs(far.unitaries[1][0] - h).max() > 1e-6
+        assert np.abs(unitary(far, 1, 0) - h).max() > 1e-6
         assert a != far and systems.system((2,), a) != systems.system((2,), far)
         assert a == near and systems.system((2,), a) == systems.system((2,), near)
 

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import covgraphs
-from covgraphs import bundle, linalg
+from covgraphs import bundle, classical, graphs, linalg, relations, systems
+from covgraphs.errors import ShapeMismatch
 
 SRC = pathlib.Path(covgraphs.__file__).parent
 
@@ -97,3 +98,41 @@ def test_bundle_tol_reaches_declared_graph_kind():
                           bundle.matrix_from_json(bundle.matrix_to_json(proj)))
     with pytest.raises(bundle.BundleError, match="declared 'confusability' fails the check"):
         bundle.load_bundle(data)
+
+
+# Inputs on both sides of a cut: each verdict flips if its constant or its
+# scale moves by a decade.
+
+def test_relation_validator_cut_is_validate_slack_tol_proj():
+    """A 1x1 relation block 1 + δ has projection defect δ(1 + δ): refused at
+    δ = 3e-6 and accepted at 3e-7, either side of VALIDATE_SLACK * TOL_PROJ
+    = 1e-6."""
+    one = systems.system((1,))
+    with pytest.raises(ShapeMismatch, match=r"relation block \(0, 0\) is not a projection"):
+        relations.QuantumRelation(one, one, {(0, 0): np.array([[1 + 3e-6]])})
+    relations.QuantumRelation(one, one, {(0, 0): np.array([[1 + 3e-7]])})
+
+
+@pytest.mark.parametrize("sin, contained", [(3e-8, False), (3e-9, True)])
+def test_containment_cut_scales_by_at_least_one(sin, contained):
+    """Rank-one projections p = uu† and q = vv† at angle θ have containment
+    defect ‖q p − p‖ = sin θ, and ‖p‖ = 1, so leq at tol 1e-8 decides on
+    tol · max(1, ‖p‖) = 1e-8: p ≤ q fails at sin θ = 3e-8 and holds at
+    3e-9."""
+    sys = systems.system((2,))
+    u, v = np.zeros(4), np.zeros(4)
+    u[0], v[0], v[1] = 1.0, np.sqrt(1 - sin * sin), sin
+    p = relations.QuantumRelation(sys, sys, {(0, 0): np.outer(u, u)})
+    q = relations.QuantumRelation(sys, sys, {(0, 0): np.outer(v, v)})
+    assert relations.leq(p, q, 1e-8) is contained
+
+
+def test_merging_channel_is_not_reversible_at_a_coarse_tol():
+    """A classical channel that sends both inputs to one output is a channel
+    at tol 1e-3, and its confusability graph is the complete one, at
+    distance exactly 1 from the discrete graph, so it is not reversible at
+    tol 1e-3."""
+    f = classical.embed_channel(np.array([[1.0, 1.0], [0.0, 0.0]]))
+    graph = graphs.confusability_of(f).relation
+    assert relations.relation_defect(graph, relations.discrete(f.source)) == 1.0
+    assert graphs.is_channel(f, 1e-3) and not graphs.is_reversible(f, 1e-3)

@@ -15,23 +15,30 @@ equality read.  They live in a systems.BlockStore: one stack per (d_i, e_j)
 class of factor pairs, which dagger, the marginal, add, channelize and the
 norms read with one batched kernel per class, behind a read-only (i, j) ->
 block mapping.  Next to the blocks a morphism holds a read-only Kraus family
-(CpMorphism.kraus), which compose and tensor products multiply and Kronecker
-instead of diagonalizing Choi blocks.  A held family maps each pair that has
-maps, in key order; a pair without maps is absent:
+(CpMorphism.kraus), which tensor products Kronecker instead of
+diagonalizing Choi blocks.  compose reads what its left factor g holds: a
+g that holds maps (born from Kraus maps, or keeping a cut of its blocks)
+multiplies them with the right factor's held maps, and a Choi-born g that
+keeps no cut is conjugated block by block by the right factor's held
+maps, giving a Choi-born composite with no cut of a block of g.  A held
+family maps each pair that has maps, in key order; a pair without maps is
+absent:
 
   * a morphism born from Kraus maps (from_kraus, which scans and
-    shape-checks them once per class and map count, compose, tensor
-    products, identity channels and classical.embed_channel) stores its
-    maps once, as read-only stacks per class and map count
-    (CpMorphism.kraus_stacks).  Everything else is derived from them when
-    first read: its blocks V V†, with V the stack of vec(M†), on the first
-    read of their class, so a morphism that is only composed further never
-    forms them; relations.support_of from a thin SVD of V; and its held
-    family on the first call of kraus(), views of the stacks;
+    shape-checks them once per class and map count, compose of a g that
+    holds maps, tensor products, identity channels and
+    classical.embed_channel) stores its maps once, as read-only stacks per
+    class and map count (CpMorphism.kraus_stacks).  Everything else is
+    derived from them when first read: its blocks V V†, with V the stack of
+    vec(M†), on the first read of their class, so a morphism that is only
+    composed further never forms them; relations.support_of from a thin SVD
+    of V; and its held family on the first call of kraus(), views of the
+    stacks;
   * a morphism born as Choi blocks (bundle "choi" input, dagger, channelize,
-    add, twirls, reverse channels) gets the minimal to_kraus family of its
-    blocks on first use, from the one cut of each class (CpMorphism.cut),
-    which its support reads too;
+    add, twirls, reverse channels, compose of a Choi-born g that keeps no
+    cut) gets the minimal to_kraus family of its blocks on first use, from
+    the one cut of each class (CpMorphism.cut), which its support reads
+    too;
   * a factor pair given more Kraus maps than its block dimension d_i e_j
     holds its to_kraus maps instead, read off the kept cut of its own
     class, so families do not grow along chains of compositions.
@@ -68,7 +75,7 @@ from .errors import (
     ShapeMismatch,
     SystemMismatch,
 )
-from .groups import kept, shared
+from .groups import dim_classes, is_kept, kept, shared
 from .linalg import FUNCTIONAL_SLACK, TOL_PROJ, VALIDATE_SLACK
 from .systems import (
     BlockStore,
@@ -303,14 +310,24 @@ def add(f: CpMorphism, g: CpMorphism, cf: float = 1.0, cg: float = 1.0) -> CpMor
 
 
 def compose(g: CpMorphism, f: CpMorphism) -> CpMorphism:
-    """Composite g ∘ f (f first): products of the held Kraus maps.
+    """Composite g ∘ f (f first), read off what g holds.
 
-    The held families hold only the pairs (i, j) of f and (j, k) of g that
-    have maps, in key order, so only those are visited; each pair (i, k)
-    collects its products n @ m with j ascending, then m, then n.
+    A g that holds maps (born from Kraus maps, or keeping a cut of its
+    blocks, groups.is_kept) multiplies its held family with f's: the held
+    families hold only the pairs (i, j) of f and (j, k) of g that have
+    maps, in key order, so only those are visited; each pair (i, k)
+    collects its products n @ m with j ascending, then m, then n, and the
+    composite is born from Kraus maps.
+
+    A Choi-born g that keeps no cut is conjugated by f's held maps, with no
+    cut of its blocks: block (i, k) of g ∘ f is
+    Σ_j Σ_m (I ⊗ M†) G_(j,k) (I ⊗ M†)† over the maps M of f's pair (i, j),
+    j ascending, then m (_conjugated), and the composite is Choi-born.
     """
     if f.target != g.source:
         raise SystemMismatch("compose: target of f must equal source of g")
+    if g.kraus_stacks is None and not is_kept(g, CpMorphism.cut):
+        return _conjugated(g, f)
     g_rows = {}
     for (j, k), ns in g.kraus().items():
         g_rows.setdefault(j, []).append((k, ns))
@@ -319,6 +336,56 @@ def compose(g: CpMorphism, f: CpMorphism) -> CpMorphism:
         for k, ns in g_rows.get(j, ()):
             kraus.setdefault((i, k), []).extend(n @ m for m in ms for n in ns)
     return from_kraus(kraus, f.source, g.target)
+
+
+def _conjugated(g: CpMorphism, f: CpMorphism) -> CpMorphism:
+    """g ∘ f from g's blocks and f's held maps: block (i, k) is the sum over
+    j ascending, then over the maps M (e_j x d_i) of pair (i, j), of
+    X G_(j,k) X†, X = I_{c_k} ⊗ M†.  Each term is two steps A -> (A (I ⊗ M))†,
+    one product with M of A read as rows of length e_j each.
+
+    f's pairs are batched by (d_i, e_j, map count), and a batch meets each
+    class (e_j, c) of g in one stacked product per step.  The terms join
+    the sums in rounds, round r holding the r-th pair of each source factor
+    i, so that the pairs of one batch in one round reach distinct blocks."""
+    lay, glay = layout(f.source.dims, g.target.dims), g.blocks.layout
+    src_pos, mid_pos = dim_classes(f.source.dims)[1], dim_classes(f.target.dims)[1]
+    batches, last, r = {}, None, 0
+    for (i, j), maps in f.kraus().items():
+        r = r + 1 if i == last else 0
+        last = i
+        batch = batches.setdefault((f.source.dims[i], f.target.dims[j], len(maps)),
+                                   ([], [], [], []))
+        for part, value in zip(batch, (i, j, r, maps)):
+            part.append(value)
+    acc = [None] * len(lay.classes)
+    sums = []  # (round, output stack, output slots, terms)
+    for (d, e, count), (rows, mids, rounds, maps) in batches.items():
+        m = np.array(maps)[:, :, None]  # (p, count, 1, e, d)
+        rounds = np.array(rounds)
+        for gc, gk in enumerate(glay.classes):
+            if gk.dims[0] != e:
+                continue
+            (a, b), c = gk.shape, gk.dims[1]
+            # Blocks G_(j,k) of the batch's j and every k, read as rows of length e.
+            z = g.blocks.stack(gc).reshape(a, b, c * c * e, e)[mid_pos[mids]][:, None] @ m
+            z = np.ascontiguousarray(z.reshape(-1, count, b, c * e, c * d).conj().swapaxes(3, 4))
+            z = (z.reshape(-1, count, b, c * d * c, e) @ m).reshape(-1, count, b, c * d, c * d)
+            terms = z.conj().swapaxes(3, 4)
+            oc = lay.index[(d, c)]
+            if acc[oc] is None:
+                acc[oc] = np.zeros((len(lay.classes[oc].keys), c * d, c * d), dtype=complex)
+            at = src_pos[rows][:, None] * b + np.arange(b)
+            if rounds.min() == rounds.max():
+                sums.append((rounds[0], acc[oc], at, terms))
+            else:
+                sums += [(r, acc[oc], at[rounds == r], terms[rounds == r])
+                         for r in set(rounds.tolist())]
+    for _, out, at, terms in sorted(sums, key=lambda part: part[0]):
+        for t in range(terms.shape[1]):
+            out[at] += terms[:, t]
+    return CpMorphism.stacked(f.source, g.target, [
+        (klass, stack) for klass, stack in zip(lay.classes, acc) if stack is not None])
 
 
 def dagger(f: CpMorphism) -> CpMorphism:

@@ -272,7 +272,7 @@ def _reverse(f: CpMorphism) -> CpMorphism:
         e = alphas.shape[1]
         # I - α_j is exactly zero where α_j has full rank (its trace rounds to
         # e), so that no round-off term leaves a reverse block with negative
-        # eigenvalues that compose and to_kraus would refuse.
+        # eigenvalues that to_kraus and every reader of its cut would refuse.
         full = np.round(np.trace(alphas, axis1=1, axis2=2).real) == e
         routes[e] = np.where(full[:, None, None], 0, np.eye(e) - alphas)
     parts = []

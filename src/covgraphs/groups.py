@@ -27,7 +27,8 @@ tolerance never changes: kept(derive) stores derive(owner, *args) on the
 owner once per tuple of positional arguments, and every later call returns
 that same object.  A call that raises keeps nothing, and the memo dies with
 its owner; no module-level store is keyed by an owner, and no module writes
-another's memo.  Kept are what cpmaps, relations, graphs and scc derive
+another's memo; is_kept only reads one (compose reads whether a morphism
+keeps a cut).  Kept are what cpmaps, relations, graphs and scc derive
 from a morphism, relation or source.
 
 An action on a multi-factor algebra
@@ -142,6 +143,12 @@ def kept(derive):
     return call
 
 
+def is_kept(owner, derive) -> bool:
+    """Whether owner keeps a value of the kept function derive, for any
+    arguments: read off owner's memo, which it leaves as it is."""
+    return any(key[0] is derive for key in getattr(owner, "_kept", ()))
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """Group given by its multiplication table: table[g][h] = g*h.
@@ -245,12 +252,12 @@ class AlgebraAction:
     ``unitaries`` is given per element, unitaries[g][i] the d_i x d_i
     unitary of factor i, or as what the action holds afterwards: the
     read-only mapping from each factor dimension d to the (|G|, k, d, d)
-    stack of its k factors in factor order, copied only when it is not a
-    contiguous complex array.  The checks run by kind (see the module
-    docstring): perms, identity, unitaries (shape and finiteness, through
-    linalg.as_complex_groups), unitarity, homomorphism.  perm_array is perms
-    as a read-only (|G|, nfactors) array, and exact_key the digest of the
-    key and the stacks' bytes.
+    stack of its k factors in factor order, always copied, so that the
+    caller cannot change it after the checks.  The checks run by kind (see
+    the module docstring): perms, identity, unitaries (shape and
+    finiteness, through linalg.as_complex_groups), unitarity, homomorphism.
+    perm_array is perms as a read-only (|G|, nfactors) array, and exact_key
+    the digest of the key and the stacks' bytes.
     """
 
     group: FiniteGroup
@@ -348,7 +355,7 @@ def _checked_unitaries(n: int, factors, given) -> dict:
                 raise ActionShapeMismatch(
                     f"unitary stack of dimension {d} has shape {np.shape(given[d])}, "
                     f"expected {(n, len(idx), d, d)}")
-        members = {d: np.reshape(given[d], (-1, d, d)) for d in factors}
+        members = {d: np.reshape(np.array(given[d]), (-1, d, d)) for d in factors}
     else:
         if len(given) != n:
             raise ActionShapeMismatch("need one permutation and unitary family per element")

@@ -316,7 +316,11 @@ def verify_scheme(src: Source, n_chan: CpMorphism, e_chan: CpMorphism,
                   d_chan: CpMorphism, tol: float = TOL_PROJ) -> bool:
     """Full pipeline D ∘ ((N∘E) ⊗ id) ∘ C must be the identity channel on S.
     The composite is read from the checked-scheme slot of src when it holds
-    e_chan and n_chan (from encoding_is_valid or decoder_for)."""
+    e_chan and n_chan (from encoding_is_valid or decoder_for).  compose
+    reads what D holds: a D that holds maps multiplies them with the
+    composite's, and a Choi-born D without kept cuts, as decoder_for
+    returns, is conjugated by the composite's maps, with no cut of its
+    blocks; cp_norm_diff reads the pipeline's blocks."""
     slot = src._last_checked(e_chan, n_chan)
     comp = slot[4] if slot is not None else _composite(src, n_chan, e_chan)
     if d_chan.source != comp.target or d_chan.target != src.s_system:

@@ -1004,6 +1004,26 @@ def loop_cp_compose_kraus(g, f):
     return kraus
 
 
+def loop_cp_compose_choi(g, f):
+    """Choi blocks of g ∘ f conjugated over every (i, k), j ascending, then
+    m: block (i, k) += X G_(j,k) X†, X = I ⊗ M†, in cpmaps._conjugated's two
+    steps A -> (A (I ⊗ M))†, each a 2-D product with M of A read as rows of
+    length e_j."""
+    kf = f.kraus()
+    blocks = {}
+    for i, d in enumerate(f.source.dims):
+        for k, c in enumerate(g.target.dims):
+            acc = np.zeros((c * d, c * d), dtype=complex)
+            for j, e in enumerate(f.target.dims):
+                blk = np.ascontiguousarray(g.blocks[(j, k)])
+                for m in kf.get((i, j), ()):
+                    m = np.ascontiguousarray(m)
+                    z = np.ascontiguousarray((blk.reshape(-1, e) @ m).reshape(c * e, c * d).conj().T)
+                    acc += (z.reshape(-1, e) @ m).reshape(c * d, c * d).conj().T
+            blocks[(i, k)] = acc
+    return blocks
+
+
 def kron_tensor_unitaries(left, right):
     """Unitaries of the product action: kron(U_a, U_b) per element and pair."""
     return [

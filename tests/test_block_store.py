@@ -38,6 +38,7 @@ from genutil import (
     loop_conjugation_unitaries,
     loop_converse,
     loop_converse_frames,
+    loop_cp_compose_choi,
     loop_cp_compose_kraus,
     loop_dilation_components,
     loop_embed_kraus,
@@ -557,13 +558,35 @@ class TestSatelliteLoops:
             sys = systems.system((1, 2, 3))
             f, g = rand_cp(rng, sys, sys), rand_cp(rng, sys, sys, kraus_per_pair=1)
             if kind == "m123-choi":
+                # A Choi-born g that keeps its cuts multiplies its maps.
                 f, g = choi_born(f), choi_born(g)
+                g.kraus()
         got = cpmaps.compose(g, f)
         ref = cpmaps.from_kraus(loop_cp_compose_kraus(g, f), sys, sys)
         assert_family_equal(got.blocks, dict(ref.blocks))
         for key, ops in ref.kraus().items():
             assert len(got.kraus()[key]) == len(ops), key
             assert all(np.array_equal(a, b) for a, b in zip(got.kraus()[key], ops)), key
+
+    @pytest.mark.parametrize("kind", ["classical64", "m123-choi", "m12-m213-m12"])
+    def test_choi_born_compose_matches_conjugation_loop(self, kind):
+        """A Choi-born g that keeps no cut is conjugated by f's held maps:
+        bitwise the per-(i, j, k, m) loop, a Choi-born composite, and no
+        cut kept on g."""
+        if kind == "classical64":
+            f = embed_channel(np.eye(64)[rng.permutation(64)])
+            g = graphs.reverse_channel(f)
+        elif kind == "m123-choi":
+            sys = systems.system((1, 2, 3))
+            f, g = rand_cp(rng, sys, sys), rand_cp(rng, sys, sys, kraus_per_pair=1)
+            f, g = choi_born(f), choi_born(g)
+        else:
+            outer, mid = systems.system((1, 2)), systems.system((2, 1, 3))
+            f, g = choi_born(rand_cp(rng, outer, mid, 2)), choi_born(rand_cp(rng, mid, outer, 2))
+        got = cpmaps.compose(g, f)
+        assert got.kraus_stacks is None
+        assert not groups.is_kept(g, cpmaps.CpMorphism.cut)
+        assert_family_equal(got.blocks, loop_cp_compose_choi(g, f))
 
     @pytest.mark.parametrize("kind", ["c2-classical", "m123-z2"])
     def test_tensor_system_unitaries_match_kron(self, kind):

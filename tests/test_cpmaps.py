@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from covgraphs import cpmaps, graphs, linalg, relations, systems
+from covgraphs import cpmaps, graphs, groups, linalg, relations, systems
 from covgraphs.classical import embed_channel
 from covgraphs.errors import NegativeSpectrum, ShapeMismatch, SystemMismatch
 
@@ -318,9 +318,25 @@ class TestHeldKraus:
             g = rand_cp(rng, b, c, int(rng.integers(1, 4)))
             assert_blocks_close(cpmaps.compose(g, f),
                                 cpmaps.compose(choi_born(g), choi_born(f)))
-            # a Choi-born factor fills its family from to_kraus
-            assert_blocks_close(cpmaps.compose(choi_born(g), f),
-                                cpmaps.compose(choi_born(g), choi_born(f)))
+            # a Choi-born g is conjugated by f's maps, the Kraus-born product's blocks
+            assert_blocks_close(cpmaps.compose(choi_born(g), f), cpmaps.compose(g, f))
+
+    def test_reverse_channel_composes_with_no_eigh(self, monkeypatch):
+        """compose(reverse_channel(f), f) conjugates the reverse's blocks by
+        f's maps: no eigh runs, none of the reverse's cuts is kept, and the
+        composite is the identity channel."""
+        src, tgt = systems.system((1, 2)), systems.system((3,))
+        u = rand_unitary(rng, 3)
+        f = cpmaps.from_kraus({(0, 0): [np.sqrt(1 / 3) * u[:, :1]],
+                               (1, 0): [np.sqrt(2 / 3) * u[:, 1:]]}, src, tgt)
+        g = graphs.reverse_channel(f)
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: calls.append(a.shape)
+                            or eigh(a, *args, **kw))
+        back = cpmaps.compose(g, f)
+        assert calls == [] and back.kraus_stacks is None
+        assert not groups.is_kept(g, cpmaps.CpMorphism.cut)
+        assert cpmaps.cp_norm_diff(back, cpmaps.identity_channel(src)) < 1e-12
 
     def test_family_bounded_by_block_dimension(self):
         src, tgt = systems.system((1, 2)), systems.system((2,))

@@ -508,6 +508,20 @@ class TestActionIdentity:
         with pytest.raises(ValueError):
             held[1, 1] = 5.0
 
+    def test_a_caller_class_stack_is_copied(self):
+        """A class stack the caller can still write is copied before the
+        checks: writing to it afterwards changes neither the action's
+        unitaries nor its exact_key."""
+        arr = np.stack([np.eye(2), np.diag([1.0, -1.0])]).astype(complex)[:, None]
+        act = groups.AlgebraAction(groups.cyclic_group(2), (2,), ((0,), (0,)), {2: arr})
+        key = act.exact_key
+        arr[1, 0] = np.diag([5.0, 7.0])
+        assert np.array_equal(act.unitaries[2][1, 0], np.diag([1.0, -1.0]))
+        assert act.exact_key == key
+        assert act.exact_key == groups.AlgebraAction(
+            groups.cyclic_group(2), (2,), ((0,), (0,)),
+            {2: np.stack([np.eye(2), np.diag([1.0, -1.0])]).astype(complex)[:, None]}).exact_key
+
     def test_systems_are_hashable_dict_keys(self):
         a, b = systems.system((2, 1)), unshared_system((2, 1))
         assert a is not b and a == b and hash(a) == hash(b)

@@ -111,6 +111,27 @@ class TestKrausPath:
         scc._composite(src, noisy, ident)
         assert max(sizes, default=0) <= 30
 
+    def test_verify_scheme_cuts_no_block_of_the_decoder(self, monkeypatch):
+        """The decoder_for decoder is Choi-born: verify_scheme conjugates
+        its blocks by the composite's maps, with no eigh of a decoder block
+        and no cut kept on it."""
+        oa = systems.system((2,))
+        src = scc.source_from_graph(rand_conf_graph(rng, oa))
+        ident = cpmaps.identity_channel(oa)
+        d_chan = scc.decoder_for(ident, src, ident)
+        blocks = [linalg.hermitize(blk) for blk in d_chan.blocks.values()]
+        cut, eigh = [], np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            cut.extend(m for m in np.reshape(a, (-1,) + np.shape(a)[-2:]) for blk in blocks
+                       if m.shape == blk.shape and np.allclose(m, blk))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        assert scc.verify_scheme(src, ident, ident, d_chan)
+        assert cut == []
+        assert not groups.is_kept(d_chan, cpmaps.CpMorphism.cut)
+
 
 class TestSourceGraph:
     def test_no_side_info_discrete(self):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import covgraphs
-from covgraphs import bundle, classical, graphs, linalg, relations, systems
+from covgraphs import bundle, classical, graphs, linalg, relations, scc, systems
 from covgraphs.errors import ShapeMismatch
 
 SRC = pathlib.Path(covgraphs.__file__).parent
@@ -136,3 +136,19 @@ def test_merging_channel_is_not_reversible_at_a_coarse_tol():
     graph = graphs.confusability_of(f).relation
     assert relations.relation_defect(graph, relations.discrete(f.source)) == 1.0
     assert graphs.is_channel(f, 1e-3) and not graphs.is_reversible(f, 1e-3)
+
+
+@pytest.mark.parametrize("eps, adjacent", [(1e-15, False), (1e-17, True)])
+def test_source_span_cut_is_span_ratio_tol(eps, adjacent):
+    """S(2) -> O_A(3) ⊗ O_B(1) sends symbol 0 to letter 0 and, with weight
+    ε, to letter 2, and symbol 1 to letter 1, so letters 1 and 2 are kept
+    apart by one span vector of size √ε.  At tol 1e-6 the span cut is
+    SPAN_RATIO · tol = 1e-8, above the TOL_SPEC floor: √ε = 3.2e-8 keeps the
+    letters non-adjacent at ε = 1e-15, and 3.2e-9 is cut at ε = 1e-17, so
+    they are adjacent."""
+    s_sys, oa, ob = (systems.classical_system(n) for n in (2, 3, 1))
+    chan = classical.embed_channel(np.array([[1 - eps, 0.0], [0.0, 1.0], [eps, 0.0]]),
+                                   s_sys, scc.tensor_system(oa, ob).product)
+    src = scc.Source(s_sys, oa, ob, chan)
+    adj = classical.extract_graph(scc.source_confusability_graph(src, 1e-6))
+    assert adj[1, 2] == adj[2, 1] == adjacent

@@ -72,6 +72,7 @@ import numpy as np
 from . import linalg
 from .errors import (
     NegativeSpectrum,
+    PsdViolation,
     ShapeMismatch,
     SystemMismatch,
 )
@@ -185,9 +186,6 @@ def _block_kraus(keys, cut: linalg.Cut, d: int, e: int) -> dict:
     maps.setflags(write=False)
     flat = list(maps.reshape(-1, e, d))
     live = [keys[s] for s in cut.live.tolist()]
-    if (cut.rank == r).all():
-        # Consecutive runs of r maps: the maps of each pair.
-        return dict(zip(live, zip(*[iter(flat)] * r)))
     return {key: tuple(flat[s * r:s * r + rank])
             for s, (key, rank) in enumerate(zip(live, cut.rank.tolist())) if rank}
 
@@ -301,6 +299,12 @@ def identity_channel(sys: System) -> CpMorphism:
 
 
 def add(f: CpMorphism, g: CpMorphism, cf: float = 1.0, cg: float = 1.0) -> CpMorphism:
+    """cf f + cg g, a nonnegative combination of Choi blocks, class by
+    class.  A negative or non-finite coefficient raises PsdViolation, naming
+    it, before any block is formed."""
+    for name, c in (("cf", cf), ("cg", cg)):
+        if not 0 <= c < np.inf:
+            raise PsdViolation(f"add: coefficient {name} = {c} is not finite and nonnegative")
     if f.source != g.source or f.target != g.target:
         raise SystemMismatch("can only add CP morphisms with equal types")
     parts = [
@@ -376,11 +380,8 @@ def _conjugated(g: CpMorphism, f: CpMorphism) -> CpMorphism:
             if acc[oc] is None:
                 acc[oc] = np.zeros((len(lay.classes[oc].keys), c * d, c * d), dtype=complex)
             at = src_pos[rows][:, None] * b + np.arange(b)
-            if rounds.min() == rounds.max():
-                sums.append((rounds[0], acc[oc], at, terms))
-            else:
-                sums += [(r, acc[oc], at[rounds == r], terms[rounds == r])
-                         for r in set(rounds.tolist())]
+            sums += [(r, acc[oc], at[rounds == r], terms[rounds == r])
+                     for r in set(rounds.tolist())]
     for _, out, at, terms in sorted(sums, key=lambda part: part[0]):
         for t in range(terms.shape[1]):
             out[at] += terms[:, t]

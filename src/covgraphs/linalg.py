@@ -201,8 +201,7 @@ class Frames(NamedTuple):
         if n == 1:
             return cls(ranks, ranks[:, None, None][:, :, :width].astype(complex))
         vecs = np.zeros((k, n, width), dtype=complex)
-        if width:
-            vecs[pos] = np.where(np.arange(width) < rank[:, None, None], v[:, :, :width], 0)
+        vecs[pos] = np.where(np.arange(width) < rank[:, None, None], v[:, :, :width], 0)
         return cls(ranks, vecs)
 
     @classmethod
@@ -293,8 +292,7 @@ def spectral_cut(s: np.ndarray) -> Cut:
     size = len(s)
     scale = frobs(s)
     live = scale.nonzero()[0]
-    if live.size < size:
-        s, scale = s[live], scale[live]
+    s, scale = s[live], scale[live]
     w, v = (s[:, :, 0].real, np.ones_like(s)) if s.shape[-1] == 1 else canonical_eigh(s)
     rank = np.add.reduce(w > TOL_SPEC * w[:, :1], 1)
     neg = w[:, -1] < -TOL_SPEC * np.maximum(w[:, 0], scale)

@@ -216,14 +216,10 @@ def source_confusability_graph(src: Source, tol: float = TOL_PROJ) -> QuantumGra
     """Confusability graph of the source on O_A: the complement of the support
     of the partial-traced doubled-dilation element, kept on src per tol
     (groups.kept)."""
-    return _graph_per_tol(src, tol)
-
-
-@kept
-def _graph_per_tol(src: Source, tol: float) -> QuantumGraph:
     return _source_graph(src, tol)
 
 
+@kept
 def _source_graph(src: Source, tol: float) -> QuantumGraph:
     """I − P per O_A pair, P the span of its _source_span_vectors: per class
     of the O_A x O_A layout, one linalg.span_frames of the (k, n, c) stack of

@@ -180,8 +180,6 @@ class BlockClass:
         """Per-member values in key order, reordered to the key order of the
         transposed class: the value of pair (i, j) moves to the slot of (j, i)."""
         a, b = self.shape
-        if a == 1 or b == 1:
-            return members
         return members.reshape((a, b) + members.shape[1:]).swapaxes(0, 1).reshape(members.shape)
 
 
@@ -367,15 +365,12 @@ def located(lay: Layout, family, what: str, maps: bool = False):
         count = stack.shape[1] if maps else 1
         if not count:
             return [], fails
-        if len(lay.classes) == 1:
-            runs = [(0, codes, range(len(codes)), stack)]
-        else:
-            of, runs = codes // len(lay.keys), []
-            for c in range(len(lay.classes)):
-                at = np.flatnonzero(of == c)
-                if at.size:
-                    runs.append((c, codes[at] - c * len(lay.keys), at,
-                                 stack if at.size == len(of) else stack[at]))
+        of, runs = codes // len(lay.keys), []
+        for c in range(len(lay.classes)):
+            at = np.flatnonzero(of == c)
+            if at.size:
+                runs.append((c, codes[at] - c * len(lay.keys), at,
+                             stack if at.size == len(of) else stack[at]))
         return [(members.reshape((-1,) + members.shape[2:]) if maps else members, shapes[c],
                  c, count, slots, at) for c, slots, at, members in runs], fails
     groups, fails = {}, []

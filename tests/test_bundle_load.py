@@ -309,6 +309,22 @@ def test_keys_with_leading_zeros_are_not_keyed():
 
 
 @pytest.mark.parametrize("path", ["keyed", "per-entry"])
+def test_kraus_entry_of_no_maps_loads_as_the_zero_morphism(path, monkeypatch):
+    """A pair given no maps, "0,0": [], contributes nothing: the channel is
+    the zero morphism, with zero blocks and no held maps, whether the map
+    reaches the owner as one keyed stack or entry by entry."""
+    data = _keyed_bundle("kraus", "q2", [("0,0", [])])
+    if path == "per-entry":
+        monkeypatch.setattr(bundle, "_parse_pairs", lambda keys: None)
+    seen = _spy_keyed(monkeypatch)
+    f = bundle.load_bundle(data).channels["x"]
+    assert seen == [path == "keyed"]
+    assert f.kraus_stacks == ()
+    assert dict(f.kraus()) == {}
+    assert not f.blocks[(0, 0)].any()
+
+
+@pytest.mark.parametrize("path", ["keyed", "per-entry"])
 @pytest.mark.parametrize("where", ["graph", "kraus"])
 def test_key_that_is_no_str_is_refused_by_name(where, path, monkeypatch):
     """JSON keys are strings, but a document built in Python may key a

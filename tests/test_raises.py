@@ -3,6 +3,7 @@ row per raise, matching its message.  Bundle rows go through cli.main on a
 changed copy of demo/bundle.json and expect exit 2, naming the failure."""
 
 import json
+import math
 import pathlib
 import re
 
@@ -15,6 +16,8 @@ from covgraphs.errors import (
     ActionShapeMismatch,
     DimensionMismatch,
     GroupMismatch,
+    NegativeSpectrum,
+    PsdViolation,
     ShapeMismatch,
     SourceInvalid,
     SystemMismatch,
@@ -96,6 +99,14 @@ RAISES = {
     "cpmaps.add types": (
         lambda: cpmaps.add(cpmaps.identity_channel(QUBIT), cpmaps.identity_channel(PAIR)),
         SystemMismatch, "can only add CP morphisms with equal types"),
+    "cpmaps.add negative coefficient": (
+        lambda: cpmaps.add(cpmaps.identity_channel(QUBIT), cpmaps.identity_channel(QUBIT),
+                           1.0, -1.0),
+        PsdViolation, "add: coefficient cg = -1.0 is not finite and nonnegative"),
+    "cpmaps.add non-finite coefficient": (
+        lambda: cpmaps.add(cpmaps.identity_channel(QUBIT), cpmaps.identity_channel(QUBIT),
+                           math.nan),
+        PsdViolation, "add: coefficient cf = nan is not finite and nonnegative"),
     "cpmaps.cp_norm_diff types": (
         lambda: cpmaps.cp_norm_diff(cpmaps.identity_channel(QUBIT),
                                     cpmaps.identity_channel(PAIR)),
@@ -149,6 +160,9 @@ RAISES = {
     "groups.AlgebraAction perms count": (
         lambda: _action(((0,),), ((np.eye(1),), (np.eye(1),))),
         ActionShapeMismatch, "need one permutation and unitary family per element"),
+    "groups.AlgebraAction unitary family count": (
+        lambda: _action(((0,),) * 2, ((np.eye(1),),)),
+        ActionShapeMismatch, "need one permutation and unitary family per element"),
     "groups.AlgebraAction stack dims": (
         lambda: _action(((0,),) * 2, {2: np.ones((2, 1, 2, 2))}),
         ActionShapeMismatch, "need one unitary stack per factor dimension"),
@@ -176,6 +190,12 @@ RAISES = {
     "linalg.orthonormal_span empty": (
         lambda: linalg.orthonormal_span([]),
         DimensionMismatch, "empty span needs an explicit ambient dimension"),
+    "linalg.psd_sqrt negative": (
+        lambda: linalg.psd_sqrt(-np.eye(2)),
+        NegativeSpectrum, "psd_sqrt: min eigenvalue -1.000e+00"),
+    "linalg.inv_sqrt_psd singular": (
+        lambda: linalg.inv_sqrt_psd(np.diag([1.0, 0.0])),
+        NegativeSpectrum, "inv_sqrt_psd: matrix is singular at this tolerance"),
     "linalg.adjoint_image shape": (
         lambda: linalg.adjoint_image(np.eye(4), 2, 3),
         DimensionMismatch, "adjoint_image: block shape mismatch"),

@@ -459,7 +459,7 @@ class TestSourceMemos:
 
     @staticmethod
     def _counted(monkeypatch):
-        calls = {"_source_graph": 0, "is_reversible": 0, "_composite": 0}
+        calls = {"_source_span_vectors": 0, "is_reversible": 0, "_composite": 0}
         for name in calls:
             real = getattr(scc, name)
 
@@ -474,28 +474,28 @@ class TestSourceMemos:
         oa = systems.system((2,))
         src = scc.source_from_graph(rand_conf_graph(np.random.default_rng(709), oa))
         # The round-trip gate, and the source channel's reversibility gate.
-        assert calls == {"_source_graph": 1, "is_reversible": 1, "_composite": 0}
+        assert calls == {"_source_span_vectors": 1, "is_reversible": 1, "_composite": 0}
         ident = cpmaps.identity_channel(oa)
         assert scc.encoding_is_valid(ident, src, ident)
         d_chan = scc.decoder_for(ident, src, ident)
         assert scc.verify_scheme(src, ident, ident, d_chan)
-        assert calls == {"_source_graph": 1, "is_reversible": 2, "_composite": 1}
+        assert calls == {"_source_span_vectors": 1, "is_reversible": 2, "_composite": 1}
         assert scc.source_confusability_graph(src) is scc.source_confusability_graph(src)
 
     def test_other_encoder_or_tol_computes_again(self, monkeypatch):
         calls = self._counted(monkeypatch)
         oa = systems.system((2,))
         src = scc.source_from_graph(rand_conf_graph(np.random.default_rng(710), oa))
-        assert calls == {"_source_graph": 1, "is_reversible": 1, "_composite": 0}
+        assert calls == {"_source_span_vectors": 1, "is_reversible": 1, "_composite": 0}
         ident = cpmaps.identity_channel(oa)
         valid, comp = scc._checked_composite(ident, src, ident)
         other = cpmaps.from_kraus({(0, 0): [np.eye(2)]}, oa, oa)
         assert other is not ident
         assert scc._checked_composite(other, src, ident)[1] is not comp
-        assert calls == {"_source_graph": 1, "is_reversible": 3, "_composite": 2}
+        assert calls == {"_source_span_vectors": 1, "is_reversible": 3, "_composite": 2}
         loose = 10 * linalg.TOL_PROJ
         assert scc.encoding_is_valid(other, src, ident, loose) == valid
-        assert calls == {"_source_graph": 2, "is_reversible": 4, "_composite": 2}
+        assert calls == {"_source_span_vectors": 2, "is_reversible": 4, "_composite": 2}
         assert scc.source_confusability_graph(src, loose) is not scc.source_confusability_graph(src)
         # The composite does not depend on tol: the new tol read it, and so
         # does verify_scheme.

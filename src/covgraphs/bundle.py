@@ -486,7 +486,7 @@ def dump_channel(f: CpMorphism, src_name: str, tgt_name: str) -> dict:
         "from": src_name,
         "to": tgt_name,
         "kraus": {
-            _pair_key(i, j): [matrix_to_json(m) for m in ops]
+            _pair_key(i, j): matrix_to_json(ops)
             for (i, j), ops in f.kraus().items()
         },
     }

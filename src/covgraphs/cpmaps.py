@@ -21,8 +21,8 @@ g that holds maps (born from Kraus maps, or keeping a cut of its blocks)
 multiplies them with the right factor's held maps, and a Choi-born g that
 keeps no cut is conjugated block by block by the right factor's held
 maps, giving a Choi-born composite with no cut of a block of g.  A held
-family maps each pair that has maps, in key order; a pair without maps is
-absent:
+family maps each pair that has maps, in key order, to the read-only
+(count, e, d) stack of its maps; a pair without maps is absent:
 
   * a morphism born from Kraus maps (from_kraus, which scans and
     shape-checks them once per class and map count, compose of a g that
@@ -32,13 +32,13 @@ absent:
     derived from them when first read: its blocks V V†, with V the stack of
     vec(M†), on the first read of their class, so a morphism that is only
     composed further never forms them; relations.support_of from a thin SVD
-    of V; and its held family on the first call of kraus(), views of the
-    stacks;
+    of V; and its held family on the first call of kraus(), each pair's
+    row of the stacks;
   * a morphism born as Choi blocks (bundle "choi" input, dagger, channelize,
     add, twirls, reverse channels, compose of a Choi-born g that keeps no
     cut) gets the minimal to_kraus family of its blocks on first use, from
     the one cut of each class (CpMorphism.cut), which its support reads
-    too;
+    too, each pair's maps a prefix of its row of one stack per class;
   * a factor pair given more Kraus maps than its block dimension d_i e_j
     holds its to_kraus maps instead, read off the kept cut of its own
     class, so families do not grow along chains of compositions.
@@ -47,7 +47,8 @@ The held family need not be minimal or canonical; to_kraus always is: one
 map per eigenpair that linalg.spectral_cut keeps, at every block size.
 
 The self-checks read the blocks, not the φ-basis pushed through apply: the
-Choi marginal (is_channel) or its reshape into basis images (basis_images).
+Choi marginal, per source dimension (choi_marginal, which is_channel and
+channelize read), or its reshape into basis images (basis_images).
 What a morphism derives without a tolerance is kept on it (groups.kept).
 
 The input's type is the one trust rule (see systems): Choi blocks given as a
@@ -152,11 +153,11 @@ class CpMorphism:
 
     @kept
     def kraus(self):
-        """Held Kraus family: each factor pair (i, j) that has maps -> tuple of
-        read-only e_j x d_i maps, at most d_i e_j of them, in key order; a
-        pair without maps is absent.  From kraus_stacks (_stacked_kraus) for
-        a morphism born from Kraus maps, else from to_kraus; the family
-        bundle.dump_channel writes."""
+        """Held Kraus family: each factor pair (i, j) that has maps -> the
+        read-only (count, e_j, d_i) stack of its maps, count at most d_i e_j,
+        in key order; a pair without maps is absent.  From kraus_stacks
+        (_stacked_kraus) for a morphism born from Kraus maps, else from
+        to_kraus; the family bundle.dump_channel writes."""
         return MappingProxyType(to_kraus(self) if self.kraus_stacks is None
                                 else _stacked_kraus(self))
 
@@ -175,19 +176,18 @@ def _block_kraus(keys, cut: linalg.Cut, d: int, e: int) -> dict:
     """Minimal Kraus maps of the linalg.Cut of a stack of Choi blocks of the
     factor pairs ``keys``, all d e x d e: one map per eigenpair the cut
     keeps (a 1x1 block c: √c iff Re c > 0).  A block whose cut is negative
-    raises (_psd_cut).  Each pair that keeps a map gets a tuple of
-    read-only, C-contiguous e x d maps, all rows of one stack, in the order
-    of ``keys``; a pair that keeps none is absent."""
+    raises (_psd_cut).  Each pair that keeps a map, in the order of ``keys``,
+    gets the read-only, C-contiguous (rank, e, d) prefix of its row of one
+    (live, r, e, d) stack; a pair that keeps none is absent."""
     _psd_cut(keys, cut)
     r = int(cut.rank.max(initial=0))
     # Map k is unvec(√w_k v_k)† = conj(√w_k v_k) read row-major as e x d.
     roots = np.sqrt(np.maximum(cut.w[:, None, :r], 0.0))
     maps = np.ascontiguousarray((roots * cut.v[:, :, :r]).conj().swapaxes(1, 2))
+    maps = maps.reshape(len(maps), r, e, d)
     maps.setflags(write=False)
-    flat = list(maps.reshape(-1, e, d))
-    live = [keys[s] for s in cut.live.tolist()]
-    return {key: tuple(flat[s * r:s * r + rank])
-            for s, (key, rank) in enumerate(zip(live, cut.rank.tolist())) if rank}
+    return {keys[s]: m[:rank] for s, rank, m in zip(cut.live.tolist(), cut.rank.tolist(), maps)
+            if rank}
 
 
 def from_kraus(kraus, src: System, tgt: System) -> CpMorphism:
@@ -244,28 +244,26 @@ def _choi_blocks(maps: np.ndarray) -> np.ndarray:
 
 
 def _stacked_kraus(f: CpMorphism) -> dict:
-    """Held family of a morphism born from Kraus maps: read-only views of
-    kraus_stacks, each pair with maps in key order; a pair with more maps
-    than d_i e_j holds the to_kraus maps of its own class's cut instead."""
+    """Held family of a morphism born from Kraus maps: each pair with maps,
+    in key order, to its row of kraus_stacks; a pair with more maps than
+    d_i e_j holds the to_kraus maps of its own class's cut instead."""
     lay = f.blocks.layout
     held = {}
     for c, slots, maps in f.kraus_stacks:
         klass = lay.classes[c]
-        count = maps.shape[1]
         keys = [klass.keys[s] for s in slots.tolist()]
-        if count > klass.n:
+        if maps.shape[1] > klass.n:
             minimal = _block_kraus(klass.keys, f.cut(c), *klass.dims)
             held.update((key, minimal[key]) for key in keys if key in minimal)
         else:
-            # Consecutive runs of count views: the maps of each pair.
-            held.update(zip(keys, zip(*[iter(list(maps.reshape((-1,) + maps.shape[2:])))] * count)))
+            held.update(zip(keys, maps))
     return {key: held[key] for key in sorted(held)}
 
 
 def to_kraus(f: CpMorphism) -> dict:
-    """Minimal Kraus family: one read-only map per retained eigenpair of each
-    block, as a tuple per factor pair that keeps one, in key order, read off
-    the cut f keeps of each class; a pair that keeps none is absent."""
+    """Minimal Kraus family, read off the cut f keeps of each class: one map
+    per retained eigenpair, as a read-only (rank, e, d) stack per pair that
+    keeps one, in key order; a pair that keeps none is absent."""
     kraus = {}
     for c, klass in enumerate(f.blocks.layout.classes):
         kraus.update(_block_kraus(klass.keys, f.cut(c), *klass.dims))
@@ -406,16 +404,8 @@ def dagger(f: CpMorphism) -> CpMorphism:
 
 
 def choi_marginal(f: CpMorphism) -> list:
-    """Per source factor i: Σ_j w_j Tr_outer(block_ij) = Σ_{j,k} w_j M† M."""
-    out = [None] * f.source.nfactors
-    for rows, marg in _marginal_groups(f):
-        for i, m in zip(rows, marg):
-            out[i] = m
-    return out
-
-
-def _marginal_groups(f: CpMorphism) -> list:
-    """choi_marginal per source dimension: (factors, stack of their marginals).
+    """Per source dimension, in layout.row_groups order: (factors i, stack of
+    their Choi marginals Σ_j w_j Tr_outer(block_ij) = Σ_{j,k} w_j M† M).
 
     One batched trace per class; the sum runs over j ascending for all
     source factors of one dimension at once, as the per-factor sum would.
@@ -462,7 +452,7 @@ def _marginal_defects(f: CpMorphism) -> tuple:
     sw = np.array(f.source.weights)
     defects = [
         (marg - sw[rows][:, None, None] * np.eye(marg.shape[1]), sw[rows])
-        for rows, marg in _marginal_groups(f)
+        for rows, marg in choi_marginal(f)
     ]
     frob = max(linalg.frobs(m).max() for m, _ in defects)
     worst = max((np.abs(m).max(axis=(1, 2)) / np.sqrt(w)).max() for m, w in defects)
@@ -566,10 +556,8 @@ def cp_norm_diff(f: CpMorphism, g: CpMorphism) -> float:
 def channelize(f: CpMorphism) -> CpMorphism:
     """Rescale a CP morphism into a channel by conjugating each source factor
     with the inverse square root of its Choi marginal (must be invertible)."""
-    roots = [
-        linalg.inv_sqrt_psd(linalg.hermitize(m / w))
-        for m, w in zip(choi_marginal(f), f.source.weights)
-    ]
+    roots = {i: linalg.inv_sqrt_psd(linalg.hermitize(m / f.source.weights[i]))
+             for rows, marg in choi_marginal(f) for i, m in zip(rows, marg)}
     parts = []
     for klass, stack in f.blocks.classes():
         d, e = klass.dims

@@ -7,7 +7,9 @@ swap the two classes.  The two workhorse theorems realized here are:
   * every confusability graph is the confusability graph of a channel into a
     single matrix-factor environment (realize_channel), and
   * a channel is reversible precisely when its confusability graph is
-    discrete, with an explicit reverse channel (reverse_channel).
+    discrete, with an explicit reverse channel (reverse_channel), routed
+    per target dimension from the Choi marginal of the converse support
+    (cpmaps.choi_marginal, per source dimension).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .cpmaps import CpMorphism, _marginal_groups, basis_image_matrix, from_kraus
+from .cpmaps import CpMorphism, basis_image_matrix, choi_marginal, from_kraus
 from .cpmaps import is_channel
 from .errors import (
     NotAChannel,
@@ -259,13 +261,13 @@ def reverse_channel(f: CpMorphism, tol: float = TOL_PROJ) -> CpMorphism:
 def _reverse(f: CpMorphism) -> CpMorphism:
     """reverse_channel for a channel f already found reversible.  α_j, its
     projection check, full-rank test and route I - α_j run once per target
-    dimension, on the stack of its factors (cpmaps._marginal_groups of q);
+    dimension, on the stack of its factors (cpmaps.choi_marginal of q);
     member (j, i) of a class of q reads the route of j at layout.col_pos[j]."""
     q = converse(support_of(f))
     d_a = sum(w * d for w, d in zip(f.source.weights, f.source.dims))
     tw = np.array(f.target.weights)
     routes = {}
-    for _, marg in _marginal_groups(q):
+    for _, marg in choi_marginal(q):
         alphas = linalg.hermitize(marg)
         if np.any(linalg.projection_defects(alphas) > VALIDATE_SLACK * TOL_PROJ):
             raise NotReversible("marginal of the converse relation is not a projection")

@@ -10,8 +10,10 @@ convention:
 
 so the slow (outer) index of vec(Hom(K, H)) is the K-side index and the fast
 (inner) index is the H-side index.  This module states the convention: vec,
-unvec and the helpers below apply it, as do the reshapes in cpmaps.choi_vecs,
-cpmaps._block_kraus, QuantumRelation.operators and scc._source_span_vectors.
+unvec and the helpers below apply it, as do the reshapes in cpmaps.apply,
+cpmaps.choi_vecs, cpmaps._block_kraus, cpmaps._conjugated, cpmaps.basis_image_matrix,
+QuantumRelation.operators, relations.partial_function_flags,
+scc._source_span_vectors and scc._dilation_components.
 
 Every threshold of the library is one of the constants below.  A ``tol``
 argument (default TOL_PROJ) exists only where the CLI --tol sets it.
@@ -190,25 +192,20 @@ class Frames(NamedTuple):
         return self.vecs[s, :, :self.ranks[s]]
 
     @classmethod
-    def prefix(cls, k: int, n: int, pos: np.ndarray, rank: np.ndarray,
-               v: np.ndarray) -> "Frames":
-        """Frames of k members where member pos[s] spans the first rank[s]
-        columns of v[s] and the others span nothing (for n = 1, where a
-        frame is [[1]], v is not read)."""
-        ranks = np.zeros(k, dtype=int)
-        ranks[pos] = rank
-        width = int(ranks.max(initial=0))
-        if n == 1:
-            return cls(ranks, ranks[:, None, None][:, :, :width].astype(complex))
-        vecs = np.zeros((k, n, width), dtype=complex)
-        vecs[pos] = np.where(np.arange(width) < rank[:, None, None], v[:, :, :width], 0)
-        return cls(ranks, vecs)
+    def masked(cls, rank: np.ndarray, v: np.ndarray) -> "Frames":
+        """Frames whose member s spans the first rank[s] columns of v[s]: vecs
+        keeps those columns, and zeros after them."""
+        width = int(rank.max(initial=0))
+        return cls(rank, np.where(np.arange(width) < rank[:, None, None], v[:, :, :width], 0))
 
     @classmethod
     def merged(cls, k: int, n: int, parts) -> "Frames":
         """Frames of k members from (positions, Frames) parts: the members at
-        positions take the part's frames in order; the others span nothing."""
+        positions take the part's frames in order; the others span nothing.
+        A single part that covers every member in order is returned as it is."""
         parts = list(parts)
+        if len(parts) == 1 and np.array_equal(parts[0][0], np.arange(k)):
+            return parts[0][1]
         width = max((fr.vecs.shape[-1] for _, fr in parts), default=0)
         ranks = np.zeros(k, dtype=int)
         vecs = np.zeros((k, n, width), dtype=complex)
@@ -260,7 +257,7 @@ def support_projection(m):
         if skew[b]:
             raise _member_error(NotHermitian, f"{at}: defect {defect[b]:.3e}", member)
         raise _member_error(NegativeSpectrum, f"{at}: min eigenvalue {cut.w[b, -1]:.3e}", member)
-    fr = Frames.prefix(cut.size, cut.blocks.shape[-1], cut.live, cut.rank, cut.v)
+    fr = Frames.merged(cut.size, cut.blocks.shape[-1], [(cut.live, Frames.masked(cut.rank, cut.v))])
     proj = fr.projections()
     return (proj[0], fr.member(0)) if one else (proj, fr)
 
@@ -330,17 +327,16 @@ def span_frames(a: np.ndarray, tol: float = TOL_SPEC, floor: float = 0.0) -> Fra
     largest and above floor (a family whose largest is at most floor spans
     nothing).  A family of 1-dim vectors spans [[1]] when its largest
     modulus is nonzero and above floor."""
-    k, n = a.shape[0], a.shape[1]
-    if n == 1:
+    if a.shape[1] == 1:
         top = np.abs(a[:, 0, :]).max(axis=1)
         rank = ((top > max(floor, 0.0)) & (top > 0.0)).astype(int)
-        u = None
+        u = np.ones((len(a), 1, 1), dtype=complex)
     else:
         u, s, _ = np.linalg.svd(a, full_matrices=False)
         cut = np.maximum(tol * s[:, 0], floor)
         rank = np.sum(s > cut[:, None], axis=1)
         rank[s[:, 0] <= floor] = 0
-    return Frames.prefix(k, n, np.arange(k), rank, u)
+    return Frames.masked(rank, u)
 
 
 def projection_frames(p: np.ndarray) -> Frames:
@@ -348,7 +344,8 @@ def projection_frames(p: np.ndarray) -> Frames:
     eigenvectors of its spectral_cut with eigenvalue above 1/2, in
     canonical_eigh's order and phases."""
     cut = spectral_cut(p)
-    return Frames.prefix(len(p), p.shape[-1], cut.live, np.add.reduce(cut.w > 0.5, 1), cut.v)
+    return Frames.merged(len(p), p.shape[-1],
+                         [(cut.live, Frames.masked(np.add.reduce(cut.w > 0.5, 1), cut.v))])
 
 
 def projection_defects(mats: np.ndarray) -> np.ndarray:
@@ -418,10 +415,6 @@ def trace_outer(block: np.ndarray, outer: int, inner: int) -> np.ndarray:
     block = as_complex(block) if np.ndim(block) == 2 else block
     b4 = block.reshape(block.shape[:-2] + (outer, inner, outer, inner))
     return np.einsum("...iaib->...ab", b4)
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return kron_stack(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:

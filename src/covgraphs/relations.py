@@ -180,9 +180,7 @@ def _support_of_maps(f: CpMorphism) -> QuantumRelation:
     for c, slots, maps in f.kraus_stacks:
         frames[c].append((slots, linalg.span_frames(choi_vecs(maps), tol=TOL_SPEC_SV)))
     return QuantumRelation.stacked(f.source, f.target, (
-        got[0][1] if len(got) == 1 and np.array_equal(got[0][0], np.arange(len(klass.keys)))
-        else Frames.merged(len(klass.keys), klass.n, got)
-        for klass, got in zip(lay.classes, frames)))
+        Frames.merged(len(klass.keys), klass.n, got) for klass, got in zip(lay.classes, frames)))
 
 
 @shared
@@ -418,7 +416,8 @@ def marginal(p: QuantumRelation) -> list:
     channels, and whose value is a projection for partial functions.
     """
     # choi_marginal reads only source, target and blocks, which p shares.
-    return [linalg.hermitize(m) for m in choi_marginal(p)]
+    marg = {i: m for rows, ms in choi_marginal(p) for i, m in zip(rows, linalg.hermitize(ms))}
+    return [marg[i] for i in range(p.source.nfactors)]
 
 
 def relation_as_cp(p: QuantumRelation) -> CpMorphism:

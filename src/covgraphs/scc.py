@@ -14,7 +14,9 @@ The pipeline encoding_is_valid -> decoder_for -> verify_scheme builds each
 piece once: a source keeps its graph per tol (groups.kept) and the last
 scheme checked on it (Source), a morphism what its checks derive, and the
 identity channels of _composite and verify_scheme, shared per system
-(cpmaps.identity_channel), keep theirs across schemes and sources.
+(cpmaps.identity_channel), keep theirs across schemes and sources.  Held
+Kraus families are per-pair (count, e, d) stacks, which tensor_cp
+Kroneckers with one linalg.kron_stack and the span vectors multiply.
 
 Leg-ordering convention: product systems order factor pairs (a, b) with the
 left factor major, and product legs as left ⊗ right; all doubled-dilation
@@ -109,18 +111,19 @@ def tensor_system(a: System, b: System) -> TensorSystem:
 
 def tensor_cp(f: CpMorphism, g: CpMorphism) -> CpMorphism:
     """Tensor product of CP morphisms: Kronecker products of the held Kraus
-    maps of f and g, over the pairs that have maps.  Each factor holds at
-    most d e maps per pair, so the product never exceeds its own block
-    dimension and is not compressed."""
+    maps of f and g, over the pairs that have maps, one linalg.kron_stack
+    per pair of pairs, f's map major.  Each factor holds at most d e maps
+    per pair, so the product never exceeds its own block dimension and is
+    not compressed."""
     src = tensor_system(f.source, g.source)
     tgt = tensor_system(f.target, g.target)
-    kf = f.kraus()
     kg = g.kraus()
     kraus = {}
-    for (ia, ja), fops in kf.items():
+    for (ia, ja), fops in f.kraus().items():
         for (ib, jb), gops in kg.items():
-            ops = [linalg.kron(m, n) for m in fops for n in gops]
-            kraus[(src.pair_index(ia, ib), tgt.pair_index(ja, jb))] = ops
+            ops = linalg.kron_stack(fops[:, None], gops[None])  # (m, n, e e', d d')
+            kraus[(src.pair_index(ia, ib), tgt.pair_index(ja, jb))] = ops.reshape(
+                -1, *ops.shape[2:])
     return from_kraus(kraus, src.product, tgt.product)
 
 
@@ -196,16 +199,16 @@ def _source_span_vectors(src: Source):
                 db = ob.dims[b]
                 for a in range(oa.nfactors):
                     da = oa.dims[a]
-                    ms = kraus.get((u, ts.pair_index(a, b)), ())
-                    if not ms:
+                    ms = kraus.get((u, ts.pair_index(a, b)))
+                    if ms is None:
                         continue
-                    mc = np.array(ms)[None] @ c_ops[:, None]
+                    mc = ms[None] @ c_ops[:, None]
                     for ap in range(oa.nfactors):
                         dap = oa.dims[ap]
-                        mps = kraus.get((up, ts.pair_index(ap, b)), ())
-                        if not mps:
+                        mps = kraus.get((up, ts.pair_index(ap, b)))
+                        if mps is None:
                             continue
-                        y = mc[:, :, None] @ np.array(mps).conj().swapaxes(1, 2)
+                        y = mc[:, :, None] @ mps.conj().swapaxes(1, 2)
                         y = y.reshape(-1, da, db, dap, db)
                         g = np.sqrt(wb) * np.einsum("kabcb->kac", y)
                         vecs[(a, ap)].extend(g.swapaxes(1, 2).reshape(len(g), -1))
@@ -243,8 +246,7 @@ def _source_graph(src: Source, tol: float) -> QuantumGraph:
             at = np.flatnonzero(counts == count)
             fams = np.array([vecs[klass.keys[s]] for s in at]).swapaxes(1, 2)
             span[at] = linalg.span_frames(fams, span_tol, floor).projections()
-        # I − P is the library's own: scanned for non-finite entries, then held as a store.
-        parts.append((klass, linalg.as_complex(np.eye(klass.n, dtype=complex) - span)))
+        parts.append((klass, np.eye(klass.n, dtype=complex) - span))
     rel = QuantumRelation(oa, oa, BlockStore.stacked(oa, oa, parts))
     graph = QuantumGraph(oa, rel)
     flags = classify(graph, tol)

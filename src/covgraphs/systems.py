@@ -350,8 +350,8 @@ class KeyedStack(NamedTuple):
 
 def located(lay: Layout, family, what: str, maps: bool = False):
     """A KeyedStack (one gather from lay.codes) or dict (lay.where; a None
-    block is zero) grouped by class, and with ``maps`` (entries are lists
-    of maps) by map count, for linalg.as_complex_groups: (groups, fails).
+    entry is zero: a zero block, no maps) grouped by class, and with ``maps``
+    (entries are lists of maps) by map count, for linalg.as_complex_groups: (groups, fails).
     A group is (members, member shape, class index, count, slots,
     positions): the count entries of each pair at the slots, in turn, and
     the pairs' input positions; fails holds the first pair off the layout."""
@@ -375,7 +375,7 @@ def located(lay: Layout, family, what: str, maps: bool = False):
                  c, count, slots, at) for c, slots, at, members in runs], fails
     groups, fails = {}, []
     for pos, (key, entry) in enumerate(family.items()):
-        if entry is None and not maps:
+        if entry is None:
             continue
         loc = lay.where.get(key)
         if loc is None:

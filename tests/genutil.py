@@ -92,7 +92,7 @@ def tensor_element(ts, x, y):
     x = ts.left.check_element(x)
     y = ts.right.check_element(y)
     return [
-        linalg.kron(x[a], y[b])
+        np.kron(x[a], y[b])
         for a in range(ts.left.nfactors)
         for b in range(ts.right.nfactors)
     ]
@@ -844,7 +844,7 @@ def _loop_supports(f):
     for key in f.blocks:
         ops = f.kraus().get(key, ())
         n = f.blocks[key].shape[0]
-        if not ops:
+        if not len(ops):
             out[key] = (np.zeros((n, n), dtype=complex), np.zeros((n, 0), dtype=complex))
             continue
         v = np.column_stack([linalg.vec(m.conj().T) for m in ops])
@@ -985,7 +985,7 @@ def loop_reverse(f):
         full = round(float(np.trace(alphas[j]).real)) == e
         route = np.zeros((e, e), dtype=complex) if full else np.eye(e) - alphas[j]
         for i, d in enumerate(f.source.dims):
-            blocks[(j, i)] = w_j * q.blocks[(j, i)] + (w_j / d_a) * linalg.kron(np.eye(d), route)
+            blocks[(j, i)] = w_j * q.blocks[(j, i)] + (w_j / d_a) * np.kron(np.eye(d), route)
     return blocks
 
 

@@ -138,3 +138,26 @@ def test_a_store_is_taken_as_it_is(monkeypatch):
         assert make(QUBIT, QUBIT, store).blocks is store and calls == []
         make(QUBIT, QUBIT, {(0, 0): proj})
         assert len(calls) == 1
+
+
+PAIR = systems.system((2, 1))
+
+NONE_ENTRIES = {
+    "Choi block": lambda: cpmaps.CpMorphism(
+        PAIR, PAIR, {(0, 0): None, (1, 1): np.ones((1, 1))}),
+    "relation block": lambda: relations.QuantumRelation(
+        PAIR, PAIR, {(0, 0): None, (1, 1): np.ones((1, 1))}),
+    "Kraus entry": lambda: cpmaps.from_kraus(
+        {(0, 0): None, (1, 1): [np.ones((1, 1))]}, PAIR, PAIR),
+}
+
+
+@pytest.mark.parametrize("kind", NONE_ENTRIES, ids=str)
+def test_a_none_entry_loads_as_zero(kind):
+    """A None entry of a dict family is a zero block; in a Kraus family it is
+    a pair without maps."""
+    f = NONE_ENTRIES[kind]()
+    assert np.array_equal(f.blocks[(0, 0)], np.zeros((4, 4)))
+    assert np.array_equal(f.blocks[(1, 1)], np.ones((1, 1)))
+    if kind == "Kraus entry":
+        assert list(f.kraus()) == [(1, 1)]

@@ -456,7 +456,7 @@ def test_minimal_dilation_span_uniqueness():
     for key in k1:
         ops1, ops2 = k1[key], k2[key]
         assert len(ops1) == len(ops2)
-        if not ops1:
+        if not len(ops1):
             continue
         s1 = linalg.orthonormal_span([linalg.vec(m) for m in ops1])
         s2 = linalg.orthonormal_span([linalg.vec(m) for m in ops2])

@@ -337,22 +337,30 @@ class TestStackedTransport:
         assert groups.is_covariant_cp(t) and not groups.is_covariant_cp(f)
 
     def test_twirl_builds_no_kron(self, monkeypatch):
+        """A cold twirl builds its W stacks with at most one kron_stack per
+        (class, element), each call covering the whole class: no kron per
+        block."""
         n = 16
         z2 = groups.cyclic_group(2)
         swap = groups.permutation_action(z2, (1,) * n, [range(n), [i ^ 1 for i in range(n)]])
         sys = systems.classical_system(n, swap)
         f = embed_channel(rand_stochastic(rng, n, n), sys, sys)
+        plan = groups.TransportPlan(sys.action, sys.action)
+        monkeypatch.setattr(groups, "transport_plan", lambda src, tgt: plan)
         calls = []
-        kron = linalg.kron
+        kron_stack = linalg.kron_stack
 
-        def counting_kron(a, b):
+        def counting_kron_stack(a, b):
             calls.append((a.shape, b.shape))
-            return kron(a, b)
+            return kron_stack(a, b)
 
-        monkeypatch.setattr(linalg, "kron", counting_kron)
+        monkeypatch.setattr(linalg, "kron_stack", counting_kron_stack)
         t = groups.twirl_cp(f)
         assert groups.is_covariant_cp(t)
-        assert not calls
+        classes = f.blocks.layout.classes
+        assert 0 < len(calls) <= len(classes) * z2.order
+        members = {len(klass.keys) for klass in classes}
+        assert all(a[0] == b[0] and a[0] in members for a, b in calls), calls
 
 
 def _point_and_matrix_system(group, perm_of):
@@ -460,7 +468,8 @@ class TestTransportPlan:
         (klass, stack), = f.blocks.classes()
         w, _ = plan.step(c3.identity, klass)
         assert not np.array_equal(w, np.eye(9)[None])
-        assert not np.array_equal(plan.transport(c3.identity, klass, stack), stack)
+        moved = plan.transport(c3.identity, klass, stack)
+        assert np.array_equal(moved, w @ stack @ w.conj().swapaxes(1, 2))
         assert_family_equal(groups.twirl_cp(f).blocks, kron_twirl_blocks(f))
 
     @pytest.mark.parametrize("sys,sigma", RELABELLING_CASES.values(),

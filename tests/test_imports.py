@@ -19,7 +19,6 @@ PRIVATE = {
     ("bundle", "systems", "_shared_system"),
     ("classical", "cpmaps", "_from_stacks"),
     ("cpmaps", "systems", "_diff"),
-    ("graphs", "cpmaps", "_marginal_groups"),
     ("relations", "cpmaps", "_hom_defects"),
     ("relations", "cpmaps", "_psd_cut"),
     ("scc", "graphs", "_conjugation_action"),

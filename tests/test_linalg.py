@@ -223,6 +223,11 @@ class TestCanonicalEigh:
         self.assert_bitwise(np.zeros((n, n)))
 
 
+def test_as_complex_of_no_members_is_an_empty_stack():
+    got = linalg.as_complex([], (2, 2))
+    assert got.shape == (0, 2, 2) and got.dtype == complex
+
+
 def test_spectral_cut_one_rule_for_every_size():
     """Every member keeps its eigenpairs above TOL_SPEC times its top
     eigenvalue, and every live member has eigenvectors: a 1x1 member c

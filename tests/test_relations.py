@@ -244,8 +244,8 @@ class TestKeptChecks:
         f = _kept_check_builders(born)["reversible"]()
         assert (f.kraus_stacks is None) == (born == "choi")
         seen = []
-        real = cpmaps._marginal_groups
-        monkeypatch.setattr(cpmaps, "_marginal_groups", lambda g: seen.append(g) or real(g))
+        real = cpmaps.choi_marginal
+        monkeypatch.setattr(cpmaps, "choi_marginal", lambda g: seen.append(g) or real(g))
         frob_calls = []
         real_frobs = linalg.frobs
         monkeypatch.setattr(linalg, "frobs", lambda m: frob_calls.append(1) or real_frobs(m))

@@ -206,7 +206,8 @@ def test_is_channel_functional_test_on_tiny_weight(delta, verdict):
     # δ / √w = 100 δ: only the functional test sees δ = 5e-9.
     src = _weighted((1,), (1e-4,))
     f = cpmaps.from_kraus({(0, 0): [[[np.sqrt(1e-4 + delta)]]]}, src, systems.classical_system(1))
-    assert linalg.frob(cpmaps.choi_marginal(f)[0] - 1e-4) < linalg.TOL_PROJ
+    (_, marg), = cpmaps.choi_marginal(f)
+    assert linalg.frob(marg[0] - 1e-4) < linalg.TOL_PROJ
     assert cpmaps.is_channel(f) is verdict
 
 

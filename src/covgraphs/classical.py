@@ -1,9 +1,16 @@
 """Classical (commutative) oracles and embeddings.
 
 Everything here is ground truth for the quantum constructions restricted to
-commutative systems, written with boolean/integer arithmetic wherever possible
-so the oracles do not share the floating-point failure modes of the path they
-check.  Relations are boolean matrices rel[i][j] over (input, output) pairs;
+commutative systems.  The oracles read a stochastic matrix only through its
+support pattern R (inputs x outputs, bool) and compute with boolean and
+integer array products, so they do not share the floating-point failure
+modes of the path they check: confusability is R @ R.T, a homomorphism is
+R @ B @ R.T contained in A, reversibility is no output with two inputs, and a
+source graph counts same-b collisions of distinct symbols as integers.
+numpy's bool matmul is an OR of ANDs, and the integer counts are bounded by
+|S|² n_b, so every product is exact.
+
+Relations are boolean matrices rel[i][j] over (input, output) pairs;
 stochastic matrices are column-stochastic with p[j][i] the probability of
 output j given input i; graphs are symmetric boolean adjacency matrices
 (confusability graphs carry all loops, simple graphs none).
@@ -87,56 +94,38 @@ def support_pattern(p) -> np.ndarray:
 
 
 def oracle_confusability(p) -> np.ndarray:
-    """adj[i, i'] iff some output j has p[j,i] p[j,i'] > 0; all loops present."""
+    """adj[i, i'] iff some output j has p[j,i] p[j,i'] > 0; all loops present.
+
+    The boolean product R @ R.T of the support pattern R: numpy's bool
+    matmul is an OR of ANDs, so it is exact."""
     rel = support_pattern(check_stochastic(p))
-    m = rel.shape[0]
-    adj = np.zeros((m, m), dtype=bool)
-    for i in range(m):
-        for ip in range(m):
-            adj[i, ip] = bool(np.any(rel[i] & rel[ip]))
-    return adj
+    return rel @ rel.T
 
 
 def oracle_stochastic_hom(p, adj_a, adj_b) -> bool:
     """Homomorphism test for confusability graphs through a stochastic matrix:
     whenever outputs of x and z can collide along an edge of the target graph,
-    x and z must be adjacent in the source graph."""
+    x and z must be adjacent in the source graph.
+
+    The collisions are the boolean product R @ B @ R.T (exact, an OR of
+    ANDs), and the test is that none falls outside A.  adj_a must be m x m
+    and adj_b n x n for an n x m matrix, else ShapeMismatch."""
     rel = support_pattern(check_stochastic(p))
     adj_a = np.asarray(adj_a, dtype=bool)
     adj_b = np.asarray(adj_b, dtype=bool)
-    m = rel.shape[0]
-    for x in range(m):
-        for z in range(m):
-            hit = False
-            for y in np.flatnonzero(rel[x]):
-                for zt in np.flatnonzero(rel[z]):
-                    if adj_b[y, zt]:
-                        hit = True
-                        break
-                if hit:
-                    break
-            if hit and not adj_a[x, z]:
-                return False
-    return True
+    m, n = rel.shape
+    if adj_a.shape != (m, m) or adj_b.shape != (n, n):
+        raise ShapeMismatch(f"a {n} x {m} stochastic matrix needs adjacencies {m} x {m} and "
+                            f"{n} x {n}, got {adj_a.shape} and {adj_b.shape}")
+    return not (rel @ adj_b @ rel.T & ~adj_a).any()
 
 
 def oracle_reversible(p) -> bool:
-    """Brute-force decoder existence: build the support-membership decoder and
-    check it decodes exactly; equivalently the input supports are disjoint."""
-    p = check_stochastic(p)
-    rel = support_pattern(p)
-    m, n = rel.shape
-    owner = [-1] * n
-    for j in range(n):
-        inputs = np.flatnonzero(rel[:, j])
-        if len(inputs) > 1:
-            return False
-        if len(inputs) == 1:
-            owner[j] = int(inputs[0])
-    d = np.zeros((m, n))
-    for j in range(n):
-        d[owner[j] if owner[j] >= 0 else 0, j] = 1.0
-    return bool(np.all((d @ p) == np.eye(m)) or np.allclose(d @ p, np.eye(m), atol=0))
+    """Decoder existence: the input supports are disjoint, i.e. no output
+    column of the support pattern has two inputs.  Then the decoder that
+    sends each output to the input owning it inverts p, up to the round-off
+    negatives that check_stochastic admits."""
+    return bool((support_pattern(check_stochastic(p)).sum(axis=0) <= 1).all())
 
 
 def oracle_source_graph(p_src, n_a: int, n_b: int) -> np.ndarray:
@@ -146,21 +135,17 @@ def oracle_source_graph(p_src, n_a: int, n_b: int) -> np.ndarray:
     (a, b) -> a * n_b + b.  Distinct a, a' are adjacent iff NO side-information
     value b and distinct source symbols s, s' have p(a,b|s) p(a',b|s') > 0;
     loops are always present.
+
+    With P[a, b, s] = [p(a,b|s) > 0] as integers, the collisions of a and a'
+    number Σ_b (Σ_s P[a,b,s]) (Σ_s' P[a',b,s']) less the s = s' terms
+    Σ_b Σ_s P[a,b,s] P[a',b,s]: two integer matrix products, exact since
+    every count is at most |S|² n_b.
     """
     p = check_stochastic(p_src)
     ns = p.shape[1]
     if p.shape[0] != n_a * n_b:
         raise ShapeMismatch("source matrix rows must factor as n_a * n_b")
-    adj = np.eye(n_a, dtype=bool)
-    for a in range(n_a):
-        for ap in range(n_a):
-            if a == ap:
-                continue
-            collision = False
-            for b in range(n_b):
-                for s in range(ns):
-                    for sp in range(ns):
-                        if s != sp and p[a * n_b + b, s] > 0 and p[ap * n_b + b, sp] > 0:
-                            collision = True
-            adj[a, ap] = not collision
-    return adj
+    hits = (p > 0).astype(np.int64).reshape(n_a, n_b, ns)
+    per_b = hits.sum(axis=2)
+    flat = hits.reshape(n_a, n_b * ns)
+    return (per_b @ per_b.T == flat @ flat.T) | np.eye(n_a, dtype=bool)

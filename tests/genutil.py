@@ -7,6 +7,7 @@ from itertools import permutations
 import numpy as np
 
 from covgraphs import cpmaps, graphs, groups, linalg, relations, scc, systems
+from covgraphs.classical import check_stochastic, support_pattern
 from covgraphs.errors import (
     CovGraphsError,
     DimensionMismatch,
@@ -81,6 +82,59 @@ def oracle_compose(r, s) -> np.ndarray:
     if r.shape[1] != s.shape[0]:
         raise ShapeMismatch("relation shapes do not compose")
     return (r.astype(int) @ s.astype(int)) > 0
+
+
+def loop_oracle_confusability(p) -> np.ndarray:
+    """classical.oracle_confusability as the pairwise loop it replaced."""
+    rel = support_pattern(check_stochastic(p))
+    m = rel.shape[0]
+    adj = np.zeros((m, m), dtype=bool)
+    for i in range(m):
+        for ip in range(m):
+            adj[i, ip] = bool(np.any(rel[i] & rel[ip]))
+    return adj
+
+
+def loop_oracle_stochastic_hom(p, adj_a, adj_b) -> bool:
+    """classical.oracle_stochastic_hom as the four-deep loop it replaced."""
+    rel = support_pattern(check_stochastic(p))
+    adj_a = np.asarray(adj_a, dtype=bool)
+    adj_b = np.asarray(adj_b, dtype=bool)
+    m = rel.shape[0]
+    for x in range(m):
+        for z in range(m):
+            hit = False
+            for y in np.flatnonzero(rel[x]):
+                for zt in np.flatnonzero(rel[z]):
+                    if adj_b[y, zt]:
+                        hit = True
+                        break
+                if hit:
+                    break
+            if hit and not adj_a[x, z]:
+                return False
+    return True
+
+
+def loop_oracle_source_graph(p_src, n_a: int, n_b: int) -> np.ndarray:
+    """classical.oracle_source_graph as the five-deep loop it replaced."""
+    p = check_stochastic(p_src)
+    ns = p.shape[1]
+    if p.shape[0] != n_a * n_b:
+        raise ShapeMismatch("source matrix rows must factor as n_a * n_b")
+    adj = np.eye(n_a, dtype=bool)
+    for a in range(n_a):
+        for ap in range(n_a):
+            if a == ap:
+                continue
+            collision = False
+            for b in range(n_b):
+                for s in range(ns):
+                    for sp in range(ns):
+                        if s != sp and p[a * n_b + b, s] > 0 and p[ap * n_b + b, sp] > 0:
+                            collision = True
+            adj[a, ap] = not collision
+    return adj
 
 
 def adjoint_element(sys, x):

@@ -1,9 +1,11 @@
+import ast
+import inspect
 from itertools import product
 
 import numpy as np
 import pytest
 
-from covgraphs import bundle, classical, cpmaps, relations, systems
+from covgraphs import bundle, classical, cpmaps, graphs, relations, systems
 from covgraphs.errors import DimensionMismatch, ShapeMismatch
 
 from genutil import (
@@ -12,6 +14,9 @@ from genutil import (
     embed_graph,
     embed_relation,
     loop_extract_channel,
+    loop_oracle_confusability,
+    loop_oracle_source_graph,
+    loop_oracle_stochastic_hom,
     oracle_compose,
     rand_stochastic,
 )
@@ -141,3 +146,75 @@ class TestOracles:
         p2 = np.eye(2)
         adj2 = classical.oracle_source_graph(p2, 2, 1)
         assert np.array_equal(adj2, np.eye(2, dtype=bool))
+
+    def test_reversible_by_support_on_round_off_negatives(self):
+        """A -1e-13 entry passes check_stochastic and is outside the support,
+        so the supports are disjoint and the channel is reversible, though
+        the decoder's product with p is not exactly the identity."""
+        p = np.array([[1.0, -1e-13], [0.0, 1.0 + 1e-13]])
+        classical.check_stochastic(p)
+        assert classical.oracle_reversible(p) is True
+        assert np.array_equal(classical.oracle_confusability(p), np.eye(2, dtype=bool))
+        assert graphs.is_reversible(classical.embed_channel(p))
+
+
+def _supported(rng, n_out, n_in, most=None):
+    """Column-stochastic n_out x n_in matrix whose column i has k_i outputs in
+    its support, k_i drawn from 1..most (default n_out)."""
+    p = np.zeros((n_out, n_in))
+    for i in range(n_in):
+        k = int(rng.integers(1, (most or n_out) + 1))
+        p[rng.choice(n_out, size=k, replace=False), i] = rng.random(k) + 0.1
+    return p / p.sum(axis=0, keepdims=True)
+
+
+def _adjacency(rng, n):
+    adj = rng.random((n, n)) < rng.random()
+    return adj | adj.T | np.eye(n, dtype=bool)
+
+
+def _same(got, ref):
+    return got.dtype == ref.dtype and got.shape == ref.shape and np.array_equal(got, ref)
+
+
+def test_oracles_match_the_loops_they_replaced():
+    """Fixed-seed sweep of the array oracles against the loops of genutil:
+    equal arrays of equal dtype and shape, and equal bool verdicts, on
+    every m, n in 1..8, supports of 1..n outputs per input, random symmetric
+    adjacencies with loops, sources with n_a, n_b and |S| in 1..3, and one
+    64 x 64 channel."""
+    rng = np.random.default_rng(4646)
+    cases, seen = 0, set()
+    channels = [(m, n, None) for m in range(1, 9) for n in range(1, 9) for _ in range(12)]
+    for m, n, most in channels + [(64, 64, 3)]:
+        p = _supported(rng, n, m, most)
+        adj_a, adj_b = _adjacency(rng, m), _adjacency(rng, n)
+        conf = loop_oracle_confusability(p)
+        assert _same(classical.oracle_confusability(p), conf)
+        hom = classical.oracle_stochastic_hom(p, adj_a, adj_b)
+        assert type(hom) is bool and hom == loop_oracle_stochastic_hom(p, adj_a, adj_b)
+        rev = classical.oracle_reversible(p)
+        assert rev == np.array_equal(conf, np.eye(m, dtype=bool))
+        seen |= {("hom", hom), ("rev", rev)}
+        cases += 1
+    for n_a, n_b, ns in product(range(1, 4), repeat=3):
+        for _ in range(10):
+            p = _supported(rng, n_a * n_b, ns)
+            adj = loop_oracle_source_graph(p, n_a, n_b)
+            assert _same(classical.oracle_source_graph(p, n_a, n_b), adj)
+            seen.add(("source", bool(adj.all())))
+            cases += 1
+    assert cases >= 1000
+    assert seen == {(kind, v) for kind in ("hom", "rev", "source") for v in (True, False)}
+
+
+def test_oracle_bodies_hold_no_loop():
+    """The four oracles are array products: no for, while or comprehension
+    in their bodies, so a probe loop cannot come back unnoticed."""
+    loops = []
+    for name in ("oracle_confusability", "oracle_stochastic_hom", "oracle_reversible",
+                 "oracle_source_graph"):
+        tree = ast.parse(inspect.getsource(getattr(classical, name)))
+        loops += [f"{name}:{node.lineno} {type(node).__name__}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.For, ast.AsyncFor, ast.While, ast.comprehension))]
+    assert not loops

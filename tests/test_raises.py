@@ -181,6 +181,16 @@ RAISES = {
     "classical.check_stochastic sign": (
         lambda: classical.check_stochastic([[1.5, 0.0], [-0.5, 1.0]]),
         ShapeMismatch, "stochastic matrix must be nonnegative"),
+    "classical.oracle_stochastic_hom larger adjacencies": (
+        lambda: classical.oracle_stochastic_hom(np.eye(2), np.eye(3, dtype=bool),
+                                                np.eye(3, dtype=bool)),
+        ShapeMismatch, "a 2 x 2 stochastic matrix needs adjacencies 2 x 2 and 2 x 2, "
+                       "got (3, 3) and (3, 3)"),
+    "classical.oracle_stochastic_hom broadcast adjacency": (
+        lambda: classical.oracle_stochastic_hom(np.eye(2), np.ones((1, 1), dtype=bool),
+                                                np.eye(2, dtype=bool)),
+        ShapeMismatch, "a 2 x 2 stochastic matrix needs adjacencies 2 x 2 and 2 x 2, "
+                       "got (1, 1) and (2, 2)"),
     "classical.oracle_source_graph rows": (
         lambda: classical.oracle_source_graph(np.eye(3), 2, 2),
         ShapeMismatch, "source matrix rows must factor as n_a * n_b"),

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cpmaps import CpMorphism, _from_stacks
+from .cpmaps import CpMorphism
 from .errors import DimensionMismatch, ShapeMismatch
 from .graphs import QuantumGraph
 from .linalg import TOL_ROUNDOFF
 from .relations import QuantumRelation
-from .systems import System, classical_system, layout
+from .systems import System, classical_system
 
 
 def check_stochastic(p) -> np.ndarray:
@@ -46,10 +46,10 @@ def embed_channel(p, src: System | None = None, tgt: System | None = None) -> Cp
     """Column-stochastic matrix as a channel between commutative systems.
 
     Pair (i, j) holds the one Kraus map [[sqrt(p_ji)]] when p_ji > 0, so its
-    1x1 Choi block is sqrt(p_ji)².  The channel is born from these maps, so
-    no block is formed until read: they go to cpmaps._from_stacks as one
-    (1, 1) stack.  src and tgt must be commutative systems of the matrix's
-    sizes, else ShapeMismatch."""
+    1x1 Choi block is sqrt(p_ji)².  These maps, roots of entries that
+    check_stochastic scanned, are the library's own: they go to the trusted
+    CpMorphism.held as one (1, 1) stack, so no block is formed until read.
+    src and tgt must be commutative systems of its sizes, else ShapeMismatch."""
     p = check_stochastic(p)
     n, m = p.shape
     src = src if src is not None else classical_system(m)
@@ -60,7 +60,7 @@ def embed_channel(p, src: System | None = None, tgt: System | None = None) -> Cp
     ins, outs = np.nonzero(p.T > 0)
     roots = np.sqrt(p[outs, ins])
     maps = roots.astype(complex).reshape(-1, 1, 1, 1)
-    return _from_stacks(src, tgt, layout(src.dims, tgt.dims), [(0, ins * n + outs, maps)])
+    return CpMorphism.held(src, tgt, [(0, ins * n + outs, maps)])
 
 
 def extract_channel(f: CpMorphism) -> np.ndarray:

@@ -24,9 +24,9 @@ maps, giving a Choi-born composite with no cut of a block of g.  A held
 family maps each pair that has maps, in key order, to the read-only
 (count, e, d) stack of its maps; a pair without maps is absent:
 
-  * a morphism born from Kraus maps (from_kraus, which scans and
-    shape-checks them once per class and map count, compose of a g that
-    holds maps, tensor products, identity channels and
+  * a morphism born from Kraus maps (from_kraus for maps from outside;
+    CpMorphism.held for the library's own: compose of a g that holds maps,
+    tensor products, identity channels, realized channels, sources and
     classical.embed_channel) stores its maps once, as read-only stacks per
     class and map count (CpMorphism.kraus_stacks).  Everything else is
     derived from them when first read: its blocks V V†, with V the stack of
@@ -51,13 +51,13 @@ Choi marginal, per source dimension (choi_marginal, which is_channel and
 channelize read), or its reshape into basis images (basis_images).
 What a morphism derives without a tolerance is kept on it (groups.kept).
 
-The input's type is the one trust rule (see systems): Choi blocks given as a
-dict or a KeyedStack are scanned, shape-checked, and PSD-checked by the kept
-cut every later reader reads (CpMorphism.cut), a BlockStore is the
-library's own and taken as it is, and every Kraus family goes through
-from_kraus, which scans and shape-checks it, but classical.embed_channel's:
-its 1x1 maps go to _from_stacks unscanned, being square roots of entries
-that check_stochastic has scanned.
+One trust rule holds for blocks and Kraus maps (see systems): Choi blocks
+given as a dict or a KeyedStack are scanned, shape-checked, and PSD-checked
+by the kept cut every later reader reads (CpMorphism.cut), and a
+BlockStore (CpMorphism.stacked) is the library's own, taken as it is; a
+Kraus family from outside goes through from_kraus, which scans and
+shape-checks it, and the library's own maps through CpMorphism.held, which
+checks nothing.
 
 Channels preserve the separable standard functional: for every source factor
 i, Σ_{j,k} w_j M_ijk† M_ijk = w_i I.
@@ -65,6 +65,7 @@ i, Σ_{j,k} w_j M_ijk† M_ijk = w_i I.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import partial
 from types import MappingProxyType
 
@@ -118,6 +119,34 @@ class CpMorphism:
         """Kernel-born morphism from (class, stack) pairs of the source x target
         layout (classes not given are zero)."""
         return cls(source, target, BlockStore.stacked(source, target, parts))
+
+    @classmethod
+    def held(cls, source: System, target: System, maps) -> "CpMorphism":
+        """Kraus-born morphism of the library's own maps, the Kraus twin of
+        stacked, scanning and shape-checking nothing.  ``maps`` is the parts
+        kraus_stacks holds, (class, slots of its pairs in the class,
+        (p, count, e, d) maps) triples, or a mapping from pair to (count, e,
+        d) maps, as kraus() returns, grouped by class and map count in its
+        order, one np.array copy per group, a pair with no maps absent.  The
+        parts, made read-only, are the one stored copy (kraus_stacks); the
+        store forms block (i, j) = V V† on the first read of its class."""
+        lay = layout(source.dims, target.dims)
+        if isinstance(maps, Mapping):
+            groups = {}
+            for key, ms in maps.items():
+                c, s = lay.where[key]
+                groups.setdefault((c, len(ms)), []).append((s, ms))
+            maps = [(c, np.array([s for s, _ in got]), np.array([m for _, m in got], dtype=complex))
+                    for (c, count), got in groups.items() if count]
+        parts = [[] for _ in lay.classes]
+        for c, slots, stack in maps:
+            stack.setflags(write=False)
+            parts[c].append((slots, stack))
+        f = cls(source, target, BlockStore(lay, [
+            partial(class_stack, klass, got, _choi_blocks) if got else None
+            for klass, got in zip(lay.classes, parts)]))
+        f.kraus_stacks = tuple(maps)
+        return f
 
     def _check_psd(self):
         """Every block Hermitian within the validator slack, one Frobenius
@@ -191,44 +220,24 @@ def _block_kraus(keys, cut: linalg.Cut, d: int, e: int) -> dict:
 
 
 def from_kraus(kraus, src: System, tgt: System) -> CpMorphism:
-    """CP morphism of a Kraus family: factor pairs (i, j) mapped to lists of
-    e_j x d_i matrices H_i -> K_j, as a dict or as a systems.KeyedStack of
-    (k, count, e, d) maps.
+    """CP morphism of a Kraus family from outside: factor pairs (i, j) mapped
+    to lists of e_j x d_i matrices H_i -> K_j, as a dict or as a
+    systems.KeyedStack of (k, count, e, d) maps.
 
     Either form is grouped by class and map count (systems.located) and
-    scanned and shape-checked once per group, whoever built it: the first
-    failing map in input order, or pair outside the layout, raises.  The
-    morphism stores read-only views of the group stacks once, as
+    scanned and shape-checked once per group: the first failing map in
+    input order, or pair outside the layout, raises.  The checked groups go
+    to CpMorphism.held, which stores read-only views of them once, as
     kraus_stacks: copies of a dict's maps, a KeyedStack's maps as they are.
     It forms no Choi block and runs no cut until one is read.
     """
     lay = layout(src.dims, tgt.dims)
     groups, fails = located(lay, kraus, "Kraus index", maps=True)
     stacks = linalg.as_complex_groups(groups, fails, failure_at, lay, "Kraus map for pair")
-    return _from_stacks(src, tgt, lay, [
+    return CpMorphism.held(src, tgt, [
         (c, np.asarray(slots), stack.reshape((len(slots), count) + shape))
         for (_, shape, c, count, slots, _), stack in zip(groups, stacks)
     ])
-
-
-def _from_stacks(src: System, tgt: System, lay, stacks) -> CpMorphism:
-    """Morphism of Kraus maps stacked per class and map count: ``stacks`` holds
-    (class index, slots of the pairs in the class, (p, count, e, d) maps)
-    triples.
-
-    The triples, their maps made read-only, are the one stored copy
-    (kraus_stacks); the store forms block (i, j) = V V† from them on the
-    first read of its class, and kraus() the held family on its first call.
-    """
-    parts = [[] for _ in lay.classes]
-    for c, slots, maps in stacks:
-        maps.setflags(write=False)
-        parts[c].append((slots, maps))
-    f = CpMorphism(src, tgt, BlockStore(lay, [
-        partial(class_stack, klass, got, _choi_blocks) if got else None
-        for klass, got in zip(lay.classes, parts)]))
-    f.kraus_stacks = tuple(stacks)
-    return f
 
 
 def choi_vecs(maps: np.ndarray) -> np.ndarray:
@@ -292,8 +301,8 @@ def apply(f: CpMorphism, x) -> list:
 def identity_channel(sys: System) -> CpMorphism:
     """The identity channel of sys, one map I per factor, shared per system
     (groups.shared) with what is kept on it."""
-    kraus = {(i, i): [np.eye(d, dtype=complex)] for i, d in enumerate(sys.dims)}
-    return from_kraus(kraus, sys, sys)
+    return CpMorphism.held(sys, sys, {(i, i): np.eye(d, dtype=complex)[None]
+                                      for i, d in enumerate(sys.dims)})
 
 
 def add(f: CpMorphism, g: CpMorphism, cf: float = 1.0, cg: float = 1.0) -> CpMorphism:
@@ -337,7 +346,7 @@ def compose(g: CpMorphism, f: CpMorphism) -> CpMorphism:
     for (i, j), ms in f.kraus().items():
         for k, ns in g_rows.get(j, ()):
             kraus.setdefault((i, k), []).extend(n @ m for m in ms for n in ns)
-    return from_kraus(kraus, f.source, g.target)
+    return CpMorphism.held(f.source, g.target, kraus)
 
 
 def _conjugated(g: CpMorphism, f: CpMorphism) -> CpMorphism:

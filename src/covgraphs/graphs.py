@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .cpmaps import CpMorphism, basis_image_matrix, choi_marginal, from_kraus
+from .cpmaps import CpMorphism, basis_image_matrix, choi_marginal
 from .cpmaps import is_channel
 from .errors import (
     NotAChannel,
@@ -165,8 +165,7 @@ def realize_channel(g: QuantumGraph, tau: float | None = None, tol: float = TOL_
     for i, (off, d) in enumerate(zip(offsets(a_sys.dims), a_sys.dims)):
         # Column x of map a is column E_xa of f̂^{1/2}.
         kraus[(i, 0)] = [fhalf[:, off + a:off + d * d:d] / np.sqrt(w_env) for a in range(d)]
-    f = from_kraus(kraus, a_sys, env)
-    return f, env
+    return CpMorphism.held(a_sys, env, kraus), env
 
 
 @shared
@@ -226,18 +225,11 @@ def is_simple_homomorphism(f: CpMorphism, g_a: QuantumGraph, g_b: QuantumGraph) 
 
 
 def is_reversible(f: CpMorphism, tol: float = TOL_PROJ) -> bool:
-    """A channel is reversible iff its confusability graph is discrete: its
-    discreteness defect, kept on f once f passes the channel check
-    (_discreteness), is at most tol."""
+    """A channel is reversible iff its confusability graph (kept on f) is
+    discrete: its distance from the discrete graph is at most tol."""
     if not is_channel(f, tol):
         raise NotAChannel("reversibility is defined for channels")
-    return _discreteness(f) <= tol
-
-
-@kept
-def _discreteness(f: CpMorphism) -> float:
-    """The distance of f's confusability graph from the discrete graph."""
-    return relation_defect(confusability_of(f).relation, discrete(f.source))
+    return relation_defect(confusability_of(f).relation, discrete(f.source)) <= tol
 
 
 def reverse_channel(f: CpMorphism, tol: float = TOL_PROJ) -> CpMorphism:

@@ -194,8 +194,11 @@ class Frames(NamedTuple):
     @classmethod
     def masked(cls, rank: np.ndarray, v: np.ndarray) -> "Frames":
         """Frames whose member s spans the first rank[s] columns of v[s]: vecs
-        keeps those columns, and zeros after them."""
+        keeps those columns, and zeros after them.  A 1-dim frame (v is
+        (k, 1, c)) is [[1]] or [[0]]: its vecs are rank itself."""
         width = int(rank.max(initial=0))
+        if v.shape[1] == 1:
+            return cls(rank, rank.astype(complex).reshape(-1, 1, 1)[:, :, :width])
         return cls(rank, np.where(np.arange(width) < rank[:, None, None], v[:, :, :width], 0))
 
     @classmethod
@@ -328,14 +331,11 @@ def span_frames(a: np.ndarray, tol: float = TOL_SPEC, floor: float = 0.0) -> Fra
     nothing).  A family of 1-dim vectors spans [[1]] when its largest
     modulus is nonzero and above floor."""
     if a.shape[1] == 1:
-        top = np.abs(a[:, 0, :]).max(axis=1)
-        rank = ((top > max(floor, 0.0)) & (top > 0.0)).astype(int)
-        u = np.ones((len(a), 1, 1), dtype=complex)
-    else:
-        u, s, _ = np.linalg.svd(a, full_matrices=False)
-        cut = np.maximum(tol * s[:, 0], floor)
-        rank = np.sum(s > cut[:, None], axis=1)
-        rank[s[:, 0] <= floor] = 0
+        return Frames.masked((np.abs(a[:, 0, :]).max(axis=1) > max(floor, 0.0)).astype(int), a)
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    cut = np.maximum(tol * s[:, 0], floor)
+    rank = np.sum(s > cut[:, None], axis=1)
+    rank[s[:, 0] <= floor] = 0
     return Frames.masked(rank, u)
 
 

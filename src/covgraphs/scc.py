@@ -34,7 +34,6 @@ from .cpmaps import (
     CpMorphism,
     compose,
     cp_norm_diff,
-    from_kraus,
     identity_channel,
     is_channel,
 )
@@ -124,7 +123,7 @@ def tensor_cp(f: CpMorphism, g: CpMorphism) -> CpMorphism:
             ops = linalg.kron_stack(fops[:, None], gops[None])  # (m, n, e e', d d')
             kraus[(src.pair_index(ia, ib), tgt.pair_index(ja, jb))] = ops.reshape(
                 -1, *ops.shape[2:])
-    return from_kraus(kraus, src.product, tgt.product)
+    return CpMorphism.held(src.product, tgt.product, kraus)
 
 
 class Source:
@@ -384,7 +383,7 @@ def source_from_graph(g: QuantumGraph) -> Source:
             ops = [c * t[:, :, m].reshape(da * nz, 1) for m in range(da)]
             kraus[(u, ts.pair_index(a, 0))] = ops
 
-    chan = from_kraus(kraus, s_sys, ts.product)
+    chan = CpMorphism.held(s_sys, ts.product, kraus)
     src = Source(s_sys, oa, ob, chan)
     got = source_confusability_graph(src)
     defect = relation_defect(got.relation, g.relation)
@@ -393,7 +392,7 @@ def source_from_graph(g: QuantumGraph) -> Source:
     return src
 
 
-def _dilation_components(oa: System, pperp: dict, nz: int) -> dict:
+def _dilation_components(oa: System, pperp: BlockStore, nz: int) -> dict:
     """Unnormalized dilation tensors t[n, ζ, m] of source_from_graph: per
     component u and O_A factor a, the pairs (a, t) with M_u[a, m] = c t[:, :, m]."""
     raw = {0: [], 1: []}

@@ -27,13 +27,13 @@ given from outside, a dict from factor pair to entry or a KeyedStack, is
 grouped by class (located), checked once per class by
 linalg.as_complex_groups and copied into the class stacks (class_stack).
 
-One trust rule holds at this boundary, read off the input's type: a dict
-or a KeyedStack is always checked (scanned for non-finite entries and
-shape-checked here, and PSD- or projection-checked by the CpMorphism and
-QuantumRelation constructors); a BlockStore, which only the library
-builds, is taken as it is.  No argument switches a check off but one:
-graphs.QuantumGraph's validate=False, for a graph the library built
-symmetric, since symmetry does not show in a relation's type.
+One trust rule holds here for blocks, relations and Kraus maps: input from
+outside, a dict or a KeyedStack, is always checked (scanned and
+shape-checked here, then PSD- or projection-checked by the owners), and the
+library's own, a BlockStore or the maps it hands CpMorphism.held, is taken
+as it is.  No argument switches a check off but graphs.QuantumGraph's
+validate=False, for a graph the library built symmetric, since symmetry
+does not show in a relation's type.
 """
 
 from __future__ import annotations

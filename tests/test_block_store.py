@@ -54,6 +54,7 @@ from genutil import (
     loop_unitary_stacks,
     rand_channel,
     rand_complex,
+    rand_conf_graph,
     rand_cp,
     rand_isometry,
     rand_relation,
@@ -765,8 +766,8 @@ class TestChecksAtTheBoundary:
                 cpmaps.from_kraus(given, sys, sys)
 
     def test_library_maps_are_shape_checked(self):
-        """Maps the library builds go through from_kraus too, which has no
-        switch for its checks: a transposed or ragged map is named."""
+        """from_kraus has no switch for its checks: a transposed or ragged
+        map is named."""
         sys = systems.system((1, 2))
         row = np.ones((1, 2))  # a map H_1 -> K_0 of pair (1, 0)
         for given in ({(0, 0): [[[1.0]]], (1, 0): [row.T]}, {(1, 0): [row, np.eye(2)]}):
@@ -973,12 +974,13 @@ def test_bundle_only_parses():
 
 
 def test_kraus_blocks_are_formed_only_by_the_store():
-    """cpmaps defines no ALONE_N and _from_stacks forms no product: the blocks
-    V V† of a Kraus-born morphism are formed by its block store, on first read."""
+    """cpmaps defines no ALONE_N and CpMorphism.held forms no product: the
+    blocks V V† of a Kraus-born morphism are formed by its block store, on
+    first read."""
     tree = ast.parse((pathlib.Path(covgraphs.__file__).parent / "cpmaps.py").read_text())
     assert "ALONE_N" not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     (fn,) = [node for node in ast.walk(tree)
-             if isinstance(node, ast.FunctionDef) and node.name == "_from_stacks"]
+             if isinstance(node, ast.FunctionDef) and node.name == "held"]
     products = [
         node.lineno for node in ast.walk(fn)
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
@@ -989,10 +991,10 @@ def test_kraus_blocks_are_formed_only_by_the_store():
 
 
 def test_kraus_born_constructors_form_no_block_and_run_no_cut():
-    """cpmaps._from_stacks and classical.embed_channel only store the maps:
+    """CpMorphism.held and classical.embed_channel only store the maps:
     they call no gram, _block_kraus, spectral_cut or stack."""
     root = pathlib.Path(covgraphs.__file__).parent
-    for path, name in (("cpmaps.py", "_from_stacks"), ("classical.py", "embed_channel")):
+    for path, name in (("cpmaps.py", "held"), ("classical.py", "embed_channel")):
         (fn,) = [node for node in ast.walk(ast.parse((root / path).read_text()))
                  if isinstance(node, ast.FunctionDef) and node.name == name]
         called = {node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
@@ -1265,6 +1267,93 @@ class TestLazyKrausBlocks:
         got = cpmaps.compose(g, f)
         assert calls == []
         assert all(len(ops) == 1 for ops in got.kraus().values())
+
+
+def _held_round_trip_cases():
+    """Kraus-born morphisms: classical n = 64, (1,2,3) with two maps per
+    pair (its 1 x 1 pair (0, 0) given more than d e maps), and LAZY's
+    "over", whose pairs (0, 0) and (1, 0) are given more than d e maps.  Their own generator keeps the fixtures above as they were."""
+    r = np.random.default_rng(4747)
+    m123 = systems.system((1, 2, 3))
+    src, tgt, kraus = LAZY["over"]
+    return {"classical64": embed_channel(rand_stochastic(r, 64, 64)),
+            "m123": rand_cp(r, m123, m123),
+            "over": cpmaps.from_kraus(kraus, src, tgt)}
+
+
+HELD_CASES = _held_round_trip_cases()
+
+
+class TestHeldDoor:
+    """CpMorphism.held, the trusted door for the library's own Kraus maps:
+    from_kraus checks only input from outside."""
+
+    def test_only_bundle_calls_from_kraus(self):
+        """No module of src/ but bundle calls from_kraus (cpmaps defines it):
+        the library hands its own maps to CpMorphism.held."""
+        callers = set()
+        for path in sorted(pathlib.Path(covgraphs.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    fn = node.func
+                    if (fn.attr if isinstance(fn, ast.Attribute)
+                            else getattr(fn, "id", None)) == "from_kraus":
+                        callers.add(path.stem)
+        assert callers == {"bundle"}
+
+    @pytest.mark.parametrize("form", ["kraus_stacks", "kraus"])
+    @pytest.mark.parametrize("name", list(HELD_CASES))
+    def test_round_trip_is_bitwise(self, name, form):
+        """held of f's parts (kraus_stacks), or of its held family (kraus()),
+        gives f's kraus() bitwise, and f's blocks and support frames bitwise
+        on every pair given at most d e maps.  A pair given more holds its
+        minimal to_kraus maps in kraus(), so held of kraus() stores those, and
+        its block V V† and frames agree with f's only to round-off."""
+        f = HELD_CASES[name]
+        g = cpmaps.CpMorphism.held(f.source, f.target,
+                                   f.kraus_stacks if form == "kraus_stacks" else f.kraus())
+        assert g.kraus_stacks is not None
+        kf, kg = f.kraus(), g.kraus()
+        assert list(kg) == list(kf)
+        assert all(kg[key].tobytes() == kf[key].tobytes() for key in kf)
+        lay, rf, rg = f.blocks.layout, relations.support_of(f), relations.support_of(g)
+        given = {lay.classes[c].keys[s]: maps.shape[1]
+                 for c, slots, maps in f.kraus_stacks for s in slots.tolist()}
+        over = {key for key, count in given.items()
+                if count > lay.classes[lay.where[key][0]].n}
+        assert bool(over) == (name != "classical64")  # m123's 1 x 1 pair (0, 0) too
+        for key in lay.keys:
+            if form == "kraus" and key in over:
+                assert np.allclose(g.blocks[key], f.blocks[key], rtol=0, atol=1e-12), key
+                assert np.allclose(rg.blocks[key], rf.blocks[key], rtol=0, atol=1e-12), key
+                continue
+            assert g.blocks[key].tobytes() == f.blocks[key].tobytes(), key
+            assert rg.frame(*key).tobytes() == rf.frame(*key).tobytes(), key
+
+    def test_library_constructions_regroup_and_rescan_nothing(self, monkeypatch):
+        """identity_channel, compose's product path, tensor_cp,
+        realize_channel and source_from_graph never call systems.located, so
+        no map they build is regrouped or rescanned; from_kraus does."""
+        r = np.random.default_rng(4748)
+        seen, real = [], systems.located
+        spy = lambda *args, **kwargs: seen.append(args[2]) or real(*args, **kwargs)  # noqa: E731
+        monkeypatch.setattr(systems, "located", spy)
+        monkeypatch.setattr(cpmaps, "located", spy)
+        sys, oa = systems.system((1, 2, 3)), systems.system((2,))
+        f, g = rand_cp(r, sys, sys), rand_cp(r, sys, sys, kraus_per_pair=1)
+        assert seen == ["Kraus index"] * 2
+        graph, oa_graph = rand_conf_graph(r, sys), rand_conf_graph(r, oa)
+        seen.clear()
+        ident = cpmaps.identity_channel.__wrapped__(sys)
+        built = {
+            "identity_channel": ident,
+            "compose": cpmaps.compose(g, f),
+            "tensor_cp": scc.tensor_cp(f, ident),
+            "realize_channel": graphs.realize_channel(graph)[0],
+            "source_from_graph": scc.source_from_graph(oa_graph).channel,
+        }
+        assert all(h.kraus_stacks is not None for h in built.values())
+        assert seen == []
 
 
 def _spy_projections(monkeypatch) -> list:

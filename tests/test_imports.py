@@ -17,7 +17,6 @@ ALLOWED = set()
 PRIVATE = {
     ("bundle", "systems", "_factor_dims"),
     ("bundle", "systems", "_shared_system"),
-    ("classical", "cpmaps", "_from_stacks"),
     ("cpmaps", "systems", "_diff"),
     ("relations", "cpmaps", "_hom_defects"),
     ("relations", "cpmaps", "_psd_cut"),

@@ -232,8 +232,8 @@ def _verdict(check, f, tol):
 
 
 class TestKeptChecks:
-    """is_channel, is_reversible and norm read numbers kept on the morphism
-    (its norm, marginal defects and discreteness defect), compared with each
+    """is_channel, is_reversible and norm read what is kept on the morphism
+    (its norm, marginal defects and confusability graph), compared with each
     call's own tol: one marginal per morphism, and every verdict the one a
     fresh morphism gives."""
 
@@ -286,7 +286,7 @@ class TestKeptChecks:
                 graphs.is_reversible(f, tol)
             with pytest.raises(NotAChannel):
                 graphs.reverse_channel(f, tol)
-        assert held(f, graphs._discreteness) is None
+        assert held(f, graphs.confusability_of) is None
 
 
 class TestDiscrete:

@@ -595,5 +595,5 @@ def test_shared_and_kept_functions_take_positional_parameters_only():
     function has no default, no *args or **kwargs and no keyword-only
     parameter."""
     memo = _memo_functions()
-    assert len(memo) >= 19
+    assert len(memo) >= 18
     assert [name for name, plain in memo.items() if not plain] == []

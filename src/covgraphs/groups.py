@@ -49,9 +49,26 @@ per action pair (transport_plan), and act_on_cp, twirl_cp, is_covariant_cp
 and is_covariant_relation all move blocks through one.  act_on_cp and
 twirl_cp build through type(f).stacked and is_covariant_cp compares block
 stores, so this module imports nothing from the modules above it.  A plan's
-memory grows with |G|: a twirl reads every element, so its plan then holds
-|G| W stacks per class (C_n permuting n classical points: n³ entries of W
-and n³ image slots).
+memory grows with the elements read: a twirl reads |G| steps per class, so
+its plan then holds |G| W stacks per class (C_n permuting n classical
+points: n³ entries of W and n³ image slots), while a covariance check reads
+the |S| steps of the group's generators, so a plan that is only checked, as
+at every bundle load, holds |S| (C_n: one, n² entries).
+
+Covariance is decided on the generators.  A group derives from its table a
+generating set S, greedy in element order, and the mean L̄ and largest
+L_max over G of the length of the shortest positive word in S.  With
+θ = tol·max(1, ‖f‖), D_T = ‖twirl(f) − f‖ and D_S = max_{s∈S} ‖α_s f − f‖
+in the blockwise-max Frobenius norm, every α_g is an isometry, so
+D_S ≤ 2·D_T and D_T ≤ L̄·D_S: is_covariant_cp returns False at
+D_S ≥ 2θ + 3m and True at L̄·(D_S + m) + m < θ, m = BAND_GUARD·max(1, ‖f‖)
+the round-off allowed each computed distance, and only inputs between the
+two (the band), or on actions that are unitary and homomorphic only past
+TOL_ROUNDOFF, are twirled and compared as before.  is_covariant_relation
+returns False when a generator moves a block past its bound (an element
+that fails), True when L_max·(D_S + m) + m is below the smallest bound, and
+otherwise checks every element.  No verdict differs from the twirl's or
+the element loop's.
 
 An action holds its unitaries once, as the read-only mapping unitaries
 from each factor dimension d to the (|G|, k, d, d) stack of its k
@@ -87,7 +104,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ActionShapeMismatch, GroupMismatch, ShapeMismatch
-from .linalg import TOL_PROJ, TOL_ROUNDOFF
+from .linalg import BAND_GUARD, TOL_PROJ, TOL_ROUNDOFF
 
 
 _UNSET = object()
@@ -155,7 +172,11 @@ class FiniteGroup:
 
     Checked in full when built (see the module docstring); afterwards table
     is a tuple of int tuples and exact_key the digest of order, table and
-    identity, which equality and the hash read."""
+    identity, which equality and the hash read.  generators is a generating
+    set S, greedy in element order, and mean_word_length and
+    max_word_length are the mean L̄ and largest L_max over G of the length
+    of the shortest positive word in S for each element (0 for the
+    identity), which the covariance checks read."""
 
     order: int
     table: tuple
@@ -190,6 +211,10 @@ class FiniteGroup:
         object.__setattr__(self, "exact_key", hashlib.blake2b(
             np.array([n, e], dtype=np.int64).tobytes() + t.astype(np.int64).tobytes(),
             digest_size=32).digest())
+        gens, length = _generated(t, e)
+        for name, value in (("generators", gens), ("mean_word_length", float(length.mean())),
+                            ("max_word_length", int(length.max()))):
+            object.__setattr__(self, name, value)
 
     @property
     def elements(self):
@@ -200,6 +225,28 @@ class FiniteGroup:
 
     def __hash__(self):
         return hash(self.exact_key)
+
+
+def _generated(t: np.ndarray, e: int) -> tuple:
+    """S and L for the group with table t and identity e: an element joins S
+    when the positive words in S so far miss it, and L(g) is the length of
+    the shortest positive word for g, breadth-first from e by right
+    multiplication with S (|S| searches of |S| · |G| table reads each)."""
+    n = len(t)
+    gens, length = [], np.zeros(n, dtype=int)
+    for g in range(n):
+        if g != e and not length[g]:
+            gens.append(g)
+            length[:] = 0
+            frontier, steps = np.array([e]), 0
+            while frontier.size:
+                steps += 1
+                hit = np.zeros(n, dtype=bool)
+                hit[t[frontier][:, gens]] = True
+                hit[e] = False
+                frontier = np.flatnonzero(hit & (length == 0))
+                length[frontier] = steps
+    return tuple(gens), length
 
 
 @shared
@@ -256,8 +303,10 @@ class AlgebraAction:
     caller cannot change it after the checks.  The checks run by kind (see
     the module docstring): perms, identity, unitaries (shape and
     finiteness, through linalg.as_complex_groups), unitarity, homomorphism.
-    perm_array is perms as a read-only (|G|, nfactors) array, and exact_key
-    the digest of the key and the stacks' bytes.
+    perm_array is perms as a read-only (|G|, nfactors) array, exact_key
+    the digest of the key and the stacks' bytes, and defect the largest
+    unitarity and homomorphism defect the checks measured (0 for a
+    permutation action).
     """
 
     group: FiniteGroup
@@ -269,11 +318,11 @@ class AlgebraAction:
         dims = tuple(map(int, self.dims))
         perms, perm_array = _checked_perms(self.group, dims, self.perms)
         factors, slot = dim_classes(dims)
-        unitaries = _checked_unitaries(self.group.order, factors, self.unitaries)
+        unitaries, unitarity = _checked_unitaries(self.group.order, factors, self.unitaries)
         for name, value in (("dims", dims), ("perms", perms), ("perm_array", perm_array),
                             ("unitaries", MappingProxyType(unitaries)), ("_slot", slot)):
             object.__setattr__(self, name, value)
-        _check_homomorphism(self, factors)
+        object.__setattr__(self, "defect", max(unitarity, _check_homomorphism(self, factors)))
         # Identity: equal keys are necessary for equality and the hash reads
         # the key alone, because equality tolerates TOL_ROUNDOFF in the
         # unitaries.  exact_key, the digest of the key and the unitaries'
@@ -341,11 +390,12 @@ def _checked_perms(group: FiniteGroup, dims: tuple, given) -> tuple:
     return perms, perm_array
 
 
-def _checked_unitaries(n: int, factors, given) -> dict:
+def _checked_unitaries(n: int, factors, given) -> tuple:
     """d -> read-only (n, k, d, d) stack of the unitaries of the k factors of
     dimension d, from per-element families or class stacks, once every
     member has its shape, is finite (the least (g, i) failing raises) and is
-    unitary (the first failure in class order raises)."""
+    unitary (the first failure in class order raises); and the largest
+    unitarity defect ‖U U† − I‖ seen."""
     nf = sum(map(len, factors.values()))
     if isinstance(given, Mapping):
         if set(given) != set(factors):
@@ -373,31 +423,35 @@ def _checked_unitaries(n: int, factors, given) -> dict:
         return (g, i), exc
 
     groups = [(members[d], (d, d), idx) for d, idx in factors.items()]
-    stacks = {}
+    stacks, worst = {}, 0.0
     for (d, idx), flat in zip(factors.items(), linalg.as_complex_groups(groups, [], name)):
-        bad = linalg.frobs(flat @ flat.conj().swapaxes(1, 2) - np.eye(d)) > TOL_PROJ * max(1.0, d)
+        defect = linalg.frobs(flat @ flat.conj().swapaxes(1, 2) - np.eye(d))
+        bad = defect > TOL_PROJ * max(1.0, d)
         if bad.any():
             g, s = divmod(int(bad.argmax()), len(idx))
             raise ActionShapeMismatch(f"unitaries[{g}][{idx[s]}] is not unitary")
         stacks[d] = flat.reshape(n, len(idx), d, d)
         stacks[d].setflags(write=False)
-    return stacks
+        worst = max(worst, float(defect.max(initial=0.0)))
+    return stacks, worst
 
 
-def _check_homomorphism(action: AlgebraAction, factors):
+def _check_homomorphism(action: AlgebraAction, factors) -> float:
     """α_g ∘ α_h must equal α_{gh} as algebra automorphisms (phases drop out).
 
     Every pair is checked, one element g at a time against every h: the
     perms, and on each factor i that U_g[π_h(i)] U_h[i] is U_gh[i] times a
     phase, one gathered product per factor dimension, so a step holds
     O(|G| · Σ k d²) entries.  The first failing pair (g, h) raises: its
-    perms, else its first failing factor in class order.
+    perms, else its first failing factor in class order.  Returns the
+    largest defect seen.
     """
     table = np.array(action.group.table)
     perms = action.perm_array
     # at[d][h, s]: position in class d of the image slot π_h of its factor s.
     at = {d: action._slot[perms[:, idx]] for d, idx in factors.items()}
     named = [None] + [i for idx in factors.values() for i in idx]
+    worst = 0.0
     for g in action.group.elements:
         gh = table[g]
         bad = [(perms[g][perms] != perms[gh]).any(axis=1)[:, None]]
@@ -408,6 +462,7 @@ def _check_homomorphism(action: AlgebraAction, factors):
             defect = linalg.frobs(x - (tr / d)[:, None, None] * np.eye(d)) + np.abs(
                 np.abs(tr) / d - 1.0)
             bad.append((defect > TOL_PROJ * max(1.0, d)).reshape(len(gh), -1))
+            worst = max(worst, float(defect.max(initial=0.0)))
         bad = np.hstack(bad)  # bad[h]: the perms, then each factor in class order
         if bad.any():
             h, col = divmod(int(bad.argmax()), bad.shape[1])
@@ -415,6 +470,7 @@ def _check_homomorphism(action: AlgebraAction, factors):
                 raise ActionShapeMismatch(f"perms are not a homomorphism at ({g},{h})")
             raise ActionShapeMismatch(
                 f"action is not a homomorphism up to phase at ({g},{h}), factor {named[col]}")
+    return worst
 
 
 def trivial_action(group: FiniteGroup, dims) -> AlgebraAction:
@@ -514,16 +570,69 @@ def twirl_cp(f):
 
 
 def is_covariant_cp(f, tol: float = TOL_PROJ) -> bool:
-    """True iff the twirl leaves f unchanged in blockwise Frobenius norm."""
-    return twirl_cp(f).blocks.distance(f.blocks) < tol * max(1.0, f.norm())
+    """True iff the twirl leaves f unchanged: D_T = ‖twirl(f) − f‖ < θ =
+    tol · max(1, ‖f‖), in the blockwise-max Frobenius norm of cp_norm_diff;
+    decided on the generators S where the band argument below allows.
+
+    Every α_g is an isometry of that norm and α_s fixes twirl(f), so
+    D_S = max_{s∈S} ‖α_s f − f‖ ≤ 2·D_T; and α_g f − f telescopes along the
+    shortest positive word of g in S, so D_T ≤ L̄·D_S.  A computed distance
+    is within m = BAND_GUARD · max(1, ‖f‖) of the exact one: a transport
+    W B W† of an n x n block errs by about n ε ‖B‖ (2e-13 at n = 900), the
+    twirl's mean of |G| of them by about |G| ε ‖f‖ more (3e-14 at C_128),
+    and an action whose defect is at most TOL_ROUNDOFF (one unitary and a
+    homomorphism to round-off, as action equality allows) composes within a
+    few TOL_ROUNDOFF per step.  So a computed D_S ≥ 2θ + 3m means a computed
+    D_T ≥ θ (False), and L̄·(D_S + m) + m < θ a computed D_T < θ (True).
+    Inside that band, or for an action of larger defect, the twirl is
+    compared as the definition reads, so every verdict is the twirl's."""
+    src, tgt = f.source.action, f.target.action
+    scale = max(1.0, f.norm())
+    theta = tol * scale
+    if max(src.defect, tgt.defect) <= TOL_ROUNDOFF:
+        plan, group = transport_plan(src, tgt), src.group
+        classes = list(f.blocks.classes())
+        d_s = max((float(linalg.frobs(plan.transport(s, klass, stack) - stack).max())
+                   for s in group.generators for klass, stack in classes), default=0.0)
+        m = BAND_GUARD * scale
+        if d_s >= 2 * theta + 3 * m:
+            return False
+        if group.mean_word_length * (d_s + m) + m < theta:
+            return True
+    return twirl_cp(f).blocks.distance(f.blocks) < theta
 
 
 def is_covariant_relation(p) -> bool:
-    """Projector-family invariance under the induced conjugation action."""
-    plan = transport_plan(p.source.action, p.target.action)
-    for klass, stack in p.blocks.classes():
-        bound = TOL_PROJ * np.maximum(1.0, linalg.frobs(stack))
-        for g in p.source.action.group.elements:
-            if np.any(linalg.frobs(plan.transport(g, klass, stack) - stack) > bound):
-                return False
-    return True
+    """Projector-family invariance under the induced conjugation action:
+    every element moves each block within TOL_PROJ · max(1, its norm).
+
+    A generator that moves a block further is a failing element, so its
+    False is exact.  Otherwise every block of α_g p − p is within L(g)·D_S
+    of 0, D_S the generators' largest block defect (the telescoping of
+    is_covariant_cp), so L_max·(D_S + m) + m below the smallest bound, m as
+    there, is True; else every element is checked."""
+    src, tgt = p.source.action, p.target.action
+    plan = transport_plan(src, tgt)
+    group = src.group
+    classes = [(klass, stack, np.maximum(1.0, linalg.frobs(stack)))
+               for klass, stack in p.blocks.classes()]
+
+    def defect(g) -> float:
+        """g's largest block defect, inf once a block exceeds its bound."""
+        worst = 0.0
+        for klass, stack, norm in classes:
+            moved = linalg.frobs(plan.transport(g, klass, stack) - stack)
+            if np.any(moved > TOL_PROJ * norm):
+                return np.inf
+            worst = max(worst, float(moved.max()))
+        return worst
+
+    d_s = max(map(defect, group.generators), default=0.0)
+    if d_s == np.inf:
+        return False
+    if max(src.defect, tgt.defect) <= TOL_ROUNDOFF:
+        m = BAND_GUARD * max(float(norm.max()) for *_, norm in classes)
+        least = TOL_PROJ * min(float(norm.min()) for *_, norm in classes)
+        if group.max_word_length * (d_s + m) + m < least:
+            return True
+    return all(defect(g) < np.inf for g in group.elements)

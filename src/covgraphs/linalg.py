@@ -38,6 +38,9 @@ TOL_SPEC = 1e-9  # relative spectral cut: eigen/singular values <= TOL_SPEC * to
 TOL_SPEC_SV = TOL_SPEC ** 0.5
 TOL_PROJ = 1e-8  # projection tolerance: containment, channel, covariance, reversibility
 TOL_ROUNDOFF = 1e-12  # absolute round-off: phases, stochastic sums, orbit weights, action equality
+# Round-off allowed each distance that groups' covariance checks compute on
+# the generators, per unit of max(1, block norm) (1e-10; see is_covariant_cp).
+BAND_GUARD = 100 * TOL_ROUNDOFF
 TOL_ROUNDTRIP = 10 * TOL_PROJ  # gate on the relation defect of a round trip (1e-7)
 VALIDATE_SLACK = 100  # validators and reverse_channel's marginal test accept slack * tol
 FUNCTIONAL_SLACK = 10  # slack of is_channel's functional test over its marginal test

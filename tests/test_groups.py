@@ -11,6 +11,7 @@ from genutil import (
     act,
     assert_blocks_close,
     assert_family_equal,
+    choi_born,
     inner_action,
     inverse,
     kron_is_covariant_relation,
@@ -71,6 +72,34 @@ class TestFiniteGroup:
             table[row][2], table[row][15] = table[row][15], table[row][2]
         with pytest.raises(GroupMismatch, match=re.escape("associativity fails at (1,1,1)")):
             groups.FiniteGroup(26, tuple(map(tuple, table)), 0)
+
+    @pytest.mark.parametrize("group", [
+        groups.trivial_group(), groups.cyclic_group(2), groups.cyclic_group(6),
+        groups.cyclic_group(16), groups.symmetric_group(3), groups.symmetric_group(4),
+        groups.FiniteGroup(4, ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)), 0),
+    ], ids=["C1", "C2", "C6", "C16", "S3", "S4", "Z2xZ2"])
+    def test_generators_and_word_lengths(self, group):
+        """S is greedy in element order: an element joins when the words in
+        the earlier generators miss it; L(g) is the shortest positive word,
+        found here by multiplying out every word of each length in turn."""
+        table = group.table
+        reached, gens = {group.identity}, []
+        for g in group.elements:
+            if g not in reached:
+                gens.append(g)
+                while True:
+                    more = {table[a][s] for a in reached for s in gens} - reached
+                    if not more:
+                        break
+                    reached |= more
+        assert group.generators == tuple(gens)
+        length, words, step = {group.identity: 0}, {group.identity}, 0
+        while len(length) < group.order:
+            step += 1
+            words = {table[a][s] for a in words for s in gens}
+            length.update({g: step for g in words if g not in length})
+        assert group.mean_word_length == np.mean([length[g] for g in group.elements])
+        assert group.max_word_length == max(length.values())
 
     def test_equality_and_hash_read_the_digest(self):
         c4 = groups.cyclic_group(4)
@@ -605,3 +634,179 @@ class TestActionIdentity:
         assert swap != fixed and swap == groups.permutation_action(
             s2, (1, 1), symmetric_group_perms(2)
         )
+
+
+def _generator_systems():
+    """C2 on a qubit by a complex reflection; C3 on a qutrit by the cyclic
+    shift, and with the identity acting by a phase; S3 permuting three 2-dim
+    factors; C16 shifting 16 classical points, and on a qubit by
+    diag(1, ω^g)."""
+    z2, c3, c16 = groups.cyclic_group(2), groups.cyclic_group(3), groups.cyclic_group(16)
+    flip = np.array([[0, np.exp(0.3j)], [np.exp(-0.3j), 0]])
+    x = np.roll(np.eye(3), 1, axis=0)
+    return {
+        "C2": systems.system((2,), inner_action(z2, 2, [np.eye(2), flip])),
+        "C3": systems.system((3,), inner_action(c3, 3, [np.eye(3), x, x @ x])),
+        "C3-phase": systems.system(
+            (3,), inner_action(c3, 3, [np.exp(0.7j) * np.eye(3), x, x @ x])),
+        "S3": TRANSPORT_CASES["perm222"][0],
+        "C16": systems.classical_system(16, groups.permutation_action(
+            c16, (1,) * 16, [[(i + g) % 16 for i in range(16)] for g in c16.elements])),
+        "C16-qubit": systems.system((2,), inner_action(
+            c16, 2, [np.diag([1.0, np.exp(2j * np.pi * g / 16)]) for g in c16.elements])),
+    }
+
+
+GENERATOR_SYSTEMS = _generator_systems()
+# Where a perturbation puts the twirl distance D_T (maps) or the largest
+# block defect (relations), in units of the threshold θ.  Exactly at θ the
+# verdict is round-off's; θ(1 ± 1e-3) sits inside the band of every case,
+# where the twirl or the full element loop decides, clear of round-off.
+PLACEMENTS = (0.3, 1 - 1e-3, 1.0, 1 + 1e-3, 3.0)
+
+
+def _twirl_verdict(f, tol=linalg.TOL_PROJ):
+    """is_covariant_cp as the twirl comparison alone decides it."""
+    return cpmaps.cp_norm_diff(groups.twirl_cp(f), f) < tol * max(1.0, f.norm())
+
+
+def _map_sweep(sys, seed):
+    """(placement, map): the twirl t of a rank-one map, exactly covariant
+    (placement 0), and t + ε w for a random CP map w, with ε putting D_T at
+    each placement of θ."""
+    r = np.random.default_rng(seed)
+    t = groups.twirl_cp(rand_cp(r, sys, sys, kraus_per_pair=1))
+    w = rand_cp(r, sys, sys)
+    unit = linalg.TOL_PROJ * max(1.0, t.norm()) / cpmaps.cp_norm_diff(groups.twirl_cp(w), w)
+    return [(0.0, t)] + [(c, cpmaps.add(t, w, 1.0, c * unit)) for c in PLACEMENTS]
+
+
+def _rotated(p, key, h, eps):
+    """p with block key turned by exp(iεh)."""
+    w, q = np.linalg.eigh(h)
+    v = (q * np.exp(1j * eps * w)) @ q.conj().T
+    blocks = {k: blk for k, blk in p.blocks.items() if np.any(blk)}
+    blocks[key] = v @ blocks[key] @ v.conj().T
+    return relations.QuantumRelation(p.source, p.target, blocks)
+
+
+def _defect_ratio(p):
+    """Largest block defect of p over the elements, over its bound, by the
+    per-block kron loop: kron_is_covariant_relation(p) iff it is at most 1."""
+    action_src, action_tgt = p.source.action, p.target.action
+    return max(
+        np.linalg.norm(blk - p.blocks[key])
+        / (linalg.TOL_PROJ * max(1.0, np.linalg.norm(p.blocks[key])))
+        for g in p.source.group.elements
+        for key, blk in kron_moved_blocks(action_src, action_tgt, g, p.blocks).items())
+
+
+def _relation_sweep(sys, seed):
+    """(placement, relation): the support p of a twirled rank-one map,
+    exactly covariant (placement 0), and p with its first block of rank
+    strictly between 0 and its size turned by a random rotation, the angle
+    putting the largest block defect at each placement of its bound."""
+    r = np.random.default_rng(seed)
+    p = relations.support_of(groups.twirl_cp(rand_cp(r, sys, sys, kraus_per_pair=1)))
+    key = next(k for k, blk in p.blocks.items() if 0 < np.linalg.matrix_rank(blk) < len(blk))
+    n = len(p.blocks[key])
+    h = rand_unitary(r, n)
+    h = h + h.conj().T
+    unit = 1e-6 / _defect_ratio(_rotated(p, key, h, 1e-6))
+    return [(0.0, p)] + [(c, _rotated(p, key, h, c * unit)) for c in PLACEMENTS]
+
+
+def _twirl_spy(monkeypatch) -> list:
+    """Record every twirl_cp call from here on."""
+    calls, real = [], groups.twirl_cp
+    monkeypatch.setattr(groups, "twirl_cp", lambda f: calls.append(f) or real(f))
+    return calls
+
+
+class TestGeneratorChecks:
+    """Covariance decided on the generators gives the twirl's verdict and the
+    full element loop's, on both sides of the threshold and inside the band."""
+
+    @pytest.mark.parametrize("name", GENERATOR_SYSTEMS)
+    def test_groups_and_actions_admit_the_band(self, name):
+        sys = GENERATOR_SYSTEMS[name]
+        assert sys.action.defect <= linalg.TOL_ROUNDOFF
+        group = sys.group
+        assert len(group.generators) == (2 if group.order == 6 else 1)
+
+    @pytest.mark.parametrize("name", GENERATOR_SYSTEMS)
+    def test_map_verdicts_are_the_twirls(self, name, monkeypatch):
+        sys = GENERATOR_SYSTEMS[name]
+        twirls = _twirl_spy(monkeypatch)
+        for c, f in _map_sweep(sys, 4800):
+            expected = _twirl_verdict(f)
+            twirls.clear()
+            assert groups.is_covariant_cp(f) == expected, c
+            assert expected == (c < 1) or c == 1.0, c
+            if 1 - 1e-2 < c < 1 + 1e-2:  # inside the band: the twirl decides
+                assert len(twirls) == 1, c
+            elif name == "C2":  # L̄ = 1/2 and D_S = 2 D_T: decided outside θ(1 ± 1e-2)
+                assert twirls == [], c
+
+    @pytest.mark.parametrize("name", [n for n in GENERATOR_SYSTEMS if n != "C16"])
+    def test_relation_verdicts_are_the_element_loops(self, name):
+        sys = GENERATOR_SYSTEMS[name]
+        for c, p in _relation_sweep(sys, 4801):
+            expected = kron_is_covariant_relation(p)
+            assert groups.is_covariant_relation(p) == expected, c
+            assert expected == (c <= 1) or c == 1.0, c
+
+    @pytest.mark.parametrize("name", GENERATOR_SYSTEMS)
+    def test_verdicts_do_not_depend_on_birth(self, name):
+        """The same verdict on f, its Choi-born twin and the Kraus-born
+        from_kraus(f.kraus()), off exactly θ, where the births' round-off
+        differences could decide."""
+        for c, f in _map_sweep(GENERATOR_SYSTEMS[name], 4802):
+            if c == 1.0:
+                continue
+            verdict = groups.is_covariant_cp(f)
+            assert groups.is_covariant_cp(choi_born(f)) == verdict, c
+            kraus_born = cpmaps.from_kraus(f.kraus(), f.source, f.target)
+            assert groups.is_covariant_cp(kraus_born) == verdict, c
+
+    def test_a_decided_verdict_reads_only_the_generators(self, monkeypatch):
+        """On C16 shifting 16 points, decided verdicts twirl nothing and
+        transport along the generator alone, and a plan that is only checked
+        holds one step per class; a twirl then builds the other 15."""
+        sys = GENERATOR_SYSTEMS["C16"]
+        group = sys.group
+        r = np.random.default_rng(4803)
+        t = groups.twirl_cp(rand_cp(r, sys, sys, kraus_per_pair=1))
+        w = rand_cp(r, sys, sys)
+        supports = (relations.support_of(t),
+                    relations.QuantumRelation(sys, sys, {(0, 0): np.eye(1)}))
+        plan = groups.TransportPlan(sys.action, sys.action)
+        monkeypatch.setattr(groups, "transport_plan", lambda src, tgt: plan)
+        moved, transport = [], groups.TransportPlan.transport
+        monkeypatch.setattr(groups.TransportPlan, "transport",
+                            lambda self, g, klass, stack: moved.append(g) or transport(
+                                self, g, klass, stack))
+        twirls = _twirl_spy(monkeypatch)
+        assert groups.is_covariant_cp(t) and not groups.is_covariant_cp(w)
+        assert groups.is_covariant_relation(supports[0])
+        assert not groups.is_covariant_relation(supports[1])
+        assert twirls == [] and set(moved) == set(group.generators) == {1}
+        classes = [klass.dims for klass, _ in t.blocks.classes()]
+        assert sorted(plan._steps) == [(dims, s) for dims in classes for s in group.generators]
+        groups.twirl_cp(w)
+        assert len(plan._steps) == group.order * len(classes)
+
+    def test_an_action_past_round_off_runs_the_twirl(self, monkeypatch):
+        """A Hadamard given to eight digits passes the unitarity check at
+        TOL_PROJ, but its defect is past TOL_ROUNDOFF, so the band argument,
+        which needs isometries composing to round-off, is not used."""
+        z2 = groups.cyclic_group(2)
+        h = np.full((2, 2), 0.70710678)
+        h[1, 1] = -h[1, 1]
+        sys = systems.system((2,), inner_action(z2, 2, [np.eye(2), h]))
+        assert linalg.TOL_ROUNDOFF < sys.action.defect <= linalg.TOL_PROJ
+        f = groups.twirl_cp(rand_cp(np.random.default_rng(4804), sys, sys))
+        expected = _twirl_verdict(f)
+        twirls = _twirl_spy(monkeypatch)
+        assert groups.is_covariant_cp(f) == expected
+        assert len(twirls) == 1

@@ -48,7 +48,13 @@ map per eigenpair that linalg.spectral_cut keeps, at every block size.
 
 The self-checks read the blocks, not the φ-basis pushed through apply: the
 Choi marginal, per source dimension (choi_marginal, which is_channel and
-channelize read), or its reshape into basis images (basis_images).
+channelize read), or its reshape into basis images (basis_images).  The
+*-homomorphism equations (_hom_defects) take the unit and star defects
+exactly and decide multiplicativity from two bounds read off the basis
+images in O(N_A e³) per target factor: a lower bound, the exact defects of
+the diagonal pairs (u_a†, u_a) and of one row of pairs per source factor,
+and an upper bound from Choi's Schwarz inequality; only an input between
+them runs the N_A² pair loop.
 What a morphism derives without a tolerance is kept on it (groups.kept).
 
 One trust rule holds for blocks and Kraus maps (see systems): Choi blocks
@@ -66,8 +72,9 @@ i, Σ_{j,k} w_j M_ijk† M_ijk = w_i I.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from functools import partial
+from functools import lru_cache, partial
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,7 +86,7 @@ from .errors import (
     SystemMismatch,
 )
 from .groups import dim_classes, is_kept, kept, shared
-from .linalg import FUNCTIONAL_SLACK, TOL_PROJ, VALIDATE_SLACK
+from .linalg import BAND_GUARD, FUNCTIONAL_SLACK, TOL_PROJ, VALIDATE_SLACK
 from .systems import (
     BlockStore,
     System,
@@ -526,34 +533,144 @@ def _coords(off: np.ndarray, factors: np.ndarray, size: int):
 def _hom_defects(f: CpMorphism):
     """(max over all three equations, (multiplicativity, unit, star)): the
     largest Frobenius norm, over φ-basis pairs and target factors, of
-    f(u_a u_b) − f(u_a) f(u_b) and f(u_a)† − f(u_a†), read off the basis images
-    by u_a u_b = δ_ii' δ_qr E_ps / w_i for u_a = E_pq / √w_i, u_b = E_rs / √w_i'.
+    D_f(u_a, u_b) = f(u_a u_b) − f(u_a) f(u_b), of f(1) − 1 and of
+    f(u_a)† − f(u_a†), read off the basis images by u_a u_b = δ_ii' δ_qr E_ps / w_i
+    for u_a = E_pq / √w_i, u_b = E_rs / √w_i'.  Unit and star are exact;
+    multiplicativity is decided from two bounds, O(N_A e³) per target
+    factor of dimension e, and only an input between them runs the
+    N_A² pair loop (_pair_defects).
 
-    Per target factor of dimension e, all N_A² products f(u_a) f(u_b) come
-    from one (N_A e x e) @ (e x N_A e) product, entry (a, r, b, t) holding
-    (f(u_a) f(u_b))[r, t]; the own-factor terms f(u_ps) / √w_i are
-    subtracted in place, per source factor i and q, from the d x d grid of
-    pairs (a, b) = ((p, q), (q, s))."""
+    Lower bound L: the largest exact pair defect over the N_A diagonal
+    pairs (u_a†, u_a) and over the row (u_h, u_b), every b, of each source
+    factor, h its first basis element E_00 / √w_i (_pair_plan).
+
+    Upper bound U (Choi's Schwarz inequality read through Stinespring): per
+    target factor, with c = max(1, λ_max(f(1))) and g = f / c, g(1) ≤ 1, so
+    g = W† π(·) W with ‖W‖ ≤ 1 and T = 1 − W W† ⪰ 0.  Then
+    D_g(x, y) = W† π(x) T π(y) W = G_{x†}† G_y with G_z = T^{1/2} π(z) W, so
+    ‖D_g(u_a, u_b)‖_F ≤ ‖G_{u_a†}‖_F ‖G_{u_b}‖_F and ‖G_z‖_F² = tr D_g(z†, z);
+    u ↦ u† permutes the φ-basis, so every pair is at most t = max_a
+    tr D_g(u_a†, u_a).  As D_f = c D_g − (c − 1)/c · f(x) f(y),
+    U = c t + (c − 1)/c · max_a ‖f(u_a)‖_F².
+
+    With m = linalg.BAND_GUARD · max(1, max_a ‖f(u_a)‖_F²), the round-off
+    allowed the computed bounds, L − m ≥ TOL_PROJ reports L (multiplicative
+    fails, exactly: L is a pair defect) and U + m < TOL_PROJ reports U
+    (holds); the multiplicativity reported is the bound that decided, or
+    the loop's exact value.  U bounds CP maps, whose Choi blocks are PSD to
+    round-off; a block given from outside with a negative eigenvalue inside
+    the PSD check's TOL_SPEC slack is not quite CP, and U may miss its
+    defect by about that eigenvalue."""
     src = f.source
+    plan = _pair_plan(src.dims, src.weights)
+    ones = apply(f, src.identity())
+    unit = _diff(ones, f.target.identity())
+    images = basis_images(f)
+    star = 0.0
+    for imgs in images:
+        # The plan's first N_A left indices are those of u_a†.
+        adj = imgs.conj().transpose(0, 2, 1) - imgs[plan.left[:len(imgs)]]
+        star = max(star, float(np.max(np.linalg.norm(adj.reshape(len(adj), -1), axis=1))))
+    low, scale, moments = _lower_bound(plan, images)
+    guard = BAND_GUARD * scale
+    if low - guard >= TOL_PROJ:
+        mult = low
+    else:
+        high = _upper_bound(moments, ones)
+        mult = high if high + guard < TOL_PROJ else _pair_defects(src, images)
+    return max(mult, unit, star), (mult, unit, star)
+
+
+class _PairPlan(NamedTuple):
+    """The φ-basis pairs (left[k], right[k]) whose exact defects
+    _hom_defects' bounds read: first the diagonal pairs (u_a†, u_a), one
+    per basis element a in φ-basis order, then the row (u_h, u_b) over
+    every b of each source factor i, h = (i, 0, 0) its first element.  A
+    pair whose product is nonzero, own_pair[k], has
+    u_left u_right = u_own[k] / own_roots[k]: u_a† u_a = u_(i, q, q) / √w_i
+    for a = (i, p, q), and u_h u_b = u_(i, 0, s) / √w_i for b = (i, 0, s);
+    the diagonal pairs come first there too."""
+
+    left: np.ndarray
+    right: np.ndarray
+    own_pair: np.ndarray
+    own: np.ndarray
+    own_roots: np.ndarray
+
+
+@lru_cache(maxsize=128)
+def _pair_plan(dims: tuple, weights: tuple) -> _PairPlan:
+    """The read-only _PairPlan of a system's dims and weights."""
+    off = offsets(dims)
+    n = int(off[-1])
+    grids = [o + np.arange(d * d).reshape(d, d) for o, d in zip(off, dims)]
+    roots = np.sqrt(np.array(weights))
+    row_at = np.concatenate([o + np.arange(d) for o, d in zip(off, dims)])
+    row_of = np.repeat(np.arange(len(dims)), dims)
+    plan = _PairPlan(
+        np.concatenate([g.T.ravel() for g in grids] + [np.repeat(off[:-1], n)]),
+        np.concatenate([np.arange(n), np.tile(np.arange(n), len(dims))]),
+        np.concatenate([np.arange(n), n + row_of * n + row_at]),
+        np.concatenate([np.tile(g.diagonal(), d) for g, d in zip(grids, dims)] + [row_at]),
+        np.concatenate([np.repeat(roots, np.square(dims)), roots[row_of]])[:, None, None],
+    )
+    for part in plan:
+        part.setflags(write=False)
+    return plan
+
+
+def _lower_bound(plan: _PairPlan, images: list) -> tuple:
+    """(L, max(1, max_a ‖f(u_a)‖_F²), moments) of _hom_defects from the basis
+    images: L the largest exact defect of the plan's pairs, and per target
+    factor the moments _upper_bound reads, (tr f(u_a† u_a),
+    tr f(u_a†) f(u_a) per a, max_a ‖f(u_a)‖_F²)."""
+    low, scale, moments = 0.0, 1.0, []
+    for imgs in images:
+        n = len(imgs)
+        prods = imgs[plan.left] @ imgs[plan.right]
+        squares = np.einsum("aii->a", prods[:n]).real  # tr f(u_a†) f(u_a)
+        own = imgs[plan.own] / plan.own_roots
+        prods[plan.own_pair] -= own
+        sizes = float(linalg.frobs(imgs).max()) ** 2
+        low, scale = max(low, float(linalg.frobs(prods).max())), max(scale, sizes)
+        moments.append((np.einsum("aii->a", own[:n]).real, squares, sizes))
+    return low, scale, moments
+
+
+def _upper_bound(moments: list, ones: list) -> float:
+    """U of _hom_defects from the moments of _lower_bound and f(1), per
+    target factor: c = max(1, λ_max(f(1))) and t = max_a tr D_g(u_a†, u_a)
+    = max_a (tr f(u_a† u_a) / c − tr f(u_a†) f(u_a) / c²)."""
+    high = 0.0
+    for (term, square, sizes), one in zip(moments, ones):
+        c = max(1.0, linalg.top_eigenvalue(one))
+        t = max(0.0, float((term / c - square / c ** 2).max()))
+        high = max(high, c * t + (c - 1) / c * sizes)
+    return high
+
+
+def _pair_defects(src: System, images: list) -> float:
+    """The exact multiplicativity defect over all N_A² φ-basis pairs, from
+    the basis images of each target factor of dimension e: all products
+    f(u_a) f(u_b) come from one (N_A e x e) @ (e x N_A e) product, entry
+    (a, r, b, t) holding (f(u_a) f(u_b))[r, t]; the own-factor terms
+    f(u_ps) / √w_i are subtracted in place, per source factor i and q,
+    from the d x d grid of pairs (a, b) = ((p, q), (q, s))."""
     roots = np.sqrt(np.array(src.weights))
-    mult = star = 0.0
-    for imgs in basis_images(f):
+    mult = 0.0
+    for imgs in images:
         n, e = imgs.shape[:2]
         rows, cols = imgs.reshape(n * e, e), imgs.transpose(1, 0, 2).reshape(e, n * e)
         prod = (rows @ cols).reshape(n, e, n, e)
-        adj = imgs.conj().transpose(0, 2, 1)
         for i, (off, d) in enumerate(zip(offsets(src.dims), src.dims)):
             own = imgs[off:off + d * d].reshape(d, d, e, e)
             scaled = own.transpose(0, 2, 1, 3) / roots[i]  # (p, r, s, t)
             for q in range(d):
                 prod[off + q:off + d * d:d, :, off + q * d:off + q * d + d] -= scaled
-            adj[off:off + d * d] -= own.transpose(1, 0, 2, 3).reshape(d * d, e, e)
         # Σ_rt |z|² per pair (a, b), read as floats: each z is (re, im).
         sq = prod.view(float).reshape(n, e, n, 2 * e)
         mult = max(mult, float(np.sqrt(np.einsum("arbt,arbt->ab", sq, sq).max())))
-        star = max(star, float(np.max(np.linalg.norm(adj.reshape(-1, e * e), axis=1))))
-    unit = _diff(apply(f, src.identity()), f.target.identity())
-    return max(mult, unit, star), (mult, unit, star)
+    return mult
 
 
 def cp_norm_diff(f: CpMorphism, g: CpMorphism) -> float:

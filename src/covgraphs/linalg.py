@@ -38,8 +38,12 @@ TOL_SPEC = 1e-9  # relative spectral cut: eigen/singular values <= TOL_SPEC * to
 TOL_SPEC_SV = TOL_SPEC ** 0.5
 TOL_PROJ = 1e-8  # projection tolerance: containment, channel, covariance, reversibility
 TOL_ROUNDOFF = 1e-12  # absolute round-off: phases, stochastic sums, orbit weights, action equality
-# Round-off allowed each distance that groups' covariance checks compute on
-# the generators, per unit of max(1, block norm) (1e-10; see is_covariant_cp).
+# Round-off allowed each quantity that a band check computes, per unit of
+# its scale (1e-10): a distance of groups' covariance checks on the
+# generators, per max(1, block norm) (see is_covariant_cp), and a pair
+# defect, trace or squared norm of cpmaps._hom_defects' Schwarz bounds, per
+# max(1, largest squared basis-image norm), each a sum of at most e² products
+# of e x e images, so a few e² ulps of that scale.
 BAND_GUARD = 100 * TOL_ROUNDOFF
 TOL_ROUNDTRIP = 10 * TOL_PROJ  # gate on the relation defect of a round trip (1e-7)
 VALIDATE_SLACK = 100  # validators and reverse_channel's marginal test accept slack * tol
@@ -355,6 +359,11 @@ def projection_defects(mats: np.ndarray) -> np.ndarray:
     """Frobenius defect of each member of a (k, n, n) stack from being an
     orthogonal projection, max(‖p − p†‖, ‖p p − p‖), in stack order."""
     return np.maximum(frobs(mats - mats.conj().swapaxes(1, 2)), frobs(mats @ mats - mats))
+
+
+def top_eigenvalue(m: np.ndarray) -> float:
+    """Largest eigenvalue of the Hermitian part of a square matrix."""
+    return float(np.linalg.eigvalsh(hermitize(m))[-1])
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:

@@ -479,7 +479,11 @@ def partial_function_flags(p: QuantumRelation):
     the unit-marginal isometry condition and the channel property.  The
     characterizations are theorems, so disagreement raises.
 
-    Returns (is_partial_function, is_function, witnesses).
+    Returns (is_partial_function, is_function, witnesses).  The witness
+    cohom_defects is (multiplicativity, star) of cpmaps._hom_defects: star
+    exact, and multiplicativity the Schwarz bound that decided it (a lower
+    bound when it fails, an upper bound when it holds), or the exact value
+    when the bounds left it to the pair loop.
     """
     witnesses = {}
 

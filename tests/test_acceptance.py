@@ -549,7 +549,9 @@ def _criterion_12_worlds():
     """(name, system, covariant graph, covariant reversible channel,
     covariant non-reversible channel) on three nontrivial groups: the Klein
     four acting on a qubit by Paulis, C3 acting on a qutrit by the shift,
-    and S3 permuting three 2-dim factors."""
+    S3 permuting three 2-dim factors, and C3 shifting three classical
+    points, whose channels are circulant stochastic matrices drawn from a
+    fixed seed: a power of the shift, and a mixture of all three powers."""
     eye, x, z = np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
     klein = groups.FiniteGroup(4, ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)), 0)
     qubit = systems.system((2,), inner_action(klein, 2, [eye, x, z, x @ z]))
@@ -573,6 +575,14 @@ def _criterion_12_worlds():
     def channel(sys, maps):
         return cpmaps.from_kraus({(i, i): maps for i in range(sys.nfactors)}, sys, sys)
 
+    rng = np.random.default_rng(1212)
+    cycle = groups.permutation_action(groups.cyclic_group(3), (1, 1, 1),
+                                      tuple(tuple(np.roll(range(3), k)) for k in range(3)))
+    points = systems.classical_system(3, cycle)
+    mix = rng.random(3)
+    circulant_mix = sum(c * np.linalg.matrix_power(shift, k) for k, c in enumerate(mix / mix.sum()))
+    power = np.linalg.matrix_power(shift, 1 + int(rng.integers(0, 2)))
+
     return [
         ("Klein four by Paulis", qubit, pauli, channel(qubit, [z]),
          channel(qubit, [eye / np.sqrt(2), z / np.sqrt(2)])),
@@ -580,6 +590,9 @@ def _criterion_12_worlds():
          channel(qutrit, [u / np.sqrt(3) for u in powers])),
         ("S3 on three qubit factors", triple, cube, channel(triple, [z]),
          channel(triple, [eye / np.sqrt(2), z / np.sqrt(2)])),
+        ("C3 on three classical points", points, embed_graph(np.ones((3, 3), dtype=bool), points),
+         classical.embed_channel(power, points, points),
+         classical.embed_channel(circulant_mix, points, points)),
     ]
 
 
@@ -612,5 +625,6 @@ def test_criterion_12_covariant_results_2_and_3():
         with pytest.raises(NotReversible):
             graphs.reverse_channel(lossy)
         worst = max(worst, defect, round_trip)
-    print(f"ACCEPTANCE 12: PASS - results 2 and 3 on the Klein four, C3 and S3 "
+    print(f"ACCEPTANCE 12: PASS - results 2 and 3 on the Klein four, C3 (a qutrit and three "
+          f"classical points) and S3 "
           f"(worst defect {worst:.1e})")

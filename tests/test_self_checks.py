@@ -3,6 +3,7 @@ must agree with the φ-basis probe loops of genutil, which push basis elements
 through apply, multiply, act and inner one at a time."""
 
 import ast
+import importlib
 import pathlib
 import tracemalloc
 
@@ -10,11 +11,12 @@ import numpy as np
 import pytest
 
 import covgraphs
-from covgraphs import cpmaps, graphs, groups, linalg, systems
+from covgraphs import cpmaps, graphs, groups, linalg, relations, systems
 from covgraphs.classical import embed_channel
 
 from genutil import (
     basis_offset,
+    choi_born,
     loop_basis_images,
     loop_superop_matrix,
     probe_hom_defects,
@@ -24,9 +26,11 @@ from genutil import (
     rand_channel,
     rand_conf_graph,
     rand_cp,
+    rand_isometry,
     rand_stochastic,
     rand_unitary,
     total_matrix_dim,
+    weyl_unitaries,
 )
 
 rng = np.random.default_rng(606)
@@ -67,6 +71,16 @@ def _hom_cases():
     # cpmaps._coords, on both sides at once (np.ix_).
     cases.append(("kraus(1,2,1)->(2,1,2)",
                   rand_cp(own, systems.system((1, 2, 1)), systems.system((2, 1, 2)))))
+    # λ_max(f(1)) > 1, where the upper bound's c counts: f(1) = 2 and a sum
+    # of channels, on which the bound without either of its factors c falls
+    # below the probe.
+    qubit, mixed = systems.system((2,)), systems.system((1, 2))
+    r = np.random.default_rng(181)
+    cases += [
+        ("pauli-sum(2,)", cpmaps.from_kraus({(0, 0): [np.eye(2), np.eye(2)[::-1]]}, qubit, qubit)),
+        ("channel-sum(1,2)", cpmaps.add(rand_channel(r, mixed, mixed, 3),
+                                        rand_channel(r, mixed, mixed, 3), 1.0, 0.3)),
+    ]
     cases += [(f"dagger-{name}", cpmaps.dagger(f)) for name, f in cases]
     return [pytest.param(name, f, id=name) for name, f in cases]
 
@@ -75,9 +89,17 @@ def _close(got, ref):
     return abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
+def _exact_hom_defects(f):
+    """_hom_defects with the multiplicativity defect of the exact N_A² pair
+    loop on every input."""
+    _, (_, unit, star) = cpmaps._hom_defects(f)
+    mult = cpmaps._pair_defects(f.source, cpmaps.basis_images(f))
+    return max(mult, unit, star), (mult, unit, star)
+
+
 @pytest.mark.parametrize("name,f", _hom_cases())
 def test_hom_defects_match_probe(name, f):
-    top, parts = cpmaps._hom_defects(f)
+    top, parts = _exact_hom_defects(f)
     ref_top, ref_parts = probe_hom_defects(f)
     assert all(type(v) is float for v in (top,) + parts)
     assert _close(top, ref_top), (top, ref_top)
@@ -85,6 +107,209 @@ def test_hom_defects_match_probe(name, f):
         assert _close(got, ref), (parts, ref_parts)
     if name.startswith(("unitary", "dagger-unitary")):
         assert top < 1e-12
+
+
+def _bounds(f):
+    """(L, U, m) of _hom_defects: its two Schwarz bounds on the
+    multiplicativity defect and the round-off guard of its band."""
+    plan = cpmaps._pair_plan(f.source.dims, f.source.weights)
+    images = cpmaps.basis_images(f)
+    low, scale, moments = cpmaps._lower_bound(plan, images)
+    high = cpmaps._upper_bound(moments, cpmaps.apply(f, f.source.identity()))
+    return low, high, linalg.BAND_GUARD * scale
+
+
+@pytest.mark.parametrize("name,f", _hom_cases())
+def test_hom_bounds_bracket_the_probe(name, f):
+    """The decided defects: unit and star as the probe's, the two bounds
+    around the probe's multiplicativity within the guard, and the probe's
+    verdict."""
+    top, (mult, unit, star) = cpmaps._hom_defects(f)
+    ref_top, (ref_mult, ref_unit, ref_star) = probe_hom_defects(f)
+    assert _close(unit, ref_unit) and _close(star, ref_star)
+    low, high, guard = _bounds(f)
+    assert low - guard <= ref_mult <= high + guard, (low, ref_mult, high)
+    assert mult in (low, high) or _close(mult, ref_mult)
+    assert (top < linalg.TOL_PROJ) == (ref_top < linalg.TOL_PROJ)
+
+
+SWEEP_SYSTEMS = {
+    "(3,)": systems.system((3,)),
+    "(1,2)": systems.system((1, 2)),
+    "(2,2)": systems.system((2, 2)),
+    "(1,2,3)": systems.system((1, 2, 3)),
+    "weighted(1,2)": _weighted((1, 2), (0.5, 3.0)),
+    "weighted(2,2)": _weighted((2, 2), (4.0, 0.25)),
+}
+PERTURBED = (0.3, 1.0, 3.0)  # multiplicativity defect, in units of TOL_PROJ
+
+
+def _factorwise(sys, tgt, maps):
+    """The CP morphism sys -> tgt with the Kraus maps maps(i, d) on each
+    diagonal pair (i, i)."""
+    return cpmaps.from_kraus({(i, i): maps(i, d) for i, d in enumerate(sys.dims)}, sys, tgt)
+
+
+def _perturbed(r, sys, times):
+    """A unital channel (1 − ε) Ad_U + ε (Ad_V + Ad_W) / 2 on each factor,
+    ε placed so that its exact multiplicativity defect is ``times``
+    TOL_PROJ: the defect is linear in ε up to O(ε²)."""
+    us = [[rand_unitary(r, d) for _ in range(3)] for d in sys.dims]
+
+    def mix(eps):
+        return _factorwise(sys, sys, lambda i, d: [np.sqrt(1 - eps) * us[i][0]]
+                           + [np.sqrt(eps / 2) * u for u in us[i][1:]])
+
+    probe = 1e-4
+    slope = cpmaps._pair_defects(sys, cpmaps.basis_images(mix(probe))) / probe
+    return mix(times * linalg.TOL_PROJ / slope)
+
+
+def _weyl_relation(r, sys):
+    """Two random Weyl operators spanning each diagonal block, as the
+    workload's non-partial-function relations (a 1-dim factor: the identity)."""
+    blocks = {}
+    for i, d in enumerate(sys.dims):
+        picks = r.choice(d * d, size=min(2, d * d), replace=False)
+        ops = weyl_unitaries(d)
+        blocks[(i, i)] = linalg.orthonormal_span([linalg.vec(ops[int(x)]) for x in picks],
+                                                 dim=d * d)
+    return relations.QuantumRelation(sys, sys, blocks)
+
+
+def _sweep(name):
+    """(case, CP morphism) pairs of the verdict sweep on SWEEP_SYSTEMS[name],
+    fixed seed: unitary, isometric (x -> x ⊗ 1 up to a unitary, unital)
+    and non-unital (x -> V x V†, f(1) a projection) *-homomorphisms,
+    unital channels perturbed to PERTURBED multiples of TOL_PROJ, a random
+    channel, and the canonical CP maps of a unitary-span (function) and a
+    Weyl-span relation."""
+    sys = SWEEP_SYSTEMS[name]
+    r = np.random.default_rng(4900 + sorted(SWEEP_SYSTEMS).index(name))
+    wide = systems.system(tuple(2 * d for d in sys.dims))
+    tall = systems.system(tuple(d + 1 for d in sys.dims))
+
+    def isometric(i, d):
+        w = rand_unitary(r, 2 * d)
+        return [w @ np.kron(np.eye(d), np.eye(2)[:, [a]]) for a in range(2)]
+
+    function = relations.QuantumRelation(sys, sys, {
+        (i, i): linalg.orthonormal_span([linalg.vec(rand_unitary(r, d).conj().T)], dim=d * d)
+        for i, d in enumerate(sys.dims)})
+    cases = [
+        ("unitary", _factorwise(sys, sys, lambda i, d: [rand_unitary(r, d)])),
+        ("isometric", _factorwise(sys, wide, isometric)),
+        ("non-unital", _factorwise(sys, tall, lambda i, d: [rand_isometry(r, d + 1, d)])),
+    ]
+    cases += [(f"perturbed{k}", _perturbed(r, sys, k)) for k in PERTURBED]
+    cases += [("channel", rand_channel(r, sys, sys)),
+              ("function", relations.relation_as_cp(function)),
+              ("weyl", relations.relation_as_cp(_weyl_relation(r, sys)))]
+    return cases
+
+
+def _loop_verdicts(f):
+    """(top, multiplicativity) verdicts of the exact loop on f."""
+    top, (mult, _, _) = _exact_hom_defects(f)
+    return top < linalg.TOL_PROJ, mult < linalg.TOL_PROJ
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_SYSTEMS))
+def test_verdicts_equal_the_exact_loop(name, monkeypatch):
+    """On every case of the sweep, is_star_homomorphism gives the exact
+    loop's verdict on f and is_star_cohomomorphism its verdict on f's
+    dagger, and on both the multiplicativity part alone does too (a
+    non-unital *-homomorphism's True side reads λ_max(f(1))); only the
+    perturbation placed at TOL_PROJ runs the loop.  partial_function_flags
+    on each relation of standard weights gives the loop's verdict of its
+    third characterization."""
+    cases = _sweep(name)
+    runs = _spied(monkeypatch)
+    seen, looped = set(), set()
+    for case, f in cases:
+        before = len(runs)
+        verdicts = cpmaps.is_star_homomorphism(f), cpmaps.is_star_cohomomorphism(f)
+        parts = [cpmaps._hom_defects(g)[1][0] < linalg.TOL_PROJ for g in (f, cpmaps.dagger(f))]
+        if len(runs) > before:
+            looped.add(case)
+        for g, verdict, part in zip((f, cpmaps.dagger(f)), verdicts, parts):
+            top, mult = _loop_verdicts(g)
+            assert verdict == top and part == mult, case
+            seen.add((case, mult))
+    assert looped <= {"perturbed1.0"}
+    assert {("non-unital", True), ("perturbed0.3", True), ("perturbed3.0", False),
+            ("channel", False), ("weyl", False)} <= seen
+    r = np.random.default_rng(4950 + sorted(SWEEP_SYSTEMS).index(name))
+    sys = SWEEP_SYSTEMS[name]
+    rels = [_weyl_relation(r, sys)] + [relations.support_of(f) for _, f in cases[:3]]
+    for p in rels if _standard(sys) else ():
+        pf, _, witnesses = relations.partial_function_flags(p)
+        fcp = cpmaps.dagger(relations.relation_as_cp(p))
+        _, (mult, _, star) = _exact_hom_defects(fcp)
+        assert pf == (max(mult, star) < linalg.TOL_PROJ)
+        assert witnesses["cohom_defects"][1] == star
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_SYSTEMS))
+def test_verdicts_do_not_depend_on_birth(name):
+    """The three verdict APIs answer alike on f, its Choi-born twin and the
+    Kraus-born from_kraus(f.kraus()) (partial_function_flags on their
+    supports, on systems of standard weights), off the perturbation placed
+    exactly at TOL_PROJ, where the births' round-off differences could
+    decide."""
+    for case, f in _sweep(name):
+        if case == "perturbed1.0":
+            continue
+        births = [f, choi_born(f), cpmaps.from_kraus(f.kraus(), f.source, f.target)]
+        for public in (cpmaps.is_star_homomorphism, cpmaps.is_star_cohomomorphism):
+            assert len({public(g) for g in births}) == 1, (case, public.__name__)
+        if _standard(f.source) and _standard(f.target):
+            flags = {relations.partial_function_flags(relations.support_of(g))[:2]
+                     for g in births}
+            assert len(flags) == 1, case
+
+
+def _standard(sys):
+    """Whether sys has the standard weights w_i = d_i, the only ones on
+    which partial_function_flags' three characterizations agree: on others
+    a function relation's canonical CP map is no cohomomorphism, and the
+    flags raise CharacterizationMismatch."""
+    return sys.weights == tuple(map(float, sys.dims))
+
+
+def _spied(monkeypatch):
+    """The list each run of the exact N_A² loop appends to."""
+    runs = []
+    loop = cpmaps._pair_defects
+    monkeypatch.setattr(cpmaps, "_pair_defects", lambda *a: runs.append(1) or loop(*a))
+    return runs
+
+
+def test_decided_verdicts_run_no_pair_loop(monkeypatch):
+    """At d = 16 a unitary map and a random two-map one are decided by the
+    bounds, and so is every _hom_defects call of one seed-1 quantum-factors
+    pass; the perturbation placed at TOL_PROJ runs the loop."""
+    runs = _spied(monkeypatch)
+    r = np.random.default_rng(4916)
+    sys = systems.system((16,))
+    assert cpmaps.is_star_homomorphism(_factorwise(sys, sys, lambda i, d: [rand_unitary(r, d)]))
+    assert not cpmaps.is_star_homomorphism(rand_cp(r, sys, sys))
+    assert runs == []
+
+    sys_path = str(pathlib.Path(__file__).resolve().parents[1] / "perfbench")
+    monkeypatch.syspath_prepend(sys_path)
+    quantum_factors = importlib.import_module("quantum_factors")
+    calls = []
+    hom = cpmaps._hom_defects
+    spy = lambda f: calls.append(1) or hom(f)  # noqa: E731
+    monkeypatch.setattr(cpmaps, "_hom_defects", spy)
+    monkeypatch.setattr(relations, "_hom_defects", spy)
+    for task in quantum_factors.build(np.random.default_rng(1)):
+        assert task.run() == task.expected, task.tid
+    assert len(calls) >= 40 and runs == []
+
+    cpmaps._hom_defects(_perturbed(r, systems.system((2,)), 1.0))
+    assert len(runs) == 2  # the slope's exact run, and the band's
 
 
 @pytest.mark.parametrize("dims,weights", [

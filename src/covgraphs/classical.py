@@ -2,17 +2,13 @@
 
 Everything here is ground truth for the quantum constructions restricted to
 commutative systems.  The oracles read a stochastic matrix only through its
-support pattern R (inputs x outputs, bool) and compute with exact counts,
-so they do not share the floating-point failure modes of the path they
-check: confusability is R @ R.T, a homomorphism is R @ B @ R.T contained in
-A, reversibility is no output with two inputs, and a source graph counts
-same-b collisions of distinct symbols as integers.  The first two take the
-float64 product of the 0/1 patterns and then > 0, on BLAS rather than
-numpy's bool matmul, which has no BLAS path: an entry of R @ R.T counts
-common outputs, at most n, and of R @ B @ R.T adjacent output pairs, at
-most n², so every partial sum is an integer below 2^53 and every product is
-exact in float64 in any summation order.  The source graph's integer
-counts are bounded by |S|² n_b.
+support pattern R (inputs x outputs, bool) and compute with boolean and
+integer array products, so they do not share the floating-point failure
+modes of the path they check: confusability is R @ R.T, a homomorphism is
+R @ B @ R.T contained in A, reversibility is no output with two inputs, and a
+source graph counts same-b collisions of distinct symbols as integers.
+numpy's bool matmul is an OR of ANDs, and the integer counts are bounded by
+|S|² n_b, so every product is exact.
 
 Relations are boolean matrices rel[i][j] over (input, output) pairs;
 stochastic matrices are column-stochastic with p[j][i] the probability of
@@ -100,10 +96,10 @@ def support_pattern(p) -> np.ndarray:
 def oracle_confusability(p) -> np.ndarray:
     """adj[i, i'] iff some output j has p[j,i] p[j,i'] > 0; all loops present.
 
-    R @ R.T > 0 for the support pattern R, an exact float64 count of
-    common outputs (see the module docstring)."""
-    rel = support_pattern(check_stochastic(p)).astype(float)
-    return rel @ rel.T > 0
+    The boolean product R @ R.T of the support pattern R: numpy's bool
+    matmul is an OR of ANDs, so it is exact."""
+    rel = support_pattern(check_stochastic(p))
+    return rel @ rel.T
 
 
 def oracle_stochastic_hom(p, adj_a, adj_b) -> bool:
@@ -111,9 +107,9 @@ def oracle_stochastic_hom(p, adj_a, adj_b) -> bool:
     whenever outputs of x and z can collide along an edge of the target graph,
     x and z must be adjacent in the source graph.
 
-    The collisions are R @ B @ R.T > 0 (an exact float64 count, see the
-    module docstring), and the test is that none falls outside A.  adj_a
-    must be m x m and adj_b n x n for an n x m matrix, else ShapeMismatch."""
+    The collisions are the boolean product R @ B @ R.T (exact, an OR of
+    ANDs), and the test is that none falls outside A.  adj_a must be m x m
+    and adj_b n x n for an n x m matrix, else ShapeMismatch."""
     rel = support_pattern(check_stochastic(p))
     adj_a = np.asarray(adj_a, dtype=bool)
     adj_b = np.asarray(adj_b, dtype=bool)
@@ -121,8 +117,7 @@ def oracle_stochastic_hom(p, adj_a, adj_b) -> bool:
     if adj_a.shape != (m, m) or adj_b.shape != (n, n):
         raise ShapeMismatch(f"a {n} x {m} stochastic matrix needs adjacencies {m} x {m} and "
                             f"{n} x {n}, got {adj_a.shape} and {adj_b.shape}")
-    r = rel.astype(float)
-    return not ((r @ adj_b.astype(float) @ r.T > 0) & ~adj_a).any()
+    return not (rel @ adj_b @ rel.T & ~adj_a).any()
 
 
 def oracle_reversible(p) -> bool:

@@ -53,8 +53,9 @@ channelize read), or its reshape into basis images (basis_images).  The
 exactly and decide multiplicativity from two bounds read off the basis
 images in O(N_A e³) per target factor: a lower bound, the exact defects of
 the diagonal pairs (u_a†, u_a) and of one row of pairs per source factor,
-and an upper bound from Choi's Schwarz inequality; only an input between
-them runs the N_A² pair loop.
+and an upper bound from Choi's Schwarz inequality, widened by what the
+blocks lack of complete positivity; only an input between them runs the
+N_A² pair loop.
 What a morphism derives without a tolerance is kept on it (groups.kept).
 
 One trust rule holds for blocks and Kraus maps (see systems): Choi blocks
@@ -86,7 +87,7 @@ from .errors import (
     SystemMismatch,
 )
 from .groups import dim_classes, is_kept, kept, shared
-from .linalg import BAND_GUARD, FUNCTIONAL_SLACK, TOL_PROJ, VALIDATE_SLACK
+from .linalg import FUNCTIONAL_SLACK, PRODUCT_GUARD, TOL_PROJ, VALIDATE_SLACK
 from .systems import (
     BlockStore,
     System,
@@ -483,7 +484,9 @@ def is_star_homomorphism(f: CpMorphism) -> bool:
 def is_star_cohomomorphism(f: CpMorphism) -> bool:
     """Comultiplicative, counital and star-preserving; equivalently the dagger
     is a star-homomorphism.  Implies is_channel."""
-    return _hom_defects(dagger(f))[0] < TOL_PROJ
+    sw, tw = np.array(f.source.weights), np.array(f.target.weights)
+    # Block (j, i) of f† is w_j / w_i times an antiunitary image of block (i, j).
+    return _hom_defects(dagger(f), _negative_parts(f).T * tw[:, None] / sw)[0] < TOL_PROJ
 
 
 def basis_images(f: CpMorphism) -> list:
@@ -530,7 +533,7 @@ def _coords(off: np.ndarray, factors: np.ndarray, size: int):
     return (off[factors, None] + np.arange(size)).ravel()
 
 
-def _hom_defects(f: CpMorphism):
+def _hom_defects(f: CpMorphism, neg=None):
     """(max over all three equations, (multiplicativity, unit, star)): the
     largest Frobenius norm, over φ-basis pairs and target factors, of
     D_f(u_a, u_b) = f(u_a u_b) − f(u_a) f(u_b), of f(1) − 1 and of
@@ -544,41 +547,70 @@ def _hom_defects(f: CpMorphism):
     pairs (u_a†, u_a) and over the row (u_h, u_b), every b, of each source
     factor, h its first basis element E_00 / √w_i (_pair_plan).
 
-    Upper bound U (Choi's Schwarz inequality read through Stinespring): per
-    target factor, with c = max(1, λ_max(f(1))) and g = f / c, g(1) ≤ 1, so
-    g = W† π(·) W with ‖W‖ ≤ 1 and T = 1 − W W† ⪰ 0.  Then
-    D_g(x, y) = W† π(x) T π(y) W = G_{x†}† G_y with G_z = T^{1/2} π(z) W, so
-    ‖D_g(u_a, u_b)‖_F ≤ ‖G_{u_a†}‖_F ‖G_{u_b}‖_F and ‖G_z‖_F² = tr D_g(z†, z);
+    Upper bound U (Choi's Schwarz inequality read through Stinespring): for
+    a CP map g, per target factor, with c = max(1, λ_max(g(1))), g / c = W† π(·) W
+    with ‖W‖ ≤ 1 and T = 1 − W W† ⪰ 0.  Then
+    D_{g/c}(x, y) = W† π(x) T π(y) W = G_{x†}† G_y with G_z = T^{1/2} π(z) W, so
+    ‖D_{g/c}(u_a, u_b)‖_F ≤ ‖G_{u_a†}‖_F ‖G_{u_b}‖_F and ‖G_z‖_F² = tr D_{g/c}(z†, z);
     u ↦ u† permutes the φ-basis, so every pair is at most t = max_a
-    tr D_g(u_a†, u_a).  As D_f = c D_g − (c − 1)/c · f(x) f(y),
-    U = c t + (c − 1)/c · max_a ‖f(u_a)‖_F².
+    tr D_{g/c}(u_a†, u_a).  As D_g = c D_{g/c} − (c − 1)/c · g(x) g(y),
+    U(g) = c t + (c − 1)/c · max_a ‖g(u_a)‖_F².
 
-    With m = linalg.BAND_GUARD · max(1, max_a ‖f(u_a)‖_F²), the round-off
-    allowed the computed bounds, L − m ≥ TOL_PROJ reports L (multiplicative
-    fails, exactly: L is a pair defect) and U + m < TOL_PROJ reports U
-    (holds); the multiplicativity reported is the bound that decided, or
-    the loop's exact value.  U bounds CP maps, whose Choi blocks are PSD to
-    round-off; a block given from outside with a negative eigenvalue inside
-    the PSD check's TOL_SPEC slack is not quite CP, and U may miss its
-    defect by about that eigenvalue."""
+    f is CP only as far as its blocks are: a block given from outside
+    passes the PSD check with a least eigenvalue down to −TOL_SPEC times its
+    top, and the Hermitian check with a skew part.  So f = g + δ with g CP,
+    its blocks the Hermitian parts of f's plus ε_ij 1, ε_ij the negative part
+    of block (i, j)'s least eigenvalue (neg, by default _negative_parts(f)),
+    and δ = k − τ 1: k the skew part, ‖k(u_a)‖_F = ‖f(u_a)† − f(u_a†)‖_F / 2,
+    and τ(x) = Σ_i ε_ij tr x_i.  With Δ_a ≥ ‖δ(u_a)‖_F, Δ = max_a Δ_a and
+    S = max_a ‖f(u_a)‖_F,
+    D_f(x, y) = D_g(x, y) + δ(xy) − δ(x) f(y) − f(x) δ(y) + δ(x) δ(y), so the
+    multiplicativity defect is at most U = U(g) + max_a Δ_a / √w_i + 2 Δ S + Δ²,
+    U(g) read off f's traces and norms shifted by τ and Δ (_upper_bound).
+    A library-made morphism has ε = 0 and a skew part of round-off.
+
+    Each pair defect of L, U and the loop's defect are within
+    linalg.PRODUCT_GUARD · e times the magnitudes they sum of their exact
+    values: L less its pair's guard ≥ TOL_PROJ reports L (multiplicative
+    fails, exactly: L is a pair defect) and U plus its guard < TOL_PROJ
+    reports U (holds); the multiplicativity reported is the bound that
+    decided, or the loop's exact value.  A t_a below minus the guard
+    means g is not CP after all (a map derived from a not-quite-CP input,
+    whose ε no kept cut records), and sends f to the loop."""
     src = f.source
     plan = _pair_plan(src.dims, src.weights)
     ones = apply(f, src.identity())
     unit = _diff(ones, f.target.identity())
     images = basis_images(f)
-    star = 0.0
+    stars = []
     for imgs in images:
         # The plan's first N_A left indices are those of u_a†.
         adj = imgs.conj().transpose(0, 2, 1) - imgs[plan.left[:len(imgs)]]
-        star = max(star, float(np.max(np.linalg.norm(adj.reshape(len(adj), -1), axis=1))))
-    low, scale, moments = _lower_bound(plan, images)
-    guard = BAND_GUARD * scale
-    if low - guard >= TOL_PROJ:
+        stars.append(np.linalg.norm(adj.reshape(len(adj), -1), axis=1))
+    star = float(max(s.max() for s in stars))
+    low, sure_low, moments = _lower_bound(plan, images)
+    if sure_low >= TOL_PROJ:
         mult = low
     else:
-        high = _upper_bound(moments, ones)
-        mult = high if high + guard < TOL_PROJ else _pair_defects(src, images)
+        neg = _negative_parts(f) if neg is None else neg
+        high, sure_high = _upper_bound(plan, moments, ones, stars, neg)
+        mult = high if sure_high < TOL_PROJ else _pair_defects(src, images)
     return max(mult, unit, star), (mult, unit, star)
+
+
+def _negative_parts(f: CpMorphism) -> np.ndarray:
+    """(source factors, target factors) array: per Choi block, the negative
+    part of the least eigenvalue of its Hermitian part, read off the cut of
+    its class where f keeps one (a morphism whose blocks came from outside
+    keeps every cut, from its PSD check), else 0: a block of a class with no
+    kept cut is the library's own, PSD to round-off."""
+    neg = np.zeros((f.source.nfactors, f.target.nfactors))
+    for c, klass in enumerate(f.blocks.layout.classes):
+        if is_kept(f, CpMorphism.cut, c):
+            cut = f.cut(c)
+            i, j = np.array(klass.keys).reshape(-1, 2)[cut.live].T
+            neg[i, j] = np.maximum(0.0, -cut.w[:, -1])
+    return neg
 
 
 class _PairPlan(NamedTuple):
@@ -589,13 +621,16 @@ class _PairPlan(NamedTuple):
     pair whose product is nonzero, own_pair[k], has
     u_left u_right = u_own[k] / own_roots[k]: u_a† u_a = u_(i, q, q) / √w_i
     for a = (i, p, q), and u_h u_b = u_(i, 0, s) / √w_i for b = (i, 0, s);
-    the diagonal pairs come first there too."""
+    the diagonal pairs come first there too.  Per basis element a =
+    (i, p, q), factor[a] is i and diagonal[a] whether p = q."""
 
     left: np.ndarray
     right: np.ndarray
     own_pair: np.ndarray
     own: np.ndarray
     own_roots: np.ndarray
+    factor: np.ndarray
+    diagonal: np.ndarray
 
 
 @lru_cache(maxsize=128)
@@ -613,6 +648,8 @@ def _pair_plan(dims: tuple, weights: tuple) -> _PairPlan:
         np.concatenate([np.arange(n), n + row_of * n + row_at]),
         np.concatenate([np.tile(g.diagonal(), d) for g, d in zip(grids, dims)] + [row_at]),
         np.concatenate([np.repeat(roots, np.square(dims)), roots[row_of]])[:, None, None],
+        np.repeat(np.arange(len(dims)), np.square(dims)),
+        np.concatenate([np.eye(d, dtype=bool).ravel() for d in dims]),
     )
     for part in plan:
         part.setflags(write=False)
@@ -620,33 +657,60 @@ def _pair_plan(dims: tuple, weights: tuple) -> _PairPlan:
 
 
 def _lower_bound(plan: _PairPlan, images: list) -> tuple:
-    """(L, max(1, max_a ‖f(u_a)‖_F²), moments) of _hom_defects from the basis
-    images: L the largest exact defect of the plan's pairs, and per target
-    factor the moments _upper_bound reads, (tr f(u_a† u_a),
-    tr f(u_a†) f(u_a) per a, max_a ‖f(u_a)‖_F²)."""
-    low, scale, moments = 0.0, 1.0, []
+    """(L, the largest pair defect less its guard, moments) of _hom_defects
+    from the basis images: L the largest exact defect of the plan's pairs
+    (x, y), each guarded by PRODUCT_GUARD · e · max(1, ‖f(x)‖_F ‖f(y)‖_F +
+    ‖f(xy)‖_F), and per target factor the moments _upper_bound reads,
+    (Re tr f(u_a† u_a), ‖f(u_a)‖_F) per a."""
+    low, sure, moments = 0.0, -np.inf, []
     for imgs in images:
-        n = len(imgs)
+        n, e = imgs.shape[:2]
+        norms = linalg.frobs(imgs)
         prods = imgs[plan.left] @ imgs[plan.right]
-        squares = np.einsum("aii->a", prods[:n]).real  # tr f(u_a†) f(u_a)
         own = imgs[plan.own] / plan.own_roots
         prods[plan.own_pair] -= own
-        sizes = float(linalg.frobs(imgs).max()) ** 2
-        low, scale = max(low, float(linalg.frobs(prods).max())), max(scale, sizes)
-        moments.append((np.einsum("aii->a", own[:n]).real, squares, sizes))
-    return low, scale, moments
+        sizes = norms[plan.left] * norms[plan.right]
+        sizes[plan.own_pair] += linalg.frobs(own)
+        defects = linalg.frobs(prods)
+        low = max(low, float(defects.max()))
+        sure = max(sure, float((defects - PRODUCT_GUARD * e * np.maximum(1.0, sizes)).max()))
+        moments.append((np.einsum("aii->a", own[:n]).real, norms))
+    return low, sure, moments
 
 
-def _upper_bound(moments: list, ones: list) -> float:
-    """U of _hom_defects from the moments of _lower_bound and f(1), per
-    target factor: c = max(1, λ_max(f(1))) and t = max_a tr D_g(u_a†, u_a)
-    = max_a (tr f(u_a† u_a) / c − tr f(u_a†) f(u_a) / c²)."""
-    high = 0.0
-    for (term, square, sizes), one in zip(moments, ones):
-        c = max(1.0, linalg.top_eigenvalue(one))
-        t = max(0.0, float((term / c - square / c ** 2).max()))
-        high = max(high, c * t + (c - 1) / c * sizes)
-    return high
+def _upper_bound(plan: _PairPlan, moments: list, ones: list, stars: list,
+                 neg: np.ndarray) -> tuple:
+    """(U, U plus its guard) of _hom_defects from the moments of
+    _lower_bound, f(1), the star defects per basis element and the negative
+    parts ε, per target factor j of dimension e, for a = (i, p, q):
+    Δ_a = star_a / 2 + √e ε_ij δ_pq / √w_i ≥ ‖δ(u_a)‖_F;
+    c = max(1, λ_max(f(1)) + Σ_i ε_ij d_i) ≥ λ_max(g(1));
+    t_a = tr g(u_a† u_a) / c − (‖f(u_a)‖_F − Δ_a)₊² / c² ≥ tr D_{g/c}(u_a†, u_a),
+    with tr g(u_a† u_a) = Re tr f(u_a† u_a) + e ε_ij / w_i; and
+    U = c max_a t_a + (c − 1)/c (S + Δ)² + max_a Δ_a / √w_i + 2 Δ S + Δ².
+    The guard is PRODUCT_GUARD · e · (1 + max_a (|tr g(u_a† u_a)| +
+    ‖f(u_a)‖_F² / c) + 2 (S + Δ)² + max_a ‖f(u_a)‖_F / √w_i): the traces and
+    squares t sums, the error of λ_max times ∂U/∂c ≤ 2 S² / c², and the own
+    terms the loop subtracts.  A c t_a below minus the guard gives
+    (inf, inf)."""
+    roots = plan.own_roots[:len(plan.factor), 0, 0]  # √w_i of each basis element's factor
+    high = sure = 0.0
+    for (trace, norms), one, star, eps in zip(moments, ones, stars, neg.T):
+        e = len(one)
+        eps = eps[plan.factor]
+        delta = star / 2 + np.sqrt(e) * np.where(plan.diagonal, eps / roots, 0.0)
+        c = max(1.0, linalg.top_eigenvalue(one) + float(eps[plan.diagonal].sum()))
+        trace = trace + e * eps / roots ** 2
+        t = trace / c - np.maximum(norms - delta, 0.0) ** 2 / c ** 2
+        most, size = delta.max(), (norms.max() + delta.max()) ** 2
+        guard = PRODUCT_GUARD * e * (1 + (np.abs(trace) + norms ** 2 / c).max() + 2 * size
+                                     + (norms / roots).max())
+        if c * t.min() < -guard:
+            return np.inf, np.inf
+        u = (c * max(0.0, t.max()) + (c - 1) / c * size + (delta / roots).max()
+             + 2 * most * norms.max() + most ** 2)
+        high, sure = max(high, u), max(sure, u + guard)
+    return float(high), float(sure)
 
 
 def _pair_defects(src: System, images: list) -> float:

@@ -160,10 +160,12 @@ def kept(derive):
     return call
 
 
-def is_kept(owner, derive) -> bool:
-    """Whether owner keeps a value of the kept function derive, for any
-    arguments: read off owner's memo, which it leaves as it is."""
-    return any(key[0] is derive for key in getattr(owner, "_kept", ()))
+def is_kept(owner, derive, *args) -> bool:
+    """Whether owner keeps a value of the kept function derive, for the
+    given arguments, or for any when none are given: read off owner's memo,
+    which it leaves as it is."""
+    return any(key[0] is derive and (not args or key[1] == args)
+               for key in getattr(owner, "_kept", ()))
 
 
 @dataclass(frozen=True, eq=False)

@@ -38,13 +38,15 @@ TOL_SPEC = 1e-9  # relative spectral cut: eigen/singular values <= TOL_SPEC * to
 TOL_SPEC_SV = TOL_SPEC ** 0.5
 TOL_PROJ = 1e-8  # projection tolerance: containment, channel, covariance, reversibility
 TOL_ROUNDOFF = 1e-12  # absolute round-off: phases, stochastic sums, orbit weights, action equality
-# Round-off allowed each quantity that a band check computes, per unit of
-# its scale (1e-10): a distance of groups' covariance checks on the
-# generators, per max(1, block norm) (see is_covariant_cp), and a pair
-# defect, trace or squared norm of cpmaps._hom_defects' Schwarz bounds, per
-# max(1, largest squared basis-image norm), each a sum of at most e² products
-# of e x e images, so a few e² ulps of that scale.
+# Round-off allowed each distance that groups' covariance checks compute on
+# the generators, per unit of max(1, block norm) (1e-10; see is_covariant_cp).
 BAND_GUARD = 100 * TOL_ROUNDOFF
+# Round-off allowed each sum of products that cpmaps._hom_defects' bounds
+# form, per term of the inner sums (e, a target factor's dimension) and per
+# unit of the magnitudes summed (1e-13, about 450 ulps): a sum of e products
+# is within about e ulps of the sum of their magnitudes, so this covers the
+# error of the bounds and of the exact pair loop together a hundred times.
+PRODUCT_GUARD = TOL_ROUNDOFF / 10
 TOL_ROUNDTRIP = 10 * TOL_PROJ  # gate on the relation defect of a round trip (1e-7)
 VALIDATE_SLACK = 100  # validators and reverse_channel's marginal test accept slack * tol
 FUNCTIONAL_SLACK = 10  # slack of is_channel's functional test over its marginal test

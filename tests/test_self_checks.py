@@ -109,26 +109,32 @@ def test_hom_defects_match_probe(name, f):
         assert top < 1e-12
 
 
-def _bounds(f):
-    """(L, U, m) of _hom_defects: its two Schwarz bounds on the
-    multiplicativity defect and the round-off guard of its band."""
-    plan = cpmaps._pair_plan(f.source.dims, f.source.weights)
+def _bounds(f, neg=None):
+    """(L less its guard, L, U, U plus its guard) of _hom_defects: its two
+    Schwarz bounds on the multiplicativity defect and their round-off
+    guards."""
+    src = f.source
+    plan = cpmaps._pair_plan(src.dims, src.weights)
     images = cpmaps.basis_images(f)
-    low, scale, moments = cpmaps._lower_bound(plan, images)
-    high = cpmaps._upper_bound(moments, cpmaps.apply(f, f.source.identity()))
-    return low, high, linalg.BAND_GUARD * scale
+    stars = [np.linalg.norm((g.conj().transpose(0, 2, 1) - g[plan.left[:len(g)]])
+                            .reshape(len(g), -1), axis=1) for g in images]
+    low, sure_low, moments = cpmaps._lower_bound(plan, images)
+    neg = cpmaps._negative_parts(f) if neg is None else neg
+    high, sure_high = cpmaps._upper_bound(plan, moments, cpmaps.apply(f, src.identity()),
+                                          stars, neg)
+    return sure_low, low, high, sure_high
 
 
 @pytest.mark.parametrize("name,f", _hom_cases())
 def test_hom_bounds_bracket_the_probe(name, f):
     """The decided defects: unit and star as the probe's, the two bounds
-    around the probe's multiplicativity within the guard, and the probe's
-    verdict."""
+    around the probe's multiplicativity within their guards, and the
+    probe's verdict."""
     top, (mult, unit, star) = cpmaps._hom_defects(f)
     ref_top, (ref_mult, ref_unit, ref_star) = probe_hom_defects(f)
     assert _close(unit, ref_unit) and _close(star, ref_star)
-    low, high, guard = _bounds(f)
-    assert low - guard <= ref_mult <= high + guard, (low, ref_mult, high)
+    sure_low, low, high, sure_high = _bounds(f)
+    assert sure_low <= ref_mult <= sure_high, (sure_low, ref_mult, sure_high)
     assert mult in (low, high) or _close(mult, ref_mult)
     assert (top < linalg.TOL_PROJ) == (ref_top < linalg.TOL_PROJ)
 
@@ -286,14 +292,15 @@ def _spied(monkeypatch):
 
 
 def test_decided_verdicts_run_no_pair_loop(monkeypatch):
-    """At d = 16 a unitary map and a random two-map one are decided by the
-    bounds, and so is every _hom_defects call of one seed-1 quantum-factors
-    pass; the perturbation placed at TOL_PROJ runs the loop."""
+    """At d = 16, and on (1, 2) with the small weight 1e-3, a unitary map
+    and a random two-map one are decided by the bounds, and so is every
+    _hom_defects call of one seed-1 quantum-factors pass; a perturbation
+    whose defect lies between the bounds, around TOL_PROJ, runs the loop."""
     runs = _spied(monkeypatch)
     r = np.random.default_rng(4916)
-    sys = systems.system((16,))
-    assert cpmaps.is_star_homomorphism(_factorwise(sys, sys, lambda i, d: [rand_unitary(r, d)]))
-    assert not cpmaps.is_star_homomorphism(rand_cp(r, sys, sys))
+    for sys in (systems.system((16,)), _weighted((1, 2), (1e-3, 3.0))):
+        assert cpmaps.is_star_homomorphism(_factorwise(sys, sys, lambda i, d: [rand_unitary(r, d)]))
+        assert not cpmaps.is_star_homomorphism(rand_cp(r, sys, sys))
     assert runs == []
 
     sys_path = str(pathlib.Path(__file__).resolve().parents[1] / "perfbench")
@@ -301,15 +308,79 @@ def test_decided_verdicts_run_no_pair_loop(monkeypatch):
     quantum_factors = importlib.import_module("quantum_factors")
     calls = []
     hom = cpmaps._hom_defects
-    spy = lambda f: calls.append(1) or hom(f)  # noqa: E731
+    spy = lambda *a: calls.append(1) or hom(*a)  # noqa: E731
     monkeypatch.setattr(cpmaps, "_hom_defects", spy)
     monkeypatch.setattr(relations, "_hom_defects", spy)
     for task in quantum_factors.build(np.random.default_rng(1)):
         assert task.run() == task.expected, task.tid
     assert len(calls) >= 40 and runs == []
 
-    cpmaps._hom_defects(_perturbed(r, systems.system((2,)), 1.0))
+    # The bounds grow linearly with the perturbation, so placed at TOL_PROJ
+    # (one exact run, for the slope) they give the multiple that puts
+    # TOL_PROJ midway between them.
+    qubit = systems.system((2,))
+    _, low, high, _ = _bounds(_perturbed(np.random.default_rng(4917), qubit, 1.0))
+    assert low < high
+    runs.clear()
+    # There L, the exact defect of these maps, lies below TOL_PROJ.
+    assert cpmaps.is_star_homomorphism(
+        _perturbed(np.random.default_rng(4917), qubit, 2 / (1 + high / low)))
     assert len(runs) == 2  # the slope's exact run, and the band's
+
+
+def _nearly_cp(r, f, kind):
+    """f given again as Choi blocks (outside input, so checked) that are CP
+    only up to the checks' slack: "negative" takes TOL_SPEC / 2 times the
+    top eigenvalue off a random direction outside each block's range (a
+    block of full rank has none and stays), which the block keeps as its
+    least eigenvalue; "skew" adds to each block a random anti-Hermitian part
+    of Frobenius norm 1e-9."""
+    blocks = {}
+    for key in f.blocks:
+        block = np.array(f.blocks[key])
+        w, v = np.linalg.eigh(block)
+        kernel = v[:, w < linalg.TOL_SPEC * w[-1]]
+        if kind == "negative" and kernel.size:
+            x = kernel @ (r.normal(size=kernel.shape[1]) + 1j * r.normal(size=kernel.shape[1]))
+            x /= np.linalg.norm(x)
+            block = block - linalg.TOL_SPEC * w[-1] / 2 * np.outer(x, x.conj())
+        elif kind == "skew":
+            k = np.outer(r.normal(size=len(block)) + 1j * r.normal(size=len(block)),
+                         r.normal(size=len(block)))
+            k = k - k.conj().T
+            block = block + 1e-9 * k / np.linalg.norm(k)
+        blocks[key] = block
+    return cpmaps.CpMorphism(f.source, f.target, blocks)
+
+
+@pytest.mark.parametrize("kind", ["negative", "skew"])
+def test_verdicts_on_blocks_inside_the_checks_slack(kind):
+    """Choi blocks that the PSD and Hermitian checks accept but that are not
+    quite CP, made from unitary maps and from unital channels perturbed to
+    half of TOL_PROJ: the Schwarz bound of f as if it were CP falls to a
+    third of the exact defect on some of them, so the bounds must bracket
+    that defect, widened by the blocks' negative and skew parts, and
+    is_star_homomorphism, is_star_cohomomorphism and the multiplicativity
+    part must give the exact loop's verdicts.  Small weights scale the
+    slack's defect up to TOL_PROJ, so both verdicts occur."""
+    r = np.random.default_rng(4960)
+    seen = set()
+    for weight in np.geomspace(0.02, 0.2, 8):
+        for dims in ((2,), (3,), (1, 2)):
+            sys = _weighted(dims, (weight,) * len(dims))
+            for f in (_factorwise(sys, sys, lambda i, d: [rand_unitary(r, d)]),
+                      _perturbed(r, sys, 0.5)):
+                f = _nearly_cp(r, f, kind)
+                sure_low, _, _, sure_high = _bounds(f)
+                assert sure_low <= cpmaps._pair_defects(f.source, cpmaps.basis_images(f)) <= sure_high
+                verdicts = cpmaps.is_star_homomorphism(f), cpmaps.is_star_cohomomorphism(f)
+                for g, verdict in zip((f, cpmaps.dagger(f)), verdicts):
+                    top, mult = _loop_verdicts(g)
+                    assert verdict == top, (weight, dims)
+                    seen.add(mult)
+                _, (mult, _, _) = cpmaps._hom_defects(f)
+                assert (mult < linalg.TOL_PROJ) == _loop_verdicts(f)[1]
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("dims,weights", [

@@ -14,7 +14,8 @@ The blocks are the one representation that apply, channel tests, norms and
 equality read.  They live in a systems.BlockStore: one stack per (d_i, e_j)
 class of factor pairs, which dagger, the marginal, add, channelize and the
 norms read with one batched kernel per class, behind a read-only (i, j) ->
-block mapping.  Next to the blocks a morphism holds a read-only Kraus family
+block mapping; dagger weights the store's adjoint image (BlockStore.adjoint)
+by w_j / w_i.  Next to the blocks a morphism holds a read-only Kraus family
 (CpMorphism.kraus), which tensor products Kronecker instead of
 diagonalizing Choi blocks.  compose reads what its left factor g holds: a
 g that holds maps (born from Kraus maps, or keeping a cut of its blocks)
@@ -408,37 +409,44 @@ def dagger(f: CpMorphism) -> CpMorphism:
     """Hermitian adjoint with respect to the functional inner products.
 
     Block (j, i) of f† is the weighted adjoint image of block (i, j):
-    (w_j / w_i) times the vec-space image under a -> a†, so that
-    functional adjointness <y, f(x)>_B = <f†(y), x>_A holds.
+    (w_j / w_i) times the vec-space image under a -> a† (BlockStore.adjoint,
+    which relations.converse reads unweighted), so that functional
+    adjointness <y, f(x)>_B = <f†(y), x>_A holds.
     """
     sw, tw = np.array(f.source.weights), np.array(f.target.weights)
-    parts = []
-    for klass, stack in f.blocks.transposed():
-        e, d = klass.dims
-        w = tw[klass.rows] / sw[klass.cols]
-        parts.append((klass, w[:, None, None] * linalg.adjoint_image(stack, d, e)))
-    return CpMorphism.stacked(f.target, f.source, parts)
+    lay = f.blocks.layout
+    tl = layout(lay.tgt_dims, lay.src_dims)
+    return CpMorphism(f.target, f.source, BlockStore(tl, [
+        (tw[k.rows] / sw[k.cols])[:, None, None] * f.blocks.adjoint(lay.index[k.dims[::-1]])
+        for k in tl.classes]))
 
 
 def choi_marginal(f: CpMorphism) -> list:
     """Per source dimension, in layout.row_groups order: (factors i, stack of
-    their Choi marginals Σ_j w_j Tr_outer(block_ij) = Σ_{j,k} w_j M† M).
+    their Choi marginals Σ_j w_j Tr_outer(block_ij) = Σ_{j,k} w_j M† M)."""
+    return _marginals(f.blocks, f.target.weights)
+
+
+def _marginals(store: BlockStore, coeffs) -> list:
+    """Per source dimension, in layout.row_groups order: (factors i, stack of
+    Σ_j coeffs[j] Tr_outer(block_ij)); choi_marginal passes the target
+    weights, relations.marginal the target dimensions.
 
     One batched trace per class; the sum runs over j ascending for all
     source factors of one dimension at once, as the per-factor sum would.
     """
-    lay = f.blocks.layout
-    tw = np.array(f.target.weights)
+    lay = store.layout
+    coeffs = np.array(coeffs)
     terms = {}
-    for klass, stack in f.blocks.classes():
+    for klass, stack in store.classes():
         d, e = klass.dims
-        t = tw[klass.cols][:, None, None] * linalg.trace_outer(stack, e, d)
+        t = coeffs[klass.cols][:, None, None] * linalg.trace_outer(stack, e, d)
         terms[klass.dims] = t.reshape(klass.shape + (d, d))
     col_pos = lay.col_pos.tolist()
     groups = []
     for d, rows in lay.row_groups.items():
         acc = np.zeros((len(rows), d, d), dtype=complex)
-        for j, e in enumerate(f.target.dims):
+        for j, e in enumerate(lay.tgt_dims):
             acc += terms[(d, e)][:, col_pos[j]]
         groups.append((rows, acc))
     return groups

@@ -37,7 +37,9 @@ A relation whose frames are held keeps its converse, so the ℜ(f)† of the
 confusability graph, the homomorphism pullback and the reverse channel is
 made once per support relation.  The converse forms its blocks and frames
 on first read, from p's, not from p, so the two make no reference cycle,
-and a compose, which reads only frames, forms no block of either.
+and a compose, which reads only frames, forms no block of either; each of
+its classes is p's store's adjoint image (BlockStore.adjoint), the one the
+dagger of a CP morphism weights.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import linalg
-from .cpmaps import CpMorphism, _hom_defects, _psd_cut, channelize, choi_marginal, choi_vecs
+from .cpmaps import CpMorphism, _hom_defects, _marginals, _psd_cut, channelize, choi_vecs
 from .cpmaps import dagger as cp_dagger, is_channel
 from .errors import (
     CharacterizationMismatch,
@@ -63,9 +65,13 @@ from .systems import BlockStore, System, block_store, layout
 class QuantumRelation:
     """Immutable family of projections on the vectorized operator spaces,
     with an orthonormal frame of each (see frames); blocks and frames are
-    read-only, so a relation can be shared."""
+    read-only, so a relation can be shared.  Frames are taken only with a
+    BlockStore, the library's own blocks: projections from outside are
+    checked, and their frames made from them."""
 
     def __init__(self, source: System, target: System, blocks, frames=None):
+        if frames is not None and not isinstance(blocks, BlockStore):
+            raise TypeError("frames are taken only with a BlockStore, the library's own blocks")
         self.source = source
         self.target = target
         self.blocks = block_store(source, target, blocks, "relation")
@@ -350,7 +356,7 @@ def converse(p: QuantumRelation) -> QuantumRelation:
         return p._converse
     lay, held = p.blocks.layout, isinstance(p._frames, tuple)
     tl = layout(lay.tgt_dims, lay.src_dims)
-    store = BlockStore(tl, [partial(_adjoint_class, p.blocks, lay.index[klass.dims[::-1]])
+    store = BlockStore(tl, [partial(p.blocks.adjoint, lay.index[klass.dims[::-1]])
                             for klass in tl.classes])
     frames = partial(_converse_frames, lay, p._frames) if held else (
         lambda: _converse_frames(lay, p.frames()))
@@ -358,13 +364,6 @@ def converse(p: QuantumRelation) -> QuantumRelation:
     if held:
         p._converse = c
     return c
-
-
-def _adjoint_class(store, c: int) -> np.ndarray:
-    """The converse's stack of the transpose of class c of p's store: each
-    block's adjoint image, at the transposed slot."""
-    klass = store.layout.classes[c]
-    return linalg.adjoint_image(klass.transposed(store.stack(c)), *klass.dims)
 
 
 def _converse_frames(lay, frames: tuple) -> tuple:
@@ -409,31 +408,38 @@ def relation_defect(p: QuantumRelation, q: QuantumRelation) -> float:
 
 
 def marginal(p: QuantumRelation) -> list:
-    """Weighted partial trace onto the source side.
+    """Partial trace onto the source side, weighted by dimension, not by the
+    systems' weights.
 
-    Per source factor s: Σ_t w_t Tr_outer(p̃_st), an operator on H_s; this is
-    the positive element whose invertibility characterizes relations of
-    channels, and whose value is a projection for partial functions.
+    Per source factor s: Σ_t e_t Tr_outer(p̃_st), an operator on H_s, with
+    e_t the dimension of target factor t; this is the positive element whose
+    invertibility characterizes relations of channels, and whose value is a
+    projection for partial functions and the identity for functions.
     """
-    # choi_marginal reads only source, target and blocks, which p shares.
-    marg = {i: m for rows, ms in choi_marginal(p) for i, m in zip(rows, linalg.hermitize(ms))}
+    marg = {i: m for rows, ms in _marginals(p.blocks, p.target.dims)
+            for i, m in zip(rows, linalg.hermitize(ms))}
     return [marg[i] for i in range(p.source.nfactors)]
 
 
 def relation_as_cp(p: QuantumRelation) -> CpMorphism:
-    """Canonical CP morphism of a relation: blocks w_i p̃_ij.
+    """Canonical CP morphism of a relation: blocks (w_i e_j / w_j) p̃_ij.
 
     This weighting is the one under which the discrete relation becomes the
     identity channel, partial functions become non-counital
-    star-cohomomorphisms and functions become channels.
+    star-cohomomorphisms and functions become channels, whatever the
+    systems' weights: its Choi marginal Σ_j w_j Tr_outer is w_i times the
+    weight-free marginal.  Under the standard weights w_j = e_j it is w_i p̃_ij.
     """
-    sw = np.array(p.source.weights)
-    parts = [(klass, sw[klass.rows][:, None, None] * stack) for klass, stack in p.blocks.classes()]
+    sw, tw = np.array(p.source.weights), np.array(p.target.weights)
+    te = np.array(p.target.dims)
+    parts = [(klass, (sw[klass.rows] * te[klass.cols] / tw[klass.cols])[:, None, None] * stack)
+             for klass, stack in p.blocks.classes()]
     return CpMorphism.stacked(p.source, p.target, parts)
 
 
 def channel_exists(p: QuantumRelation) -> bool:
-    """Invertibility of the weighted source marginal on every factor.
+    """Invertibility of the source marginal (marginal, weighted by target
+    dimensions, not by the systems' weights) on every factor.
 
     This is the partial-trace criterion for a relation to underlie a channel.
     Invertibility is necessary; the constructive branch below additionally
@@ -459,7 +465,7 @@ def channel_from_relation(p: QuantumRelation) -> CpMorphism:
     would return a channel for a different relation.
     """
     if not channel_exists(p):
-        raise NoChannel("the weighted source marginal is singular")
+        raise NoChannel("the source marginal is singular")
     f = channelize(relation_as_cp(p))
     defect = relation_defect(support_of(f), p)
     if defect > TOL_ROUNDTRIP:

@@ -21,8 +21,11 @@ coordinates lay the factors out in order, d_i² each (offsets).
 Block families of maps between systems (Choi blocks, relation projections)
 live in a BlockStore, the one owner of their representation: one (k, n, n)
 stack per class (d_i, e_j) of factor pairs, behind a read-only mapping from
-(i, j) to the block.  Each class holds a stack, None (a zero class, never
-allocated) or a function that makes the stack on its first read.  A family
+(i, j) to the block.  Each class holds a stack, None (a zero class, read as
+one broadcast zero stack, never allocated) or a function that makes the
+stack on its first read.  The store also owns the one adjoint construction,
+a -> a† onto the transposed class (BlockStore.adjoint), which the dagger of
+a CP morphism weights and the converse of a relation reads as it is.  A family
 given from outside, a dict from factor pair to entry or a KeyedStack, is
 grouped by class (located), checked once per class by
 linalg.as_complex_groups and copied into the class stacks (class_stack).
@@ -224,16 +227,10 @@ def layout(src_dims: tuple, tgt_dims: tuple) -> Layout:
 
 
 @lru_cache(maxsize=128)
-def _zero(n: int) -> np.ndarray:
-    z = np.zeros((n, n), dtype=complex)
-    z.setflags(write=False)
-    return z
-
-
-@lru_cache(maxsize=128)
 def _zero_stack(k: int, n: int) -> np.ndarray:
-    """Read-only (k, n, n) zero stack; a broadcast view, so it allocates nothing."""
-    return np.broadcast_to(_zero(n), (k, n, n))
+    """Read-only (k, n, n) zero stack: a broadcast view of one n x n zero
+    block, so its k members share that block's buffer."""
+    return np.broadcast_to(np.zeros((n, n), dtype=complex), (k, n, n))
 
 
 class BlockStore(Mapping):
@@ -272,8 +269,6 @@ class BlockStore(Mapping):
 
     def __getitem__(self, key):
         c, s = self.layout.where[key]
-        if self._stacks[c] is None:
-            return _zero(self.layout.classes[c].n)
         return self.stack(c)[s]
 
     def __iter__(self):
@@ -301,14 +296,12 @@ class BlockStore(Mapping):
             self._pairs = tuple(zip(self.layout.classes, map(self.stack, range(len(self._stacks)))))
         return self._pairs
 
-    def transposed(self) -> list:
-        """(class, stack) over the target x source layout: class (e, d) holds
-        block (i, j) of this store at the slot of (j, i)."""
-        tl = layout(self.layout.tgt_dims, self.layout.src_dims)
-        return [
-            (tl.classes[tl.index[klass.dims[::-1]]], klass.transposed(stack))
-            for klass, stack in self.classes()
-        ]
+    def adjoint(self, c: int) -> np.ndarray:
+        """Class c's stack under a -> a†, in the key order of the transposed
+        class (e, d) of the target x source layout: block (i, j)'s adjoint
+        image (linalg.adjoint_image) at the slot of (j, i)."""
+        klass = self.layout.classes[c]
+        return linalg.adjoint_image(klass.transposed(self.stack(c)), *klass.dims)
 
     def distance(self, other: "BlockStore") -> float:
         """Largest Frobenius norm of a block difference with a store of the

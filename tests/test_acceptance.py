@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from covgraphs import classical, cpmaps, graphs, groups, linalg, relations, scc, systems
-from covgraphs.errors import NoChannel, NotReversible
+from covgraphs.errors import NoChannel, NotReversible, NotValid
 
 from genutil import (
     adjoint_element,
@@ -628,3 +628,33 @@ def test_criterion_12_covariant_results_2_and_3():
     print(f"ACCEPTANCE 12: PASS - results 2 and 3 on the Klein four, C3 (a qutrit and three "
           f"classical points) and S3 "
           f"(worst defect {worst:.1e})")
+
+
+def test_criterion_12_covariant_result_4():
+    """Result 4 of the paper on the same four worlds: the sources
+    source_from_graph builds from the covariant graph and from the discrete
+    graph are covariant; with the identity encoder the encoding verdict is
+    the homomorphism test from the source graph to the channel's
+    confusability graph, for the reversible and the lossy channel; a valid
+    scheme's decoder is a covariant channel that verify_scheme accepts; and
+    the discrete source through the lossy channel is invalid, with no
+    decoder."""
+    for name, sys, graph, reversible, lossy in _criterion_12_worlds():
+        encoder = cpmaps.identity_channel(sys)
+        for kind, g in (("graph", graph), ("discrete", graphs.discrete_graph(sys))):
+            src = scc.source_from_graph(g)
+            assert groups.is_covariant_cp(src.channel), (name, kind)
+            for n_chan in (reversible, lossy):
+                valid = scc.encoding_is_valid(encoder, src, n_chan)
+                assert valid == graphs.is_homomorphism(
+                    encoder, scc.source_confusability_graph(src), graphs.confusability_of(n_chan))
+                assert valid != (kind == "discrete" and n_chan is lossy), (name, kind)
+                if not valid:
+                    with pytest.raises(NotValid):
+                        scc.decoder_for(encoder, src, n_chan)
+                    continue
+                decoder = scc.decoder_for(encoder, src, n_chan)
+                assert cpmaps.is_channel(decoder) and groups.is_covariant_cp(decoder), (name, kind)
+                assert scc.verify_scheme(src, n_chan, encoder, decoder), (name, kind)
+    print("ACCEPTANCE 12: PASS - result 4 on the Klein four, C3 (a qutrit and three classical "
+          "points) and S3")

@@ -113,6 +113,28 @@ def test_no_switch_skips_a_check():
     assert not hasattr(cpmaps, "_from_maps")
 
 
+def test_frames_are_taken_only_with_a_block_store():
+    """Frames given beside projections from outside would bypass their
+    check, since compose reads only frames: the projection onto span{I} on
+    (2,) passes every check and equals discrete, yet with the frame of E_01
+    it would compose to a relation that is not discrete.  So the
+    constructor refuses them, and the same blocks alone make discrete."""
+    sys = systems.system((2,))
+    v = linalg.vec(np.eye(2)) / np.sqrt(2)
+    blocks = {(0, 0): np.outer(v, v.conj())}
+    e01 = linalg.vec(np.array([[0.0, 1.0], [0.0, 0.0]])).astype(complex)
+    frames = (linalg.Frames(np.array([1]), e01.reshape(1, 4, 1)),)
+    with pytest.raises(TypeError, match="BlockStore"):
+        relations.QuantumRelation(sys, sys, blocks, frames)
+    p = relations.QuantumRelation(sys, sys, blocks)
+    assert relations.relations_equal(p, relations.discrete(sys))
+    assert relations.relations_equal(relations.compose(p, p), relations.discrete(sys))
+    store = relations.discrete(sys).blocks
+    assert relations.relations_equal(
+        relations.QuantumRelation(sys, sys, store, relations.discrete(sys).frames()),
+        relations.discrete(sys))
+
+
 def _spy(monkeypatch, owner, name):
     calls = []
     real = getattr(owner, name)

@@ -4,7 +4,10 @@ their own methods, so it needs no late import of either.
 
 A private name imported from another module is a decision that two modules
 share it, so the set of such imports is pinned: a new one changes PRIVATE
-here, where review sees it."""
+here, where review sees it.  So is the set of functions that read a memo's
+state (groups.is_kept): a path chosen by what a memo happens to hold gives
+one answer on a born object and another on its twin, so a new reader
+changes KEPT_READERS here."""
 
 import ast
 import pathlib
@@ -19,9 +22,16 @@ PRIVATE = {
     ("bundle", "systems", "_shared_system"),
     ("cpmaps", "systems", "_diff"),
     ("relations", "cpmaps", "_hom_defects"),
+    ("relations", "cpmaps", "_marginals"),
     ("relations", "cpmaps", "_psd_cut"),
     ("scc", "graphs", "_conjugation_action"),
     ("scc", "graphs", "_reverse"),
+}
+
+# (module, function) of every function in src/covgraphs that calls groups.is_kept
+KEPT_READERS = {
+    ("cpmaps", "compose"),
+    ("cpmaps", "_negative_parts"),
 }
 
 
@@ -57,3 +67,29 @@ def _private_imports() -> set:
 
 def test_private_cross_module_imports_are_the_pinned_ones():
     assert _private_imports() == PRIVATE
+
+
+def _kept_readers() -> set:
+    """(module, innermost enclosing function) of every call of is_kept,
+    by name or as groups.is_kept, in src/covgraphs."""
+    found = set()
+
+    def visit(node, module, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                callee = child.func
+                name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+                if name == "is_kept":
+                    found.add((module, fn))
+            visit(child, module, fn)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    return found
+
+
+def test_memo_state_readers_are_the_pinned_ones():
+    assert _kept_readers() == KEPT_READERS

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from covgraphs import cpmaps, graphs, linalg, relations, systems
+from covgraphs import cpmaps, graphs, groups, linalg, relations, systems
 from covgraphs.classical import embed_channel, extract_relation
 from covgraphs.errors import NegativeSpectrum, NoChannel, NotAChannel, SystemMismatch
 
@@ -19,10 +19,12 @@ from genutil import (
     rand_channel,
     rand_complex,
     rand_cp,
+    rand_isometry,
     rand_relation,
     rand_system,
     rand_unitary,
     unshared_system,
+    weyl_unitaries,
 )
 
 rng = np.random.default_rng(505)
@@ -532,6 +534,78 @@ class TestPartialFunctionFlags:
         p = relations.QuantumRelation(a, b, {(0, 0): blk})
         pf, fn, _ = relations.partial_function_flags(p)
         assert pf and fn
+
+
+class TestFlagsOnAnyWeights:
+    """The partial-function and function flags read relation_as_cp, whose
+    blocks (w_i e_j / w_j) p̃_ij make its Choi marginal w_i times the
+    weight-free marginal, so the three characterizations agree whatever
+    the systems' weights."""
+
+    @staticmethod
+    def _weighted(dims, weights):
+        return systems.System(dims, groups.trivial_action(groups.trivial_group(), dims),
+                              tuple(weights))
+
+    @staticmethod
+    def _span(ops):
+        n = ops[0].size
+        return linalg.orthonormal_span([linalg.vec(op) for op in ops], dim=n)
+
+    @pytest.mark.parametrize("weights", [(0.5, 3.0), (2.0, 2.0), (1.0, 1.0)])
+    def test_unitary_span_is_a_function(self, weights):
+        r = np.random.default_rng(1970)
+        sys = self._weighted((1, 2), weights)
+        p = relations.QuantumRelation(sys, sys, {
+            (i, i): self._span([rand_unitary(r, d)]) for i, d in enumerate(sys.dims)})
+        pf, fn, _ = relations.partial_function_flags(p)
+        assert pf and fn
+        assert cpmaps.is_channel(relations.relation_as_cp(p))
+        for m, d in zip(relations.marginal(p), sys.dims):
+            assert np.allclose(m, np.eye(d))
+
+    def test_weight_sweep(self):
+        """Fixed seed, weights drawn from [0.2, 4]: unitary spans on each
+        diagonal block and from factor i to a factor of its dimension are
+        functions, a subset of them partial functions, two Weyl operators
+        per block neither; the converses of the supports of x -> V x V† and
+        x -> W(x ⊗ 1)W† between differently weighted systems are a partial
+        function and a function."""
+        r = np.random.default_rng(1971)
+        seen = set()
+        for dims in [(2,), (1, 2), (2, 2), (3,)]:
+            for _ in range(4):
+                sys = self._weighted(dims, r.uniform(0.2, 4, len(dims)))
+                keep = r.random(len(dims)) < 0.5
+                onto = [int(r.choice([j for j, e in enumerate(dims) if e == d])) for d in dims]
+                weyl = [[weyl_unitaries(d)[int(x)]
+                         for x in r.choice(d * d, size=min(2, d * d), replace=False)]
+                        for d in dims]
+                cases = [
+                    ((True, True), {(i, i): [rand_unitary(r, d)] for i, d in enumerate(dims)}),
+                    ((True, True), {(i, onto[i]): [rand_unitary(r, d)]
+                                    for i, d in enumerate(dims)}),
+                    ((True, keep.all()), {(i, i): [rand_unitary(r, d)]
+                                          for i, d in enumerate(dims) if keep[i]}),
+                    ((False, False), {(i, i): weyl[i] for i in range(len(dims))}),
+                ]
+                for expected, ops in cases:
+                    p = relations.QuantumRelation(
+                        sys, sys, {key: self._span(o) for key, o in ops.items()})
+                    assert relations.partial_function_flags(p)[:2] == expected, (dims, ops)
+                    seen.add(expected)
+                tall = self._weighted(tuple(d + 1 for d in dims), r.uniform(0.2, 4, len(dims)))
+                wide = self._weighted(tuple(2 * d for d in dims), r.uniform(0.2, 4, len(dims)))
+                ws = [rand_unitary(r, 2 * d) for d in dims]
+                isometric = {(i, i): [ws[i] @ np.kron(np.eye(d), np.eye(2)[:, [a]])
+                                      for a in range(2)] for i, d in enumerate(dims)}
+                for expected, (tgt, kraus) in (
+                        ((True, False), (tall, {(i, i): [rand_isometry(r, d + 1, d)]
+                                                for i, d in enumerate(dims)})),
+                        ((True, True), (wide, isometric))):
+                    p = relations.converse(relations.support_of(cpmaps.from_kraus(kraus, sys, tgt)))
+                    assert relations.partial_function_flags(p)[:2] == expected, (dims, tgt.dims)
+        assert seen == {(True, True), (True, False), (False, False)}
 
 
 class TestChannelFromRelation:

@@ -227,8 +227,7 @@ def test_verdicts_equal_the_exact_loop(name, monkeypatch):
     dagger, and on both the multiplicativity part alone does too (a
     non-unital *-homomorphism's True side reads λ_max(f(1))); only the
     perturbation placed at TOL_PROJ runs the loop.  partial_function_flags
-    on each relation of standard weights gives the loop's verdict of its
-    third characterization."""
+    on each relation gives the loop's verdict of its third characterization."""
     cases = _sweep(name)
     runs = _spied(monkeypatch)
     seen, looped = set(), set()
@@ -248,7 +247,7 @@ def test_verdicts_equal_the_exact_loop(name, monkeypatch):
     r = np.random.default_rng(4950 + sorted(SWEEP_SYSTEMS).index(name))
     sys = SWEEP_SYSTEMS[name]
     rels = [_weyl_relation(r, sys)] + [relations.support_of(f) for _, f in cases[:3]]
-    for p in rels if _standard(sys) else ():
+    for p in rels:
         pf, _, witnesses = relations.partial_function_flags(p)
         fcp = cpmaps.dagger(relations.relation_as_cp(p))
         _, (mult, _, star) = _exact_hom_defects(fcp)
@@ -260,27 +259,16 @@ def test_verdicts_equal_the_exact_loop(name, monkeypatch):
 def test_verdicts_do_not_depend_on_birth(name):
     """The three verdict APIs answer alike on f, its Choi-born twin and the
     Kraus-born from_kraus(f.kraus()) (partial_function_flags on their
-    supports, on systems of standard weights), off the perturbation placed
-    exactly at TOL_PROJ, where the births' round-off differences could
-    decide."""
+    supports), off the perturbation placed exactly at TOL_PROJ, where the
+    births' round-off differences could decide."""
     for case, f in _sweep(name):
         if case == "perturbed1.0":
             continue
         births = [f, choi_born(f), cpmaps.from_kraus(f.kraus(), f.source, f.target)]
         for public in (cpmaps.is_star_homomorphism, cpmaps.is_star_cohomomorphism):
             assert len({public(g) for g in births}) == 1, (case, public.__name__)
-        if _standard(f.source) and _standard(f.target):
-            flags = {relations.partial_function_flags(relations.support_of(g))[:2]
-                     for g in births}
-            assert len(flags) == 1, case
-
-
-def _standard(sys):
-    """Whether sys has the standard weights w_i = d_i, the only ones on
-    which partial_function_flags' three characterizations agree: on others
-    a function relation's canonical CP map is no cohomomorphism, and the
-    flags raise CharacterizationMismatch."""
-    return sys.weights == tuple(map(float, sys.dims))
+        flags = {relations.partial_function_flags(relations.support_of(g))[:2] for g in births}
+        assert len(flags) == 1, case
 
 
 def _spied(monkeypatch):
